@@ -87,7 +87,8 @@ class QuantumCritic:
         return self.layout.param_count + self.layout.n + 1
 
     def value(self, h: np.ndarray, noise: Optional[NoiseSpec] = None,
-              rng: Optional[np.random.Generator] = None) -> float:
+              rng: Optional[np.random.Generator] = None):
+        """V(h) as a float, or shape (T,) for hidden states of shape (T, hidden)."""
         x = encoding.pad_input(h, self.layout)
         return qsim.circuit_value(
             self.gates, x, self.params["theta"], self.params["w"],
@@ -99,26 +100,20 @@ class QuantumCritic:
                         noise: Optional[NoiseSpec] = None,
                         rng: Optional[np.random.Generator] = None):
         """Returns (value, grads dict, dV/dh). Grads are of V itself; callers
-        scale by the upstream dLoss/dV."""
+        scale by the upstream dLoss/dV. For h of shape (T, hidden) every
+        output gains a leading T axis and all rows run as one batch."""
         x = encoding.pad_input(h, self.layout)
-        theta = self.params["theta"]
-        w = self.params["w"]
-        b = float(self.params["b"][0])
-        n = self.layout.n
+        args = (self.gates, x, self.params["theta"], self.params["w"],
+                float(self.params["b"][0]), self.layout.n)
         if mode == "backprop":
-            value, d_theta, d_x, z, _ = qsim.adjoint_value_and_grad(
-                self.gates, x, theta, w, b, n)
+            value, d_theta, d_x, z, _ = qsim.adjoint_value_and_grad(*args)
         elif mode == "param-shift":
-            z = qsim.run_circuit(self.gates, x, theta, n, noise, rng, self.sublayer_marks)
-            value = float(b + np.dot(w, z))
-            d_theta = qsim.param_shift_gradient(
-                self.gates, x, theta, w, b, n, noise, rng, self.sublayer_marks, wrt="param")
-            d_x = qsim.param_shift_gradient(
-                self.gates, x, theta, w, b, n, noise, rng, self.sublayer_marks, wrt="data")
+            value, d_theta, d_x, z, _ = qsim.param_shift_value_and_grad(
+                *args, noise, rng, self.sublayer_marks)
         else:
             raise UsageError(f"unknown gradient mode {mode!r}")
-        grads = {"theta": d_theta, "w": z, "b": np.ones(1)}
-        return value, grads, d_x[: self.layout.p]
+        grads = {"theta": d_theta, "w": z, "b": np.ones(np.shape(value) + (1,))}
+        return value, grads, d_x[..., : self.layout.p]
 
 
 class ClassicalCritic:
@@ -151,11 +146,23 @@ class ClassicalCritic:
         v, c3 = nn.dense_forward(d2, z2)
         return float(v[0]), (c1, c2, c3)
 
-    def value(self, h: np.ndarray, noise=None, rng=None) -> float:
+    def value(self, h: np.ndarray, noise=None, rng=None):
+        """V(h) as a float, or shape (T,) for hidden states of shape (T, hidden)."""
+        if np.ndim(h) == 2:
+            return np.array([self.forward(row)[0] for row in h])
         return self.forward(h)[0]
 
     def value_and_grads(self, h: np.ndarray, mode: str = "backprop",
                         noise=None, rng=None):
+        """(value, grads dict, dV/dh); a (T, hidden) batch loops its rows and
+        stacks them along a leading T axis."""
+        if np.ndim(h) == 1:
+            return self._value_and_grads(h)
+        rows = [self._value_and_grads(row) for row in h]
+        grads = {k: np.stack([r[1][k] for r in rows]) for k in rows[0][1]}
+        return np.array([r[0] for r in rows]), grads, np.stack([r[2] for r in rows])
+
+    def _value_and_grads(self, h: np.ndarray):
         value, (c1, c2, c3) = self.forward(h)
         d1, ln, d2 = self._sub("d1"), self._sub("ln"), self._sub("d2")
         dz2, g3 = nn.dense_backward(d2, np.ones(1), c3)
@@ -269,7 +276,6 @@ class EpisodeTrace:
     actions: list = field(default_factory=list)
     logps: list = field(default_factory=list)
     entropies: list = field(default_factory=list)
-    values: list = field(default_factory=list)
     rewards: list = field(default_factory=list)  # totals
     breakdowns: list = field(default_factory=list)
     outcome: Optional[str] = None
@@ -293,8 +299,9 @@ def run_episode(model: ActorCriticModel, scene: env.Scene,
                 env_config: env.EnvConfig,
                 policy_rng: Optional[np.random.Generator] = None,
                 noise_rng: Optional[np.random.Generator] = None,
-                greedy: bool = False,
-                collect_near_miss: bool = False) -> EpisodeTrace:
+                greedy: bool = False) -> EpisodeTrace:
+    """Roll out one episode. The critic is not evaluated along the way: only
+    a truncated episode needs a value, the bootstrap of its last state."""
     config = model.config
     noise = config.noise if noise_rng is not None else None
     world, obs = env.reset(scene, config=env_config)
@@ -311,7 +318,6 @@ def run_episode(model: ActorCriticModel, scene: env.Scene,
             action = int(np.argmax(probs))
         else:
             action = int(policy_rng.choice(env.N_ACTIONS, p=probs))
-        value = model.critic.value(h, noise=noise, rng=noise_rng)
         world, obs, reward, done, info = env.step(world, action)
         if env.NEAR_MISS in info["proximity"]:
             near_miss_seen = True
@@ -320,11 +326,11 @@ def run_episode(model: ActorCriticModel, scene: env.Scene,
         trace.actions.append(action)
         trace.logps.append(float(np.log(probs[action])))
         trace.entropies.append(entropy)
-        trace.values.append(value)
         trace.rewards.append(reward.total)
         trace.breakdowns.append(reward)
         trace.steps += 1
-    trace.outcome = world.outcome
+    # the agent's own step cap truncates the episode just as the env's does
+    trace.outcome = world.outcome if world.done else "timeout"
     if trace.outcome == "timeout":
         # truncated: bootstrap the return from the value of the final state
         obs_vec = obs.to_vector()
@@ -398,12 +404,13 @@ def replay_loss(model: ActorCriticModel, trace: EpisodeTrace, returns,
 
 def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace, returns,
                       gradient_mode: Optional[str] = None,
-                      noise_rng: Optional[np.random.Generator] = None,
-                      detach_advantage: bool = True):
+                      noise_rng: Optional[np.random.Generator] = None):
     """Gradient of the combined loss J_V - J_pi over one recorded episode.
 
-    The advantage in the policy term is treated as a constant, so no policy
-    gradient flows into the critic parameters. Returns (grads, j_v, j_pi).
+    The trunk is replayed step by step, then the critic runs once on all T
+    hidden states. The advantage in the policy term is treated as a
+    constant, so no policy gradient flows into the critic parameters.
+    Returns (grads, j_v, j_pi).
     """
     config = model.config
     mode = gradient_mode or config.gradient_mode
@@ -412,19 +419,18 @@ def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace, returns,
         raise UsageError("empty episode")
     h = np.zeros(config.lstm_hidden)
     c = np.zeros(config.lstm_hidden)
-    caches, probs_seq, values, logps, entropies = [], [], [], [], []
-    critic_pulls = []  # (grads-of-V, dV/dh) per step
+    caches, probs_seq, hidden, logps, entropies = [], [], [], [], []
     for obs_vec, extras, action in zip(trace.obs, trace.extras, trace.actions):
         h, c, logits, cache = model.trunk_forward(obs_vec, extras, h, c)
         probs, entropy = nn.softmax_entropy(logits)
-        value, vgrads, dvdh = model.critic.value_and_grads(
-            h, mode=mode, noise=config.noise, rng=noise_rng)
         caches.append(cache)
         probs_seq.append(probs)
-        values.append(value)
+        hidden.append(h)
         logps.append(float(np.log(probs[action])))
         entropies.append(entropy)
-        critic_pulls.append((vgrads, dvdh))
+    values, vgrads, dvdh = model.critic.value_and_grads(
+        np.stack(hidden), mode=mode, noise=config.noise, rng=noise_rng)
+    values = values.tolist()
 
     j_v, j_pi = losses(values, returns, logps, entropies,
                        config.entropy_weight, config.entropy_bonus)
@@ -438,17 +444,14 @@ def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace, returns,
         probs = probs_seq[t]
         onehot = np.zeros(env.N_ACTIONS)
         onehot[trace.actions[t]] = 1.0
-        # d(J_V)/dV and d(-J_pi)/dV; the advantage path is detached
+        # d(J_V)/dV; the advantage path into J_pi is detached
         dv = 2.0 * (values[t] - returns[t]) / t_len
-        if not detach_advantage:
-            dv += logps[t] / t_len
         dlogits = -(advantage * (onehot - probs)) / t_len
         dlogits += nn.entropy_backward(probs, -config.entropy_weight * ent_sign / t_len)
 
-        vgrads, dvdh = critic_pulls[t]
-        nn.accumulate(grads, {f"critic.{k}": dv * g for k, g in vgrads.items()})
+        nn.accumulate(grads, {f"critic.{k}": dv * g[t] for k, g in vgrads.items()})
         dh_next, dc_next = model.trunk_backward(
-            dlogits, dv * dvdh, dh_next, dc_next, caches[t], grads)
+            dlogits, dv * dvdh[t], dh_next, dc_next, caches[t], grads)
     if config.max_grad_norm is not None:
         grads = nn.clip_by_global_norm(grads, config.max_grad_norm)
     return grads, j_v, j_pi
@@ -542,7 +545,7 @@ def evaluate_policy(model: ActorCriticModel, scenes: list[env.Scene],
     """Greedy rollouts over all scenes; per-scene outcomes plus aggregates."""
     per_scene = []
     for idx, scene in enumerate(scenes):
-        trace = run_episode(model, scene, env_config, greedy=True, collect_near_miss=True)
+        trace = run_episode(model, scene, env_config, greedy=True)
         per_scene.append({
             "scene": idx,
             "scenario": scene.scenario_id,
@@ -631,6 +634,9 @@ def load_checkpoint(path: str) -> ActorCriticModel:
         if model.params[name].shape != arr.shape:
             raise UsageError(f"checkpoint shape mismatch for {name!r}")
         model.params[name][...] = arr
+    missing = sorted(set(model.params) - set(payload["params"]))
+    if missing:
+        raise UsageError(f"checkpoint lacks parameters {missing} of this architecture")
     return model
 
 
@@ -658,9 +664,12 @@ def set_critic_param_vector(critic, vec: np.ndarray) -> None:
 
 def critic_grad_vector(critic, h: np.ndarray, mode: str = "backprop") -> np.ndarray:
     """Gradient of the critic value w.r.t. all its parameters, flattened in
-    the canonical parameter order."""
+    the canonical parameter order; shape (d,), or (T, d) for h of shape
+    (T, hidden)."""
     _, grads, _ = critic.value_and_grads(h, mode=mode)
-    return np.concatenate([np.asarray(grads[k]).reshape(-1) for k in critic_param_order(critic)])
+    lead = np.shape(h)[:-1]
+    return np.concatenate([np.reshape(grads[k], lead + (-1,)) for k in critic_param_order(critic)],
+                          axis=-1)
 
 
 def sample_critic_param_vector(critic, rng: np.random.Generator) -> np.ndarray:

@@ -18,18 +18,17 @@ class AnalysisUsageError(ValueError):
 # Fisher information
 
 
-def empirical_fim(grad_fn: Callable[[np.ndarray], np.ndarray],
-                  inputs: Sequence[np.ndarray]) -> np.ndarray:
-    """Empirical Fisher matrix (1/k) sum_j g_j g_j^T with g_j = grad of the
-    scalar model output at input x_j.
+def empirical_fim(grads: np.ndarray) -> np.ndarray:
+    """Empirical Fisher matrix (1/k) sum_j g_j g_j^T from the (k, d) matrix
+    whose row j is the gradient of the scalar model output at input x_j.
 
     Under a unit-variance Gaussian output model the expected outer product of
     log-likelihood gradients reduces to grad V grad V^T, so the Gram form is
     used directly; the result is symmetric PSD by construction.
     """
-    if len(inputs) == 0:
-        raise AnalysisUsageError("empirical_fim needs at least one input sample")
-    grads = np.stack([np.asarray(grad_fn(x), dtype=float) for x in inputs])
+    grads = np.asarray(grads, dtype=float)
+    if grads.ndim != 2 or grads.shape[0] == 0:
+        raise AnalysisUsageError("empirical_fim needs a (k, d) gradient matrix with k >= 1")
     return grads.T @ grads / grads.shape[0]
 
 
@@ -104,17 +103,17 @@ class FIMReport:
         }
 
 
-def fim_report(grad_fn_at: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
+def fim_report(grads_at: Callable[[np.ndarray], np.ndarray],
                theta_samples: Sequence[np.ndarray],
-               inputs: Sequence[np.ndarray],
                gamma: float = 1.0,
                n_data: int = 3690) -> FIMReport:
     """Full capacity report for one critic model.
 
-    ``grad_fn_at(theta)`` returns a function mapping an input to the gradient
-    of the model output with respect to the d parameters at that theta.
+    ``grads_at(theta)`` returns the (k, d) matrix of gradients of the model
+    output with respect to the d parameters at that theta, one row per input.
     """
-    fims = [empirical_fim(grad_fn_at(theta), inputs) for theta in theta_samples]
+    grads = [np.asarray(grads_at(theta), dtype=float) for theta in theta_samples]
+    fims = [empirical_fim(g) for g in grads]
     d_eff, normalized = effective_dimension(fims, gamma, n_data)
     mean_fim = np.mean(fims, axis=0)
     return FIMReport(
@@ -122,7 +121,7 @@ def fim_report(grad_fn_at: Callable[[np.ndarray], Callable[[np.ndarray], np.ndar
         gamma=gamma,
         n_data=n_data,
         n_theta_samples=len(theta_samples),
-        n_inputs=len(inputs),
+        n_inputs=grads[0].shape[0],
         eigenvalues=eigenspectrum(mean_fim).tolist(),
         effective_dim=d_eff,
         normalized_effective_dim=normalized,

@@ -328,18 +328,16 @@ def capacity_report(model: ActorCriticModel, theta_samples: int = 20,
     rng = np.random.default_rng(seed)
     critic = model.critic
     p = model.config.lstm_hidden
-    inputs = [rng.uniform(-1.0, 1.0, size=p) for _ in range(n_inputs)]
+    inputs = np.stack([rng.uniform(-1.0, 1.0, size=p) for _ in range(n_inputs)])
     thetas = [agent.sample_critic_param_vector(critic, rng) for _ in range(theta_samples)]
     saved = agent.get_critic_param_vector(critic)
 
-    def grad_fn_at(theta_vec):
-        def grad_fn(x):
-            agent.set_critic_param_vector(critic, theta_vec)
-            return agent.critic_grad_vector(critic, x)
-        return grad_fn
+    def grads_at(theta_vec):
+        agent.set_critic_param_vector(critic, theta_vec)
+        return agent.critic_grad_vector(critic, inputs)
 
     try:
-        report = analysis.fim_report(grad_fn_at, thetas, inputs, gamma=gamma, n_data=n_data)
+        report = analysis.fim_report(grads_at, thetas, gamma=gamma, n_data=n_data)
     finally:
         agent.set_critic_param_vector(critic, saved)
     return report

@@ -64,11 +64,12 @@ def plan_layout(p: int, n: int, layers: int, encoding_axes=DEFAULT_ENCODING_AXES
 
 
 def pad_input(x: np.ndarray, layout: CircuitLayout) -> np.ndarray:
-    """Append the zero padding the layout expects."""
+    """Append the zero padding the layout expects to an input of shape (p,)
+    or to every row of a batch of shape (B, p)."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (layout.p,):
-        raise ValueError(f"expected input of length {layout.p}, got shape {x.shape}")
-    return np.concatenate([x, np.zeros(layout.pad_len)])
+    if x.ndim not in (1, 2) or x.shape[-1] != layout.p:
+        raise ValueError(f"expected inputs of length {layout.p}, got shape {x.shape}")
+    return np.concatenate([x, np.zeros(x.shape[:-1] + (layout.pad_len,))], axis=-1)
 
 
 def build_circuit(layout: CircuitLayout) -> tuple[list[GateOp], tuple[int, ...]]:

@@ -1,4 +1,4 @@
-"""Minimal statevector simulator for small parametrized circuits.
+"""Minimal batched statevector simulator for small parametrized circuits.
 
 Supports single-qubit Pauli rotations (RX/RY/RZ), a CZ entangler, per-qubit
 Pauli-Z expectations, exact parameter-shift gradients, adjoint-mode
@@ -6,11 +6,39 @@ backpropagation, and two trajectory-style noise models (multiplicative gate
 angle error and depolarizing Pauli kicks).
 
 Rotation convention is exp(-i * theta * P / 2), so a single RY on |0> gives
-<Z> = cos(theta).
+<Z> = cos(theta). Qubit 0 is the most significant bit of a basis index.
+
+Batch axis. ``run_circuit``, ``circuit_value``, ``adjoint_value_and_grad``,
+``param_shift_value_and_grad`` and ``param_shift_gradient`` take ``x`` of
+shape ``(p,)`` or ``(B, p)`` (``theta`` is shared by all rows) and evolve a
+``(B, 2**n)`` state; a 1-d ``x`` gives the unbatched return shapes. Each gate
+list is compiled once into a plan, cached on the gates, the qubit count and
+the sublayer marks. The plan holds every rotation's angle source and index
+and the form of -iP for its kind on its target, a +/-1 mask per CZ, and the
+depolarizing events; all <Z_i> come from one ``|psi|**2 @ sign.T`` with a
+Z-sign table per qubit count. A Pauli P on one qubit maps basis index k to
+k, or to k with that qubit's bit flipped, times a phase, so a rotation
+cos(a/2) psi + sin(a/2) (-iP) psi is one gather along the amplitude axis
+and a few elementwise products with per-row coefficients.
+
+Noise. Under noise every row is its own trajectory. One simulation call
+draws from ``rng`` as whole arrays, in this order:
+
+1. gate error: U(0, 1) of shape (rows, trainable-rotation applications),
+   in circuit order (``perturb_gate_params``);
+2. depolarizing: the coins, U(0, 1) of shape (rows, events), then the Pauli
+   choices, integers in [0, 3) for X, Y, Z of the same shape.
+
+Depolarizing events follow circuit order: with ``granularity="sublayer"``
+every qubit 0..n-1 after each marked gate, with ``"gate"`` the target of
+every gate and then, for a CZ, its control. Parameter-shift batches one
+input's unshifted circuit and all its shifted circuits into one call, so
+one input's draws are made before the next input's.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -21,10 +49,12 @@ MAX_QUBITS = 12
 ROTATIONS = ("rx", "ry", "rz")
 
 _PAULI = {
+    "i": np.eye(2, dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+_TABLE_ORDER = "ixyz"  # row of each Pauli in the gather/phase tables
 
 
 class ConfigurationError(ValueError):
@@ -95,10 +125,82 @@ class NoiseSpec:
         return self.gate_error is not None or self.depolarizing is not None
 
 
-def init_state(n_qubits: int) -> np.ndarray:
-    """Return |0...0> on ``n_qubits`` qubits."""
+# ---------------------------------------------------------------------------
+# kernels over a (B, 2**n) state
+
+
+def _check_n(n_qubits: int):
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ConfigurationError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
+
+
+@functools.lru_cache(maxsize=MAX_QUBITS)
+def _tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather indices and phases of I, X, Y, Z on each qubit, plus Z signs.
+
+    ``(P_q psi)[:, k] = phase[P, q, k] * psi[:, src[P, q, k]]``;
+    ``sign[q, k]`` is the Z eigenvalue of basis state k on qubit q.
+    """
+    dim = 2**n_qubits
+    k = np.arange(dim)
+    bits = (k[None, :] >> (n_qubits - 1 - np.arange(n_qubits))[:, None]) & 1  # (n, dim)
+    flipped = k[None, :] ^ (1 << (n_qubits - 1 - np.arange(n_qubits)))[:, None]
+    src = np.empty((4, n_qubits, dim), dtype=np.intp)
+    phase = np.empty((4, n_qubits, dim), dtype=complex)
+    for row, name in enumerate(_TABLE_ORDER):
+        mat = _PAULI[name]
+        if mat[0, 0] == 0:  # off-diagonal: amplitude k comes from its partner
+            src[row] = flipped
+            phase[row] = mat[bits, 1 - bits]
+        else:
+            src[row] = k
+            phase[row] = mat[bits, bits]
+    sign = 1.0 - 2.0 * bits
+    for arr in (src, phase, sign):
+        arr.flags.writeable = False
+    return src, phase, sign
+
+
+def _minus_i_pauli(kind: str, qubit: int, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index and phase of -iP for the rotation ``kind`` on ``qubit``."""
+    src, phase, _ = _tables(n_qubits)
+    row = _TABLE_ORDER.index(kind[1])
+    return src[row, qubit], -1j * phase[row, qubit]
+
+
+def _rotate(psi: np.ndarray, cos: np.ndarray, sin: np.ndarray, src: np.ndarray,
+            factor: np.ndarray) -> np.ndarray:
+    """exp(-i a P / 2) psi = cos(a/2) psi + sin(a/2) (-iP) psi, per row.
+
+    ``cos``/``sin`` broadcast against the rows, shape (B, 1) or scalar.
+    """
+    return cos * psi + sin * (factor * psi[:, src])
+
+
+def _cz_mask(control: int, target: int, n_qubits: int) -> np.ndarray:
+    _, _, sign = _tables(n_qubits)
+    return np.where((sign[control] < 0) & (sign[target] < 0), -1.0, 1.0)
+
+
+def _pauli_rows(psi: np.ndarray, qubit: int, which: np.ndarray) -> np.ndarray:
+    """Apply a per-row Pauli on ``qubit``: ``which`` holds 0..3 for I, X, Y, Z."""
+    src, phase, _ = _tables(_n_qubits_of(psi[0]))
+    return phase[which, qubit] * np.take_along_axis(psi, src[which, qubit], axis=1)
+
+
+def _expect(psi: np.ndarray, n_qubits: int) -> np.ndarray:
+    """All <Z_i> per row: |psi|^2 @ sign.T, shape (B, n)."""
+    _, _, sign = _tables(n_qubits)
+    return (psi.real**2 + psi.imag**2) @ sign.T
+
+
+# ---------------------------------------------------------------------------
+# single-state helpers
+
+
+def init_state(n_qubits: int) -> np.ndarray:
+    """Return |0...0> on ``n_qubits`` qubits."""
+    _check_n(n_qubits)
     state = np.zeros(2**n_qubits, dtype=complex)
     state[0] = 1.0
     return state
@@ -116,66 +218,29 @@ def _check_qubit(qubit: int, n: int):
         raise ConfigurationError(f"qubit index {qubit} out of range for {n} qubits")
 
 
-def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
-    half = angle / 2.0
-    c, s = np.cos(half), np.sin(half)
-    if kind == "rx":
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if kind == "ry":
-        return np.array([[c, -s], [s, c]])
-    return np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]])
-
-
-def _apply_single(state: np.ndarray, qubit: int, mat: np.ndarray) -> np.ndarray:
-    n = _n_qubits_of(state)
-    psi = state.reshape([2] * n)
-    psi = np.moveaxis(psi, qubit, -1)
-    psi = psi @ mat.T
-    return np.moveaxis(psi, -1, qubit).reshape(-1)
-
-
-def _apply_cz(state: np.ndarray, control: int, target: int) -> np.ndarray:
-    n = _n_qubits_of(state)
-    psi = state.reshape([2] * n).copy()
-    idx = [slice(None)] * n
-    idx[control] = 1
-    idx[target] = 1
-    psi[tuple(idx)] *= -1.0
-    return psi.reshape(-1)
-
-
 def apply_gate(state: np.ndarray, gate: GateOp, angle: Optional[float] = None) -> np.ndarray:
     """Apply one gate; for sourced rotations the resolved ``angle`` is required."""
     n = _n_qubits_of(state)
     _check_qubit(gate.target, n)
     if gate.kind == "cz":
         _check_qubit(gate.control, n)
-        return _apply_cz(state, gate.control, gate.target)
+        return state * _cz_mask(gate.control, gate.target, n)
     if angle is None:
         if gate.source is not None:
             raise LayoutError("sourced rotation applied without a resolved angle")
         angle = gate.angle
     if not np.isfinite(angle):
         raise ConfigurationError("rotation angle must be finite")
-    return _apply_single(state, gate.target, _rotation_matrix(gate.kind, angle))
-
-
-def apply_pauli(state: np.ndarray, qubit: int, pauli: str) -> np.ndarray:
-    return _apply_single(state, qubit, _PAULI[pauli])
+    src, factor = _minus_i_pauli(gate.kind, gate.target, n)
+    half = angle / 2.0
+    return _rotate(state[None], np.cos(half), np.sin(half), src, factor)[0]
 
 
 def expectation_z(state: np.ndarray, qubit: int) -> float:
     """<Z> on one qubit: sum of +/- |amp|^2 with sign from the qubit's bit."""
     n = _n_qubits_of(state)
     _check_qubit(qubit, n)
-    probs = np.abs(state.reshape([2] * n)) ** 2
-    marg = np.moveaxis(probs, qubit, 0).reshape(2, -1).sum(axis=1)
-    return float(marg[0] - marg[1])
-
-
-def all_expectations_z(state: np.ndarray) -> np.ndarray:
-    n = _n_qubits_of(state)
-    return np.array([expectation_z(state, q) for q in range(n)])
+    return float(_expect(state[None], n)[0, qubit])
 
 
 def perturb_gate_params(theta: np.ndarray, rng: np.random.Generator, scale: float = 0.01) -> np.ndarray:
@@ -195,21 +260,146 @@ def depolarize_step(state: np.ndarray, qubit: int, p: float, rng: np.random.Gene
         raise ConfigurationError("depolarizing p must be in [0, 1]")
     _check_qubit(qubit, _n_qubits_of(state))
     if rng.uniform() < p:
-        pauli = ("x", "y", "z")[rng.integers(3)]
-        return apply_pauli(state, qubit, pauli)
+        which = 1 + int(rng.integers(3))
+        return _pauli_rows(state[None], qubit, np.array([which]))[0]
     return state
 
 
-def _resolve_angle(gate: GateOp, x: np.ndarray, theta: np.ndarray) -> float:
-    if gate.source == "data":
-        if gate.index >= len(x):
-            raise LayoutError(f"data index {gate.index} outside feature vector of length {len(x)}")
-        return float(x[gate.index])
-    if gate.source == "param":
-        if gate.index >= len(theta):
-            raise LayoutError(f"param index {gate.index} outside theta of length {len(theta)}")
-        return float(theta[gate.index])
-    return float(gate.angle)
+# ---------------------------------------------------------------------------
+# compiled circuits
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A gate list compiled for batched simulation.
+
+    ``steps[pos]`` is ``(col, src, factor)``: for a rotation, its column in
+    the angle matrix and the gather index and phase of -iP on its target;
+    for a CZ, ``(None, None, mask)``. ``events[granularity][pos]`` lists the
+    qubits that get a depolarizing event after gate ``pos``.
+    """
+
+    n: int
+    n_rotations: int  # columns of the angle matrix
+    steps: tuple
+    events: dict
+    fixed_cols: np.ndarray
+    fixed_angles: np.ndarray
+    data_cols: np.ndarray
+    data_index: np.ndarray
+    param_cols: np.ndarray
+    param_index: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _compile(gates: tuple, n_qubits: int, marks: tuple) -> _Plan:
+    _check_n(n_qubits)
+    steps = []
+    sources: dict = {None: ([], []), "data": ([], []), "param": ([], [])}
+    marked = frozenset(marks)
+    per_gate, per_sublayer = [], []
+    for pos, gate in enumerate(gates):
+        _check_qubit(gate.target, n_qubits)
+        if gate.kind == "cz":
+            _check_qubit(gate.control, n_qubits)
+            steps.append((None, None, _cz_mask(gate.control, gate.target, n_qubits)))
+            per_gate.append((gate.target, gate.control))
+        else:
+            col = sum(len(cols) for cols, _ in sources.values())
+            cols, values = sources[gate.source]
+            cols.append(col)
+            values.append(gate.angle if gate.source is None else gate.index)
+            steps.append((col,) + _minus_i_pauli(gate.kind, gate.target, n_qubits))
+            per_gate.append((gate.target,))
+        per_sublayer.append(tuple(range(n_qubits)) if pos in marked else ())
+    (fixed_cols, fixed), (data_cols, data_idx), (param_cols, param_idx) = (
+        sources[None], sources["data"], sources["param"])
+    return _Plan(
+        n=n_qubits,
+        n_rotations=len(gates) - sum(g.kind == "cz" for g in gates),
+        steps=tuple(steps),
+        events={"gate": tuple(per_gate), "sublayer": tuple(per_sublayer)},
+        fixed_cols=np.array(fixed_cols, dtype=np.intp),
+        fixed_angles=np.array(fixed, dtype=float),
+        data_cols=np.array(data_cols, dtype=np.intp),
+        data_index=np.array(data_idx, dtype=np.intp),
+        param_cols=np.array(param_cols, dtype=np.intp),
+        param_index=np.array(param_idx, dtype=np.intp),
+    )
+
+
+def _plan(gates: Sequence[GateOp], n_qubits: int, sublayer_marks: Sequence[int]) -> _Plan:
+    return _compile(tuple(gates), n_qubits, tuple(sublayer_marks))
+
+
+def _rows(x) -> tuple[np.ndarray, bool]:
+    """(B, p) view of the input and whether it was a single vector."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ConfigurationError(f"inputs must have shape (p,) or (B, p), got {x.shape}")
+    return np.atleast_2d(x), x.ndim == 1
+
+
+def _angles(plan: _Plan, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Noise-free rotation angles, shape (B, rotations)."""
+    if plan.data_index.size and plan.data_index.max() >= x.shape[1]:
+        raise LayoutError(f"data index {plan.data_index.max()} outside feature vector "
+                          f"of length {x.shape[1]}")
+    if plan.param_index.size and plan.param_index.max() >= len(theta):
+        raise LayoutError(f"param index {plan.param_index.max()} outside theta "
+                          f"of length {len(theta)}")
+    angles = np.empty((x.shape[0], plan.n_rotations))
+    angles[:, plan.fixed_cols] = plan.fixed_angles
+    angles[:, plan.data_cols] = x[:, plan.data_index]
+    angles[:, plan.param_cols] = theta[plan.param_index]
+    if not np.isfinite(angles).all():
+        raise ConfigurationError("rotation angle must be finite")
+    return angles
+
+
+def _evolve(plan: _Plan, angles: np.ndarray, noise: Optional[NoiseSpec] = None,
+            rng: Optional[np.random.Generator] = None,
+            shifts: Optional[np.ndarray] = None) -> np.ndarray:
+    """Final (B, 2**n) states, one trajectory per row of ``angles``.
+
+    Draws the noise arrays in the order the module docstring fixes; gate
+    error scales the trainable angles before ``shifts`` are added.
+    """
+    rows = angles.shape[0]
+    kicks, events = None, ()
+    if noise is not None and noise.enabled:
+        if rng is None:
+            raise ConfigurationError("noise simulation requires an rng stream")
+        if noise.gate_error is not None:
+            angles = angles.copy()
+            angles[:, plan.param_cols] = perturb_gate_params(
+                angles[:, plan.param_cols], rng, noise.gate_error)
+        if noise.depolarizing is not None:
+            events = plan.events[noise.granularity]
+            n_events = sum(map(len, events))
+            coins = rng.uniform(size=(rows, n_events))
+            paulis = rng.integers(3, size=(rows, n_events))
+            kicks = np.where(coins < noise.depolarizing, 1 + paulis, 0)
+    if shifts is not None:
+        angles = angles + shifts
+    cos, sin = np.cos(angles / 2.0), np.sin(angles / 2.0)
+    psi = np.zeros((rows, 2**plan.n), dtype=complex)
+    psi[:, 0] = 1.0
+    event = 0
+    for pos, (col, src, factor) in enumerate(plan.steps):
+        if col is None:
+            psi = psi * factor
+        else:
+            psi = _rotate(psi, cos[:, col, None], sin[:, col, None], src, factor)
+        if kicks is not None:
+            for qubit in events[pos]:
+                psi = _pauli_rows(psi, qubit, kicks[:, event])
+                event += 1
+    return psi
+
+
+# ---------------------------------------------------------------------------
+# public simulation entry points
 
 
 def run_circuit(
@@ -220,45 +410,18 @@ def run_circuit(
     noise: Optional[NoiseSpec] = None,
     rng: Optional[np.random.Generator] = None,
     sublayer_marks: Sequence[int] = (),
-    shift: Optional[tuple[int, float]] = None,
 ) -> np.ndarray:
-    """Run one trajectory of the circuit and return (<Z_0>, ..., <Z_{n-1}>).
+    """Run the circuit and return (<Z_0>, ..., <Z_{n-1}>) per row.
 
     ``sublayer_marks`` lists gate positions after which per-sublayer
-    depolarizing events are injected on every qubit. ``shift`` optionally adds
-    a delta to the resolved angle of the gate at one position (used by the
-    parameter-shift rule).
+    depolarizing events are injected on every qubit. Returns shape (n,) for
+    a single input and (B, n) for a batch, one trajectory per row.
     """
-    x = np.asarray(x, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if noise is not None and noise.enabled and rng is None:
-        raise ConfigurationError("noise simulation requires an rng stream")
-    marks = frozenset(sublayer_marks)
-    state = init_state(n_qubits)
-    for pos, gate in enumerate(gates):
-        if gate.kind == "cz":
-            state = apply_gate(state, gate)
-        else:
-            angle = _resolve_angle(gate, x, theta)
-            if noise is not None and noise.gate_error is not None and gate.source == "param":
-                # independent jitter per gate application
-                angle *= 1.0 + noise.gate_error * rng.uniform()
-            if shift is not None and shift[0] == pos:
-                angle += shift[1]
-            state = apply_gate(state, gate, angle=angle)
-        if noise is not None and noise.depolarizing is not None:
-            if noise.granularity == "gate":
-                state = depolarize_step(state, gate.target, noise.depolarizing, rng)
-                if gate.kind == "cz":
-                    state = depolarize_step(state, gate.control, noise.depolarizing, rng)
-            elif pos in marks:
-                for q in range(n_qubits):
-                    state = depolarize_step(state, q, noise.depolarizing, rng)
-    return all_expectations_z(state)
-
-
-def _readout(z: np.ndarray, weights: np.ndarray, bias: float) -> float:
-    return float(bias + np.dot(weights, z))
+    plan = _plan(gates, n_qubits, sublayer_marks)
+    x, single = _rows(x)
+    angles = _angles(plan, x, np.asarray(theta, dtype=float))
+    z = _expect(_evolve(plan, angles, noise, rng), n_qubits)
+    return z[0] if single else z
 
 
 def circuit_value(
@@ -271,19 +434,61 @@ def circuit_value(
     noise: Optional[NoiseSpec] = None,
     rng: Optional[np.random.Generator] = None,
     sublayer_marks: Sequence[int] = (),
-    shift: Optional[tuple[int, float]] = None,
-) -> float:
-    """Linear readout bias + sum_i w_i <Z_i> over one circuit evaluation."""
-    z = run_circuit(gates, x, theta, n_qubits, noise, rng, sublayer_marks, shift)
-    return _readout(z, np.asarray(weights, dtype=float), bias)
+):
+    """Linear readout bias + sum_i w_i <Z_i>: a float, or shape (B,) for a batch."""
+    z = run_circuit(gates, x, theta, n_qubits, noise, rng, sublayer_marks)
+    value = bias + z @ np.asarray(weights, dtype=float)
+    return float(value) if z.ndim == 1 else value
 
 
-def _gates_by_source(gates: Sequence[GateOp], source: str) -> dict[int, list[int]]:
-    positions: dict[int, list[int]] = {}
-    for pos, gate in enumerate(gates):
-        if gate.source == source:
-            positions.setdefault(gate.index, []).append(pos)
-    return positions
+def param_shift_value_and_grad(
+    gates: Sequence[GateOp],
+    x: np.ndarray,
+    theta: np.ndarray,
+    weights: np.ndarray,
+    bias: float,
+    n_qubits: int,
+    noise: Optional[NoiseSpec] = None,
+    rng: Optional[np.random.Generator] = None,
+    sublayer_marks: Sequence[int] = (),
+):
+    """Readout value and its exact parameter-shift gradients.
+
+    Returns (value, d/dtheta, d/dx, d/dweights = <Z>, d/dbias) like
+    :func:`adjoint_value_and_grad`. For each angle source index k, sums
+    (V(+pi/2) - V(-pi/2)) / 2 over every gate application that consumes it;
+    features enter as Pauli rotation angles, so the rule is exact for them
+    too. Per input, the unshifted circuit, then every +pi/2 shift, then
+    every -pi/2 shift (trainable uses, then data uses, in circuit order)
+    run as one batch of 1 + 2 * (uses) trajectories.
+    """
+    plan = _plan(gates, n_qubits, sublayer_marks)
+    x, single = _rows(x)
+    theta = np.asarray(theta, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    unused = set(range(len(theta))) - set(plan.param_index.tolist())
+    if unused:
+        raise LayoutError(f"parameters never used by any gate: {sorted(unused)}")
+    cols = np.concatenate([plan.param_cols, plan.data_cols])
+    uses = len(cols)
+    shifts = np.zeros((1 + 2 * uses, plan.n_rotations))
+    shifts[1 + np.arange(uses), cols] = np.pi / 2
+    shifts[1 + uses + np.arange(uses), cols] = -np.pi / 2
+    values = np.empty(len(x))
+    d_theta = np.zeros((len(x), len(theta)))
+    d_x = np.zeros(x.shape)
+    z = np.empty((len(x), n_qubits))
+    for row, angles in enumerate(_angles(plan, x, theta)):
+        batch = np.broadcast_to(angles, shifts.shape)
+        zs = _expect(_evolve(plan, batch, noise, rng, shifts), n_qubits)
+        v = bias + zs @ weights
+        diff = (v[1 : 1 + uses] - v[1 + uses :]) / 2.0
+        np.add.at(d_theta[row], plan.param_index, diff[: plan.param_cols.size])
+        np.add.at(d_x[row], plan.data_index, diff[plan.param_cols.size :])
+        values[row], z[row] = v[0], zs[0]
+    if single:
+        return float(values[0]), d_theta[0], d_x[0], z[0], 1.0
+    return values, d_theta, d_x, z, 1.0
 
 
 def param_shift_gradient(
@@ -298,33 +503,12 @@ def param_shift_gradient(
     sublayer_marks: Sequence[int] = (),
     wrt: str = "param",
 ) -> np.ndarray:
-    """Exact parameter-shift gradient of the readout value.
-
-    For each angle source index k, sums (V(+pi/2) - V(-pi/2)) / 2 over every
-    gate application that consumes it. With ``wrt="data"`` differentiates with
-    respect to the input features instead (features enter as Pauli rotation
-    angles, so the same rule is exact).
-    """
-    theta = np.asarray(theta, dtype=float)
-    vec_len = len(theta) if wrt == "param" else len(np.asarray(x))
-    positions = _gates_by_source(gates, wrt)
-    if wrt == "param":
-        unused = set(range(vec_len)) - set(positions)
-        if unused:
-            raise LayoutError(f"parameters never used by any gate: {sorted(unused)}")
-    grad = np.zeros(vec_len)
-    for idx, gate_positions in positions.items():
-        for pos in gate_positions:
-            plus = circuit_value(
-                gates, x, theta, weights, bias, n_qubits, noise, rng, sublayer_marks,
-                shift=(pos, np.pi / 2),
-            )
-            minus = circuit_value(
-                gates, x, theta, weights, bias, n_qubits, noise, rng, sublayer_marks,
-                shift=(pos, -np.pi / 2),
-            )
-            grad[idx] += (plus - minus) / 2.0
-    return grad
+    """Exact parameter-shift gradient of the readout value with respect to
+    the trainable parameters (``wrt="param"``) or the input features
+    (``wrt="data"``); see :func:`param_shift_value_and_grad`."""
+    _, d_theta, d_x, _, _ = param_shift_value_and_grad(
+        gates, x, theta, weights, bias, n_qubits, noise, rng, sublayer_marks)
+    return d_theta if wrt == "param" else d_x
 
 
 def adjoint_value_and_grad(
@@ -334,47 +518,45 @@ def adjoint_value_and_grad(
     weights: np.ndarray,
     bias: float,
     n_qubits: int,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, float]:
+):
     """Backpropagation through the simulation via the adjoint method.
 
     Returns (value, d/dtheta, d/dx, d/dweights, d/dbias) of the readout
-    V = bias + sum_i w_i <Z_i>, exactly and in a single reverse pass.
-    Noiseless by construction; trajectory noise breaks the unitary reverse
-    pass, so noisy gradients must use the parameter-shift path.
+    V = bias + sum_i w_i <Z_i>, exactly and in a single reverse pass over
+    all rows at once. Noiseless by construction; trajectory noise breaks the
+    unitary reverse pass, so noisy gradients must use the parameter-shift
+    path.
     """
-    x = np.asarray(x, dtype=float)
+    plan = _plan(gates, n_qubits, ())
+    x, single = _rows(x)
     theta = np.asarray(theta, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    angles = [None if g.kind == "cz" else _resolve_angle(g, x, theta) for g in gates]
+    angles = _angles(plan, x, theta)
+    cos, sin = np.cos(angles / 2.0), np.sin(angles / 2.0)
+    psi = _evolve(plan, angles)
+    z = _expect(psi, n_qubits)
+    value = bias + z @ weights
 
-    psi = init_state(n_qubits)
-    for gate, angle in zip(gates, angles):
-        psi = apply_gate(psi, gate, angle=angle)
-
-    z = all_expectations_z(psi)
-    value = _readout(z, weights, bias)
-
-    # lambda = O |psi> with O = sum_i w_i Z_i
-    lam = np.zeros_like(psi)
-    for q in range(n_qubits):
-        lam += weights[q] * apply_pauli(psi, q, "z")
-
-    d_theta = np.zeros_like(theta)
-    d_x = np.zeros_like(x)
-    for gate, angle in zip(reversed(gates), reversed(angles)):
-        if gate.kind == "cz":
-            psi = _apply_cz(psi, gate.control, gate.target)
-            lam = _apply_cz(lam, gate.control, gate.target)
+    # lambda = O |psi> with O = sum_i w_i Z_i, diagonal in the basis
+    _, _, sign = _tables(n_qubits)
+    lam = psi * (weights @ sign)
+    d_angle = np.empty_like(angles)
+    for col, src, factor in reversed(plan.steps):
+        if col is None:
+            psi = psi * factor
+            lam = lam * factor
             continue
-        # dU/dtheta = (-i P / 2) U, so grad = 2 Re <lam| (-i P / 2) |psi_after>
-        pauli = gate.kind[1]
-        d_psi = -0.5j * apply_pauli(psi, gate.target, pauli)
-        g = 2.0 * float(np.real(np.vdot(lam, d_psi)))
-        if gate.source == "param":
-            d_theta[gate.index] += g
-        elif gate.source == "data":
-            d_x[gate.index] += g
-        inv = _rotation_matrix(gate.kind, -angle)
-        psi = _apply_single(psi, gate.target, inv)
-        lam = _apply_single(lam, gate.target, inv)
-    return value, d_theta, d_x, z.copy(), 1.0
+        # dU/da = (-i P / 2) U, so dV/da = 2 Re <lam| (-i P / 2) |psi_after>
+        k_psi = factor * psi[:, src]
+        d_angle[:, col] = np.einsum("bk,bk->b", lam.conj(), k_psi).real
+        # undo the rotation: U(-a) = cos(a/2) - sin(a/2) (-iP)
+        c, s = cos[:, col, None], sin[:, col, None]
+        psi = c * psi - s * k_psi
+        lam = c * lam - s * (factor * lam[:, src])
+    d_theta = np.zeros((len(x), len(theta)))
+    d_x = np.zeros(x.shape)
+    np.add.at(d_theta, (slice(None), plan.param_index), d_angle[:, plan.param_cols])
+    np.add.at(d_x, (slice(None), plan.data_index), d_angle[:, plan.data_cols])
+    if single:
+        return float(value[0]), d_theta[0], d_x[0], z[0], 1.0
+    return value, d_theta, d_x, z, 1.0

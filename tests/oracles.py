@@ -2,15 +2,21 @@
 
 These deliberately avoid the package's simulator code paths: unitaries are
 built as explicit dense matrices via Kronecker products, noise is applied as
-an exact density-matrix channel, and grid paths are found with plain Dijkstra.
+an exact density-matrix channel, grid paths are found with plain Dijkstra,
+and the gate-at-a-time statevector simulator at the end of this file (one
+state, one gate, ``moveaxis`` per application) is the scalar reference for
+the batched simulator in ``qnav.qsim``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from typing import Optional, Sequence
 
 import numpy as np
+
+from qnav.qsim import MAX_QUBITS, ConfigurationError, GateOp, LayoutError, NoiseSpec
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -102,3 +108,288 @@ def grid_shortest_path_cost(costs: np.ndarray, start: tuple[int, int],
                     dist[(jx, jy)] = nd
                     heapq.heappush(frontier, (nd, (jx, jy)))
     return math.inf
+
+
+# ---------------------------------------------------------------------------
+# gate-at-a-time statevector simulator (scalar reference)
+
+_PAULI = PAULI
+
+
+def init_state(n_qubits: int) -> np.ndarray:
+    """Return |0...0> on ``n_qubits`` qubits."""
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ConfigurationError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
+    state = np.zeros(2**n_qubits, dtype=complex)
+    state[0] = 1.0
+    return state
+
+
+def _n_qubits_of(state: np.ndarray) -> int:
+    n = int(state.shape[0]).bit_length() - 1
+    if 2**n != state.shape[0]:
+        raise ConfigurationError("state length is not a power of two")
+    return n
+
+
+def _check_qubit(qubit: int, n: int):
+    if not 0 <= qubit < n:
+        raise ConfigurationError(f"qubit index {qubit} out of range for {n} qubits")
+
+
+def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
+    half = angle / 2.0
+    c, s = np.cos(half), np.sin(half)
+    if kind == "rx":
+        return np.array([[c, -1j * s], [-1j * s, c]])
+    if kind == "ry":
+        return np.array([[c, -s], [s, c]])
+    return np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]])
+
+
+def _apply_single(state: np.ndarray, qubit: int, mat: np.ndarray) -> np.ndarray:
+    n = _n_qubits_of(state)
+    psi = state.reshape([2] * n)
+    psi = np.moveaxis(psi, qubit, -1)
+    psi = psi @ mat.T
+    return np.moveaxis(psi, -1, qubit).reshape(-1)
+
+
+def _apply_cz(state: np.ndarray, control: int, target: int) -> np.ndarray:
+    n = _n_qubits_of(state)
+    psi = state.reshape([2] * n).copy()
+    idx = [slice(None)] * n
+    idx[control] = 1
+    idx[target] = 1
+    psi[tuple(idx)] *= -1.0
+    return psi.reshape(-1)
+
+
+def apply_gate(state: np.ndarray, gate: GateOp, angle: Optional[float] = None) -> np.ndarray:
+    """Apply one gate; for sourced rotations the resolved ``angle`` is required."""
+    n = _n_qubits_of(state)
+    _check_qubit(gate.target, n)
+    if gate.kind == "cz":
+        _check_qubit(gate.control, n)
+        return _apply_cz(state, gate.control, gate.target)
+    if angle is None:
+        if gate.source is not None:
+            raise LayoutError("sourced rotation applied without a resolved angle")
+        angle = gate.angle
+    if not np.isfinite(angle):
+        raise ConfigurationError("rotation angle must be finite")
+    return _apply_single(state, gate.target, _rotation_matrix(gate.kind, angle))
+
+
+def apply_pauli(state: np.ndarray, qubit: int, pauli: str) -> np.ndarray:
+    return _apply_single(state, qubit, _PAULI[pauli])
+
+
+def expectation_z(state: np.ndarray, qubit: int) -> float:
+    """<Z> on one qubit: sum of +/- |amp|^2 with sign from the qubit's bit."""
+    n = _n_qubits_of(state)
+    _check_qubit(qubit, n)
+    probs = np.abs(state.reshape([2] * n)) ** 2
+    marg = np.moveaxis(probs, qubit, 0).reshape(2, -1).sum(axis=1)
+    return float(marg[0] - marg[1])
+
+
+def all_expectations_z(state: np.ndarray) -> np.ndarray:
+    n = _n_qubits_of(state)
+    return np.array([expectation_z(state, q) for q in range(n)])
+
+
+def depolarize_step(state: np.ndarray, qubit: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Single-trajectory depolarizing event: with probability p apply a uniform
+    random Pauli (X, Y or Z) on ``qubit``; otherwise identity.
+
+    Averaged over trajectories this realizes the channel
+    rho -> (1-p) rho + (p/3)(X rho X + Y rho Y + Z rho Z).
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ConfigurationError("depolarizing p must be in [0, 1]")
+    _check_qubit(qubit, _n_qubits_of(state))
+    if rng.uniform() < p:
+        pauli = ("x", "y", "z")[rng.integers(3)]
+        return apply_pauli(state, qubit, pauli)
+    return state
+
+
+def _resolve_angle(gate: GateOp, x: np.ndarray, theta: np.ndarray) -> float:
+    if gate.source == "data":
+        if gate.index >= len(x):
+            raise LayoutError(f"data index {gate.index} outside feature vector of length {len(x)}")
+        return float(x[gate.index])
+    if gate.source == "param":
+        if gate.index >= len(theta):
+            raise LayoutError(f"param index {gate.index} outside theta of length {len(theta)}")
+        return float(theta[gate.index])
+    return float(gate.angle)
+
+
+def run_circuit(
+    gates: Sequence[GateOp],
+    x: np.ndarray,
+    theta: np.ndarray,
+    n_qubits: int,
+    noise: Optional[NoiseSpec] = None,
+    rng: Optional[np.random.Generator] = None,
+    sublayer_marks: Sequence[int] = (),
+    shift: Optional[tuple[int, float]] = None,
+) -> np.ndarray:
+    """Run one trajectory of the circuit and return (<Z_0>, ..., <Z_{n-1}>).
+
+    ``sublayer_marks`` lists gate positions after which per-sublayer
+    depolarizing events are injected on every qubit. ``shift`` optionally adds
+    a delta to the resolved angle of the gate at one position (used by the
+    parameter-shift rule).
+    """
+    x = np.asarray(x, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if noise is not None and noise.enabled and rng is None:
+        raise ConfigurationError("noise simulation requires an rng stream")
+    marks = frozenset(sublayer_marks)
+    state = init_state(n_qubits)
+    for pos, gate in enumerate(gates):
+        if gate.kind == "cz":
+            state = apply_gate(state, gate)
+        else:
+            angle = _resolve_angle(gate, x, theta)
+            if noise is not None and noise.gate_error is not None and gate.source == "param":
+                # independent jitter per gate application
+                angle *= 1.0 + noise.gate_error * rng.uniform()
+            if shift is not None and shift[0] == pos:
+                angle += shift[1]
+            state = apply_gate(state, gate, angle=angle)
+        if noise is not None and noise.depolarizing is not None:
+            if noise.granularity == "gate":
+                state = depolarize_step(state, gate.target, noise.depolarizing, rng)
+                if gate.kind == "cz":
+                    state = depolarize_step(state, gate.control, noise.depolarizing, rng)
+            elif pos in marks:
+                for q in range(n_qubits):
+                    state = depolarize_step(state, q, noise.depolarizing, rng)
+    return all_expectations_z(state)
+
+
+def _readout(z: np.ndarray, weights: np.ndarray, bias: float) -> float:
+    return float(bias + np.dot(weights, z))
+
+
+def circuit_value(
+    gates: Sequence[GateOp],
+    x: np.ndarray,
+    theta: np.ndarray,
+    weights: np.ndarray,
+    bias: float,
+    n_qubits: int,
+    noise: Optional[NoiseSpec] = None,
+    rng: Optional[np.random.Generator] = None,
+    sublayer_marks: Sequence[int] = (),
+    shift: Optional[tuple[int, float]] = None,
+) -> float:
+    """Linear readout bias + sum_i w_i <Z_i> over one circuit evaluation."""
+    z = run_circuit(gates, x, theta, n_qubits, noise, rng, sublayer_marks, shift)
+    return _readout(z, np.asarray(weights, dtype=float), bias)
+
+
+def _gates_by_source(gates: Sequence[GateOp], source: str) -> dict[int, list[int]]:
+    positions: dict[int, list[int]] = {}
+    for pos, gate in enumerate(gates):
+        if gate.source == source:
+            positions.setdefault(gate.index, []).append(pos)
+    return positions
+
+
+def param_shift_gradient(
+    gates: Sequence[GateOp],
+    x: np.ndarray,
+    theta: np.ndarray,
+    weights: np.ndarray,
+    bias: float,
+    n_qubits: int,
+    noise: Optional[NoiseSpec] = None,
+    rng: Optional[np.random.Generator] = None,
+    sublayer_marks: Sequence[int] = (),
+    wrt: str = "param",
+) -> np.ndarray:
+    """Exact parameter-shift gradient of the readout value.
+
+    For each angle source index k, sums (V(+pi/2) - V(-pi/2)) / 2 over every
+    gate application that consumes it. With ``wrt="data"`` differentiates with
+    respect to the input features instead (features enter as Pauli rotation
+    angles, so the same rule is exact).
+    """
+    theta = np.asarray(theta, dtype=float)
+    vec_len = len(theta) if wrt == "param" else len(np.asarray(x))
+    positions = _gates_by_source(gates, wrt)
+    if wrt == "param":
+        unused = set(range(vec_len)) - set(positions)
+        if unused:
+            raise LayoutError(f"parameters never used by any gate: {sorted(unused)}")
+    grad = np.zeros(vec_len)
+    for idx, gate_positions in positions.items():
+        for pos in gate_positions:
+            plus = circuit_value(
+                gates, x, theta, weights, bias, n_qubits, noise, rng, sublayer_marks,
+                shift=(pos, np.pi / 2),
+            )
+            minus = circuit_value(
+                gates, x, theta, weights, bias, n_qubits, noise, rng, sublayer_marks,
+                shift=(pos, -np.pi / 2),
+            )
+            grad[idx] += (plus - minus) / 2.0
+    return grad
+
+
+def adjoint_value_and_grad(
+    gates: Sequence[GateOp],
+    x: np.ndarray,
+    theta: np.ndarray,
+    weights: np.ndarray,
+    bias: float,
+    n_qubits: int,
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Backpropagation through the simulation via the adjoint method.
+
+    Returns (value, d/dtheta, d/dx, d/dweights, d/dbias) of the readout
+    V = bias + sum_i w_i <Z_i>, exactly and in a single reverse pass.
+    Noiseless by construction; trajectory noise breaks the unitary reverse
+    pass, so noisy gradients must use the parameter-shift path.
+    """
+    x = np.asarray(x, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    angles = [None if g.kind == "cz" else _resolve_angle(g, x, theta) for g in gates]
+
+    psi = init_state(n_qubits)
+    for gate, angle in zip(gates, angles):
+        psi = apply_gate(psi, gate, angle=angle)
+
+    z = all_expectations_z(psi)
+    value = _readout(z, weights, bias)
+
+    # lambda = O |psi> with O = sum_i w_i Z_i
+    lam = np.zeros_like(psi)
+    for q in range(n_qubits):
+        lam += weights[q] * apply_pauli(psi, q, "z")
+
+    d_theta = np.zeros_like(theta)
+    d_x = np.zeros_like(x)
+    for gate, angle in zip(reversed(gates), reversed(angles)):
+        if gate.kind == "cz":
+            psi = _apply_cz(psi, gate.control, gate.target)
+            lam = _apply_cz(lam, gate.control, gate.target)
+            continue
+        # dU/dtheta = (-i P / 2) U, so grad = 2 Re <lam| (-i P / 2) |psi_after>
+        pauli = gate.kind[1]
+        d_psi = -0.5j * apply_pauli(psi, gate.target, pauli)
+        g = 2.0 * float(np.real(np.vdot(lam, d_psi)))
+        if gate.source == "param":
+            d_theta[gate.index] += g
+        elif gate.source == "data":
+            d_x[gate.index] += g
+        inv = _rotation_matrix(gate.kind, -angle)
+        psi = _apply_single(psi, gate.target, inv)
+        lam = _apply_single(lam, gate.target, inv)
+    return value, d_theta, d_x, z.copy(), 1.0

@@ -1,5 +1,6 @@
 """Actor-critic training: critics, losses, gradients, runs, evaluation."""
 
+import json
 import math
 
 import numpy as np
@@ -28,6 +29,17 @@ def small_episode(critic="quantum", seed=3, **kwargs):
                               policy_rng=streams["policy"])
     returns = agent.discounted_returns(trace.rewards, config.gamma, trace.bootstrap)
     return config, model, trace, returns
+
+
+def replayed_values(model, trace):
+    """Critic values of the episode's hidden states under the current parameters."""
+    h = np.zeros(model.config.lstm_hidden)
+    c = np.zeros(model.config.lstm_hidden)
+    hidden = []
+    for obs_vec, extras in zip(trace.obs, trace.extras):
+        h, c, _, _ = model.trunk_forward(obs_vec, extras, h, c)
+        hidden.append(h)
+    return model.critic.value(np.stack(hidden))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +173,7 @@ def test_gradient_modes_agree_quantum():
 @pytest.mark.parametrize("critic", ["quantum", "classical"])
 def test_gradients_match_finite_differences(critic):
     config, model, trace, returns = small_episode(critic)
-    advantages = [g - v for g, v in zip(returns, trace.values)]
+    advantages = [g - v for g, v in zip(returns, replayed_values(model, trace))]
     grads, _, _ = agent.episode_gradients(model, trace, returns)
 
     def loss():
@@ -176,7 +188,7 @@ def test_gradients_match_finite_differences(critic):
 def test_policy_term_detached_from_critic():
     """The policy objective, with frozen advantages, has zero critic gradient."""
     config, model, trace, returns = small_episode()
-    advantages = [g - v for g, v in zip(returns, trace.values)]
+    advantages = [g - v for g, v in zip(returns, replayed_values(model, trace))]
 
     def policy_loss():
         t = trace.steps
@@ -202,6 +214,56 @@ def test_policy_term_detached_from_critic():
         theta[idx] = orig
         assert (up - down) / (2 * h_step) == pytest.approx(0.0, abs=1e-12)
     assert policy_loss() == base
+
+
+@pytest.mark.parametrize("critic", ["quantum", "classical"])
+def test_critic_batch_rows_match_single_calls(critic):
+    """A (T, hidden) batch returns, row by row, what T single calls return."""
+    _, model, _ = small_model(critic)
+    hidden = np.random.default_rng(8).uniform(-1, 1, size=(5, 6))
+    modes = ("backprop", "param-shift") if critic == "quantum" else ("backprop",)
+    for mode in modes:
+        values, grads, dvdh = model.critic.value_and_grads(hidden, mode=mode)
+        assert values.shape == (5,) and dvdh.shape == (5, 6)
+        for t, h in enumerate(hidden):
+            value, single, dh = model.critic.value_and_grads(h, mode=mode)
+            assert isinstance(value, float)
+            assert values[t] == pytest.approx(value, abs=1e-12)
+            np.testing.assert_allclose(dvdh[t], dh, rtol=0, atol=1e-12)
+            assert set(grads) == set(single)
+            for key, g in single.items():
+                assert grads[key][t].shape == g.shape
+                np.testing.assert_allclose(grads[key][t], g, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.critic.value(hidden), values, rtol=0, atol=1e-12)
+
+
+def test_agent_step_cap_truncates_as_timeout():
+    """An episode cut by AgentConfig.max_steps below EnvConfig.max_steps ends
+    as a timeout whose bootstrap is the critic value of the next state, and
+    the rollout calls the critic for that bootstrap only."""
+    config, model, streams = small_model(max_steps=5)
+    env_config = env.EnvConfig(max_steps=500)
+    scene = env.make_scene(1, 20.0, 1.2)
+    calls = []
+    value = model.critic.value
+    model.critic.value = lambda *a, **k: calls.append(1) or value(*a, **k)
+    trace = agent.run_episode(model, scene, env_config, policy_rng=streams["policy"])
+    del model.critic.value
+    assert trace.steps == 5
+    assert trace.outcome == "timeout"
+    assert len(calls) == 1
+
+    world, obs = env.reset(scene, config=env_config)
+    h = np.zeros(config.lstm_hidden)
+    c = np.zeros(config.lstm_hidden)
+    for action in trace.actions:
+        h, c, _, _ = model.trunk_forward(obs.to_vector(), agent._extras_vector(obs), h, c)
+        world, obs, _, _, _ = env.step(world, action)
+    h, c, _, _ = model.trunk_forward(obs.to_vector(), agent._extras_vector(obs), h, c)
+    assert trace.bootstrap == model.critic.value(h)
+    assert trace.bootstrap != 0.0
+    returns = agent.discounted_returns(trace.rewards, config.gamma, trace.bootstrap)
+    assert returns[-1] == pytest.approx(trace.rewards[-1] + config.gamma * trace.bootstrap)
 
 
 def test_empty_episode_rejected():
@@ -362,6 +424,17 @@ def test_checkpoint_preserves_noise_config(tmp_path):
     agent.save_checkpoint(model, str(path))
     loaded = agent.load_checkpoint(str(path))
     assert loaded.config.noise == NoiseSpec(gate_error=0.01)
+
+
+def test_checkpoint_missing_parameter_rejected(tmp_path):
+    _, model, _ = small_model()
+    path = tmp_path / "ckpt.json"
+    agent.save_checkpoint(model, str(path))
+    payload = json.loads(path.read_text())
+    del payload["params"]["lstm.b"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(UsageError, match="lstm.b"):
+        agent.load_checkpoint(str(path))
 
 
 # ---------------------------------------------------------------------------

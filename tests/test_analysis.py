@@ -14,7 +14,7 @@ from qnav.analysis import AnalysisUsageError
 
 
 def test_fim_zero_gradients():
-    fim = analysis.empirical_fim(lambda x: np.zeros(3), [np.zeros(2)] * 4)
+    fim = analysis.empirical_fim(np.zeros((4, 3)))
     np.testing.assert_array_equal(fim, np.zeros((3, 3)))
 
 
@@ -22,7 +22,7 @@ def test_fim_linear_model_closed_form():
     """For V = w.x the per-sample gradient is x, so F = mean x x^T."""
     rng = np.random.default_rng(0)
     inputs = [rng.normal(size=4) for _ in range(50)]
-    fim = analysis.empirical_fim(lambda x: x, inputs)
+    fim = analysis.empirical_fim(np.stack(inputs))
     expected = np.mean([np.outer(x, x) for x in inputs], axis=0)
     np.testing.assert_allclose(fim, expected, atol=1e-12)
 
@@ -30,15 +30,15 @@ def test_fim_linear_model_closed_form():
 def test_fim_symmetric_psd():
     rng = np.random.default_rng(1)
     w = rng.normal(size=(5, 3))
-    fim = analysis.empirical_fim(lambda x: np.tanh(w @ x),
-                                 [rng.normal(size=3) for _ in range(20)])
+    fim = analysis.empirical_fim(
+        np.stack([np.tanh(w @ rng.normal(size=3)) for _ in range(20)]))
     np.testing.assert_allclose(fim, fim.T, atol=1e-14)
     assert np.linalg.eigvalsh(fim).min() >= -1e-9
 
 
 def test_fim_empty_inputs():
     with pytest.raises(AnalysisUsageError):
-        analysis.empirical_fim(lambda x: x, [])
+        analysis.empirical_fim(np.zeros((0, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +133,8 @@ def test_effective_dimension_validation():
 def test_fim_report_linear_model():
     rng = np.random.default_rng(5)
     inputs = [rng.normal(size=3) for _ in range(40)]
-    report = analysis.fim_report(lambda theta: (lambda x: x),
-                                 [np.zeros(3), np.ones(3)], inputs)
+    report = analysis.fim_report(lambda theta: np.stack(inputs),
+                                 [np.zeros(3), np.ones(3)])
     assert report.d == 3
     assert report.n_theta_samples == 2
     assert report.n_inputs == 40

@@ -339,3 +339,133 @@ def test_noise_spec_validation():
         NoiseSpec(granularity="shot")
     assert not NoiseSpec().enabled
     assert NoiseSpec(gate_error=0.01).enabled
+
+
+# ---------------------------------------------------------------------------
+# batched simulation against the scalar and dense references
+
+
+def reuploading_case(rng, n, layers, batch):
+    p = int(rng.integers(1, 6 * n + 1))
+    layout = encoding.plan_layout(p, n, layers)
+    gates, marks = encoding.build_circuit(layout)
+    x = encoding.pad_input(rng.uniform(-1, 1, size=(batch, p)), layout)
+    theta = rng.uniform(-np.pi, np.pi, size=layout.param_count)
+    w = rng.uniform(-1, 1, size=n)
+    b = float(rng.uniform(-1, 1))
+    return gates, marks, x, theta, w, b
+
+
+def dense_expectations(gates, x, theta, n):
+    """<Z_q> from the full unitary built out of Kronecker products."""
+    state = np.zeros(2**n, dtype=complex)
+    state[0] = 1.0
+    for gate in gates:
+        if gate.kind == "cz":
+            u = oracles.cz_matrix(gate.control, gate.target, n)
+        else:
+            angle = x[gate.index] if gate.source == "data" else theta[gate.index]
+            u = oracles.lift(oracles.rotation_matrix(gate.kind, angle), gate.target, n)
+        state = u @ state
+    rho = np.outer(state, state.conj())
+    return np.array([oracles.dm_expect_z(rho, q, n) for q in range(n)])
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_batched_forward_and_adjoint_match_references(n, layers):
+    rng = np.random.default_rng(100 * n + layers)
+    for batch in (1, 7, 50):
+        gates, _, x, theta, w, b = reuploading_case(rng, n, layers, batch)
+        z = qsim.run_circuit(gates, x, theta, n)
+        value, d_theta, d_x, dw, db = qsim.adjoint_value_and_grad(gates, x, theta, w, b, n)
+        assert z.shape == (batch, n) and value.shape == (batch,)
+        assert d_theta.shape == (batch, theta.size) and d_x.shape == x.shape
+        assert db == 1.0
+        for i in range(batch):
+            ref_value, ref_theta, ref_x, ref_z, _ = oracles.adjoint_value_and_grad(
+                gates, x[i], theta, w, b, n)
+            np.testing.assert_allclose(z[i], oracles.run_circuit(gates, x[i], theta, n),
+                                       rtol=0, atol=1e-12)
+            assert value[i] == pytest.approx(ref_value, abs=1e-12)
+            np.testing.assert_allclose(d_theta[i], ref_theta, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(d_x[i], ref_x, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dw[i], ref_z, rtol=0, atol=1e-12)
+        for i in range(min(batch, 7)):
+            np.testing.assert_allclose(z[i], dense_expectations(gates, x[i], theta, n),
+                                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_batched_param_shift_matches_scalar_reference(n, layers):
+    rng = np.random.default_rng(200 * n + layers)
+    for batch in (1, 7):
+        gates, _, x, theta, w, b = reuploading_case(rng, n, layers, batch)
+        value, d_theta, d_x, z, _ = qsim.param_shift_value_and_grad(gates, x, theta, w, b, n)
+        # the scalar reference runs 2 circuits per angle use; first and last row suffice
+        # here, test_batch_rows_equal_unbatched_calls covers the rows in between
+        for i in sorted({0, batch - 1}):
+            np.testing.assert_allclose(
+                d_theta[i], oracles.param_shift_gradient(gates, x[i], theta, w, b, n),
+                rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                d_x[i], oracles.param_shift_gradient(gates, x[i], theta, w, b, n, wrt="data"),
+                rtol=0, atol=1e-12)
+            assert value[i] == pytest.approx(oracles.circuit_value(gates, x[i], theta, w, b, n),
+                                             abs=1e-12)
+            np.testing.assert_allclose(z[i], dense_expectations(gates, x[i], theta, n),
+                                       rtol=0, atol=1e-12)
+
+
+def test_batch_rows_equal_unbatched_calls():
+    rng = np.random.default_rng(17)
+    gates, marks, x, theta, w, b = reuploading_case(rng, 3, 2, 7)
+    z = qsim.run_circuit(gates, x, theta, 3, sublayer_marks=marks)
+    values = qsim.circuit_value(gates, x, theta, w, b, 3, sublayer_marks=marks)
+    adjoint = qsim.adjoint_value_and_grad(gates, x, theta, w, b, 3)
+    shifted = qsim.param_shift_value_and_grad(gates, x, theta, w, b, 3, sublayer_marks=marks)
+    for wrt, grad in (("param", shifted[1]), ("data", shifted[2])):
+        np.testing.assert_array_equal(
+            qsim.param_shift_gradient(gates, x, theta, w, b, 3, wrt=wrt), grad)
+    for i in range(len(x)):
+        np.testing.assert_allclose(z[i], qsim.run_circuit(gates, x[i], theta, 3),
+                                   rtol=0, atol=1e-12)
+        assert values[i] == pytest.approx(qsim.circuit_value(gates, x[i], theta, w, b, 3),
+                                          abs=1e-12)
+        for batched, single in zip(
+                (adjoint, shifted),
+                (qsim.adjoint_value_and_grad(gates, x[i], theta, w, b, 3),
+                 qsim.param_shift_value_and_grad(gates, x[i], theta, w, b, 3))):
+            assert isinstance(single[0], float)
+            for part in range(4):
+                np.testing.assert_allclose(np.asarray(batched[part])[i], single[part],
+                                           rtol=0, atol=1e-12)
+
+
+def test_noisy_batched_param_shift_deterministic_per_seed():
+    rng = np.random.default_rng(23)
+    gates, marks, x, theta, w, b = reuploading_case(rng, 2, 2, 3)
+    noise = NoiseSpec(gate_error=0.01, depolarizing=0.1)
+    runs = [
+        qsim.param_shift_value_and_grad(gates, x, theta, w, b, 2, noise=noise,
+                                        rng=np.random.default_rng(seed), sublayer_marks=marks)
+        for seed in (5, 5, 6)
+    ]
+    for part in range(4):
+        np.testing.assert_array_equal(runs[0][part], runs[1][part])
+    assert not np.array_equal(runs[0][1], runs[2][1])
+    noiseless = qsim.param_shift_value_and_grad(gates, x, theta, w, b, 2)
+    assert not np.array_equal(runs[0][1], noiseless[1])
+
+
+def test_gate_granularity_noise_draws_one_event_per_qubit_touched():
+    gates = [GateOp("ry", 0, angle=0.3), GateOp("cz", target=1, control=0)]
+    noise = NoiseSpec(depolarizing=0.5, granularity="gate")
+    rng = np.random.default_rng(4)
+    z = qsim.run_circuit(gates, np.zeros((4, 0)), np.zeros(0), 2, noise=noise, rng=rng)
+    expected = np.random.default_rng(4)
+    expected.uniform(size=(4, 3))
+    expected.integers(3, size=(4, 3))
+    assert z.shape == (4, 2)
+    assert rng.bit_generator.state == expected.bit_generator.state
