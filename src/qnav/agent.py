@@ -18,12 +18,8 @@ import numpy as np
 
 from . import encoding, env, nn, qsim
 from .encoding import CircuitLayout
+from .env import UsageError
 from .qsim import NoiseSpec
-
-
-class UsageError(RuntimeError):
-    pass
-
 
 @dataclass(frozen=True)
 class AgentConfig:
@@ -73,10 +69,15 @@ def rng_streams(seed: int) -> dict[str, np.random.Generator]:
 class QuantumCritic:
     """Data-reuploading circuit critic with a linear n-weights + bias readout."""
 
-    def __init__(self, layout: CircuitLayout, rng: np.random.Generator):
+    def __init__(self, layout: CircuitLayout, params: dict):
+        """``params`` holds views of the critic's parameters: theta, w, b."""
         self.layout = layout
         self.gates, self.sublayer_marks = encoding.build_circuit(layout)
-        self.params = {
+        self.params = params
+
+    @staticmethod
+    def init(layout: CircuitLayout, rng: np.random.Generator) -> dict:
+        return {
             "theta": rng.uniform(-np.pi, np.pi, size=layout.param_count),
             "w": nn.glorot_uniform(rng, layout.n, 1, (layout.n,)),
             "b": np.zeros(1),
@@ -120,30 +121,27 @@ class ClassicalCritic:
     """Dense(32 -> 64) + LayerNorm + Dense(64 -> 1); 2305 parameters at the
     default hidden size."""
 
-    def __init__(self, in_dim: int, rng: np.random.Generator, hidden: int = 64):
-        self.in_dim = in_dim
-        self.hidden = hidden
-        self.params = {}
-        for name, sub in (
-            ("d1", nn.dense_init(rng, in_dim, hidden)),
-            ("ln", nn.layer_norm_init(hidden)),
-            ("d2", nn.dense_init(rng, hidden, 1)),
-        ):
-            for key, val in sub.items():
-                self.params[f"{name}.{key}"] = val
+    def __init__(self, layers: dict):
+        """``layers`` holds views of the d1, ln and d2 parameters."""
+        self.d1, self.ln, self.d2 = layers["d1"], layers["ln"], layers["d2"]
+        self.params = nn.named(layers)
+
+    @staticmethod
+    def init(in_dim: int, rng: np.random.Generator, hidden: int = 64) -> dict:
+        return {
+            "d1": nn.dense_init(rng, in_dim, hidden),
+            "ln": nn.layer_norm_init(hidden),
+            "d2": nn.dense_init(rng, hidden, 1),
+        }
 
     @property
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def _sub(self, prefix: str) -> dict:
-        return {k.split(".", 1)[1]: v for k, v in self.params.items() if k.startswith(prefix + ".")}
-
     def forward(self, h: np.ndarray):
-        d1, ln, d2 = self._sub("d1"), self._sub("ln"), self._sub("d2")
-        z1, c1 = nn.dense_forward(d1, h)
-        z2, c2 = nn.layer_norm_forward(ln, z1)
-        v, c3 = nn.dense_forward(d2, z2)
+        z1, c1 = nn.dense_forward(self.d1, h)
+        z2, c2 = nn.layer_norm_forward(self.ln, z1)
+        v, c3 = nn.dense_forward(self.d2, z2)
         return float(v[0]), (c1, c2, c3)
 
     def value(self, h: np.ndarray, noise=None, rng=None):
@@ -164,14 +162,17 @@ class ClassicalCritic:
 
     def _value_and_grads(self, h: np.ndarray):
         value, (c1, c2, c3) = self.forward(h)
-        d1, ln, d2 = self._sub("d1"), self._sub("ln"), self._sub("d2")
-        dz2, g3 = nn.dense_backward(d2, np.ones(1), c3)
-        dz1, g2 = nn.layer_norm_backward(ln, dz2, c2)
-        dh, g1 = nn.dense_backward(d1, dz1, c1)
-        grads = {f"d1.{k}": v for k, v in g1.items()}
-        grads.update({f"ln.{k}": v for k, v in g2.items()})
-        grads.update({f"d2.{k}": v for k, v in g3.items()})
+        dz2, g3 = nn.dense_backward(self.d2, np.ones(1), c3)
+        dz1, g2 = nn.layer_norm_backward(self.ln, dz2, c2)
+        dh, g1 = nn.dense_backward(self.d1, dz1, c1)
+        grads = {"d1.W": g1["W"], "d1.b": g1["b"], "ln.gain": g2["gain"],
+                 "ln.bias": g2["bias"], "d2.W": g3["W"], "d2.b": g3["b"]}
         return value, grads, dh
+
+
+def _add_into(views: dict, grads: dict) -> None:
+    for key, g in grads.items():
+        views[key] += g
 
 
 # ---------------------------------------------------------------------------
@@ -179,38 +180,43 @@ class ClassicalCritic:
 
 
 class ActorCriticModel:
-    """Encoder + LSTM trunk, dense actor head, pluggable critic."""
+    """Encoder + LSTM trunk, dense actor head, pluggable critic.
+
+    All parameters live in one contiguous float64 vector, ``flat``: the trunk
+    layers first, in the order enc1, enc2, lstm, actor, then the critic, whose
+    slice ``critic_flat`` is its tail. ``params`` names views of it as
+    ``"enc1.W"`` ... ``"critic.theta"``; each layer reads its own views.
+    """
 
     def __init__(self, config: AgentConfig, obs_dim: int, rng: np.random.Generator):
         self.config = config
         self.obs_dim = obs_dim
         enc_out = config.encoder_out
         self.lstm_in = enc_out + 4  # + reward, 2-dim velocity, previous speed action
-        self.params: dict[str, np.ndarray] = {}
-        self._add("enc1", nn.dense_init(rng, obs_dim, config.encoder_hidden))
-        self._add("enc2", nn.dense_init(rng, config.encoder_hidden, enc_out))
-        self._add("lstm", nn.lstm_init(rng, self.lstm_in, config.lstm_hidden))
-        self._add("actor", nn.dense_init(rng, config.lstm_hidden, env.N_ACTIONS))
+        initial = {
+            "enc1": nn.dense_init(rng, obs_dim, config.encoder_hidden),
+            "enc2": nn.dense_init(rng, config.encoder_hidden, enc_out),
+            "lstm": nn.lstm_init(rng, self.lstm_in, config.lstm_hidden),
+            "actor": nn.dense_init(rng, config.lstm_hidden, env.N_ACTIONS),
+        }
         if config.critic == "quantum":
             layout = encoding.plan_layout(config.lstm_hidden, config.n_qubits, config.n_layers)
-            self.critic = QuantumCritic(layout, rng)
+            initial["critic"] = QuantumCritic.init(layout, rng)
         else:
-            self.critic = ClassicalCritic(config.lstm_hidden, rng)
-        for key, val in self.critic.params.items():
-            self.params[f"critic.{key}"] = val
-        self.critic.params = self._sub("critic")  # share storage
-
-    def _add(self, prefix: str, sub: dict):
-        for key, val in sub.items():
-            self.params[f"{prefix}.{key}"] = val
-
-    def _sub(self, prefix: str) -> dict:
-        plen = len(prefix) + 1
-        return {k[plen:]: v for k, v in self.params.items() if k.startswith(prefix + ".")}
+            initial["critic"] = ClassicalCritic.init(config.lstm_hidden, rng)
+        self.flat, self.layers = nn.pack(initial)
+        self.params = nn.named(self.layers)
+        self.enc1, self.enc2 = self.layers["enc1"], self.layers["enc2"]
+        self.lstm, self.actor = self.layers["lstm"], self.layers["actor"]
+        if config.critic == "quantum":
+            self.critic = QuantumCritic(layout, self.layers["critic"])
+        else:
+            self.critic = ClassicalCritic(self.layers["critic"])
+        self.critic_flat = self.flat[-self.critic.param_count :]
 
     @property
     def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
+        return self.flat.size
 
     @property
     def critic_param_count(self) -> int:
@@ -218,49 +224,51 @@ class ActorCriticModel:
 
     def trunk_forward(self, obs_vec: np.ndarray, extras: np.ndarray,
                       h: np.ndarray, c: np.ndarray):
-        enc1, enc2 = self._sub("enc1"), self._sub("enc2")
-        z1, c1 = nn.dense_forward(enc1, obs_vec)
+        z1, c1 = nn.dense_forward(self.enc1, obs_vec)
         a1, t1 = nn.tanh_forward(z1)
-        z2, c2 = nn.dense_forward(enc2, a1)
+        z2, c2 = nn.dense_forward(self.enc2, a1)
         a2, t2 = nn.tanh_forward(z2)
         x = np.concatenate([a2, extras])
-        h_new, c_new, cl = nn.lstm_step(self._sub("lstm"), x, h, c)
-        logits, ca = nn.dense_forward(self._sub("actor"), h_new)
+        h_new, c_new, cl = nn.lstm_step(self.lstm, x, h, c)
+        logits, ca = nn.dense_forward(self.actor, h_new)
         cache = (c1, t1, c2, t2, cl, ca)
         return h_new, c_new, logits, cache
 
     def trunk_backward(self, dlogits: np.ndarray, dh_extra: np.ndarray,
                        dh_next: np.ndarray, dc_next: np.ndarray, cache, grads: dict):
-        """Backward through actor head, LSTM step and encoder for one step.
+        """Backward through actor head, LSTM step and encoder for one step,
+        adding the parameter gradients into ``grads``, the layer views of a
+        gradient vector laid out like ``flat`` (see ``nn.views``).
 
         dh_extra carries the critic's pull on the hidden state; dh_next/dc_next
         come from the future timestep. Returns (dh_prev, dc_prev)."""
         c1, t1, c2, t2, cl, ca = cache
-        dh_actor, g_actor = nn.dense_backward(self._sub("actor"), dlogits, ca)
-        nn.accumulate(grads, {f"actor.{k}": v for k, v in g_actor.items()})
+        dh_actor, g = nn.dense_backward(self.actor, dlogits, ca)
+        _add_into(grads["actor"], g)
         dh = dh_actor + dh_extra + dh_next
-        dx, dh_prev, dc_prev, g_lstm = nn.lstm_step_backward(self._sub("lstm"), dh, dc_next, cl)
-        nn.accumulate(grads, {f"lstm.{k}": v for k, v in g_lstm.items()})
+        dx, dh_prev, dc_prev, g = nn.lstm_step_backward(self.lstm, dh, dc_next, cl)
+        _add_into(grads["lstm"], g)
         enc_out = self.config.encoder_out
         da2 = dx[:enc_out]
         dz2 = nn.tanh_backward(da2, t2)
-        da1, g2 = nn.dense_backward(self._sub("enc2"), dz2, c2)
-        nn.accumulate(grads, {f"enc2.{k}": v for k, v in g2.items()})
+        da1, g = nn.dense_backward(self.enc2, dz2, c2)
+        _add_into(grads["enc2"], g)
         dz1 = nn.tanh_backward(da1, t1)
-        _, g1 = nn.dense_backward(self._sub("enc1"), dz1, c1)
-        nn.accumulate(grads, {f"enc1.{k}": v for k, v in g1.items()})
+        _, g = nn.dense_backward(self.enc1, dz1, c1)
+        _add_into(grads["enc1"], g)
         return dh_prev, dc_prev
 
-    def select_action(self, h: np.ndarray, rng: Optional[np.random.Generator] = None,
-                      greedy: bool = False):
-        """Sample (or argmax) a speed action from the actor head on h."""
-        logits, _ = nn.dense_forward(self._sub("actor"), h)
-        probs, entropy = nn.softmax_entropy(logits)
-        if greedy:
-            action = int(np.argmax(probs))
-        else:
-            action = int(rng.choice(env.N_ACTIONS, p=probs))
-        return action, float(np.log(probs[action])), entropy
+
+def select_action(logits: np.ndarray, rng: Optional[np.random.Generator] = None,
+                  greedy: bool = False) -> tuple[int, float, float]:
+    """Sample (or argmax) a speed action from the actor logits.
+    Returns (action, log-probability, policy entropy)."""
+    probs, entropy = nn.softmax_entropy(logits)
+    if greedy:
+        action = int(np.argmax(probs))
+    else:
+        action = int(rng.choice(env.N_ACTIONS, p=probs))
+    return action, float(np.log(probs[action])), entropy
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +309,8 @@ def run_episode(model: ActorCriticModel, scene: env.Scene,
                 noise_rng: Optional[np.random.Generator] = None,
                 greedy: bool = False) -> EpisodeTrace:
     """Roll out one episode. The critic is not evaluated along the way: only
-    a truncated episode needs a value, the bootstrap of its last state."""
+    a truncated training episode needs a value, the bootstrap of its last
+    state. A greedy (evaluation) rollout leaves the bootstrap at 0."""
     config = model.config
     noise = config.noise if noise_rng is not None else None
     world, obs = env.reset(scene, config=env_config)
@@ -313,25 +322,21 @@ def run_episode(model: ActorCriticModel, scene: env.Scene,
         obs_vec = obs.to_vector()
         extras = _extras_vector(obs)
         h, c, logits, _ = model.trunk_forward(obs_vec, extras, h, c)
-        probs, entropy = nn.softmax_entropy(logits)
-        if greedy:
-            action = int(np.argmax(probs))
-        else:
-            action = int(policy_rng.choice(env.N_ACTIONS, p=probs))
+        action, logp, entropy = select_action(logits, policy_rng, greedy)
         world, obs, reward, done, info = env.step(world, action)
         if env.NEAR_MISS in info["proximity"]:
             near_miss_seen = True
         trace.obs.append(obs_vec)
         trace.extras.append(extras)
         trace.actions.append(action)
-        trace.logps.append(float(np.log(probs[action])))
+        trace.logps.append(logp)
         trace.entropies.append(entropy)
         trace.rewards.append(reward.total)
         trace.breakdowns.append(reward)
         trace.steps += 1
     # the agent's own step cap truncates the episode just as the env's does
     trace.outcome = world.outcome if world.done else "timeout"
-    if trace.outcome == "timeout":
+    if trace.outcome == "timeout" and not greedy:
         # truncated: bootstrap the return from the value of the final state
         obs_vec = obs.to_vector()
         extras = _extras_vector(obs)
@@ -370,38 +375,6 @@ def losses(values, returns, logps, entropies, entropy_weight: float,
     return float(j_v), float(j_pi)
 
 
-def replay_loss(model: ActorCriticModel, trace: EpisodeTrace, returns,
-                advantages=None) -> float:
-    """Episode loss J_V - J_pi as a pure function of the current parameters,
-    replaying the recorded observations and actions (returns stay frozen).
-
-    By default the advantages in the policy term are recomputed from the
-    replayed values. Passing ``advantages`` freezes them instead, which makes
-    finite differences of this loss match the detached-advantage gradient
-    computed by :func:`episode_gradients`.
-    """
-    config = model.config
-    h = np.zeros(config.lstm_hidden)
-    c = np.zeros(config.lstm_hidden)
-    values, logps, entropies = [], [], []
-    for obs_vec, extras, action in zip(trace.obs, trace.extras, trace.actions):
-        h, c, logits, _ = model.trunk_forward(obs_vec, extras, h, c)
-        probs, entropy = nn.softmax_entropy(logits)
-        logps.append(float(np.log(probs[action])))
-        entropies.append(entropy)
-        values.append(model.critic.value(h))
-    j_v, j_pi = losses(values, returns, logps, entropies,
-                       config.entropy_weight, config.entropy_bonus)
-    if advantages is not None:
-        t = len(values)
-        sign = 1.0 if config.entropy_bonus else -1.0
-        j_pi = float(sum(
-            lp * a + config.entropy_weight * sign * ent
-            for lp, a, ent in zip(logps, advantages, entropies)
-        ) / t)
-    return j_v - j_pi
-
-
 def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace, returns,
                       gradient_mode: Optional[str] = None,
                       noise_rng: Optional[np.random.Generator] = None):
@@ -410,7 +383,8 @@ def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace, returns,
     The trunk is replayed step by step, then the critic runs once on all T
     hidden states. The advantage in the policy term is treated as a
     constant, so no policy gradient flows into the critic parameters.
-    Returns (grads, j_v, j_pi).
+    Returns (grad, j_v, j_pi), where grad is laid out like ``model.flat``
+    and clipped to ``config.max_grad_norm`` when that is set.
     """
     config = model.config
     mode = gradient_mode or config.gradient_mode
@@ -435,7 +409,9 @@ def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace, returns,
     j_v, j_pi = losses(values, returns, logps, entropies,
                        config.entropy_weight, config.entropy_bonus)
 
-    grads: dict[str, np.ndarray] = {}
+    grad = np.zeros_like(model.flat)
+    layer_grads = nn.views(grad, model.layers)
+    critic_grads = nn.named(layer_grads["critic"])
     dh_next = np.zeros(config.lstm_hidden)
     dc_next = np.zeros(config.lstm_hidden)
     ent_sign = 1.0 if config.entropy_bonus else -1.0
@@ -449,12 +425,13 @@ def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace, returns,
         dlogits = -(advantage * (onehot - probs)) / t_len
         dlogits += nn.entropy_backward(probs, -config.entropy_weight * ent_sign / t_len)
 
-        nn.accumulate(grads, {f"critic.{k}": dv * g[t] for k, g in vgrads.items()})
+        for key, g in vgrads.items():
+            critic_grads[key] += dv * g[t]
         dh_next, dc_next = model.trunk_backward(
-            dlogits, dv * dvdh[t], dh_next, dc_next, caches[t], grads)
+            dlogits, dv * dvdh[t], dh_next, dc_next, caches[t], layer_grads)
     if config.max_grad_norm is not None:
-        grads = nn.clip_by_global_norm(grads, config.max_grad_norm)
-    return grads, j_v, j_pi
+        grad = nn.clip_by_global_norm(grad, config.max_grad_norm)
+    return grad, j_v, j_pi
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +490,8 @@ def train_run(config: AgentConfig, scenes: list[env.Scene],
         trace = run_episode(model, scene, env_config,
                             policy_rng=streams["policy"], noise_rng=streams["noise"])
         returns = discounted_returns(trace.rewards, config.gamma, trace.bootstrap)
-        grads, j_v, _ = episode_gradients(model, trace, returns, noise_rng=streams["noise"])
-        optimizer.update(model.params, grads)
+        grad, j_v, _ = episode_gradients(model, trace, returns, noise_rng=streams["noise"])
+        optimizer.update(model.flat, grad)
         record.returns.append(trace.episode_return)
         record.entropies.append(float(np.mean(trace.entropies)))
         record.steps.append(trace.steps)
@@ -599,14 +576,17 @@ def random_policy_mean_return(scenes: list[env.Scene], rng: np.random.Generator,
 # checkpoints
 
 
-def save_checkpoint(model: ActorCriticModel, path: str, extra: Optional[dict] = None) -> None:
-    """Flat named parameter list with shapes; JSON round-trips exactly."""
+def save_checkpoint(model: ActorCriticModel, path: str, extra: Optional[dict] = None,
+                    env_config: env.EnvConfig = env.EnvConfig()) -> None:
+    """Flat named parameter list with shapes, plus the agent config and the
+    EnvConfig the model was trained under; JSON round-trips exactly."""
     noise = model.config.noise
     payload = {
         "config": {
             **{k: v for k, v in asdict(model.config).items() if k != "noise"},
             "noise": None if noise is None else asdict(noise),
         },
+        "env": asdict(env_config),
         "obs_dim": model.obs_dim,
         "params": {
             name: {"shape": list(p.shape), "data": p.reshape(-1).tolist()}
@@ -620,8 +600,7 @@ def save_checkpoint(model: ActorCriticModel, path: str, extra: Optional[dict] = 
 
 
 def load_checkpoint(path: str) -> ActorCriticModel:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = _read_checkpoint(path)
     cfg_dict = dict(payload["config"])
     if cfg_dict.get("noise") is not None:
         cfg_dict["noise"] = NoiseSpec(**cfg_dict["noise"])
@@ -640,46 +619,32 @@ def load_checkpoint(path: str) -> ActorCriticModel:
     return model
 
 
+def checkpoint_env_config(path: str) -> env.EnvConfig:
+    """The EnvConfig a checkpoint was trained under (the default EnvConfig
+    for checkpoints that predate recording it)."""
+    return env.EnvConfig(**_read_checkpoint(path).get("env", {}))
+
+
+def _read_checkpoint(path: str) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
+
+
 # ---------------------------------------------------------------------------
-# critic parameter-vector plumbing (capacity analysis)
-
-
-def critic_param_order(critic) -> list[str]:
-    return list(critic.params.keys())
-
-
-def get_critic_param_vector(critic) -> np.ndarray:
-    return np.concatenate([critic.params[k].reshape(-1) for k in critic_param_order(critic)])
-
-
-def set_critic_param_vector(critic, vec: np.ndarray) -> None:
-    pos = 0
-    for key in critic_param_order(critic):
-        p = critic.params[key]
-        p[...] = vec[pos : pos + p.size].reshape(p.shape)
-        pos += p.size
-    if pos != vec.size:
-        raise UsageError("parameter vector length mismatch")
+# critic gradients and samples over the critic slice (capacity analysis)
 
 
 def critic_grad_vector(critic, h: np.ndarray, mode: str = "backprop") -> np.ndarray:
-    """Gradient of the critic value w.r.t. all its parameters, flattened in
-    the canonical parameter order; shape (d,), or (T, d) for h of shape
-    (T, hidden)."""
+    """Gradient of the critic value w.r.t. its slice of the model vector;
+    shape (d,), or (T, d) for h of shape (T, hidden)."""
     _, grads, _ = critic.value_and_grads(h, mode=mode)
     lead = np.shape(h)[:-1]
-    return np.concatenate([np.reshape(grads[k], lead + (-1,)) for k in critic_param_order(critic)],
-                          axis=-1)
+    return np.concatenate([np.reshape(grads[k], lead + (-1,)) for k in critic.params], axis=-1)
 
 
 def sample_critic_param_vector(critic, rng: np.random.Generator) -> np.ndarray:
-    """Parameter-cube sample: U(-pi, pi) for circuit angles, U(-1, 1) for
-    classical weights (incl. the quantum critic's readout head)."""
-    parts = []
-    for key in critic_param_order(critic):
-        size = critic.params[key].size
-        if key == "theta":
-            parts.append(rng.uniform(-np.pi, np.pi, size=size))
-        else:
-            parts.append(rng.uniform(-1.0, 1.0, size=size))
-    return np.concatenate(parts)
+    """Parameter-cube sample of the critic slice: U(-pi, pi) for circuit
+    angles, U(-1, 1) for classical weights (incl. the quantum readout head)."""
+    n_angles = critic.layout.param_count if isinstance(critic, QuantumCritic) else 0
+    return np.concatenate([rng.uniform(-np.pi, np.pi, size=n_angles),
+                           rng.uniform(-1.0, 1.0, size=critic.param_count - n_angles)])

@@ -126,7 +126,7 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     try:
         agent_config = AgentConfig(noise=noise, **agent_section)
         env_config = env.EnvConfig(**env_section)
-    except (TypeError, agent.UsageError, ValueError) as exc:
+    except (TypeError, env.UsageError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return RunConfig(
         name=config["name"],
@@ -207,7 +207,7 @@ def cmd_train(args) -> int:
     started = time.time()
     artifacts = []
     param_counts = {}
-    status = "complete"
+    status = "partial"
     try:
         for seed in run_config.seeds:
             seed_config = dataclasses.replace(run_config.agent, seed=int(seed))
@@ -216,7 +216,8 @@ def cmd_train(args) -> int:
             _write_csv(curve, record.to_rows(run_config.smooth_window),
                        ["episode", "return", "smoothed_return", "entropy", "steps", "outcome"])
             ckpt = out / f"checkpoint_seed{seed}.json"
-            agent.save_checkpoint(model, str(ckpt), extra={"seed": int(seed)})
+            agent.save_checkpoint(model, str(ckpt), extra={"seed": int(seed)},
+                                  env_config=run_config.env)
             artifacts += [curve.name, ckpt.name]
             param_counts = {
                 "critic": record.critic_params,
@@ -224,8 +225,8 @@ def cmd_train(args) -> int:
             }
             if run_config.agent.critic == "quantum":
                 param_counts["layout"] = model.critic.layout.manifest()
-    except Exception:
-        status = "partial"
+        status = "complete"
+    finally:
         manifest = _manifest(run_config, {
             "status": status,
             "artifacts": artifacts,
@@ -235,16 +236,6 @@ def cmd_train(args) -> int:
         })
         with open(out / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2)
-        raise
-    manifest = _manifest(run_config, {
-        "status": status,
-        "artifacts": artifacts,
-        "param_counts": param_counts,
-        "n_scenes": len(scenes),
-        "wall_clock_s": time.time() - started,
-    })
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
     print(f"trained {len(run_config.seeds)} seed(s) -> {out}")
     return EXIT_OK
 
@@ -254,7 +245,7 @@ def cmd_eval(args) -> int:
     if not ckpt.exists():
         raise ConfigError(f"checkpoint not found: {ckpt}")
     model = agent.load_checkpoint(str(ckpt))
-    env_config = env.EnvConfig()
+    env_config = agent.checkpoint_env_config(str(ckpt))
     scene_spec = {"split": args.split}
     if args.scenarios:
         scene_spec["scenarios"] = [int(s) for s in args.scenarios.split(",")]
@@ -330,16 +321,16 @@ def capacity_report(model: ActorCriticModel, theta_samples: int = 20,
     p = model.config.lstm_hidden
     inputs = np.stack([rng.uniform(-1.0, 1.0, size=p) for _ in range(n_inputs)])
     thetas = [agent.sample_critic_param_vector(critic, rng) for _ in range(theta_samples)]
-    saved = agent.get_critic_param_vector(critic)
+    saved = model.critic_flat.copy()
 
     def grads_at(theta_vec):
-        agent.set_critic_param_vector(critic, theta_vec)
+        model.critic_flat[...] = theta_vec
         return agent.critic_grad_vector(critic, inputs)
 
     try:
         report = analysis.fim_report(grads_at, thetas, gamma=gamma, n_data=n_data)
     finally:
-        agent.set_critic_param_vector(critic, saved)
+        model.critic_flat[...] = saved
     return report
 
 
@@ -420,7 +411,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, agent.UsageError) as exc:
+    except (ConfigError, env.UsageError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # runtime failure

@@ -1,12 +1,14 @@
 """Small classical network stack with manual forward/backward passes.
 
-Everything operates on plain numpy arrays; parameters live in flat dicts of
-named arrays so the optimizer and checkpoints can treat models uniformly.
+Everything operates on plain numpy arrays. A model packs its parameters into
+one contiguous float64 vector (:func:`pack`) and reads them through named
+views of it, so the optimizer and clipping act on one array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -173,29 +175,78 @@ def lstm_step_backward(params: dict, dh: np.ndarray, dc: np.ndarray, cache):
 
 @dataclass
 class Adam:
-    """Bias-corrected Adam over a dict of named parameter arrays."""
+    """Bias-corrected Adam over one flat parameter vector."""
 
     lr: float = 0.0005
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
 
-    def update(self, params: dict, grads: dict) -> None:
+    def update(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """One in-place step of ``params`` along ``grads`` (same shape)."""
+        if grads.shape != params.shape:
+            raise ShapeError(f"grad shape {grads.shape} != param shape {params.shape}")
+        if self.m is None:
+            self.m = np.zeros_like(params)
+            self.v = np.zeros_like(params)
         self.t += 1
-        for name, g in grads.items():
-            p = params[name]
-            if g.shape != p.shape:
-                raise ShapeError(f"grad shape {g.shape} != param shape {p.shape} for {name!r}")
-            m = self.m.setdefault(name, np.zeros_like(p))
-            v = self.v.setdefault(name, np.zeros_like(p))
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            mhat = m / (1.0 - self.beta1**self.t)
-            vhat = v / (1.0 - self.beta2**self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        self.m += (1.0 - self.beta1) * (grads - self.m)
+        self.v += (1.0 - self.beta2) * (grads * grads - self.v)
+        mhat = self.m / (1.0 - self.beta1**self.t)
+        vhat = self.v / (1.0 - self.beta2**self.t)
+        params -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+def clip_by_global_norm(grads: np.ndarray, max_norm: float) -> np.ndarray:
+    """``grads`` scaled down to norm ``max_norm`` when it is longer."""
+    norm = float(np.linalg.norm(grads))
+    if norm > max_norm > 0:
+        return grads * (max_norm / norm)
+    return grads
+
+
+# ---------------------------------------------------------------------------
+# flat parameter vectors
+
+
+def pack(tree: dict) -> tuple[np.ndarray, dict]:
+    """Copy a nested dict of arrays, in order, into one contiguous float64
+    vector. Returns the vector and the same nested dict of views into it."""
+    flat = np.concatenate([np.ravel(a) for a in named(tree).values()], dtype=np.float64)
+    return flat, views(flat, tree)
+
+
+def views(flat: np.ndarray, like: dict) -> dict:
+    """Views of ``flat`` nested, ordered and shaped like the arrays of ``like``."""
+    tree, pos = _carve(flat, like, 0)
+    if pos != flat.size:
+        raise ShapeError(f"layout holds {pos} values, vector has {flat.size}")
+    return tree
+
+
+def _carve(flat: np.ndarray, like: dict, pos: int) -> tuple[dict, int]:
+    out = {}
+    for key, val in like.items():
+        if isinstance(val, dict):
+            out[key], pos = _carve(flat, val, pos)
+        else:
+            out[key] = flat[pos : pos + val.size].reshape(val.shape)
+            pos += val.size
+    return out, pos
+
+
+def named(tree: dict, prefix: str = "") -> dict:
+    """A nested dict flattened to ``{"outer.inner": leaf}`` names, in order."""
+    out = {}
+    for key, val in tree.items():
+        if isinstance(val, dict):
+            out.update(named(val, f"{prefix}{key}."))
+        else:
+            out[f"{prefix}{key}"] = val
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -226,24 +277,3 @@ def finite_diff_check(params: dict, loss_fn, grads: dict, h: float = 1e-5) -> fl
             denom = max(abs(num), abs(gflat[idx]), 1.0)
             worst = max(worst, abs(num - gflat[idx]) / denom)
     return worst
-
-
-def accumulate(total: dict, grads: dict) -> None:
-    """Sum a step's grads into a running total dict (in place)."""
-    for name, g in grads.items():
-        if name in total:
-            total[name] += g
-        else:
-            total[name] = g.copy()
-
-
-def global_norm(grads: dict) -> float:
-    return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
-
-
-def clip_by_global_norm(grads: dict, max_norm: float) -> dict:
-    norm = global_norm(grads)
-    if norm > max_norm > 0:
-        scale = max_norm / norm
-        return {name: g * scale for name, g in grads.items()}
-    return grads

@@ -3,9 +3,11 @@
 These deliberately avoid the package's simulator code paths: unitaries are
 built as explicit dense matrices via Kronecker products, noise is applied as
 an exact density-matrix channel, grid paths are found with plain Dijkstra,
-and the gate-at-a-time statevector simulator at the end of this file (one
-state, one gate, ``moveaxis`` per application) is the scalar reference for
-the batched simulator in ``qnav.qsim``.
+the gate-at-a-time statevector simulator (one state, one gate, ``moveaxis``
+per application) is the scalar reference for the batched simulator in
+``qnav.qsim``, and ``replay_loss`` at the end of this file recomputes an
+episode loss step by step for finite-difference checks of
+``qnav.agent.episode_gradients``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from qnav import agent, nn
 from qnav.qsim import MAX_QUBITS, ConfigurationError, GateOp, LayoutError, NoiseSpec
 
 I2 = np.eye(2, dtype=complex)
@@ -393,3 +396,38 @@ def adjoint_value_and_grad(
         psi = _apply_single(psi, gate.target, inv)
         lam = _apply_single(lam, gate.target, inv)
     return value, d_theta, d_x, z.copy(), 1.0
+
+
+# ---------------------------------------------------------------------------
+# episode loss replay
+
+
+def replay_loss(model, trace, returns, advantages=None) -> float:
+    """Episode loss J_V - J_pi as a pure function of the current parameters,
+    replaying the recorded observations and actions (returns stay frozen).
+
+    By default the advantages in the policy term are recomputed from the
+    replayed values. Passing ``advantages`` freezes them instead, which makes
+    finite differences of this loss match the detached-advantage gradient
+    computed by ``agent.episode_gradients``.
+    """
+    config = model.config
+    h = np.zeros(config.lstm_hidden)
+    c = np.zeros(config.lstm_hidden)
+    values, logps, entropies = [], [], []
+    for obs_vec, extras, action in zip(trace.obs, trace.extras, trace.actions):
+        h, c, logits, _ = model.trunk_forward(obs_vec, extras, h, c)
+        probs, entropy = nn.softmax_entropy(logits)
+        logps.append(float(np.log(probs[action])))
+        entropies.append(entropy)
+        values.append(model.critic.value(h))
+    j_v, j_pi = agent.losses(values, returns, logps, entropies,
+                             config.entropy_weight, config.entropy_bonus)
+    if advantages is not None:
+        t = len(values)
+        sign = 1.0 if config.entropy_bonus else -1.0
+        j_pi = float(sum(
+            lp * a + config.entropy_weight * sign * ent
+            for lp, a, ent in zip(logps, advantages, entropies)
+        ) / t)
+    return j_v - j_pi

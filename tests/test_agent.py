@@ -1,15 +1,19 @@
 """Actor-critic training: critics, losses, gradients, runs, evaluation."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+import oracles
 import qnav.agent as agent
+import qnav.cli as cli
 import qnav.env as env
 import qnav.nn as nn
-from qnav.agent import ActorCriticModel, AgentConfig, UsageError
+from qnav.agent import ActorCriticModel, AgentConfig
+from qnav.env import UsageError
 from qnav.qsim import NoiseSpec
 
 SMALL = dict(lstm_hidden=6, encoder_out=8, max_steps=60)
@@ -81,6 +85,35 @@ def test_critic_params_shared_with_model():
     _, model, _ = small_model()
     model.params["critic.b"][0] = 4.25
     assert model.critic.params["b"][0] == 4.25
+    assert model.flat[-1] == 4.25
+
+
+@pytest.mark.parametrize("critic", ["quantum", "classical"])
+def test_params_are_views_of_one_flat_vector(critic):
+    """Every named parameter, every layer view and every critic view shares
+    memory with model.flat; the critic owns its contiguous tail."""
+    _, model, _ = small_model(critic)
+    assert model.flat.dtype == np.float64 and model.flat.flags["C_CONTIGUOUS"]
+    assert model.param_count == model.flat.size
+    assert sum(p.size for p in model.params.values()) == model.flat.size
+    pos = 0
+    for name, p in model.params.items():
+        assert np.shares_memory(p, model.flat), name
+        np.testing.assert_array_equal(p.reshape(-1), model.flat[pos:pos + p.size])
+        pos += p.size
+    layer_views = [model.enc1, model.enc2, model.lstm, model.actor]
+    for view in [v for layer in layer_views for v in layer.values()]:
+        assert np.shares_memory(view, model.flat)
+    assert model.critic_flat.size == model.critic_param_count
+    assert model.critic_flat.base is model.flat
+    names = [n for n in model.params if n.startswith("critic.")]
+    assert list(model.params)[-len(names):] == names
+    for key, view in model.critic.params.items():
+        assert np.shares_memory(view, model.critic_flat), key
+        np.testing.assert_array_equal(view, model.params[f"critic.{key}"])
+    model.flat[:] = np.arange(model.flat.size)
+    assert model.enc1["W"][0, 0] == 0.0
+    assert model.critic_flat[0] == model.flat.size - model.critic_param_count
 
 
 def test_quantum_critic_constant_readout():
@@ -165,19 +198,19 @@ def test_gradient_modes_agree_quantum():
                                                 gradient_mode="param-shift")
     assert j_v == pytest.approx(j_v2, abs=1e-9)
     assert j_pi == pytest.approx(j_pi2, abs=1e-9)
-    assert set(g_bp) == set(g_ps)
-    for key in g_bp:
-        np.testing.assert_allclose(g_bp[key], g_ps[key], atol=1e-6)
+    assert g_bp.shape == g_ps.shape == model.flat.shape
+    np.testing.assert_allclose(g_bp, g_ps, atol=1e-6)
 
 
 @pytest.mark.parametrize("critic", ["quantum", "classical"])
 def test_gradients_match_finite_differences(critic):
     config, model, trace, returns = small_episode(critic)
     advantages = [g - v for g, v in zip(returns, replayed_values(model, trace))]
-    grads, _, _ = agent.episode_gradients(model, trace, returns)
+    grad, _, _ = agent.episode_gradients(model, trace, returns)
+    grads = nn.named(nn.views(grad, model.layers))
 
     def loss():
-        return agent.replay_loss(model, trace, returns, advantages=advantages)
+        return oracles.replay_loss(model, trace, returns, advantages=advantages)
 
     subset = {k: model.params[k] for k in grads
               if k.startswith("critic.") or k in ("actor.b", "lstm.b", "enc1.b", "enc2.b")}
@@ -266,6 +299,22 @@ def test_agent_step_cap_truncates_as_timeout():
     assert returns[-1] == pytest.approx(trace.rewards[-1] + config.gamma * trace.bootstrap)
 
 
+def test_episode_gradients_clipped_to_max_norm():
+    """With max_grad_norm set, the returned gradient has exactly that norm
+    and the direction of the unclipped one."""
+    config, model, trace, returns = small_episode("classical")
+    raw, _, _ = agent.episode_gradients(model, trace, returns)
+    norm = float(np.linalg.norm(raw))
+    assert norm > 0.5
+    model.config = dataclasses.replace(config, max_grad_norm=0.5)
+    clipped, _, _ = agent.episode_gradients(model, trace, returns)
+    assert float(np.linalg.norm(clipped)) == pytest.approx(0.5, rel=1e-12)
+    np.testing.assert_allclose(clipped, raw * (0.5 / norm), rtol=1e-12, atol=0)
+    model.config = dataclasses.replace(config, max_grad_norm=10 * norm)
+    loose, _, _ = agent.episode_gradients(model, trace, returns)
+    np.testing.assert_array_equal(loose, raw)
+
+
 def test_empty_episode_rejected():
     config, model, _ = small_model()
     with pytest.raises(UsageError):
@@ -277,23 +326,17 @@ def test_empty_episode_rejected():
 
 
 def test_select_action_greedy():
-    _, model, _ = small_model()
-    model.params["actor.W"][:] = 0.0
-    model.params["actor.b"][:] = [5.0, 0.0, 0.0]
-    action, logp, entropy = model.select_action(np.zeros(6), greedy=True)
+    action, logp, entropy = agent.select_action(np.array([5.0, 0.0, 0.0]), greedy=True)
     assert action == 0
     assert logp == pytest.approx(math.log(nn.softmax(np.array([5.0, 0.0, 0.0]))[0]))
 
 
 def test_select_action_uniform_sampling():
-    _, model, _ = small_model()
-    model.params["actor.W"][:] = 0.0
-    model.params["actor.b"][:] = 0.0
     rng = np.random.default_rng(11)
     counts = np.zeros(3)
     n = 10_000
     for _ in range(n):
-        action, logp, entropy = model.select_action(np.zeros(6), rng=rng)
+        action, logp, entropy = agent.select_action(np.zeros(3), rng=rng)
         counts[action] += 1
         assert logp == pytest.approx(math.log(1 / 3), abs=1e-12)
         assert entropy == pytest.approx(math.log(3), abs=1e-12)
@@ -305,8 +348,8 @@ def test_select_action_logp_matches_softmax():
     _, model, _ = small_model()
     rng = np.random.default_rng(2)
     h = rng.uniform(-1, 1, size=6)
-    action, logp, _ = model.select_action(h, rng=rng)
-    logits, _ = nn.dense_forward(model._sub("actor"), h)
+    logits, _ = nn.dense_forward(model.actor, h)
+    action, logp, _ = agent.select_action(logits, rng=rng)
     assert logp == pytest.approx(math.log(nn.softmax(logits)[action]), abs=1e-12)
 
 
@@ -393,6 +436,38 @@ def test_evaluate_policy_deterministic():
     assert m1 == m2
 
 
+def test_greedy_eval_skips_unread_bootstrap():
+    """Greedy evaluation of a quantum model on scenes that time out calls the
+    critic zero times; its per-scene rows equal a plain greedy rollout's."""
+    config, model, _ = small_model(max_steps=4)
+    scenes = scenes_small()[:3]
+    expected = []
+    for idx, scene in enumerate(scenes):
+        world, obs = env.reset(scene, config=env.EnvConfig())
+        h = c = np.zeros(config.lstm_hidden)
+        rewards, near_miss = [], False
+        while not world.done and len(rewards) < config.max_steps:
+            h, c, logits, _ = model.trunk_forward(obs.to_vector(), agent._extras_vector(obs), h, c)
+            world, obs, reward, _, info = env.step(world, int(np.argmax(nn.softmax(logits))))
+            rewards.append(reward.total)
+            near_miss |= env.NEAR_MISS in info["proximity"]
+        outcome = world.outcome if world.done else "timeout"
+        expected.append((idx, outcome, len(rewards), float(sum(rewards)), near_miss))
+    calls = []
+    value = model.critic.value
+    model.critic.value = lambda *a, **k: calls.append(1) or value(*a, **k)
+    _, per_scene = agent.evaluate_policy(model, scenes)
+    assert calls == []
+    assert [row["outcome"] for row in per_scene] == ["timeout"] * 3
+    assert [(row["scene"], row["outcome"], row["steps"], row["return"], row["near_miss"])
+            for row in per_scene] == expected
+    # a training rollout of the same scene still computes its bootstrap
+    trace = agent.run_episode(model, scenes[0], env.EnvConfig(),
+                              policy_rng=np.random.default_rng(0))
+    del model.critic.value
+    assert trace.outcome == "timeout" and len(calls) == 1 and trace.bootstrap != 0.0
+
+
 def test_random_policy_baseline_finite():
     scenes = scenes_small()[:4]
     value = agent.random_policy_mean_return(scenes, np.random.default_rng(0))
@@ -438,19 +513,32 @@ def test_checkpoint_missing_parameter_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# critic parameter vectors (capacity-analysis plumbing)
+# the critic slice (capacity analysis)
 
 
 def test_critic_param_vector_round_trip():
-    _, model, _ = small_model()
-    critic = model.critic
-    vec = agent.get_critic_param_vector(critic)
-    assert vec.size == critic.param_count
-    new = np.linspace(-1, 1, vec.size)
-    agent.set_critic_param_vector(critic, new)
-    np.testing.assert_allclose(agent.get_critic_param_vector(critic), new)
-    with pytest.raises(UsageError):
-        agent.set_critic_param_vector(critic, np.zeros(vec.size + 1))
+    """capacity_report writes sampled vectors into the critic slice and puts
+    the trained values back unchanged, for both critics."""
+    for critic in ("quantum", "classical"):
+        _, model, _ = small_model(critic)
+        before = model.flat.copy()
+        seen = []
+        grad_vector = agent.critic_grad_vector
+
+        def spy(c, h, mode="backprop"):
+            seen.append(model.critic_flat.copy())
+            return grad_vector(c, h, mode)
+
+        agent.critic_grad_vector = spy
+        try:
+            cli.capacity_report(model, theta_samples=3, n_inputs=5, seed=0)
+        finally:
+            agent.critic_grad_vector = grad_vector
+        np.testing.assert_array_equal(model.flat, before)
+        assert len(seen) == 3
+        for sample in seen:
+            assert sample.shape == (model.critic_param_count,)
+            assert not np.array_equal(sample, model.critic_flat)
 
 
 def test_critic_grad_vector_matches_fd():
@@ -458,14 +546,13 @@ def test_critic_grad_vector_matches_fd():
     critic = model.critic
     h = np.random.default_rng(4).uniform(-1, 1, size=6)
     grad = agent.critic_grad_vector(critic, h)
-    vec = agent.get_critic_param_vector(critic)
+    vec = model.critic_flat.copy()
     num = np.zeros_like(vec)
     for k in range(vec.size):
         for sign in (1.0, -1.0):
-            shifted = vec.copy()
-            shifted[k] += sign * 1e-5
-            agent.set_critic_param_vector(critic, shifted)
+            model.critic_flat[...] = vec
+            model.critic_flat[k] += sign * 1e-5
             num[k] += sign * critic.value(h)
     num /= 2e-5
-    agent.set_critic_param_vector(critic, vec)
+    model.critic_flat[...] = vec
     np.testing.assert_allclose(grad, num, atol=1e-6)

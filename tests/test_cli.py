@@ -6,7 +6,7 @@ import json
 import pytest
 import yaml
 
-from qnav import cli
+from qnav import agent, cli, env
 
 SMOKE_AGENT = {
     "critic": "classical",
@@ -154,6 +154,27 @@ def test_cmd_train_noisy_byte_identical(tmp_path):
     assert a == b
 
 
+def test_cmd_train_failure_on_second_seed_leaves_partial_manifest(tmp_path, monkeypatch):
+    path = write_config(tmp_path, seeds=[0, 1])
+    train_run = agent.train_run
+
+    def fail_on_seed_1(config, *args, **kwargs):
+        if config.seed == 1:
+            raise RuntimeError("injected failure")
+        return train_run(config, *args, **kwargs)
+
+    monkeypatch.setattr(agent, "train_run", fail_on_seed_1)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(path), "--out", str(out)]) == cli.EXIT_RUNTIME
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "partial"
+    assert manifest["artifacts"] == ["curve_seed0.csv", "checkpoint_seed0.json"]
+    assert manifest["param_counts"]["critic"] > 0
+    assert manifest["config"]["seeds"] == [0, 1]
+    assert (out / "checkpoint_seed0.json").exists()
+    assert not (out / "curve_seed1.csv").exists()
+
+
 def test_cmd_train_bad_config_exit_code(tmp_path):
     path = write_config(tmp_path, agent={"nonsense_field": 3})
     assert cli.main(["train", "--config", str(path)]) == cli.EXIT_CONFIG
@@ -188,6 +209,33 @@ def test_cmd_eval(tmp_path):
     rows = read_csv(out / "outcomes.csv")
     assert len(rows) > 0
     assert {"scene", "scenario", "outcome", "return"} <= set(rows[0])
+
+
+def test_cmd_eval_uses_training_env_config(tmp_path, monkeypatch):
+    """A checkpoint trained with a non-default EnvConfig evaluates under that
+    EnvConfig (the default one gives a different observation length)."""
+    path = write_config(tmp_path, env={"k_pedestrians": 2})
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 0
+    ckpt = out / "checkpoint_seed0.json"
+    assert agent.checkpoint_env_config(str(ckpt)) == env.EnvConfig(k_pedestrians=2)
+    build_scenes, seen = cli.build_scenes, []
+
+    def first_scenes(scene_spec, env_config):
+        seen.append(env_config)
+        return build_scenes(scene_spec, env_config)[:3]
+
+    monkeypatch.setattr(cli, "build_scenes", first_scenes)
+    code = cli.main(["eval", "--checkpoint", str(ckpt), "--scenarios", "1",
+                     "--out", str(tmp_path / "eval")])
+    assert code == 0
+    assert seen == [env.EnvConfig(k_pedestrians=2)]
+    assert len(read_csv(tmp_path / "eval" / "outcomes.csv")) == 3
+    # a checkpoint without a recorded EnvConfig evaluates under the default one
+    payload = json.loads(ckpt.read_text())
+    del payload["env"]
+    ckpt.write_text(json.dumps(payload))
+    assert agent.checkpoint_env_config(str(ckpt)) == env.EnvConfig()
 
 
 def test_cmd_eval_missing_checkpoint(tmp_path):

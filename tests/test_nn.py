@@ -251,34 +251,70 @@ def test_random_shape_gradient_suite():
 
 
 def test_adam_zero_grad_no_change():
-    params = {"w": np.array([1.0, -2.0])}
-    before = params["w"].copy()
-    nn.Adam().update(params, {"w": np.zeros(2)})
-    np.testing.assert_array_equal(params["w"], before)
+    params = np.array([1.0, -2.0])
+    before = params.copy()
+    nn.Adam().update(params, np.zeros(2))
+    np.testing.assert_array_equal(params, before)
 
 
 def test_adam_first_step_is_lr_times_sign():
-    params = {"w": np.array([0.0, 0.0])}
-    grads = {"w": np.array([0.3, -7.0])}
+    params = np.array([0.0, 0.0])
+    grads = np.array([0.3, -7.0])
     opt = nn.Adam(lr=0.0005)
     opt.update(params, grads)
-    np.testing.assert_allclose(params["w"], [-0.0005, 0.0005], rtol=1e-4)
+    np.testing.assert_allclose(params, [-0.0005, 0.0005], rtol=1e-4)
 
 
 def test_adam_deterministic():
     out = []
     for _ in range(2):
-        params = {"w": np.linspace(0, 1, 4)}
+        params = np.linspace(0, 1, 4)
         opt = nn.Adam()
         for step in range(5):
-            opt.update(params, {"w": np.cos(params["w"]) + step})
-        out.append(params["w"].copy())
+            opt.update(params, np.cos(params) + step)
+        out.append(params.copy())
     np.testing.assert_array_equal(out[0], out[1])
 
 
 def test_adam_shape_mismatch():
     with pytest.raises(nn.ShapeError):
-        nn.Adam().update({"w": np.zeros(2)}, {"w": np.zeros(3)})
+        nn.Adam().update(np.zeros(2), np.zeros(3))
+
+
+def test_adam_flat_update_equals_per_array_updates():
+    """One update of a packed vector moves every view exactly as separate
+    Adam runs over each array would."""
+    rng = np.random.default_rng(5)
+    tree = {"a": {"W": rng.normal(size=(3, 4)), "b": rng.normal(size=3)}, "c": rng.normal(size=2)}
+    flat, views = nn.pack(tree)
+    apart = {name: arr.copy() for name, arr in nn.named(tree).items()}
+    opt, opts = nn.Adam(lr=0.01), {name: nn.Adam(lr=0.01) for name in apart}
+    for _ in range(4):
+        grad = rng.normal(size=flat.size)
+        opt.update(flat, grad)
+        for name, g in nn.named(nn.views(grad, tree)).items():
+            opts[name].update(apart[name], g)
+    for name, view in nn.named(views).items():
+        np.testing.assert_array_equal(view, apart[name])
+
+
+# ---------------------------------------------------------------------------
+# flat parameter vectors
+
+
+def test_pack_views_share_memory_in_order():
+    tree = {"enc": {"W": np.arange(6.0).reshape(2, 3), "b": np.array([6.0])}, "v": np.array([7.0, 8.0])}
+    flat, views = nn.pack(tree)
+    np.testing.assert_array_equal(flat, np.arange(9.0))
+    assert flat.dtype == np.float64 and flat.flags["C_CONTIGUOUS"]
+    assert views["enc"]["W"].shape == (2, 3)
+    assert list(nn.named(views)) == ["enc.W", "enc.b", "v"]
+    for view in nn.named(views).values():
+        assert np.shares_memory(view, flat)
+    views["enc"]["W"][1, 2] = -1.0
+    assert flat[5] == -1.0
+    with pytest.raises(nn.ShapeError):
+        nn.views(np.zeros(10), tree)
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +326,9 @@ def test_finite_diff_check_validates_h():
         nn.finite_diff_check({"w": np.zeros(1)}, lambda: 0.0, {"w": np.zeros(1)}, h=1e-2)
 
 
-def test_accumulate_and_global_norm():
-    total = {}
-    nn.accumulate(total, {"a": np.array([1.0, 2.0])})
-    nn.accumulate(total, {"a": np.array([1.0, -2.0]), "b": np.array([3.0])})
-    np.testing.assert_array_equal(total["a"], [2.0, 0.0])
-    assert nn.global_norm({"a": np.array([3.0, 4.0])}) == pytest.approx(5.0)
-
-
 def test_clip_by_global_norm():
-    grads = {"a": np.array([3.0, 4.0])}
+    grads = np.array([3.0, 4.0])
     clipped = nn.clip_by_global_norm(grads, 1.0)
-    assert nn.global_norm(clipped) == pytest.approx(1.0)
+    assert np.linalg.norm(clipped) == pytest.approx(1.0)
     untouched = nn.clip_by_global_norm(grads, 10.0)
-    np.testing.assert_array_equal(untouched["a"], grads["a"])
+    np.testing.assert_array_equal(untouched, grads)
