@@ -3,9 +3,10 @@
 The shared trunk is encoder -> LSTM; the actor is a dense head over the LSTM
 hidden state. The critic is either a sublayered data-reuploading circuit with
 a linear readout (n weights + 1 bias) or a dense baseline stack. Gradients
-are computed once per episode by replaying the recorded trajectory, which
-keeps the episode loss a pure function of the parameters and lets the quantum
-gradient route (adjoint backprop vs parameter-shift) be swapped freely.
+are computed once per episode from the rollout's own forward pass, which the
+training rollout records: the parameters stay fixed from the rollout to the
+update, so nothing is run forward twice, and the quantum gradient route
+(adjoint backprop vs parameter-shift) can be swapped freely.
 """
 
 from __future__ import annotations
@@ -52,6 +53,24 @@ class AgentConfig:
         if (self.noise is not None and self.noise.depolarizing is not None
                 and self.gradient_mode == "backprop"):
             raise UsageError("depolarizing noise requires the parameter-shift gradient mode")
+        if self.critic == "quantum" and not (1 <= self.n_qubits <= qsim.MAX_QUBITS
+                                             and self.n_layers >= 1):
+            raise UsageError(f"a quantum critic needs n_qubits in 1..{qsim.MAX_QUBITS} "
+                             "and n_layers >= 1")
+
+
+def config_to_dict(config: AgentConfig) -> dict:
+    """The config as JSON values, with ``noise`` (NoiseSpec fields or None) last,
+    as checkpoints and run manifests store it."""
+    fields = asdict(config)
+    fields["noise"] = fields.pop("noise")
+    return fields
+
+
+def config_from_dict(fields: dict) -> AgentConfig:
+    """Inverse of :func:`config_to_dict`; a missing or empty ``noise`` is no noise."""
+    noise = fields.get("noise")
+    return AgentConfig(**{**fields, "noise": NoiseSpec(**noise) if noise else None})
 
 
 def rng_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -119,7 +138,8 @@ class QuantumCritic:
 
 class ClassicalCritic:
     """Dense(32 -> 64) + LayerNorm + Dense(64 -> 1); 2305 parameters at the
-    default hidden size."""
+    default hidden size. A (T, hidden) batch runs as one forward and one
+    backward pass, each row with the bits of its own single call."""
 
     def __init__(self, layers: dict):
         """``layers`` holds views of the d1, ln and d2 parameters."""
@@ -138,31 +158,23 @@ class ClassicalCritic:
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def forward(self, h: np.ndarray):
+    def _forward(self, h: np.ndarray):
         z1, c1 = nn.dense_forward(self.d1, h)
         z2, c2 = nn.layer_norm_forward(self.ln, z1)
         v, c3 = nn.dense_forward(self.d2, z2)
-        return float(v[0]), (c1, c2, c3)
+        value = v[..., 0]
+        return (float(value) if value.ndim == 0 else value), (c1, c2, c3)
 
     def value(self, h: np.ndarray, noise=None, rng=None):
         """V(h) as a float, or shape (T,) for hidden states of shape (T, hidden)."""
-        if np.ndim(h) == 2:
-            return np.array([self.forward(row)[0] for row in h])
-        return self.forward(h)[0]
+        return self._forward(h)[0]
 
     def value_and_grads(self, h: np.ndarray, mode: str = "backprop",
                         noise=None, rng=None):
-        """(value, grads dict, dV/dh); a (T, hidden) batch loops its rows and
-        stacks them along a leading T axis."""
-        if np.ndim(h) == 1:
-            return self._value_and_grads(h)
-        rows = [self._value_and_grads(row) for row in h]
-        grads = {k: np.stack([r[1][k] for r in rows]) for k in rows[0][1]}
-        return np.array([r[0] for r in rows]), grads, np.stack([r[2] for r in rows])
-
-    def _value_and_grads(self, h: np.ndarray):
-        value, (c1, c2, c3) = self.forward(h)
-        dz2, g3 = nn.dense_backward(self.d2, np.ones(1), c3)
+        """(value, grads dict, dV/dh). For h of shape (T, hidden) every output
+        gains a leading T axis and all rows run as one batch."""
+        value, (c1, c2, c3) = self._forward(h)
+        dz2, g3 = nn.dense_backward(self.d2, np.ones(np.shape(h)[:-1] + (1,)), c3)
         dz1, g2 = nn.layer_norm_backward(self.ln, dz2, c2)
         dh, g1 = nn.dense_backward(self.d1, dz1, c1)
         grads = {"d1.W": g1["W"], "d1.b": g1["b"], "ln.gain": g2["gain"],
@@ -272,12 +284,16 @@ def select_action(logits: np.ndarray, rng: Optional[np.random.Generator] = None,
 
 
 # ---------------------------------------------------------------------------
-# episode rollout and replay
+# episode rollout and gradients
 
 
 @dataclass
 class EpisodeTrace:
-    """Recorded per-step data; observations never include hidden ped goals."""
+    """Recorded per-step data; observations never include hidden ped goals.
+
+    A training rollout also keeps its forward pass, the per-step trunk
+    caches, hidden states and actor logits, which is all the backward pass
+    needs; a greedy rollout keeps none of them."""
 
     obs: list = field(default_factory=list)  # np vectors
     extras: list = field(default_factory=list)
@@ -285,7 +301,9 @@ class EpisodeTrace:
     logps: list = field(default_factory=list)
     entropies: list = field(default_factory=list)
     rewards: list = field(default_factory=list)  # totals
-    breakdowns: list = field(default_factory=list)
+    caches: list = field(default_factory=list)  # trunk_forward caches
+    hidden: list = field(default_factory=list)  # LSTM hidden state after each step
+    logits: list = field(default_factory=list)
     outcome: Optional[str] = None
     bootstrap: float = 0.0
     steps: int = 0
@@ -310,39 +328,41 @@ def run_episode(model: ActorCriticModel, scene: env.Scene,
                 greedy: bool = False) -> EpisodeTrace:
     """Roll out one episode. The critic is not evaluated along the way: only
     a truncated training episode needs a value, the bootstrap of its last
-    state. A greedy (evaluation) rollout leaves the bootstrap at 0."""
+    state. A greedy (evaluation) rollout leaves the bootstrap at 0 and
+    records no forward pass."""
     config = model.config
     noise = config.noise if noise_rng is not None else None
     world, obs = env.reset(scene, config=env_config)
     h = np.zeros(config.lstm_hidden)
     c = np.zeros(config.lstm_hidden)
     trace = EpisodeTrace()
-    near_miss_seen = False
-    while not world.done and trace.steps < config.max_steps:
+    while True:
+        if world.done or trace.steps >= config.max_steps:
+            # the agent's own step cap truncates the episode just as the env's does
+            trace.outcome = world.outcome if world.done else "timeout"
+            if greedy or trace.outcome != "timeout":
+                break
         obs_vec = obs.to_vector()
         extras = _extras_vector(obs)
-        h, c, logits, _ = model.trunk_forward(obs_vec, extras, h, c)
+        h, c, logits, cache = model.trunk_forward(obs_vec, extras, h, c)
+        if trace.outcome is not None:
+            # truncated: bootstrap the return from the value of the final state
+            trace.bootstrap = model.critic.value(h, noise=noise, rng=noise_rng)
+            break
         action, logp, entropy = select_action(logits, policy_rng, greedy)
         world, obs, reward, done, info = env.step(world, action)
-        if env.NEAR_MISS in info["proximity"]:
-            near_miss_seen = True
+        trace.near_miss |= env.NEAR_MISS in info["proximity"]
         trace.obs.append(obs_vec)
         trace.extras.append(extras)
         trace.actions.append(action)
         trace.logps.append(logp)
         trace.entropies.append(entropy)
         trace.rewards.append(reward.total)
-        trace.breakdowns.append(reward)
+        if not greedy:
+            trace.caches.append(cache)
+            trace.hidden.append(h)
+            trace.logits.append(logits)
         trace.steps += 1
-    # the agent's own step cap truncates the episode just as the env's does
-    trace.outcome = world.outcome if world.done else "timeout"
-    if trace.outcome == "timeout" and not greedy:
-        # truncated: bootstrap the return from the value of the final state
-        obs_vec = obs.to_vector()
-        extras = _extras_vector(obs)
-        h, c, _, _ = model.trunk_forward(obs_vec, extras, h, c)
-        trace.bootstrap = model.critic.value(h, noise=noise, rng=noise_rng)
-    trace.near_miss = near_miss_seen
     return trace
 
 
@@ -380,33 +400,26 @@ def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace, returns,
                       noise_rng: Optional[np.random.Generator] = None):
     """Gradient of the combined loss J_V - J_pi over one recorded episode.
 
-    The trunk is replayed step by step, then the critic runs once on all T
-    hidden states. The advantage in the policy term is treated as a
-    constant, so no policy gradient flows into the critic parameters.
-    Returns (grad, j_v, j_pi), where grad is laid out like ``model.flat``
-    and clipped to ``config.max_grad_norm`` when that is set.
+    The parameters are those of the rollout, so the backward pass runs on
+    the trace's own forward pass: the critic runs once on all T recorded
+    hidden states, then the trunk is backpropagated through the recorded
+    caches. The advantage in the policy term is treated as a constant, so no
+    policy gradient flows into the critic parameters. Returns
+    (grad, j_v, j_pi), where grad is laid out like ``model.flat`` and
+    clipped to ``config.max_grad_norm`` when that is set.
     """
     config = model.config
     mode = gradient_mode or config.gradient_mode
     t_len = trace.steps
     if t_len == 0:
         raise UsageError("empty episode")
-    h = np.zeros(config.lstm_hidden)
-    c = np.zeros(config.lstm_hidden)
-    caches, probs_seq, hidden, logps, entropies = [], [], [], [], []
-    for obs_vec, extras, action in zip(trace.obs, trace.extras, trace.actions):
-        h, c, logits, cache = model.trunk_forward(obs_vec, extras, h, c)
-        probs, entropy = nn.softmax_entropy(logits)
-        caches.append(cache)
-        probs_seq.append(probs)
-        hidden.append(h)
-        logps.append(float(np.log(probs[action])))
-        entropies.append(entropy)
+    if len(trace.caches) != t_len:
+        raise UsageError("the trace holds no forward pass (a greedy rollout?)")
     values, vgrads, dvdh = model.critic.value_and_grads(
-        np.stack(hidden), mode=mode, noise=config.noise, rng=noise_rng)
+        np.stack(trace.hidden), mode=mode, noise=config.noise, rng=noise_rng)
     values = values.tolist()
 
-    j_v, j_pi = losses(values, returns, logps, entropies,
+    j_v, j_pi = losses(values, returns, trace.logps, trace.entropies,
                        config.entropy_weight, config.entropy_bonus)
 
     grad = np.zeros_like(model.flat)
@@ -417,7 +430,7 @@ def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace, returns,
     ent_sign = 1.0 if config.entropy_bonus else -1.0
     for t in range(t_len - 1, -1, -1):
         advantage = returns[t] - values[t]
-        probs = probs_seq[t]
+        probs = nn.softmax(trace.logits[t])
         onehot = np.zeros(env.N_ACTIONS)
         onehot[trace.actions[t]] = 1.0
         # d(J_V)/dV; the advantage path into J_pi is detached
@@ -428,7 +441,7 @@ def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace, returns,
         for key, g in vgrads.items():
             critic_grads[key] += dv * g[t]
         dh_next, dc_next = model.trunk_backward(
-            dlogits, dv * dvdh[t], dh_next, dc_next, caches[t], layer_grads)
+            dlogits, dv * dvdh[t], dh_next, dc_next, trace.caches[t], layer_grads)
     if config.max_grad_norm is not None:
         grad = nn.clip_by_global_norm(grad, config.max_grad_norm)
     return grad, j_v, j_pi
@@ -580,12 +593,8 @@ def save_checkpoint(model: ActorCriticModel, path: str, extra: Optional[dict] = 
                     env_config: env.EnvConfig = env.EnvConfig()) -> None:
     """Flat named parameter list with shapes, plus the agent config and the
     EnvConfig the model was trained under; JSON round-trips exactly."""
-    noise = model.config.noise
     payload = {
-        "config": {
-            **{k: v for k, v in asdict(model.config).items() if k != "noise"},
-            "noise": None if noise is None else asdict(noise),
-        },
+        "config": config_to_dict(model.config),
         "env": asdict(env_config),
         "obs_dim": model.obs_dim,
         "params": {
@@ -601,10 +610,7 @@ def save_checkpoint(model: ActorCriticModel, path: str, extra: Optional[dict] = 
 
 def load_checkpoint(path: str) -> ActorCriticModel:
     payload = _read_checkpoint(path)
-    cfg_dict = dict(payload["config"])
-    if cfg_dict.get("noise") is not None:
-        cfg_dict["noise"] = NoiseSpec(**cfg_dict["noise"])
-    config = AgentConfig(**cfg_dict)
+    config = config_from_dict(payload["config"])
     model = ActorCriticModel(config, payload["obs_dim"], np.random.default_rng(0))
     for name, entry in payload["params"].items():
         arr = np.array(entry["data"], dtype=float).reshape(entry["shape"])

@@ -43,6 +43,7 @@ class ConfigError(ValueError):
 
 _TOP_KEYS = {"name", "seeds", "agent", "env", "scenes", "output", "smooth_window"}
 _SCENE_KEYS = {"split", "scenarios", "speed", "distance"}
+_NOISE_KEYS = {f.name for f in dataclasses.fields(NoiseSpec)}
 
 
 @dataclasses.dataclass
@@ -56,14 +57,10 @@ class RunConfig:
     smooth_window: int = 100
 
     def resolved(self) -> dict:
-        noise = self.agent.noise
         return {
             "name": self.name,
             "seeds": list(self.seeds),
-            "agent": {
-                **{k: v for k, v in dataclasses.asdict(self.agent).items() if k != "noise"},
-                "noise": None if noise is None else dataclasses.asdict(noise),
-            },
+            "agent": agent.config_to_dict(self.agent),
             "env": dataclasses.asdict(self.env),
             "scenes": self.scene_spec,
             "output": self.output,
@@ -110,21 +107,18 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
 
     agent_fields = {f.name for f in dataclasses.fields(AgentConfig)}
     _check_keys(agent_section, agent_fields, "agent")
-    noise_raw = agent_section.pop("noise", None)
-    noise = None
-    if noise_raw:
-        if isinstance(noise_raw, NoiseSpec):
-            noise = noise_raw
-        elif isinstance(noise_raw, str):
-            noise = _parse_noise_flag(noise_raw)
-        else:
-            _check_keys(noise_raw, {"gate_error", "depolarizing", "granularity"}, "agent.noise")
-            noise = NoiseSpec(**noise_raw)
     env_fields = {f.name for f in dataclasses.fields(env.EnvConfig)}
     _check_keys(env_section, env_fields, "env")
     _check_keys(scene_section, _SCENE_KEYS, "scenes")
     try:
-        agent_config = AgentConfig(noise=noise, **agent_section)
+        # noise is a YAML mapping or a --noise flag string
+        noise = agent_section.get("noise")
+        if isinstance(noise, str):
+            noise = _parse_noise_flag(noise)
+            agent_section["noise"] = dataclasses.asdict(noise) if noise else None
+        elif noise:
+            _check_keys(noise, _NOISE_KEYS, "agent.noise")
+        agent_config = agent.config_from_dict(agent_section)
         env_config = env.EnvConfig(**env_section)
     except (TypeError, env.UsageError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -147,10 +141,13 @@ def _parse_noise_flag(spec: str) -> Optional[NoiseSpec]:
     for part in spec.split(","):
         key, _, val = part.partition("=")
         key = key.strip()
-        if key not in ("gate_error", "depolarizing", "granularity"):
+        if key not in _NOISE_KEYS:
             raise ConfigError(f"unknown noise field {key!r}")
-        kwargs[key] = val if key == "granularity" else float(val)
-    return NoiseSpec(**kwargs)
+        kwargs[key] = val
+    try:
+        return NoiseSpec(**{k: v if k == "granularity" else float(v) for k, v in kwargs.items()})
+    except ValueError as exc:
+        raise ConfigError(f"bad noise flag {spec!r}: {exc}") from exc
 
 
 def build_scenes(scene_spec: dict, env_config: env.EnvConfig) -> list[env.Scene]:
@@ -199,7 +196,7 @@ def cmd_train(args) -> int:
         "critic": args.critic,
         "gradient_mode": args.gradient_mode,
         "episodes": args.episodes,
-        "noise": _parse_noise_flag(args.noise) if args.noise is not None else None,
+        "noise": args.noise,
     })
     out = Path(run_config.output)
     out.mkdir(parents=True, exist_ok=True)

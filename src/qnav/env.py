@@ -460,6 +460,14 @@ def _footprint_cost(world: WorldState) -> int:
 # reward
 
 
+def _contacts(world: WorldState) -> tuple[float, list[str], bool]:
+    """Goal distance, per-pedestrian proximity and car/obstacle collision of
+    the current state: what the reward and the termination test both read."""
+    car, goal = world.car, world.scene.car_goal
+    return (math.hypot(car.x - goal[0], car.y - goal[1]),
+            check_proximity(world), _car_collides(world))
+
+
 def compute_reward(world: WorldState, action: Action) -> RewardBreakdown:
     """Reward terms for the current world state after applying ``action``.
 
@@ -469,22 +477,19 @@ def compute_reward(world: WorldState, action: Action) -> RewardBreakdown:
     distance penalty -dist/1000; -1 for braking while stationary; -1 for
     nonzero steering.
     """
+    return _reward(world, action, *_contacts(world))
+
+
+def _reward(world: WorldState, action: Action, goal_dist: float, prox: list[str],
+            car_hit: bool) -> RewardBreakdown:
     config = world.config
     car = world.car
-    goal_dist = math.hypot(car.x - world.scene.car_goal[0], car.y - world.scene.car_goal[1])
-    at_goal = goal_dist <= config.goal_tol
-
-    prox = check_proximity(world)
-    ped_hit = HIT in prox
-    car_hit = _car_collides(world)
-    hit = ped_hit or car_hit
-
     terms = {}
-    if at_goal:
+    if goal_dist <= config.goal_tol:
         terms["goal"] = 200.0
     else:
         terms["not_goal"] = -goal_dist / 1000.0
-    if hit:
+    if HIT in prox or car_hit:
         beta = car.v / config.speed_limit  # impact speed over the 50 km/h limit
         terms["hit"] = -100.0 * beta
         if car.v != 0:
@@ -612,13 +617,11 @@ def step(world: WorldState, acc: int) -> tuple[WorldState, Observation, RewardBr
         other.y += other.v * math.sin(other.heading) * config.dt
 
     world.t += 1
-    reward = compute_reward(world, action)
-    prox = check_proximity(world)
-
-    goal_dist = math.hypot(car.x - world.scene.car_goal[0], car.y - world.scene.car_goal[1])
+    goal_dist, prox, car_hit = _contacts(world)
+    reward = _reward(world, action, goal_dist, prox, car_hit)
     if goal_dist <= config.goal_tol:
         world.done, world.outcome = True, "goal"
-    elif HIT in prox or _car_collides(world):
+    elif HIT in prox or car_hit:
         world.done, world.outcome = True, "collision"
     elif world.t >= config.max_steps:
         world.done, world.outcome = True, "timeout"

@@ -35,17 +35,26 @@ def dense_init(rng: np.random.Generator, in_dim: int, out_dim: int) -> dict:
     }
 
 
+def _matvec(W: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``W @ x`` for x of shape (d,) or for every row of x of shape (T, d);
+    each row gives the bits of its own ``W @ row``."""
+    return np.matmul(W, x[..., None])[..., 0]
+
+
 def dense_forward(params: dict, x: np.ndarray):
+    """y = W x + b for x of shape (in,), or row-wise for x of shape (T, in)."""
     W, b = params["W"], params["b"]
-    if x.shape != (W.shape[1],):
+    if x.ndim not in (1, 2) or x.shape[-1] != W.shape[1]:
         raise ShapeError(f"dense expects input of length {W.shape[1]}, got {x.shape}")
-    return W @ x + b, x
+    return _matvec(W, x) + b, x
 
 
 def dense_backward(params: dict, dy: np.ndarray, cache):
+    """(dx, grads); for a (T, out) batch the parameter gradients are per row,
+    with a leading T axis."""
     x = cache
-    grads = {"W": np.outer(dy, x), "b": dy.copy()}
-    return params["W"].T @ dy, grads
+    grads = {"W": dy[..., :, None] * x[..., None, :], "b": dy.copy()}
+    return _matvec(params["W"].T, dy), grads
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +66,9 @@ def layer_norm_init(dim: int) -> dict:
 
 
 def layer_norm_forward(params: dict, x: np.ndarray):
-    mu = x.mean()
-    var = x.var()
+    """Normalizes the last axis: x of shape (d,), or each row of (T, d)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (x - mu) * inv
     y = params["gain"] * xhat + params["bias"]
@@ -66,11 +76,12 @@ def layer_norm_forward(params: dict, x: np.ndarray):
 
 
 def layer_norm_backward(params: dict, dy: np.ndarray, cache):
+    """(dx, grads); for a (T, d) batch the parameter gradients are per row."""
     xhat, inv = cache
-    n = xhat.shape[0]
     grads = {"gain": dy * xhat, "bias": dy.copy()}
     dxhat = dy * params["gain"]
-    dx = inv * (dxhat - dxhat.mean() - xhat * (dxhat * xhat).mean())
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
     return dx, grads
 
 

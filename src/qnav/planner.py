@@ -58,28 +58,6 @@ class CostMap:
         ny, nx = self.costs.shape
         return 0 <= ix < nx and 0 <= iy < ny
 
-    def to_text(self) -> str:
-        header = f"# x0={self.x0} y0={self.y0} res={self.resolution}\n"
-        rows = "\n".join(" ".join(str(int(c)) for c in row) for row in self.costs)
-        return header + rows + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "CostMap":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        meta = {}
-        if lines and lines[0].startswith("#"):
-            for token in lines[0][1:].split():
-                key, _, val = token.partition("=")
-                meta[key] = float(val)
-            lines = lines[1:]
-        costs = np.array([[int(v) for v in ln.split()] for ln in lines], dtype=int)
-        return cls(
-            x0=meta.get("x0", 0.0),
-            y0=meta.get("y0", 0.0),
-            resolution=meta.get("res", 1.0),
-            costs=costs,
-        )
-
 
 @dataclass(frozen=True)
 class Path:
@@ -157,9 +135,7 @@ def plan_path(
             break
         for steer in STEERING_BINS:
             nx_, ny_, nh = _primitive(x, y, h, steer, wheelbase)
-            if not cost_map.contains(nx_, ny_):
-                continue
-            cell = cost_map.cost_at(nx_, ny_)
+            cell = cost_map.cost_at(nx_, ny_)  # blocked off the grid too
             if cell >= COST_BLOCKED:
                 continue
             step_cost = _STEP * cell + (_STEER_TIEBREAK if steer != 0.0 else 0.0)

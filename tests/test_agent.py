@@ -63,6 +63,10 @@ def test_config_validation():
         AgentConfig(noise=NoiseSpec(depolarizing=0.1), gradient_mode="backprop")
     # depolarizing noise is fine with parameter-shift gradients
     AgentConfig(noise=NoiseSpec(depolarizing=0.1), gradient_mode="param-shift")
+    for bad in (dict(n_qubits=0), dict(n_qubits=13), dict(n_layers=0)):
+        with pytest.raises(UsageError):
+            AgentConfig(critic="quantum", **bad)
+    AgentConfig(critic="classical", n_qubits=0)  # the circuit shape is unused
 
 
 @pytest.mark.parametrize("n,layers,total", [
@@ -251,23 +255,81 @@ def test_policy_term_detached_from_critic():
 
 @pytest.mark.parametrize("critic", ["quantum", "classical"])
 def test_critic_batch_rows_match_single_calls(critic):
-    """A (T, hidden) batch returns, row by row, what T single calls return."""
+    """A (T, hidden) batch returns, row by row, what T single calls return;
+    for the classical critic, bit for bit."""
     _, model, _ = small_model(critic)
     hidden = np.random.default_rng(8).uniform(-1, 1, size=(5, 6))
     modes = ("backprop", "param-shift") if critic == "quantum" else ("backprop",)
+    tol = 1e-12 if critic == "quantum" else 0.0
     for mode in modes:
         values, grads, dvdh = model.critic.value_and_grads(hidden, mode=mode)
         assert values.shape == (5,) and dvdh.shape == (5, 6)
         for t, h in enumerate(hidden):
             value, single, dh = model.critic.value_and_grads(h, mode=mode)
             assert isinstance(value, float)
-            assert values[t] == pytest.approx(value, abs=1e-12)
-            np.testing.assert_allclose(dvdh[t], dh, rtol=0, atol=1e-12)
+            assert values[t] == pytest.approx(value, rel=0, abs=tol)
+            np.testing.assert_allclose(dvdh[t], dh, rtol=0, atol=tol)
             assert set(grads) == set(single)
             for key, g in single.items():
                 assert grads[key][t].shape == g.shape
-                np.testing.assert_allclose(grads[key][t], g, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(model.critic.value(hidden), values, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(grads[key][t], g, rtol=0, atol=tol)
+            assert model.critic.value(h) == pytest.approx(value, rel=0, abs=tol)
+        np.testing.assert_allclose(model.critic.value(hidden), values, rtol=0, atol=tol)
+
+
+def test_classical_critic_batch_is_one_pass(monkeypatch):
+    """A (T, hidden) classical critic call runs each dense layer once."""
+    _, model, _ = small_model("classical")
+    calls = []
+    dense_forward = nn.dense_forward
+    monkeypatch.setattr(nn, "dense_forward", lambda p, x: calls.append(x.shape) or dense_forward(p, x))
+    model.critic.value_and_grads(np.random.default_rng(8).uniform(-1, 1, size=(5, 6)))
+    assert calls == [(5, 6), (5, 64)]
+
+
+@pytest.mark.parametrize("critic", ["quantum", "classical"])
+def test_episode_gradients_reuse_the_rollout(critic, monkeypatch):
+    """The gradient runs no trunk forward pass: it backpropagates through
+    the caches the training rollout recorded."""
+    config, model, trace, returns = small_episode(critic)
+    assert len(trace.caches) == len(trace.hidden) == len(trace.logits) == trace.steps
+    expected, _, _ = agent.episode_gradients(model, trace, returns)
+    calls = []
+    trunk_forward = model.trunk_forward
+    monkeypatch.setattr(model, "trunk_forward",
+                        lambda *a: calls.append(1) or trunk_forward(*a))
+    monkeypatch.setattr(nn, "softmax_entropy", None)
+    grad, _, _ = agent.episode_gradients(model, trace, returns)
+    assert calls == []
+    np.testing.assert_array_equal(grad, expected)
+
+
+def test_greedy_trace_records_no_forward_pass():
+    """Evaluation never backpropagates, so a greedy rollout keeps no caches,
+    hidden states or logits, and its trace cannot be differentiated."""
+    config, model, streams = small_model("classical")
+    scene = env.make_scene(1, 20.0, 1.2)
+    trace = agent.run_episode(model, scene, env.EnvConfig(), greedy=True)
+    assert trace.steps > 0
+    assert trace.caches == [] and trace.hidden == [] and trace.logits == []
+    returns = agent.discounted_returns(trace.rewards, config.gamma)
+    with pytest.raises(UsageError):
+        agent.episode_gradients(model, trace, returns)
+
+
+def test_recorded_forward_pass_equals_a_replay():
+    """The rollout's hidden states, logits, log-probabilities and entropies
+    are bit for bit those of replaying its observations."""
+    config, model, trace, _ = small_episode("classical")
+    h = np.zeros(config.lstm_hidden)
+    c = np.zeros(config.lstm_hidden)
+    for t, (obs_vec, extras) in enumerate(zip(trace.obs, trace.extras)):
+        h, c, logits, _ = model.trunk_forward(obs_vec, extras, h, c)
+        probs, entropy = nn.softmax_entropy(logits)
+        np.testing.assert_array_equal(trace.hidden[t], h)
+        np.testing.assert_array_equal(trace.logits[t], logits)
+        assert trace.logps[t] == float(np.log(probs[trace.actions[t]]))
+        assert trace.entropies[t] == entropy
 
 
 def test_agent_step_cap_truncates_as_timeout():

@@ -187,6 +187,28 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("agent_section,flags", [
+    ({"critic": "quantum", "gradient_mode": "param-shift", "noise": {"depolarizing": 2.0}}, []),
+    ({"critic": "quantum"}, ["--noise", "gate_error=abc"]),
+    ({"critic": "quantum"}, ["--noise", "gate_error=-1"]),
+    ({"critic": "quantum", "n_qubits": 0}, []),
+], ids=["yaml-depolarizing-2", "flag-not-a-number", "flag-negative", "zero-qubits"])
+def test_cmd_train_bad_values_exit_2_before_output(tmp_path, agent_section, flags):
+    """Bad values fail when the config loads: exit 2, no output directory."""
+    path = write_config(tmp_path, agent=agent_section)
+    assert cli.main(["train", "--config", str(path), *flags]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "run").exists()
+
+
+def test_noise_flag_off_overrides_yaml_noise(tmp_path):
+    path = write_config(tmp_path, agent={"critic": "quantum", "n_qubits": 2, "n_layers": 1,
+                                         "episodes": 1, "noise": {"gate_error": 0.01}})
+    assert cli.load_config(str(path)).agent.noise is not None
+    assert cli.main(["train", "--config", str(path), "--noise", "off"]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["config"]["agent"]["noise"] is None
+
+
 # ---------------------------------------------------------------------------
 # eval
 

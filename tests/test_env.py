@@ -223,6 +223,21 @@ def test_transition_deterministic():
     assert runs[0] == runs[1]
 
 
+def test_step_checks_contacts_once(monkeypatch):
+    """env.step runs the car collision test once per step; its reward and
+    proximity equal compute_reward and check_proximity on the stepped state."""
+    world, _ = fresh_world(scenario=5)
+    calls = []
+    collides = env._car_collides
+    monkeypatch.setattr(env, "_car_collides", lambda w: calls.append(1) or collides(w))
+    for _ in range(10):
+        world, _, reward, _, info = env.step(world, ACCELERATE)
+        assert len(calls) == 1
+        assert info["proximity"] == env.check_proximity(world)
+        assert reward == env.compute_reward(world, world.prev_action)
+        calls.clear()
+
+
 # ---------------------------------------------------------------------------
 # proximity
 

