@@ -50,6 +50,12 @@ class AgentConfig:
             raise UsageError("gamma must be in [0, 1]")
         if self.entropy_weight < 0:
             raise UsageError("entropy weight must be >= 0")
+        if not self.lr >= 0 or self.episodes < 0:
+            raise UsageError("lr and episodes must be >= 0")
+        if min(self.lstm_hidden, self.encoder_hidden, self.max_steps) < 1:
+            raise UsageError("lstm_hidden, encoder_hidden and max_steps must be >= 1")
+        if self.max_grad_norm is not None and not self.max_grad_norm > 0:
+            raise UsageError("max_grad_norm must be > 0")
         if (self.noise is not None and self.noise.depolarizing is not None
                 and self.gradient_mode == "backprop"):
             raise UsageError("depolarizing noise requires the parameter-shift gradient mode")
@@ -317,7 +323,7 @@ class EpisodeTrace:
 def _extras_vector(obs: env.Observation) -> np.ndarray:
     """LSTM side channel: reward, 2-dim velocity, previous speed action."""
     vx = obs.speed  # car frame: velocity is (v, 0)
-    acc_scalar = float(np.argmax(obs.prev_accel)) - 1.0
+    acc_scalar = float(obs.prev_accel.index(1.0)) - 1.0
     return np.array([obs.prev_reward / 10.0, vx / 15.0, 0.0, acc_scalar])
 
 

@@ -10,6 +10,7 @@ unoccluded pedestrians within sensing range.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, asdict
 from typing import Optional
@@ -60,6 +61,15 @@ class EnvConfig:
     oncoming_lane_y: float = 4.0
     oncoming_speed: float = 8.0
     map_resolution: float = 1.0
+
+    def __post_init__(self):
+        if not (self.dt > 0 and self.map_resolution > 0 and self.wheelbase > 0
+                and self.goal_tol > 0):
+            raise UsageError("dt, map_resolution, wheelbase and goal_tol must be > 0")
+        if self.max_steps < 1:
+            raise UsageError("max_steps must be >= 1")
+        if self.k_pedestrians < 0:
+            raise UsageError("k_pedestrians must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -307,6 +317,10 @@ def observation_dim(config: EnvConfig = EnvConfig()) -> int:
 
 
 def build_cost_map(scene: Scene, config: EnvConfig = EnvConfig()) -> CostMap:
+    return _obstacle_cost_map(scene.obstacles, config)
+
+
+def _obstacle_cost_map(obstacles, config: EnvConfig) -> CostMap:
     res = config.map_resolution
     x0 = config.road_x_min
     y0 = config.road_y_min - config.sidewalk_width - 1.0
@@ -322,7 +336,7 @@ def build_cost_map(scene: Scene, config: EnvConfig = EnvConfig()) -> CostMap:
     costs[road, :] = planner.COST_ROAD
     costs[walk, :] = planner.COST_SIDEWALK
     cmap = CostMap(x0=x0, y0=y0, resolution=res, costs=costs)
-    for (ox0, oy0, ox1, oy1) in scene.obstacles:
+    for (ox0, oy0, ox1, oy1) in obstacles:
         _fill_rect(cmap, ox0, oy0, ox1, oy1, planner.COST_BLOCKED)
     return cmap
 
@@ -354,7 +368,10 @@ def _rect_distance(car: CarState, x: float, y: float, config: EnvConfig) -> floa
 
 
 def _rects_overlap(ax, ay, ah, alen, awid, bx, by, bh, blen, bwid) -> bool:
-    """Separating-axis test for two oriented rectangles."""
+    """Separating-axis test for two oriented rectangles, after a broad phase:
+    rectangles whose circumscribed discs are apart cannot overlap."""
+    if math.hypot(bx - ax, by - ay) > (math.hypot(alen, awid) + math.hypot(blen, bwid)) / 2 + 1e-9:
+        return False
     corners = []
     for (cx, cy, ch, ln, wd) in ((ax, ay, ah, alen, awid), (bx, by, bh, blen, bwid)):
         c, s = math.cos(ch), math.sin(ch)
@@ -550,13 +567,22 @@ def build_observation(world: WorldState) -> Observation:
 # reset / step
 
 
+@functools.lru_cache(maxsize=1024)
+def _layout_path(obstacles, start, goal, config: EnvConfig) -> Path:
+    """The planned path of one obstacle layout, start and goal. A grid has far
+    fewer layouts than scenes (the test grid: 91 for 9720), so each is planned
+    once; a PlanningError propagates and caches nothing."""
+    return planner.plan_path(_obstacle_cost_map(obstacles, config), start, goal,
+                             wheelbase=config.wheelbase, goal_tol=config.goal_tol)
+
+
 def reset(scene: Scene, rng: Optional[np.random.Generator] = None,
           config: EnvConfig = EnvConfig()) -> tuple[WorldState, Observation]:
-    """Instantiate a scene: plan the path and place everyone at spawn."""
+    """Instantiate a scene: plan the path (once per layout) and place everyone
+    at spawn."""
     cost_map = build_cost_map(scene, config)
     try:
-        path = planner.plan_path(cost_map, scene.car_start, scene.car_goal,
-                                 wheelbase=config.wheelbase, goal_tol=config.goal_tol)
+        path = _layout_path(scene.obstacles, scene.car_start, scene.car_goal, config)
     except PlanningError as exc:
         raise SceneError(f"unplannable scene: {exc}") from exc
     sx, sy, sh = scene.car_start

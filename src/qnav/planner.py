@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,11 @@ _STEP = 2.0  # primitive arc length, m
 _GOAL_TOL = 2.0
 _HEURISTIC_WEIGHT = 1.5  # weighted A*: inflate heuristic for speed
 _STEER_TIEBREAK = 0.01  # prefer straight primitives on equal map cost
+# np.hypot and math.hypot can differ in the last bit, so a numpy scan only
+# narrows a nearest-point choice to the candidates within these bounds of its
+# minimum; math.hypot settles among them (the absolute term covers subnormals).
+_NEAR_REL = 1e-12
+_NEAR_ABS = 1e-300
 
 
 class PlanningError(RuntimeError):
@@ -66,6 +72,21 @@ class Path:
     poses: tuple[tuple[float, float, float], ...]  # (x, y, heading)
     steering: tuple[float, ...]  # primitive steering per segment
     total_cost: float
+
+    @cached_property
+    def _segments(self) -> tuple[np.ndarray, ...]:
+        """Arrays the path queries scan, built on first use: vertex x and y,
+        then start x, start y, vector x, vector y and squared length of every
+        segment of nonzero length. Read-only, since paths are shared."""
+        xy = np.array([pose[:2] for pose in self.poses], dtype=float).reshape(-1, 2)
+        px, py = xy[:, 0].copy(), xy[:, 1].copy()
+        vx, vy = px[1:] - px[:-1], py[1:] - py[:-1]
+        len2 = vx * vx + vy * vy
+        keep = len2 != 0
+        arrays = (px, py, px[:-1][keep], py[:-1][keep], vx[keep], vy[keep], len2[keep])
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 def _wrap_angle(a: float) -> float:
@@ -163,6 +184,19 @@ def plan_path(
     return Path(poses=tuple(poses), steering=tuple(steering), total_cost=best[goal_state])
 
 
+def _first_nearest(ex: np.ndarray, ey: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """np.hypot of the offsets, then the index and math.hypot length of the
+    first shortest offset: what a loop over math.hypot keeping the first
+    strict minimum would pick."""
+    d = np.hypot(ex, ey)
+    k = int(d.argmin())
+    near = (d <= d[k] * (1.0 + _NEAR_REL) + _NEAR_ABS).nonzero()[0]
+    if near.size > 1:
+        dists = [math.hypot(ex[i], ey[i]) for i in near.tolist()]
+        k = int(near[dists.index(min(dists))])
+    return d, k, math.hypot(ex[k], ey[k])
+
+
 def tracking_steering(
     path: Path,
     pose: tuple[float, float, float],
@@ -178,15 +212,17 @@ def tracking_steering(
         return 0.0
     x, y, heading = pose
     lookahead = max(4.0, 0.8 * speed)
-    # nearest path index, then walk forward to the lookahead distance
-    pts = path.poses
-    dists = [math.hypot(px - x, py - y) for px, py, _ in pts]
-    i = int(np.argmin(dists))
-    target = pts[-1]
-    for j in range(i, len(pts)):
-        if math.hypot(pts[j][0] - x, pts[j][1] - y) >= lookahead:
-            target = pts[j]
-            break
+    # nearest vertex, then the first vertex from there at the lookahead distance
+    px, py = path._segments[:2]
+    ex, ey = px - x, py - y
+    d, i, _ = _first_nearest(ex, ey)
+    target = path.poses[-1]
+    far = (d[i:] >= lookahead * (1.0 - _NEAR_REL)).nonzero()[0]
+    if far.size:  # no vertex before i + far[0] can be at the lookahead distance
+        for j in range(i + int(far[0]), len(path.poses)):
+            if math.hypot(ex[j], ey[j]) >= lookahead:
+                target = path.poses[j]
+                break
     dx, dy = target[0] - x, target[1] - y
     dist = math.hypot(dx, dy)
     if dist < 0.5:
@@ -204,19 +240,11 @@ def cross_track_error(path: Path, x: float, y: float) -> float:
     if len(path.poses) == 1:
         px, py, _ = path.poses[0]
         return math.hypot(x - px, y - py)
-    best = math.inf
-    signed = 0.0
-    pts = path.poses
-    for (x1, y1, _), (x2, y2, _) in zip(pts[:-1], pts[1:]):
-        vx, vy = x2 - x1, y2 - y1
-        seg_len2 = vx * vx + vy * vy
-        if seg_len2 == 0:
-            continue
-        t = max(0.0, min(1.0, ((x - x1) * vx + (y - y1) * vy) / seg_len2))
-        cx, cy = x1 + t * vx, y1 + t * vy
-        d = math.hypot(x - cx, y - cy)
-        if d < best:
-            best = d
-            cross = vx * (y - y1) - vy * (x - x1)
-            signed = math.copysign(d, cross) if cross != 0 else d
-    return signed
+    _, _, x1, y1, vx, vy, len2 = path._segments
+    if not len(len2):
+        return 0.0
+    dx, dy = x - x1, y - y1
+    t = np.maximum(np.minimum((dx * vx + dy * vy) / len2, 1.0), 0.0)
+    _, k, d = _first_nearest(x - (x1 + t * vx), y - (y1 + t * vy))
+    cross = float(vx[k] * dy[k] - vy[k] * dx[k])
+    return math.copysign(d, cross) if cross != 0 else d

@@ -5,9 +5,11 @@ built as explicit dense matrices via Kronecker products, noise is applied as
 an exact density-matrix channel, grid paths are found with plain Dijkstra,
 the gate-at-a-time statevector simulator (one state, one gate, ``moveaxis``
 per application) is the scalar reference for the batched simulator in
-``qnav.qsim``, and ``replay_loss`` at the end of this file recomputes an
-episode loss step by step for finite-difference checks of
-``qnav.agent.episode_gradients``.
+``qnav.qsim``, ``replay_loss`` recomputes an episode loss step by step for
+finite-difference checks of ``qnav.agent.episode_gradients``, and the
+per-segment path-tracking loops and the separating-axis test without a
+broad phase at the end of this file are the scalar references for
+``qnav.planner``'s vectorized path queries and ``qnav.env._rects_overlap``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from qnav import agent, nn
+from qnav import agent, nn, planner
 from qnav.qsim import MAX_QUBITS, ConfigurationError, GateOp, LayoutError, NoiseSpec
 
 I2 = np.eye(2, dtype=complex)
@@ -431,3 +433,87 @@ def replay_loss(model, trace, returns, advantages=None) -> float:
             for lp, a, ent in zip(logps, advantages, entropies)
         ) / t)
     return j_v - j_pi
+
+
+# ---------------------------------------------------------------------------
+# path tracking and rectangle overlap, one segment and one corner at a time
+
+
+def tracking_steering(
+    path: planner.Path,
+    pose: tuple[float, float, float],
+    speed: float,
+    wheelbase: float = 2.5,
+) -> float:
+    """Steering bin that best tracks the path from the current pose.
+
+    Pure-pursuit on a speed-scaled lookahead point, snapped to the discrete
+    bins. Returns 0 for an empty path or when past its end.
+    """
+    if not path.poses:
+        return 0.0
+    x, y, heading = pose
+    lookahead = max(4.0, 0.8 * speed)
+    # nearest path index, then walk forward to the lookahead distance
+    pts = path.poses
+    dists = [math.hypot(px - x, py - y) for px, py, _ in pts]
+    i = int(np.argmin(dists))
+    target = pts[-1]
+    for j in range(i, len(pts)):
+        if math.hypot(pts[j][0] - x, pts[j][1] - y) >= lookahead:
+            target = pts[j]
+            break
+    dx, dy = target[0] - x, target[1] - y
+    dist = math.hypot(dx, dy)
+    if dist < 0.5:
+        return 0.0
+    eta = math.atan2(dy, dx) - heading
+    eta = (eta + math.pi) % (2 * math.pi) - math.pi
+    desired = math.atan2(2.0 * wheelbase * math.sin(eta), dist)
+    return min(planner.STEERING_BINS, key=lambda b: abs(b - desired))
+
+
+def cross_track_error(path: planner.Path, x: float, y: float) -> float:
+    """Signed lateral offset to the nearest path segment (left positive)."""
+    if not path.poses:
+        return 0.0
+    if len(path.poses) == 1:
+        px, py, _ = path.poses[0]
+        return math.hypot(x - px, y - py)
+    best = math.inf
+    signed = 0.0
+    pts = path.poses
+    for (x1, y1, _), (x2, y2, _) in zip(pts[:-1], pts[1:]):
+        vx, vy = x2 - x1, y2 - y1
+        seg_len2 = vx * vx + vy * vy
+        if seg_len2 == 0:
+            continue
+        t = max(0.0, min(1.0, ((x - x1) * vx + (y - y1) * vy) / seg_len2))
+        cx, cy = x1 + t * vx, y1 + t * vy
+        d = math.hypot(x - cx, y - cy)
+        if d < best:
+            best = d
+            cross = vx * (y - y1) - vy * (x - x1)
+            signed = math.copysign(d, cross) if cross != 0 else d
+    return signed
+
+
+def rects_overlap(ax, ay, ah, alen, awid, bx, by, bh, blen, bwid) -> bool:
+    """Separating-axis test for two oriented rectangles."""
+    corners = []
+    for (cx, cy, ch, ln, wd) in ((ax, ay, ah, alen, awid), (bx, by, bh, blen, bwid)):
+        c, s = math.cos(ch), math.sin(ch)
+        pts = []
+        for sx in (-ln / 2, ln / 2):
+            for sy in (-wd / 2, wd / 2):
+                pts.append((cx + c * sx - s * sy, cy + s * sx + c * sy))
+        corners.append(pts)
+    axes = []
+    for h in (ah, bh):
+        axes.append((math.cos(h), math.sin(h)))
+        axes.append((-math.sin(h), math.cos(h)))
+    for ux, uy in axes:
+        proj = [[px * ux + py * uy for px, py in pts] for pts in corners]
+        if max(proj[0]) < min(proj[1]) or max(proj[1]) < min(proj[0]):
+            return False
+    return True

@@ -187,15 +187,32 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
-@pytest.mark.parametrize("agent_section,flags", [
-    ({"critic": "quantum", "gradient_mode": "param-shift", "noise": {"depolarizing": 2.0}}, []),
-    ({"critic": "quantum"}, ["--noise", "gate_error=abc"]),
-    ({"critic": "quantum"}, ["--noise", "gate_error=-1"]),
-    ({"critic": "quantum", "n_qubits": 0}, []),
-], ids=["yaml-depolarizing-2", "flag-not-a-number", "flag-negative", "zero-qubits"])
-def test_cmd_train_bad_values_exit_2_before_output(tmp_path, agent_section, flags):
+@pytest.mark.parametrize("sections,flags", [
+    ({"agent": {"critic": "quantum", "gradient_mode": "param-shift",
+                "noise": {"depolarizing": 2.0}}}, []),
+    ({"agent": {"critic": "quantum"}}, ["--noise", "gate_error=abc"]),
+    ({"agent": {"critic": "quantum"}}, ["--noise", "gate_error=-1"]),
+    ({"agent": {"critic": "quantum", "n_qubits": 0}}, []),
+    ({"agent": {"lstm_hidden": 0}}, []),
+    ({"agent": {"encoder_hidden": 0}}, []),
+    ({"agent": {"max_steps": 0}}, []),
+    ({"agent": {"episodes": -1}}, []),
+    ({"agent": {"lr": -1}}, []),
+    ({"agent": {"max_grad_norm": -1}}, []),
+    ({"env": {"dt": 0}}, []),
+    ({"env": {"map_resolution": 0}}, []),
+    ({"env": {"max_steps": 0}}, []),
+    ({"env": {"k_pedestrians": -1}}, []),
+    ({"env": {"wheelbase": 0}}, []),
+    ({"env": {"goal_tol": -1}}, []),
+], ids=["yaml-depolarizing-2", "flag-not-a-number", "flag-negative", "zero-qubits",
+        "zero-lstm-hidden", "zero-encoder-hidden", "zero-agent-max-steps", "negative-episodes",
+        "negative-lr", "negative-max-grad-norm", "zero-dt", "zero-map-resolution",
+        "zero-env-max-steps", "negative-k-pedestrians", "zero-wheelbase",
+        "negative-goal-tol"])
+def test_cmd_train_bad_values_exit_2_before_output(tmp_path, sections, flags):
     """Bad values fail when the config loads: exit 2, no output directory."""
-    path = write_config(tmp_path, agent=agent_section)
+    path = write_config(tmp_path, **sections)
     assert cli.main(["train", "--config", str(path), *flags]) == cli.EXIT_CONFIG
     assert not (tmp_path / "run").exists()
 

@@ -1,13 +1,17 @@
 """Navigation POMDP: scene grids, rewards, kinematics, sensing, termination."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import qnav.env as env
+from qnav import planner
 from qnav.env import (ACCELERATE, DECELERATE, KMH, MAINTAIN, Action,
                       SceneError, UsageError)
+
+import oracles
 
 
 def fresh_world(scenario=1, distance=20.0, speed=1.2):
@@ -105,6 +109,71 @@ def test_reset_deterministic():
     _, obs1 = env.reset(scene)
     _, obs2 = env.reset(scene)
     np.testing.assert_array_equal(obs1.to_vector(), obs2.to_vector())
+
+
+@pytest.fixture
+def plan_calls(monkeypatch):
+    """Arguments of every planner.plan_path call, from an empty plan cache."""
+    env._layout_path.cache_clear()
+    calls = []
+    plan_path = planner.plan_path
+
+    def counted(cost_map, start, goal, **kwargs):
+        calls.append((start, goal, kwargs))
+        return plan_path(cost_map, start, goal, **kwargs)
+
+    monkeypatch.setattr(planner, "plan_path", counted)
+    yield calls
+    env._layout_path.cache_clear()
+
+
+def uncached_path(scene, config=env.EnvConfig()):
+    return planner.plan_path(env.build_cost_map(scene, config), scene.car_start, scene.car_goal,
+                             wheelbase=config.wheelbase, goal_tol=config.goal_tol)
+
+
+def test_reset_plans_each_layout_once(plan_calls):
+    # scenarios 3 and 7 share their occluders, 1 has none
+    scenes = env.generate_scenes(grid=env.SceneGrid((1, 3, 7), 0.25, 0.55, 0.1, 4.75, 12.75, 1.0))
+    layouts = {(s.obstacles, s.car_start, s.car_goal) for s in scenes}
+    for scene in scenes:
+        env.reset(scene)
+    assert (len(scenes), len(layouts)) == (108, 10)
+    assert len(plan_calls) == len(layouts)
+
+
+def test_cached_reset_equals_uncached(plan_calls):
+    scene = env.make_scene(3, 20.0, 1.0)
+    world1, obs1 = env.reset(scene)
+    world2, obs2 = env.reset(scene)
+    assert len(plan_calls) == 1
+    assert world2.path is world1.path
+    assert world2.path == uncached_path(scene)
+    assert obs2 == obs1
+    np.testing.assert_array_equal(obs2.to_vector(), obs1.to_vector())
+    assert world2.cost_map is not world1.cost_map  # each reset owns its mutable map
+    np.testing.assert_array_equal(world2.cost_map.costs, env.build_cost_map(scene).costs)
+
+
+def test_plan_cache_keys_on_env_config(plan_calls):
+    scene = env.make_scene(4, 25.0, 1.0)
+    longer = env.EnvConfig(wheelbase=3.0)
+    for _ in range(2):
+        default_world, _ = env.reset(scene)
+        longer_world, _ = env.reset(scene, config=longer)
+    assert [kwargs["wheelbase"] for _, _, kwargs in plan_calls] == [2.5, 3.0]
+    assert default_world.path == uncached_path(scene)
+    assert longer_world.path == uncached_path(scene, longer)
+
+
+def test_unplannable_scene_raises_on_every_reset(plan_calls):
+    blocked_goal = dataclasses.replace(env.make_scene(1, 20.0, 1.0),
+                                       obstacles=((95.0, -3.0, 105.0, 3.0),))
+    for attempt in range(1, 4):
+        with pytest.raises(SceneError, match="unplannable"):
+            env.reset(blocked_goal)
+        assert len(plan_calls) == attempt
+    assert env._layout_path.cache_info().currsize == 0
 
 
 def test_far_pedestrian_not_observed():
@@ -236,6 +305,38 @@ def test_step_checks_contacts_once(monkeypatch):
         assert info["proximity"] == env.check_proximity(world)
         assert reward == env.compute_reward(world, world.prev_action)
         calls.clear()
+
+
+def rect_pairs(rng):
+    """Random oriented-rectangle pairs: overlapping, apart, edge to edge and
+    corner to corner, the last two within a hair of touching."""
+    for _ in range(400):
+        a = (*rng.uniform(-50.0, 50.0, 2), rng.uniform(0.0, 2 * math.pi), *rng.uniform(0.5, 6.0, 2))
+        b = (*(np.array(a[:2]) + rng.uniform(-8.0, 8.0, 2)), rng.uniform(0.0, 2 * math.pi),
+             *rng.uniform(0.5, 6.0, 2))
+        yield a + b
+    for eps in (-1e-9, 0.0, 1e-12, 1e-9, 2e-9, 1e-6):
+        for _ in range(40):
+            ax, ay, ah = *rng.uniform(-50.0, 50.0, 2), rng.uniform(0.0, 2 * math.pi)
+            alen, awid, blen, bwid = rng.uniform(0.5, 6.0, 4)
+            c, s = math.cos(ah), math.sin(ah)
+            gap = (alen + blen) / 2 + eps  # edge to edge, along A's heading
+            yield (ax, ay, ah, alen, awid, ax + gap * c, ay + gap * s, ah, blen, bwid)
+            # corner to corner: both diagonals on the line between the centres
+            ra, rb = math.hypot(alen, awid) / 2, math.hypot(blen, bwid) / 2
+            u = ah + math.atan2(awid, alen)
+            bx, by = ax + (ra + rb + eps) * math.cos(u), ay + (ra + rb + eps) * math.sin(u)
+            bh = (u + math.pi - math.atan2(bwid, blen)) % (2 * math.pi)
+            yield (ax, ay, ah, alen, awid, bx, by, bh, blen, bwid)
+
+
+def test_rects_overlap_equals_separating_axis_oracle():
+    results = []
+    for pair in rect_pairs(np.random.default_rng(5)):
+        got = env._rects_overlap(*pair)
+        assert got == oracles.rects_overlap(*pair), pair
+        results.append(got)
+    assert 0 < sum(results) < len(results)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qnav import planner
+from qnav import env, planner
 from qnav.planner import CostMap, PlanningError
 
 import oracles
@@ -163,3 +163,131 @@ def test_cross_track_error_signs():
 
 def test_cross_track_error_empty_path():
     assert planner.cross_track_error(planner.Path((), (), 0.0), 3.0, 4.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# vectorized path queries against the scalar loops in tests/oracles.py
+
+
+def same_float(a, b):
+    """Exact equality, including the sign of zero."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def grid_paths():
+    """The path of every distinct obstacle layout of the train and test grids."""
+    paths = {}
+    for split in ("train", "test"):
+        for scene in env.generate_scenes(split):
+            key = (scene.obstacles, scene.car_start, scene.car_goal)
+            if key not in paths:
+                paths[key] = env.reset(scene)[0].path
+    return list(paths.values())
+
+
+def hand_paths():
+    pose = (3.0, -1.0, 0.5)
+    return [
+        planner.Path((), (), 0.0),
+        planner.Path((pose,), (), 0.0),
+        planner.Path((pose, pose), (0.0,), 0.0),  # only a zero-length segment
+        planner.Path(((0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (4.0, 0.0, 0.0), (4.0, 3.0, 1.6),
+                      (8.0, 3.0, 0.0)), (0.0,) * 4, 0.0),
+        planner.Path(((0.0, 0.0, 0.0), (10.0, 0.0, 0.0)), (0.0,), 10.0),
+    ]
+
+
+def check_queries(path, x, y, heading, speed):
+    got = planner.cross_track_error(path, x, y)
+    want = oracles.cross_track_error(path, x, y)
+    assert same_float(got, want), (path.poses[:2], x, y, got, want)
+    got = planner.tracking_steering(path, (x, y, heading), speed)
+    want = oracles.tracking_steering(path, (x, y, heading), speed)
+    assert same_float(got, want), (path.poses[:2], x, y, heading, speed, got, want)
+
+
+def lookahead_speeds(path, x, y):
+    """Speeds whose lookahead 0.8 * speed equals a vertex distance exactly, as
+    math.hypot or np.hypot gives it, or exceeds the math.hypot one by an ulp."""
+    xy = np.array([pose[:2] for pose in path.poses]).reshape(-1, 2)
+    np_dists = np.hypot(xy[:, 0] - x, xy[:, 1] - y).tolist()
+    speeds = []
+    for (px, py, _), nd in zip(path.poses, np_dists):
+        md = math.hypot(px - x, py - y)
+        for d in dict.fromkeys((md, nd, float(np.nextafter(md, math.inf)))):
+            for s in np.nextafter(d / 0.8, [0.0, math.inf]).tolist() + [d / 0.8]:
+                if d >= 4.0 and 0.8 * s == d:
+                    speeds.append(s)
+                    break
+    return speeds
+
+
+def test_path_queries_equal_scalar_loops():
+    rng = np.random.default_rng(2024)
+    paths = grid_paths() + hand_paths()
+    checked = 0
+    for path in paths:
+        for _ in range(24):
+            x, y = rng.uniform(-12.0, 115.0), rng.uniform(-9.0, 9.0)
+            check_queries(path, x, y, rng.uniform(0.0, 2 * math.pi), rng.uniform(0.0, 20.0))
+            checked += 1
+        for px, py, ph in path.poses:  # poses exactly on the vertices
+            check_queries(path, px, py, ph, rng.uniform(0.0, 20.0))
+            # lookahead 4.0 landing exactly on this vertex
+            check_queries(path, px - 4.0, py, ph, 0.0)
+            checked += 2
+        x, y = rng.uniform(-5.0, 60.0), rng.uniform(-3.0, 3.0)
+        for speed in lookahead_speeds(path, x, y)[::4]:
+            check_queries(path, x, y, rng.uniform(0.0, 2 * math.pi), speed)
+            checked += 1
+    assert len(paths) == 173 + 5
+    assert checked > 20_000
+
+
+def test_path_arrays_are_built_once_and_read_only():
+    path = hand_paths()[3]
+    arrays = path._segments
+    assert path._segments is arrays
+    px, py, x1, y1, vx, vy, len2 = arrays
+    assert px.tolist() == [0.0, 4.0, 4.0, 4.0, 8.0]
+    assert x1.tolist() == [0.0, 4.0, 4.0] and len2.tolist() == [16.0, 9.0, 16.0]
+    with pytest.raises(ValueError):
+        px[0] = 1.0
+
+
+def test_near_ties_settle_as_the_loops_do():
+    """Poses midway between two vertices. Where np.hypot and math.hypot order
+    the two distances differently (about 0.5% of them on x86-64 with glibc),
+    the loops' choice must hold."""
+    rng = np.random.default_rng(7)
+    n = 20_000
+    ax, bx, ys = rng.uniform(-6.0, -3.0, n), rng.uniform(3.0, 7.0, n), rng.uniform(4.5, 6.0, n)
+    xs = (ax + bx) / 2 + rng.integers(-3, 4, n) * 2.0**-52
+    np_a, np_b = np.hypot(ax - xs, -ys).tolist(), np.hypot(bx - xs, -ys).tolist()
+    flips, hypots_differ = [], False
+    for a, b, x, y, na, nb in zip(ax.tolist(), bx.tolist(), xs.tolist(), ys.tolist(), np_a, np_b):
+        ma, mb = math.hypot(a - x, -y), math.hypot(b - x, -y)
+        hypots_differ |= (ma, mb) != (na, nb)
+        if (ma <= mb) != (na <= nb):
+            flips.append((a, b, x, y))
+    assert flips or not hypots_differ
+    for a, b, x, y in flips + [(-4.0, 6.0, 1.0, 5.0)]:
+        two = planner.Path(((a, 0.0, 0.0), (b, 0.0, 0.0)), (0.0,), 0.0)
+        vee = planner.Path(((a, 0.0, 0.0), (x, -30.0, 0.0), (b, 0.0, 0.0)), (0.0, 0.0), 0.0)
+        for path in (two, vee):
+            check_queries(path, x, y, 1.5 * math.pi, 0.0)
+
+
+def test_lookahead_landing_on_a_vertex_distance():
+    """On a zigzag every next vertex flips the steering bin, so taking the
+    wrong vertex at the lookahead boundary changes the result."""
+    zigzag = planner.Path(tuple((2.0 * k, 3.0 * (-1) ** k, 0.0) for k in range(21)),
+                          (0.0,) * 20, 0.0)
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(300):
+        x, y = rng.uniform(-2.0, 30.0), rng.uniform(-0.5, 0.5)
+        for speed in lookahead_speeds(zigzag, x, y):
+            check_queries(zigzag, x, y, 0.0, speed)
+            checked += 1
+    assert checked > 5000
