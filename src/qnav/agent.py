@@ -6,7 +6,9 @@ a linear readout (n weights + 1 bias) or a dense baseline stack. Gradients
 are computed once per episode from the rollout's own forward pass, which the
 training rollout records: the parameters stay fixed from the rollout to the
 update, so nothing is run forward twice, and the quantum gradient route
-(adjoint backprop vs parameter-shift) can be swapped freely.
+(adjoint backprop vs parameter-shift) can be swapped freely. The backward
+pass runs each layer once on all T steps of the episode; only the LSTM
+recurrence steps through time.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ class AgentConfig:
             raise UsageError("entropy weight must be >= 0")
         if not self.lr >= 0 or self.episodes < 0:
             raise UsageError("lr and episodes must be >= 0")
-        if min(self.lstm_hidden, self.encoder_hidden, self.max_steps) < 1:
-            raise UsageError("lstm_hidden, encoder_hidden and max_steps must be >= 1")
+        if min(self.lstm_hidden, self.encoder_hidden, self.encoder_out, self.max_steps) < 1:
+            raise UsageError("lstm_hidden, encoder_hidden, encoder_out and max_steps must be >= 1")
         if self.max_grad_norm is not None and not self.max_grad_norm > 0:
             raise UsageError("max_grad_norm must be > 0")
         if (self.noise is not None and self.noise.depolarizing is not None
@@ -188,11 +190,6 @@ class ClassicalCritic:
         return value, grads, dh
 
 
-def _add_into(views: dict, grads: dict) -> None:
-    for key, g in grads.items():
-        views[key] += g
-
-
 # ---------------------------------------------------------------------------
 # actor-critic model
 
@@ -252,29 +249,45 @@ class ActorCriticModel:
         cache = (c1, t1, c2, t2, cl, ca)
         return h_new, c_new, logits, cache
 
-    def trunk_backward(self, dlogits: np.ndarray, dh_extra: np.ndarray,
-                       dh_next: np.ndarray, dc_next: np.ndarray, cache, grads: dict):
-        """Backward through actor head, LSTM step and encoder for one step,
-        adding the parameter gradients into ``grads``, the layer views of a
-        gradient vector laid out like ``flat`` (see ``nn.views``).
+    def trunk_backward(self, dlogits: np.ndarray, dh_extra: np.ndarray, caches,
+                       grads: dict) -> None:
+        """Backward through actor head, LSTM and encoder over a whole recorded
+        episode, writing the parameter gradients into ``grads``, the layer
+        views of a gradient vector laid out like ``flat`` (see ``nn.views``).
 
-        dh_extra carries the critic's pull on the hidden state; dh_next/dc_next
-        come from the future timestep. Returns (dh_prev, dc_prev)."""
-        c1, t1, c2, t2, cl, ca = cache
-        dh_actor, g = nn.dense_backward(self.actor, dlogits, ca)
-        _add_into(grads["actor"], g)
-        dh = dh_actor + dh_extra + dh_next
-        dx, dh_prev, dc_prev, g = nn.lstm_step_backward(self.lstm, dh, dc_next, cl)
-        _add_into(grads["lstm"], g)
+        ``caches`` are the episode's T ``trunk_forward`` caches in step order,
+        dlogits (T, actions) the loss gradient at the logits and dh_extra
+        (T, hidden) the critic's pull on each hidden state. Only the LSTM
+        recurrence runs step by step; each weight gradient is one
+        (T, out).T @ (T, in) product over the episode."""
+        obs, a1, _, _, lstm_caches, hidden = zip(*caches)
+        dh = dlogits @ self.actor["W"] + dh_extra
+        dpre = np.empty((len(caches), self.lstm["b"].size))
+        dh_next = dc = np.zeros(self.config.lstm_hidden)
+        wh_t = self.lstm["Wh"].T
+        for t in range(len(caches) - 1, -1, -1):
+            dpre[t], dc = nn.lstm_gates_backward(dh[t] + dh_next, dc, lstm_caches[t])
+            dh_next = wh_t @ dpre[t]
+        # np.array stacks a list of equal-length rows several times faster than np.stack
+        _dense_grads(grads["actor"], dlogits, np.array(hidden))
+        x = np.array([cl[0] for cl in lstm_caches])
+        np.matmul(dpre.T, x, out=grads["lstm"]["Wx"])
+        np.matmul(dpre.T, np.array([cl[1] for cl in lstm_caches]), out=grads["lstm"]["Wh"])
+        dpre.sum(axis=0, out=grads["lstm"]["b"])
         enc_out = self.config.encoder_out
-        da2 = dx[:enc_out]
-        dz2 = nn.tanh_backward(da2, t2)
-        da1, g = nn.dense_backward(self.enc2, dz2, c2)
-        _add_into(grads["enc2"], g)
-        dz1 = nn.tanh_backward(da1, t1)
-        _, g = nn.dense_backward(self.enc1, dz1, c1)
-        _add_into(grads["enc1"], g)
-        return dh_prev, dc_prev
+        dx = dpre @ self.lstm["Wx"]  # the extras' columns take no gradient further
+        dz2 = nn.tanh_backward(dx[:, :enc_out], x[:, :enc_out])
+        a1 = np.array(a1)
+        _dense_grads(grads["enc2"], dz2, a1)
+        dz1 = nn.tanh_backward(dz2 @ self.enc2["W"], a1)
+        _dense_grads(grads["enc1"], dz1, np.array(obs))
+
+
+def _dense_grads(grads: dict, dy: np.ndarray, x: np.ndarray) -> None:
+    """A dense layer's W and b gradients summed over the rows of a (T, out)
+    upstream gradient and its (T, in) inputs, written into ``grads``."""
+    np.matmul(dy.T, x, out=grads["W"])
+    dy.sum(axis=0, out=grads["b"])
 
 
 def select_action(logits: np.ndarray, rng: Optional[np.random.Generator] = None,
@@ -388,16 +401,16 @@ def discounted_returns(rewards, gamma: float, bootstrap: float = 0.0) -> list[fl
 def losses(values, returns, logps, entropies, entropy_weight: float,
            entropy_bonus: bool = True) -> tuple[float, float]:
     """(J_V, J_pi): mean squared value error and the policy objective
-    (advantage-weighted log-prob plus the entropy term, to be ascended)."""
-    if not (len(values) == len(returns) == len(logps) == len(entropies)):
+    (advantage-weighted log-prob plus the entropy term, to be ascended),
+    over series of T steps given as sequences or arrays."""
+    values, returns, logps, entropies = (
+        np.asarray(a, dtype=float) for a in (values, returns, logps, entropies))
+    if not values.shape == returns.shape == logps.shape == entropies.shape:
         raise UsageError("mismatched series lengths")
-    t = len(values)
-    j_v = sum((g - v) ** 2 for g, v in zip(returns, values)) / t
+    advantage = returns - values
     sign = 1.0 if entropy_bonus else -1.0
-    j_pi = sum(
-        lp * (g - v) + entropy_weight * sign * ent
-        for lp, g, v, ent in zip(logps, returns, values, entropies)
-    ) / t
+    j_v = np.mean(advantage * advantage)
+    j_pi = np.mean(logps * advantage + entropy_weight * sign * entropies)
     return float(j_v), float(j_pi)
 
 
@@ -408,8 +421,8 @@ def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace, returns,
 
     The parameters are those of the rollout, so the backward pass runs on
     the trace's own forward pass: the critic runs once on all T recorded
-    hidden states, then the trunk is backpropagated through the recorded
-    caches. The advantage in the policy term is treated as a constant, so no
+    hidden states, then ``trunk_backward`` backpropagates the whole episode
+    through the recorded caches. The advantage in the policy term is treated as a constant, so no
     policy gradient flows into the critic parameters. Returns
     (grad, j_v, j_pi), where grad is laid out like ``model.flat`` and
     clipped to ``config.max_grad_norm`` when that is set.
@@ -422,32 +435,26 @@ def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace, returns,
     if len(trace.caches) != t_len:
         raise UsageError("the trace holds no forward pass (a greedy rollout?)")
     values, vgrads, dvdh = model.critic.value_and_grads(
-        np.stack(trace.hidden), mode=mode, noise=config.noise, rng=noise_rng)
-    values = values.tolist()
-
+        np.array(trace.hidden), mode=mode, noise=config.noise, rng=noise_rng)
+    returns = np.asarray(returns, dtype=float)
     j_v, j_pi = losses(values, returns, trace.logps, trace.entropies,
                        config.entropy_weight, config.entropy_bonus)
+
+    advantage = returns - values
+    # d(J_V)/dV; the advantage path into J_pi is detached
+    dv = 2.0 * (values - returns) / t_len
+    probs = nn.softmax(np.array(trace.logits))
+    onehot = np.eye(env.N_ACTIONS)[trace.actions]
+    ent_sign = 1.0 if config.entropy_bonus else -1.0
+    dlogits = -(advantage[:, None] * (onehot - probs)) / t_len
+    dlogits += nn.entropy_backward(probs, -config.entropy_weight * ent_sign / t_len)
 
     grad = np.zeros_like(model.flat)
     layer_grads = nn.views(grad, model.layers)
     critic_grads = nn.named(layer_grads["critic"])
-    dh_next = np.zeros(config.lstm_hidden)
-    dc_next = np.zeros(config.lstm_hidden)
-    ent_sign = 1.0 if config.entropy_bonus else -1.0
-    for t in range(t_len - 1, -1, -1):
-        advantage = returns[t] - values[t]
-        probs = nn.softmax(trace.logits[t])
-        onehot = np.zeros(env.N_ACTIONS)
-        onehot[trace.actions[t]] = 1.0
-        # d(J_V)/dV; the advantage path into J_pi is detached
-        dv = 2.0 * (values[t] - returns[t]) / t_len
-        dlogits = -(advantage * (onehot - probs)) / t_len
-        dlogits += nn.entropy_backward(probs, -config.entropy_weight * ent_sign / t_len)
-
-        for key, g in vgrads.items():
-            critic_grads[key] += dv * g[t]
-        dh_next, dc_next = model.trunk_backward(
-            dlogits, dv * dvdh[t], dh_next, dc_next, trace.caches[t], layer_grads)
+    for key, g in vgrads.items():
+        critic_grads[key][...] = np.tensordot(dv, g, 1)
+    model.trunk_backward(dlogits, dv[:, None] * dvdh, trace.caches, layer_grads)
     if config.max_grad_norm is not None:
         grad = nn.clip_by_global_norm(grad, config.max_grad_norm)
     return grad, j_v, j_pi
@@ -577,14 +584,14 @@ def evaluate_policy(model: ActorCriticModel, scenes: list[env.Scene],
 
 
 def random_policy_mean_return(scenes: list[env.Scene], rng: np.random.Generator,
-                              env_config: env.EnvConfig = env.EnvConfig(),
-                              max_steps: int = 500) -> float:
-    """Mean return of uniformly random speed actions over the given scenes."""
+                              env_config: env.EnvConfig = env.EnvConfig()) -> float:
+    """Mean return of uniformly random speed actions over the given scenes,
+    each episode run until the env ends it (``env_config.max_steps`` caps it)."""
     totals = []
     for scene in scenes:
         world, _ = env.reset(scene, config=env_config)
         total = 0.0
-        while not world.done and world.t < max_steps:
+        while not world.done:
             world, _, reward, _, _ = env.step(world, int(rng.integers(env.N_ACTIONS)))
             total += reward.total
         totals.append(total)

@@ -70,6 +70,13 @@ class EnvConfig:
             raise UsageError("max_steps must be >= 1")
         if self.k_pedestrians < 0:
             raise UsageError("k_pedestrians must be >= 0")
+        if not (self.speed_step > 0 and self.car_length > 0 and self.car_width > 0
+                and self.ped_radius > 0):
+            raise UsageError("speed_step, car_length, car_width and ped_radius must be > 0")
+        if not self.sense_radius >= 0:
+            raise UsageError("sense_radius must be >= 0")
+        if not (self.road_x_min < self.road_x_max and self.road_y_min < self.road_y_max):
+            raise UsageError("road bounds need road_x_min < road_x_max and road_y_min < road_y_max")
 
 
 @dataclass(frozen=True)

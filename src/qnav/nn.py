@@ -104,9 +104,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits)
+    """Softmax over the last axis: logits of shape (A,), or each row of (T, A)."""
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_entropy(logits: np.ndarray) -> tuple[np.ndarray, float]:
@@ -118,14 +119,15 @@ def softmax_entropy(logits: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def entropy_backward(probs: np.ndarray, dH: float) -> np.ndarray:
-    """Gradient of entropy w.r.t. the logits, scaled by upstream dH."""
+    """Gradient of entropy w.r.t. the logits, scaled by upstream dH; probs
+    of shape (A,), or each row of (T, A)."""
     logp = np.log(np.clip(probs, 1e-300, None))
-    ent = -(probs * logp).sum()
+    ent = -(probs * logp).sum(axis=-1, keepdims=True)
     return dH * (-probs * (logp + ent))
 
 
 # ---------------------------------------------------------------------------
-# LSTM cell (single step; callers unroll and accumulate grads over time)
+# LSTM cell (single step; callers unroll it over time)
 
 
 def lstm_init(rng: np.random.Generator, in_dim: int, hidden: int) -> dict:
@@ -153,9 +155,11 @@ def lstm_step(params: dict, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarra
     return h, c, cache
 
 
-def lstm_step_backward(params: dict, dh: np.ndarray, dc: np.ndarray, cache):
-    """Backward through one step. Returns (dx, dh_prev, dc_prev, grads)."""
-    x, h_prev, c_prev, i, f, o, g, c, tc = cache
+def lstm_gates_backward(dh: np.ndarray, dc: np.ndarray, cache):
+    """The elementwise part of the backward pass through one step: from the
+    upstream dh and dc, the gradient of the stacked gate pre-activations
+    (order i, f, o, g). Returns (dpre, dc_prev)."""
+    _, _, c_prev, i, f, o, g, _, tc = cache
     do = dh * tc
     dc_total = dc + dh * o * (1.0 - tc * tc)
     di = dc_total * g
@@ -170,6 +174,13 @@ def lstm_step_backward(params: dict, dh: np.ndarray, dc: np.ndarray, cache):
             dg * (1.0 - g * g),
         ]
     )
+    return dpre, dc_prev
+
+
+def lstm_step_backward(params: dict, dh: np.ndarray, dc: np.ndarray, cache):
+    """Backward through one step. Returns (dx, dh_prev, dc_prev, grads)."""
+    x, h_prev = cache[:2]
+    dpre, dc_prev = lstm_gates_backward(dh, dc, cache)
     grads = {
         "Wx": np.outer(dpre, x),
         "Wh": np.outer(dpre, h_prev),

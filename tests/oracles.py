@@ -6,8 +6,10 @@ an exact density-matrix channel, grid paths are found with plain Dijkstra,
 the gate-at-a-time statevector simulator (one state, one gate, ``moveaxis``
 per application) is the scalar reference for the batched simulator in
 ``qnav.qsim``, ``replay_loss`` recomputes an episode loss step by step for
-finite-difference checks of ``qnav.agent.episode_gradients``, and the
-per-segment path-tracking loops and the separating-axis test without a
+finite-difference checks of ``qnav.agent.episode_gradients``, the
+per-step loop of ``episode_gradients`` here (one ``trunk_backward`` per
+step) is the scalar reference for that function's batched backward pass,
+and the per-segment path-tracking loops and the separating-axis test without a
 broad phase at the end of this file are the scalar references for
 ``qnav.planner``'s vectorized path queries and ``qnav.env._rects_overlap``.
 """
@@ -20,7 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from qnav import agent, nn, planner
+from qnav import agent, env, nn, planner
+from qnav.env import UsageError
 from qnav.qsim import MAX_QUBITS, ConfigurationError, GateOp, LayoutError, NoiseSpec
 
 I2 = np.eye(2, dtype=complex)
@@ -433,6 +436,81 @@ def replay_loss(model, trace, returns, advantages=None) -> float:
             for lp, a, ent in zip(logps, advantages, entropies)
         ) / t)
     return j_v - j_pi
+
+
+def _add_into(views: dict, grads: dict) -> None:
+    for key, g in grads.items():
+        views[key] += g
+
+
+def trunk_backward(model, dlogits: np.ndarray, dh_extra: np.ndarray,
+                   dh_next: np.ndarray, dc_next: np.ndarray, cache, grads: dict):
+    """Backward through actor head, LSTM step and encoder for one step,
+    adding the parameter gradients into ``grads``, the layer views of a
+    gradient vector laid out like ``flat`` (see ``nn.views``).
+
+    dh_extra carries the critic's pull on the hidden state; dh_next/dc_next
+    come from the future timestep. Returns (dh_prev, dc_prev)."""
+    c1, t1, c2, t2, cl, ca = cache
+    dh_actor, g = nn.dense_backward(model.actor, dlogits, ca)
+    _add_into(grads["actor"], g)
+    dh = dh_actor + dh_extra + dh_next
+    dx, dh_prev, dc_prev, g = nn.lstm_step_backward(model.lstm, dh, dc_next, cl)
+    _add_into(grads["lstm"], g)
+    enc_out = model.config.encoder_out
+    da2 = dx[:enc_out]
+    dz2 = nn.tanh_backward(da2, t2)
+    da1, g = nn.dense_backward(model.enc2, dz2, c2)
+    _add_into(grads["enc2"], g)
+    dz1 = nn.tanh_backward(da1, t1)
+    _, g = nn.dense_backward(model.enc1, dz1, c1)
+    _add_into(grads["enc1"], g)
+    return dh_prev, dc_prev
+
+
+def episode_gradients(model, trace, returns, gradient_mode: Optional[str] = None,
+                      noise_rng: Optional[np.random.Generator] = None):
+    """Gradient of J_V - J_pi over one recorded episode, one step at a time:
+    per step, the logit gradient, the critic gradient and a ``trunk_backward``
+    whose per-layer gradient dicts are added into the gradient vector.
+    Returns (grad, j_v, j_pi) like ``qnav.agent.episode_gradients``."""
+    config = model.config
+    mode = gradient_mode or config.gradient_mode
+    t_len = trace.steps
+    if t_len == 0:
+        raise UsageError("empty episode")
+    if len(trace.caches) != t_len:
+        raise UsageError("the trace holds no forward pass (a greedy rollout?)")
+    values, vgrads, dvdh = model.critic.value_and_grads(
+        np.stack(trace.hidden), mode=mode, noise=config.noise, rng=noise_rng)
+    values = values.tolist()
+
+    j_v, j_pi = agent.losses(values, returns, trace.logps, trace.entropies,
+                             config.entropy_weight, config.entropy_bonus)
+
+    grad = np.zeros_like(model.flat)
+    layer_grads = nn.views(grad, model.layers)
+    critic_grads = nn.named(layer_grads["critic"])
+    dh_next = np.zeros(config.lstm_hidden)
+    dc_next = np.zeros(config.lstm_hidden)
+    ent_sign = 1.0 if config.entropy_bonus else -1.0
+    for t in range(t_len - 1, -1, -1):
+        advantage = returns[t] - values[t]
+        probs = nn.softmax(trace.logits[t])
+        onehot = np.zeros(env.N_ACTIONS)
+        onehot[trace.actions[t]] = 1.0
+        # d(J_V)/dV; the advantage path into J_pi is detached
+        dv = 2.0 * (values[t] - returns[t]) / t_len
+        dlogits = -(advantage * (onehot - probs)) / t_len
+        dlogits += nn.entropy_backward(probs, -config.entropy_weight * ent_sign / t_len)
+
+        for key, g in vgrads.items():
+            critic_grads[key] += dv * g[t]
+        dh_next, dc_next = trunk_backward(
+            model, dlogits, dv * dvdh[t], dh_next, dc_next, trace.caches[t], layer_grads)
+    if config.max_grad_norm is not None:
+        grad = nn.clip_by_global_norm(grad, config.max_grad_norm)
+    return grad, j_v, j_pi
 
 
 # ---------------------------------------------------------------------------

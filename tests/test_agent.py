@@ -377,6 +377,38 @@ def test_episode_gradients_clipped_to_max_norm():
     np.testing.assert_array_equal(loose, raw)
 
 
+PARITY_EPISODES = {"collision": {}, "one-step": {"max_steps": 1}, "truncated": {"max_steps": 5}}
+
+
+@pytest.mark.parametrize("clip", [False, True], ids=["unclipped", "clipped"])
+@pytest.mark.parametrize("episode", list(PARITY_EPISODES))
+@pytest.mark.parametrize("critic,mode", [("quantum", "backprop"), ("quantum", "param-shift"),
+                                         ("classical", "backprop")])
+def test_batched_gradient_matches_per_step_loop(critic, mode, episode, clip):
+    """The batched backward pass gives the gradient and losses of the
+    per-step loop in tests/oracles.py, to 1e-12 of the gradient's largest
+    entry: on a collision, on a one-step and on a longer truncated episode
+    (both bootstrapped), with and without max_grad_norm."""
+    config, model, trace, returns = small_episode(critic, gradient_mode=mode,
+                                                  **PARITY_EPISODES[episode])
+    if episode == "collision":
+        assert trace.outcome == "collision" and trace.steps > 1
+    else:
+        assert trace.outcome == "timeout" and trace.bootstrap != 0.0
+        assert trace.steps == PARITY_EPISODES[episode]["max_steps"]
+    if clip:
+        raw, _, _ = oracles.episode_gradients(model, trace, returns)
+        model.config = dataclasses.replace(
+            config, max_grad_norm=0.5 * float(np.linalg.norm(raw)))
+    expected, j_v, j_pi = oracles.episode_gradients(model, trace, returns)
+    grad, j_v_batched, j_pi_batched = agent.episode_gradients(model, trace, returns)
+    scale = float(np.abs(expected).max())
+    assert scale > 0.0
+    assert float(np.abs(grad - expected).max()) <= 1e-12 * scale
+    assert j_v_batched == pytest.approx(j_v, rel=1e-12, abs=0)
+    assert j_pi_batched == pytest.approx(j_pi, rel=1e-12, abs=0)
+
+
 def test_empty_episode_rejected():
     config, model, _ = small_model()
     with pytest.raises(UsageError):
@@ -534,6 +566,25 @@ def test_random_policy_baseline_finite():
     scenes = scenes_small()[:4]
     value = agent.random_policy_mean_return(scenes, np.random.default_rng(0))
     assert math.isfinite(value)
+
+
+def test_random_policy_runs_to_the_env_step_cap(monkeypatch):
+    """The env's max_steps, not a count of the baseline's own, ends a
+    random-policy episode: a car held at standstill runs all 600 steps of
+    EnvConfig(max_steps=600), and the mean is over their rewards."""
+    step, rewards = env.step, []
+
+    def brake(world, action):
+        world, obs, reward, done, info = step(world, env.DECELERATE)
+        rewards.append(reward.total)
+        return world, obs, reward, done, info
+
+    monkeypatch.setattr(env, "step", brake)
+    scenes = scenes_small()[:1]
+    value = agent.random_policy_mean_return(scenes, np.random.default_rng(0),
+                                            env.EnvConfig(max_steps=600))
+    assert len(rewards) == 600
+    assert value == sum(rewards)
 
 
 # ---------------------------------------------------------------------------

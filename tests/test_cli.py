@@ -205,11 +205,22 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
     ({"env": {"k_pedestrians": -1}}, []),
     ({"env": {"wheelbase": 0}}, []),
     ({"env": {"goal_tol": -1}}, []),
+    ({"agent": {"encoder_out": 0}}, []),
+    ({"env": {"speed_step": 0}}, []),
+    ({"env": {"speed_step": -1.0}}, []),
+    ({"env": {"sense_radius": -5.0}}, []),
+    ({"env": {"car_length": 0}}, []),
+    ({"env": {"car_width": 0}}, []),
+    ({"env": {"ped_radius": 0}}, []),
+    ({"env": {"road_x_min": 200.0}}, []),
+    ({"env": {"road_y_min": 7.0}}, []),
 ], ids=["yaml-depolarizing-2", "flag-not-a-number", "flag-negative", "zero-qubits",
         "zero-lstm-hidden", "zero-encoder-hidden", "zero-agent-max-steps", "negative-episodes",
         "negative-lr", "negative-max-grad-norm", "zero-dt", "zero-map-resolution",
         "zero-env-max-steps", "negative-k-pedestrians", "zero-wheelbase",
-        "negative-goal-tol"])
+        "negative-goal-tol", "zero-encoder-out", "zero-speed-step", "negative-speed-step",
+        "negative-sense-radius", "zero-car-length", "zero-car-width", "zero-ped-radius",
+        "road-x-min-above-max", "road-y-min-equals-max"])
 def test_cmd_train_bad_values_exit_2_before_output(tmp_path, sections, flags):
     """Bad values fail when the config loads: exit 2, no output directory."""
     path = write_config(tmp_path, **sections)

@@ -174,6 +174,22 @@ def test_entropy_backward_matches_fd():
     assert nn.finite_diff_check(logits, loss, {"z": grad}) < 1e-7
 
 
+def test_softmax_and_entropy_backward_batch_rows_equal_single_calls():
+    """softmax and entropy_backward on (T, A) rows give, row by row, the
+    bits of T single calls."""
+    rng = np.random.default_rng(13)
+    for shape in ((6, 3), (4, 11)):
+        logits = rng.normal(size=shape) * 4.0
+        logits[0, 0] = 60.0  # a near one-hot row
+        probs = nn.softmax(logits)
+        dlogits = nn.entropy_backward(probs, -0.37)
+        assert probs.shape == dlogits.shape == shape
+        for t in range(shape[0]):
+            single = nn.softmax(logits[t])
+            np.testing.assert_array_equal(probs[t], single)
+            np.testing.assert_array_equal(dlogits[t], nn.entropy_backward(single, -0.37))
+
+
 # ---------------------------------------------------------------------------
 # LSTM
 
