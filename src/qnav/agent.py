@@ -293,12 +293,19 @@ def _dense_grads(grads: dict, dy: np.ndarray, x: np.ndarray) -> None:
 def select_action(logits: np.ndarray, rng: Optional[np.random.Generator] = None,
                   greedy: bool = False) -> tuple[int, float, float]:
     """Sample (or argmax) a speed action from the actor logits.
-    Returns (action, log-probability, policy entropy)."""
+    Returns (action, log-probability, policy entropy).
+
+    Sampling inverts the CDF with one ``rng.random()`` draw, the draw and
+    the action ``rng.choice(env.N_ACTIONS, p=probs)`` would make."""
     probs, entropy = nn.softmax_entropy(logits)
     if greedy:
         action = int(np.argmax(probs))
     else:
-        action = int(rng.choice(env.N_ACTIONS, p=probs))
+        cdf = probs.cumsum()
+        if not np.isfinite(cdf[-1]):
+            raise ValueError("action probabilities contain NaN or inf")
+        cdf /= cdf[-1]
+        action = int(cdf.searchsorted(rng.random(), side="right"))
     return action, float(np.log(probs[action])), entropy
 
 

@@ -73,6 +73,8 @@ class EnvConfig:
         if not (self.speed_step > 0 and self.car_length > 0 and self.car_width > 0
                 and self.ped_radius > 0):
             raise UsageError("speed_step, car_length, car_width and ped_radius must be > 0")
+        if not (self.speed_limit > 0 and self.v_max > 0):
+            raise UsageError("speed_limit and v_max must be > 0")
         if not self.sense_radius >= 0:
             raise UsageError("sense_radius must be >= 0")
         if not (self.road_x_min < self.road_x_max and self.road_y_min < self.road_y_max):

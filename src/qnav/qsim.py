@@ -13,13 +13,24 @@ Batch axis. ``run_circuit``, ``circuit_value``, ``adjoint_value_and_grad``,
 shape ``(p,)`` or ``(B, p)`` (``theta`` is shared by all rows) and evolve a
 ``(B, 2**n)`` state; a 1-d ``x`` gives the unbatched return shapes. Each gate
 list is compiled once into a plan, cached on the gates, the qubit count and
-the sublayer marks. The plan holds every rotation's angle source and index
-and the form of -iP for its kind on its target, a +/-1 mask per CZ, and the
-depolarizing events; all <Z_i> come from one ``|psi|**2 @ sign.T`` with a
-Z-sign table per qubit count. A Pauli P on one qubit maps basis index k to
-k, or to k with that qubit's bit flipped, times a phase, so a rotation
-cos(a/2) psi + sin(a/2) (-iP) psi is one gather along the amplitude axis
-and a few elementwise products with per-row coefficients.
+the sublayer marks. The plan holds every rotation's angle source and index;
+all <Z_i> come from one ``|psi|**2 @ sign.T`` with a Z-sign table per qubit
+count.
+
+Forward pass. The plan splits the circuit into blocks separated by runs of
+CZs; each CZ run is one +/-1 mask. Inside a block, everything that acts on
+one qubit, its rotations and the depolarizing kicks that land on it, in
+circuit order, multiplies into one per-row 2x2 matrix (M <- R M, and M <- P M
+for a kick, also one that opens the block). All blocks' products are
+computed at once, one rotation step across every (block, qubit) group at a
+time, so the state sees one pass per group and one per CZ run. At the
+defaults (4 qubits, 2 layers, 6 sublayers) that is 30 passes instead of 138
+gates; under sublayer noise it is 34 instead of 138 gates and 24 kicks, as
+the last sublayer's kicks follow the last CZ run. A 2x2 on one qubit maps
+amplitude k to a combination of k and k with that qubit's bit flipped, so a
+pass is one gather along the amplitude axis and a few elementwise products
+with per-row coefficients. The adjoint reverse pass still goes one gate at
+a time.
 
 Noise. Under noise every row is its own trajectory. One simulation call
 draws from ``rng`` as whole arrays, in this order:
@@ -39,6 +50,7 @@ one input's draws are made before the next input's.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -268,27 +280,128 @@ def depolarize_step(state: np.ndarray, qubit: int, p: float, rng: np.random.Gene
 # ---------------------------------------------------------------------------
 # compiled circuits
 
+# exp(-i a P / 2) = cos(a/2) I + sin(a/2) (-iP) lies in SU(2), so it is the
+# matrix [[alpha, -conj(beta)], [beta, conj(alpha)]] with alpha = cos + sin * u
+# and beta = sin * v for the (u, v) of -iP below. A product of such matrices
+# is again one, so a per-row 2x2 is two complex numbers (a, b).
+_SU2 = {"x": (0.0, -1j), "y": (0.0, 1.0), "z": (-1j, 0.0)}
+# A Pauli kick is i times the SU(2) form of -iP, with rows 0..3 for I, X, Y, Z;
+# the factors i multiply into one phase per row, i ** (number of kicks).
+_KICK_ALPHA = np.array([1.0, 0.0, 0.0, -1j])
+_KICK_BETA = np.array([0.0, -1j, 1.0, 0.0])
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
+
+
+@dataclass(frozen=True)
+class _Blocks:
+    """The fused forward pass of a circuit under one depolarizing setting.
+
+    The circuit splits into blocks separated by runs of CZs, and each CZ run
+    multiplies into one +/-1 mask. Inside a block, gates on different qubits
+    commute, so everything that acts on one qubit (its rotations and its
+    depolarizing kicks, in circuit order) multiplies into one per-row 2x2
+    matrix, called a group. ``passes`` lists in circuit order
+    ``(group, index, flip)`` for one group's 2x2 on its qubit (``index`` picks
+    each amplitude's diagonal and off-diagonal coefficient out of the group's
+    [a, conj(a), b, -conj(b)], and ``flip`` its partner amplitude), and
+    ``(None, mask, None)`` for a CZ run.
+
+    Group g's matrix is the product of its rotations, step s = 0 .. S-1
+    reading angle column ``cols[s, g]`` and the coefficients ``u[s, g]``,
+    ``v[s, g]``; a group with fewer rotations reads the zero angle in column
+    ``n_rotations`` (the identity) for the rest. ``kick_rounds[step]`` lists
+    ``(events, groups)`` in the order they apply: depolarizing event
+    ``events[i]`` multiplies onto group ``groups[i]`` after the group's
+    rotation ``step`` (-1: before its first), each group at most once per
+    entry.
+    """
+
+    passes: tuple
+    cols: np.ndarray  # (S, G)
+    u: np.ndarray  # (S, G, 1)
+    v: np.ndarray  # (S, G, 1)
+    kick_rounds: dict
+    n_events: int
+
 
 @dataclass(frozen=True)
 class _Plan:
     """A gate list compiled for batched simulation.
 
-    ``steps[pos]`` is ``(col, src, factor)``: for a rotation, its column in
-    the angle matrix and the gather index and phase of -iP on its target;
-    for a CZ, ``(None, None, mask)``. ``events[granularity][pos]`` lists the
-    qubits that get a depolarizing event after gate ``pos``.
+    ``blocks[key]`` is the fused forward pass (:class:`_Blocks`) without
+    depolarizing events (``key=None``) or with those of granularity ``key``.
+    ``steps[pos]`` is ``(col, src, factor)`` for the adjoint reverse pass,
+    which goes one gate at a time: for a rotation, its column in the angle
+    matrix and the gather index and phase of -iP on its target; for a CZ,
+    ``(None, None, mask)``.
     """
 
     n: int
     n_rotations: int  # columns of the angle matrix
     steps: tuple
-    events: dict
+    blocks: dict
     fixed_cols: np.ndarray
     fixed_angles: np.ndarray
     data_cols: np.ndarray
     data_index: np.ndarray
     param_cols: np.ndarray
     param_index: np.ndarray
+
+
+def _fuse(gates: tuple, steps: tuple, events: tuple, n_qubits: int, n_rotations: int) -> _Blocks:
+    """Fuse a compiled circuit, with a depolarizing event on each qubit that
+    ``events[pos]`` lists after gate ``pos``, into blocks (see :class:`_Blocks`)."""
+    src, _, sign = _tables(n_qubits)
+    bits = (sign < 0).astype(np.intp)
+    rotations: list = []  # per group: (col, kind) of each rotation
+    kicked: dict = {}  # (step, k) -> (events, groups) of each group's k-th kick after that step
+    nth: Counter = Counter()  # (group, step) -> its kicks there so far
+    passes: list = []
+    block: dict = {}  # qubit -> its group in the current block
+    run = None  # product of the current CZ run
+
+    def group(qubit: int) -> int:
+        nonlocal run
+        if run is not None:
+            passes.append((None, run[:, None], None))
+            run = None
+        if qubit not in block:
+            block[qubit] = len(rotations)
+            rotations.append([])
+            passes.append((block[qubit], np.stack([bits[qubit], 3 - bits[qubit]]),
+                           src[1, qubit]))
+        return block[qubit]
+
+    event = 0
+    for gate, (col, _, factor), targets in zip(gates, steps, events):
+        if col is None:
+            run = factor if run is None else run * factor
+            block.clear()
+        else:
+            rotations[group(gate.target)].append((col, gate.kind))
+        for qubit in targets:
+            g = group(qubit)
+            step = len(rotations[g]) - 1
+            events_there, groups_there = kicked.setdefault((step, nth[g, step]), ([], []))
+            events_there.append(event)
+            groups_there.append(g)
+            nth[g, step] += 1
+            event += 1
+    if run is not None:
+        passes.append((None, run[:, None], None))
+
+    shape = (max(map(len, rotations), default=0), len(rotations))
+    cols = np.full(shape, n_rotations, dtype=np.intp)
+    u, v = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+    for g, ops in enumerate(rotations):
+        for s, (col, kind) in enumerate(ops):
+            cols[s, g] = col
+            u[s, g], v[s, g] = _SU2[kind[1]]
+    kick_rounds: dict = {}
+    for (step, _), (es, gs) in sorted(kicked.items()):
+        kick_rounds.setdefault(step, []).append((np.array(es), np.array(gs)))
+    return _Blocks(passes=tuple(passes), cols=cols, u=u[..., None], v=v[..., None],
+                   kick_rounds=kick_rounds, n_events=event)
 
 
 @functools.lru_cache(maxsize=64)
@@ -314,11 +427,15 @@ def _compile(gates: tuple, n_qubits: int, marks: tuple) -> _Plan:
         per_sublayer.append(tuple(range(n_qubits)) if pos in marked else ())
     (fixed_cols, fixed), (data_cols, data_idx), (param_cols, param_idx) = (
         sources[None], sources["data"], sources["param"])
+    steps = tuple(steps)
+    n_rotations = sum(g.kind != "cz" for g in gates)
+    events = {None: ((),) * len(gates), "gate": tuple(per_gate), "sublayer": tuple(per_sublayer)}
     return _Plan(
         n=n_qubits,
-        n_rotations=len(gates) - sum(g.kind == "cz" for g in gates),
-        steps=tuple(steps),
-        events={"gate": tuple(per_gate), "sublayer": tuple(per_sublayer)},
+        n_rotations=n_rotations,
+        steps=steps,
+        blocks={key: _fuse(gates, steps, kicked, n_qubits, n_rotations)
+                for key, kicked in events.items()},
         fixed_cols=np.array(fixed_cols, dtype=np.intp),
         fixed_angles=np.array(fixed, dtype=float),
         data_cols=np.array(data_cols, dtype=np.intp),
@@ -366,7 +483,7 @@ def _evolve(plan: _Plan, angles: np.ndarray, noise: Optional[NoiseSpec] = None,
     error scales the trainable angles before ``shifts`` are added.
     """
     rows = angles.shape[0]
-    kicks, events = None, ()
+    blocks, kicks = plan.blocks[None], None
     if noise is not None and noise.enabled:
         if rng is None:
             raise ConfigurationError("noise simulation requires an rng stream")
@@ -375,27 +492,65 @@ def _evolve(plan: _Plan, angles: np.ndarray, noise: Optional[NoiseSpec] = None,
             angles[:, plan.param_cols] = perturb_gate_params(
                 angles[:, plan.param_cols], rng, noise.gate_error)
         if noise.depolarizing is not None:
-            events = plan.events[noise.granularity]
-            n_events = sum(map(len, events))
-            coins = rng.uniform(size=(rows, n_events))
-            paulis = rng.integers(3, size=(rows, n_events))
+            blocks = plan.blocks[noise.granularity]
+            coins = rng.uniform(size=(rows, blocks.n_events))
+            paulis = rng.integers(3, size=(rows, blocks.n_events))
             kicks = np.where(coins < noise.depolarizing, 1 + paulis, 0)
-    if shifts is not None:
-        angles = angles + shifts
-    cos, sin = np.cos(angles / 2.0), np.sin(angles / 2.0)
-    psi = np.zeros((rows, 2**plan.n), dtype=complex)
-    psi[:, 0] = 1.0
-    event = 0
-    for pos, (col, src, factor) in enumerate(plan.steps):
-        if col is None:
-            psi = psi * factor
+    psi = np.zeros((2**plan.n, rows), dtype=complex)  # amplitude-major: a pass reads whole rows
+    psi[0] = 1.0 if kicks is None else _I_POWERS[np.count_nonzero(kicks, axis=1) % 4]
+    if blocks.cols.shape[1]:
+        matrices = _block_matrices(blocks, angles, shifts, kicks)
+    for group, index, flip in blocks.passes:
+        if group is None:  # a CZ run, index holds its mask
+            psi *= index
         else:
-            psi = _rotate(psi, cos[:, col, None], sin[:, col, None], src, factor)
-        if kicks is not None:
-            for qubit in events[pos]:
-                psi = _pauli_rows(psi, qubit, kicks[:, event])
-                event += 1
-    return psi
+            coef = matrices[group][index]
+            part = psi[flip]
+            part *= coef[1]
+            psi *= coef[0]
+            psi += part
+    return np.ascontiguousarray(psi.T)
+
+
+def _block_matrices(blocks: _Blocks, angles: np.ndarray, shifts: Optional[np.ndarray],
+                    kicks: Optional[np.ndarray]) -> np.ndarray:
+    """Each group's per-row 2x2 as [a, conj(a), b, -conj(b)], shape (G, 4, B)."""
+    rows = angles.shape[0]
+    # half angles, one row per column and a last row of zeros for the identity
+    half = np.zeros((angles.shape[1] + 1, rows))
+    half[:-1] = angles.T
+    if shifts is not None:
+        half[:-1] += shifts.T
+    half *= 0.5
+    cos, sin = np.cos(half), np.sin(half)
+    del half  # the dels keep the peak memory of a call near the gate-at-a-time one's
+    a = b = None
+    for step in range(-1, len(blocks.cols)):
+        if step >= 0:
+            col = blocks.cols[step]
+            alpha = sin[col] * blocks.u[step]
+            alpha += cos[col]
+            beta = sin[col] * blocks.v[step]
+            if a is None:
+                a, b = alpha, beta
+            else:
+                a, b = alpha * a - beta.conj() * b, beta * a + alpha.conj() * b
+        for events, groups in blocks.kick_rounds.get(step, ()):
+            if a is None:
+                a = np.ones((blocks.cols.shape[1], rows), dtype=complex)
+                b = np.zeros_like(a)
+            drawn = kicks[:, events].T
+            alpha, beta = _KICK_ALPHA[drawn], _KICK_BETA[drawn]
+            ag, bg = a[groups], b[groups]
+            a[groups] = alpha * ag - beta.conj() * bg
+            b[groups] = beta * ag + alpha.conj() * bg
+    del cos, sin
+    matrices = np.empty((len(a), 4, rows), dtype=complex)
+    matrices[:, 0] = a
+    np.conjugate(a, out=matrices[:, 1])
+    matrices[:, 2] = b
+    np.negative(b.conj(), out=matrices[:, 3])
+    return matrices
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ built as explicit dense matrices via Kronecker products, noise is applied as
 an exact density-matrix channel, grid paths are found with plain Dijkstra,
 the gate-at-a-time statevector simulator (one state, one gate, ``moveaxis``
 per application) is the scalar reference for the batched simulator in
-``qnav.qsim``, ``replay_loss`` recomputes an episode loss step by step for
-finite-difference checks of ``qnav.agent.episode_gradients``, the
+``qnav.qsim``, ``evolve`` (all rows, one gate and one depolarizing kick at
+a time) is the reference for its fused block kernel, ``replay_loss``
+recomputes an episode loss step by step for finite-difference checks of
+``qnav.agent.episode_gradients``, the
 per-step loop of ``episode_gradients`` here (one ``trunk_backward`` per
 step) is the scalar reference for that function's batched backward pass,
 and the per-segment path-tracking loops and the separating-axis test without a
@@ -22,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from qnav import agent, env, nn, planner
+from qnav import agent, env, nn, planner, qsim
 from qnav.env import UsageError
 from qnav.qsim import MAX_QUBITS, ConfigurationError, GateOp, LayoutError, NoiseSpec
 
@@ -401,6 +403,57 @@ def adjoint_value_and_grad(
         psi = _apply_single(psi, gate.target, inv)
         lam = _apply_single(lam, gate.target, inv)
     return value, d_theta, d_x, z.copy(), 1.0
+
+
+# ---------------------------------------------------------------------------
+# batched gate-at-a-time evolution
+
+
+def evolve(gates: Sequence[GateOp], n_qubits: int, sublayer_marks: Sequence[int],
+           angles: np.ndarray, noise: Optional[NoiseSpec] = None,
+           rng: Optional[np.random.Generator] = None,
+           shifts: Optional[np.ndarray] = None) -> np.ndarray:
+    """Final (B, 2**n) states of ``qsim._evolve``'s arguments, one gate and
+    one depolarizing kick at a time over all rows, drawing the same noise
+    arrays in the same order; the reference for its fused block kernel."""
+    plan = qsim._plan(gates, n_qubits, sublayer_marks)
+    rows = angles.shape[0]
+    kicks, events = None, ()
+    if noise is not None and noise.enabled:
+        if rng is None:
+            raise ConfigurationError("noise simulation requires an rng stream")
+        if noise.gate_error is not None:
+            angles = angles.copy()
+            angles[:, plan.param_cols] = qsim.perturb_gate_params(
+                angles[:, plan.param_cols], rng, noise.gate_error)
+        if noise.depolarizing is not None:
+            marked = frozenset(sublayer_marks)
+            if noise.granularity == "gate":
+                events = [(g.target,) if g.control is None else (g.target, g.control)
+                          for g in gates]
+            else:
+                events = [tuple(range(n_qubits)) if pos in marked else ()
+                          for pos in range(len(gates))]
+            n_events = sum(map(len, events))
+            coins = rng.uniform(size=(rows, n_events))
+            paulis = rng.integers(3, size=(rows, n_events))
+            kicks = np.where(coins < noise.depolarizing, 1 + paulis, 0)
+    if shifts is not None:
+        angles = angles + shifts
+    cos, sin = np.cos(angles / 2.0), np.sin(angles / 2.0)
+    psi = np.zeros((rows, 2**n_qubits), dtype=complex)
+    psi[:, 0] = 1.0
+    event = 0
+    for pos, (col, src, factor) in enumerate(plan.steps):
+        if col is None:
+            psi = psi * factor
+        else:
+            psi = qsim._rotate(psi, cos[:, col, None], sin[:, col, None], src, factor)
+        if kicks is not None:
+            for qubit in events[pos]:
+                psi = qsim._pauli_rows(psi, qubit, kicks[:, event])
+                event += 1
+    return psi
 
 
 # ---------------------------------------------------------------------------

@@ -447,6 +447,25 @@ def test_select_action_logp_matches_softmax():
     assert logp == pytest.approx(math.log(nn.softmax(logits)[action]), abs=1e-12)
 
 
+def test_select_action_matches_generator_choice():
+    """Same actions and the same rng stream as rng.choice(p=softmax), over
+    many seeds and logits from flat to saturated."""
+    draws = np.random.default_rng(5)
+    for seed in range(200):
+        scale = (0.0, 1.0, 10.0, 60.0)[seed % 4]
+        logits = draws.normal(size=(40, 3)) * scale
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for row in logits:
+            action, _, _ = agent.select_action(row, rng=ours)
+            assert action == int(ref.choice(env.N_ACTIONS, p=nn.softmax(row)))
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_select_action_rejects_non_finite_probabilities():
+    with pytest.raises(ValueError):
+        agent.select_action(np.array([np.nan, 0.0, 0.0]), rng=np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # training runs
 

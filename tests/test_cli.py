@@ -214,13 +214,17 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
     ({"env": {"ped_radius": 0}}, []),
     ({"env": {"road_x_min": 200.0}}, []),
     ({"env": {"road_y_min": 7.0}}, []),
+    ({"env": {"speed_limit": 0.0}}, []),
+    ({"env": {"v_max": 0.0}}, []),
+    ({"env": {"v_max": -1.0}}, []),
 ], ids=["yaml-depolarizing-2", "flag-not-a-number", "flag-negative", "zero-qubits",
         "zero-lstm-hidden", "zero-encoder-hidden", "zero-agent-max-steps", "negative-episodes",
         "negative-lr", "negative-max-grad-norm", "zero-dt", "zero-map-resolution",
         "zero-env-max-steps", "negative-k-pedestrians", "zero-wheelbase",
         "negative-goal-tol", "zero-encoder-out", "zero-speed-step", "negative-speed-step",
         "negative-sense-radius", "zero-car-length", "zero-car-width", "zero-ped-radius",
-        "road-x-min-above-max", "road-y-min-equals-max"])
+        "road-x-min-above-max", "road-y-min-equals-max", "zero-speed-limit", "zero-v-max",
+        "negative-v-max"])
 def test_cmd_train_bad_values_exit_2_before_output(tmp_path, sections, flags):
     """Bad values fail when the config loads: exit 2, no output directory."""
     path = write_config(tmp_path, **sections)
@@ -248,8 +252,26 @@ def trained_checkpoint(tmp_path):
     return out / "checkpoint_seed0.json"
 
 
-def test_cmd_eval(tmp_path):
+def slice_scenes(monkeypatch, pick):
+    """Make ``qnav eval`` run ``build_scenes(...)[pick]``; returns the list of
+    EnvConfigs it was called with."""
+    build_scenes, seen = cli.build_scenes, []
+
+    def sliced(scene_spec, env_config):
+        seen.append(env_config)
+        return build_scenes(scene_spec, env_config)[pick]
+
+    monkeypatch.setattr(cli, "build_scenes", sliced)
+    return seen
+
+
+# every 81st of scenario 1's 1215 test scenes: 15 scenes across its speeds and distances
+EVAL_SLICE = slice(None, None, 81)
+
+
+def test_cmd_eval(tmp_path, monkeypatch):
     ckpt = trained_checkpoint(tmp_path)
+    slice_scenes(monkeypatch, EVAL_SLICE)
     out = tmp_path / "eval"
     code = cli.main(["eval", "--checkpoint", str(ckpt), "--split", "test",
                      "--scenarios", "1", "--out", str(out)])
@@ -269,13 +291,7 @@ def test_cmd_eval_uses_training_env_config(tmp_path, monkeypatch):
     assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 0
     ckpt = out / "checkpoint_seed0.json"
     assert agent.checkpoint_env_config(str(ckpt)) == env.EnvConfig(k_pedestrians=2)
-    build_scenes, seen = cli.build_scenes, []
-
-    def first_scenes(scene_spec, env_config):
-        seen.append(env_config)
-        return build_scenes(scene_spec, env_config)[:3]
-
-    monkeypatch.setattr(cli, "build_scenes", first_scenes)
+    seen = slice_scenes(monkeypatch, slice(3))
     code = cli.main(["eval", "--checkpoint", str(ckpt), "--scenarios", "1",
                      "--out", str(tmp_path / "eval")])
     assert code == 0
@@ -293,8 +309,9 @@ def test_cmd_eval_missing_checkpoint(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
-def test_cmd_eval_deterministic(tmp_path):
+def test_cmd_eval_deterministic(tmp_path, monkeypatch):
     ckpt = trained_checkpoint(tmp_path)
+    slice_scenes(monkeypatch, EVAL_SLICE)
     outs = []
     for name in ("e1", "e2"):
         out = tmp_path / name

@@ -469,3 +469,57 @@ def test_gate_granularity_noise_draws_one_event_per_qubit_touched():
     expected.integers(3, size=(4, 3))
     assert z.shape == (4, 2)
     assert rng.bit_generator.state == expected.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# the fused block kernel against the gate-at-a-time evolution
+
+NOISE_SETTINGS = [
+    None,
+    NoiseSpec(gate_error=0.01),
+    NoiseSpec(depolarizing=0.5),
+    NoiseSpec(gate_error=0.01, depolarizing=0.5),
+    NoiseSpec(depolarizing=0.5, granularity="gate"),
+    NoiseSpec(gate_error=0.01, depolarizing=0.5, granularity="gate"),
+]
+
+
+def assert_same_trajectories(gates, n, marks, x, theta, seed):
+    plan = qsim._plan(gates, n, marks)
+    angles = qsim._angles(plan, x, theta)
+    shifts = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=angles.shape)
+    for noise in NOISE_SETTINGS:
+        for shift in (None, shifts):
+            fused, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            psi = qsim._evolve(plan, angles, noise, fused, shift)
+            expected = oracles.evolve(gates, n, marks, angles, noise, ref, shift)
+            assert psi.shape == expected.shape
+            np.testing.assert_allclose(psi, expected, rtol=0, atol=1e-12)
+            assert fused.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_fused_evolution_matches_gate_at_a_time(n, layers):
+    """Same states and the same rng draws, with marks mid-rotation-run, right
+    before a CZ, on the first CZ of a run and on the last gate."""
+    rng = np.random.default_rng(300 * n + layers)
+    gates, layout_marks, x, theta, _, _ = reuploading_case(rng, n, layers, 6)
+    cz = [pos for pos, gate in enumerate(gates) if gate.kind == "cz"]
+    marks = sorted({*layout_marks, 1, len(gates) - 1, *(cz[:1] + [cz[0] - 1] if cz else [])})
+    assert_same_trajectories(gates, n, marks, x, theta, seed=n + layers)
+
+
+@pytest.mark.parametrize("case", ["no-rotations", "no-cz", "empty"])
+def test_fused_evolution_matches_gate_at_a_time_without_rotations_or_czs(case):
+    n = 3
+    gates = {
+        "no-rotations": [GateOp("cz", target=1, control=0), GateOp("cz", target=2, control=1),
+                         GateOp("cz", target=2, control=0)],
+        "no-cz": [GateOp("rx", 0, angle=0.3), GateOp("ry", 2, source="param", index=0),
+                  GateOp("rz", 0, source="data", index=0), GateOp("ry", 1, angle=-1.1)],
+        "empty": [],
+    }[case]
+    x = np.random.default_rng(1).uniform(-1, 1, size=(5, 1))
+    marks = [0, len(gates) - 1] if gates else []
+    assert_same_trajectories(gates, n, marks, x, np.array([0.7]), seed=9)
