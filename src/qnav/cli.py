@@ -152,14 +152,31 @@ def _parse_noise_flag(spec: str) -> Optional[NoiseSpec]:
 
 def build_scenes(scene_spec: dict, env_config: env.EnvConfig) -> list[env.Scene]:
     split = scene_spec.get("split", "train")
-    if "scenarios" in scene_spec or "speed" in scene_spec or "distance" in scene_spec:
-        base = env.SceneGrid.train_default() if split == "train" else env.SceneGrid.test_default()
-        scenarios = tuple(scene_spec.get("scenarios", base.scenarios))
-        speed = scene_spec.get("speed", [base.speed_start, base.speed_stop, base.speed_step])
-        dist = scene_spec.get("distance", [base.dist_start, base.dist_stop, base.dist_step])
-        grid = env.SceneGrid(scenarios, *map(float, speed), *map(float, dist))
-        return env.generate_scenes(split, grid, env_config)
-    return env.generate_scenes(split, config=env_config)
+    if split not in ("train", "test"):
+        raise ConfigError(f"unknown scene split {split!r}")
+    try:
+        if "scenarios" in scene_spec or "speed" in scene_spec or "distance" in scene_spec:
+            base = (env.SceneGrid.train_default() if split == "train"
+                    else env.SceneGrid.test_default())
+            scenarios = tuple(scene_spec.get("scenarios", base.scenarios))
+            speed = scene_spec.get("speed", [base.speed_start, base.speed_stop, base.speed_step])
+            dist = scene_spec.get("distance", [base.dist_start, base.dist_stop, base.dist_step])
+            grid = env.SceneGrid(scenarios, *map(float, speed), *map(float, dist))
+            return env.generate_scenes(split, grid, env_config)
+        return env.generate_scenes(split, config=env_config)
+    except (env.SceneError, TypeError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"bad scene selection: {exc}") from exc
+
+
+def _flag_scene_spec(args) -> dict:
+    """The scene spec of the ``--split`` and ``--scenarios`` flags."""
+    scene_spec = {"split": args.split}
+    if args.scenarios:
+        try:
+            scene_spec["scenarios"] = [int(s) for s in args.scenarios.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"bad --scenarios {args.scenarios!r}: {exc}") from exc
+    return scene_spec
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +215,9 @@ def cmd_train(args) -> int:
         "episodes": args.episodes,
         "noise": args.noise,
     })
+    scenes = build_scenes(run_config.scene_spec, run_config.env)
     out = Path(run_config.output)
     out.mkdir(parents=True, exist_ok=True)
-    scenes = build_scenes(run_config.scene_spec, run_config.env)
     started = time.time()
     artifacts = []
     param_counts = {}
@@ -243,10 +260,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"checkpoint not found: {ckpt}")
     model = agent.load_checkpoint(str(ckpt))
     env_config = agent.checkpoint_env_config(str(ckpt))
-    scene_spec = {"split": args.split}
-    if args.scenarios:
-        scene_spec["scenarios"] = [int(s) for s in args.scenarios.split(",")]
-    scenes = build_scenes(scene_spec, env_config)
+    scenes = build_scenes(_flag_scene_spec(args), env_config)
     metrics, per_scene = agent.evaluate_policy(model, scenes, env_config)
     out = Path(args.out or ckpt.parent)
     out.mkdir(parents=True, exist_ok=True)
@@ -265,6 +279,11 @@ def _read_curve(path: Path) -> list[float]:
 
 
 def cmd_analyze(args) -> int:
+    for flag, value, least in (("--theta-samples", args.theta_samples, 2),
+                               ("--inputs", args.inputs, 1),
+                               ("--smooth-window", args.smooth_window, 1)):
+        if value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
     out = Path(args.out or (args.runs[0] if args.runs else "."))
     out.mkdir(parents=True, exist_ok=True)
     if args.runs:
@@ -333,10 +352,7 @@ def capacity_report(model: ActorCriticModel, theta_samples: int = 20,
 
 def cmd_scenes(args) -> int:
     env_config = env.EnvConfig()
-    scene_spec = {"split": args.split}
-    if args.scenarios:
-        scene_spec["scenarios"] = [int(s) for s in args.scenarios.split(",")]
-    scenes = build_scenes(scene_spec, env_config)
+    scenes = build_scenes(_flag_scene_spec(args), env_config)
     rows = [
         {
             "scenario": s.scenario_id,

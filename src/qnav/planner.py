@@ -58,12 +58,6 @@ class CostMap:
             return COST_BLOCKED
         return int(self.costs[iy, ix])
 
-    def contains(self, x: float, y: float) -> bool:
-        ix = int(math.floor((x - self.x0) / self.resolution))
-        iy = int(math.floor((y - self.y0) / self.resolution))
-        ny, nx = self.costs.shape
-        return 0 <= ix < nx and 0 <= iy < ny
-
 
 @dataclass(frozen=True)
 class Path:
@@ -119,14 +113,8 @@ def plan_path(
     """
     sx, sy, sh = start
     gx, gy = goal
-    if not cost_map.contains(sx, sy) or not cost_map.contains(gx, gy):
-        raise PlanningError("start or goal outside the cost map")
-    if math.hypot(gx - sx, gy - sy) <= goal_tol:
-        return Path(poses=(), steering=(), total_cost=0.0)
-    if cost_map.cost_at(gx, gy) >= COST_BLOCKED:
-        raise PlanningError("goal cell is blocked")
-
     res = cost_map.resolution
+    ny, nx = cost_map.costs.shape
 
     def key(x, y, h):
         return (
@@ -134,6 +122,13 @@ def plan_path(
             int(math.floor((y - cost_map.y0) / res)),
             int(round(h / (2 * math.pi / _HEADING_BINS))) % _HEADING_BINS,
         )
+
+    if not all(0 <= ix < nx and 0 <= iy < ny for ix, iy, _ in (key(sx, sy, 0.0), key(gx, gy, 0.0))):
+        raise PlanningError("start or goal outside the cost map")
+    if math.hypot(gx - sx, gy - sy) <= goal_tol:
+        return Path(poses=(), steering=(), total_cost=0.0)
+    if cost_map.cost_at(gx, gy) >= COST_BLOCKED:
+        raise PlanningError("goal cell is blocked")
 
     start_key = key(sx, sy, sh)
     best = {start_key: 0.0}

@@ -8,8 +8,8 @@ angle error and depolarizing Pauli kicks).
 Rotation convention is exp(-i * theta * P / 2), so a single RY on |0> gives
 <Z> = cos(theta). Qubit 0 is the most significant bit of a basis index.
 
-Batch axis. ``run_circuit``, ``circuit_value``, ``adjoint_value_and_grad``,
-``param_shift_value_and_grad`` and ``param_shift_gradient`` take ``x`` of
+Batch axis. The entry points ``run_circuit``, ``circuit_value``,
+``adjoint_value_and_grad`` and ``param_shift_value_and_grad`` take ``x`` of
 shape ``(p,)`` or ``(B, p)`` (``theta`` is shared by all rows) and evolve a
 ``(B, 2**n)`` state; a 1-d ``x`` gives the unbatched return shapes. Each gate
 list is compiled once into a plan, cached on the gates, the qubit count and
@@ -180,24 +180,9 @@ def _minus_i_pauli(kind: str, qubit: int, n_qubits: int) -> tuple[np.ndarray, np
     return src[row, qubit], -1j * phase[row, qubit]
 
 
-def _rotate(psi: np.ndarray, cos: np.ndarray, sin: np.ndarray, src: np.ndarray,
-            factor: np.ndarray) -> np.ndarray:
-    """exp(-i a P / 2) psi = cos(a/2) psi + sin(a/2) (-iP) psi, per row.
-
-    ``cos``/``sin`` broadcast against the rows, shape (B, 1) or scalar.
-    """
-    return cos * psi + sin * (factor * psi[:, src])
-
-
 def _cz_mask(control: int, target: int, n_qubits: int) -> np.ndarray:
     _, _, sign = _tables(n_qubits)
     return np.where((sign[control] < 0) & (sign[target] < 0), -1.0, 1.0)
-
-
-def _pauli_rows(psi: np.ndarray, qubit: int, which: np.ndarray) -> np.ndarray:
-    """Apply a per-row Pauli on ``qubit``: ``which`` holds 0..3 for I, X, Y, Z."""
-    src, phase, _ = _tables(_n_qubits_of(psi[0]))
-    return phase[which, qubit] * np.take_along_axis(psi, src[which, qubit], axis=1)
 
 
 def _expect(psi: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -206,75 +191,15 @@ def _expect(psi: np.ndarray, n_qubits: int) -> np.ndarray:
     return (psi.real**2 + psi.imag**2) @ sign.T
 
 
-# ---------------------------------------------------------------------------
-# single-state helpers
-
-
-def init_state(n_qubits: int) -> np.ndarray:
-    """Return |0...0> on ``n_qubits`` qubits."""
-    _check_n(n_qubits)
-    state = np.zeros(2**n_qubits, dtype=complex)
-    state[0] = 1.0
-    return state
-
-
-def _n_qubits_of(state: np.ndarray) -> int:
-    n = int(state.shape[0]).bit_length() - 1
-    if 2**n != state.shape[0]:
-        raise ConfigurationError("state length is not a power of two")
-    return n
-
-
 def _check_qubit(qubit: int, n: int):
     if not 0 <= qubit < n:
         raise ConfigurationError(f"qubit index {qubit} out of range for {n} qubits")
-
-
-def apply_gate(state: np.ndarray, gate: GateOp, angle: Optional[float] = None) -> np.ndarray:
-    """Apply one gate; for sourced rotations the resolved ``angle`` is required."""
-    n = _n_qubits_of(state)
-    _check_qubit(gate.target, n)
-    if gate.kind == "cz":
-        _check_qubit(gate.control, n)
-        return state * _cz_mask(gate.control, gate.target, n)
-    if angle is None:
-        if gate.source is not None:
-            raise LayoutError("sourced rotation applied without a resolved angle")
-        angle = gate.angle
-    if not np.isfinite(angle):
-        raise ConfigurationError("rotation angle must be finite")
-    src, factor = _minus_i_pauli(gate.kind, gate.target, n)
-    half = angle / 2.0
-    return _rotate(state[None], np.cos(half), np.sin(half), src, factor)[0]
-
-
-def expectation_z(state: np.ndarray, qubit: int) -> float:
-    """<Z> on one qubit: sum of +/- |amp|^2 with sign from the qubit's bit."""
-    n = _n_qubits_of(state)
-    _check_qubit(qubit, n)
-    return float(_expect(state[None], n)[0, qubit])
 
 
 def perturb_gate_params(theta: np.ndarray, rng: np.random.Generator, scale: float = 0.01) -> np.ndarray:
     """Multiplicative angle jitter theta_k -> theta_k * (1 + scale * U(0,1))."""
     theta = np.asarray(theta, dtype=float)
     return theta * (1.0 + scale * rng.uniform(0.0, 1.0, size=theta.shape))
-
-
-def depolarize_step(state: np.ndarray, qubit: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Single-trajectory depolarizing event: with probability p apply a uniform
-    random Pauli (X, Y or Z) on ``qubit``; otherwise identity.
-
-    Averaged over trajectories this realizes the channel
-    rho -> (1-p) rho + (p/3)(X rho X + Y rho Y + Z rho Z).
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ConfigurationError("depolarizing p must be in [0, 1]")
-    _check_qubit(qubit, _n_qubits_of(state))
-    if rng.uniform() < p:
-        which = 1 + int(rng.integers(3))
-        return _pauli_rows(state[None], qubit, np.array([which]))[0]
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -644,26 +569,6 @@ def param_shift_value_and_grad(
     if single:
         return float(values[0]), d_theta[0], d_x[0], z[0], 1.0
     return values, d_theta, d_x, z, 1.0
-
-
-def param_shift_gradient(
-    gates: Sequence[GateOp],
-    x: np.ndarray,
-    theta: np.ndarray,
-    weights: np.ndarray,
-    bias: float,
-    n_qubits: int,
-    noise: Optional[NoiseSpec] = None,
-    rng: Optional[np.random.Generator] = None,
-    sublayer_marks: Sequence[int] = (),
-    wrt: str = "param",
-) -> np.ndarray:
-    """Exact parameter-shift gradient of the readout value with respect to
-    the trainable parameters (``wrt="param"``) or the input features
-    (``wrt="data"``); see :func:`param_shift_value_and_grad`."""
-    _, d_theta, d_x, _, _ = param_shift_value_and_grad(
-        gates, x, theta, weights, bias, n_qubits, noise, rng, sublayer_marks)
-    return d_theta if wrt == "param" else d_x
 
 
 def adjoint_value_and_grad(

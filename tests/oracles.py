@@ -409,6 +409,21 @@ def adjoint_value_and_grad(
 # batched gate-at-a-time evolution
 
 
+def _rotate(psi: np.ndarray, cos: np.ndarray, sin: np.ndarray, src: np.ndarray,
+            factor: np.ndarray) -> np.ndarray:
+    """exp(-i a P / 2) psi = cos(a/2) psi + sin(a/2) (-iP) psi, per row.
+
+    ``cos``/``sin`` broadcast against the rows, shape (B, 1) or scalar.
+    """
+    return cos * psi + sin * (factor * psi[:, src])
+
+
+def _pauli_rows(psi: np.ndarray, qubit: int, which: np.ndarray) -> np.ndarray:
+    """Apply a per-row Pauli on ``qubit``: ``which`` holds 0..3 for I, X, Y, Z."""
+    src, phase, _ = qsim._tables(_n_qubits_of(psi[0]))
+    return phase[which, qubit] * np.take_along_axis(psi, src[which, qubit], axis=1)
+
+
 def evolve(gates: Sequence[GateOp], n_qubits: int, sublayer_marks: Sequence[int],
            angles: np.ndarray, noise: Optional[NoiseSpec] = None,
            rng: Optional[np.random.Generator] = None,
@@ -448,10 +463,10 @@ def evolve(gates: Sequence[GateOp], n_qubits: int, sublayer_marks: Sequence[int]
         if col is None:
             psi = psi * factor
         else:
-            psi = qsim._rotate(psi, cos[:, col, None], sin[:, col, None], src, factor)
+            psi = _rotate(psi, cos[:, col, None], sin[:, col, None], src, factor)
         if kicks is not None:
             for qubit in events[pos]:
-                psi = qsim._pauli_rows(psi, qubit, kicks[:, event])
+                psi = _pauli_rows(psi, qubit, kicks[:, event])
                 event += 1
     return psi
 

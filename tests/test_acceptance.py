@@ -27,7 +27,7 @@ import qnav.env as env
 import qnav.nn as nn
 import qnav.qsim as qsim
 from qnav.env import Action, DECELERATE, KMH, MAINTAIN
-from qnav.qsim import GateOp
+from qnav.qsim import GateOp, NoiseSpec
 
 import oracles
 
@@ -71,12 +71,14 @@ def test_criterion_02_scene_grid():
 def test_criterion_03_simulator_properties():
     rng = np.random.default_rng(2024)
     ok = True
-    # (a) norm preservation, (b) single-RY analytic value
-    for _ in range(100):
-        theta = float(rng.uniform(-2 * np.pi, 2 * np.pi))
-        state = qsim.apply_gate(qsim.init_state(1), GateOp("ry", 0, angle=theta))
-        ok &= abs(np.linalg.norm(state) - 1.0) <= 1e-12
-        ok &= abs(qsim.expectation_z(state, 0) - math.cos(theta)) <= 1e-12
+    # (a) norm preservation, (b) single-RY analytic value, one row per angle
+    thetas = rng.uniform(-2 * np.pi, 2 * np.pi, size=(100, 1))
+    ry = [GateOp("ry", 0, source="data", index=0)]
+    plan = qsim._plan(ry, 1, ())  # final states through run_circuit's own steps
+    states = qsim._evolve(plan, qsim._angles(plan, thetas, np.zeros(0)))
+    ok &= bool(np.all(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= 1e-12))
+    z = qsim.run_circuit(ry, thetas, np.zeros(0), 1)
+    ok &= bool(np.all(np.abs(z - np.cos(thetas)) <= 1e-12))
     # (c) three-way gradient agreement on 100 random reuploading circuits
     worst = 0.0
     for _ in range(100):
@@ -89,13 +91,10 @@ def test_criterion_03_simulator_properties():
         theta = rng.uniform(-np.pi, np.pi, size=layout.param_count)
         w = rng.uniform(-1, 1, size=n)
         b = float(rng.uniform(-1, 1))
-        state = qsim.init_state(n)
-        for gate in gates:
-            angle = None if gate.kind == "cz" else (
-                x[gate.index] if gate.source == "data" else theta[gate.index])
-            state = qsim.apply_gate(state, gate, angle=angle)
+        plan = qsim._plan(gates, n, ())
+        state = qsim._evolve(plan, qsim._angles(plan, x[None], theta))[0]
         ok &= abs(np.linalg.norm(state) - 1.0) <= 1e-12
-        ps = qsim.param_shift_gradient(gates, x, theta, w, b, n)
+        _, ps, _, _, _ = qsim.param_shift_value_and_grad(gates, x, theta, w, b, n)
         _, adj, _, _, _ = qsim.adjoint_value_and_grad(gates, x, theta, w, b, n)
         fd = np.zeros_like(theta)
         h = 1e-5
@@ -114,7 +113,6 @@ def test_criterion_03_simulator_properties():
 def test_criterion_04_depolarizing_oracle():
     rng = np.random.default_rng(7)
     angle = 0.7
-    base = qsim.apply_gate(qsim.init_state(1), GateOp("ry", 0, angle=angle))
     n_traj = 10_000
     ok = True
     for p in (0.1, 0.5, 1.0):
@@ -124,10 +122,9 @@ def test_criterion_04_depolarizing_oracle():
             0, p, 1)
         exact = oracles.dm_expect_z(rho, 0, 1)
         ok &= abs(exact - (1 - 4 * p / 3) * math.cos(angle)) <= 1e-12
-        samples = np.array([
-            qsim.expectation_z(qsim.depolarize_step(base, 0, p, rng), 0)
-            for _ in range(n_traj)
-        ])
+        samples = qsim.run_circuit(
+            [GateOp("ry", 0, angle=angle)], np.zeros((n_traj, 0)), np.zeros(0), 1,
+            noise=NoiseSpec(depolarizing=p), rng=rng, sublayer_marks=(0,))[:, 0]
         se = samples.std(ddof=1) / math.sqrt(n_traj)
         ok &= abs(samples.mean() - exact) <= 3.0 * max(se, 1e-12)
     report(4, "trajectory mean <Z> matches (1 - 4p/3) <Z> within 3 SE", ok)

@@ -217,6 +217,11 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
     ({"env": {"speed_limit": 0.0}}, []),
     ({"env": {"v_max": 0.0}}, []),
     ({"env": {"v_max": -1.0}}, []),
+    ({"scenes": {"scenarios": [9]}}, []),
+    ({"scenes": {"split": "val"}}, []),
+    ({"scenes": {"speed": [2.0, 1.0, 0.1]}}, []),
+    ({"scenes": {"distance": [0, 10]}}, []),
+    ({"scenes": {"speed": [0.6, 2.0, 0.0]}}, []),
 ], ids=["yaml-depolarizing-2", "flag-not-a-number", "flag-negative", "zero-qubits",
         "zero-lstm-hidden", "zero-encoder-hidden", "zero-agent-max-steps", "negative-episodes",
         "negative-lr", "negative-max-grad-norm", "zero-dt", "zero-map-resolution",
@@ -224,7 +229,8 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
         "negative-goal-tol", "zero-encoder-out", "zero-speed-step", "negative-speed-step",
         "negative-sense-radius", "zero-car-length", "zero-car-width", "zero-ped-radius",
         "road-x-min-above-max", "road-y-min-equals-max", "zero-speed-limit", "zero-v-max",
-        "negative-v-max"])
+        "negative-v-max", "unknown-scenario", "unknown-split", "empty-speed-grid",
+        "two-value-distance", "zero-speed-grid-step"])
 def test_cmd_train_bad_values_exit_2_before_output(tmp_path, sections, flags):
     """Bad values fail when the config loads: exit 2, no output directory."""
     path = write_config(tmp_path, **sections)
@@ -309,6 +315,14 @@ def test_cmd_eval_missing_checkpoint(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+def test_cmd_eval_unknown_scenario_exit_2_before_output(tmp_path):
+    ckpt = trained_checkpoint(tmp_path)
+    out = tmp_path / "eval"
+    code = cli.main(["eval", "--checkpoint", str(ckpt), "--scenarios", "9", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_cmd_eval_deterministic(tmp_path, monkeypatch):
     ckpt = trained_checkpoint(tmp_path)
     slice_scenes(monkeypatch, EVAL_SLICE)
@@ -363,6 +377,22 @@ def test_cmd_analyze_no_inputs(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--theta-samples", "1"),
+    ("--inputs", "0"),
+    ("--smooth-window", "0"),
+])
+def test_cmd_analyze_bad_numbers_exit_2_before_output(tmp_path, flag, value):
+    """Exit 2 and no output directory; the run has a curve CSV and a
+    checkpoint, so every flag is in use."""
+    ckpt = trained_checkpoint(tmp_path)
+    an = tmp_path / "an"
+    code = cli.main(["analyze", "--runs", str(ckpt.parent), "--fim", str(ckpt),
+                     flag, value, "--out", str(an)])
+    assert code == cli.EXIT_CONFIG
+    assert not an.exists()
+
+
 # ---------------------------------------------------------------------------
 # scenes
 
@@ -377,3 +407,11 @@ def test_cmd_scenes(tmp_path):
     first = json.loads(lines[0])
     assert first["scenario"] == 1
     assert first["car_goal"] == [100.0, 0.0]
+
+
+@pytest.mark.parametrize("scenarios", ["9", "1,x"])
+def test_cmd_scenes_unknown_scenario_exit_2_before_output(tmp_path, scenarios):
+    out = tmp_path / "scenes.jsonl"
+    code = cli.main(["scenes", "--scenarios", scenarios, "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert not out.exists()

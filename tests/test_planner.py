@@ -24,8 +24,6 @@ def test_cost_at_and_bounds():
     cmap = flat_map()
     assert cmap.cost_at(5.0, 0.0) == planner.COST_ROAD
     assert cmap.cost_at(-5.0, 0.0) == planner.COST_BLOCKED  # out of bounds
-    assert cmap.contains(5.0, 0.0)
-    assert not cmap.contains(500.0, 0.0)
 
 
 def cost_map_to_text(cmap: CostMap) -> str:

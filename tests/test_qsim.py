@@ -26,59 +26,69 @@ def random_gates(rng, n_qubits, n_gates):
     return gates
 
 
+def final_states(gates, n, x, theta=np.zeros(0), marks=(), noise=None, rng=None):
+    """Final (B, 2**n) states of a (B, p) input, through the plan, angle and
+    evolution steps that ``run_circuit`` takes."""
+    plan = qsim._plan(gates, n, marks)
+    return qsim._evolve(plan, qsim._angles(plan, x, theta), noise, rng)
+
+
 # ---------------------------------------------------------------------------
 # states and gates
 
 
 def test_init_state_ground():
-    np.testing.assert_array_equal(qsim.init_state(1), [1, 0])
-    np.testing.assert_array_equal(qsim.init_state(2), [1, 0, 0, 0])
-    assert abs(np.linalg.norm(qsim.init_state(4)) - 1.0) < 1e-15
+    np.testing.assert_array_equal(final_states([], 1, np.zeros((1, 0)))[0], [1, 0])
+    np.testing.assert_array_equal(final_states([], 2, np.zeros((1, 0)))[0], [1, 0, 0, 0])
+    assert abs(np.linalg.norm(final_states([], 4, np.zeros((1, 0)))[0]) - 1.0) < 1e-15
 
 
 @pytest.mark.parametrize("n", [0, -1, 13])
 def test_init_state_rejects_bad_counts(n):
     with pytest.raises(ConfigurationError):
-        qsim.init_state(n)
+        qsim.run_circuit([], np.zeros(0), np.zeros(0), n)
 
 
 def test_ry_pi_flips_z():
-    state = qsim.apply_gate(qsim.init_state(1), GateOp("ry", 0, angle=math.pi))
-    assert qsim.expectation_z(state, 0) == pytest.approx(-1.0, abs=1e-12)
+    z = qsim.run_circuit([GateOp("ry", 0, angle=math.pi)], np.zeros(0), np.zeros(0), 1)
+    assert z[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_rz_fixes_ground_population():
     for angle in (0.3, -1.7, 2.9):
-        state = qsim.apply_gate(qsim.init_state(1), GateOp("rz", 0, angle=angle))
-        assert qsim.expectation_z(state, 0) == pytest.approx(1.0, abs=1e-12)
+        z = qsim.run_circuit([GateOp("rz", 0, angle=angle)], np.zeros(0), np.zeros(0), 1)
+        assert z[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cz_phases_11_only():
-    state = qsim.init_state(2)
-    for q in (0, 1):
-        state = qsim.apply_gate(state, GateOp("ry", q, angle=math.pi))  # |11> up to phase
+    flips = [GateOp("ry", q, angle=math.pi) for q in (0, 1)]  # |11> up to phase
+    state = final_states(flips, 2, np.zeros((1, 0)))[0]
     probs_before = np.abs(state) ** 2
-    flipped = qsim.apply_gate(state, GateOp("cz", target=1, control=0))
+    flipped = final_states(flips + [GateOp("cz", target=1, control=0)], 2, np.zeros((1, 0)))[0]
     np.testing.assert_allclose(np.abs(flipped) ** 2, probs_before, atol=1e-12)
     assert flipped[3] == pytest.approx(-state[3], abs=1e-12)
 
 
 def test_expectation_z_cos_theta():
     rng = np.random.default_rng(7)
-    for theta in rng.uniform(-2 * np.pi, 2 * np.pi, size=20):
-        state = qsim.apply_gate(qsim.init_state(1), GateOp("ry", 0, angle=float(theta)))
-        assert qsim.expectation_z(state, 0) == pytest.approx(math.cos(theta), abs=1e-12)
+    thetas = rng.uniform(-2 * np.pi, 2 * np.pi, size=20)
+    z = qsim.run_circuit([GateOp("ry", 0, source="data", index=0)], thetas[:, None],
+                         np.zeros(0), 1)
+    for theta, z0 in zip(thetas, z[:, 0]):
+        assert z0 == pytest.approx(math.cos(theta), abs=1e-12)
 
 
 def test_expectation_z_minus_one_on_excited():
-    state = qsim.apply_gate(qsim.init_state(2), GateOp("ry", 1, angle=math.pi))
-    assert qsim.expectation_z(state, 1) == pytest.approx(-1.0, abs=1e-12)
-    assert qsim.expectation_z(state, 0) == pytest.approx(1.0, abs=1e-12)
+    z = qsim.run_circuit([GateOp("ry", 1, angle=math.pi)], np.zeros(0), np.zeros(0), 2)
+    assert z[1] == pytest.approx(-1.0, abs=1e-12)
+    assert z[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expectation_z_index_checked():
-    with pytest.raises(ConfigurationError):
-        qsim.expectation_z(qsim.init_state(2), 2)
+    """Every qubit index a circuit names is checked against the qubit count."""
+    for gate in (GateOp("ry", 2, angle=0.1), GateOp("cz", target=0, control=2)):
+        with pytest.raises(ConfigurationError):
+            qsim.run_circuit([gate], np.zeros(0), np.zeros(0), 2)
 
 
 def test_gateop_validation():
@@ -96,27 +106,24 @@ def test_gateop_validation():
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 4), n_gates=st.integers(1, 50))
 def test_norm_preserved_random_circuits(seed, n, n_gates):
     rng = np.random.default_rng(seed)
-    state = qsim.init_state(n)
-    for gate in random_gates(rng, n, n_gates):
-        state = qsim.apply_gate(state, gate)
+    state = final_states(random_gates(rng, n, n_gates), n, np.zeros((1, 0)))[0]
     assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
 
 
 def test_gates_match_dense_matrix_oracle():
     rng = np.random.default_rng(11)
     n = 2
-    state = qsim.init_state(n)
+    gates = random_gates(rng, n, 12)
     rho = oracles.dm_init(n)
-    for gate in random_gates(rng, n, 12):
-        state = qsim.apply_gate(state, gate)
+    for gate in gates:
         if gate.kind == "cz":
             u = oracles.cz_matrix(gate.control, gate.target, n)
         else:
             u = oracles.lift(oracles.rotation_matrix(gate.kind, gate.angle), gate.target, n)
         rho = oracles.dm_apply_unitary(rho, u)
+    z = qsim.run_circuit(gates, np.zeros(0), np.zeros(0), n)
     for q in range(n):
-        assert qsim.expectation_z(state, q) == pytest.approx(
-            oracles.dm_expect_z(rho, q, n), abs=1e-12)
+        assert z[q] == pytest.approx(oracles.dm_expect_z(rho, q, n), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -155,23 +162,23 @@ def test_run_circuit_bad_index_is_layout_error():
 
 def test_param_shift_single_ry_at_zero():
     gates = [GateOp("ry", 0, source="param", index=0)]
-    grad = qsim.param_shift_gradient(gates, np.zeros(0), np.array([0.0]),
-                                     np.array([1.0]), 0.0, 1)
+    grad = qsim.param_shift_value_and_grad(gates, np.zeros(0), np.array([0.0]),
+                                           np.array([1.0]), 0.0, 1)[1]
     assert grad[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_param_shift_single_ry_at_half_pi():
     gates = [GateOp("ry", 0, source="param", index=0)]
-    grad = qsim.param_shift_gradient(gates, np.zeros(0), np.array([np.pi / 2]),
-                                     np.array([1.0]), 0.0, 1)
+    grad = qsim.param_shift_value_and_grad(gates, np.zeros(0), np.array([np.pi / 2]),
+                                           np.array([1.0]), 0.0, 1)[1]
     assert grad[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_param_shift_unused_parameter_rejected():
     gates = [GateOp("ry", 0, source="param", index=0)]
     with pytest.raises(LayoutError):
-        qsim.param_shift_gradient(gates, np.zeros(0), np.zeros(2),
-                                  np.array([1.0]), 0.0, 1)
+        qsim.param_shift_value_and_grad(gates, np.zeros(0), np.zeros(2),
+                                        np.array([1.0]), 0.0, 1)
 
 
 def finite_diff(gates, x, theta, w, b, n, h=1e-5):
@@ -199,7 +206,7 @@ def test_gradient_three_way_agreement(seed):
     w = rng.uniform(-1, 1, size=n)
     b = float(rng.uniform(-1, 1))
 
-    ps = qsim.param_shift_gradient(gates, x, theta, w, b, n)
+    _, ps, ps_x, _, _ = qsim.param_shift_value_and_grad(gates, x, theta, w, b, n)
     value, d_theta, d_x, z, d_b = qsim.adjoint_value_and_grad(gates, x, theta, w, b, n)
     fd = finite_diff(gates, x, theta, w, b, n)
 
@@ -207,7 +214,6 @@ def test_gradient_three_way_agreement(seed):
     np.testing.assert_allclose(ps, d_theta, atol=1e-10)
     np.testing.assert_allclose(ps, fd, atol=1e-6)
     # data gradient agrees with its own finite difference
-    ps_x = qsim.param_shift_gradient(gates, x, theta, w, b, n, wrt="data")
     for k in range(len(x)):
         xp, xm = x.copy(), x.copy()
         xp[k] += 1e-5
@@ -234,14 +240,11 @@ def test_perturb_gate_params_bounds():
     assert -2.02 < out[2] <= -2.0
 
 
-def test_depolarize_step_validates_p():
-    with pytest.raises(ConfigurationError):
-        qsim.depolarize_step(qsim.init_state(1), 0, 1.5, np.random.default_rng(0))
-
-
 def test_depolarize_p_zero_is_identity():
-    state = qsim.apply_gate(qsim.init_state(1), GateOp("ry", 0, angle=0.4))
-    out = qsim.depolarize_step(state, 0, 0.0, np.random.default_rng(0))
+    gates, rows = [GateOp("ry", 0, angle=0.4)], np.zeros((100, 0))
+    state = final_states(gates, 1, rows)
+    out = final_states(gates, 1, rows, marks=(0,), noise=NoiseSpec(depolarizing=0.0),
+                       rng=np.random.default_rng(0))
     np.testing.assert_array_equal(out, state)
 
 
@@ -251,10 +254,9 @@ def test_depolarize_matches_density_matrix_oracle(p):
     rng = np.random.default_rng(42)
     angle = 0.7
     n_traj = 10_000
-    base = qsim.apply_gate(qsim.init_state(1), GateOp("ry", 0, angle=angle))
-    samples = np.empty(n_traj)
-    for i in range(n_traj):
-        samples[i] = qsim.expectation_z(qsim.depolarize_step(base, 0, p, rng), 0)
+    samples = qsim.run_circuit([GateOp("ry", 0, angle=angle)], np.zeros((n_traj, 0)),
+                               np.zeros(0), 1, noise=NoiseSpec(depolarizing=p), rng=rng,
+                               sublayer_marks=(0,))[:, 0]
     rho = oracles.dm_apply_unitary(oracles.dm_init(1),
                                    oracles.rotation_matrix("ry", angle))
     rho = oracles.dm_depolarize(rho, 0, p, 1)
@@ -291,10 +293,8 @@ def test_two_qubit_circuit_depolarizing_oracle():
 
     rng = np.random.default_rng(99)
     n_traj = 10_000
-    acc = np.zeros((n_traj, 2))
-    for i in range(n_traj):
-        acc[i] = qsim.run_circuit(gates, x, theta, 2, noise=noise, rng=rng,
-                                  sublayer_marks=marks)
+    acc = qsim.run_circuit(gates, np.tile(x, (n_traj, 1)), theta, 2, noise=noise, rng=rng,
+                           sublayer_marks=marks)
     se = acc.std(axis=0, ddof=1) / math.sqrt(n_traj)
     assert np.all(np.abs(acc.mean(axis=0) - exact) <= 3.0 * np.maximum(se, 1e-12))
 
@@ -425,9 +425,6 @@ def test_batch_rows_equal_unbatched_calls():
     values = qsim.circuit_value(gates, x, theta, w, b, 3, sublayer_marks=marks)
     adjoint = qsim.adjoint_value_and_grad(gates, x, theta, w, b, 3)
     shifted = qsim.param_shift_value_and_grad(gates, x, theta, w, b, 3, sublayer_marks=marks)
-    for wrt, grad in (("param", shifted[1]), ("data", shifted[2])):
-        np.testing.assert_array_equal(
-            qsim.param_shift_gradient(gates, x, theta, w, b, 3, wrt=wrt), grad)
     for i in range(len(x)):
         np.testing.assert_allclose(z[i], qsim.run_circuit(gates, x[i], theta, 3),
                                    rtol=0, atol=1e-12)
