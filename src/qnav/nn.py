@@ -114,14 +114,14 @@ def softmax_entropy(logits: np.ndarray) -> tuple[np.ndarray, float]:
     """Softmax probabilities and the natural-log entropy -sum p log p."""
     probs = softmax(logits)
     # p log p -> 0 as p -> 0
-    logp = np.log(np.clip(probs, 1e-300, None))
+    logp = np.log(np.maximum(probs, 1e-300))
     return probs, float(-(probs * logp).sum())
 
 
 def entropy_backward(probs: np.ndarray, dH: float) -> np.ndarray:
     """Gradient of entropy w.r.t. the logits, scaled by upstream dH; probs
     of shape (A,), or each row of (T, A)."""
-    logp = np.log(np.clip(probs, 1e-300, None))
+    logp = np.log(np.maximum(probs, 1e-300))
     ent = -(probs * logp).sum(axis=-1, keepdims=True)
     return dH * (-probs * (logp + ent))
 

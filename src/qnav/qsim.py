@@ -29,8 +29,21 @@ gates; under sublayer noise it is 34 instead of 138 gates and 24 kicks, as
 the last sublayer's kicks follow the last CZ run. A 2x2 on one qubit maps
 amplitude k to a combination of k and k with that qubit's bit flipped, so a
 pass is one gather along the amplitude axis and a few elementwise products
-with per-row coefficients. The adjoint reverse pass still goes one gate at
-a time.
+with per-row coefficients.
+
+Adjoint reverse pass. ``adjoint_value_and_grad`` runs the same passes
+backwards on psi and lambda = O psi at once, undoing each CZ run with its
+mask and each group with the adjoint of the forward call's 2x2. Before a
+group is undone, it reads its Bloch vector: the real 3-vector
+Im <lambda| P |psi> for P = X, Y, Z on its qubit, three per-row sums over
+the amplitudes. Gates on the block's other qubits commute with the group,
+so one read serves a whole block (up to 4 qubits; larger circuits read in
+chunks, which bounds the read's copies of the state). The derivative of a
+rotation about P is the P component of its group's vector just after it,
+and undoing the rotation turns the other two components by its angle, so
+one loop over rotation steps, last step first and all groups at once, gives
+every derivative from the vectors with no further state pass: 30 passes and
+6 reads back instead of 138 gates at the defaults.
 
 Noise. Under noise every row is its own trajectory. One simulation call
 draws from ``rng`` as whole arrays, in this order:
@@ -50,6 +63,7 @@ one input's draws are made before the next input's.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -59,15 +73,6 @@ import numpy as np
 MAX_QUBITS = 12
 
 ROTATIONS = ("rx", "ry", "rz")
-
-_PAULI = {
-    "i": np.eye(2, dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-_TABLE_ORDER = "ixyz"  # row of each Pauli in the gather/phase tables
-
 
 class ConfigurationError(ValueError):
     """Invalid simulator configuration (qubit counts, indices, noise params)."""
@@ -108,6 +113,16 @@ class GateOp:
                 raise ConfigurationError("data/param gates need an index")
             if self.source is None and self.angle is None:
                 raise ConfigurationError("fixed-angle rotation needs an angle")
+        # every simulator call looks its plan up by the gate tuple, so hash once
+        object.__setattr__(self, "_hash", hash(
+            (self.kind, self.target, self.control, self.angle, self.source, self.index)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # rebuild, so the hash is taken in the loading process
+        return GateOp, (self.kind, self.target, self.control, self.angle, self.source,
+                        self.index)
 
 
 @dataclass(frozen=True)
@@ -147,47 +162,30 @@ def _check_n(n_qubits: int):
 
 
 @functools.lru_cache(maxsize=MAX_QUBITS)
-def _tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gather indices and phases of I, X, Y, Z on each qubit, plus Z signs.
+def _tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Partner amplitudes and Z signs of each qubit.
 
-    ``(P_q psi)[:, k] = phase[P, q, k] * psi[:, src[P, q, k]]``;
-    ``sign[q, k]`` is the Z eigenvalue of basis state k on qubit q.
+    ``flip[q, k]`` is basis state k with qubit q's bit flipped, so
+    ``(X_q psi)[k] = psi[flip[q, k]]``; ``sign[q, k]`` is the Z eigenvalue of
+    basis state k on qubit q.
     """
-    dim = 2**n_qubits
-    k = np.arange(dim)
-    bits = (k[None, :] >> (n_qubits - 1 - np.arange(n_qubits))[:, None]) & 1  # (n, dim)
-    flipped = k[None, :] ^ (1 << (n_qubits - 1 - np.arange(n_qubits)))[:, None]
-    src = np.empty((4, n_qubits, dim), dtype=np.intp)
-    phase = np.empty((4, n_qubits, dim), dtype=complex)
-    for row, name in enumerate(_TABLE_ORDER):
-        mat = _PAULI[name]
-        if mat[0, 0] == 0:  # off-diagonal: amplitude k comes from its partner
-            src[row] = flipped
-            phase[row] = mat[bits, 1 - bits]
-        else:
-            src[row] = k
-            phase[row] = mat[bits, bits]
-    sign = 1.0 - 2.0 * bits
-    for arr in (src, phase, sign):
+    k = np.arange(2**n_qubits)
+    weight = 1 << (n_qubits - 1 - np.arange(n_qubits))[:, None]
+    flip = k ^ weight
+    sign = np.where(k & weight, -1.0, 1.0)
+    for arr in (flip, sign):
         arr.flags.writeable = False
-    return src, phase, sign
-
-
-def _minus_i_pauli(kind: str, qubit: int, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather index and phase of -iP for the rotation ``kind`` on ``qubit``."""
-    src, phase, _ = _tables(n_qubits)
-    row = _TABLE_ORDER.index(kind[1])
-    return src[row, qubit], -1j * phase[row, qubit]
+    return flip, sign
 
 
 def _cz_mask(control: int, target: int, n_qubits: int) -> np.ndarray:
-    _, _, sign = _tables(n_qubits)
+    _, sign = _tables(n_qubits)
     return np.where((sign[control] < 0) & (sign[target] < 0), -1.0, 1.0)
 
 
 def _expect(psi: np.ndarray, n_qubits: int) -> np.ndarray:
     """All <Z_i> per row: |psi|^2 @ sign.T, shape (B, n)."""
-    _, _, sign = _tables(n_qubits)
+    _, sign = _tables(n_qubits)
     return (psi.real**2 + psi.imag**2) @ sign.T
 
 
@@ -215,11 +213,12 @@ _SU2 = {"x": (0.0, -1j), "y": (0.0, 1.0), "z": (-1j, 0.0)}
 _KICK_ALPHA = np.array([1.0, 0.0, 0.0, -1j])
 _KICK_BETA = np.array([0.0, -1j, 1.0, 0.0])
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
+_READ_AMPLITUDES = 64  # per row, in the partner copies of one adjoint read
 
 
 @dataclass(frozen=True)
 class _Blocks:
-    """The fused forward pass of a circuit under one depolarizing setting.
+    """A circuit fused into blocks, under one depolarizing setting.
 
     The circuit splits into blocks separated by runs of CZs, and each CZ run
     multiplies into one +/-1 mask. Inside a block, gates on different qubits
@@ -239,10 +238,21 @@ class _Blocks:
     ``events[i]`` multiplies onto group ``groups[i]`` after the group's
     rotation ``step`` (-1: before its first), each group at most once per
     entry.
+
+    For the adjoint reverse pass, a block's groups read their Bloch vectors in
+    one or more chunks, and ``reads[g]`` is set for the last group g of each:
+    ``(groups, flips, xy)``, the chunk's groups as a slice and, per group, its
+    qubit's partner amplitudes and the weights of its X and Y sums over the
+    amplitudes, 1 and the Z sign. A group's Bloch vector has rows
+    ``k * G + g``, k = 0..2 for X, Y, Z; ``axis_rows[s, :, g]`` lists the rows
+    of its step-s axis and of the two after it, cyclically (X for the
+    identity).
     """
 
     passes: tuple
+    reads: dict
     cols: np.ndarray  # (S, G)
+    axis_rows: np.ndarray  # (S, 3, G)
     u: np.ndarray  # (S, G, 1)
     v: np.ndarray  # (S, G, 1)
     kick_rounds: dict
@@ -253,17 +263,15 @@ class _Blocks:
 class _Plan:
     """A gate list compiled for batched simulation.
 
-    ``blocks[key]`` is the fused forward pass (:class:`_Blocks`) without
-    depolarizing events (``key=None``) or with those of granularity ``key``.
-    ``steps[pos]`` is ``(col, src, factor)`` for the adjoint reverse pass,
-    which goes one gate at a time: for a rotation, its column in the angle
-    matrix and the gather index and phase of -iP on its target; for a CZ,
-    ``(None, None, mask)``.
+    ``blocks[key]`` is the fused circuit (:class:`_Blocks`) without
+    depolarizing events (``key=None``), which the adjoint reverse pass walks
+    backwards, or with those of granularity ``key``. The angle matrix has one
+    column per rotation, in circuit order; ``*_cols`` and ``*_index`` map each
+    angle source (fixed, data, param) to its columns.
     """
 
     n: int
     n_rotations: int  # columns of the angle matrix
-    steps: tuple
     blocks: dict
     fixed_cols: np.ndarray
     fixed_angles: np.ndarray
@@ -273,12 +281,15 @@ class _Plan:
     param_index: np.ndarray
 
 
-def _fuse(gates: tuple, steps: tuple, events: tuple, n_qubits: int, n_rotations: int) -> _Blocks:
-    """Fuse a compiled circuit, with a depolarizing event on each qubit that
-    ``events[pos]`` lists after gate ``pos``, into blocks (see :class:`_Blocks`)."""
-    src, _, sign = _tables(n_qubits)
+def _fuse(gates: tuple, steps: list, events: tuple, n_qubits: int, n_rotations: int) -> _Blocks:
+    """Fuse a circuit, with a depolarizing event on each qubit that ``events[pos]``
+    lists after gate ``pos``, into blocks (see :class:`_Blocks`). ``steps[pos]``
+    is ``(col, None)`` for a rotation, with its column in the angle matrix, and
+    ``(None, mask)`` for a CZ."""
+    flip, sign = _tables(n_qubits)
     bits = (sign < 0).astype(np.intp)
     rotations: list = []  # per group: (col, kind) of each rotation
+    qubits: list = []  # per group: its qubit
     kicked: dict = {}  # (step, k) -> (events, groups) of each group's k-th kick after that step
     nth: Counter = Counter()  # (group, step) -> its kicks there so far
     passes: list = []
@@ -293,14 +304,15 @@ def _fuse(gates: tuple, steps: tuple, events: tuple, n_qubits: int, n_rotations:
         if qubit not in block:
             block[qubit] = len(rotations)
             rotations.append([])
+            qubits.append(qubit)
             passes.append((block[qubit], np.stack([bits[qubit], 3 - bits[qubit]]),
-                           src[1, qubit]))
+                           flip[qubit]))
         return block[qubit]
 
     event = 0
-    for gate, (col, _, factor), targets in zip(gates, steps, events):
+    for gate, (col, mask), targets in zip(gates, steps, events):
         if col is None:
-            run = factor if run is None else run * factor
+            run = mask if run is None else run * mask
             block.clear()
         else:
             rotations[group(gate.target)].append((col, gate.kind))
@@ -317,16 +329,34 @@ def _fuse(gates: tuple, steps: tuple, events: tuple, n_qubits: int, n_rotations:
 
     shape = (max(map(len, rotations), default=0), len(rotations))
     cols = np.full(shape, n_rotations, dtype=np.intp)
+    axes = np.zeros(shape, dtype=np.intp)
     u, v = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
     for g, ops in enumerate(rotations):
         for s, (col, kind) in enumerate(ops):
             cols[s, g] = col
+            axes[s, g] = "xyz".index(kind[1])
             u[s, g], v[s, g] = _SU2[kind[1]]
+    axis_rows = np.stack([(axes + k) % 3 * shape[1] + np.arange(shape[1]) for k in range(3)],
+                         axis=1)
     kick_rounds: dict = {}
     for (step, _), (es, gs) in sorted(kicked.items()):
         kick_rounds.setdefault(step, []).append((np.array(es), np.array(gs)))
-    return _Blocks(passes=tuple(passes), cols=cols, u=u[..., None], v=v[..., None],
-                   kick_rounds=kick_rounds, n_events=event)
+    # A read copies each of its groups' partner amplitudes, so a block's groups
+    # (numbered consecutively) read in chunks whose copies hold at most
+    # _READ_AMPLITUDES amplitudes per row, or one group's: one read per block
+    # for small circuits, and never more than a state's worth of copies.
+    per_read = max(1, _READ_AMPLITUDES >> n_qubits)
+    reads = {}
+    for in_block, entries in itertools.groupby(passes, key=lambda entry: entry[0] is not None):
+        if in_block:
+            ids = [entry[0] for entry in entries]
+            for first in range(ids[0], ids[-1] + 1, per_read):
+                last = min(first + per_read, ids[-1] + 1) - 1
+                on = qubits[first : last + 1]
+                reads[last] = (slice(first, last + 1), flip[on],
+                               np.stack([np.ones_like(sign[on]), sign[on]], axis=1))
+    return _Blocks(passes=tuple(passes), reads=reads, cols=cols, axis_rows=axis_rows,
+                   u=u[..., None], v=v[..., None], kick_rounds=kick_rounds, n_events=event)
 
 
 @functools.lru_cache(maxsize=64)
@@ -340,25 +370,23 @@ def _compile(gates: tuple, n_qubits: int, marks: tuple) -> _Plan:
         _check_qubit(gate.target, n_qubits)
         if gate.kind == "cz":
             _check_qubit(gate.control, n_qubits)
-            steps.append((None, None, _cz_mask(gate.control, gate.target, n_qubits)))
+            steps.append((None, _cz_mask(gate.control, gate.target, n_qubits)))
             per_gate.append((gate.target, gate.control))
         else:
             col = sum(len(cols) for cols, _ in sources.values())
             cols, values = sources[gate.source]
             cols.append(col)
             values.append(gate.angle if gate.source is None else gate.index)
-            steps.append((col,) + _minus_i_pauli(gate.kind, gate.target, n_qubits))
+            steps.append((col, None))
             per_gate.append((gate.target,))
         per_sublayer.append(tuple(range(n_qubits)) if pos in marked else ())
     (fixed_cols, fixed), (data_cols, data_idx), (param_cols, param_idx) = (
         sources[None], sources["data"], sources["param"])
-    steps = tuple(steps)
     n_rotations = sum(g.kind != "cz" for g in gates)
     events = {None: ((),) * len(gates), "gate": tuple(per_gate), "sublayer": tuple(per_sublayer)}
     return _Plan(
         n=n_qubits,
         n_rotations=n_rotations,
-        steps=steps,
         blocks={key: _fuse(gates, steps, kicked, n_qubits, n_rotations)
                 for key, kicked in events.items()},
         fixed_cols=np.array(fixed_cols, dtype=np.intp),
@@ -423,39 +451,50 @@ def _evolve(plan: _Plan, angles: np.ndarray, noise: Optional[NoiseSpec] = None,
             kicks = np.where(coins < noise.depolarizing, 1 + paulis, 0)
     psi = np.zeros((2**plan.n, rows), dtype=complex)  # amplitude-major: a pass reads whole rows
     psi[0] = 1.0 if kicks is None else _I_POWERS[np.count_nonzero(kicks, axis=1) % 4]
-    if blocks.cols.shape[1]:
-        matrices = _block_matrices(blocks, angles, shifts, kicks)
-    for group, index, flip in blocks.passes:
-        if group is None:  # a CZ run, index holds its mask
-            psi *= index
-        else:
-            coef = matrices[group][index]
-            part = psi[flip]
-            part *= coef[1]
-            psi *= coef[0]
-            psi += part
+    matrices = _block_matrices(blocks, *_half_angles(blocks, angles, shifts), kicks)
+    _run_passes(blocks.passes, matrices, psi)
     return np.ascontiguousarray(psi.T)
 
 
-def _block_matrices(blocks: _Blocks, angles: np.ndarray, shifts: Optional[np.ndarray],
-                    kicks: Optional[np.ndarray]) -> np.ndarray:
-    """Each group's per-row 2x2 as [a, conj(a), b, -conj(b)], shape (G, 4, B)."""
-    rows = angles.shape[0]
-    # half angles, one row per column and a last row of zeros for the identity
-    half = np.zeros((angles.shape[1] + 1, rows))
+def _run_passes(passes: tuple, matrices: np.ndarray, psi: np.ndarray) -> None:
+    """Apply ``passes`` in order to the amplitude-major state ``psi``, in place."""
+    for group, index, flip in passes:
+        if group is None:  # a CZ run, index holds its mask
+            psi *= index
+        else:
+            coef = matrices[group].take(index, axis=0)
+            part = psi.take(flip, axis=0)
+            part *= coef[1]
+            psi *= coef[0]
+            psi += part
+
+
+def _half_angles(blocks: _Blocks, angles: np.ndarray,
+                 shifts: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of half of each group's angles, step-major, shape (S, G, B)."""
+    # one row per column and a last row of zeros for the identity
+    half = np.zeros((angles.shape[1] + 1, angles.shape[0]))
     half[:-1] = angles.T
     if shifts is not None:
         half[:-1] += shifts.T
     half *= 0.5
-    cos, sin = np.cos(half), np.sin(half)
-    del half  # the dels keep the peak memory of a call near the gate-at-a-time one's
+    half = half[blocks.cols]
+    return np.cos(half), np.sin(half)
+
+
+def _block_matrices(blocks: _Blocks, cos: np.ndarray, sin: np.ndarray,
+                    kicks: Optional[np.ndarray]) -> np.ndarray:
+    """Each group's per-row 2x2 as [a, conj(a), b, -conj(b)], shape (G, 4, B),
+    from the tables of :func:`_half_angles`."""
+    rows = cos.shape[-1]
+    if not blocks.cols.shape[1]:  # no rotations and no kicks, so no groups
+        return np.empty((0, 4, rows), dtype=complex)
     a = b = None
     for step in range(-1, len(blocks.cols)):
         if step >= 0:
-            col = blocks.cols[step]
-            alpha = sin[col] * blocks.u[step]
-            alpha += cos[col]
-            beta = sin[col] * blocks.v[step]
+            alpha = sin[step] * blocks.u[step]
+            alpha += cos[step]
+            beta = sin[step] * blocks.v[step]
             if a is None:
                 a, b = alpha, beta
             else:
@@ -469,7 +508,6 @@ def _block_matrices(blocks: _Blocks, angles: np.ndarray, shifts: Optional[np.nda
             ag, bg = a[groups], b[groups]
             a[groups] = alpha * ag - beta.conj() * bg
             b[groups] = beta * ag + alpha.conj() * bg
-    del cos, sin
     matrices = np.empty((len(a), 4, rows), dtype=complex)
     matrices[:, 0] = a
     np.conjugate(a, out=matrices[:, 1])
@@ -592,31 +630,74 @@ def adjoint_value_and_grad(
     theta = np.asarray(theta, dtype=float)
     weights = np.asarray(weights, dtype=float)
     angles = _angles(plan, x, theta)
-    cos, sin = np.cos(angles / 2.0), np.sin(angles / 2.0)
-    psi = _evolve(plan, angles)
-    z = _expect(psi, n_qubits)
+    blocks = plan.blocks[None]
+    rows = len(x)
+    _, sign = _tables(n_qubits)
+    psi = np.zeros((2**n_qubits, rows), dtype=complex)  # amplitude-major, as in _evolve
+    psi[0] = 1.0
+    half_cos, sin = _half_angles(blocks, angles, None)
+    matrices = _block_matrices(blocks, half_cos, sin, None)
+    _run_passes(blocks.passes, matrices, psi)
+    z = _expect(np.ascontiguousarray(psi.T), n_qubits)
     value = bias + z @ weights
+    # psi in the first `rows` columns, lambda = O psi with O = sum_i w_i Z_i in the rest
+    state = np.concatenate([psi, psi * (weights @ sign)[:, None]], axis=1)
+    psi, lam = state[:, :rows], state[:, rows:]
 
-    # lambda = O |psi> with O = sum_i w_i Z_i, diagonal in the basis
-    _, _, sign = _tables(n_qubits)
-    lam = psi * (weights @ sign)
-    d_angle = np.empty_like(angles)
-    for col, src, factor in reversed(plan.steps):
-        if col is None:
-            psi = psi * factor
-            lam = lam * factor
+    # Walk the passes backwards, undoing each on psi and lambda. Before a block
+    # is undone, read each of its groups' sums of conj(lambda) psi: gates on
+    # other qubits in the block commute with the group, so its Bloch vector
+    # does not depend on how much of the rest of the block is undone.
+    inverse = matrices[:, [1, 0, 2, 3]]  # [conj(a), a, -b, conj(b)] of the adjoint 2x2
+    inverse[:, 2:] *= -1
+    inverse = np.concatenate([inverse, inverse], axis=2)
+    bloch = np.empty((len(matrices), 3, rows), dtype=complex)
+    coef, part = np.empty((2,) + state.shape, dtype=complex), np.empty_like(state)
+    for group, index, partner in reversed(blocks.passes):
+        if group is None:
+            state *= index
             continue
-        # dU/da = (-i P / 2) U, so dV/da = 2 Re <lam| (-i P / 2) |psi_after>
-        k_psi = factor * psi[:, src]
-        d_angle[:, col] = np.einsum("bk,bk->b", lam.conj(), k_psi).real
-        # undo the rotation: U(-a) = cos(a/2) - sin(a/2) (-iP)
-        c, s = cos[:, col, None], sin[:, col, None]
-        psi = c * psi - s * k_psi
-        lam = c * lam - s * (factor * lam[:, src])
-    d_theta = np.zeros((len(x), len(theta)))
-    d_x = np.zeros(x.shape)
-    np.add.at(d_theta, (slice(None), plan.param_index), d_angle[:, plan.param_cols])
-    np.add.at(d_x, (slice(None), plan.data_index), d_angle[:, plan.data_cols])
+        if group in blocks.reads:  # the last group of a chunk: read the chunk
+            span, flips, xy = blocks.reads[group]
+            bra = lam.conj()
+            # real weights, so each sum runs on the (re, im) float view
+            np.matmul(xy, (bra * psi.take(flips, axis=0)).view(float),
+                      out=bloch[span, :2].view(float))
+            np.matmul(xy[:, 1], (bra * psi).view(float), out=bloch[span, 2].view(float))
+        # indices come from the plan, in range; "clip" writes straight into out
+        inverse[group].take(index, axis=0, out=coef, mode="clip")
+        state.take(partner, axis=0, out=part, mode="clip")
+        part *= coef[1]
+        state *= coef[0]
+        state += part
+    # y[k * G + g] is component k of group g's vector, X: Im sum conj(lam)
+    # psi[flip], Y: -Re sum sign conj(lam) psi[flip], Z: Im sum sign conj(lam) psi
+    y = bloch.imag.transpose(1, 0, 2).reshape(-1, rows)
+    y[len(bloch) : 2 * len(bloch)] = -bloch[:, 1].real
+
+    # Each rotation's derivative is Im <lambda| P |psi> just after it, the P
+    # component of its group's vector there; undoing the rotation turns the
+    # other two components by its angle. Padded steps land in the last column.
+    cos = 1.0 - 2.0 * sin**2  # of the whole angles
+    sin *= half_cos
+    sin *= 2.0
+    turn = np.stack([sin, -sin])  # (y1, y2) <- c (y1, y2) + (s y2, -s y1)
+    d_steps = np.empty_like(cos)
+    for step in reversed(range(len(blocks.cols))):
+        own, others = blocks.axis_rows[step, 0], blocks.axis_rows[step, 1:]
+        y.take(own, axis=0, out=d_steps[step])
+        pair = y.take(others, axis=0)
+        rotated = cos[step] * pair
+        rotated += turn[:, step] * pair[::-1]
+        y[others] = rotated
+    d_angle = np.zeros((plan.n_rotations + 1, rows))
+    d_angle[blocks.cols] = d_steps
+    # each angle column's derivative summed into its parameter or feature
+    to_theta = np.zeros((len(d_angle), len(theta)))
+    to_theta[plan.param_cols, plan.param_index] = 1.0
+    to_x = np.zeros((len(d_angle), x.shape[1]))
+    to_x[plan.data_cols, plan.data_index] = 1.0
+    d_theta, d_x = d_angle.T @ to_theta, d_angle.T @ to_x
     if single:
         return float(value[0]), d_theta[0], d_x[0], z[0], 1.0
     return value, d_theta, d_x, z, 1.0

@@ -418,10 +418,23 @@ def _rotate(psi: np.ndarray, cos: np.ndarray, sin: np.ndarray, src: np.ndarray,
     return cos * psi + sin * (factor * psi[:, src])
 
 
-def _pauli_rows(psi: np.ndarray, qubit: int, which: np.ndarray) -> np.ndarray:
-    """Apply a per-row Pauli on ``qubit``: ``which`` holds 0..3 for I, X, Y, Z."""
-    src, phase, _ = qsim._tables(_n_qubits_of(psi[0]))
-    return phase[which, qubit] * np.take_along_axis(psi, src[which, qubit], axis=1)
+def _pauli_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather indices and phases of I, X, Y, Z on each qubit, plus each basis
+    state's bits: ``(P_q psi)[:, k] = phase[P, q, k] * psi[:, src[P, q, k]]``."""
+    dim = 2**n_qubits
+    k = np.arange(dim)
+    bits = (k[None, :] >> (n_qubits - 1 - np.arange(n_qubits))[:, None]) & 1  # (n, dim)
+    flipped = k[None, :] ^ (1 << (n_qubits - 1 - np.arange(n_qubits)))[:, None]
+    src = np.empty((4, n_qubits, dim), dtype=np.intp)
+    phase = np.empty((4, n_qubits, dim), dtype=complex)
+    for row, mat in enumerate((I2, PAULI["x"], PAULI["y"], PAULI["z"])):
+        if mat[0, 0] == 0:  # off-diagonal: amplitude k comes from its partner
+            src[row] = flipped
+            phase[row] = mat[bits, 1 - bits]
+        else:
+            src[row] = k
+            phase[row] = mat[bits, bits]
+    return src, phase, bits
 
 
 def evolve(gates: Sequence[GateOp], n_qubits: int, sublayer_marks: Sequence[int],
@@ -431,7 +444,8 @@ def evolve(gates: Sequence[GateOp], n_qubits: int, sublayer_marks: Sequence[int]
     """Final (B, 2**n) states of ``qsim._evolve``'s arguments, one gate and
     one depolarizing kick at a time over all rows, drawing the same noise
     arrays in the same order; the reference for its fused block kernel."""
-    plan = qsim._plan(gates, n_qubits, sublayer_marks)
+    rotations = [gate for gate in gates if gate.kind != "cz"]
+    param_cols = [col for col, gate in enumerate(rotations) if gate.source == "param"]
     rows = angles.shape[0]
     kicks, events = None, ()
     if noise is not None and noise.enabled:
@@ -439,8 +453,8 @@ def evolve(gates: Sequence[GateOp], n_qubits: int, sublayer_marks: Sequence[int]
             raise ConfigurationError("noise simulation requires an rng stream")
         if noise.gate_error is not None:
             angles = angles.copy()
-            angles[:, plan.param_cols] = qsim.perturb_gate_params(
-                angles[:, plan.param_cols], rng, noise.gate_error)
+            angles[:, param_cols] = qsim.perturb_gate_params(
+                angles[:, param_cols], rng, noise.gate_error)
         if noise.depolarizing is not None:
             marked = frozenset(sublayer_marks)
             if noise.granularity == "gate":
@@ -456,17 +470,22 @@ def evolve(gates: Sequence[GateOp], n_qubits: int, sublayer_marks: Sequence[int]
     if shifts is not None:
         angles = angles + shifts
     cos, sin = np.cos(angles / 2.0), np.sin(angles / 2.0)
+    src, phase, bits = _pauli_tables(n_qubits)
     psi = np.zeros((rows, 2**n_qubits), dtype=complex)
     psi[:, 0] = 1.0
-    event = 0
-    for pos, (col, src, factor) in enumerate(plan.steps):
-        if col is None:
-            psi = psi * factor
+    event, col = 0, 0
+    for pos, gate in enumerate(gates):
+        if gate.kind == "cz":
+            psi = psi * np.where(bits[gate.control] & bits[gate.target], -1.0, 1.0)
         else:
-            psi = _rotate(psi, cos[:, col, None], sin[:, col, None], src, factor)
+            row, q = "ixyz".index(gate.kind[1]), gate.target
+            psi = _rotate(psi, cos[:, col, None], sin[:, col, None], src[row, q],
+                          -1j * phase[row, q])
+            col += 1
         if kicks is not None:
-            for qubit in events[pos]:
-                psi = _pauli_rows(psi, qubit, kicks[:, event])
+            for qubit in events[pos]:  # a per-row Pauli, 0..3 for I, X, Y, Z
+                which = kicks[:, event]
+                psi = phase[which, qubit] * np.take_along_axis(psi, src[which, qubit], axis=1)
                 event += 1
     return psi
 

@@ -161,6 +161,30 @@ def test_softmax_properties(logits):
     assert -1e-12 <= entropy <= math.log(len(logits)) + 1e-12
 
 
+def test_entropy_floor_keeps_the_bits_of_clip():
+    """The log floor np.maximum(p, 1e-300) gives the bits of the former
+    np.clip(p, 1e-300, None) on probabilities that are 0, subnormal or NaN."""
+
+    def clipped_backward(probs, dH):
+        logp = np.log(np.clip(probs, 1e-300, None))
+        ent = -(probs * logp).sum(axis=-1, keepdims=True)
+        return dH * (-probs * (logp + ent))
+
+    rows = []
+    for logits in ([0.0, -800.0, -800.0], [0.0, -744.0, -710.0], [np.nan, 0.0, 0.0],
+                   [0.3, -0.2, 0.1]):
+        probs, entropy = nn.softmax_entropy(np.array(logits))
+        clipped = float(-(probs * np.log(np.clip(probs, 1e-300, None))).sum())
+        np.testing.assert_array_equal(entropy, clipped)
+        np.testing.assert_array_equal(nn.entropy_backward(probs, 0.7),
+                                      clipped_backward(probs, 0.7))
+        rows.append(probs)
+    rows = np.array(rows)
+    assert rows[0, 1] == 0.0 and 0.0 < rows[1, 1] < np.finfo(float).tiny
+    assert np.isnan(rows[2]).all()
+    np.testing.assert_array_equal(nn.entropy_backward(rows, 0.7), clipped_backward(rows, 0.7))
+
+
 def test_entropy_backward_matches_fd():
     rng = np.random.default_rng(3)
     logits = {"z": rng.normal(size=4)}

@@ -1,6 +1,8 @@
 """Statevector simulator: gate algebra, gradients, and noise trajectories."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -100,6 +102,31 @@ def test_gateop_validation():
         GateOp("ry", 0)  # no angle, no source
     with pytest.raises(ConfigurationError):
         GateOp("ry", 0, source="data")  # missing index
+
+
+def test_equal_gate_lists_hash_equal_and_share_a_plan():
+    """GateOp hashes once, from its fields: separately built equal lists
+    compare and hash equal and find the same compiled plan."""
+    layout = encoding.plan_layout(7, 3, 2)
+    first, marks = encoding.build_circuit(layout)
+    second, _ = encoding.build_circuit(layout)
+    assert first == second and all(a is not b for a, b in zip(first, second))
+    assert [hash(g) for g in first] == [hash(g) for g in second]
+    assert hash(tuple(first)) == hash(tuple(second))
+    for gate in first + [GateOp("rx", 1, angle=-0.0), GateOp("cz", target=0, control=2)]:
+        fields = (gate.kind, gate.target, gate.control, gate.angle, gate.source, gate.index)
+        assert hash(gate) == hash(fields)
+        assert gate == GateOp(*fields) and hash(gate) == hash(GateOp(*fields))
+        assert pickle.loads(pickle.dumps(gate)) == gate
+    assert GateOp("ry", 0, angle=0.0) == GateOp("ry", 0, angle=-0.0)
+    assert hash(GateOp("ry", 0, angle=0.0)) == hash(GateOp("ry", 0, angle=-0.0))
+    assert GateOp("ry", 0, angle=0.5) != GateOp("rz", 0, angle=0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first[0].target = 1
+    plan = qsim._plan(first, 3, marks)
+    hits = qsim._compile.cache_info().hits
+    assert qsim._plan(second, 3, marks) is plan
+    assert qsim._compile.cache_info().hits == hits + 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -438,6 +465,81 @@ def test_batch_rows_equal_unbatched_calls():
             for part in range(4):
                 np.testing.assert_allclose(np.asarray(batched[part])[i], single[part],
                                            rtol=0, atol=1e-12)
+
+
+_DATA = [GateOp(kind, q, source="data", index=i)
+         for i, (kind, q) in enumerate([("rx", 0), ("ry", 1), ("rz", 2), ("ry", 0)])]
+
+
+def _param(kind, qubit, index):
+    return GateOp(kind, qubit, source="param", index=index)
+
+
+def _cz(control, target):
+    return GateOp("cz", target=target, control=control)
+
+
+# (gates, n, p, parameters) of circuits that build_circuit never emits
+HAND_BUILT = {
+    "fixed-angles": ([GateOp("rx", 0, angle=0.3), _param("ry", 1, 0), _DATA[0],
+                      GateOp("rz", 0, angle=-1.2), _cz(0, 1), GateOp("ry", 1, angle=2.1),
+                      _DATA[1], GateOp("rx", 0, angle=0.0), _cz(1, 0),
+                      GateOp("rz", 1, angle=0.7)], 2, 2, 1),
+    "shared-param": ([_param("ry", 0, 0), _param("rz", 1, 0), _param("rx", 0, 1), _DATA[1],
+                      _cz(0, 1), _param("rx", 1, 0), _DATA[0], _param("ry", 0, 1),
+                      _param("ry", 0, 0)], 2, 2, 2),
+    "cz-runs": ([_param("ry", 0, 0), _DATA[2], _cz(0, 1), _cz(1, 2), _cz(0, 2),
+                 _param("rx", 2, 1), _DATA[1], _cz(2, 1), _cz(1, 0), _DATA[0],
+                 _param("rz", 1, 2), _cz(0, 2)], 3, 3, 3),
+    "idle-qubit": ([_DATA[0], _param("ry", 2, 0), _DATA[2], _cz(0, 1), _cz(1, 2),
+                    _param("rz", 0, 1), _DATA[3], _DATA[2], _cz(0, 2), _DATA[1]], 3, 4, 2),
+    "no-cz": ([_DATA[0], _param("ry", 2, 0), _DATA[2], _param("rz", 0, 1), _DATA[3], _DATA[1],
+               GateOp("rx", 1, angle=0.4)], 3, 4, 2),
+    "cz-only": ([_cz(0, 1), _cz(1, 2), _cz(0, 2)], 3, 2, 2),
+    "one-qubit": ([_DATA[0], _param("ry", 0, 0), _DATA[3], _param("rz", 0, 1),
+                   GateOp("rx", 0, angle=1.3), GateOp("ry", 0, source="data", index=1),
+                   GateOp("rz", 0, angle=-0.4)], 1, 4, 2),
+}
+
+
+def assert_adjoint_matches_oracle(gates, n, x, theta, w, b):
+    """Batched and single-row adjoint calls against the scalar reference;
+    returns the batched result."""
+    batched = qsim.adjoint_value_and_grad(gates, x, theta, w, b, n)
+    value, d_theta, d_x, z, d_b = batched
+    assert d_theta.shape == (len(x), len(theta)) and d_x.shape == x.shape and d_b == 1.0
+    for i in range(len(x)):
+        ref = oracles.adjoint_value_and_grad(gates, x[i], theta, w, b, n)
+        single = qsim.adjoint_value_and_grad(gates, x[i], theta, w, b, n)
+        for got in (single, (value[i], d_theta[i], d_x[i], z[i], d_b)):
+            assert got[0] == pytest.approx(ref[0], abs=1e-12)
+            for part in (1, 2, 3):
+                np.testing.assert_allclose(got[part], ref[part], rtol=0, atol=1e-12)
+    return batched
+
+
+@pytest.mark.parametrize("case", list(HAND_BUILT))
+def test_adjoint_matches_scalar_reference_on_hand_built_circuits(case):
+    gates, n, p, params = HAND_BUILT[case]
+    rng = np.random.default_rng(len(gates))
+    x = rng.uniform(-np.pi, np.pi, size=(6, p))
+    theta = rng.uniform(-np.pi, np.pi, size=params)
+    _, d_theta, d_x, _, _ = assert_adjoint_matches_oracle(
+        gates, n, x, theta, rng.uniform(-1, 1, size=n), 0.3)
+    if case == "cz-only":
+        assert not d_theta.any() and not d_x.any()
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 7])
+def test_adjoint_matches_scalar_reference_with_mixed_encoding_axes(n):
+    """Also covers blocks read in chunks (5 qubits) and one group at a time (7)."""
+    rng = np.random.default_rng(n)
+    layout = encoding.plan_layout(3 * n + 2, n, 2, encoding.ALT_ENCODING_AXES)
+    gates, _ = encoding.build_circuit(layout)
+    assert {g.kind for g in gates} >= {"rx", "ry", "rz"}
+    x = encoding.pad_input(rng.uniform(-1, 1, size=(5, layout.p)), layout)
+    theta = rng.uniform(-np.pi, np.pi, size=layout.param_count)
+    assert_adjoint_matches_oracle(gates, n, x, theta, rng.uniform(-1, 1, size=n), -0.2)
 
 
 def test_noisy_batched_param_shift_deterministic_per_seed():
