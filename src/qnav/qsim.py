@@ -31,6 +31,26 @@ amplitude k to a combination of k and k with that qubit's bit flipped, so a
 pass is one gather along the amplitude axis and a few elementwise products
 with per-row coefficients.
 
+Angles and shared steps. A call takes cos and sin of half of each distinct
+angle value once: a fixed angle or a parameter once per call, a feature once
+per input row (not once per re-upload), and per row only the trainable uses
+that gate error jitters. Every (step, group, row) reads its value through an
+index. The leading rotation steps that all rows share, up to the first
+jittered step or the first kick that follows a rotation, multiply once per
+group, on (G,), and are broadcast to the rows; kicks before a group's first
+rotation then multiply on the right of that product (a Pauli factor only
+permutes and rephases, so the order changes no bits). Per row only the
+remaining steps, the kicks and the state passes are left.
+
+Parameter shift. ``param_shift_value_and_grad`` runs, per input, one batch
+of its unshifted circuit and one circuit per +/-pi/2 shift of each angle
+use: 241 rows at the defaults. Each row differs from the first in one angle
+only (and in its noise), so the rows share the input's values, each shifted
+angle is one more value, and a row whose shifted angle falls among the
+shared steps multiplies its own short product for that one group. Without
+noise every step is shared; under gate error the three data rotations of
+each group of the default circuit are.
+
 Adjoint reverse pass. ``adjoint_value_and_grad`` runs the same passes
 backwards on psi and lambda = O psi at once, undoing each CZ run with its
 mask and each group with the adjoint of the forward call's 2x2. Before a
@@ -55,18 +75,18 @@ draws from ``rng`` as whole arrays, in this order:
 
 Depolarizing events follow circuit order: with ``granularity="sublayer"``
 every qubit 0..n-1 after each marked gate, with ``"gate"`` the target of
-every gate and then, for a CZ, its control. Parameter-shift batches one
-input's unshifted circuit and all its shifted circuits into one call, so
-one input's draws are made before the next input's.
+every gate and then, for a CZ, its control. Parameter shift makes one call
+per input, so one input's draws are made before the next input's.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -80,6 +100,11 @@ class ConfigurationError(ValueError):
 
 class LayoutError(ValueError):
     """Malformed circuit plan (unresolvable or unused angle sources)."""
+
+
+_GATE_IDS: dict = {}  # the fields of every distinct gate built -> its id
+_GATES: dict = {}  # id -> the first gate built with those fields
+_NEW_IDS = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -113,9 +138,12 @@ class GateOp:
                 raise ConfigurationError("data/param gates need an index")
             if self.source is None and self.angle is None:
                 raise ConfigurationError("fixed-angle rotation needs an angle")
-        # every simulator call looks its plan up by the gate tuple, so hash once
-        object.__setattr__(self, "_hash", hash(
-            (self.kind, self.target, self.control, self.angle, self.source, self.index)))
+        fields = (self.kind, self.target, self.control, self.angle, self.source, self.index)
+        object.__setattr__(self, "_hash", hash(fields))
+        # Equal gates share one integer id, so a plan lookup compares ints,
+        # never gates field by field (each setdefault is atomic).
+        object.__setattr__(self, "_id", _GATE_IDS.setdefault(fields, next(_NEW_IDS)))
+        _GATES.setdefault(self._id, self)
 
     def __hash__(self):
         return self._hash
@@ -196,8 +224,11 @@ def _check_qubit(qubit: int, n: int):
 
 def perturb_gate_params(theta: np.ndarray, rng: np.random.Generator, scale: float = 0.01) -> np.ndarray:
     """Multiplicative angle jitter theta_k -> theta_k * (1 + scale * U(0,1))."""
-    theta = np.asarray(theta, dtype=float)
-    return theta * (1.0 + scale * rng.uniform(0.0, 1.0, size=theta.shape))
+    jitter = rng.random(np.shape(theta))
+    jitter *= scale
+    jitter += 1.0
+    jitter *= theta
+    return jitter
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +264,12 @@ class _Blocks:
     Group g's matrix is the product of its rotations, step s = 0 .. S-1
     reading angle column ``cols[s, g]`` and the coefficients ``u[s, g]``,
     ``v[s, g]``; a group with fewer rotations reads the zero angle in column
-    ``n_rotations`` (the identity) for the rest. ``kick_rounds[step]`` lists
+    ``n_rotations`` (the identity) for the rest. Angle column c is step
+    ``step_of[c]`` of group ``group_of[c]``. ``kick_rounds[step]`` lists
     ``(events, groups)`` in the order they apply: depolarizing event
     ``events[i]`` multiplies onto group ``groups[i]`` after the group's
     rotation ``step`` (-1: before its first), each group at most once per
-    entry.
+    entry. No kick falls between two of the first ``kick_free`` steps.
 
     For the adjoint reverse pass, a block's groups read their Bloch vectors in
     one or more chunks, and ``reads[g]`` is set for the last group g of each:
@@ -252,10 +284,13 @@ class _Blocks:
     passes: tuple
     reads: dict
     cols: np.ndarray  # (S, G)
+    step_of: np.ndarray  # (rotations,)
+    group_of: np.ndarray  # (rotations,)
     axis_rows: np.ndarray  # (S, 3, G)
     u: np.ndarray  # (S, G, 1)
     v: np.ndarray  # (S, G, 1)
     kick_rounds: dict
+    kick_free: int
     n_events: int
 
 
@@ -265,26 +300,32 @@ class _Plan:
 
     ``blocks[key]`` is the fused circuit (:class:`_Blocks`) without
     depolarizing events (``key=None``), which the adjoint reverse pass walks
-    backwards, or with those of granularity ``key``. The angle matrix has one
-    column per rotation, in circuit order; ``*_cols`` and ``*_index`` map each
-    angle source (fixed, data, param) to its columns.
+    backwards, or with those of granularity ``key``. Angle columns number the
+    rotations in circuit order; ``data_cols``/``data_index`` and
+    ``param_cols``/``param_index`` map data and trainable columns to their
+    source entries. A call's angle values (see :func:`_angle_values`) hold a
+    zero, then ``fixed_angles``, then theta at ``params`` and the input at
+    ``features`` (the entries some gate uses), and column c reads value
+    ``value_index[c]`` in its first row.
     """
 
     n: int
-    n_rotations: int  # columns of the angle matrix
+    n_rotations: int  # angle columns, one per rotation
     blocks: dict
-    fixed_cols: np.ndarray
     fixed_angles: np.ndarray
     data_cols: np.ndarray
     data_index: np.ndarray
     param_cols: np.ndarray
     param_index: np.ndarray
+    params: np.ndarray
+    features: np.ndarray
+    value_index: np.ndarray  # (rotations + 1,), the last column the identity
 
 
 def _fuse(gates: tuple, steps: list, events: tuple, n_qubits: int, n_rotations: int) -> _Blocks:
     """Fuse a circuit, with a depolarizing event on each qubit that ``events[pos]``
     lists after gate ``pos``, into blocks (see :class:`_Blocks`). ``steps[pos]``
-    is ``(col, None)`` for a rotation, with its column in the angle matrix, and
+    is ``(col, None)`` for a rotation, with its angle column, and
     ``(None, mask)`` for a CZ."""
     flip, sign = _tables(n_qubits)
     bits = (sign < 0).astype(np.intp)
@@ -329,11 +370,13 @@ def _fuse(gates: tuple, steps: list, events: tuple, n_qubits: int, n_rotations: 
 
     shape = (max(map(len, rotations), default=0), len(rotations))
     cols = np.full(shape, n_rotations, dtype=np.intp)
+    step_of, group_of = np.zeros((2, n_rotations), dtype=np.intp)
     axes = np.zeros(shape, dtype=np.intp)
     u, v = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
     for g, ops in enumerate(rotations):
         for s, (col, kind) in enumerate(ops):
             cols[s, g] = col
+            step_of[col], group_of[col] = s, g
             axes[s, g] = "xyz".index(kind[1])
             u[s, g], v[s, g] = _SU2[kind[1]]
     axis_rows = np.stack([(axes + k) % 3 * shape[1] + np.arange(shape[1]) for k in range(3)],
@@ -355,13 +398,16 @@ def _fuse(gates: tuple, steps: list, events: tuple, n_qubits: int, n_rotations: 
                 on = qubits[first : last + 1]
                 reads[last] = (slice(first, last + 1), flip[on],
                                np.stack([np.ones_like(sign[on]), sign[on]], axis=1))
-    return _Blocks(passes=tuple(passes), reads=reads, cols=cols, axis_rows=axis_rows,
-                   u=u[..., None], v=v[..., None], kick_rounds=kick_rounds, n_events=event)
+    kick_free = min((step + 1 for step in kick_rounds if step >= 0), default=shape[0])
+    return _Blocks(passes=tuple(passes), reads=reads, cols=cols, step_of=step_of,
+                   group_of=group_of, axis_rows=axis_rows, u=u[..., None], v=v[..., None],
+                   kick_rounds=kick_rounds, kick_free=kick_free, n_events=event)
 
 
 @functools.lru_cache(maxsize=64)
-def _compile(gates: tuple, n_qubits: int, marks: tuple) -> _Plan:
+def _compile(ids: tuple, n_qubits: int, marks: tuple) -> _Plan:
     _check_n(n_qubits)
+    gates = [_GATES[i] for i in ids]
     steps = []
     sources: dict = {None: ([], []), "data": ([], []), "param": ([], [])}
     marked = frozenset(marks)
@@ -384,22 +430,33 @@ def _compile(gates: tuple, n_qubits: int, marks: tuple) -> _Plan:
         sources[None], sources["data"], sources["param"])
     n_rotations = sum(g.kind != "cz" for g in gates)
     events = {None: ((),) * len(gates), "gate": tuple(per_gate), "sublayer": tuple(per_sublayer)}
+    param_idx, data_idx = np.array(param_idx, dtype=np.intp), np.array(data_idx, dtype=np.intp)
+    params, features = np.unique(param_idx), np.unique(data_idx)
+    value_index = np.zeros(n_rotations + 1, dtype=np.intp)
+    value_index[fixed_cols] = 1 + np.arange(len(fixed_cols))
+    value_index[param_cols] = 1 + len(fixed) + np.searchsorted(params, param_idx)
+    value_index[data_cols] = 1 + len(fixed) + len(params) + np.searchsorted(features, data_idx)
     return _Plan(
         n=n_qubits,
         n_rotations=n_rotations,
         blocks={key: _fuse(gates, steps, kicked, n_qubits, n_rotations)
                 for key, kicked in events.items()},
-        fixed_cols=np.array(fixed_cols, dtype=np.intp),
         fixed_angles=np.array(fixed, dtype=float),
         data_cols=np.array(data_cols, dtype=np.intp),
-        data_index=np.array(data_idx, dtype=np.intp),
+        data_index=data_idx,
         param_cols=np.array(param_cols, dtype=np.intp),
-        param_index=np.array(param_idx, dtype=np.intp),
+        param_index=param_idx,
+        params=params,
+        features=features,
+        value_index=value_index,
     )
 
 
+_GATE_ID = operator.attrgetter("_id")
+
+
 def _plan(gates: Sequence[GateOp], n_qubits: int, sublayer_marks: Sequence[int]) -> _Plan:
-    return _compile(tuple(gates), n_qubits, tuple(sublayer_marks))
+    return _compile(tuple(map(_GATE_ID, gates)), n_qubits, tuple(sublayer_marks))
 
 
 def _rows(x) -> tuple[np.ndarray, bool]:
@@ -410,110 +467,241 @@ def _rows(x) -> tuple[np.ndarray, bool]:
     return np.atleast_2d(x), x.ndim == 1
 
 
-def _angles(plan: _Plan, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Noise-free rotation angles, shape (B, rotations)."""
+class _Angles(NamedTuple):
+    """The half angles of one simulation call.
+
+    ``cos`` and ``sin`` hold each distinct value once. Row r of angle column c
+    reads value ``index[c] + stride[c] * r``, except the shifted entries:
+    ``shifted = (cols, rows, values)`` gives row ``rows[i]`` of column
+    ``cols[i]`` value ``values[i]``.
+    """
+
+    cos: np.ndarray
+    sin: np.ndarray
+    index: np.ndarray  # (rotations + 1,)
+    stride: np.ndarray  # (rotations + 1,)
+    shifted: tuple
+    rows: int
+
+
+_NO_SHIFTS = (np.zeros(0, dtype=np.intp),) * 3
+
+
+def _angle_values(plan: _Plan, x: np.ndarray,
+                  theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The call's noise-free angle values, and each column's index and stride
+    into them (see :class:`_Angles`): a fixed angle and a parameter are one
+    value for all rows, and a feature one per row of ``x``, or one for all
+    rows if ``x`` has a single row."""
     if plan.data_index.size and plan.data_index.max() >= x.shape[1]:
         raise LayoutError(f"data index {plan.data_index.max()} outside feature vector "
                           f"of length {x.shape[1]}")
     if plan.param_index.size and plan.param_index.max() >= len(theta):
         raise LayoutError(f"param index {plan.param_index.max()} outside theta "
                           f"of length {len(theta)}")
-    angles = np.empty((x.shape[0], plan.n_rotations))
-    angles[:, plan.fixed_cols] = plan.fixed_angles
-    angles[:, plan.data_cols] = x[:, plan.data_index]
-    angles[:, plan.param_cols] = theta[plan.param_index]
-    if not np.isfinite(angles).all():
+    values = np.concatenate([[0.0], plan.fixed_angles, theta[plan.params],
+                             x[:, plan.features].ravel()])
+    if not np.isfinite(values).all():
         raise ConfigurationError("rotation angle must be finite")
-    return angles
+    stride = np.zeros(plan.n_rotations + 1, dtype=np.intp)
+    if len(x) != 1:
+        stride[plan.data_cols] = plan.features.size
+    return values, plan.value_index, stride
 
 
-def _evolve(plan: _Plan, angles: np.ndarray, noise: Optional[NoiseSpec] = None,
+def _check_params_used(plan: _Plan, theta: np.ndarray) -> None:
+    """Gradients are taken for every parameter, so each must feed some gate."""
+    if plan.params.size < len(theta):  # else each is used, or one is out of range
+        unused = sorted(set(range(len(theta))) - set(plan.params.tolist()))
+        raise LayoutError(f"parameters never used by any gate: {unused}")
+
+
+def _evolve(plan: _Plan, x: np.ndarray, theta: np.ndarray, noise: Optional[NoiseSpec] = None,
             rng: Optional[np.random.Generator] = None,
-            shifts: Optional[np.ndarray] = None) -> np.ndarray:
-    """Final (B, 2**n) states, one trajectory per row of ``angles``.
+            shift_cols: Optional[np.ndarray] = None) -> np.ndarray:
+    """Final (B, 2**n) states, one trajectory per row.
 
-    Draws the noise arrays in the order the module docstring fixes; gate
-    error scales the trainable angles before ``shifts`` are added.
+    Row r runs input ``x[r]``. With ``shift_cols`` (U angle columns), ``x``
+    is one input and the rows are its parameter-shift batch: row 0 as is,
+    row 1 + k with pi/2 added to column ``shift_cols[k]`` and row 1 + U + k
+    with -pi/2. Draws the noise arrays in the order the module docstring
+    fixes; gate error scales the trainable angles before the shifts are added.
     """
-    rows = angles.shape[0]
-    blocks, kicks = plan.blocks[None], None
+    values, index, stride = _angle_values(plan, x, theta)
+    rows = len(x) if shift_cols is None else 1 + 2 * len(shift_cols)
+    blocks, jittered, kicks = plan.blocks[None], None, None
     if noise is not None and noise.enabled:
         if rng is None:
             raise ConfigurationError("noise simulation requires an rng stream")
         if noise.gate_error is not None:
-            angles = angles.copy()
-            angles[:, plan.param_cols] = perturb_gate_params(
-                angles[:, plan.param_cols], rng, noise.gate_error)
+            trainable = np.broadcast_to(values[index[plan.param_cols]], (rows, plan.param_cols.size))
+            jittered = perturb_gate_params(trainable, rng, noise.gate_error)
         if noise.depolarizing is not None:
             blocks = plan.blocks[noise.granularity]
-            coins = rng.uniform(size=(rows, blocks.n_events))
-            paulis = rng.integers(3, size=(rows, blocks.n_events))
-            kicks = np.where(coins < noise.depolarizing, 1 + paulis, 0)
+            coins = rng.random((rows, blocks.n_events))
+            kicks = rng.integers(3, size=(rows, blocks.n_events))  # the Pauli choices
+            kicks += 1
+            kicks[coins >= noise.depolarizing] = 0
+    angles = _half_angles(plan, values, index, stride, rows, jittered, shift_cols)
     psi = np.zeros((2**plan.n, rows), dtype=complex)  # amplitude-major: a pass reads whole rows
     psi[0] = 1.0 if kicks is None else _I_POWERS[np.count_nonzero(kicks, axis=1) % 4]
-    matrices = _block_matrices(blocks, *_half_angles(blocks, angles, shifts), kicks)
-    _run_passes(blocks.passes, matrices, psi)
+    _run_passes(blocks.passes, _block_matrices(blocks, angles, kicks), psi)
     return np.ascontiguousarray(psi.T)
+
+
+def _half_angles(plan: _Plan, values: np.ndarray, index: np.ndarray, stride: np.ndarray,
+                 rows: int, jittered: Optional[np.ndarray] = None,
+                 shift_cols: Optional[np.ndarray] = None) -> _Angles:
+    """Cos and sin of half of each value of :func:`_angle_values`, of each
+    row's ``jittered`` trainable angles, which replace the shared ones, and of
+    each shifted entry of :func:`_evolve`'s parameter-shift batch."""
+    uses = 0 if shift_cols is None else len(shift_cols)
+    size = len(values) + (0 if jittered is None else jittered.size)
+    half = np.empty(size + 2 * uses)
+    half[: len(values)] = values
+    if jittered is not None:
+        cols = plan.param_cols
+        index, stride = index.copy(), stride.copy()
+        index[cols], stride[cols] = len(values) + np.arange(cols.size), cols.size
+        half[len(values) : size] = jittered.ravel()
+    shifted = _NO_SHIFTS
+    if shift_cols is not None:
+        cols, shifted_rows = np.tile(shift_cols, 2), np.arange(1, rows)  # row 1 + i shifts cols[i]
+        moved = half[size:]
+        np.take(half, index[cols] + stride[cols] * shifted_rows, out=moved)
+        moved += np.repeat([np.pi / 2, -np.pi / 2], uses)
+        shifted = (cols, shifted_rows, size + np.arange(2 * uses))
+    half *= 0.5
+    return _Angles(np.cos(half), np.sin(half), index, stride, shifted, rows)
 
 
 def _run_passes(passes: tuple, matrices: np.ndarray, psi: np.ndarray) -> None:
     """Apply ``passes`` in order to the amplitude-major state ``psi``, in place."""
+    coef, part = np.empty((2,) + psi.shape, dtype=complex), np.empty_like(psi)
     for group, index, flip in passes:
         if group is None:  # a CZ run, index holds its mask
             psi *= index
         else:
-            coef = matrices[group].take(index, axis=0)
-            part = psi.take(flip, axis=0)
+            # indices come from the plan, in range; "clip" writes straight into out
+            matrices[group].take(index, axis=0, out=coef, mode="clip")
+            psi.take(flip, axis=0, out=part, mode="clip")
             part *= coef[1]
             psi *= coef[0]
             psi += part
 
 
-def _half_angles(blocks: _Blocks, angles: np.ndarray,
-                 shifts: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of half of each group's angles, step-major, shape (S, G, B)."""
-    # one row per column and a last row of zeros for the identity
-    half = np.zeros((angles.shape[1] + 1, angles.shape[0]))
-    half[:-1] = angles.T
-    if shifts is not None:
-        half[:-1] += shifts.T
-    half *= 0.5
-    half = half[blocks.cols]
-    return np.cos(half), np.sin(half)
+def _step_index(blocks: _Blocks, angles: _Angles, steps: slice = slice(None)) -> np.ndarray:
+    """Per row, the value each group reads at ``steps``, shape (steps, G, B)."""
+    cols = blocks.cols[steps]
+    index = angles.stride[cols][..., None] * np.arange(angles.rows)
+    index += angles.index[cols][..., None]
+    shifted_cols, shifted_rows, values = angles.shifted
+    if not shifted_cols.size:
+        return index
+    at = blocks.step_of[shifted_cols] - (steps.start or 0)
+    inside = (at >= 0) & (at < len(cols))
+    index[at[inside], blocks.group_of[shifted_cols[inside]], shifted_rows[inside]] = values[inside]
+    return index
 
 
-def _block_matrices(blocks: _Blocks, cos: np.ndarray, sin: np.ndarray,
-                    kicks: Optional[np.ndarray]) -> np.ndarray:
-    """Each group's per-row 2x2 as [a, conj(a), b, -conj(b)], shape (G, 4, B),
-    from the tables of :func:`_half_angles`."""
-    rows = cos.shape[-1]
-    if not blocks.cols.shape[1]:  # no rotations and no kicks, so no groups
+def _shared_steps(blocks: _Blocks, angles: _Angles) -> int:
+    """How many leading rotation steps read one value in every row (shifted
+    entries aside) and precede every kick that follows a rotation."""
+    varies = (angles.stride[blocks.cols] != 0).any(axis=1)
+    return min(int(varies.argmax()) if varies.any() else len(varies), blocks.kick_free)
+
+
+def _rotate(a, b, cos, sin, u, v):
+    """(a, b) of R M for M = (a, b) (None: the identity) and R the rotations
+    with these half-angle tables and SU(2) coefficients."""
+    alpha = sin * u
+    alpha += cos
+    beta = sin * v
+    if a is None:
+        return alpha, beta
+    # alpha a - conj(beta) b and beta a + conj(alpha) b with fewer temporaries;
+    # each product goes to a fresh or distinct array, as numpy may round an
+    # in-place complex product of a single element differently
+    ra, rb = alpha * a, beta * a
+    part = np.multiply(np.conjugate(beta, out=beta), b)
+    ra -= part
+    rb += np.multiply(np.conjugate(alpha, out=alpha), b, out=part)
+    return ra, rb
+
+
+def _kick(a, b, kicks, events, groups, right=False) -> None:
+    """Multiply the drawn Paulis of ``events`` onto ``groups``, in place: P M,
+    or M P with ``right``."""
+    drawn = kicks[:, events].T
+    alpha, beta = _KICK_ALPHA[drawn], _KICK_BETA[drawn]
+    ag, bg = a[groups], b[groups]
+    if right:
+        a[groups] = ag * alpha - bg.conj() * beta
+        b[groups] = bg * alpha + ag.conj() * beta
+    else:
+        a[groups] = alpha * ag - beta.conj() * bg
+        b[groups] = beta * ag + alpha.conj() * bg
+
+
+def _block_matrices(blocks: _Blocks, angles: _Angles, kicks: Optional[np.ndarray],
+                    index: Optional[np.ndarray] = None) -> np.ndarray:
+    """Each group's per-row 2x2 as [a, conj(a), b, -conj(b)], shape (G, 4, B).
+
+    The leading steps every row shares (:func:`_shared_steps`) multiply once,
+    on (G, 1), and are broadcast to the rows; a row whose shifted column falls
+    among them multiplies its own copy for that column's group. Kicks before
+    a group's first rotation then multiply on the right (a Pauli factor only
+    permutes and rephases, so the order changes no bits), and the remaining
+    steps and kicks run on the rows. ``index`` is the call's
+    :func:`_step_index` over all steps, if the caller has it.
+    """
+    rows = angles.rows
+    n_steps, n_groups = blocks.cols.shape
+    if not n_groups:  # no rotations and no kicks, so no groups
         return np.empty((0, 4, rows), dtype=complex)
+    shared = _shared_steps(blocks, angles)
     a = b = None
-    for step in range(-1, len(blocks.cols)):
-        if step >= 0:
-            alpha = sin[step] * blocks.u[step]
-            alpha += cos[step]
-            beta = sin[step] * blocks.v[step]
-            if a is None:
-                a, b = alpha, beta
-            else:
-                a, b = alpha * a - beta.conj() * b, beta * a + alpha.conj() * b
+    if shared:
+        head = angles.index[blocks.cols[:shared]][..., None]  # (steps, G, 1)
+        u, v = blocks.u[:shared], blocks.v[:shared]
+        a, b = (np.repeat(m, rows, axis=1) for m in _product(angles, head, u, v))
+        cols, shifted_rows, values = angles.shifted
+        steps = blocks.step_of[cols]
+        inside = steps < shared
+        if cols.size and inside.any():  # one row and one group per shifted entry
+            groups, shifted_rows = blocks.group_of[cols[inside]], shifted_rows[inside]
+            own = head[:, groups]
+            own[steps[inside], np.arange(groups.size), 0] = values[inside]
+            pa, pb = _product(angles, own, u[:, groups], v[:, groups])
+            a[groups, shifted_rows], b[groups, shifted_rows] = pa[:, 0], pb[:, 0]
+    for events, groups in reversed(blocks.kick_rounds.get(-1, ())):
+        if a is None:
+            a, b = np.ones((n_groups, rows), dtype=complex), np.zeros((n_groups, rows), dtype=complex)
+        _kick(a, b, kicks, events, groups, right=True)
+    if shared < n_steps:
+        index = _step_index(blocks, angles, slice(shared, None)) if index is None else index[shared:]
+        cos, sin = angles.cos[index], angles.sin[index]
+    for step in range(n_steps):
+        if step >= shared:
+            a, b = _rotate(a, b, cos[step - shared], sin[step - shared],
+                           blocks.u[step], blocks.v[step])
         for events, groups in blocks.kick_rounds.get(step, ()):
-            if a is None:
-                a = np.ones((blocks.cols.shape[1], rows), dtype=complex)
-                b = np.zeros_like(a)
-            drawn = kicks[:, events].T
-            alpha, beta = _KICK_ALPHA[drawn], _KICK_BETA[drawn]
-            ag, bg = a[groups], b[groups]
-            a[groups] = alpha * ag - beta.conj() * bg
-            b[groups] = beta * ag + alpha.conj() * bg
-    matrices = np.empty((len(a), 4, rows), dtype=complex)
+            _kick(a, b, kicks, events, groups)
+    matrices = np.empty((n_groups, 4, rows), dtype=complex)
     matrices[:, 0] = a
     np.conjugate(a, out=matrices[:, 1])
     matrices[:, 2] = b
     np.negative(b.conj(), out=matrices[:, 3])
     return matrices
+
+
+def _product(angles: _Angles, index: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """(a, b) of the rotations that read values ``index`` (steps on axis 0)."""
+    cos, sin = angles.cos[index], angles.sin[index]
+    a = b = None
+    for step in range(len(index)):
+        a, b = _rotate(a, b, cos[step], sin[step], u[step], v[step])
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +725,7 @@ def run_circuit(
     """
     plan = _plan(gates, n_qubits, sublayer_marks)
     x, single = _rows(x)
-    angles = _angles(plan, x, np.asarray(theta, dtype=float))
-    z = _expect(_evolve(plan, angles, noise, rng), n_qubits)
+    z = _expect(_evolve(plan, x, np.asarray(theta, dtype=float), noise, rng), n_qubits)
     return z[0] if single else z
 
 
@@ -584,21 +771,15 @@ def param_shift_value_and_grad(
     x, single = _rows(x)
     theta = np.asarray(theta, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    unused = set(range(len(theta))) - set(plan.param_index.tolist())
-    if unused:
-        raise LayoutError(f"parameters never used by any gate: {sorted(unused)}")
+    _check_params_used(plan, theta)
     cols = np.concatenate([plan.param_cols, plan.data_cols])
     uses = len(cols)
-    shifts = np.zeros((1 + 2 * uses, plan.n_rotations))
-    shifts[1 + np.arange(uses), cols] = np.pi / 2
-    shifts[1 + uses + np.arange(uses), cols] = -np.pi / 2
     values = np.empty(len(x))
     d_theta = np.zeros((len(x), len(theta)))
     d_x = np.zeros(x.shape)
     z = np.empty((len(x), n_qubits))
-    for row, angles in enumerate(_angles(plan, x, theta)):
-        batch = np.broadcast_to(angles, shifts.shape)
-        zs = _expect(_evolve(plan, batch, noise, rng, shifts), n_qubits)
+    for row in range(len(x)):
+        zs = _expect(_evolve(plan, x[row : row + 1], theta, noise, rng, cols), n_qubits)
         v = bias + zs @ weights
         diff = (v[1 : 1 + uses] - v[1 + uses :]) / 2.0
         np.add.at(d_theta[row], plan.param_index, diff[: plan.param_cols.size])
@@ -629,14 +810,15 @@ def adjoint_value_and_grad(
     x, single = _rows(x)
     theta = np.asarray(theta, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    angles = _angles(plan, x, theta)
-    blocks = plan.blocks[None]
+    _check_params_used(plan, theta)
     rows = len(x)
+    angles = _half_angles(plan, *_angle_values(plan, x, theta), rows)
+    blocks = plan.blocks[None]
     _, sign = _tables(n_qubits)
     psi = np.zeros((2**n_qubits, rows), dtype=complex)  # amplitude-major, as in _evolve
     psi[0] = 1.0
-    half_cos, sin = _half_angles(blocks, angles, None)
-    matrices = _block_matrices(blocks, half_cos, sin, None)
+    reads = _step_index(blocks, angles)  # the value each (step, group, row) reads
+    matrices = _block_matrices(blocks, angles, None, reads)
     _run_passes(blocks.passes, matrices, psi)
     z = _expect(np.ascontiguousarray(psi.T), n_qubits)
     value = bias + z @ weights
@@ -678,17 +860,19 @@ def adjoint_value_and_grad(
     # Each rotation's derivative is Im <lambda| P |psi> just after it, the P
     # component of its group's vector there; undoing the rotation turns the
     # other two components by its angle. Padded steps land in the last column.
-    cos = 1.0 - 2.0 * sin**2  # of the whole angles
-    sin *= half_cos
+    cos = 1.0 - 2.0 * angles.sin**2  # of the whole angles, once per value
+    sin = angles.sin * angles.cos
     sin *= 2.0
-    turn = np.stack([sin, -sin])  # (y1, y2) <- c (y1, y2) + (s y2, -s y1)
-    d_steps = np.empty_like(cos)
+    cos, sin = cos[reads], sin[reads]
+    d_steps = np.empty(reads.shape)
     for step in reversed(range(len(blocks.cols))):
         own, others = blocks.axis_rows[step, 0], blocks.axis_rows[step, 1:]
         y.take(own, axis=0, out=d_steps[step])
         pair = y.take(others, axis=0)
         rotated = cos[step] * pair
-        rotated += turn[:, step] * pair[::-1]
+        turned = sin[step] * pair[::-1]  # (y1, y2) <- c (y1, y2) + (s y2, -s y1)
+        rotated[0] += turned[0]
+        rotated[1] -= turned[1]
         y[others] = rotated
     d_angle = np.zeros((plan.n_rotations + 1, rows))
     d_angle[blocks.cols] = d_steps

@@ -437,13 +437,30 @@ def _pauli_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return src, phase, bits
 
 
+def angle_matrix(gates: Sequence[GateOp], x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Noise-free rotation angles of each row of ``x``, one column per
+    rotation in circuit order, shape (B, rotations)."""
+    rows = np.atleast_2d(x)
+    rotations = [gate for gate in gates if gate.kind != "cz"]
+
+    def angle(gate, row):
+        if gate.source is None:
+            return gate.angle
+        return (row if gate.source == "data" else theta)[gate.index]
+
+    return np.array([[angle(gate, row) for gate in rotations] for row in rows],
+                    dtype=float).reshape(len(rows), len(rotations))
+
+
 def evolve(gates: Sequence[GateOp], n_qubits: int, sublayer_marks: Sequence[int],
            angles: np.ndarray, noise: Optional[NoiseSpec] = None,
            rng: Optional[np.random.Generator] = None,
            shifts: Optional[np.ndarray] = None) -> np.ndarray:
-    """Final (B, 2**n) states of ``qsim._evolve``'s arguments, one gate and
-    one depolarizing kick at a time over all rows, drawing the same noise
-    arrays in the same order; the reference for its fused block kernel."""
+    """Final (B, 2**n) states of the rows of an angle matrix (as
+    ``angle_matrix`` gives), with ``shifts`` added after gate error, one gate
+    and one depolarizing kick at a time over all rows, drawing the same noise
+    arrays in the same order as ``qsim._evolve``; the reference for its fused
+    block kernel and its shared angle tables."""
     rotations = [gate for gate in gates if gate.kind != "cz"]
     param_cols = [col for col, gate in enumerate(rotations) if gate.source == "param"]
     rows = angles.shape[0]

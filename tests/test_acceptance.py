@@ -75,7 +75,7 @@ def test_criterion_03_simulator_properties():
     thetas = rng.uniform(-2 * np.pi, 2 * np.pi, size=(100, 1))
     ry = [GateOp("ry", 0, source="data", index=0)]
     plan = qsim._plan(ry, 1, ())  # final states through run_circuit's own steps
-    states = qsim._evolve(plan, qsim._angles(plan, thetas, np.zeros(0)))
+    states = qsim._evolve(plan, thetas, np.zeros(0))
     ok &= bool(np.all(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= 1e-12))
     z = qsim.run_circuit(ry, thetas, np.zeros(0), 1)
     ok &= bool(np.all(np.abs(z - np.cos(thetas)) <= 1e-12))
@@ -92,7 +92,7 @@ def test_criterion_03_simulator_properties():
         w = rng.uniform(-1, 1, size=n)
         b = float(rng.uniform(-1, 1))
         plan = qsim._plan(gates, n, ())
-        state = qsim._evolve(plan, qsim._angles(plan, x[None], theta))[0]
+        state = qsim._evolve(plan, x[None], theta)[0]
         ok &= abs(np.linalg.norm(state) - 1.0) <= 1e-12
         _, ps, _, _, _ = qsim.param_shift_value_and_grad(gates, x, theta, w, b, n)
         _, adj, _, _, _ = qsim.adjoint_value_and_grad(gates, x, theta, w, b, n)

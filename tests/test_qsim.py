@@ -32,7 +32,7 @@ def final_states(gates, n, x, theta=np.zeros(0), marks=(), noise=None, rng=None)
     """Final (B, 2**n) states of a (B, p) input, through the plan, angle and
     evolution steps that ``run_circuit`` takes."""
     plan = qsim._plan(gates, n, marks)
-    return qsim._evolve(plan, qsim._angles(plan, x, theta), noise, rng)
+    return qsim._evolve(plan, x, theta, noise, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +129,24 @@ def test_equal_gate_lists_hash_equal_and_share_a_plan():
     assert qsim._compile.cache_info().hits == hits + 1
 
 
+def test_plan_hit_compares_no_gates(monkeypatch):
+    """Looking up the plan of a separately built equal circuit, as each new
+    model does, makes no field-by-field gate comparison."""
+    layout = encoding.plan_layout(11, 3, 2)
+    first, marks = encoding.build_circuit(layout)
+    plan = qsim._plan(first, 3, marks)
+    second, _ = encoding.build_circuit(layout)
+    compared = []
+    equal = GateOp.__eq__
+    monkeypatch.setattr(GateOp, "__eq__", lambda a, b: compared.append(a) or equal(a, b))
+    assert second[0] == first[0] and compared  # the counter sees comparisons
+    compared.clear()
+    hits = qsim._compile.cache_info().hits
+    assert qsim._plan(second, 3, marks) is plan
+    assert qsim._compile.cache_info().hits == hits + 1
+    assert not compared
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 4), n_gates=st.integers(1, 50))
 def test_norm_preserved_random_circuits(seed, n, n_gates):
@@ -206,6 +224,17 @@ def test_param_shift_unused_parameter_rejected():
     with pytest.raises(LayoutError):
         qsim.param_shift_value_and_grad(gates, np.zeros(0), np.zeros(2),
                                         np.array([1.0]), 0.0, 1)
+
+
+def test_adjoint_unused_parameter_rejected():
+    """Both gradient modes agree on a valid layout: every parameter feeds a gate."""
+    gates = [GateOp("ry", 0, source="param", index=0)]
+    with pytest.raises(LayoutError, match=r"never used by any gate: \[1\]"):
+        qsim.adjoint_value_and_grad(gates, np.zeros(0), np.zeros(2), np.array([1.0]), 0.0, 1)
+    cz_only, n, p, _ = HAND_BUILT["cz-only"]
+    for grad in (qsim.adjoint_value_and_grad, qsim.param_shift_value_and_grad):
+        with pytest.raises(LayoutError, match=r"never used by any gate: \[0, 1\]"):
+            grad(cz_only, np.zeros(p), np.zeros(2), np.ones(n), 0.0, n)
 
 
 def finite_diff(gates, x, theta, w, b, n, h=1e-5):
@@ -467,6 +496,17 @@ def test_batch_rows_equal_unbatched_calls():
                                            rtol=0, atol=1e-12)
 
 
+def test_empty_batch_gives_empty_results():
+    """A (0, p) batch gives empty results, with and without noise."""
+    layout = encoding.plan_layout(5, 2, 1)
+    gates, marks = encoding.build_circuit(layout)
+    x, theta = np.zeros((0, 6)), np.zeros(layout.param_count)
+    noise = NoiseSpec(gate_error=0.01, depolarizing=0.5)
+    assert qsim.run_circuit(gates, x, theta, 2).shape == (0, 2)
+    assert qsim.run_circuit(gates, x, theta, 2, noise, np.random.default_rng(0), marks).shape == (0, 2)
+    assert qsim.param_shift_value_and_grad(gates, x, theta, np.ones(2), 0.0, 2)[1].shape == (0, 4)
+
+
 _DATA = [GateOp(kind, q, source="data", index=i)
          for i, (kind, q) in enumerate([("rx", 0), ("ry", 1), ("rz", 2), ("ry", 0)])]
 
@@ -495,7 +535,7 @@ HAND_BUILT = {
                     _param("rz", 0, 1), _DATA[3], _DATA[2], _cz(0, 2), _DATA[1]], 3, 4, 2),
     "no-cz": ([_DATA[0], _param("ry", 2, 0), _DATA[2], _param("rz", 0, 1), _DATA[3], _DATA[1],
                GateOp("rx", 1, angle=0.4)], 3, 4, 2),
-    "cz-only": ([_cz(0, 1), _cz(1, 2), _cz(0, 2)], 3, 2, 2),
+    "cz-only": ([_cz(0, 1), _cz(1, 2), _cz(0, 2)], 3, 2, 0),
     "one-qubit": ([_DATA[0], _param("ry", 0, 0), _DATA[3], _param("rz", 0, 1),
                    GateOp("rx", 0, angle=1.3), GateOp("ry", 0, source="data", index=1),
                    GateOp("rz", 0, angle=-0.4)], 1, 4, 2),
@@ -527,7 +567,7 @@ def test_adjoint_matches_scalar_reference_on_hand_built_circuits(case):
     _, d_theta, d_x, _, _ = assert_adjoint_matches_oracle(
         gates, n, x, theta, rng.uniform(-1, 1, size=n), 0.3)
     if case == "cz-only":
-        assert not d_theta.any() and not d_x.any()
+        assert not d_x.any()
 
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 7])
@@ -583,15 +623,32 @@ NOISE_SETTINGS = [
 ]
 
 
+def shift_batch(gates):
+    """Angle columns of a parameter-shift batch (trainable uses, then data uses,
+    in circuit order) and the shifts of its rows: none, +pi/2 on each column,
+    -pi/2 on each column."""
+    rotations = [gate for gate in gates if gate.kind != "cz"]
+    cols = np.array([col for source in ("param", "data")
+                     for col, gate in enumerate(rotations) if gate.source == source], dtype=np.intp)
+    shifts = np.zeros((1 + 2 * len(cols), len(rotations)))
+    shifts[1 + np.arange(len(cols)), cols] = np.pi / 2
+    shifts[1 + len(cols) + np.arange(len(cols)), cols] = -np.pi / 2
+    return cols, shifts
+
+
 def assert_same_trajectories(gates, n, marks, x, theta, seed):
+    """Per-row inputs, and the parameter-shift batch of the first input, give
+    the gate-at-a-time states and rng draws under every noise setting."""
     plan = qsim._plan(gates, n, marks)
-    angles = qsim._angles(plan, x, theta)
-    shifts = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=angles.shape)
+    angles = oracles.angle_matrix(gates, x, theta)
+    cols, shifts = shift_batch(gates)
+    batches = [(x, None, angles, None),
+               (x[:1], cols, np.broadcast_to(angles[0], shifts.shape), shifts)]
     for noise in NOISE_SETTINGS:
-        for shift in (None, shifts):
+        for inputs, shift_cols, rows, shift in batches:
             fused, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            psi = qsim._evolve(plan, angles, noise, fused, shift)
-            expected = oracles.evolve(gates, n, marks, angles, noise, ref, shift)
+            psi = qsim._evolve(plan, inputs, theta, noise, fused, shift_cols)
+            expected = oracles.evolve(gates, n, marks, rows, noise, ref, shift)
             assert psi.shape == expected.shape
             np.testing.assert_allclose(psi, expected, rtol=0, atol=1e-12)
             assert fused.bit_generator.state == ref.bit_generator.state
@@ -622,3 +679,44 @@ def test_fused_evolution_matches_gate_at_a_time_without_rotations_or_czs(case):
     x = np.random.default_rng(1).uniform(-1, 1, size=(5, 1))
     marks = [0, len(gates) - 1] if gates else []
     assert_same_trajectories(gates, n, marks, x, np.array([0.7]), seed=9)
+
+
+@pytest.mark.parametrize("case", list(HAND_BUILT))
+def test_fused_evolution_matches_gate_at_a_time_on_hand_built_circuits(case):
+    """Fixed angles, parameters shared by several gates, a group that opens
+    with a trainable rotation (so gate error leaves no shared steps), CZ runs
+    and idle qubits, with marks on the first and the last gate and mid-run."""
+    gates, n, p, params = HAND_BUILT[case]
+    rng = np.random.default_rng(len(gates) + p)
+    x = rng.uniform(-np.pi, np.pi, size=(4, p))
+    theta = rng.uniform(-np.pi, np.pi, size=params)
+    marks = sorted({0, len(gates) // 2, len(gates) - 1})
+    assert_same_trajectories(gates, n, marks, x, theta, seed=len(gates))
+
+
+def test_shared_steps_of_the_default_circuit():
+    """Each group of the default circuit opens with three data rotations and
+    then two trainable ones. A call multiplies once, for all rows, every step
+    of a noise-free parameter-shift batch, only the data steps under gate
+    error, just the first under gate-granularity kicks, and none for inputs
+    that differ per row."""
+    layout = encoding.plan_layout(32, 4, 2)
+    gates, marks = encoding.build_circuit(layout)
+    plan = qsim._plan(gates, 4, marks)
+    x = encoding.pad_input(np.linspace(-1, 1, 64).reshape(2, 32), layout)
+    theta = np.linspace(-3, 3, layout.param_count)
+    cols, _ = shift_batch(gates)
+
+    def shared(inputs, key=None, jitter=False):
+        single = len(inputs) == 1
+        rows = 1 + 2 * len(cols) if single else len(inputs)
+        jittered = np.ones((rows, plan.param_cols.size)) if jitter else None
+        angles = qsim._half_angles(plan, *qsim._angle_values(plan, inputs, theta), rows,
+                                   jittered, cols if single else None)
+        return qsim._shared_steps(plan.blocks[key], angles)
+
+    assert plan.blocks[None].cols.shape == (5, 24)
+    assert shared(x[:1]) == shared(x[:1], "sublayer") == 5
+    assert shared(x[:1], jitter=True) == shared(x[:1], "sublayer", jitter=True) == 3
+    assert shared(x[:1], "gate") == 1
+    assert shared(x) == shared(x, "sublayer") == 0
