@@ -19,9 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import encoding, env, nn, qsim
+from . import UsageError, encoding, env, nn, qsim
 from .encoding import CircuitLayout
-from .env import UsageError
 from .qsim import NoiseSpec
 
 @dataclass(frozen=True)
@@ -629,9 +628,16 @@ def save_checkpoint(model: ActorCriticModel, path: str, extra: Optional[dict] = 
 
 
 def load_checkpoint(path: str) -> ActorCriticModel:
+    """The model a checkpoint holds. Raises UsageError if its parameters do not
+    fit its agent config, or its input length is not the observation length
+    of the EnvConfig it records."""
     payload = _read_checkpoint(path)
     config = config_from_dict(payload["config"])
-    model = ActorCriticModel(config, payload["obs_dim"], np.random.default_rng(0))
+    obs_dim = env.observation_dim(_recorded_env_config(payload))
+    if payload["obs_dim"] != obs_dim:
+        raise UsageError(f"checkpoint obs_dim {payload['obs_dim']} != {obs_dim}, the "
+                         "observation length of its recorded EnvConfig")
+    model = ActorCriticModel(config, obs_dim, np.random.default_rng(0))
     for name, entry in payload["params"].items():
         arr = np.array(entry["data"], dtype=float).reshape(entry["shape"])
         if name not in model.params:
@@ -648,7 +654,11 @@ def load_checkpoint(path: str) -> ActorCriticModel:
 def checkpoint_env_config(path: str) -> env.EnvConfig:
     """The EnvConfig a checkpoint was trained under (the default EnvConfig
     for checkpoints that predate recording it)."""
-    return env.EnvConfig(**_read_checkpoint(path).get("env", {}))
+    return _recorded_env_config(_read_checkpoint(path))
+
+
+def _recorded_env_config(payload: dict) -> env.EnvConfig:
+    return env.EnvConfig(**payload.get("env", {}))
 
 
 def _read_checkpoint(path: str) -> dict:

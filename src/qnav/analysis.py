@@ -9,9 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-
-class AnalysisUsageError(ValueError):
-    pass
+from . import UsageError
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +26,7 @@ def empirical_fim(grads: np.ndarray) -> np.ndarray:
     """
     grads = np.asarray(grads, dtype=float)
     if grads.ndim != 2 or grads.shape[0] == 0:
-        raise AnalysisUsageError("empirical_fim needs a (k, d) gradient matrix with k >= 1")
+        raise UsageError("empirical_fim needs a (k, d) gradient matrix with k >= 1")
     return grads.T @ grads / grads.shape[0]
 
 
@@ -36,7 +34,7 @@ def eigenspectrum(matrix: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, sorted descending."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise AnalysisUsageError("eigenspectrum needs a square matrix")
+        raise UsageError("eigenspectrum needs a square matrix")
     return np.sort(np.linalg.eigvalsh(matrix))[::-1]
 
 
@@ -51,14 +49,14 @@ def effective_dimension(fim_samples: Sequence[np.ndarray], gamma: float,
     Returns (d_eff, d_eff / d).
     """
     if len(fim_samples) < 2:
-        raise AnalysisUsageError("need at least 2 FIM samples over theta")
+        raise UsageError("need at least 2 FIM samples over theta")
     if not 0.0 < gamma <= 1.0:
-        raise AnalysisUsageError("gamma must be in (0, 1]")
+        raise UsageError("gamma must be in (0, 1]")
     if n_data < 3:
-        raise AnalysisUsageError("n_data must be >= 3")
+        raise UsageError("n_data must be >= 3")
     kappa = gamma * n_data / (2.0 * math.pi * math.log(n_data))
     if kappa <= 1.0:
-        raise AnalysisUsageError("kappa <= 1: effective dimension is degenerate")
+        raise UsageError("kappa <= 1: effective dimension is degenerate")
     mats = [np.asarray(f, dtype=float) for f in fim_samples]
     d = mats[0].shape[0]
     mean_trace = float(np.mean([np.trace(f) for f in mats]))
@@ -70,7 +68,7 @@ def effective_dimension(fim_samples: Sequence[np.ndarray], gamma: float,
     for f in mats:
         sign, logdet = np.linalg.slogdet(np.eye(d) + kappa * scale * f)
         if sign <= 0:
-            raise AnalysisUsageError("FIM sample is not PSD")
+            raise UsageError("FIM sample is not PSD")
         half_logdets.append(0.5 * logdet)
     half_logdets = np.array(half_logdets)
     m = half_logdets.max()
@@ -135,7 +133,7 @@ def fim_report(grads_at: Callable[[np.ndarray], np.ndarray],
 def smooth_curve(returns: Sequence[float], window: int) -> list[float]:
     """Trailing moving average; partial windows average what is available."""
     if window < 1:
-        raise AnalysisUsageError("window must be >= 1")
+        raise UsageError("window must be >= 1")
     out = []
     acc = 0.0
     returns = list(returns)
@@ -151,7 +149,7 @@ def auc(curve: Sequence[float]) -> float:
     """Trapezoidal area under the curve over unit-spaced episode indices."""
     curve = np.asarray(curve, dtype=float)
     if curve.shape[0] < 2:
-        raise AnalysisUsageError("auc needs at least 2 points")
+        raise UsageError("auc needs at least 2 points")
     return float(np.trapezoid(curve))
 
 
@@ -175,10 +173,10 @@ def aggregate_runs(run_returns: Sequence[Sequence[float]],
     Mixed-length runs are truncated to the shortest.
     """
     if len(run_returns) == 0:
-        raise AnalysisUsageError("no runs to aggregate")
+        raise UsageError("no runs to aggregate")
     length = min(len(r) for r in run_returns)
     if length < 2:
-        raise AnalysisUsageError("runs too short to aggregate")
+        raise UsageError("runs too short to aggregate")
     smoothed = np.array([smooth_curve(list(r)[:length], smooth_window) for r in run_returns])
     aucs = [auc(row) for row in smoothed]
     return CurveStats(

@@ -6,7 +6,10 @@ Commands:
   analyze  -- aggregate run curves (AUC table) and/or capacity reports
   scenes   -- dump a generated scene grid as JSON lines
 
-Exit codes: 0 success, 2 configuration error, 3 runtime failure.
+Exit codes: 0 success; 2 configuration error, any ``qnav.UsageError`` (a bad
+config, flag, scene spec or checkpoint, or misuse caught deeper in the
+package); 3 runtime failure, any other exception (an unplannable scene
+raises ``planner.PlanningError``, a diverged run a plain ``ValueError``).
 """
 
 from __future__ import annotations
@@ -24,17 +27,13 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from . import __version__, agent, analysis, env
+from . import UsageError, __version__, agent, analysis, env
 from .agent import AgentConfig, ActorCriticModel
 from .qsim import NoiseSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +70,7 @@ class RunConfig:
 def _check_keys(section: dict, allowed: set, where: str):
     unknown = set(section) - allowed
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        raise UsageError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
 def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
@@ -79,9 +78,9 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
         with open(path) as fh:
             raw = yaml.safe_load(fh) or {}
     except (OSError, yaml.YAMLError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
+        raise UsageError("config root must be a mapping")
     _check_keys(raw, _TOP_KEYS, "config")
 
     agent_section = dict(raw.get("agent") or {})
@@ -103,7 +102,7 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
         elif key in ("critic", "gradient_mode", "episodes", "lr", "noise"):
             agent_section[key] = val
         else:
-            raise ConfigError(f"unknown override {key!r}")
+            raise UsageError(f"unknown override {key!r}")
 
     agent_fields = {f.name for f in dataclasses.fields(AgentConfig)}
     _check_keys(agent_section, agent_fields, "agent")
@@ -120,8 +119,8 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
             _check_keys(noise, _NOISE_KEYS, "agent.noise")
         agent_config = agent.config_from_dict(agent_section)
         env_config = env.EnvConfig(**env_section)
-    except (TypeError, env.UsageError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise UsageError(str(exc)) from exc
     return RunConfig(
         name=config["name"],
         seeds=config["seeds"],
@@ -142,18 +141,18 @@ def _parse_noise_flag(spec: str) -> Optional[NoiseSpec]:
         key, _, val = part.partition("=")
         key = key.strip()
         if key not in _NOISE_KEYS:
-            raise ConfigError(f"unknown noise field {key!r}")
+            raise UsageError(f"unknown noise field {key!r}")
         kwargs[key] = val
     try:
         return NoiseSpec(**{k: v if k == "granularity" else float(v) for k, v in kwargs.items()})
     except ValueError as exc:
-        raise ConfigError(f"bad noise flag {spec!r}: {exc}") from exc
+        raise UsageError(f"bad noise flag {spec!r}: {exc}") from exc
 
 
 def build_scenes(scene_spec: dict, env_config: env.EnvConfig) -> list[env.Scene]:
     split = scene_spec.get("split", "train")
     if split not in ("train", "test"):
-        raise ConfigError(f"unknown scene split {split!r}")
+        raise UsageError(f"unknown scene split {split!r}")
     try:
         if "scenarios" in scene_spec or "speed" in scene_spec or "distance" in scene_spec:
             base = (env.SceneGrid.train_default() if split == "train"
@@ -164,8 +163,8 @@ def build_scenes(scene_spec: dict, env_config: env.EnvConfig) -> list[env.Scene]
             grid = env.SceneGrid(scenarios, *map(float, speed), *map(float, dist))
             return env.generate_scenes(split, grid, env_config)
         return env.generate_scenes(split, config=env_config)
-    except (env.SceneError, TypeError, ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"bad scene selection: {exc}") from exc
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise UsageError(f"bad scene selection: {exc}") from exc
 
 
 def _flag_scene_spec(args) -> dict:
@@ -175,7 +174,7 @@ def _flag_scene_spec(args) -> dict:
         try:
             scene_spec["scenarios"] = [int(s) for s in args.scenarios.split(",")]
         except ValueError as exc:
-            raise ConfigError(f"bad --scenarios {args.scenarios!r}: {exc}") from exc
+            raise UsageError(f"bad --scenarios {args.scenarios!r}: {exc}") from exc
     return scene_spec
 
 
@@ -257,7 +256,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ckpt = Path(args.checkpoint)
     if not ckpt.exists():
-        raise ConfigError(f"checkpoint not found: {ckpt}")
+        raise UsageError(f"checkpoint not found: {ckpt}")
     model = agent.load_checkpoint(str(ckpt))
     env_config = agent.checkpoint_env_config(str(ckpt))
     scenes = build_scenes(_flag_scene_spec(args), env_config)
@@ -283,7 +282,7 @@ def cmd_analyze(args) -> int:
                                ("--inputs", args.inputs, 1),
                                ("--smooth-window", args.smooth_window, 1)):
         if value < least:
-            raise ConfigError(f"{flag} must be >= {least}, got {value}")
+            raise UsageError(f"{flag} must be >= {least}, got {value}")
     out = Path(args.out or (args.runs[0] if args.runs else "."))
     out.mkdir(parents=True, exist_ok=True)
     if args.runs:
@@ -294,7 +293,7 @@ def cmd_analyze(args) -> int:
                 curves.append(_read_curve(curve))
                 names.append(str(curve))
         if not curves:
-            raise ConfigError("no curve CSVs found in the given run directories")
+            raise UsageError("no curve CSVs found in the given run directories")
         if len({len(c) for c in curves}) > 1:
             print("warning: mixed-length runs, truncating to the shortest", file=sys.stderr)
         stats = analysis.aggregate_runs(curves, smooth_window=args.smooth_window)
@@ -424,7 +423,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, env.UsageError) as exc:
+    except UsageError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # runtime failure

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qsim import ConfigurationError, GateOp
+from . import UsageError
+from .qsim import GateOp
 
 DEFAULT_ENCODING_AXES = ("rz", "ry", "rz")
 ALT_ENCODING_AXES = ("rx", "ry", "rz")
@@ -46,10 +47,10 @@ class CircuitLayout:
 def plan_layout(p: int, n: int, layers: int, encoding_axes=DEFAULT_ENCODING_AXES) -> CircuitLayout:
     """Compute sublayer count, padding and trainable-parameter count."""
     if p < 1 or n < 1 or layers < 1:
-        raise ConfigurationError(f"p, n, L must all be >= 1 (got {p}, {n}, {layers})")
+        raise UsageError(f"p, n, L must all be >= 1 (got {p}, {n}, {layers})")
     axes = tuple(encoding_axes)
     if len(axes) != 3 or any(a not in ("rx", "ry", "rz") for a in axes):
-        raise ConfigurationError(f"encoding axes must be three rotations, got {axes}")
+        raise UsageError(f"encoding axes must be three rotations, got {axes}")
     k = math.ceil(p / (3 * n))
     pad_len = 3 * n * k - p
     return CircuitLayout(
@@ -68,7 +69,7 @@ def pad_input(x: np.ndarray, layout: CircuitLayout) -> np.ndarray:
     or to every row of a batch of shape (B, p)."""
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != layout.p:
-        raise ValueError(f"expected inputs of length {layout.p}, got shape {x.shape}")
+        raise UsageError(f"expected inputs of length {layout.p}, got shape {x.shape}")
     return np.concatenate([x, np.zeros(x.shape[:-1] + (layout.pad_len,))], axis=-1)
 
 

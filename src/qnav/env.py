@@ -17,22 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-from . import planner
-from .planner import CostMap, Path, PlanningError
+from . import UsageError, planner
+from .planner import CostMap, Path
 
 KMH = 1.0 / 3.6  # km/h -> m/s
 
 ACCELERATE, MAINTAIN, DECELERATE = 0, 1, 2
 ACTION_NAMES = ("accelerate", "maintain", "decelerate")
 N_ACTIONS = 3
-
-
-class SceneError(RuntimeError):
-    """Scene cannot be instantiated (e.g. goal unreachable)."""
-
-
-class UsageError(RuntimeError):
-    """API misuse, e.g. stepping a finished episode."""
 
 
 @dataclass(frozen=True)
@@ -126,7 +118,7 @@ TEST_SCENARIOS = (1, 2, 3, 4, 5, 6, 7, 8)
 def make_scene(scenario_id: int, ped_distance: float, ped_speed: float,
                config: EnvConfig = EnvConfig()) -> Scene:
     if scenario_id not in SCENARIO_TEMPLATES:
-        raise SceneError(f"unknown scenario id {scenario_id}")
+        raise UsageError(f"unknown scenario id {scenario_id}")
     tpl = SCENARIO_TEMPLATES[scenario_id]
     right_y = config.road_y_min - config.sidewalk_width / 2.0
     left_y = config.road_y_max + config.sidewalk_width / 2.0
@@ -204,9 +196,9 @@ def generate_scenes(split: str = "train", grid: Optional[SceneGrid] = None,
         elif split == "test":
             grid = SceneGrid.test_default()
         else:
-            raise SceneError(f"unknown split {split!r}")
+            raise UsageError(f"unknown split {split!r}")
     if not grid.scenarios or not grid.speeds() or not grid.distances():
-        raise SceneError("empty scene grid")
+        raise UsageError("empty scene grid")
     scenes = []
     for sid in grid.scenarios:
         for speed in grid.speeds():
@@ -588,12 +580,9 @@ def _layout_path(obstacles, start, goal, config: EnvConfig) -> Path:
 def reset(scene: Scene, rng: Optional[np.random.Generator] = None,
           config: EnvConfig = EnvConfig()) -> tuple[WorldState, Observation]:
     """Instantiate a scene: plan the path (once per layout) and place everyone
-    at spawn."""
+    at spawn. An unplannable scene raises ``planner.PlanningError``."""
     cost_map = build_cost_map(scene, config)
-    try:
-        path = _layout_path(scene.obstacles, scene.car_start, scene.car_goal, config)
-    except PlanningError as exc:
-        raise SceneError(f"unplannable scene: {exc}") from exc
+    path = _layout_path(scene.obstacles, scene.car_start, scene.car_goal, config)
     sx, sy, sh = scene.car_start
     px, py = scene.ped_spawn
     gx, gy = scene.ped_goal

@@ -12,11 +12,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import UsageError
+
 LN_EPS = 1e-5
-
-
-class ShapeError(ValueError):
-    """Inconsistent tensor shapes."""
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -45,7 +43,7 @@ def dense_forward(params: dict, x: np.ndarray):
     """y = W x + b for x of shape (in,), or row-wise for x of shape (T, in)."""
     W, b = params["W"], params["b"]
     if x.ndim not in (1, 2) or x.shape[-1] != W.shape[1]:
-        raise ShapeError(f"dense expects input of length {W.shape[1]}, got {x.shape}")
+        raise UsageError(f"dense expects input of length {W.shape[1]}, got {x.shape}")
     return _matvec(W, x) + b, x
 
 
@@ -142,7 +140,7 @@ def lstm_step(params: dict, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarra
     """Standard LSTM update; gate order in the stacked weights is i, f, o, g."""
     hidden = h_prev.shape[0]
     if params["Wx"].shape[1] != x.shape[0]:
-        raise ShapeError(f"lstm expects input of length {params['Wx'].shape[1]}, got {x.shape}")
+        raise UsageError(f"lstm expects input of length {params['Wx'].shape[1]}, got {x.shape}")
     pre = params["Wx"] @ x + params["Wh"] @ h_prev + params["b"]
     i = _sigmoid(pre[:hidden])
     f = _sigmoid(pre[hidden : 2 * hidden])
@@ -177,20 +175,6 @@ def lstm_gates_backward(dh: np.ndarray, dc: np.ndarray, cache):
     return dpre, dc_prev
 
 
-def lstm_step_backward(params: dict, dh: np.ndarray, dc: np.ndarray, cache):
-    """Backward through one step. Returns (dx, dh_prev, dc_prev, grads)."""
-    x, h_prev = cache[:2]
-    dpre, dc_prev = lstm_gates_backward(dh, dc, cache)
-    grads = {
-        "Wx": np.outer(dpre, x),
-        "Wh": np.outer(dpre, h_prev),
-        "b": dpre,
-    }
-    dx = params["Wx"].T @ dpre
-    dh_prev = params["Wh"].T @ dpre
-    return dx, dh_prev, dc_prev, grads
-
-
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -210,7 +194,7 @@ class Adam:
     def update(self, params: np.ndarray, grads: np.ndarray) -> None:
         """One in-place step of ``params`` along ``grads`` (same shape)."""
         if grads.shape != params.shape:
-            raise ShapeError(f"grad shape {grads.shape} != param shape {params.shape}")
+            raise UsageError(f"grad shape {grads.shape} != param shape {params.shape}")
         if self.m is None:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
@@ -245,7 +229,7 @@ def views(flat: np.ndarray, like: dict) -> dict:
     """Views of ``flat`` nested, ordered and shaped like the arrays of ``like``."""
     tree, pos = _carve(flat, like, 0)
     if pos != flat.size:
-        raise ShapeError(f"layout holds {pos} values, vector has {flat.size}")
+        raise UsageError(f"layout holds {pos} values, vector has {flat.size}")
     return tree
 
 
@@ -269,33 +253,3 @@ def named(tree: dict, prefix: str = "") -> dict:
         else:
             out[f"{prefix}{key}"] = val
     return out
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-def finite_diff_check(params: dict, loss_fn, grads: dict, h: float = 1e-5) -> float:
-    """Max relative error between analytic grads and central differences.
-
-    ``loss_fn`` is re-evaluated with each entry of ``params`` perturbed in
-    place; it must be a pure function of the current parameter values.
-    """
-    if not 1e-7 <= h <= 1e-3:
-        raise ValueError("h must be in [1e-7, 1e-3]")
-    worst = 0.0
-    for name, p in params.items():
-        g = grads[name]
-        flat = p.reshape(-1)
-        gflat = np.asarray(g).reshape(-1)
-        for idx in range(flat.shape[0]):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            lp = loss_fn()
-            flat[idx] = orig - h
-            lm = loss_fn()
-            flat[idx] = orig
-            num = (lp - lm) / (2.0 * h)
-            denom = max(abs(num), abs(gflat[idx]), 1.0)
-            worst = max(worst, abs(num - gflat[idx]) / denom)
-    return worst

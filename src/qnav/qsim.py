@@ -90,17 +90,11 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import UsageError
+
 MAX_QUBITS = 12
 
 ROTATIONS = ("rx", "ry", "rz")
-
-class ConfigurationError(ValueError):
-    """Invalid simulator configuration (qubit counts, indices, noise params)."""
-
-
-class LayoutError(ValueError):
-    """Malformed circuit plan (unresolvable or unused angle sources)."""
-
 
 _GATE_IDS: dict = {}  # the fields of every distinct gate built -> its id
 _GATES: dict = {}  # id -> the first gate built with those fields
@@ -125,19 +119,19 @@ class GateOp:
 
     def __post_init__(self):
         if self.kind not in ROTATIONS + ("cz",):
-            raise ConfigurationError(f"unknown gate kind {self.kind!r}")
+            raise UsageError(f"unknown gate kind {self.kind!r}")
         if self.kind == "cz":
             if self.control is None or self.control == self.target:
-                raise ConfigurationError("cz needs distinct control/target")
+                raise UsageError("cz needs distinct control/target")
         else:
             if self.control is not None:
-                raise ConfigurationError("rotations take no control qubit")
+                raise UsageError("rotations take no control qubit")
             if self.source not in (None, "data", "param"):
-                raise ConfigurationError(f"bad angle source {self.source!r}")
+                raise UsageError(f"bad angle source {self.source!r}")
             if self.source is not None and self.index is None:
-                raise ConfigurationError("data/param gates need an index")
+                raise UsageError("data/param gates need an index")
             if self.source is None and self.angle is None:
-                raise ConfigurationError("fixed-angle rotation needs an angle")
+                raise UsageError("fixed-angle rotation needs an angle")
         fields = (self.kind, self.target, self.control, self.angle, self.source, self.index)
         object.__setattr__(self, "_hash", hash(fields))
         # Equal gates share one integer id, so a plan lookup compares ints,
@@ -169,11 +163,11 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.gate_error is not None and self.gate_error < 0:
-            raise ConfigurationError("gate_error scale must be >= 0")
+            raise UsageError("gate_error scale must be >= 0")
         if self.depolarizing is not None and not 0.0 <= self.depolarizing <= 1.0:
-            raise ConfigurationError("depolarizing p must be in [0, 1]")
+            raise UsageError("depolarizing p must be in [0, 1]")
         if self.granularity not in ("sublayer", "gate"):
-            raise ConfigurationError(f"bad noise granularity {self.granularity!r}")
+            raise UsageError(f"bad noise granularity {self.granularity!r}")
 
     @property
     def enabled(self) -> bool:
@@ -186,7 +180,7 @@ class NoiseSpec:
 
 def _check_n(n_qubits: int):
     if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ConfigurationError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
+        raise UsageError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
 
 
 @functools.lru_cache(maxsize=MAX_QUBITS)
@@ -219,7 +213,7 @@ def _expect(psi: np.ndarray, n_qubits: int) -> np.ndarray:
 
 def _check_qubit(qubit: int, n: int):
     if not 0 <= qubit < n:
-        raise ConfigurationError(f"qubit index {qubit} out of range for {n} qubits")
+        raise UsageError(f"qubit index {qubit} out of range for {n} qubits")
 
 
 def perturb_gate_params(theta: np.ndarray, rng: np.random.Generator, scale: float = 0.01) -> np.ndarray:
@@ -463,7 +457,7 @@ def _rows(x) -> tuple[np.ndarray, bool]:
     """(B, p) view of the input and whether it was a single vector."""
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
-        raise ConfigurationError(f"inputs must have shape (p,) or (B, p), got {x.shape}")
+        raise UsageError(f"inputs must have shape (p,) or (B, p), got {x.shape}")
     return np.atleast_2d(x), x.ndim == 1
 
 
@@ -494,15 +488,15 @@ def _angle_values(plan: _Plan, x: np.ndarray,
     value for all rows, and a feature one per row of ``x``, or one for all
     rows if ``x`` has a single row."""
     if plan.data_index.size and plan.data_index.max() >= x.shape[1]:
-        raise LayoutError(f"data index {plan.data_index.max()} outside feature vector "
+        raise UsageError(f"data index {plan.data_index.max()} outside feature vector "
                           f"of length {x.shape[1]}")
     if plan.param_index.size and plan.param_index.max() >= len(theta):
-        raise LayoutError(f"param index {plan.param_index.max()} outside theta "
+        raise UsageError(f"param index {plan.param_index.max()} outside theta "
                           f"of length {len(theta)}")
     values = np.concatenate([[0.0], plan.fixed_angles, theta[plan.params],
                              x[:, plan.features].ravel()])
-    if not np.isfinite(values).all():
-        raise ConfigurationError("rotation angle must be finite")
+    if not np.isfinite(values).all():  # training diverged: a runtime fault, not misuse
+        raise ValueError("rotation angle must be finite")
     stride = np.zeros(plan.n_rotations + 1, dtype=np.intp)
     if len(x) != 1:
         stride[plan.data_cols] = plan.features.size
@@ -513,7 +507,7 @@ def _check_params_used(plan: _Plan, theta: np.ndarray) -> None:
     """Gradients are taken for every parameter, so each must feed some gate."""
     if plan.params.size < len(theta):  # else each is used, or one is out of range
         unused = sorted(set(range(len(theta))) - set(plan.params.tolist()))
-        raise LayoutError(f"parameters never used by any gate: {unused}")
+        raise UsageError(f"parameters never used by any gate: {unused}")
 
 
 def _evolve(plan: _Plan, x: np.ndarray, theta: np.ndarray, noise: Optional[NoiseSpec] = None,
@@ -532,7 +526,7 @@ def _evolve(plan: _Plan, x: np.ndarray, theta: np.ndarray, noise: Optional[Noise
     blocks, jittered, kicks = plan.blocks[None], None, None
     if noise is not None and noise.enabled:
         if rng is None:
-            raise ConfigurationError("noise simulation requires an rng stream")
+            raise UsageError("noise simulation requires an rng stream")
         if noise.gate_error is not None:
             trainable = np.broadcast_to(values[index[plan.param_cols]], (rows, plan.param_cols.size))
             jittered = perturb_gate_params(trainable, rng, noise.gate_error)
@@ -854,7 +848,7 @@ def adjoint_value_and_grad(
         state += part
     # y[k * G + g] is component k of group g's vector, X: Im sum conj(lam)
     # psi[flip], Y: -Re sum sign conj(lam) psi[flip], Z: Im sum sign conj(lam) psi
-    y = bloch.imag.transpose(1, 0, 2).reshape(-1, rows)
+    y = bloch.imag.transpose(1, 0, 2).reshape(3 * len(bloch), rows)
     y[len(bloch) : 2 * len(bloch)] = -bloch[:, 1].real
 
     # Each rotation's derivative is Im <lambda| P |psi> just after it, the P

@@ -8,9 +8,11 @@ per application) is the scalar reference for the batched simulator in
 ``qnav.qsim``, ``evolve`` (all rows, one gate and one depolarizing kick at
 a time) is the reference for its fused block kernel, ``replay_loss``
 recomputes an episode loss step by step for finite-difference checks of
-``qnav.agent.episode_gradients``, the
-per-step loop of ``episode_gradients`` here (one ``trunk_backward`` per
-step) is the scalar reference for that function's batched backward pass,
+``qnav.agent.episode_gradients``, ``finite_diff_check`` compares any
+analytic gradient with central differences, the per-step loop of
+``episode_gradients`` here (one ``trunk_backward`` per step, each through
+``lstm_step_backward``, one LSTM step) is the scalar reference for that
+function's batched backward pass,
 and the per-segment path-tracking loops and the separating-axis test without a
 broad phase at the end of this file are the scalar references for
 ``qnav.planner``'s vectorized path queries and ``qnav.env._rects_overlap``.
@@ -24,9 +26,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from qnav import agent, env, nn, planner, qsim
-from qnav.env import UsageError
-from qnav.qsim import MAX_QUBITS, ConfigurationError, GateOp, LayoutError, NoiseSpec
+from qnav import UsageError, agent, env, nn, planner, qsim
+from qnav.qsim import MAX_QUBITS, GateOp, NoiseSpec
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -129,7 +130,7 @@ _PAULI = PAULI
 def init_state(n_qubits: int) -> np.ndarray:
     """Return |0...0> on ``n_qubits`` qubits."""
     if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ConfigurationError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
+        raise UsageError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
     state = np.zeros(2**n_qubits, dtype=complex)
     state[0] = 1.0
     return state
@@ -138,13 +139,13 @@ def init_state(n_qubits: int) -> np.ndarray:
 def _n_qubits_of(state: np.ndarray) -> int:
     n = int(state.shape[0]).bit_length() - 1
     if 2**n != state.shape[0]:
-        raise ConfigurationError("state length is not a power of two")
+        raise UsageError("state length is not a power of two")
     return n
 
 
 def _check_qubit(qubit: int, n: int):
     if not 0 <= qubit < n:
-        raise ConfigurationError(f"qubit index {qubit} out of range for {n} qubits")
+        raise UsageError(f"qubit index {qubit} out of range for {n} qubits")
 
 
 def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
@@ -184,10 +185,10 @@ def apply_gate(state: np.ndarray, gate: GateOp, angle: Optional[float] = None) -
         return _apply_cz(state, gate.control, gate.target)
     if angle is None:
         if gate.source is not None:
-            raise LayoutError("sourced rotation applied without a resolved angle")
+            raise UsageError("sourced rotation applied without a resolved angle")
         angle = gate.angle
     if not np.isfinite(angle):
-        raise ConfigurationError("rotation angle must be finite")
+        raise ValueError("rotation angle must be finite")
     return _apply_single(state, gate.target, _rotation_matrix(gate.kind, angle))
 
 
@@ -217,7 +218,7 @@ def depolarize_step(state: np.ndarray, qubit: int, p: float, rng: np.random.Gene
     rho -> (1-p) rho + (p/3)(X rho X + Y rho Y + Z rho Z).
     """
     if not 0.0 <= p <= 1.0:
-        raise ConfigurationError("depolarizing p must be in [0, 1]")
+        raise UsageError("depolarizing p must be in [0, 1]")
     _check_qubit(qubit, _n_qubits_of(state))
     if rng.uniform() < p:
         pauli = ("x", "y", "z")[rng.integers(3)]
@@ -228,11 +229,11 @@ def depolarize_step(state: np.ndarray, qubit: int, p: float, rng: np.random.Gene
 def _resolve_angle(gate: GateOp, x: np.ndarray, theta: np.ndarray) -> float:
     if gate.source == "data":
         if gate.index >= len(x):
-            raise LayoutError(f"data index {gate.index} outside feature vector of length {len(x)}")
+            raise UsageError(f"data index {gate.index} outside feature vector of length {len(x)}")
         return float(x[gate.index])
     if gate.source == "param":
         if gate.index >= len(theta):
-            raise LayoutError(f"param index {gate.index} outside theta of length {len(theta)}")
+            raise UsageError(f"param index {gate.index} outside theta of length {len(theta)}")
         return float(theta[gate.index])
     return float(gate.angle)
 
@@ -257,7 +258,7 @@ def run_circuit(
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if noise is not None and noise.enabled and rng is None:
-        raise ConfigurationError("noise simulation requires an rng stream")
+        raise UsageError("noise simulation requires an rng stream")
     marks = frozenset(sublayer_marks)
     state = init_state(n_qubits)
     for pos, gate in enumerate(gates):
@@ -336,7 +337,7 @@ def param_shift_gradient(
     if wrt == "param":
         unused = set(range(vec_len)) - set(positions)
         if unused:
-            raise LayoutError(f"parameters never used by any gate: {sorted(unused)}")
+            raise UsageError(f"parameters never used by any gate: {sorted(unused)}")
     grad = np.zeros(vec_len)
     for idx, gate_positions in positions.items():
         for pos in gate_positions:
@@ -467,7 +468,7 @@ def evolve(gates: Sequence[GateOp], n_qubits: int, sublayer_marks: Sequence[int]
     kicks, events = None, ()
     if noise is not None and noise.enabled:
         if rng is None:
-            raise ConfigurationError("noise simulation requires an rng stream")
+            raise UsageError("noise simulation requires an rng stream")
         if noise.gate_error is not None:
             angles = angles.copy()
             angles[:, param_cols] = qsim.perturb_gate_params(
@@ -505,6 +506,50 @@ def evolve(gates: Sequence[GateOp], n_qubits: int, sublayer_marks: Sequence[int]
                 psi = phase[which, qubit] * np.take_along_axis(psi, src[which, qubit], axis=1)
                 event += 1
     return psi
+
+
+# ---------------------------------------------------------------------------
+# finite differences and one LSTM step backward
+
+
+def finite_diff_check(params: dict, loss_fn, grads: dict, h: float = 1e-5) -> float:
+    """Max relative error between analytic grads and central differences.
+
+    ``loss_fn`` is re-evaluated with each entry of ``params`` perturbed in
+    place; it must be a pure function of the current parameter values.
+    """
+    if not 1e-7 <= h <= 1e-3:
+        raise ValueError("h must be in [1e-7, 1e-3]")
+    worst = 0.0
+    for name, p in params.items():
+        g = grads[name]
+        flat = p.reshape(-1)
+        gflat = np.asarray(g).reshape(-1)
+        for idx in range(flat.shape[0]):
+            orig = flat[idx]
+            flat[idx] = orig + h
+            lp = loss_fn()
+            flat[idx] = orig - h
+            lm = loss_fn()
+            flat[idx] = orig
+            num = (lp - lm) / (2.0 * h)
+            denom = max(abs(num), abs(gflat[idx]), 1.0)
+            worst = max(worst, abs(num - gflat[idx]) / denom)
+    return worst
+
+
+def lstm_step_backward(params: dict, dh: np.ndarray, dc: np.ndarray, cache):
+    """Backward through one step. Returns (dx, dh_prev, dc_prev, grads)."""
+    x, h_prev = cache[:2]
+    dpre, dc_prev = nn.lstm_gates_backward(dh, dc, cache)
+    grads = {
+        "Wx": np.outer(dpre, x),
+        "Wh": np.outer(dpre, h_prev),
+        "b": dpre,
+    }
+    dx = params["Wx"].T @ dpre
+    dh_prev = params["Wh"].T @ dpre
+    return dx, dh_prev, dc_prev, grads
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +604,7 @@ def trunk_backward(model, dlogits: np.ndarray, dh_extra: np.ndarray,
     dh_actor, g = nn.dense_backward(model.actor, dlogits, ca)
     _add_into(grads["actor"], g)
     dh = dh_actor + dh_extra + dh_next
-    dx, dh_prev, dc_prev, g = nn.lstm_step_backward(model.lstm, dh, dc_next, cl)
+    dx, dh_prev, dc_prev, g = lstm_step_backward(model.lstm, dh, dc_next, cl)
     _add_into(grads["lstm"], g)
     enc_out = model.config.encoder_out
     da2 = dx[:enc_out]

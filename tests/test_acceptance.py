@@ -201,19 +201,36 @@ def test_criterion_06_classical_gradients():
 
             _, cache = nn.layer_norm_forward(params, x)
             _, grads = nn.layer_norm_backward(params, dy, cache)
-        elif kind == 2:
-            in_dim, hidden = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-            params = nn.lstm_init(rng, in_dim, hidden)
-            x = rng.normal(size=in_dim)
-            h0, c0 = rng.normal(size=hidden), rng.normal(size=hidden)
-            dh, dc = rng.normal(size=hidden), rng.normal(size=hidden)
+        elif kind == 2:  # the trunk's backward pass, as training runs it
+            obs_dim, steps = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+            config = agent.AgentConfig(
+                critic="classical", lstm_hidden=int(rng.integers(1, 7)),
+                encoder_hidden=int(rng.integers(1, 7)), encoder_out=int(rng.integers(1, 7)))
+            model = agent.ActorCriticModel(config, obs_dim, rng)
+            obs = rng.normal(size=(steps, obs_dim))
+            extras = rng.normal(size=(steps, model.lstm_in - config.encoder_out))
+            dlogits = rng.normal(size=(steps, env.N_ACTIONS))
+            dh_extra = rng.normal(size=(steps, config.lstm_hidden))
+
+            def unroll():
+                h = c = np.zeros(config.lstm_hidden)
+                hidden, logits, caches = [], [], []
+                for t in range(steps):
+                    h, c, z, cache = model.trunk_forward(obs[t], extras[t], h, c)
+                    hidden.append(h)
+                    logits.append(z)
+                    caches.append(cache)
+                return np.array(hidden), np.array(logits), caches
 
             def loss():
-                h, c, _ = nn.lstm_step(params, x, h0, c0)
-                return float(dh @ h + dc @ c)
+                hidden, logits, _ = unroll()
+                return float((dlogits * logits).sum() + (dh_extra * hidden).sum())
 
-            _, _, cache = nn.lstm_step(params, x, h0, c0)
-            _, _, _, grads = nn.lstm_step_backward(params, dh, dc, cache)
+            trunk = ("enc1", "enc2", "lstm", "actor")
+            layer_grads = nn.views(np.zeros_like(model.flat), model.layers)
+            model.trunk_backward(dlogits, dh_extra, unroll()[2], layer_grads)
+            params = nn.named({k: model.layers[k] for k in trunk})
+            grads = nn.named({k: layer_grads[k] for k in trunk})
         else:
             dim = int(rng.integers(2, 8))
             params = {"logits": rng.normal(size=dim)}
@@ -224,8 +241,8 @@ def test_criterion_06_classical_gradients():
 
             probs, _ = nn.softmax_entropy(params["logits"])
             grads = {"logits": nn.entropy_backward(probs, 1.0)}
-        worst = max(worst, nn.finite_diff_check(params, loss, grads))
-    report(6, f"dense/layernorm/LSTM/softmax max FD error {worst:.2e} <= 1e-5",
+        worst = max(worst, oracles.finite_diff_check(params, loss, grads))
+    report(6, f"dense/layernorm/trunk (LSTM unroll)/softmax max FD error {worst:.2e} <= 1e-5",
            worst <= 1e-5)
 
 

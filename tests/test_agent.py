@@ -12,8 +12,8 @@ import qnav.agent as agent
 import qnav.cli as cli
 import qnav.env as env
 import qnav.nn as nn
+from qnav import UsageError
 from qnav.agent import ActorCriticModel, AgentConfig
-from qnav.env import UsageError
 from qnav.qsim import NoiseSpec
 
 SMALL = dict(lstm_hidden=6, encoder_out=8, max_steps=60)
@@ -218,7 +218,7 @@ def test_gradients_match_finite_differences(critic):
 
     subset = {k: model.params[k] for k in grads
               if k.startswith("critic.") or k in ("actor.b", "lstm.b", "enc1.b", "enc2.b")}
-    err = nn.finite_diff_check(subset, loss, {k: grads[k] for k in subset})
+    err = oracles.finite_diff_check(subset, loss, {k: grads[k] for k in subset})
     assert err < 1e-5
 
 
@@ -462,8 +462,10 @@ def test_select_action_matches_generator_choice():
 
 
 def test_select_action_rejects_non_finite_probabilities():
-    with pytest.raises(ValueError):
+    """A runtime fault (training diverged), so not a UsageError."""
+    with pytest.raises(ValueError) as info:
         agent.select_action(np.array([np.nan, 0.0, 0.0]), rng=np.random.default_rng(0))
+    assert not isinstance(info.value, UsageError)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qnav import analysis
-from qnav.analysis import AnalysisUsageError
+from qnav import UsageError, analysis
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +36,7 @@ def test_fim_symmetric_psd():
 
 
 def test_fim_empty_inputs():
-    with pytest.raises(AnalysisUsageError):
+    with pytest.raises(UsageError):
         analysis.empirical_fim(np.zeros((0, 3)))
 
 
@@ -63,7 +62,7 @@ def test_eigenspectrum_gram_nonnegative():
 
 
 def test_eigenspectrum_rejects_nonsquare():
-    with pytest.raises(AnalysisUsageError):
+    with pytest.raises(UsageError):
         analysis.eigenspectrum(np.zeros((2, 3)))
 
 
@@ -119,13 +118,13 @@ def test_effective_dimension_monotone_in_scale():
 
 
 def test_effective_dimension_validation():
-    with pytest.raises(AnalysisUsageError):
+    with pytest.raises(UsageError):
         analysis.effective_dimension([np.eye(2)], 1.0, 100)  # one sample
-    with pytest.raises(AnalysisUsageError):
+    with pytest.raises(UsageError):
         analysis.effective_dimension([np.eye(2)] * 2, 1.5, 100)  # gamma > 1
-    with pytest.raises(AnalysisUsageError):
+    with pytest.raises(UsageError):
         analysis.effective_dimension([np.eye(2)] * 2, 1.0, 2)  # n too small
-    with pytest.raises(AnalysisUsageError):
+    with pytest.raises(UsageError):
         # indefinite sample: positive trace but a strongly negative direction
         analysis.effective_dimension([np.diag([1.0, -0.1])] * 2, 1.0, 3690)
 
@@ -163,14 +162,14 @@ def test_smooth_curve_partial_windows():
 
 
 def test_smooth_curve_rejects_bad_window():
-    with pytest.raises(AnalysisUsageError):
+    with pytest.raises(UsageError):
         analysis.smooth_curve([1.0], 0)
 
 
 def test_auc_examples():
     assert analysis.auc([5.0] * 4) == pytest.approx(15.0)  # c * (E-1)
     assert analysis.auc([0.0, 1.0]) == pytest.approx(0.5)
-    with pytest.raises(AnalysisUsageError):
+    with pytest.raises(UsageError):
         analysis.auc([1.0])
 
 
@@ -209,7 +208,7 @@ def test_aggregate_truncates_mixed_lengths():
 
 
 def test_aggregate_rejects_empty():
-    with pytest.raises(AnalysisUsageError):
+    with pytest.raises(UsageError):
         analysis.aggregate_runs([])
-    with pytest.raises(AnalysisUsageError):
+    with pytest.raises(UsageError):
         analysis.aggregate_runs([[1.0]])

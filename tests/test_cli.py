@@ -1,12 +1,15 @@
 """CLI commands: config loading, artifacts, determinism, exit codes."""
 
 import csv
+import importlib
 import json
+import pkgutil
 
 import pytest
 import yaml
 
-from qnav import agent, cli, env
+import qnav
+from qnav import UsageError, agent, cli, env, planner
 
 SMOKE_AGENT = {
     "critic": "classical",
@@ -58,18 +61,18 @@ def test_load_config_defaults(tmp_path):
 
 def test_load_config_rejects_unknown_keys(tmp_path):
     path = write_config(tmp_path, frobnicate=True)
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(UsageError):
         cli.load_config(str(path))
     path = write_config(tmp_path, agent={"warp_drive": 1})
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(UsageError):
         cli.load_config(str(path))
     path = write_config(tmp_path, scenes={"velocity": [1, 2, 3]})
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(UsageError):
         cli.load_config(str(path))
 
 
 def test_load_config_missing_file():
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(UsageError):
         cli.load_config("/nonexistent/config.yaml")
 
 
@@ -86,7 +89,7 @@ def test_parse_noise_flag():
     assert spec.gate_error == 0.01
     assert spec.depolarizing == 0.05
     assert cli._parse_noise_flag("off") is None
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(UsageError):
         cli._parse_noise_flag("amplitude_damping=0.1")
 
 
@@ -323,6 +326,19 @@ def test_cmd_eval_unknown_scenario_exit_2_before_output(tmp_path):
     assert not out.exists()
 
 
+def test_cmd_eval_checkpoint_input_length_mismatch_exit_2_before_output(tmp_path):
+    """A checkpoint whose recorded EnvConfig gives another observation length
+    than the model's input fails when it loads: exit 2, nothing written."""
+    ckpt = trained_checkpoint(tmp_path)
+    payload = json.loads(ckpt.read_text())
+    payload["env"]["k_pedestrians"] = 3
+    ckpt.write_text(json.dumps(payload))
+    out = tmp_path / "eval"
+    code = cli.main(["eval", "--checkpoint", str(ckpt), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert not (out / "metrics.json").exists()
+
+
 def test_cmd_eval_deterministic(tmp_path, monkeypatch):
     ckpt = trained_checkpoint(tmp_path)
     slice_scenes(monkeypatch, EVAL_SLICE)
@@ -415,3 +431,71 @@ def test_cmd_scenes_unknown_scenario_exit_2_before_output(tmp_path, scenarios):
     code = cli.main(["scenes", "--scenarios", scenarios, "--out", str(out)])
     assert code == cli.EXIT_CONFIG
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# errors and exit codes
+
+
+def test_package_defines_two_exception_classes():
+    """Misuse is qnav.UsageError and an unplannable scene PlanningError; no
+    module defines an exception class of its own beyond these."""
+    modules = [qnav] + [importlib.import_module(f"qnav.{info.name}")
+                        for info in pkgutil.iter_modules(qnav.__path__)]
+    defined = {obj for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, Exception)
+               and obj.__module__ == module.__name__}
+    assert defined == {UsageError, planner.PlanningError}
+
+
+def short_curve_run(tmp_path, monkeypatch):
+    """analyze over a one-row curve: misuse that reaches qnav.analysis."""
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "curve_seed0.csv").write_text("episode,return\n0,1.0\n")
+    return ["analyze", "--runs", str(run), "--out", str(tmp_path / "an")]
+
+
+def bad_noise_checkpoint(tmp_path, monkeypatch):
+    """eval of a checkpoint whose recorded noise granularity qnav.qsim rejects."""
+    ckpt = trained_checkpoint(tmp_path)
+    payload = json.loads(ckpt.read_text())
+    payload["config"]["noise"] = {"gate_error": 0.01, "granularity": "shot"}
+    ckpt.write_text(json.dumps(payload))
+    return ["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")]
+
+
+def injected_failure(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(agent, "train_run", fail)
+    return ["train", "--config", str(write_config(tmp_path))]
+
+
+def unplannable_scene(tmp_path, monkeypatch):
+    ckpt = trained_checkpoint(tmp_path)
+    slice_scenes(monkeypatch, slice(1))
+
+    def fail(*args, **kwargs):
+        raise planner.PlanningError("no path found")
+
+    env._layout_path.cache_clear()  # a cached layout would skip the planner
+    monkeypatch.setattr(planner, "plan_path", fail)
+    return ["eval", "--checkpoint", str(ckpt), "--scenarios", "1",
+            "--out", str(tmp_path / "eval")]
+
+
+@pytest.mark.parametrize("make_argv,code", [
+    (short_curve_run, cli.EXIT_CONFIG),
+    (bad_noise_checkpoint, cli.EXIT_CONFIG),
+    (injected_failure, cli.EXIT_RUNTIME),
+    (unplannable_scene, cli.EXIT_RUNTIME),
+], ids=["analysis-misuse", "qsim-misuse", "injected-runtime-error", "unplannable-scene"])
+def test_main_maps_usage_error_to_2_and_the_rest_to_3(tmp_path, monkeypatch, capsys,
+                                                      make_argv, code):
+    argv = make_argv(tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert cli.main(argv) == code
+    prefix = "configuration error: " if code == cli.EXIT_CONFIG else "error: "
+    assert capsys.readouterr().err.startswith(prefix)

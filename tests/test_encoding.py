@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from qnav import encoding, qsim
-from qnav.qsim import ConfigurationError
+from qnav import UsageError, encoding, qsim
 
 
 def test_layout_32_4_1():
@@ -54,14 +53,14 @@ def test_layout_invariants_random():
 
 @pytest.mark.parametrize("p,n,layers", [(0, 4, 1), (32, 0, 1), (32, 4, 0)])
 def test_plan_layout_rejects_nonpositive(p, n, layers):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError):
         encoding.plan_layout(p, n, layers)
 
 
 def test_plan_layout_rejects_bad_axes():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError):
         encoding.plan_layout(6, 2, 1, encoding_axes=("rz", "ry"))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError):
         encoding.plan_layout(6, 2, 1, encoding_axes=("rz", "ry", "cz"))
 
 
@@ -82,7 +81,7 @@ def test_pad_input_identity_when_no_padding():
 
 def test_pad_input_rejects_wrong_length():
     layout = encoding.plan_layout(p=6, n=2, layers=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         encoding.pad_input(np.zeros(5), layout)
 
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import qnav.env as env
-from qnav import planner
-from qnav.env import (ACCELERATE, DECELERATE, KMH, MAINTAIN, Action,
-                      SceneError, UsageError)
+from qnav import UsageError, planner
+from qnav.env import ACCELERATE, DECELERATE, KMH, MAINTAIN, Action
+from qnav.planner import PlanningError
 
 import oracles
 
@@ -59,9 +59,9 @@ def test_single_point_grid():
 
 
 def test_empty_grid_rejected():
-    with pytest.raises(SceneError):
+    with pytest.raises(UsageError):
         env.generate_scenes(grid=env.SceneGrid((), 1.0, 1.0, 0.1, 10.0, 10.0, 1.0))
-    with pytest.raises(SceneError):
+    with pytest.raises(UsageError):
         env.generate_scenes("validation")
 
 
@@ -80,7 +80,7 @@ def test_scenario_templates():
     assert len(oncoming.other_cars) == 1
     both = env.make_scene(8, 20.0, 1.0)
     assert len(both.obstacles) == 1 and len(both.other_cars) == 1
-    with pytest.raises(SceneError):
+    with pytest.raises(UsageError):
         env.make_scene(42, 20.0, 1.0)
 
 
@@ -170,7 +170,7 @@ def test_unplannable_scene_raises_on_every_reset(plan_calls):
     blocked_goal = dataclasses.replace(env.make_scene(1, 20.0, 1.0),
                                        obstacles=((95.0, -3.0, 105.0, 3.0),))
     for attempt in range(1, 4):
-        with pytest.raises(SceneError, match="unplannable"):
+        with pytest.raises(PlanningError):
             env.reset(blocked_goal)
         assert len(plan_calls) == attempt
     assert env._layout_path.cache_info().currsize == 0

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnav import encoding, qsim
-from qnav.qsim import ConfigurationError, GateOp, LayoutError, NoiseSpec
+from qnav import UsageError, encoding, qsim
+from qnav.qsim import GateOp, NoiseSpec
 
 import oracles
 
@@ -47,7 +47,7 @@ def test_init_state_ground():
 
 @pytest.mark.parametrize("n", [0, -1, 13])
 def test_init_state_rejects_bad_counts(n):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError):
         qsim.run_circuit([], np.zeros(0), np.zeros(0), n)
 
 
@@ -89,18 +89,18 @@ def test_expectation_z_minus_one_on_excited():
 def test_expectation_z_index_checked():
     """Every qubit index a circuit names is checked against the qubit count."""
     for gate in (GateOp("ry", 2, angle=0.1), GateOp("cz", target=0, control=2)):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(UsageError):
             qsim.run_circuit([gate], np.zeros(0), np.zeros(0), 2)
 
 
 def test_gateop_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError):
         GateOp("hadamard", 0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError):
         GateOp("cz", 0, control=0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError):
         GateOp("ry", 0)  # no angle, no source
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError):
         GateOp("ry", 0, source="data")  # missing index
 
 
@@ -197,7 +197,7 @@ def test_run_circuit_zero_angles_any_layout():
 
 def test_run_circuit_bad_index_is_layout_error():
     gates = [GateOp("ry", 0, source="data", index=5)]
-    with pytest.raises(LayoutError):
+    with pytest.raises(UsageError):
         qsim.run_circuit(gates, np.zeros(2), np.zeros(0), n_qubits=1)
 
 
@@ -221,7 +221,7 @@ def test_param_shift_single_ry_at_half_pi():
 
 def test_param_shift_unused_parameter_rejected():
     gates = [GateOp("ry", 0, source="param", index=0)]
-    with pytest.raises(LayoutError):
+    with pytest.raises(UsageError):
         qsim.param_shift_value_and_grad(gates, np.zeros(0), np.zeros(2),
                                         np.array([1.0]), 0.0, 1)
 
@@ -229,11 +229,11 @@ def test_param_shift_unused_parameter_rejected():
 def test_adjoint_unused_parameter_rejected():
     """Both gradient modes agree on a valid layout: every parameter feeds a gate."""
     gates = [GateOp("ry", 0, source="param", index=0)]
-    with pytest.raises(LayoutError, match=r"never used by any gate: \[1\]"):
+    with pytest.raises(UsageError, match=r"never used by any gate: \[1\]"):
         qsim.adjoint_value_and_grad(gates, np.zeros(0), np.zeros(2), np.array([1.0]), 0.0, 1)
     cz_only, n, p, _ = HAND_BUILT["cz-only"]
     for grad in (qsim.adjoint_value_and_grad, qsim.param_shift_value_and_grad):
-        with pytest.raises(LayoutError, match=r"never used by any gate: \[0, 1\]"):
+        with pytest.raises(UsageError, match=r"never used by any gate: \[0, 1\]"):
             grad(cz_only, np.zeros(p), np.zeros(2), np.ones(n), 0.0, n)
 
 
@@ -367,7 +367,7 @@ def test_gate_error_perturbs_only_param_angles():
 
 def test_noise_requires_rng():
     gates = [GateOp("ry", 0, source="param", index=0)]
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError):
         qsim.run_circuit(gates, np.zeros(0), np.array([1.0]), 1,
                          noise=NoiseSpec(gate_error=0.01))
 
@@ -387,11 +387,11 @@ def test_noisy_run_deterministic_per_seed():
 
 
 def test_noise_spec_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError):
         NoiseSpec(gate_error=-0.1)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError):
         NoiseSpec(depolarizing=1.5)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError):
         NoiseSpec(granularity="shot")
     assert not NoiseSpec().enabled
     assert NoiseSpec(gate_error=0.01).enabled
@@ -497,15 +497,28 @@ def test_batch_rows_equal_unbatched_calls():
 
 
 def test_empty_batch_gives_empty_results():
-    """A (0, p) batch gives empty results, with and without noise."""
+    """A (0, p) batch gives empty results, with and without noise, and both
+    gradient modes give the same batched shapes with zero rows."""
     layout = encoding.plan_layout(5, 2, 1)
     gates, marks = encoding.build_circuit(layout)
     x, theta = np.zeros((0, 6)), np.zeros(layout.param_count)
     noise = NoiseSpec(gate_error=0.01, depolarizing=0.5)
     assert qsim.run_circuit(gates, x, theta, 2).shape == (0, 2)
     assert qsim.run_circuit(gates, x, theta, 2, noise, np.random.default_rng(0), marks).shape == (0, 2)
-    assert qsim.param_shift_value_and_grad(gates, x, theta, np.ones(2), 0.0, 2)[1].shape == (0, 4)
+    expected = [(0,), (0, 4), (0, 6), (0, 2)]
+    for grad in (qsim.param_shift_value_and_grad, qsim.adjoint_value_and_grad):
+        parts = grad(gates, x, theta, np.ones(2), 0.0, 2)
+        assert [np.shape(part) for part in parts[:4]] == expected
+        assert parts[4] == 1.0
 
+
+
+def test_non_finite_angle_is_a_runtime_fault():
+    """A NaN angle means training diverged: a plain ValueError, not misuse."""
+    gates = [GateOp("ry", 0, source="data", index=0)]
+    with pytest.raises(ValueError, match="finite") as info:
+        qsim.run_circuit(gates, np.array([np.nan]), np.zeros(0), 1)
+    assert not isinstance(info.value, UsageError)
 
 _DATA = [GateOp(kind, q, source="data", index=i)
          for i, (kind, q) in enumerate([("rx", 0), ("ry", 1), ("rz", 2), ("ry", 0)])]
