@@ -320,8 +320,7 @@ class EpisodeTrace:
     caches, hidden states and actor logits, which is all the backward pass
     needs; a greedy rollout keeps none of them."""
 
-    obs: list = field(default_factory=list)  # np vectors
-    extras: list = field(default_factory=list)
+    obs: list = field(default_factory=list)  # env observation rows, before each action
     actions: list = field(default_factory=list)
     logps: list = field(default_factory=list)
     entropies: list = field(default_factory=list)
@@ -339,13 +338,6 @@ class EpisodeTrace:
         return float(sum(self.rewards))
 
 
-def _extras_vector(obs: env.Observation) -> np.ndarray:
-    """LSTM side channel: reward, 2-dim velocity, previous speed action."""
-    vx = obs.speed  # car frame: velocity is (v, 0)
-    acc_scalar = float(obs.prev_accel.index(1.0)) - 1.0
-    return np.array([obs.prev_reward / 10.0, vx / 15.0, 0.0, acc_scalar])
-
-
 def run_episode(model: ActorCriticModel, scene: env.Scene,
                 env_config: env.EnvConfig,
                 policy_rng: Optional[np.random.Generator] = None,
@@ -357,7 +349,8 @@ def run_episode(model: ActorCriticModel, scene: env.Scene,
     records no forward pass."""
     config = model.config
     noise = config.noise if noise_rng is not None else None
-    world, obs = env.reset(scene, config=env_config)
+    world, row = env.reset(scene, config=env_config)
+    d = model.obs_dim  # the row's encoder input; the LSTM extras follow it
     h = np.zeros(config.lstm_hidden)
     c = np.zeros(config.lstm_hidden)
     trace = EpisodeTrace()
@@ -367,18 +360,15 @@ def run_episode(model: ActorCriticModel, scene: env.Scene,
             trace.outcome = world.outcome if world.done else "timeout"
             if greedy or trace.outcome != "timeout":
                 break
-        obs_vec = obs.to_vector()
-        extras = _extras_vector(obs)
-        h, c, logits, cache = model.trunk_forward(obs_vec, extras, h, c)
+        h, c, logits, cache = model.trunk_forward(row[:d], row[d:], h, c)
         if trace.outcome is not None:
             # truncated: bootstrap the return from the value of the final state
             trace.bootstrap = model.critic.value(h, noise=noise, rng=noise_rng)
             break
         action, logp, entropy = select_action(logits, policy_rng, greedy)
-        world, obs, reward, done, info = env.step(world, action)
+        trace.obs.append(row)
+        world, row, reward, done, info = env.step(world, action)
         trace.near_miss |= env.NEAR_MISS in info["proximity"]
-        trace.obs.append(obs_vec)
-        trace.extras.append(extras)
         trace.actions.append(action)
         trace.logps.append(logp)
         trace.entropies.append(entropy)
@@ -628,11 +618,14 @@ def save_checkpoint(model: ActorCriticModel, path: str, extra: Optional[dict] = 
 
 
 def load_checkpoint(path: str) -> ActorCriticModel:
-    """The model a checkpoint holds. Raises UsageError if its parameters do not
-    fit its agent config, or its input length is not the observation length
-    of the EnvConfig it records."""
+    """The model a checkpoint holds. Raises UsageError if its agent or env
+    config does not build, its parameters do not fit its agent config, or its
+    input length is not the observation length of the EnvConfig it records."""
     payload = _read_checkpoint(path)
-    config = config_from_dict(payload["config"])
+    try:
+        config = config_from_dict(payload["config"])
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"checkpoint agent config: {exc}") from exc
     obs_dim = env.observation_dim(_recorded_env_config(payload))
     if payload["obs_dim"] != obs_dim:
         raise UsageError(f"checkpoint obs_dim {payload['obs_dim']} != {obs_dim}, the "
@@ -658,7 +651,10 @@ def checkpoint_env_config(path: str) -> env.EnvConfig:
 
 
 def _recorded_env_config(payload: dict) -> env.EnvConfig:
-    return env.EnvConfig(**payload.get("env", {}))
+    try:
+        return env.EnvConfig(**payload.get("env", {}))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"checkpoint env config: {exc}") from exc
 
 
 def _read_checkpoint(path: str) -> dict:

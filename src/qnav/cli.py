@@ -88,10 +88,14 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     scene_section = dict(raw.get("scenes") or {"split": "train"})
     config = {
         "name": raw.get("name", Path(path).stem),
-        "seeds": list(raw.get("seeds", [0])),
+        "seeds": raw.get("seeds", [0]),
         "output": raw.get("output", "runs/" + raw.get("name", Path(path).stem)),
-        "smooth_window": int(raw.get("smooth_window", 100)),
+        "smooth_window": raw.get("smooth_window", 100),
     }
+    if not (isinstance(config["seeds"], list) and all(map(_is_int, config["seeds"]))):
+        raise UsageError(f"seeds must be a list of integers, got {config['seeds']!r}")
+    if not (_is_int(config["smooth_window"]) and config["smooth_window"] >= 1):
+        raise UsageError(f"smooth_window must be an integer >= 1, got {config['smooth_window']!r}")
     for key, val in (overrides or {}).items():
         if val is None:
             continue
@@ -130,6 +134,10 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
         output=config["output"],
         smooth_window=config["smooth_window"],
     )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_noise_flag(spec: str) -> Optional[NoiseSpec]:
@@ -223,13 +231,13 @@ def cmd_train(args) -> int:
     status = "partial"
     try:
         for seed in run_config.seeds:
-            seed_config = dataclasses.replace(run_config.agent, seed=int(seed))
+            seed_config = dataclasses.replace(run_config.agent, seed=seed)
             record, model = agent.train_run(seed_config, scenes, run_config.env)
             curve = out / f"curve_seed{seed}.csv"
             _write_csv(curve, record.to_rows(run_config.smooth_window),
                        ["episode", "return", "smoothed_return", "entropy", "steps", "outcome"])
             ckpt = out / f"checkpoint_seed{seed}.json"
-            agent.save_checkpoint(model, str(ckpt), extra={"seed": int(seed)},
+            agent.save_checkpoint(model, str(ckpt), extra={"seed": seed},
                                   env_config=run_config.env)
             artifacts += [curve.name, ckpt.name]
             param_counts = {
@@ -274,7 +282,11 @@ def cmd_eval(args) -> int:
 
 def _read_curve(path: Path) -> list[float]:
     with open(path) as fh:
-        return [float(row["return"]) for row in csv.DictReader(fh)]
+        try:
+            return [float(row["return"]) for row in csv.DictReader(fh)]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"curve CSV {path} needs a numeric 'return' column: "
+                             f"{exc!r}") from exc
 
 
 def cmd_analyze(args) -> int:
@@ -283,17 +295,17 @@ def cmd_analyze(args) -> int:
                                ("--smooth-window", args.smooth_window, 1)):
         if value < least:
             raise UsageError(f"{flag} must be >= {least}, got {value}")
+    curves, names = [], []
+    for run_dir in args.runs:
+        for curve in sorted(Path(run_dir).glob("curve_seed*.csv")):
+            curves.append(_read_curve(curve))
+            names.append(str(curve))
+    if args.runs and not curves:
+        raise UsageError("no curve CSVs found in the given run directories")
+    model = agent.load_checkpoint(args.fim) if args.fim else None
     out = Path(args.out or (args.runs[0] if args.runs else "."))
     out.mkdir(parents=True, exist_ok=True)
-    if args.runs:
-        curves = []
-        names = []
-        for run_dir in args.runs:
-            for curve in sorted(Path(run_dir).glob("curve_seed*.csv")):
-                curves.append(_read_curve(curve))
-                names.append(str(curve))
-        if not curves:
-            raise UsageError("no curve CSVs found in the given run directories")
+    if curves:
         if len({len(c) for c in curves}) > 1:
             print("warning: mixed-length runs, truncating to the shortest", file=sys.stderr)
         stats = analysis.aggregate_runs(curves, smooth_window=args.smooth_window)
@@ -308,8 +320,7 @@ def cmd_analyze(args) -> int:
                       {"run": "std", "auc": stats.auc_std}],
                    ["run", "auc"])
         print(f"AUC mean {stats.auc_mean:.2f} std {stats.auc_std:.2f} over {stats.n_runs} runs")
-    if args.fim:
-        model = agent.load_checkpoint(args.fim)
+    if model is not None:
         report = capacity_report(model, theta_samples=args.theta_samples,
                                  n_inputs=args.inputs, seed=args.seed or 0)
         with open(out / "fim.json", "w") as fh:

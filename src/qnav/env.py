@@ -6,13 +6,32 @@ optionally with an oncoming car in the other lane). The agent controls only
 the speed action; steering comes from a cost-map path planner. Pedestrian
 goals are hidden state: observations expose only positions and velocities of
 unoccluded pedestrians within sensing range.
+
+The observation that ``reset`` and ``step`` return is the policy's whole
+input, one float64 row of length ``observation_dim(config) + 4``. With
+``D = observation_dim(config) = 8 + 5 * k_pedestrians``:
+
+- ``[0:2]`` goal position in the car frame, / 50 m;
+- ``[2]`` signed cross-track error to the planned path, / 5 m;
+- ``[3]`` speed, / 15 m/s;
+- ``[4:7]`` previous speed action, one-hot (accelerate, maintain, decelerate);
+- ``[7]`` previous reward, / 10;
+- ``[8 + 5i : 13 + 5i]`` pedestrian slot ``i``, nearest sensed pedestrian
+  first: position in the car frame / 50 m, velocity relative to the car in
+  the car frame / 3 m/s, and a visible flag (1.0 sensed, 0.0 empty slot,
+  whose other four entries are 0.0);
+- ``[D:D + 4]`` the LSTM side channel: previous reward / 10, car-frame
+  velocity ``(speed / 15, 0.0)``, previous speed action as -1 (accelerate),
+  0 (maintain) or +1 (decelerate).
+
+The first ``D`` entries are the encoder input; the last 4 bypass the encoder.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -270,45 +289,6 @@ class RewardBreakdown:
                 + self.over_speeding + self.not_goal + self.braking + self.steer)
 
 
-@dataclass(frozen=True)
-class PedObservation:
-    rel_pos: tuple[float, float]  # car frame, m
-    rel_vel: tuple[float, float]  # car frame, m/s
-    visible: float  # 1.0 for a sensed pedestrian, 0.0 for an empty slot
-
-
-@dataclass(frozen=True)
-class Observation:
-    rel_goal: tuple[float, float]
-    cross_track: float
-    speed: float
-    prev_accel: tuple[float, float, float]  # one-hot speed action
-    prev_reward: float
-    pedestrians: tuple[PedObservation, ...]
-
-    def to_vector(self) -> np.ndarray:
-        parts = [
-            self.rel_goal[0] / 50.0,
-            self.rel_goal[1] / 50.0,
-            self.cross_track / 5.0,
-            self.speed / 15.0,
-            *self.prev_accel,
-            self.prev_reward / 10.0,
-        ]
-        for ped in self.pedestrians:
-            parts.extend([
-                ped.rel_pos[0] / 50.0,
-                ped.rel_pos[1] / 50.0,
-                ped.rel_vel[0] / 3.0,
-                ped.rel_vel[1] / 3.0,
-                ped.visible,
-            ])
-        return np.array(parts)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def observation_dim(config: EnvConfig = EnvConfig()) -> int:
     return 8 + 5 * config.k_pedestrians
 
@@ -527,41 +507,38 @@ def _reward(world: WorldState, action: Action, goal_dist: float, prox: list[str]
 # observation
 
 
-def build_observation(world: WorldState) -> Observation:
+def build_observation(world: WorldState) -> np.ndarray:
+    """The policy input row of the current state; the module docstring gives
+    its layout."""
     config = world.config
     car = world.car
-    gx, gy = world.scene.car_goal
-    rel_goal = _to_car_frame(car, gx, gy)
+    goal_x, goal_y = _to_car_frame(car, *world.scene.car_goal)
     cte = planner.cross_track_error(world.path, car.x, car.y)
-    car_vel = (car.v * math.cos(car.heading), car.v * math.sin(car.heading))
+    c, s = math.cos(car.heading), math.sin(car.heading)
+    car_vx, car_vy = car.v * c, car.v * s
 
-    visible = []
+    sensed = []
     for ped in world.peds:
         dist = math.hypot(ped.x - car.x, ped.y - car.y)
         if dist > config.sense_radius or is_occluded(world, ped):
             continue
-        rel = _to_car_frame(car, ped.x, ped.y)
-        pvx = ped.speed * math.cos(ped.heading)
-        pvy = ped.speed * math.sin(ped.heading)
-        c, s = math.cos(car.heading), math.sin(car.heading)
-        rvx = c * (pvx - car_vel[0]) + s * (pvy - car_vel[1])
-        rvy = -s * (pvx - car_vel[0]) + c * (pvy - car_vel[1])
-        visible.append((dist, PedObservation(rel, (rvx, rvy), 1.0)))
-    visible.sort(key=lambda item: item[0])
-    slots = [obs for _, obs in visible[: config.k_pedestrians]]
-    while len(slots) < config.k_pedestrians:
-        slots.append(PedObservation((0.0, 0.0), (0.0, 0.0), 0.0))
+        rel_x, rel_y = _to_car_frame(car, ped.x, ped.y)
+        dvx = ped.speed * math.cos(ped.heading) - car_vx
+        dvy = ped.speed * math.sin(ped.heading) - car_vy
+        sensed.append((dist, [rel_x / 50.0, rel_y / 50.0,
+                              (c * dvx + s * dvy) / 3.0, (-s * dvx + c * dvy) / 3.0, 1.0]))
+    sensed.sort(key=lambda item: item[0])
 
+    speed = car.v / 15.0
+    reward = world.prev_reward / 10.0
     onehot = [0.0, 0.0, 0.0]
     onehot[world.prev_action.acc] = 1.0
-    return Observation(
-        rel_goal=rel_goal,
-        cross_track=cte,
-        speed=car.v,
-        prev_accel=tuple(onehot),
-        prev_reward=world.prev_reward,
-        pedestrians=tuple(slots),
-    )
+    row = [goal_x / 50.0, goal_y / 50.0, cte / 5.0, speed, *onehot, reward]
+    for _, slot in sensed[: config.k_pedestrians]:
+        row += slot
+    row += [0.0] * (5 * (config.k_pedestrians - len(sensed)))
+    row += [reward, speed, 0.0, onehot[2] - onehot[0]]
+    return np.array(row)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +555,7 @@ def _layout_path(obstacles, start, goal, config: EnvConfig) -> Path:
 
 
 def reset(scene: Scene, rng: Optional[np.random.Generator] = None,
-          config: EnvConfig = EnvConfig()) -> tuple[WorldState, Observation]:
+          config: EnvConfig = EnvConfig()) -> tuple[WorldState, np.ndarray]:
     """Instantiate a scene: plan the path (once per layout) and place everyone
     at spawn. An unplannable scene raises ``planner.PlanningError``."""
     cost_map = build_cost_map(scene, config)
@@ -607,7 +584,7 @@ def planned_steering(world: WorldState) -> float:
     )
 
 
-def step(world: WorldState, acc: int) -> tuple[WorldState, Observation, RewardBreakdown, bool, dict]:
+def step(world: WorldState, acc: int) -> tuple[WorldState, np.ndarray, RewardBreakdown, bool, dict]:
     """Advance one control period; mutates and returns the world state."""
     if world.done:
         raise UsageError("episode already finished")
@@ -652,6 +629,6 @@ def step(world: WorldState, acc: int) -> tuple[WorldState, Observation, RewardBr
 
     world.prev_action = action
     world.prev_reward = reward.total
-    obs = build_observation(world)
+    row = build_observation(world)
     info = {"steer": steer, "proximity": prox, "outcome": world.outcome, "t": world.t}
-    return world, obs, reward, world.done, info
+    return world, row, reward, world.done, info

@@ -13,15 +13,19 @@ analytic gradient with central differences, the per-step loop of
 ``episode_gradients`` here (one ``trunk_backward`` per step, each through
 ``lstm_step_backward``, one LSTM step) is the scalar reference for that
 function's batched backward pass,
-and the per-segment path-tracking loops and the separating-axis test without a
-broad phase at the end of this file are the scalar references for
-``qnav.planner``'s vectorized path queries and ``qnav.env._rects_overlap``.
+the per-segment path-tracking loops and the separating-axis test without a
+broad phase are the scalar references for ``qnav.planner``'s vectorized path
+queries and ``qnav.env._rects_overlap``, and the ``Observation`` and
+``PedObservation`` records with ``to_vector``, ``extras_vector`` and their
+``build_observation`` at the end of this file are the reference for the
+policy input row that ``qnav.env.build_observation`` writes directly.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -569,8 +573,9 @@ def replay_loss(model, trace, returns, advantages=None) -> float:
     h = np.zeros(config.lstm_hidden)
     c = np.zeros(config.lstm_hidden)
     values, logps, entropies = [], [], []
-    for obs_vec, extras, action in zip(trace.obs, trace.extras, trace.actions):
-        h, c, logits, _ = model.trunk_forward(obs_vec, extras, h, c)
+    d = model.obs_dim
+    for row, action in zip(trace.obs, trace.actions):
+        h, c, logits, _ = model.trunk_forward(row[:d], row[d:], h, c)
         probs, entropy = nn.softmax_entropy(logits)
         logps.append(float(np.log(probs[action])))
         entropies.append(entropy)
@@ -744,3 +749,94 @@ def rects_overlap(ax, ay, ah, alen, awid, bx, by, bh, blen, bwid) -> bool:
         if max(proj[0]) < min(proj[1]) or max(proj[1]) < min(proj[0]):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the policy input as objects: one frozen record per observation and per slot
+
+
+@dataclass(frozen=True)
+class PedObservation:
+    rel_pos: tuple[float, float]  # car frame, m
+    rel_vel: tuple[float, float]  # car frame, m/s
+    visible: float  # 1.0 for a sensed pedestrian, 0.0 for an empty slot
+
+
+@dataclass(frozen=True)
+class Observation:
+    rel_goal: tuple[float, float]
+    cross_track: float
+    speed: float
+    prev_accel: tuple[float, float, float]  # one-hot speed action
+    prev_reward: float
+    pedestrians: tuple[PedObservation, ...]
+
+    def to_vector(self) -> np.ndarray:
+        parts = [
+            self.rel_goal[0] / 50.0,
+            self.rel_goal[1] / 50.0,
+            self.cross_track / 5.0,
+            self.speed / 15.0,
+            *self.prev_accel,
+            self.prev_reward / 10.0,
+        ]
+        for ped in self.pedestrians:
+            parts.extend([
+                ped.rel_pos[0] / 50.0,
+                ped.rel_pos[1] / 50.0,
+                ped.rel_vel[0] / 3.0,
+                ped.rel_vel[1] / 3.0,
+                ped.visible,
+            ])
+        return np.array(parts)
+
+
+def extras_vector(obs: Observation) -> np.ndarray:
+    """LSTM side channel: reward, 2-dim velocity, previous speed action."""
+    vx = obs.speed  # car frame: velocity is (v, 0)
+    acc_scalar = float(obs.prev_accel.index(1.0)) - 1.0
+    return np.array([obs.prev_reward / 10.0, vx / 15.0, 0.0, acc_scalar])
+
+
+def build_observation(world: env.WorldState) -> Observation:
+    config = world.config
+    car = world.car
+    gx, gy = world.scene.car_goal
+    rel_goal = env._to_car_frame(car, gx, gy)
+    cte = planner.cross_track_error(world.path, car.x, car.y)
+    car_vel = (car.v * math.cos(car.heading), car.v * math.sin(car.heading))
+
+    visible = []
+    for ped in world.peds:
+        dist = math.hypot(ped.x - car.x, ped.y - car.y)
+        if dist > config.sense_radius or env.is_occluded(world, ped):
+            continue
+        rel = env._to_car_frame(car, ped.x, ped.y)
+        pvx = ped.speed * math.cos(ped.heading)
+        pvy = ped.speed * math.sin(ped.heading)
+        c, s = math.cos(car.heading), math.sin(car.heading)
+        rvx = c * (pvx - car_vel[0]) + s * (pvy - car_vel[1])
+        rvy = -s * (pvx - car_vel[0]) + c * (pvy - car_vel[1])
+        visible.append((dist, PedObservation(rel, (rvx, rvy), 1.0)))
+    visible.sort(key=lambda item: item[0])
+    slots = [obs for _, obs in visible[: config.k_pedestrians]]
+    while len(slots) < config.k_pedestrians:
+        slots.append(PedObservation((0.0, 0.0), (0.0, 0.0), 0.0))
+
+    onehot = [0.0, 0.0, 0.0]
+    onehot[world.prev_action.acc] = 1.0
+    return Observation(
+        rel_goal=rel_goal,
+        cross_track=cte,
+        speed=car.v,
+        prev_accel=tuple(onehot),
+        prev_reward=world.prev_reward,
+        pedestrians=tuple(slots),
+    )
+
+
+def observation_row(world: env.WorldState) -> np.ndarray:
+    """What ``env.build_observation`` returns: the encoder input, then the
+    LSTM extras, built through the objects above."""
+    obs = build_observation(world)
+    return np.concatenate([obs.to_vector(), extras_vector(obs)])

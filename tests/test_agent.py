@@ -40,8 +40,9 @@ def replayed_values(model, trace):
     h = np.zeros(model.config.lstm_hidden)
     c = np.zeros(model.config.lstm_hidden)
     hidden = []
-    for obs_vec, extras in zip(trace.obs, trace.extras):
-        h, c, _, _ = model.trunk_forward(obs_vec, extras, h, c)
+    d = model.obs_dim
+    for row in trace.obs:
+        h, c, _, _ = model.trunk_forward(row[:d], row[d:], h, c)
         hidden.append(h)
     return model.critic.value(np.stack(hidden))
 
@@ -232,9 +233,9 @@ def test_policy_term_detached_from_critic():
         h = np.zeros(config.lstm_hidden)
         c = np.zeros(config.lstm_hidden)
         total = 0.0
-        for obs_vec, extras, action, adv in zip(trace.obs, trace.extras,
-                                                trace.actions, advantages):
-            h, c, logits, _ = model.trunk_forward(obs_vec, extras, h, c)
+        d = model.obs_dim
+        for row, action, adv in zip(trace.obs, trace.actions, advantages):
+            h, c, logits, _ = model.trunk_forward(row[:d], row[d:], h, c)
             probs, entropy = nn.softmax_entropy(logits)
             total += math.log(probs[action]) * adv + config.entropy_weight * entropy
         return total / t
@@ -323,8 +324,9 @@ def test_recorded_forward_pass_equals_a_replay():
     config, model, trace, _ = small_episode("classical")
     h = np.zeros(config.lstm_hidden)
     c = np.zeros(config.lstm_hidden)
-    for t, (obs_vec, extras) in enumerate(zip(trace.obs, trace.extras)):
-        h, c, logits, _ = model.trunk_forward(obs_vec, extras, h, c)
+    d = model.obs_dim
+    for t, row in enumerate(trace.obs):
+        h, c, logits, _ = model.trunk_forward(row[:d], row[d:], h, c)
         probs, entropy = nn.softmax_entropy(logits)
         np.testing.assert_array_equal(trace.hidden[t], h)
         np.testing.assert_array_equal(trace.logits[t], logits)
@@ -348,13 +350,14 @@ def test_agent_step_cap_truncates_as_timeout():
     assert trace.outcome == "timeout"
     assert len(calls) == 1
 
-    world, obs = env.reset(scene, config=env_config)
+    world, row = env.reset(scene, config=env_config)
     h = np.zeros(config.lstm_hidden)
     c = np.zeros(config.lstm_hidden)
+    d = model.obs_dim
     for action in trace.actions:
-        h, c, _, _ = model.trunk_forward(obs.to_vector(), agent._extras_vector(obs), h, c)
-        world, obs, _, _, _ = env.step(world, action)
-    h, c, _, _ = model.trunk_forward(obs.to_vector(), agent._extras_vector(obs), h, c)
+        h, c, _, _ = model.trunk_forward(row[:d], row[d:], h, c)
+        world, row, _, _, _ = env.step(world, action)
+    h, c, _, _ = model.trunk_forward(row[:d], row[d:], h, c)
     assert trace.bootstrap == model.critic.value(h)
     assert trace.bootstrap != 0.0
     returns = agent.discounted_returns(trace.rewards, config.gamma, trace.bootstrap)
@@ -558,12 +561,13 @@ def test_greedy_eval_skips_unread_bootstrap():
     scenes = scenes_small()[:3]
     expected = []
     for idx, scene in enumerate(scenes):
-        world, obs = env.reset(scene, config=env.EnvConfig())
+        world, row = env.reset(scene, config=env.EnvConfig())
         h = c = np.zeros(config.lstm_hidden)
+        d = model.obs_dim
         rewards, near_miss = [], False
         while not world.done and len(rewards) < config.max_steps:
-            h, c, logits, _ = model.trunk_forward(obs.to_vector(), agent._extras_vector(obs), h, c)
-            world, obs, reward, _, info = env.step(world, int(np.argmax(nn.softmax(logits))))
+            h, c, logits, _ = model.trunk_forward(row[:d], row[d:], h, c)
+            world, row, reward, _, info = env.step(world, int(np.argmax(nn.softmax(logits))))
             rewards.append(reward.total)
             near_miss |= env.NEAR_MISS in info["proximity"]
         outcome = world.outcome if world.done else "timeout"

@@ -4,6 +4,7 @@ import csv
 import importlib
 import json
 import pkgutil
+import re
 
 import pytest
 import yaml
@@ -225,6 +226,10 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
     ({"scenes": {"speed": [2.0, 1.0, 0.1]}}, []),
     ({"scenes": {"distance": [0, 10]}}, []),
     ({"scenes": {"speed": [0.6, 2.0, 0.0]}}, []),
+    ({"smooth_window": "abc"}, []),
+    ({"smooth_window": 0}, []),
+    ({"seeds": 5}, []),
+    ({"seeds": ["x"]}, []),
 ], ids=["yaml-depolarizing-2", "flag-not-a-number", "flag-negative", "zero-qubits",
         "zero-lstm-hidden", "zero-encoder-hidden", "zero-agent-max-steps", "negative-episodes",
         "negative-lr", "negative-max-grad-norm", "zero-dt", "zero-map-resolution",
@@ -233,7 +238,8 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
         "negative-sense-radius", "zero-car-length", "zero-car-width", "zero-ped-radius",
         "road-x-min-above-max", "road-y-min-equals-max", "zero-speed-limit", "zero-v-max",
         "negative-v-max", "unknown-scenario", "unknown-split", "empty-speed-grid",
-        "two-value-distance", "zero-speed-grid-step"])
+        "two-value-distance", "zero-speed-grid-step", "smooth-window-not-a-number",
+        "zero-smooth-window", "seeds-not-a-list", "seed-not-an-integer"])
 def test_cmd_train_bad_values_exit_2_before_output(tmp_path, sections, flags):
     """Bad values fail when the config loads: exit 2, no output directory."""
     path = write_config(tmp_path, **sections)
@@ -339,6 +345,25 @@ def test_cmd_eval_checkpoint_input_length_mismatch_exit_2_before_output(tmp_path
     assert not (out / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("env", "wheel_count", 4),
+    ("config", "optimizer", "sgd"),
+    ("env", "max_steps", "many"),
+], ids=["unknown-env-key", "unknown-config-key", "non-numeric-env-max-steps"])
+@pytest.mark.parametrize("command", ["eval", "analyze-fim"])
+def test_malformed_checkpoint_exit_2_before_output(tmp_path, command, section, key, value):
+    """A checkpoint whose recorded configs do not build is misuse: exit 2,
+    nothing written, from both commands that load checkpoints."""
+    ckpt = trained_checkpoint(tmp_path)
+    payload = json.loads(ckpt.read_text())
+    payload[section][key] = value
+    ckpt.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    load = ["eval", "--checkpoint"] if command == "eval" else ["analyze", "--fim"]
+    assert cli.main([*load, str(ckpt), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_cmd_eval_deterministic(tmp_path, monkeypatch):
     ckpt = trained_checkpoint(tmp_path)
     slice_scenes(monkeypatch, EVAL_SLICE)
@@ -406,6 +431,21 @@ def test_cmd_analyze_bad_numbers_exit_2_before_output(tmp_path, flag, value):
     code = cli.main(["analyze", "--runs", str(ckpt.parent), "--fim", str(ckpt),
                      flag, value, "--out", str(an)])
     assert code == cli.EXIT_CONFIG
+    assert not an.exists()
+
+
+@pytest.mark.parametrize("text", ["episode,return\n0,1.5\n1,abc\n", "episode,reward\n0,1.5\n"],
+                         ids=["non-numeric-return", "no-return-column"])
+def test_cmd_analyze_bad_curve_exit_2_naming_the_file(tmp_path, capsys, text):
+    run = tmp_path / "run"
+    run.mkdir()
+    curve = run / "curve_seed0.csv"
+    curve.write_text(text)
+    with pytest.raises(UsageError, match=re.escape(str(curve))):
+        cli._read_curve(curve)
+    an = tmp_path / "an"
+    assert cli.main(["analyze", "--runs", str(run), "--out", str(an)]) == cli.EXIT_CONFIG
+    assert str(curve) in capsys.readouterr().err
     assert not an.exists()
 
 
