@@ -618,9 +618,11 @@ def save_checkpoint(model: ActorCriticModel, path: str, extra: Optional[dict] = 
 
 
 def load_checkpoint(path: str) -> ActorCriticModel:
-    """The model a checkpoint holds. Raises UsageError if its agent or env
-    config does not build, its parameters do not fit its agent config, or its
-    input length is not the observation length of the EnvConfig it records."""
+    """The model a checkpoint holds. Raises UsageError if it is no checkpoint
+    (see :func:`_read_checkpoint`), its agent or env config does not build,
+    its parameters are not numeric arrays of their shapes that fit its agent
+    config, or its input length is not the observation length of the
+    EnvConfig it records."""
     payload = _read_checkpoint(path)
     try:
         config = config_from_dict(payload["config"])
@@ -632,9 +634,13 @@ def load_checkpoint(path: str) -> ActorCriticModel:
                          "observation length of its recorded EnvConfig")
     model = ActorCriticModel(config, obs_dim, np.random.default_rng(0))
     for name, entry in payload["params"].items():
-        arr = np.array(entry["data"], dtype=float).reshape(entry["shape"])
         if name not in model.params:
             raise UsageError(f"checkpoint parameter {name!r} unknown to this architecture")
+        try:
+            arr = np.array(entry["data"], dtype=float).reshape(entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"checkpoint parameter {name!r} holds no array of its shape: "
+                             f"{exc!r}") from exc
         if model.params[name].shape != arr.shape:
             raise UsageError(f"checkpoint shape mismatch for {name!r}")
         model.params[name][...] = arr
@@ -658,8 +664,22 @@ def _recorded_env_config(payload: dict) -> env.EnvConfig:
 
 
 def _read_checkpoint(path: str) -> dict:
+    """The checkpoint's JSON object. Raises UsageError if the file holds no
+    JSON object with a ``config`` and a ``params`` object and an ``obs_dim``."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"checkpoint {path} is not JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise UsageError(f"checkpoint {path} holds a JSON {type(payload).__name__}, not an object")
+    missing = [key for key in ("config", "obs_dim", "params") if key not in payload]
+    if missing:
+        raise UsageError(f"checkpoint {path} lacks {missing}")
+    for key in ("config", "params"):
+        if not isinstance(payload[key], dict):
+            raise UsageError(f"checkpoint {path}: {key} is not an object")
+    return payload
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,9 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
         "output": raw.get("output", "runs/" + raw.get("name", Path(path).stem)),
         "smooth_window": raw.get("smooth_window", 100),
     }
-    if not (isinstance(config["seeds"], list) and all(map(_is_int, config["seeds"]))):
-        raise UsageError(f"seeds must be a list of integers, got {config['seeds']!r}")
+    if not (isinstance(config["seeds"], list) and config["seeds"]
+            and all(map(_is_int, config["seeds"]))):
+        raise UsageError(f"seeds must be a non-empty list of integers, got {config['seeds']!r}")
     if not (_is_int(config["smooth_window"]) and config["smooth_window"] >= 1):
         raise UsageError(f"smooth_window must be an integer >= 1, got {config['smooth_window']!r}")
     for key, val in (overrides or {}).items():

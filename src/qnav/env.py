@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -545,11 +546,21 @@ def build_observation(world: WorldState) -> np.ndarray:
 # reset / step
 
 
+# The EnvConfig fields a layout's planned path depends on: those that
+# _obstacle_cost_map reads, and the planner's own.
+_PLAN_FIELDS = ("map_resolution", "road_x_min", "road_x_max", "road_y_min", "road_y_max",
+                "sidewalk_width", "wheelbase", "goal_tol")
+_plan_fields = operator.attrgetter(*_PLAN_FIELDS)
+
+
 @functools.lru_cache(maxsize=1024)
-def _layout_path(obstacles, start, goal, config: EnvConfig) -> Path:
-    """The planned path of one obstacle layout, start and goal. A grid has far
-    fewer layouts than scenes (the test grid: 91 for 9720), so each is planned
-    once; a PlanningError propagates and caches nothing."""
+def _layout_path(obstacles, start, goal, fields: tuple) -> Path:
+    """The planned path of one obstacle layout, start and goal, under a config
+    with these ``_PLAN_FIELDS`` values. A grid has far fewer layouts than
+    scenes (the test grid: 91 for 9720), and configs that differ in other
+    fields share them, so each is planned once; a PlanningError propagates and
+    caches nothing."""
+    config = EnvConfig(**dict(zip(_PLAN_FIELDS, fields)))
     return planner.plan_path(_obstacle_cost_map(obstacles, config), start, goal,
                              wheelbase=config.wheelbase, goal_tol=config.goal_tol)
 
@@ -559,7 +570,7 @@ def reset(scene: Scene, rng: Optional[np.random.Generator] = None,
     """Instantiate a scene: plan the path (once per layout) and place everyone
     at spawn. An unplannable scene raises ``planner.PlanningError``."""
     cost_map = build_cost_map(scene, config)
-    path = _layout_path(scene.obstacles, scene.car_start, scene.car_goal, config)
+    path = _layout_path(scene.obstacles, scene.car_start, scene.car_goal, _plan_fields(config))
     sx, sy, sh = scene.car_start
     px, py = scene.ped_spawn
     gx, gy = scene.ped_goal

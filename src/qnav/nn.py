@@ -7,7 +7,7 @@ views of it, so the optimizer and clipping act on one array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -190,6 +190,9 @@ class Adam:
     t: int = 0
     m: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None
+    # two param-sized arrays a step writes its temporaries into: fresh ones
+    # each step would be trimmed off the heap and faulted in again
+    scratch: Optional[tuple] = field(default=None, repr=False)
 
     def update(self, params: np.ndarray, grads: np.ndarray) -> None:
         """One in-place step of ``params`` along ``grads`` (same shape)."""
@@ -198,12 +201,27 @@ class Adam:
         if self.m is None:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
+        if self.scratch is None:
+            self.scratch = (np.empty_like(params), np.empty_like(params))
         self.t += 1
-        self.m += (1.0 - self.beta1) * (grads - self.m)
-        self.v += (1.0 - self.beta2) * (grads * grads - self.v)
-        mhat = self.m / (1.0 - self.beta1**self.t)
-        vhat = self.v / (1.0 - self.beta2**self.t)
-        params -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        a, b = self.scratch
+        # m += (1 - beta1) (grads - m)
+        np.subtract(grads, self.m, out=a)
+        a *= 1.0 - self.beta1
+        self.m += a
+        # v += (1 - beta2) (grads^2 - v)
+        np.multiply(grads, grads, out=a)
+        a -= self.v
+        a *= 1.0 - self.beta2
+        self.v += a
+        # params -= lr mhat / (sqrt(vhat) + eps)
+        np.divide(self.m, 1.0 - self.beta1**self.t, out=a)
+        a *= self.lr
+        np.divide(self.v, 1.0 - self.beta2**self.t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        params -= a
 
 
 def clip_by_global_norm(grads: np.ndarray, max_norm: float) -> np.ndarray:

@@ -77,6 +77,21 @@ Depolarizing events follow circuit order: with ``granularity="sublayer"``
 every qubit 0..n-1 after each marked gate, with ``"gate"`` the target of
 every gate and then, for a CZ, its control. Parameter shift makes one call
 per input, so one input's draws are made before the next input's.
+
+Workspace. A call writes its large arrays with ``out=`` into a workspace
+(:class:`_Workspace`): the (2**n, B) state, its partner amplitudes and the
+coefficient gather of a pass, the (G, 4, B) group matrices, the per-row
+products of the rotation steps with their temporaries, the (steps, G, B)
+value index with its cos and sin gathers, the half-angle table with its cos
+and sin, the gate-error jitter and depolarizing coins, and each event's
+drawn Pauli as [alpha, beta] rows. A parameter-shift batch has 1 + 2 * uses
+rows, fixed by the plan, so its workspace is kept between calls, one per
+thread: only the most recent (plan, noise) pair's, replaced when a call
+brings another, so memory stays at one call's own peak and a run of calls
+allocates (and makes the system fault in) those arrays once, not each time.
+``run_circuit`` batches and the adjoint, whose row counts vary per call, use
+a fresh workspace per call. An array a call returns is always its own copy,
+never a view of a workspace, so a later call cannot change it.
 """
 
 from __future__ import annotations
@@ -84,6 +99,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -216,9 +232,11 @@ def _check_qubit(qubit: int, n: int):
         raise UsageError(f"qubit index {qubit} out of range for {n} qubits")
 
 
-def perturb_gate_params(theta: np.ndarray, rng: np.random.Generator, scale: float = 0.01) -> np.ndarray:
-    """Multiplicative angle jitter theta_k -> theta_k * (1 + scale * U(0,1))."""
-    jitter = rng.random(np.shape(theta))
+def perturb_gate_params(theta: np.ndarray, rng: np.random.Generator, scale: float = 0.01,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Multiplicative angle jitter theta_k -> theta_k * (1 + scale * U(0,1)),
+    written into ``out`` if given (of theta's shape)."""
+    jitter = rng.random(np.shape(theta), out=out)
     jitter *= scale
     jitter += 1.0
     jitter *= theta
@@ -263,7 +281,8 @@ class _Blocks:
     ``(events, groups)`` in the order they apply: depolarizing event
     ``events[i]`` multiplies onto group ``groups[i]`` after the group's
     rotation ``step`` (-1: before its first), each group at most once per
-    entry. No kick falls between two of the first ``kick_free`` steps.
+    entry, so an entry kicks at most ``kick_width`` groups. No kick falls
+    between two of the first ``kick_free`` steps.
 
     For the adjoint reverse pass, a block's groups read their Bloch vectors in
     one or more chunks, and ``reads[g]`` is set for the last group g of each:
@@ -284,6 +303,7 @@ class _Blocks:
     u: np.ndarray  # (S, G, 1)
     v: np.ndarray  # (S, G, 1)
     kick_rounds: dict
+    kick_width: int
     kick_free: int
     n_events: int
 
@@ -392,10 +412,12 @@ def _fuse(gates: tuple, steps: list, events: tuple, n_qubits: int, n_rotations: 
                 on = qubits[first : last + 1]
                 reads[last] = (slice(first, last + 1), flip[on],
                                np.stack([np.ones_like(sign[on]), sign[on]], axis=1))
+    kick_width = max((len(gs) for entries in kick_rounds.values() for _, gs in entries), default=0)
     kick_free = min((step + 1 for step in kick_rounds if step >= 0), default=shape[0])
     return _Blocks(passes=tuple(passes), reads=reads, cols=cols, step_of=step_of,
                    group_of=group_of, axis_rows=axis_rows, u=u[..., None], v=v[..., None],
-                   kick_rounds=kick_rounds, kick_free=kick_free, n_events=event)
+                   kick_rounds=kick_rounds, kick_width=kick_width, kick_free=kick_free,
+                   n_events=event)
 
 
 @functools.lru_cache(maxsize=64)
@@ -510,6 +532,35 @@ def _check_params_used(plan: _Plan, theta: np.ndarray) -> None:
         raise UsageError(f"parameters never used by any gate: {unused}")
 
 
+class _Workspace:
+    """The named arrays of one call's shape (see "Workspace" in the module
+    docstring); ``plan`` and ``noise`` say which calls may reuse them."""
+
+    def __init__(self, plan: Optional[_Plan] = None, noise: Optional[NoiseSpec] = None):
+        self.plan, self.noise = plan, noise
+        self.arrays: dict = {}
+
+    def array(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        """The array ``name`` of this shape and dtype, holding whatever its
+        last writer left; a new one if it had another shape or dtype."""
+        arr = self.arrays.get(name)
+        if arr is None or arr.shape != shape or arr.dtype != dtype:
+            arr = self.arrays[name] = np.empty(shape, dtype)
+        return arr
+
+
+_retained = threading.local()  # .workspace: this thread's last parameter-shift batch's
+
+
+def _shift_workspace(plan: _Plan, noise: Optional[NoiseSpec]) -> _Workspace:
+    """The kept workspace of parameter-shift batches of ``plan`` under
+    ``noise``, replacing the one kept for another pair."""
+    ws = getattr(_retained, "workspace", None)
+    if ws is None or ws.plan is not plan or ws.noise != noise:
+        ws = _retained.workspace = _Workspace(plan, noise)
+    return ws
+
+
 def _evolve(plan: _Plan, x: np.ndarray, theta: np.ndarray, noise: Optional[NoiseSpec] = None,
             rng: Optional[np.random.Generator] = None,
             shift_cols: Optional[np.ndarray] = None) -> np.ndarray:
@@ -518,40 +569,56 @@ def _evolve(plan: _Plan, x: np.ndarray, theta: np.ndarray, noise: Optional[Noise
     Row r runs input ``x[r]``. With ``shift_cols`` (U angle columns), ``x``
     is one input and the rows are its parameter-shift batch: row 0 as is,
     row 1 + k with pi/2 added to column ``shift_cols[k]`` and row 1 + U + k
-    with -pi/2. Draws the noise arrays in the order the module docstring
-    fixes; gate error scales the trainable angles before the shifts are added.
+    with -pi/2; such a call runs in the kept workspace of its plan and noise.
+    Draws the noise arrays in the order the module docstring fixes; gate
+    error scales the trainable angles before the shifts are added.
     """
     values, index, stride = _angle_values(plan, x, theta)
-    rows = len(x) if shift_cols is None else 1 + 2 * len(shift_cols)
-    blocks, jittered, kicks = plan.blocks[None], None, None
+    if shift_cols is None:
+        rows, ws = len(x), _Workspace()
+    else:
+        rows, ws = 1 + 2 * len(shift_cols), _shift_workspace(plan, noise)
+    blocks, jittered, kicks, phase = plan.blocks[None], None, None, 1.0
     if noise is not None and noise.enabled:
         if rng is None:
             raise UsageError("noise simulation requires an rng stream")
         if noise.gate_error is not None:
             trainable = np.broadcast_to(values[index[plan.param_cols]], (rows, plan.param_cols.size))
-            jittered = perturb_gate_params(trainable, rng, noise.gate_error)
+            jittered = perturb_gate_params(trainable, rng, noise.gate_error,
+                                           ws.array("jitter", trainable.shape))
         if noise.depolarizing is not None:
             blocks = plan.blocks[noise.granularity]
-            coins = rng.random((rows, blocks.n_events))
-            kicks = rng.integers(3, size=(rows, blocks.n_events))  # the Pauli choices
-            kicks += 1
-            kicks[coins >= noise.depolarizing] = 0
-    angles = _half_angles(plan, values, index, stride, rows, jittered, shift_cols)
-    psi = np.zeros((2**plan.n, rows), dtype=complex)  # amplitude-major: a pass reads whole rows
-    psi[0] = 1.0 if kicks is None else _I_POWERS[np.count_nonzero(kicks, axis=1) % 4]
-    _run_passes(blocks.passes, _block_matrices(blocks, angles, kicks), psi)
-    return np.ascontiguousarray(psi.T)
+            shape = (rows, blocks.n_events)
+            coins = rng.random(shape, out=ws.array("coins", shape))
+            drawn = rng.integers(3, size=shape)  # the Pauli choices; integers takes no out
+            drawn += 1
+            drawn[coins >= noise.depolarizing] = 0
+            phase = _I_POWERS[np.count_nonzero(drawn, axis=1) % 4]
+            # event-major, as _kick reads them: each drawn Pauli's alpha and beta
+            paulis = ws.array("paulis", shape[::-1], np.intp)
+            np.copyto(paulis, drawn.T)
+            # in range, so "clip" writes straight into out
+            kicks = tuple(table.take(paulis, out=ws.array(name, paulis.shape, complex), mode="clip")
+                          for name, table in (("kick alpha", _KICK_ALPHA), ("kick beta", _KICK_BETA)))
+    angles = _half_angles(plan, values, index, stride, rows, jittered, shift_cols, ws)
+    psi = ws.array("psi", (2**plan.n, rows), complex)  # amplitude-major: a pass reads whole rows
+    psi[1:] = 0.0
+    psi[0] = phase
+    _run_passes(blocks.passes, _block_matrices(blocks, angles, kicks, ws), psi, ws)
+    # a copy: psi stays in the workspace (for one row psi.T is already
+    # contiguous, so np.ascontiguousarray would return a view of it)
+    return psi.T.copy()
 
 
 def _half_angles(plan: _Plan, values: np.ndarray, index: np.ndarray, stride: np.ndarray,
-                 rows: int, jittered: Optional[np.ndarray] = None,
-                 shift_cols: Optional[np.ndarray] = None) -> _Angles:
+                 rows: int, jittered: Optional[np.ndarray], shift_cols: Optional[np.ndarray],
+                 ws: _Workspace) -> _Angles:
     """Cos and sin of half of each value of :func:`_angle_values`, of each
     row's ``jittered`` trainable angles, which replace the shared ones, and of
     each shifted entry of :func:`_evolve`'s parameter-shift batch."""
     uses = 0 if shift_cols is None else len(shift_cols)
     size = len(values) + (0 if jittered is None else jittered.size)
-    half = np.empty(size + 2 * uses)
+    half = ws.array("half", (size + 2 * uses,))
     half[: len(values)] = values
     if jittered is not None:
         cols = plan.param_cols
@@ -566,12 +633,14 @@ def _half_angles(plan: _Plan, values: np.ndarray, index: np.ndarray, stride: np.
         moved += np.repeat([np.pi / 2, -np.pi / 2], uses)
         shifted = (cols, shifted_rows, size + np.arange(2 * uses))
     half *= 0.5
-    return _Angles(np.cos(half), np.sin(half), index, stride, shifted, rows)
+    return _Angles(np.cos(half, out=ws.array("cos", half.shape)),
+                   np.sin(half, out=ws.array("sin", half.shape)), index, stride, shifted, rows)
 
 
-def _run_passes(passes: tuple, matrices: np.ndarray, psi: np.ndarray) -> None:
+def _run_passes(passes: tuple, matrices: np.ndarray, psi: np.ndarray, ws: _Workspace) -> None:
     """Apply ``passes`` in order to the amplitude-major state ``psi``, in place."""
-    coef, part = np.empty((2,) + psi.shape, dtype=complex), np.empty_like(psi)
+    coef = ws.array("coef", (2,) + psi.shape, complex)
+    part = ws.array("partner", psi.shape, complex)
     for group, index, flip in passes:
         if group is None:  # a CZ run, index holds its mask
             psi *= index
@@ -584,10 +653,12 @@ def _run_passes(passes: tuple, matrices: np.ndarray, psi: np.ndarray) -> None:
             psi += part
 
 
-def _step_index(blocks: _Blocks, angles: _Angles, steps: slice = slice(None)) -> np.ndarray:
+def _step_index(blocks: _Blocks, angles: _Angles, ws: _Workspace,
+                steps: slice = slice(None)) -> np.ndarray:
     """Per row, the value each group reads at ``steps``, shape (steps, G, B)."""
     cols = blocks.cols[steps]
-    index = angles.stride[cols][..., None] * np.arange(angles.rows)
+    index = ws.array("index", cols.shape + (angles.rows,), np.intp)
+    np.multiply(angles.stride[cols][..., None], np.arange(angles.rows), out=index)
     index += angles.index[cols][..., None]
     shifted_cols, shifted_rows, values = angles.shifted
     if not shifted_cols.size:
@@ -605,40 +676,57 @@ def _shared_steps(blocks: _Blocks, angles: _Angles) -> int:
     return min(int(varies.argmax()) if varies.any() else len(varies), blocks.kick_free)
 
 
-def _rotate(a, b, cos, sin, u, v):
+def _rotate(a, b, cos, sin, u, v, out):
     """(a, b) of R M for M = (a, b) (None: the identity) and R the rotations
-    with these half-angle tables and SU(2) coefficients."""
-    alpha = sin * u
-    alpha += cos
-    beta = sin * v
+    with these half-angle tables and SU(2) coefficients, written into the
+    first two of the four distinct arrays ``out``; ``a`` is overwritten."""
+    ra, rb, alpha, beta = out if a is not None else (out[2], out[3], out[0], out[1])
+    # cos and sin as complex first: mixed float-complex products give the
+    # same values, but numpy allocates cast buffers for them
+    np.copyto(ra, sin)
+    np.multiply(ra, u, out=alpha)
+    np.multiply(ra, v, out=beta)
+    np.copyto(rb, cos)
+    alpha += rb
     if a is None:
         return alpha, beta
-    # alpha a - conj(beta) b and beta a + conj(alpha) b with fewer temporaries;
-    # each product goes to a fresh or distinct array, as numpy may round an
-    # in-place complex product of a single element differently
-    ra, rb = alpha * a, beta * a
-    part = np.multiply(np.conjugate(beta, out=beta), b)
+    # alpha a - conj(beta) b and beta a + conj(alpha) b; each product goes to
+    # an array distinct from its operands, as numpy may round an in-place
+    # complex product of a single element differently
+    np.multiply(alpha, a, out=ra)
+    np.multiply(beta, a, out=rb)
+    part = np.multiply(np.conjugate(beta, out=beta), b, out=a)
     ra -= part
     rb += np.multiply(np.conjugate(alpha, out=alpha), b, out=part)
     return ra, rb
 
 
-def _kick(a, b, kicks, events, groups, right=False) -> None:
+def _kick(a, b, kicks, events, groups, scratch, right=False) -> None:
     """Multiply the drawn Paulis of ``events`` onto ``groups``, in place: P M,
-    or M P with ``right``."""
-    drawn = kicks[:, events].T
-    alpha, beta = _KICK_ALPHA[drawn], _KICK_BETA[drawn]
-    ag, bg = a[groups], b[groups]
-    if right:
-        a[groups] = ag * alpha - bg.conj() * beta
-        b[groups] = bg * alpha + ag.conj() * beta
-    else:
-        a[groups] = alpha * ag - beta.conj() * bg
-        b[groups] = beta * ag + alpha.conj() * bg
+    or M P with ``right``. ``kicks`` is the pair of (events, B) tables of each
+    drawn Pauli's alpha and beta, ``scratch`` six arrays of at least
+    ``len(groups)`` rows."""
+    alpha, beta, ag, bg, ra, rb = (arr[: len(groups)] for arr in scratch)
+    # indices come from the plan, in range; "clip" writes straight into out
+    kicks[0].take(events, axis=0, out=alpha, mode="clip")
+    kicks[1].take(events, axis=0, out=beta, mode="clip")
+    a.take(groups, axis=0, out=ag, mode="clip")
+    b.take(groups, axis=0, out=bg, mode="clip")
+    if right:  # a M P: a alpha - conj(b) beta and b alpha + conj(a) beta
+        np.multiply(ag, alpha, out=ra)
+        np.multiply(bg, alpha, out=rb)
+        ra -= np.multiply(np.conjugate(bg, out=bg), beta, out=alpha)
+        rb += np.multiply(np.conjugate(ag, out=ag), beta, out=alpha)
+    else:  # P M: alpha a - conj(beta) b and beta a + conj(alpha) b
+        np.multiply(alpha, ag, out=ra)
+        np.multiply(beta, ag, out=rb)
+        ra -= np.multiply(np.conjugate(beta, out=beta), bg, out=ag)
+        rb += np.multiply(np.conjugate(alpha, out=alpha), bg, out=ag)
+    a[groups], b[groups] = ra, rb
 
 
-def _block_matrices(blocks: _Blocks, angles: _Angles, kicks: Optional[np.ndarray],
-                    index: Optional[np.ndarray] = None) -> np.ndarray:
+def _block_matrices(blocks: _Blocks, angles: _Angles, kicks: Optional[tuple],
+                    ws: _Workspace, index: Optional[np.ndarray] = None) -> np.ndarray:
     """Each group's per-row 2x2 as [a, conj(a), b, -conj(b)], shape (G, 4, B).
 
     The leading steps every row shares (:func:`_shared_steps`) multiply once,
@@ -646,19 +734,30 @@ def _block_matrices(blocks: _Blocks, angles: _Angles, kicks: Optional[np.ndarray
     among them multiplies its own copy for that column's group. Kicks before
     a group's first rotation then multiply on the right (a Pauli factor only
     permutes and rephases, so the order changes no bits), and the remaining
-    steps and kicks run on the rows. ``index`` is the call's
+    steps and kicks run on the rows. ``kicks`` holds the drawn Paulis (see
+    :func:`_kick`), and ``index`` is the call's
     :func:`_step_index` over all steps, if the caller has it.
     """
     rows = angles.rows
     n_steps, n_groups = blocks.cols.shape
+    matrices = ws.array("matrices", (n_groups, 4, rows), complex)
     if not n_groups:  # no rotations and no kicks, so no groups
-        return np.empty((0, 4, rows), dtype=complex)
+        return matrices
     shared = _shared_steps(blocks, angles)
+    # (a, b) and the pair the next rotation step writes, in turn
+    pairs = [tuple(ws.array(name, (n_groups, rows), complex) for name in names)
+             for names in (("a", "b"), ("next a", "next b"))]
+    temps = [ws.array(name, (n_groups, rows), complex) for name in ("alpha", "beta")]
+    # _rotate's temporaries are free between steps, so a kick uses them too
+    scratch = [*temps, *(ws.array(f"kick {k}", (blocks.kick_width, rows), complex)
+                         for k in range(4))]
     a = b = None
     if shared:
         head = angles.index[blocks.cols[:shared]][..., None]  # (steps, G, 1)
         u, v = blocks.u[:shared], blocks.v[:shared]
-        a, b = (np.repeat(m, rows, axis=1) for m in _product(angles, head, u, v))
+        a, b = pairs[0]
+        for m, out in zip(_product(angles, head, u, v), pairs[0]):
+            np.copyto(out, m)  # broadcast to the rows
         cols, shifted_rows, values = angles.shifted
         steps = blocks.step_of[cols]
         inside = steps < shared
@@ -670,22 +769,28 @@ def _block_matrices(blocks: _Blocks, angles: _Angles, kicks: Optional[np.ndarray
             a[groups, shifted_rows], b[groups, shifted_rows] = pa[:, 0], pb[:, 0]
     for events, groups in reversed(blocks.kick_rounds.get(-1, ())):
         if a is None:
-            a, b = np.ones((n_groups, rows), dtype=complex), np.zeros((n_groups, rows), dtype=complex)
-        _kick(a, b, kicks, events, groups, right=True)
+            a, b = pairs[0]
+            a.fill(1.0)
+            b.fill(0.0)
+        _kick(a, b, kicks, events, groups, scratch, right=True)
     if shared < n_steps:
-        index = _step_index(blocks, angles, slice(shared, None)) if index is None else index[shared:]
-        cos, sin = angles.cos[index], angles.sin[index]
+        index = _step_index(blocks, angles, ws, slice(shared, None)) if index is None else index[shared:]
+        cos = angles.cos.take(index, out=ws.array("step cos", index.shape), mode="clip")
+        sin = angles.sin.take(index, out=ws.array("step sin", index.shape), mode="clip")
     for step in range(n_steps):
         if step >= shared:
+            out = pairs[1] if a is pairs[0][0] else pairs[0]
             a, b = _rotate(a, b, cos[step - shared], sin[step - shared],
-                           blocks.u[step], blocks.v[step])
+                           blocks.u[step], blocks.v[step], (*out, *temps))
         for events, groups in blocks.kick_rounds.get(step, ()):
-            _kick(a, b, kicks, events, groups)
-    matrices = np.empty((n_groups, 4, rows), dtype=complex)
+            _kick(a, b, kicks, events, groups, scratch)
+    # each through a contiguous temporary: a ufunc writing a strided out
+    # allocates a buffer for it, a plain assignment does not
+    conj_a, neg_conj_b = temps
     matrices[:, 0] = a
-    np.conjugate(a, out=matrices[:, 1])
+    matrices[:, 1] = np.conjugate(a, out=conj_a)
     matrices[:, 2] = b
-    np.negative(b.conj(), out=matrices[:, 3])
+    matrices[:, 3] = np.negative(np.conjugate(b, out=neg_conj_b), out=neg_conj_b)
     return matrices
 
 
@@ -694,7 +799,8 @@ def _product(angles: _Angles, index: np.ndarray, u: np.ndarray, v: np.ndarray):
     cos, sin = angles.cos[index], angles.sin[index]
     a = b = None
     for step in range(len(index)):
-        a, b = _rotate(a, b, cos[step], sin[step], u[step], v[step])
+        a, b = _rotate(a, b, cos[step], sin[step], u[step], v[step],
+                       [np.empty(cos[step].shape, complex) for _ in range(4)])
     return a, b
 
 
@@ -806,14 +912,15 @@ def adjoint_value_and_grad(
     weights = np.asarray(weights, dtype=float)
     _check_params_used(plan, theta)
     rows = len(x)
-    angles = _half_angles(plan, *_angle_values(plan, x, theta), rows)
+    ws = _Workspace()
+    angles = _half_angles(plan, *_angle_values(plan, x, theta), rows, None, None, ws)
     blocks = plan.blocks[None]
     _, sign = _tables(n_qubits)
     psi = np.zeros((2**n_qubits, rows), dtype=complex)  # amplitude-major, as in _evolve
     psi[0] = 1.0
-    reads = _step_index(blocks, angles)  # the value each (step, group, row) reads
-    matrices = _block_matrices(blocks, angles, None, reads)
-    _run_passes(blocks.passes, matrices, psi)
+    reads = _step_index(blocks, angles, ws)  # the value each (step, group, row) reads
+    matrices = _block_matrices(blocks, angles, None, ws, reads)
+    _run_passes(blocks.passes, matrices, psi, ws)
     z = _expect(np.ascontiguousarray(psi.T), n_qubits)
     value = bias + z @ weights
     # psi in the first `rows` columns, lambda = O psi with O = sum_i w_i Z_i in the rest

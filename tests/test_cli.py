@@ -230,6 +230,7 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
     ({"smooth_window": 0}, []),
     ({"seeds": 5}, []),
     ({"seeds": ["x"]}, []),
+    ({"seeds": []}, []),
 ], ids=["yaml-depolarizing-2", "flag-not-a-number", "flag-negative", "zero-qubits",
         "zero-lstm-hidden", "zero-encoder-hidden", "zero-agent-max-steps", "negative-episodes",
         "negative-lr", "negative-max-grad-norm", "zero-dt", "zero-map-resolution",
@@ -239,7 +240,7 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
         "road-x-min-above-max", "road-y-min-equals-max", "zero-speed-limit", "zero-v-max",
         "negative-v-max", "unknown-scenario", "unknown-split", "empty-speed-grid",
         "two-value-distance", "zero-speed-grid-step", "smooth-window-not-a-number",
-        "zero-smooth-window", "seeds-not-a-list", "seed-not-an-integer"])
+        "zero-smooth-window", "seeds-not-a-list", "seed-not-an-integer", "no-seeds"])
 def test_cmd_train_bad_values_exit_2_before_output(tmp_path, sections, flags):
     """Bad values fail when the config loads: exit 2, no output directory."""
     path = write_config(tmp_path, **sections)
@@ -361,6 +362,36 @@ def test_malformed_checkpoint_exit_2_before_output(tmp_path, command, section, k
     out = tmp_path / "out"
     load = ["eval", "--checkpoint"] if command == "eval" else ["analyze", "--fim"]
     assert cli.main([*load, str(ckpt), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+def _without(key):
+    return lambda payload: {k: v for k, v in payload.items() if k != key}
+
+
+def _first_param_data(change):
+    def edit(payload):
+        entry = next(iter(payload["params"].values()))
+        entry["data"] = change(entry["data"])
+        return payload
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _without("config"),
+    _without("obs_dim"),
+    _without("params"),
+    lambda payload: [payload],
+    _first_param_data(lambda data: ["x"] + data[1:]),
+    _first_param_data(lambda data: data[:-1]),
+], ids=["no-config", "no-obs-dim", "no-params", "not-an-object", "non-numeric-data",
+        "data-not-fitting-shape"])
+def test_cmd_eval_malformed_checkpoint_payload_exit_2_before_output(tmp_path, edit):
+    """A file that is no checkpoint of the expected layout is misuse too."""
+    ckpt = trained_checkpoint(tmp_path)
+    ckpt.write_text(json.dumps(edit(json.loads(ckpt.read_text()))))
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--out", str(out)]) == cli.EXIT_CONFIG
     assert not out.exists()
 
 

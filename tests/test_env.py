@@ -163,14 +163,22 @@ def test_cached_reset_equals_uncached(plan_calls):
 
 
 def test_plan_cache_keys_on_env_config(plan_calls):
+    """Configs that differ only in fields the planner and the cost map never
+    read share one plan; a planner or map field plans again."""
     scene = env.make_scene(4, 25.0, 1.0)
     longer = env.EnvConfig(wheelbase=3.0)
+    finer = env.EnvConfig(map_resolution=0.5)
     for _ in range(2):
         default_world, _ = env.reset(scene)
         longer_world, _ = env.reset(scene, config=longer)
-    assert [kwargs["wheelbase"] for _, _, kwargs in plan_calls] == [2.5, 3.0]
+        finer_world, _ = env.reset(scene, config=finer)
+    for config in (env.EnvConfig(k_pedestrians=6), env.EnvConfig(k_pedestrians=0),
+                   env.EnvConfig(sense_radius=10.0), env.EnvConfig(max_steps=50)):
+        assert env.reset(scene, config=config)[0].path is default_world.path
+    assert [kwargs["wheelbase"] for _, _, kwargs in plan_calls] == [2.5, 3.0, 2.5]
     assert default_world.path == uncached_path(scene)
     assert longer_world.path == uncached_path(scene, longer)
+    assert finer_world.path == uncached_path(scene, finer)
 
 
 def test_unplannable_scene_raises_on_every_reset(plan_calls):

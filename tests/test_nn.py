@@ -347,6 +347,24 @@ def test_adam_deterministic():
     np.testing.assert_array_equal(out[0], out[1])
 
 
+def test_adam_steps_give_the_bits_of_the_textbook_expressions():
+    """The in-place step computes each bias-corrected Adam expression in the
+    same order, so parameters and moments match it bit for bit."""
+    rng = np.random.default_rng(11)
+    params = rng.normal(size=50)
+    ref, m, v = params.copy(), np.zeros(50), np.zeros(50)
+    opt = nn.Adam(lr=0.003)
+    for t in range(1, 6):
+        grads = rng.normal(size=50)
+        opt.update(params, grads)
+        m += (1.0 - opt.beta1) * (grads - m)
+        v += (1.0 - opt.beta2) * (grads * grads - v)
+        mhat, vhat = m / (1.0 - opt.beta1**t), v / (1.0 - opt.beta2**t)
+        ref -= opt.lr * mhat / (np.sqrt(vhat) + opt.eps)
+        for got, expected in ((params, ref), (opt.m, m), (opt.v, v)):
+            assert got.tobytes() == expected.tobytes()
+
+
 def test_adam_shape_mismatch():
     with pytest.raises(UsageError):
         nn.Adam().update(np.zeros(2), np.zeros(3))

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -725,7 +726,7 @@ def test_shared_steps_of_the_default_circuit():
         rows = 1 + 2 * len(cols) if single else len(inputs)
         jittered = np.ones((rows, plan.param_cols.size)) if jitter else None
         angles = qsim._half_angles(plan, *qsim._angle_values(plan, inputs, theta), rows,
-                                   jittered, cols if single else None)
+                                   jittered, cols if single else None, qsim._Workspace())
         return qsim._shared_steps(plan.blocks[key], angles)
 
     assert plan.blocks[None].cols.shape == (5, 24)
@@ -733,3 +734,108 @@ def test_shared_steps_of_the_default_circuit():
     assert shared(x[:1], jitter=True) == shared(x[:1], "sublayer", jitter=True) == 3
     assert shared(x[:1], "gate") == 1
     assert shared(x) == shared(x, "sublayer") == 0
+
+
+# ---------------------------------------------------------------------------
+# the kept parameter-shift workspace
+
+
+def default_case(n, layers, seed):
+    layout = encoding.plan_layout(3 * n + 2, n, layers)
+    gates, marks = encoding.build_circuit(layout)
+    rng = np.random.default_rng(seed)
+    x = encoding.pad_input(rng.uniform(-1, 1, size=(3, 3 * n + 2)), layout)
+    theta = rng.uniform(-np.pi, np.pi, size=layout.param_count)
+    return gates, marks, x, theta, rng.uniform(-1, 1, size=n), n
+
+
+def forget_workspace():
+    vars(qsim._retained).clear()
+
+
+def assert_bits_equal(got, expected):
+    for part, ref in zip(got, expected):
+        assert np.asarray(part).tobytes() == np.asarray(ref).tobytes()
+
+
+@pytest.mark.parametrize("noise", NOISE_SETTINGS)
+def test_interleaved_calls_give_the_bits_of_calls_made_alone(noise):
+    """Parameter-shift calls of two plans, alternating with run_circuit
+    batches and adjoint calls, give the values and rng draws of the same calls
+    each made with no kept workspace; the last plan's workspace is the one
+    kept."""
+    cases = [default_case(4, 2, 1), default_case(3, 3, 2)]
+
+    def calls():
+        for row in range(3):
+            for k, (gates, marks, x, theta, w, n) in enumerate(cases):
+                yield k, lambda rng: qsim.param_shift_value_and_grad(
+                    gates, x[row], theta, w, 0.2, n, noise, rng, marks)
+                yield k, lambda rng: (qsim.run_circuit(gates, x[: row + 1], theta, n, noise,
+                                                       rng, marks),)
+                yield k, lambda rng: qsim.adjoint_value_and_grad(gates, x[row:], theta, w, 0.2, n)
+
+    def run(alone):
+        rngs = [np.random.default_rng(7), np.random.default_rng(8)]
+        results = []
+        for k, call in calls():
+            if alone:
+                forget_workspace()
+            results.append(call(rngs[k]))
+        return results, [rng.bit_generator.state for rng in rngs]
+
+    forget_workspace()
+    interleaved, states = run(alone=False)
+    kept = qsim._retained.workspace
+    assert kept.plan is qsim._plan(cases[1][0], 3, cases[1][1]) and kept.noise == noise
+    alone, alone_states = run(alone=True)
+    for got, expected in zip(interleaved, alone):
+        assert_bits_equal(got, expected)
+    assert states == alone_states
+
+
+@pytest.mark.parametrize("case", ["default", "one-row"])
+def test_returned_arrays_never_alias_the_workspace(case):
+    """Results and final states stay as returned through later calls, and share
+    no memory with the kept workspace, also for a batch of one row (a circuit
+    with no angle uses)."""
+    if case == "default":
+        gates, marks, x, theta, w, n = default_case(4, 2, 3)
+    else:
+        gates, marks, n = [GateOp("rx", 0, angle=0.3), GateOp("cz", target=1, control=0)], [0], 2
+        x, theta, w = np.zeros((3, 0)), np.zeros(0), np.ones(2)
+    plan = qsim._plan(gates, n, marks)
+    cols = np.concatenate([plan.param_cols, plan.data_cols])
+    noise, rng = NoiseSpec(gate_error=0.01, depolarizing=0.5), np.random.default_rng(4)
+    kept = []
+    for row in range(len(x)):
+        kept.append(qsim._evolve(plan, x[row : row + 1], theta, noise, rng, cols))
+        kept.extend(qsim.param_shift_value_and_grad(gates, x[row], theta, w, 0.2, n, noise, rng,
+                                                    marks)[1:4])
+    assert kept[0].shape == (1 + 2 * len(cols), 2**n)
+    copies = [arr.copy() for arr in kept]
+    qsim.param_shift_value_and_grad(gates, x, theta, w, 0.2, n, noise, rng, marks)
+    workspace = qsim._retained.workspace.arrays.values()
+    for arr, copy in zip(kept, copies):
+        assert arr.tobytes() == copy.tobytes()
+        assert not any(np.shares_memory(arr, buffer) for buffer in workspace)
+
+
+def test_parameter_shift_call_allocates_no_per_call_arrays():
+    """After a warm-up call, a noisy parameter-shift call of the default circuit
+    on one input allocates only small arrays: its traced peak is a fraction of
+    the arrays it works in (about 1.6 MB when each call allocated its own)."""
+    layout = encoding.plan_layout(32, 4, 2)
+    gates, marks = encoding.build_circuit(layout)
+    x = encoding.pad_input(np.linspace(-1, 1, 64).reshape(2, 32), layout)
+    theta = np.linspace(-3, 3, layout.param_count)
+    noise, rng = NoiseSpec(gate_error=0.01, depolarizing=0.05), np.random.default_rng(0)
+    args = (theta, np.ones(4), 0.1, 4, noise, rng, marks)
+    qsim.param_shift_value_and_grad(gates, x[0], *args)
+    tracemalloc.start()
+    try:
+        qsim.param_shift_value_and_grad(gates, x[1], *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
