@@ -13,7 +13,10 @@ recurrence steps through time.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
@@ -297,14 +300,16 @@ def select_action(logits: np.ndarray, rng: Optional[np.random.Generator] = None,
     Sampling inverts the CDF with one ``rng.random()`` draw, the draw and
     the action ``rng.choice(env.N_ACTIONS, p=probs)`` would make."""
     probs, entropy = nn.softmax_entropy(logits)
+    # on Python floats, with the bits of np.argmax (first maximum, or first
+    # NaN: a NaN makes every probability NaN), cumsum and searchsorted
+    p = probs.tolist()
     if greedy:
-        action = int(np.argmax(probs))
+        action = p.index(max(p))
     else:
-        cdf = probs.cumsum()
-        if not np.isfinite(cdf[-1]):
+        cdf = list(itertools.accumulate(p))
+        if not math.isfinite(cdf[-1]):
             raise ValueError("action probabilities contain NaN or inf")
-        cdf /= cdf[-1]
-        action = int(cdf.searchsorted(rng.random(), side="right"))
+        action = bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())
     return action, float(np.log(probs[action])), entropy
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -553,16 +554,24 @@ _PLAN_FIELDS = ("map_resolution", "road_x_min", "road_x_max", "road_y_min", "roa
 _plan_fields = operator.attrgetter(*_PLAN_FIELDS)
 
 
+# Planned paths by value, so equal plans share one Path and its cell index;
+# an entry lives as long as some plan-cache entry or world holds its path.
+_interned_paths: "weakref.WeakValueDictionary[str, Path]" = weakref.WeakValueDictionary()
+
+
 @functools.lru_cache(maxsize=1024)
 def _layout_path(obstacles, start, goal, fields: tuple) -> Path:
     """The planned path of one obstacle layout, start and goal, under a config
     with these ``_PLAN_FIELDS`` values. A grid has far fewer layouts than
     scenes (the test grid: 91 for 9720), and configs that differ in other
     fields share them, so each is planned once; a PlanningError propagates and
-    caches nothing."""
+    caches nothing. Layouts whose plans are equal, bit for bit, get one Path
+    object (every layout of both grids plans the same path)."""
     config = EnvConfig(**dict(zip(_PLAN_FIELDS, fields)))
-    return planner.plan_path(_obstacle_cost_map(obstacles, config), start, goal,
+    path = planner.plan_path(_obstacle_cost_map(obstacles, config), start, goal,
                              wheelbase=config.wheelbase, goal_tol=config.goal_tol)
+    # repr tells apart every float that == does not, such as 0.0 and -0.0
+    return _interned_paths.setdefault(repr((path.poses, path.steering, path.total_cost)), path)
 
 
 def reset(scene: Scene, rng: Optional[np.random.Generator] = None,

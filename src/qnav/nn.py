@@ -44,7 +44,11 @@ def dense_forward(params: dict, x: np.ndarray):
     W, b = params["W"], params["b"]
     if x.ndim not in (1, 2) or x.shape[-1] != W.shape[1]:
         raise UsageError(f"dense expects input of length {W.shape[1]}, got {x.shape}")
-    return _matvec(W, x) + b, x
+    if x.ndim == 2:
+        return _matvec(W, x) + b, x
+    y = W @ x  # the bits of _matvec, for one dispatch instead of four
+    y += b
+    return y, x
 
 
 def dense_backward(params: dict, dy: np.ndarray, cache):
@@ -97,10 +101,6 @@ def tanh_backward(dy: np.ndarray, cache):
     return dy * (1.0 - y * y)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis: logits of shape (A,), or each row of (T, A)."""
     z = logits - logits.max(axis=-1, keepdims=True)
@@ -109,11 +109,42 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_entropy(logits: np.ndarray) -> tuple[np.ndarray, float]:
-    """Softmax probabilities and the natural-log entropy -sum p log p."""
-    probs = softmax(logits)
+    """Softmax probabilities and the natural-log entropy -sum p log p of one
+    row of logits, with the bits of :func:`softmax` and of the same sums
+    taken by numpy (NaN payloads aside): the row's reductions run on Python
+    floats, in numpy's order (:func:`_pairwise_sum`), and only exp and log
+    stay numpy calls."""
+    values = logits.tolist()
+    # a NaN makes every probability NaN whether or not max() sees it
+    e = np.exp(logits - max(values))
+    probs = e / _pairwise_sum(e.tolist())
     # p log p -> 0 as p -> 0
-    logp = np.log(np.maximum(probs, 1e-300))
-    return probs, float(-(probs * logp).sum())
+    logp = np.log(np.maximum(probs, 1e-300)).tolist()
+    return probs, -_pairwise_sum([p * lp for p, lp in zip(probs.tolist(), logp)])
+
+
+def _pairwise_sum(values: list) -> float:
+    """``np.add.reduce`` of a contiguous float64 row, in its order: fewer than
+    8 values add left to right; up to 128 go into 8 strided partial sums,
+    combined as a tree, and the tail adds on; longer rows split in two at a
+    multiple of 8 near the middle."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    total = 0.0
+    if n < 8:
+        for v in values:
+            total += v
+        return total
+    r = values[:8]
+    body = n - n % 8
+    for i in range(8, body, 8):
+        r = [acc + v for acc, v in zip(r, values[i : i + 8])]
+    total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[body:]:
+        total += v
+    return total
 
 
 def entropy_backward(probs: np.ndarray, dH: float) -> np.ndarray:
@@ -141,10 +172,16 @@ def lstm_step(params: dict, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarra
     hidden = h_prev.shape[0]
     if params["Wx"].shape[1] != x.shape[0]:
         raise UsageError(f"lstm expects input of length {params['Wx'].shape[1]}, got {x.shape}")
-    pre = params["Wx"] @ x + params["Wh"] @ h_prev + params["b"]
-    i = _sigmoid(pre[:hidden])
-    f = _sigmoid(pre[hidden : 2 * hidden])
-    o = _sigmoid(pre[2 * hidden : 3 * hidden])
+    pre = params["Wx"] @ x
+    pre += params["Wh"] @ h_prev
+    pre += params["b"]
+    # the i, f and o sigmoids 1 / (1 + exp(-pre)) in one pass, in place
+    sig = pre[: 3 * hidden]
+    np.negative(sig, out=sig)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
+    i, f, o = sig[:hidden], sig[hidden : 2 * hidden], sig[2 * hidden :]
     g = np.tanh(pre[3 * hidden :])
     c = f * c_prev + i * g
     tc = np.tanh(c)

@@ -3,6 +3,30 @@
 The planner searches over (x, y, discretized heading) using arc primitives
 that match the car's five steering bins, returns a drivable pose sequence,
 and a pure-pursuit tracker snaps per-step steering back onto those bins.
+
+Path queries
+------------
+``tracking_steering`` looks up the path vertex nearest to the car and
+``cross_track_error`` the nearest path segment, once per step each. Both run
+the scalar loops of ``tests/oracles.py`` (``math.hypot`` distances, the first
+strict minimum wins, then the forward walk to the lookahead vertex), but only
+over the candidates of the square cell of side 1.0 m that holds the query
+point. A path builds its cell index on first use and each cell on the first
+query that lands in it. A vertex or segment is a candidate of a cell when
+its minimum distance to the cell is at most the smallest maximum distance of
+any item of its kind, times (1 + 1e-9), plus 1e-12 times the largest
+coordinate of the indexed region (at least 1 m). A segment's minimum is
+bounded below through its bounding box, and its maximum is the largest of
+the four distances from the cell's corners (distance to a segment is
+convex). Every point of the cell lies within that smallest maximum of some
+item, and an excluded item lies farther than it from every point of the
+cell by more than the slack, which is far above the rounding of a computed
+distance (a few ulps of the coordinates). So an excluded item's computed
+distance always exceeds the smallest one, and the first strict minimum over
+the candidates, taken in path order, is the whole-path loop's choice, bit
+for bit. Cells cover the path's bounding box grown by 16 m on each side; a
+point outside it, including a non-finite one, takes every item as a
+candidate in the same loop, which also bounds the index's memory.
 """
 
 from __future__ import annotations
@@ -26,11 +50,8 @@ _STEP = 2.0  # primitive arc length, m
 _GOAL_TOL = 2.0
 _HEURISTIC_WEIGHT = 1.5  # weighted A*: inflate heuristic for speed
 _STEER_TIEBREAK = 0.01  # prefer straight primitives on equal map cost
-# np.hypot and math.hypot can differ in the last bit, so a numpy scan only
-# narrows a nearest-point choice to the candidates within these bounds of its
-# minimum; math.hypot settles among them (the absolute term covers subnormals).
-_NEAR_REL = 1e-12
-_NEAR_ABS = 1e-300
+_CELL = 1.0  # side of a path-index cell, m; a power of two, so x / _CELL is exact
+_CELL_REACH = 16.0  # the cells extend this far beyond the path's bounding box, m
 
 
 class PlanningError(RuntimeError):
@@ -69,9 +90,9 @@ class Path:
 
     @cached_property
     def _segments(self) -> tuple[np.ndarray, ...]:
-        """Arrays the path queries scan, built on first use: vertex x and y,
-        then start x, start y, vector x, vector y and squared length of every
-        segment of nonzero length. Read-only, since paths are shared."""
+        """Arrays the path index is built from, built on first use: vertex x
+        and y, then start x, start y, vector x, vector y and squared length of
+        every segment of nonzero length. Read-only, since paths are shared."""
         xy = np.array([pose[:2] for pose in self.poses], dtype=float).reshape(-1, 2)
         px, py = xy[:, 0].copy(), xy[:, 1].copy()
         vx, vy = px[1:] - px[:-1], py[1:] - py[:-1]
@@ -81,6 +102,78 @@ class Path:
         for a in arrays:
             a.flags.writeable = False
         return arrays
+
+    @cached_property
+    def _index(self) -> "_CellIndex":
+        """The candidates of each cell for the nearest-item queries (see
+        "Path queries" in the module docstring), built on first use."""
+        return _CellIndex(self._segments)
+
+
+class _CellIndex:
+    """Per cell of side ``_CELL``, the vertices (index, x, y) and the segments
+    (start x, start y, vector x, vector y, squared length) that can be the
+    nearest of their kind to a point in it, in path order. Each cell is built
+    on the first query that lands in it."""
+
+    def __init__(self, segments: tuple[np.ndarray, ...]):
+        px, py, x1, y1, vx, vy, len2 = self._arrays = segments
+        self.xs, self.ys = px.tolist(), py.tolist()
+        self.everything = (tuple(zip(range(len(px)), self.xs, self.ys)),
+                           tuple(zip(*(a.tolist() for a in segments[2:]))))
+        self.cells: dict = {}
+        # the region's lower and upper cell numbers, x then y; none without
+        # poses or with a non-finite one
+        lo = hi = np.zeros(2)
+        if len(px) and np.isfinite(px).all() and np.isfinite(py).all():
+            lo = np.floor(np.array([px.min(), py.min()]) / _CELL) - _CELL_REACH
+            hi = np.floor(np.array([px.max(), py.max()]) / _CELL) + _CELL_REACH + 1
+        (self.x0, self.y0), (self.x1, self.y1) = (lo * _CELL).tolist(), (hi * _CELL).tolist()
+        self.ny = int(hi[1] - lo[1])
+        # rounding of a distance is a few ulps of the largest coordinate
+        self.slack = 1e-12 * max(1.0, float(np.abs([lo, hi]).max()) * _CELL)
+
+    def near(self, x: float, y: float) -> tuple[tuple, tuple]:
+        """(vertices, segments): the candidates of the cell holding (x, y), or
+        every item for a point outside the indexed region."""
+        if not (self.x0 <= x < self.x1 and self.y0 <= y < self.y1):
+            return self.everything
+        ix, iy = math.floor(x / _CELL), math.floor(y / _CELL)
+        key = ix * self.ny + iy
+        cell = self.cells.get(key)
+        if cell is None:
+            cell = self.cells[key] = self._build(ix * _CELL, iy * _CELL)
+        return cell
+
+    def _build(self, a: float, c: float) -> tuple[tuple, tuple]:
+        """The candidates of the cell [a, a + _CELL) x [c, c + _CELL)."""
+        b, d = a + _CELL, c + _CELL
+        px, py, x1, y1, vx, vy, len2 = self._arrays
+        vertices, segments = self.everything
+        # vertices: distance to the cell, and to its farthest corner
+        near = np.hypot(_gap(px, px, a, b), _gap(py, py, c, d))
+        far = np.hypot(np.maximum(np.abs(px - a), np.abs(px - b)),
+                       np.maximum(np.abs(py - c), np.abs(py - d)))
+        kept_vertices = self._candidates(vertices, near, far)
+        if not len(len2):
+            return kept_vertices, ()
+        # segments: bounding box to the cell, and the farthest corner's distance
+        x2, y2 = x1 + vx, y1 + vy
+        near = np.hypot(_gap(np.minimum(x1, x2), np.maximum(x1, x2), a, b),
+                        _gap(np.minimum(y1, y2), np.maximum(y1, y2), c, d))
+        ex, ey = np.array([[a], [a], [b], [b]]) - x1, np.array([[c], [d], [c], [d]]) - y1
+        t = np.clip((ex * vx + ey * vy) / len2, 0.0, 1.0)
+        far = np.hypot(ex - t * vx, ey - t * vy).max(axis=0)
+        return kept_vertices, self._candidates(segments, near, far)
+
+    def _candidates(self, items: tuple, near: np.ndarray, far: np.ndarray) -> tuple:
+        limit = float(far.min()) * (1.0 + 1e-9) + self.slack
+        return tuple(items[k] for k in np.flatnonzero(near <= limit).tolist())
+
+
+def _gap(lo: np.ndarray, hi: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Distance along one axis from each interval [lo, hi] to [a, b]."""
+    return np.maximum(np.maximum(a - hi, lo - b), 0.0)
 
 
 def _wrap_angle(a: float) -> float:
@@ -179,19 +272,6 @@ def plan_path(
     return Path(poses=tuple(poses), steering=tuple(steering), total_cost=best[goal_state])
 
 
-def _first_nearest(ex: np.ndarray, ey: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """np.hypot of the offsets, then the index and math.hypot length of the
-    first shortest offset: what a loop over math.hypot keeping the first
-    strict minimum would pick."""
-    d = np.hypot(ex, ey)
-    k = int(d.argmin())
-    near = (d <= d[k] * (1.0 + _NEAR_REL) + _NEAR_ABS).nonzero()[0]
-    if near.size > 1:
-        dists = [math.hypot(ex[i], ey[i]) for i in near.tolist()]
-        k = int(near[dists.index(min(dists))])
-    return d, k, math.hypot(ex[k], ey[k])
-
-
 def tracking_steering(
     path: Path,
     pose: tuple[float, float, float],
@@ -207,17 +287,21 @@ def tracking_steering(
         return 0.0
     x, y, heading = pose
     lookahead = max(4.0, 0.8 * speed)
-    # nearest vertex, then the first vertex from there at the lookahead distance
-    px, py = path._segments[:2]
-    ex, ey = px - x, py - y
-    d, i, _ = _first_nearest(ex, ey)
+    # nearest vertex, then the first vertex from there at the lookahead
+    # distance; a point with no finite distance lies outside the index, so it
+    # scans every vertex and vertex 0 is the loops' first minimum too
+    index = path._index
+    i, best = 0, math.inf
+    for j, px, py in index.near(x, y)[0]:
+        d = math.hypot(px - x, py - y)
+        if d < best:
+            i, best = j, d
     target = path.poses[-1]
-    far = (d[i:] >= lookahead * (1.0 - _NEAR_REL)).nonzero()[0]
-    if far.size:  # no vertex before i + far[0] can be at the lookahead distance
-        for j in range(i + int(far[0]), len(path.poses)):
-            if math.hypot(ex[j], ey[j]) >= lookahead:
-                target = path.poses[j]
-                break
+    xs, ys = index.xs, index.ys
+    for j in range(i, len(xs)):
+        if math.hypot(xs[j] - x, ys[j] - y) >= lookahead:
+            target = path.poses[j]
+            break
     dx, dy = target[0] - x, target[1] - y
     dist = math.hypot(dx, dy)
     if dist < 0.5:
@@ -235,11 +319,13 @@ def cross_track_error(path: Path, x: float, y: float) -> float:
     if len(path.poses) == 1:
         px, py, _ = path.poses[0]
         return math.hypot(x - px, y - py)
-    _, _, x1, y1, vx, vy, len2 = path._segments
-    if not len(len2):
-        return 0.0
-    dx, dy = x - x1, y - y1
-    t = np.maximum(np.minimum((dx * vx + dy * vy) / len2, 1.0), 0.0)
-    _, k, d = _first_nearest(x - (x1 + t * vx), y - (y1 + t * vy))
-    cross = float(vx[k] * dy[k] - vy[k] * dx[k])
-    return math.copysign(d, cross) if cross != 0 else d
+    best = math.inf
+    signed = 0.0
+    for x1, y1, vx, vy, len2 in path._index.near(x, y)[1]:
+        t = max(0.0, min(1.0, ((x - x1) * vx + (y - y1) * vy) / len2))
+        d = math.hypot(x - (x1 + t * vx), y - (y1 + t * vy))
+        if d < best:
+            best = d
+            cross = vx * (y - y1) - vy * (x - x1)
+            signed = math.copysign(d, cross) if cross != 0 else d
+    return signed

@@ -90,8 +90,11 @@ thread: only the most recent (plan, noise) pair's, replaced when a call
 brings another, so memory stays at one call's own peak and a run of calls
 allocates (and makes the system fault in) those arrays once, not each time.
 ``run_circuit`` batches and the adjoint, whose row counts vary per call, use
-a fresh workspace per call. An array a call returns is always its own copy,
-never a view of a workspace, so a later call cannot change it.
+a fresh workspace per call. The (steps, G, B) value index of a parameter-shift
+batch depends only on the plan, the noise and the row count, so a kept
+workspace builds it once, on its first call. An array a call returns is
+always its own copy, never a view of a workspace, so a later call cannot
+change it.
 """
 
 from __future__ import annotations
@@ -539,6 +542,7 @@ class _Workspace:
     def __init__(self, plan: Optional[_Plan] = None, noise: Optional[NoiseSpec] = None):
         self.plan, self.noise = plan, noise
         self.arrays: dict = {}
+        self.step_index: Optional[np.ndarray] = None  # a kept one's, once built
 
     def array(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         """The array ``name`` of this shape and dtype, holding whatever its
@@ -601,10 +605,12 @@ def _evolve(plan: _Plan, x: np.ndarray, theta: np.ndarray, noise: Optional[Noise
             kicks = tuple(table.take(paulis, out=ws.array(name, paulis.shape, complex), mode="clip")
                           for name, table in (("kick alpha", _KICK_ALPHA), ("kick beta", _KICK_BETA)))
     angles = _half_angles(plan, values, index, stride, rows, jittered, shift_cols, ws)
+    if shift_cols is not None and ws.step_index is None:
+        ws.step_index = _step_index(blocks, angles, ws)
     psi = ws.array("psi", (2**plan.n, rows), complex)  # amplitude-major: a pass reads whole rows
     psi[1:] = 0.0
     psi[0] = phase
-    _run_passes(blocks.passes, _block_matrices(blocks, angles, kicks, ws), psi, ws)
+    _run_passes(blocks.passes, _block_matrices(blocks, angles, kicks, ws, ws.step_index), psi, ws)
     # a copy: psi stays in the workspace (for one row psi.T is already
     # contiguous, so np.ascontiguousarray would return a view of it)
     return psi.T.copy()

@@ -12,10 +12,12 @@ recomputes an episode loss step by step for finite-difference checks of
 analytic gradient with central differences, the per-step loop of
 ``episode_gradients`` here (one ``trunk_backward`` per step, each through
 ``lstm_step_backward``, one LSTM step) is the scalar reference for that
-function's batched backward pass,
-the per-segment path-tracking loops and the separating-axis test without a
-broad phase are the scalar references for ``qnav.planner``'s vectorized path
-queries and ``qnav.env._rects_overlap``, and the ``Observation`` and
+function's batched backward pass, ``dense_forward``, ``lstm_step``,
+``softmax_entropy`` and ``select_action`` are the whole-array expressions of
+one rollout step's network calls that ``qnav.nn`` and ``qnav.agent`` now
+dispatch with fewer numpy calls, the per-segment path-tracking loops and the separating-axis test without a
+broad phase are the scalar references for ``qnav.planner``'s cell-indexed
+path queries and ``qnav.env._rects_overlap``, and the ``Observation`` and
 ``PedObservation`` records with ``to_vector``, ``extras_vector`` and their
 ``build_observation`` at the end of this file are the reference for the
 policy input row that ``qnav.env.build_observation`` writes directly.
@@ -554,6 +556,83 @@ def lstm_step_backward(params: dict, dh: np.ndarray, dc: np.ndarray, cache):
     dx = params["Wx"].T @ dpre
     dh_prev = params["Wh"].T @ dpre
     return dx, dh_prev, dc_prev, grads
+
+
+# ---------------------------------------------------------------------------
+# one rollout step's network calls as whole-array expressions
+
+
+def dense_forward(params: dict, x: np.ndarray) -> np.ndarray:
+    """y = W x + b for one input row, as a batch of one column."""
+    return np.matmul(params["W"], x[..., None])[..., 0] + params["b"]
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def lstm_step(params: dict, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
+    """One LSTM step, one sigmoid call per gate; returns (h, c, cache)."""
+    hidden = h_prev.shape[0]
+    pre = params["Wx"] @ x + params["Wh"] @ h_prev + params["b"]
+    i = _sigmoid(pre[:hidden])
+    f = _sigmoid(pre[hidden : 2 * hidden])
+    o = _sigmoid(pre[2 * hidden : 3 * hidden])
+    g = np.tanh(pre[3 * hidden :])
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    h = o * tc
+    return h, c, (x, h_prev, c_prev, i, f, o, g, c, tc)
+
+
+def softmax_entropy(logits: np.ndarray) -> tuple[np.ndarray, float]:
+    """Softmax probabilities and entropy of one row by numpy reductions."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    logp = np.log(np.maximum(probs, 1e-300))
+    return probs, float(-(probs * logp).sum())
+
+
+def select_action(logits: np.ndarray, rng: Optional[np.random.Generator] = None,
+                  greedy: bool = False) -> tuple[int, float, float]:
+    """Action, log-probability and entropy by np.argmax, or by cumsum and
+    searchsorted on one rng.random() draw."""
+    probs, entropy = softmax_entropy(logits)
+    if greedy:
+        action = int(np.argmax(probs))
+    else:
+        cdf = probs.cumsum()
+        if not np.isfinite(cdf[-1]):
+            raise ValueError("action probabilities contain NaN or inf")
+        cdf /= cdf[-1]
+        action = int(cdf.searchsorted(rng.random(), side="right"))
+    return action, float(np.log(probs[action])), entropy
+
+
+def same_bits(got, want) -> bool:
+    """Equal bytes, except that a NaN may have another payload: IEEE 754 does
+    not fix which NaN an operation on two of them keeps, and the array route's
+    reductions and the Python-float sums pair the operands differently."""
+    got, want = np.atleast_1d(np.asarray(got, float)), np.atleast_1d(np.asarray(want, float))
+    nan = np.isnan(want)
+    return (got.shape == want.shape and (np.isnan(got) == nan).all()
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+SPECIAL_LOGITS = (np.inf, -np.inf, np.nan, 1e308, -1e308, 745.0, -745.0, 0.0, -0.0, 5e-324)
+
+
+def logit_rows(rng, widths, count):
+    """Rows of each width: normal logits over twelve decades of scale, and
+    a third each with one and with two entries from SPECIAL_LOGITS."""
+    for width in widths:
+        for k in range(count):
+            row = rng.normal(size=width) * 10.0 ** rng.integers(-6, 6)
+            special = k % 3
+            row[rng.integers(0, width, special)] = rng.choice(SPECIAL_LOGITS, special)
+            yield row
+
 
 
 # ---------------------------------------------------------------------------

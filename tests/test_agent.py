@@ -464,6 +464,27 @@ def test_select_action_matches_generator_choice():
         assert ours.bit_generator.state == ref.bit_generator.state
 
 
+def test_select_action_keeps_the_draws_of_the_array_route():
+    """Greedy and sampled actions, log-probabilities and entropies on Python
+    floats equal the np.argmax and cumsum/searchsorted route, with the same
+    rng draws, for 1 to 8 actions and non-finite or huge logits; a row whose
+    probabilities are not finite fails in both."""
+    rng = np.random.default_rng(17)
+    with np.errstate(all="ignore"):
+        for k, row in enumerate(oracles.logit_rows(rng, range(1, 9), 400)):
+            greedy = agent.select_action(row, greedy=True)
+            assert oracles.same_bits(greedy, oracles.select_action(row, greedy=True)), row
+            ours, ref = np.random.default_rng(k), np.random.default_rng(k)
+            try:
+                want = oracles.select_action(row, ref)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    agent.select_action(row, ours)
+            else:
+                assert oracles.same_bits(agent.select_action(row, ours), want), row
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+
 def test_select_action_rejects_non_finite_probabilities():
     """A runtime fault (training diverged), so not a UsageError."""
     with pytest.raises(ValueError) as info:

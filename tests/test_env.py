@@ -181,6 +181,23 @@ def test_plan_cache_keys_on_env_config(plan_calls):
     assert finer_world.path == uncached_path(scene, finer)
 
 
+def test_equal_plans_share_one_path(plan_calls):
+    """Every layout of the test grid plans the same path, and all of them get
+    one Path object, so one cell index; another wheelbase still plans again."""
+    layouts = {}
+    for scene in env.generate_scenes("test"):
+        layouts.setdefault((scene.obstacles, scene.car_start, scene.car_goal), scene)
+    paths = {id(env.reset(scene)[0].path) for scene in layouts.values()}
+    assert (len(layouts), len(plan_calls), len(paths)) == (91, 91, 1)
+    # a block across the lane makes the path turn, so its arcs depend on the wheelbase
+    scene = dataclasses.replace(next(iter(layouts.values())), obstacles=((40.0, -3.0, 45.0, 1.0),))
+    longer = env.EnvConfig(wheelbase=2.75)
+    detour, longer_detour = env.reset(scene)[0].path, env.reset(scene, config=longer)[0].path
+    assert [kwargs["wheelbase"] for _, _, kwargs in plan_calls[91:]] == [2.5, 2.75]
+    assert detour != longer_detour and longer_detour == uncached_path(scene, longer)
+    assert env.reset(scene, config=longer)[0].path is longer_detour
+
+
 def test_unplannable_scene_raises_on_every_reset(plan_calls):
     blocked_goal = dataclasses.replace(env.make_scene(1, 20.0, 1.0),
                                        obstacles=((95.0, -3.0, 105.0, 3.0),))

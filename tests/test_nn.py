@@ -187,6 +187,19 @@ def test_entropy_floor_keeps_the_bits_of_clip():
     np.testing.assert_array_equal(nn.entropy_backward(rows, 0.7), clipped_backward(rows, 0.7))
 
 
+def test_softmax_entropy_keeps_the_bits_of_the_array_route():
+    """One row reduced on Python floats gives the probabilities and entropy
+    of numpy's reductions, for every width that numpy sums left to right,
+    with a tree of 8 partial sums, or in halves (over 128)."""
+    rng = np.random.default_rng(14)
+    with np.errstate(all="ignore"):
+        for row in oracles.logit_rows(rng, [*range(1, 10), 16, 23, 128, 129, 300], 300):
+            probs, entropy = nn.softmax_entropy(row)
+            want_probs, want_entropy = oracles.softmax_entropy(row)
+            assert oracles.same_bits(probs, want_probs), row
+            assert oracles.same_bits(entropy, want_entropy), row
+
+
 def test_entropy_backward_matches_fd():
     rng = np.random.default_rng(3)
     logits = {"z": rng.normal(size=4)}
@@ -218,6 +231,32 @@ def test_softmax_and_entropy_backward_batch_rows_equal_single_calls():
 
 # ---------------------------------------------------------------------------
 # LSTM
+
+
+def test_lstm_step_keeps_the_bits_of_one_sigmoid_per_gate():
+    """The fused in-place i, f, o sigmoids give the outputs and cache of the
+    per-gate expressions, also where exp overflows or the input is not finite."""
+    rng = np.random.default_rng(15)
+    params = nn.lstm_init(rng, 36, 32)
+    params["b"][:96] = rng.choice([0.0, 800.0, -800.0, np.inf, -np.inf, np.nan], 96,
+                                  p=[0.8, 0.05, 0.05, 0.03, 0.03, 0.04])
+    with np.errstate(all="ignore"):
+        for scale in (1e-3, 1.0, 30.0, 1e3):
+            x, h, c = (rng.normal(size=n) * scale for n in (36, 32, 32))
+            got, want = nn.lstm_step(params, x, h, c), oracles.lstm_step(params, x, h, c)
+            for part, ref in zip((*got[:2], *got[2]), (*want[:2], *want[2])):
+                assert part.tobytes() == ref.tobytes()
+
+
+def test_dense_forward_of_one_row_keeps_the_bits_of_a_batch_of_one():
+    rng = np.random.default_rng(16)
+    for out_dim, in_dim in ((64, 28), (32, 64), (3, 32), (1, 1), (5, 130)):
+        params = nn.dense_init(rng, in_dim, out_dim)
+        params["b"] = rng.normal(size=out_dim)
+        x = rng.normal(size=in_dim) * 10.0 ** rng.integers(-3, 3)
+        y, cache = nn.dense_forward(params, x)
+        assert y.tobytes() == oracles.dense_forward(params, x).tobytes()
+        assert cache is x
 
 
 def test_lstm_zero_weights_zero_output():

@@ -289,3 +289,83 @@ def test_lookahead_landing_on_a_vertex_distance():
             check_queries(zigzag, x, y, 0.0, speed)
             checked += 1
     assert checked > 5000
+
+
+# ---------------------------------------------------------------------------
+# the cell index behind the path queries
+
+
+def shaped_paths():
+    """A quarter circle, a zigzag, a vertical line, a path with repeated
+    vertices (zero-length segments), one pose and none."""
+    arc = np.linspace(0.0, math.pi / 2, 25)
+    return [
+        planner.Path(tuple((10.0 * math.cos(a), 10.0 * math.sin(a), a + math.pi / 2) for a in arc),
+                     (0.0,) * 24, 0.0),
+        planner.Path(tuple((2.0 * k, 3.0 * (-1) ** k, 0.0) for k in range(11)), (0.0,) * 10, 0.0),
+        planner.Path(tuple((5.0, 2.0 * k, math.pi / 2) for k in range(-4, 5)), (0.0,) * 8, 0.0),
+        planner.Path(((0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (2.0, 0.0, 0.0), (2.0, 0.0, 0.0),
+                      (2.0, 3.0, 1.6), (2.0, 3.0, 1.6), (5.5, 3.25, 0.0)), (0.0,) * 6, 0.0),
+        planner.Path(((1.5, -0.5, 0.3),), (), 0.0),
+        planner.Path((), (), 0.0),
+    ]
+
+
+def test_cell_index_queries_equal_scalar_loops():
+    """Random points, and points on cell edges and corners and one ulp to
+    either side of them, on hand-built paths and a planned one."""
+    rng = np.random.default_rng(14)
+    paths = shaped_paths() + grid_paths()[:1]
+    checked = 0
+    for path in paths:
+        for _ in range(200):
+            x, y = rng.uniform(-20.0, 30.0), rng.uniform(-20.0, 20.0)
+            check_queries(path, x, y, rng.uniform(0.0, 2 * math.pi), rng.uniform(0.0, 20.0))
+            checked += 1
+        for cx in range(-17, 28, 5):
+            for cy in range(-17, 19, 4):
+                for x in np.nextafter(float(cx), [-math.inf, math.inf]).tolist() + [float(cx)]:
+                    for y in (cy, cy + 0.5, float(np.nextafter(float(cy), -math.inf))):
+                        check_queries(path, x, y, 1.0, rng.uniform(0.0, 20.0))
+                        checked += 1
+    assert checked > 6000
+
+
+def check_queries_allowing_nan(path, x, y, heading, speed):
+    """check_queries, where a NaN answer must be NaN in the loops too."""
+    for query, args in ((planner.cross_track_error, (path, x, y)),
+                        (planner.tracking_steering, (path, (x, y, heading), speed))):
+        got, want = query(*args), getattr(oracles, query.__name__)(*args)
+        assert same_float(got, want) or (math.isnan(got) and math.isnan(want)), (args, got, want)
+
+
+def test_far_and_non_finite_points_scan_every_item():
+    """Points beyond the indexed region take every vertex and segment as a
+    candidate, build no cell, and give the loops' answers; NaN and inf
+    coordinates, headings and speeds raise nothing new."""
+    inf, nan = math.inf, math.nan
+    points = [(1e6, 0.0), (-1e12, 3.0), (0.0, 1e300), (1e308, -1e308), (150.0, 0.0),
+              (nan, 0.0), (0.0, nan), (inf, 0.0), (-inf, inf), (nan, inf)]
+    for path in shaped_paths() + grid_paths()[:1]:
+        for x, y in points:
+            for heading, speed in ((0.5, 3.0), (nan, 3.0), (0.5, nan), (inf, inf)):
+                check_queries_allowing_nan(path, x, y, heading, speed)
+            if len(path.poses) > 1:
+                index = path._index
+                assert index.near(x, y) is index.everything
+    index = grid_paths()[0]._index
+    cells = dict(index.cells)
+    for x, y in points:
+        index.near(x, y)
+    assert index.cells == cells
+
+
+def test_cells_keep_the_nearest_items_and_few_others():
+    """On the planned path, a cell near it keeps a handful of its 49
+    vertices and 48 segments."""
+    path = grid_paths()[0]
+    index = path._index
+    assert (len(path.poses), len(index.everything[1])) == (49, 48)
+    vertices, segments = index.near(30.5, 1.25)
+    assert 1 <= len(vertices) <= 4 and 1 <= len(segments) <= 4
+    assert [v[0] for v in vertices] == sorted(v[0] for v in vertices)

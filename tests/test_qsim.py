@@ -839,3 +839,28 @@ def test_parameter_shift_call_allocates_no_per_call_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024
+
+
+@pytest.mark.parametrize("noise", NOISE_SETTINGS)
+def test_kept_step_index_equals_a_fresh_build(noise):
+    """The value index a kept workspace builds on its first call is, bit for
+    bit, the one a fresh build gives for a later call with other inputs and
+    parameters: the plan, the noise and the row count fix it."""
+    gates, marks, x, theta, w, n = default_case(4, 2, 5)
+    plan = qsim._plan(gates, n, marks)
+    cols = np.concatenate([plan.param_cols, plan.data_cols])
+    rng = np.random.default_rng(6)
+    forget_workspace()
+    for row in range(len(x)):
+        qsim.param_shift_value_and_grad(gates, x[row], theta + row, w, 0.2, n, noise, rng, marks)
+    kept = qsim._retained.workspace
+    assert kept.plan is plan and kept.step_index is not None
+    rows = 1 + 2 * len(cols)
+    values, index, stride = qsim._angle_values(plan, x[-1:], theta + len(x) - 1)
+    gate_error = noise is not None and noise.gate_error is not None
+    jittered = np.zeros((rows, plan.param_cols.size)) if gate_error else None
+    angles = qsim._half_angles(plan, values, index, stride, rows, jittered, cols, qsim._Workspace())
+    key = noise.granularity if noise is not None and noise.depolarizing is not None else None
+    fresh = qsim._step_index(plan.blocks[key], angles, qsim._Workspace())
+    assert fresh.dtype == kept.step_index.dtype and fresh.shape == kept.step_index.shape
+    assert fresh.tobytes() == kept.step_index.tobytes()
