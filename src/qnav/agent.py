@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, asdict
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -128,10 +128,16 @@ class QuantumCritic:
 
     def value_and_grads(self, h: np.ndarray, mode: str = "backprop",
                         noise: Optional[NoiseSpec] = None,
-                        rng: Optional[np.random.Generator] = None):
-        """Returns (value, grads dict, dV/dh). Grads are of V itself; callers
-        scale by the upstream dLoss/dV. For h of shape (T, hidden) every
-        output gains a leading T axis and all rows run as one batch."""
+                        rng: Optional[np.random.Generator] = None,
+                        upstream: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+        """Returns (value, grads dict, dV/dh), the grads of V itself. For h of
+        shape (T, hidden) every output gains a leading T axis and all rows
+        run as one batch.
+
+        ``upstream`` maps the (T,) values of a batch to the loss gradient dv
+        = dLoss/dV at each row. With it the grads are of the loss instead:
+        sums over the rows weighted by dv, with no T axis, and the third
+        output is dLoss/dh, each dV/dh row times its dv."""
         x = encoding.pad_input(h, self.layout)
         args = (self.gates, x, self.params["theta"], self.params["w"],
                 float(self.params["b"][0]), self.layout.n)
@@ -142,8 +148,12 @@ class QuantumCritic:
                 *args, noise, rng, self.sublayer_marks)
         else:
             raise UsageError(f"unknown gradient mode {mode!r}")
-        grads = {"theta": d_theta, "w": z, "b": np.ones(np.shape(value) + (1,))}
-        return value, grads, d_x[..., : self.layout.p]
+        dh = d_x[..., : self.layout.p]
+        if upstream is None:
+            return value, {"theta": d_theta, "w": z, "b": np.ones(np.shape(value) + (1,))}, dh
+        dv = upstream(value)
+        grads = {"theta": dv @ d_theta, "w": dv @ z, "b": np.array([dv.sum()])}
+        return value, grads, dv[:, None] * dh
 
 
 class ClassicalCritic:
@@ -180,16 +190,28 @@ class ClassicalCritic:
         return self._forward(h)[0]
 
     def value_and_grads(self, h: np.ndarray, mode: str = "backprop",
-                        noise=None, rng=None):
+                        noise=None, rng=None,
+                        upstream: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         """(value, grads dict, dV/dh). For h of shape (T, hidden) every output
-        gains a leading T axis and all rows run as one batch."""
+        gains a leading T axis and all rows run as one batch. ``upstream``
+        is as for :meth:`QuantumCritic.value_and_grads`: the backward pass
+        then starts from the (T,) loss gradient dv it gives, the grads are
+        sums over the rows and the third output is dLoss/dh."""
         value, (c1, c2, c3) = self._forward(h)
-        dz2, g3 = nn.dense_backward(self.d2, np.ones(np.shape(h)[:-1] + (1,)), c3)
+        if upstream is None:
+            dy = np.ones(np.shape(h)[:-1] + (1,))
+        else:
+            dy = upstream(value)[:, None]
+        dz2, g3 = nn.dense_backward(self.d2, dy, c3)
         dz1, g2 = nn.layer_norm_backward(self.ln, dz2, c2)
-        dh, g1 = nn.dense_backward(self.d1, dz1, c1)
-        grads = {"d1.W": g1["W"], "d1.b": g1["b"], "ln.gain": g2["gain"],
-                 "ln.bias": g2["bias"], "d2.W": g3["W"], "d2.b": g3["b"]}
-        return value, grads, dh
+        grads = {"d1.b": dz1, "ln.gain": g2["gain"], "ln.bias": g2["bias"],
+                 "d2.W": g3["W"], "d2.b": g3["b"]}
+        if upstream is None:
+            dh, g1 = nn.dense_backward(self.d1, dz1, c1)
+            return value, {"d1.W": g1["W"], **grads}, dh
+        # summed as one product: no per-row (T, 64, hidden) d1.W gradient
+        grads = {key: g.sum(axis=0) for key, g in grads.items()}
+        return value, {"d1.W": dz1.T @ h, **grads}, dz1 @ self.d1["W"]
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +285,35 @@ class ActorCriticModel:
         recurrence runs step by step; each weight gradient is one
         (T, out).T @ (T, in) product over the episode."""
         obs, a1, _, _, lstm_caches, hidden = zip(*caches)
+        t_len, n_hidden = len(caches), self.config.lstm_hidden
         dh = dlogits @ self.actor["W"] + dh_extra
-        dpre = np.empty((len(caches), self.lstm["b"].size))
-        dh_next = dc = np.zeros(self.config.lstm_hidden)
-        wh_t = self.lstm["Wh"].T
-        for t in range(len(caches) - 1, -1, -1):
-            dpre[t], dc = nn.lstm_gates_backward(dh[t] + dh_next, dc, lstm_caches[t])
-            dh_next = wh_t @ dpre[t]
         # np.array stacks a list of equal-length rows several times faster than np.stack
-        _dense_grads(grads["actor"], dlogits, np.array(hidden))
         x = np.array([cl[0] for cl in lstm_caches])
+        # (T, 8, hidden): h_prev, c_prev, i, f, o, g, c, tc of each step
+        steps = np.array([cl[1:] for cl in lstm_caches])
+        h_prev, i, f, o, g, tc = (steps[:, j] for j in (0, 2, 3, 4, 5, 7))
+        # every elementwise factor of the gate gradients, for all T steps at
+        # once: dc_t = f_{t+1} dc_{t+1} + dh_t A_t, and the gate pre-activations take
+        # [dc_t, dc_t, dh_t, dc_t] K_t in the gate order i, f, o, g
+        a = o * (1.0 - tc * tc)
+        k = np.empty((t_len, 4, n_hidden))
+        sig = steps[:, 2:5]
+        np.multiply(steps[:, [5, 1, 7]], sig * (1.0 - sig), out=k[:, :3])
+        np.multiply(i, 1.0 - g * g, out=k[:, 3])
+        dpre = np.empty((t_len, 4 * n_hidden))
+        dpre_gates = dpre.reshape(t_len, 4, n_hidden)
+        dh_next = dc = np.zeros(n_hidden)
+        wh_t = self.lstm["Wh"].T
+        for t in range(t_len - 1, -1, -1):
+            dh_t = dh[t] + dh_next
+            dc = dh_t * a[t] + dc
+            np.multiply(k[t], dc, out=dpre_gates[t])
+            np.multiply(k[t, 2], dh_t, out=dpre_gates[t, 2])
+            dc *= f[t]
+            dh_next = wh_t @ dpre[t]
+        _dense_grads(grads["actor"], dlogits, np.array(hidden))
         np.matmul(dpre.T, x, out=grads["lstm"]["Wx"])
-        np.matmul(dpre.T, np.array([cl[1] for cl in lstm_caches]), out=grads["lstm"]["Wh"])
+        np.matmul(dpre.T, h_prev, out=grads["lstm"]["Wh"])
         dpre.sum(axis=0, out=grads["lstm"]["b"])
         enc_out = self.config.encoder_out
         dx = dpre @ self.lstm["Wx"]  # the extras' columns take no gradient further
@@ -435,15 +474,15 @@ def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace, returns,
         raise UsageError("empty episode")
     if len(trace.caches) != t_len:
         raise UsageError("the trace holds no forward pass (a greedy rollout?)")
-    values, vgrads, dvdh = model.critic.value_and_grads(
-        np.array(trace.hidden), mode=mode, noise=config.noise, rng=noise_rng)
     returns = np.asarray(returns, dtype=float)
+    # d(J_V)/dV; the advantage path into J_pi is detached
+    values, critic_grads, dh_critic = model.critic.value_and_grads(
+        np.array(trace.hidden), mode=mode, noise=config.noise, rng=noise_rng,
+        upstream=lambda v: 2.0 * (v - returns) / t_len)
     j_v, j_pi = losses(values, returns, trace.logps, trace.entropies,
                        config.entropy_weight, config.entropy_bonus)
 
     advantage = returns - values
-    # d(J_V)/dV; the advantage path into J_pi is detached
-    dv = 2.0 * (values - returns) / t_len
     probs = nn.softmax(np.array(trace.logits))
     onehot = np.eye(env.N_ACTIONS)[trace.actions]
     ent_sign = 1.0 if config.entropy_bonus else -1.0
@@ -452,10 +491,9 @@ def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace, returns,
 
     grad = np.zeros_like(model.flat)
     layer_grads = nn.views(grad, model.layers)
-    critic_grads = nn.named(layer_grads["critic"])
-    for key, g in vgrads.items():
-        critic_grads[key][...] = np.tensordot(dv, g, 1)
-    model.trunk_backward(dlogits, dv[:, None] * dvdh, trace.caches, layer_grads)
+    for key, g in nn.named(layer_grads["critic"]).items():
+        g[...] = critic_grads[key]
+    model.trunk_backward(dlogits, dh_critic, trace.caches, layer_grads)
     if config.max_grad_norm is not None:
         grad = nn.clip_by_global_norm(grad, config.max_grad_norm)
     return grad, j_v, j_pi
@@ -547,6 +585,8 @@ class PolicyMetrics:
 def evaluate_policy(model: ActorCriticModel, scenes: list[env.Scene],
                     env_config: env.EnvConfig = env.EnvConfig()) -> tuple[PolicyMetrics, list[dict]]:
     """Greedy rollouts over all scenes; per-scene outcomes plus aggregates."""
+    if not scenes:
+        raise UsageError("no scenes to evaluate")
     per_scene = []
     for idx, scene in enumerate(scenes):
         trace = run_episode(model, scene, env_config, greedy=True)
@@ -588,6 +628,8 @@ def random_policy_mean_return(scenes: list[env.Scene], rng: np.random.Generator,
                               env_config: env.EnvConfig = env.EnvConfig()) -> float:
     """Mean return of uniformly random speed actions over the given scenes,
     each episode run until the env ends it (``env_config.max_steps`` caps it)."""
+    if not scenes:
+        raise UsageError("no scenes to run the random policy on")
     totals = []
     for scene in scenes:
         world, _ = env.reset(scene, config=env_config)

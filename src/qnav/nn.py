@@ -190,28 +190,6 @@ def lstm_step(params: dict, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarra
     return h, c, cache
 
 
-def lstm_gates_backward(dh: np.ndarray, dc: np.ndarray, cache):
-    """The elementwise part of the backward pass through one step: from the
-    upstream dh and dc, the gradient of the stacked gate pre-activations
-    (order i, f, o, g). Returns (dpre, dc_prev)."""
-    _, _, c_prev, i, f, o, g, _, tc = cache
-    do = dh * tc
-    dc_total = dc + dh * o * (1.0 - tc * tc)
-    di = dc_total * g
-    df = dc_total * c_prev
-    dg = dc_total * i
-    dc_prev = dc_total * f
-    dpre = np.concatenate(
-        [
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            do * o * (1.0 - o),
-            dg * (1.0 - g * g),
-        ]
-    )
-    return dpre, dc_prev
-
-
 # ---------------------------------------------------------------------------
 # optimizer
 

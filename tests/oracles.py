@@ -11,8 +11,9 @@ recomputes an episode loss step by step for finite-difference checks of
 ``qnav.agent.episode_gradients``, ``finite_diff_check`` compares any
 analytic gradient with central differences, the per-step loop of
 ``episode_gradients`` here (one ``trunk_backward`` per step, each through
-``lstm_step_backward``, one LSTM step) is the scalar reference for that
-function's batched backward pass, ``dense_forward``, ``lstm_step``,
+``lstm_step_backward`` and ``lstm_gates_backward``, one LSTM step) is the
+scalar reference for that function's batched backward pass,
+``dense_forward``, ``lstm_step``,
 ``softmax_entropy`` and ``select_action`` are the whole-array expressions of
 one rollout step's network calls that ``qnav.nn`` and ``qnav.agent`` now
 dispatch with fewer numpy calls, the per-segment path-tracking loops and the separating-axis test without a
@@ -544,10 +545,32 @@ def finite_diff_check(params: dict, loss_fn, grads: dict, h: float = 1e-5) -> fl
     return worst
 
 
+def lstm_gates_backward(dh: np.ndarray, dc: np.ndarray, cache):
+    """The elementwise part of the backward pass through one step: from the
+    upstream dh and dc, the gradient of the stacked gate pre-activations
+    (order i, f, o, g). Returns (dpre, dc_prev)."""
+    _, _, c_prev, i, f, o, g, _, tc = cache
+    do = dh * tc
+    dc_total = dc + dh * o * (1.0 - tc * tc)
+    di = dc_total * g
+    df = dc_total * c_prev
+    dg = dc_total * i
+    dc_prev = dc_total * f
+    dpre = np.concatenate(
+        [
+            di * i * (1.0 - i),
+            df * f * (1.0 - f),
+            do * o * (1.0 - o),
+            dg * (1.0 - g * g),
+        ]
+    )
+    return dpre, dc_prev
+
+
 def lstm_step_backward(params: dict, dh: np.ndarray, dc: np.ndarray, cache):
     """Backward through one step. Returns (dx, dh_prev, dc_prev, grads)."""
     x, h_prev = cache[:2]
-    dpre, dc_prev = nn.lstm_gates_backward(dh, dc, cache)
+    dpre, dc_prev = lstm_gates_backward(dh, dc, cache)
     grads = {
         "Wx": np.outer(dpre, x),
         "Wh": np.outer(dpre, h_prev),

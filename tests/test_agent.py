@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +289,25 @@ def test_classical_critic_batch_is_one_pass(monkeypatch):
     assert calls == [(5, 6), (5, 64)]
 
 
+def test_classical_critic_training_route_holds_no_per_row_weight_gradient():
+    """With the loss gradient as upstream, the classical critic sums its
+    d1.W gradient as one product: at 500 rows, the default max_steps, the
+    traced peak stays far below the 8.2 MB of a per-row (500, 64, 32) one."""
+    config = AgentConfig(critic="classical")
+    model = ActorCriticModel(config, env.observation_dim(), np.random.default_rng(0))
+    hidden = np.random.default_rng(8).uniform(-1, 1, size=(500, config.lstm_hidden))
+    returns = np.random.default_rng(9).normal(size=500)
+    tracemalloc.start()
+    try:
+        _, grads, dh = model.critic.value_and_grads(
+            hidden, upstream=lambda values: 2.0 * (values - returns) / 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grads["d1.W"].shape == (64, config.lstm_hidden) and dh.shape == hidden.shape
+    assert peak < 4_000_000
+
+
 @pytest.mark.parametrize("critic", ["quantum", "classical"])
 def test_episode_gradients_reuse_the_rollout(critic, monkeypatch):
     """The gradient runs no trunk forward pass: it backpropagates through
@@ -380,7 +400,10 @@ def test_episode_gradients_clipped_to_max_norm():
     np.testing.assert_array_equal(loose, raw)
 
 
-PARITY_EPISODES = {"collision": {}, "one-step": {"max_steps": 1}, "truncated": {"max_steps": 5}}
+# "long" runs to 50 steps, the training cap of the benchmark's workloads; the
+# policy of seed 0 does not collide before then
+PARITY_EPISODES = {"collision": {}, "one-step": {"max_steps": 1}, "truncated": {"max_steps": 5},
+                   "long": {"max_steps": 50, "seed": 0}}
 
 
 @pytest.mark.parametrize("clip", [False, True], ids=["unclipped", "clipped"])
@@ -390,8 +413,8 @@ PARITY_EPISODES = {"collision": {}, "one-step": {"max_steps": 1}, "truncated": {
 def test_batched_gradient_matches_per_step_loop(critic, mode, episode, clip):
     """The batched backward pass gives the gradient and losses of the
     per-step loop in tests/oracles.py, to 1e-12 of the gradient's largest
-    entry: on a collision, on a one-step and on a longer truncated episode
-    (both bootstrapped), with and without max_grad_norm."""
+    entry: on a collision, and on a one-step, a five-step and a 50-step
+    truncated episode (all bootstrapped), with and without max_grad_norm."""
     config, model, trace, returns = small_episode(critic, gradient_mode=mode,
                                                   **PARITY_EPISODES[episode])
     if episode == "collision":
@@ -606,6 +629,16 @@ def test_greedy_eval_skips_unread_bootstrap():
                               policy_rng=np.random.default_rng(0))
     del model.critic.value
     assert trace.outcome == "timeout" and len(calls) == 1 and trace.bootstrap != 0.0
+
+
+def test_evaluation_requires_scenes():
+    """An empty scene list is misuse, as it is for train_run: there is no
+    mean over no episodes."""
+    _, model, _ = small_model("classical")
+    with pytest.raises(UsageError, match="no scenes"):
+        agent.evaluate_policy(model, [])
+    with pytest.raises(UsageError, match="no scenes"):
+        agent.random_policy_mean_return([], np.random.default_rng(0))
 
 
 def test_random_policy_baseline_finite():
