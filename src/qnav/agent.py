@@ -6,9 +6,10 @@ a linear readout (n weights + 1 bias) or a dense baseline stack. Gradients
 are computed once per episode from the rollout's own forward pass, which the
 training rollout records: the parameters stay fixed from the rollout to the
 update, so nothing is run forward twice, and the quantum gradient route
-(adjoint backprop vs parameter-shift) can be swapped freely. The backward
-pass runs each layer once on all T steps of the episode; only the LSTM
-recurrence steps through time.
+(adjoint backprop vs parameter-shift) can be swapped freely. The rollout
+writes its forward pass into rows the model keeps (:class:`TraceRows`), one
+row per step, and the backward pass runs each layer once on all T rows of
+the episode; only the LSTM recurrence steps through time.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import UsageError, encoding, env, nn, qsim
+from . import UsageError, check_ints, encoding, env, nn, qsim
 from .encoding import CircuitLayout
 from .qsim import NoiseSpec
 
@@ -46,13 +47,15 @@ class AgentConfig:
     max_grad_norm: Optional[float] = None
 
     def __post_init__(self):
+        check_ints(self, ("episodes", "max_steps", "seed", "n_qubits", "n_layers", "lstm_hidden",
+                          "encoder_hidden", "encoder_out"))
         if self.critic not in ("quantum", "classical"):
             raise UsageError(f"unknown critic kind {self.critic!r}")
         if self.gradient_mode not in ("backprop", "param-shift"):
             raise UsageError(f"unknown gradient mode {self.gradient_mode!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise UsageError("gamma must be in [0, 1]")
-        if self.entropy_weight < 0:
+        if not self.entropy_weight >= 0:
             raise UsageError("entropy weight must be >= 0")
         if not self.lr >= 0 or self.episodes < 0:
             raise UsageError("lr and episodes must be >= 0")
@@ -252,6 +255,9 @@ class ActorCriticModel:
         else:
             self.critic = ClassicalCritic(self.layers["critic"])
         self.critic_flat = self.flat[-self.critic.param_count :]
+        # the rows rollouts write their forward pass into, made on first use
+        self._training_rows: Optional[TraceRows] = None
+        self._greedy_rows: Optional[TraceRows] = None
 
     @property
     def param_count(self) -> int:
@@ -261,44 +267,69 @@ class ActorCriticModel:
     def critic_param_count(self) -> int:
         return self.critic.param_count
 
-    def trunk_forward(self, obs_vec: np.ndarray, extras: np.ndarray,
-                      h: np.ndarray, c: np.ndarray):
-        z1, c1 = nn.dense_forward(self.enc1, obs_vec)
-        a1, t1 = nn.tanh_forward(z1)
-        z2, c2 = nn.dense_forward(self.enc2, a1)
-        a2, t2 = nn.tanh_forward(z2)
-        x = np.concatenate([a2, extras])
-        h_new, c_new, cl = nn.lstm_step(self.lstm, x, h, c)
-        logits, ca = nn.dense_forward(self.actor, h_new)
-        cache = (c1, t1, c2, t2, cl, ca)
-        return h_new, c_new, logits, cache
+    def _rollout_rows(self, greedy: bool) -> TraceRows:
+        """The kept rows a rollout writes, with the zero state in row 0: one
+        row, in turn, for a greedy rollout, which keeps no forward pass; for
+        a training one ``max_steps + 1`` rows (a truncated episode runs the
+        trunk once more, for its bootstrap), whose rollout count moves on."""
+        if greedy:
+            if self._greedy_rows is None:
+                self._greedy_rows = TraceRows(self, 1)
+            rows = self._greedy_rows
+        else:
+            if self._training_rows is None or self._training_rows.steps <= self.config.max_steps:
+                self._training_rows = TraceRows(self, self.config.max_steps + 1)
+            rows = self._training_rows
+            rows.rollout += 1
+        rows.hidden[0] = 0.0
+        rows.cell[0] = 0.0
+        return rows
 
-    def trunk_backward(self, dlogits: np.ndarray, dh_extra: np.ndarray, caches,
+    def trunk_forward(self, obs_vec: np.ndarray, extras: np.ndarray, rows: TraceRows,
+                      t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Step t of the trunk, written into ``rows`` (see :class:`TraceRows`):
+        the encoder on ``obs_vec``, the LSTM on its output and ``extras`` from
+        the state step t - 1 left there, and the actor head. Returns the new
+        hidden state and the logits, views of the rows."""
+        n = rows.steps
+        obs, a1, x, a2, x_extras, gates, tanh_cell, logits = rows.step_views[t % n]
+        h_prev, c_prev = rows.state_views[t % (n + 1)]
+        h, c = rows.state_views[(t + 1) % (n + 1)]
+        nn.dense_forward(self.enc1, obs_vec, out=a1)
+        obs[...] = obs_vec
+        np.tanh(a1, out=a1)
+        nn.dense_forward(self.enc2, a1, out=a2)
+        np.tanh(a2, out=a2)
+        x_extras[...] = extras
+        nn.lstm_step(self.lstm, x, h_prev, c_prev, (gates, c, tanh_cell, h))
+        nn.dense_forward(self.actor, h, out=logits)
+        return h, logits
+
+    def trunk_backward(self, dlogits: np.ndarray, dh_extra: np.ndarray, rows: TraceRows,
                        grads: dict) -> None:
-        """Backward through actor head, LSTM and encoder over a whole recorded
-        episode, writing the parameter gradients into ``grads``, the layer
+        """Backward through actor head, LSTM and encoder over the first T steps
+        of ``rows``, writing the parameter gradients into ``grads``, the layer
         views of a gradient vector laid out like ``flat`` (see ``nn.views``).
 
-        ``caches`` are the episode's T ``trunk_forward`` caches in step order,
-        dlogits (T, actions) the loss gradient at the logits and dh_extra
+        dlogits (T, actions) is the loss gradient at the logits and dh_extra
         (T, hidden) the critic's pull on each hidden state. Only the LSTM
         recurrence runs step by step; each weight gradient is one
         (T, out).T @ (T, in) product over the episode."""
-        obs, a1, _, _, lstm_caches, hidden = zip(*caches)
-        t_len, n_hidden = len(caches), self.config.lstm_hidden
+        t_len, n_hidden = len(dlogits), self.config.lstm_hidden
         dh = dlogits @ self.actor["W"] + dh_extra
-        # np.array stacks a list of equal-length rows several times faster than np.stack
-        x = np.array([cl[0] for cl in lstm_caches])
-        # (T, 8, hidden): h_prev, c_prev, i, f, o, g, c, tc of each step
-        steps = np.array([cl[1:] for cl in lstm_caches])
-        h_prev, i, f, o, g, tc = (steps[:, j] for j in (0, 2, 3, 4, 5, 7))
+        x = rows.x[:t_len]
+        gates = rows.gates[:t_len].reshape(t_len, 4, n_hidden)
+        i, f, o, g = (gates[:, j] for j in range(4))
+        c_prev, tc = rows.cell[:t_len], rows.tanh_cell[:t_len]
         # every elementwise factor of the gate gradients, for all T steps at
         # once: dc_t = f_{t+1} dc_{t+1} + dh_t A_t, and the gate pre-activations take
         # [dc_t, dc_t, dh_t, dc_t] K_t in the gate order i, f, o, g
         a = o * (1.0 - tc * tc)
         k = np.empty((t_len, 4, n_hidden))
-        sig = steps[:, 2:5]
-        np.multiply(steps[:, [5, 1, 7]], sig * (1.0 - sig), out=k[:, :3])
+        sig = gates[:, :3]
+        dsig = sig * (1.0 - sig)
+        for j, factor in enumerate((g, c_prev, tc)):
+            np.multiply(factor, dsig[:, j], out=k[:, j])
         np.multiply(i, 1.0 - g * g, out=k[:, 3])
         dpre = np.empty((t_len, 4 * n_hidden))
         dpre_gates = dpre.reshape(t_len, 4, n_hidden)
@@ -311,17 +342,53 @@ class ActorCriticModel:
             np.multiply(k[t, 2], dh_t, out=dpre_gates[t, 2])
             dc *= f[t]
             dh_next = wh_t @ dpre[t]
-        _dense_grads(grads["actor"], dlogits, np.array(hidden))
+        _dense_grads(grads["actor"], dlogits, rows.hidden[1 : t_len + 1])
         np.matmul(dpre.T, x, out=grads["lstm"]["Wx"])
-        np.matmul(dpre.T, h_prev, out=grads["lstm"]["Wh"])
+        np.matmul(dpre.T, rows.hidden[:t_len], out=grads["lstm"]["Wh"])
         dpre.sum(axis=0, out=grads["lstm"]["b"])
         enc_out = self.config.encoder_out
         dx = dpre @ self.lstm["Wx"]  # the extras' columns take no gradient further
         dz2 = nn.tanh_backward(dx[:, :enc_out], x[:, :enc_out])
-        a1 = np.array(a1)
+        a1 = rows.a1[:t_len]
         _dense_grads(grads["enc2"], dz2, a1)
         dz1 = nn.tanh_backward(dz2 @ self.enc2["W"], a1)
-        _dense_grads(grads["enc1"], dz1, np.array(obs))
+        _dense_grads(grads["enc1"], dz1, rows.obs[:t_len])
+
+
+class TraceRows:
+    """A rollout's trunk forward pass, one row per step, all its backward
+    pass reads.
+
+    Step t writes row t of ``obs`` (the encoder input), ``a1`` (the first
+    tanh activation), ``x`` (the LSTM input: the second tanh activation,
+    then the extras), ``gates`` (the activations i, f, o, g), ``tanh_cell``
+    and ``logits``, and row t + 1 of ``hidden`` and ``cell``, whose row 0
+    holds the state before step 0 (zero when made). So the LSTM's eight
+    vectors of step t are hidden[t], cell[t], gates[t], cell[t + 1] and
+    tanh_cell[t]. Rows are indexed modulo their count: with ``steps`` = 1,
+    step t writes row 0 and state row (t + 1) % 2, which is all a greedy
+    rollout needs.
+    """
+
+    def __init__(self, model: ActorCriticModel, steps: int):
+        config, hidden = model.config, model.config.lstm_hidden
+        self.steps = steps
+        self.rollout = 0  # training rollouts written into these rows so far
+        self.obs = np.empty((steps, model.obs_dim))
+        self.a1 = np.empty((steps, config.encoder_hidden))
+        self.x = np.empty((steps, model.lstm_in))
+        self.gates = np.empty((steps, 4 * hidden))
+        self.tanh_cell = np.empty((steps, hidden))
+        self.logits = np.empty((steps, env.N_ACTIONS))
+        self.hidden = np.zeros((steps + 1, hidden))
+        self.cell = np.zeros((steps + 1, hidden))
+        # the views each step writes, sliced once: on rows this short,
+        # slicing them anew each step costs about as much as their arithmetic
+        enc_out = config.encoder_out
+        self.step_views = [
+            (self.obs[t], self.a1[t], self.x[t], self.x[t, :enc_out], self.x[t, enc_out:],
+             self.gates[t], self.tanh_cell[t], self.logits[t]) for t in range(steps)]
+        self.state_views = [(self.hidden[t], self.cell[t]) for t in range(steps + 1)]
 
 
 def _dense_grads(grads: dict, dy: np.ndarray, x: np.ndarray) -> None:
@@ -360,26 +427,48 @@ def select_action(logits: np.ndarray, rng: Optional[np.random.Generator] = None,
 class EpisodeTrace:
     """Recorded per-step data; observations never include hidden ped goals.
 
-    A training rollout also keeps its forward pass, the per-step trunk
-    caches, hidden states and actor logits, which is all the backward pass
-    needs; a greedy rollout keeps none of them."""
+    A training rollout also keeps its forward pass, all the backward pass
+    needs, in ``rows``: the model's kept :class:`TraceRows`, which that
+    model's next training rollout writes over. So the forward pass of a
+    trace is valid until then; ``rollout`` is the rows' rollout count when
+    it was recorded, and reading it later (``forward_rows``, ``hidden``,
+    ``logits``, :func:`episode_gradients`) raises UsageError. A greedy
+    rollout keeps no forward pass."""
 
     obs: list = field(default_factory=list)  # env observation rows, before each action
     actions: list = field(default_factory=list)
     logps: list = field(default_factory=list)
     entropies: list = field(default_factory=list)
     rewards: list = field(default_factory=list)  # totals
-    caches: list = field(default_factory=list)  # trunk_forward caches
-    hidden: list = field(default_factory=list)  # LSTM hidden state after each step
-    logits: list = field(default_factory=list)
     outcome: Optional[str] = None
     bootstrap: float = 0.0
     steps: int = 0
     near_miss: bool = False
+    rows: Optional[TraceRows] = field(default=None, repr=False)
+    rollout: int = 0
 
     @property
     def episode_return(self) -> float:
         return float(sum(self.rewards))
+
+    def forward_rows(self) -> TraceRows:
+        """The rows of this trace's forward pass, while they hold it."""
+        if self.rows is None:
+            raise UsageError("the trace holds no forward pass (a greedy rollout?)")
+        if self.rows.rollout != self.rollout:
+            raise UsageError("a later training rollout of the model wrote over this trace's "
+                             "forward pass")
+        return self.rows
+
+    @property
+    def hidden(self) -> np.ndarray:
+        """(steps, hidden): the LSTM hidden state after each step."""
+        return self.forward_rows().hidden[1 : self.steps + 1]
+
+    @property
+    def logits(self) -> np.ndarray:
+        """(steps, actions): the actor logits of each step."""
+        return self.forward_rows().logits[: self.steps]
 
 
 def run_episode(model: ActorCriticModel, scene: env.Scene,
@@ -389,22 +478,24 @@ def run_episode(model: ActorCriticModel, scene: env.Scene,
                 greedy: bool = False) -> EpisodeTrace:
     """Roll out one episode. The critic is not evaluated along the way: only
     a truncated training episode needs a value, the bootstrap of its last
-    state. A greedy (evaluation) rollout leaves the bootstrap at 0 and
-    records no forward pass."""
+    state. A training rollout writes its forward pass into the model's kept
+    rows (see :class:`EpisodeTrace`); a greedy (evaluation) rollout leaves
+    the bootstrap at 0 and keeps no forward pass."""
     config = model.config
     noise = config.noise if noise_rng is not None else None
     world, row = env.reset(scene, config=env_config)
     d = model.obs_dim  # the row's encoder input; the LSTM extras follow it
-    h = np.zeros(config.lstm_hidden)
-    c = np.zeros(config.lstm_hidden)
+    rows = model._rollout_rows(greedy)
     trace = EpisodeTrace()
+    if not greedy:
+        trace.rows, trace.rollout = rows, rows.rollout
     while True:
         if world.done or trace.steps >= config.max_steps:
             # the agent's own step cap truncates the episode just as the env's does
             trace.outcome = world.outcome if world.done else "timeout"
             if greedy or trace.outcome != "timeout":
                 break
-        h, c, logits, cache = model.trunk_forward(row[:d], row[d:], h, c)
+        h, logits = model.trunk_forward(row[:d], row[d:], rows, trace.steps)
         if trace.outcome is not None:
             # truncated: bootstrap the return from the value of the final state
             trace.bootstrap = model.critic.value(h, noise=noise, rng=noise_rng)
@@ -417,10 +508,6 @@ def run_episode(model: ActorCriticModel, scene: env.Scene,
         trace.logps.append(logp)
         trace.entropies.append(entropy)
         trace.rewards.append(reward.total)
-        if not greedy:
-            trace.caches.append(cache)
-            trace.hidden.append(h)
-            trace.logits.append(logits)
         trace.steps += 1
     return trace
 
@@ -462,8 +549,9 @@ def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace, returns,
     The parameters are those of the rollout, so the backward pass runs on
     the trace's own forward pass: the critic runs once on all T recorded
     hidden states, then ``trunk_backward`` backpropagates the whole episode
-    through the recorded caches. The advantage in the policy term is treated as a constant, so no
-    policy gradient flows into the critic parameters. Returns
+    through the recorded rows, which must still hold it (see
+    :class:`EpisodeTrace`). The advantage in the policy term is treated as
+    a constant, so no policy gradient flows into the critic parameters. Returns
     (grad, j_v, j_pi), where grad is laid out like ``model.flat`` and
     clipped to ``config.max_grad_norm`` when that is set.
     """
@@ -472,18 +560,17 @@ def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace, returns,
     t_len = trace.steps
     if t_len == 0:
         raise UsageError("empty episode")
-    if len(trace.caches) != t_len:
-        raise UsageError("the trace holds no forward pass (a greedy rollout?)")
+    rows = trace.forward_rows()
     returns = np.asarray(returns, dtype=float)
     # d(J_V)/dV; the advantage path into J_pi is detached
     values, critic_grads, dh_critic = model.critic.value_and_grads(
-        np.array(trace.hidden), mode=mode, noise=config.noise, rng=noise_rng,
+        rows.hidden[1 : t_len + 1], mode=mode, noise=config.noise, rng=noise_rng,
         upstream=lambda v: 2.0 * (v - returns) / t_len)
     j_v, j_pi = losses(values, returns, trace.logps, trace.entropies,
                        config.entropy_weight, config.entropy_bonus)
 
     advantage = returns - values
-    probs = nn.softmax(np.array(trace.logits))
+    probs = nn.softmax(rows.logits[:t_len])
     onehot = np.eye(env.N_ACTIONS)[trace.actions]
     ent_sign = 1.0 if config.entropy_bonus else -1.0
     dlogits = -(advantage[:, None] * (onehot - probs)) / t_len
@@ -493,7 +580,7 @@ def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace, returns,
     layer_grads = nn.views(grad, model.layers)
     for key, g in nn.named(layer_grads["critic"]).items():
         g[...] = critic_grads[key]
-    model.trunk_backward(dlogits, dh_critic, trace.caches, layer_grads)
+    model.trunk_backward(dlogits, dh_critic, rows, layer_grads)
     if config.max_grad_norm is not None:
         grad = nn.clip_by_global_norm(grad, config.max_grad_norm)
     return grad, j_v, j_pi

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from . import UsageError, __version__, agent, analysis, env
+from . import UsageError, __version__, agent, analysis, env, is_int
 from .agent import AgentConfig, ActorCriticModel
 from .qsim import NoiseSpec
 
@@ -93,9 +93,9 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
         "smooth_window": raw.get("smooth_window", 100),
     }
     if not (isinstance(config["seeds"], list) and config["seeds"]
-            and all(map(_is_int, config["seeds"]))):
+            and all(map(is_int, config["seeds"]))):
         raise UsageError(f"seeds must be a non-empty list of integers, got {config['seeds']!r}")
-    if not (_is_int(config["smooth_window"]) and config["smooth_window"] >= 1):
+    if not (is_int(config["smooth_window"]) and config["smooth_window"] >= 1):
         raise UsageError(f"smooth_window must be an integer >= 1, got {config['smooth_window']!r}")
     for key, val in (overrides or {}).items():
         if val is None:
@@ -135,10 +135,6 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
         output=config["output"],
         smooth_window=config["smooth_window"],
     )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_noise_flag(spec: str) -> Optional[NoiseSpec]:

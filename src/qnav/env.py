@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import UsageError, planner
+from . import UsageError, check_ints, planner
 from .planner import CostMap, Path
 
 KMH = 1.0 / 3.6  # km/h -> m/s
@@ -76,6 +76,7 @@ class EnvConfig:
     map_resolution: float = 1.0
 
     def __post_init__(self):
+        check_ints(self, ("max_steps", "k_pedestrians"))
         if not (self.dt > 0 and self.map_resolution > 0 and self.wheelbase > 0
                 and self.goal_tol > 0):
             raise UsageError("dt, map_resolution, wheelbase and goal_tol must be > 0")
@@ -88,8 +89,8 @@ class EnvConfig:
             raise UsageError("speed_step, car_length, car_width and ped_radius must be > 0")
         if not (self.speed_limit > 0 and self.v_max > 0):
             raise UsageError("speed_limit and v_max must be > 0")
-        if not self.sense_radius >= 0:
-            raise UsageError("sense_radius must be >= 0")
+        if not (self.sense_radius >= 0 and self.near_miss_margin >= 0):
+            raise UsageError("sense_radius and near_miss_margin must be >= 0")
         if not (self.road_x_min < self.road_x_max and self.road_y_min < self.road_y_max):
             raise UsageError("road bounds need road_x_min < road_x_max and road_y_min < road_y_max")
 

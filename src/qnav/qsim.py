@@ -83,28 +83,32 @@ Workspace. A call writes its large arrays with ``out=`` into a workspace
 coefficient gather of a pass, the (G, 4, B) group matrices, the per-row
 products of the rotation steps with their temporaries, the (steps, G, B)
 value index with its cos and sin gathers, the half-angle table with its cos
-and sin, the gate-error jitter and depolarizing coins, and each event's
-drawn Pauli as [alpha, beta] rows. A parameter-shift batch has 1 + 2 * uses
-rows, fixed by the plan, so its workspace is kept between calls, one per
-thread: only the most recent (plan, noise) pair's, replaced when a call
-brings another, so memory stays at one call's own peak and a run of calls
-allocates (and makes the system fault in) those arrays once, not each time.
-``run_circuit`` batches and the adjoint, whose row counts vary per call, use
-a fresh workspace per call. The (steps, G, B) value index of a parameter-shift
-batch depends only on the plan, the noise and the row count, so a kept
-workspace builds it once, on its first call. An array a call returns is
-always its own copy, never a view of a workspace, so a later call cannot
-change it.
+and sin, the gate-error jitter and depolarizing coins, each event's drawn
+Pauli as [alpha, beta] rows, and every array of the adjoint reverse pass.
+Each name holds one flat buffer, sized for the largest request so far, and a
+call works on a contiguous view of its front, so a call of any row count up
+to that size reuses it. Workspaces are kept between calls, per thread: one
+for parameter-shift batches, whose row count 1 + 2 * uses the plan fixes,
+kept for the most recent (plan, noise) pair only and replaced when a call
+brings another, and one for ``run_circuit`` batches and adjoint calls, whose
+row counts vary per call. A run of calls thus allocates (and makes the
+system fault in) those arrays once, not each time. The (steps, G, B) value
+index of a parameter-shift batch depends only on the plan, the noise and the
+row count, so its workspace builds it once, on its first call, and the 0/1
+matrices that sum the adjoint's angle derivatives into parameters and
+features are built once per plan. An array a call returns is always its own
+copy, never a view of a workspace, so a later call cannot change it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import threading
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -181,7 +185,7 @@ class NoiseSpec:
     granularity: str = "sublayer"  # "sublayer" | "gate"
 
     def __post_init__(self):
-        if self.gate_error is not None and self.gate_error < 0:
+        if self.gate_error is not None and not self.gate_error >= 0:
             raise UsageError("gate_error scale must be >= 0")
         if self.depolarizing is not None and not 0.0 <= self.depolarizing <= 1.0:
             raise UsageError("depolarizing p must be in [0, 1]")
@@ -323,7 +327,9 @@ class _Plan:
     source entries. A call's angle values (see :func:`_angle_values`) hold a
     zero, then ``fixed_angles``, then theta at ``params`` and the input at
     ``features`` (the entries some gate uses), and column c reads value
-    ``value_index[c]`` in its first row.
+    ``value_index[c]`` in its first row. ``sums`` holds, per input width,
+    the 0/1 matrices that sum the adjoint's angle-column derivatives into
+    theta and into the features (see :func:`_source_sums`).
     """
 
     n: int
@@ -337,6 +343,7 @@ class _Plan:
     params: np.ndarray
     features: np.ndarray
     value_index: np.ndarray  # (rotations + 1,), the last column the identity
+    sums: dict = field(default_factory=dict)
 
 
 def _fuse(gates: tuple, steps: list, events: tuple, n_qubits: int, n_rotations: int) -> _Blocks:
@@ -536,24 +543,44 @@ def _check_params_used(plan: _Plan, theta: np.ndarray) -> None:
 
 
 class _Workspace:
-    """The named arrays of one call's shape (see "Workspace" in the module
-    docstring); ``plan`` and ``noise`` say which calls may reuse them."""
+    """Named arrays that calls write with ``out=`` (see "Workspace" in the
+    module docstring); ``plan`` and ``noise`` say which parameter-shift
+    batches may reuse a kept one's value index."""
 
     def __init__(self, plan: Optional[_Plan] = None, noise: Optional[NoiseSpec] = None):
         self.plan, self.noise = plan, noise
-        self.arrays: dict = {}
+        self.arrays: dict = {}  # name -> its flat buffer
+        self.views: dict = {}  # name -> the last array handed out from it
         self.step_index: Optional[np.ndarray] = None  # a kept one's, once built
 
     def array(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
-        """The array ``name`` of this shape and dtype, holding whatever its
-        last writer left; a new one if it had another shape or dtype."""
-        arr = self.arrays.get(name)
-        if arr is None or arr.shape != shape or arr.dtype != dtype:
-            arr = self.arrays[name] = np.empty(shape, dtype)
-        return arr
+        """A contiguous array of this shape and dtype at the front of the
+        buffer ``name``, holding whatever its last writer left there; the
+        buffer is replaced by one of this size if it is smaller or of
+        another dtype. Two requests of one name share memory, so a call is
+        done with the first before it makes the second."""
+        view = self.views.get(name)
+        if view is not None and view.shape == shape and view.dtype == dtype:
+            return view
+        size = math.prod(shape)
+        buffer = self.arrays.get(name)
+        if buffer is None or buffer.size < size or buffer.dtype != dtype:
+            buffer = self.arrays[name] = np.empty(size, dtype)
+        view = self.views[name] = buffer[:size].reshape(shape)
+        return view
 
 
-_retained = threading.local()  # .workspace: this thread's last parameter-shift batch's
+# .workspace: this thread's last parameter-shift batch's; .rows: its
+# run_circuit batches' and adjoint calls'
+_retained = threading.local()
+
+
+def _row_workspace() -> _Workspace:
+    """This thread's kept workspace of calls whose row count varies."""
+    ws = getattr(_retained, "rows", None)
+    if ws is None:
+        ws = _retained.rows = _Workspace()
+    return ws
 
 
 def _shift_workspace(plan: _Plan, noise: Optional[NoiseSpec]) -> _Workspace:
@@ -573,13 +600,14 @@ def _evolve(plan: _Plan, x: np.ndarray, theta: np.ndarray, noise: Optional[Noise
     Row r runs input ``x[r]``. With ``shift_cols`` (U angle columns), ``x``
     is one input and the rows are its parameter-shift batch: row 0 as is,
     row 1 + k with pi/2 added to column ``shift_cols[k]`` and row 1 + U + k
-    with -pi/2; such a call runs in the kept workspace of its plan and noise.
+    with -pi/2; such a call runs in the kept workspace of its plan and noise,
+    any other in the kept row workspace.
     Draws the noise arrays in the order the module docstring fixes; gate
     error scales the trainable angles before the shifts are added.
     """
     values, index, stride = _angle_values(plan, x, theta)
     if shift_cols is None:
-        rows, ws = len(x), _Workspace()
+        rows, ws = len(x), _row_workspace()
     else:
         rows, ws = 1 + 2 * len(shift_cols), _shift_workspace(plan, noise)
     blocks, jittered, kicks, phase = plan.blocks[None], None, None, 1.0
@@ -810,6 +838,22 @@ def _product(angles: _Angles, index: np.ndarray, u: np.ndarray, v: np.ndarray):
     return a, b
 
 
+def _source_sums(plan: _Plan, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 0/1 matrices that sum each angle column's derivative into its
+    parameter and into its feature of an input of ``width`` features; built
+    once per plan and width, read-only."""
+    sums = plan.sums.get(width)
+    if sums is None:
+        to_theta = np.zeros((plan.n_rotations + 1, plan.params.size))
+        to_theta[plan.param_cols, plan.param_index] = 1.0
+        to_x = np.zeros((plan.n_rotations + 1, width))
+        to_x[plan.data_cols, plan.data_index] = 1.0
+        for arr in (to_theta, to_x):
+            arr.flags.writeable = False
+        sums = plan.sums[width] = (to_theta, to_x)
+    return sums
+
+
 # ---------------------------------------------------------------------------
 # public simulation entry points
 
@@ -918,76 +962,98 @@ def adjoint_value_and_grad(
     weights = np.asarray(weights, dtype=float)
     _check_params_used(plan, theta)
     rows = len(x)
-    ws = _Workspace()
+    ws = _row_workspace()
     angles = _half_angles(plan, *_angle_values(plan, x, theta), rows, None, None, ws)
     blocks = plan.blocks[None]
     _, sign = _tables(n_qubits)
-    psi = np.zeros((2**n_qubits, rows), dtype=complex)  # amplitude-major, as in _evolve
+    psi = ws.array("psi", (2**n_qubits, rows), complex)  # amplitude-major, as in _evolve
+    psi[1:] = 0.0
     psi[0] = 1.0
     reads = _step_index(blocks, angles, ws)  # the value each (step, group, row) reads
     matrices = _block_matrices(blocks, angles, None, ws, reads)
     _run_passes(blocks.passes, matrices, psi, ws)
     z = _expect(np.ascontiguousarray(psi.T), n_qubits)
     value = bias + z @ weights
-    # psi in the first `rows` columns, lambda = O psi with O = sum_i w_i Z_i in the rest
-    state = np.concatenate([psi, psi * (weights @ sign)[:, None]], axis=1)
+    # psi in the first `rows` columns, lambda = O psi with O = sum_i w_i Z_i in
+    # the rest; lambda goes through a contiguous temporary, as a ufunc writing
+    # a strided out allocates a buffer for it
+    state = ws.array("state", (2**n_qubits, 2 * rows), complex)
+    weighted = np.multiply(psi, (weights @ sign)[:, None], out=ws.array("lambda", psi.shape, complex))
+    state[:, :rows] = psi
+    state[:, rows:] = weighted
     psi, lam = state[:, :rows], state[:, rows:]
 
     # Walk the passes backwards, undoing each on psi and lambda. Before a block
     # is undone, read each of its groups' sums of conj(lambda) psi: gates on
     # other qubits in the block commute with the group, so its Bloch vector
     # does not depend on how much of the rest of the block is undone.
-    inverse = matrices[:, [1, 0, 2, 3]]  # [conj(a), a, -b, conj(b)] of the adjoint 2x2
+    n_groups = len(matrices)
+    # [conj(a), a, -b, conj(b)] of the adjoint 2x2, for psi's and lambda's columns
+    inverse = matrices.take([1, 0, 2, 3], axis=1, out=ws.array("inverse", matrices.shape, complex),
+                            mode="clip")
     inverse[:, 2:] *= -1
-    inverse = np.concatenate([inverse, inverse], axis=2)
-    bloch = np.empty((len(matrices), 3, rows), dtype=complex)
-    coef, part = np.empty((2,) + state.shape, dtype=complex), np.empty_like(state)
+    both = ws.array("inverse of both", (n_groups, 4, 2 * rows), complex)
+    both[..., :rows] = inverse
+    both[..., rows:] = inverse
+    bloch = ws.array("bloch", (n_groups, 3, rows), complex)
+    # the forward pass is done with its coefficient and partner arrays
+    coef = ws.array("coef", (2,) + state.shape, complex)
+    part = ws.array("partner", state.shape, complex)
     for group, index, partner in reversed(blocks.passes):
         if group is None:
             state *= index
             continue
         if group in blocks.reads:  # the last group of a chunk: read the chunk
             span, flips, xy = blocks.reads[group]
-            bra = lam.conj()
+            bra = np.conjugate(lam, out=ws.array("bra", lam.shape, complex))
+            # indices come from the plan, in range; "clip" writes straight into out
+            flipped = psi.take(flips, axis=0, out=ws.array("flipped", flips.shape + (rows,), complex),
+                               mode="clip")
             # real weights, so each sum runs on the (re, im) float view
-            np.matmul(xy, (bra * psi.take(flips, axis=0)).view(float),
-                      out=bloch[span, :2].view(float))
-            np.matmul(xy[:, 1], (bra * psi).view(float), out=bloch[span, 2].view(float))
-        # indices come from the plan, in range; "clip" writes straight into out
-        inverse[group].take(index, axis=0, out=coef, mode="clip")
+            products = np.multiply(bra, flipped, out=ws.array("products", flipped.shape, complex))
+            np.matmul(xy, products.view(float), out=bloch[span, :2].view(float))
+            products = np.multiply(bra, psi, out=ws.array("products", psi.shape, complex))
+            np.matmul(xy[:, 1], products.view(float), out=bloch[span, 2].view(float))
+        both[group].take(index, axis=0, out=coef, mode="clip")
         state.take(partner, axis=0, out=part, mode="clip")
         part *= coef[1]
         state *= coef[0]
         state += part
     # y[k * G + g] is component k of group g's vector, X: Im sum conj(lam)
     # psi[flip], Y: -Re sum sign conj(lam) psi[flip], Z: Im sum sign conj(lam) psi
-    y = bloch.imag.transpose(1, 0, 2).reshape(3 * len(bloch), rows)
-    y[len(bloch) : 2 * len(bloch)] = -bloch[:, 1].real
+    y = ws.array("y", (3 * n_groups, rows))
+    np.copyto(y.reshape(3, n_groups, rows), bloch.imag.transpose(1, 0, 2))
+    np.negative(bloch[:, 1].real, out=y[n_groups : 2 * n_groups])
 
     # Each rotation's derivative is Im <lambda| P |psi> just after it, the P
     # component of its group's vector there; undoing the rotation turns the
     # other two components by its angle. Padded steps land in the last column.
-    cos = 1.0 - 2.0 * angles.sin**2  # of the whole angles, once per value
-    sin = angles.sin * angles.cos
-    sin *= 2.0
-    cos, sin = cos[reads], sin[reads]
-    d_steps = np.empty(reads.shape)
+    # cos and sin of the whole angles, once per value: 1 - 2 sin^2 and 2 sin cos
+    whole_cos = np.square(angles.sin, out=ws.array("whole cos", angles.sin.shape))
+    whole_cos *= 2.0
+    np.subtract(1.0, whole_cos, out=whole_cos)
+    whole_sin = np.multiply(angles.sin, angles.cos, out=ws.array("whole sin", angles.sin.shape))
+    whole_sin *= 2.0
+    # the forward pass is done with its step gathers
+    cos = whole_cos.take(reads, out=ws.array("step cos", reads.shape), mode="clip")
+    sin = whole_sin.take(reads, out=ws.array("step sin", reads.shape), mode="clip")
+    d_steps = ws.array("d steps", reads.shape)
+    pair, rotated, turned = (ws.array(name, (2, n_groups, rows))
+                             for name in ("pair", "rotated", "turned"))
     for step in reversed(range(len(blocks.cols))):
         own, others = blocks.axis_rows[step, 0], blocks.axis_rows[step, 1:]
-        y.take(own, axis=0, out=d_steps[step])
-        pair = y.take(others, axis=0)
-        rotated = cos[step] * pair
-        turned = sin[step] * pair[::-1]  # (y1, y2) <- c (y1, y2) + (s y2, -s y1)
+        y.take(own, axis=0, out=d_steps[step], mode="clip")
+        y.take(others, axis=0, out=pair, mode="clip")
+        np.multiply(cos[step], pair, out=rotated)
+        np.multiply(sin[step], pair[::-1], out=turned)  # (y1, y2) <- c (y1, y2) + (s y2, -s y1)
         rotated[0] += turned[0]
         rotated[1] -= turned[1]
         y[others] = rotated
-    d_angle = np.zeros((plan.n_rotations + 1, rows))
+    d_angle = ws.array("d angle", (plan.n_rotations + 1, rows))
+    d_angle.fill(0.0)
     d_angle[blocks.cols] = d_steps
     # each angle column's derivative summed into its parameter or feature
-    to_theta = np.zeros((len(d_angle), len(theta)))
-    to_theta[plan.param_cols, plan.param_index] = 1.0
-    to_x = np.zeros((len(d_angle), x.shape[1]))
-    to_x[plan.data_cols, plan.data_index] = 1.0
+    to_theta, to_x = _source_sums(plan, x.shape[1])
     d_theta, d_x = d_angle.T @ to_theta, d_angle.T @ to_x
     if single:
         return float(value[0]), d_theta[0], d_x[0], z[0], 1.0

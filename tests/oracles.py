@@ -11,8 +11,10 @@ recomputes an episode loss step by step for finite-difference checks of
 ``qnav.agent.episode_gradients``, ``finite_diff_check`` compares any
 analytic gradient with central differences, the per-step loop of
 ``episode_gradients`` here (one ``trunk_backward`` per step, each through
-``lstm_step_backward`` and ``lstm_gates_backward``, one LSTM step) is the
-scalar reference for that function's batched backward pass,
+``lstm_step_backward`` and ``lstm_gates_backward``, one LSTM step, on the
+per-step caches ``trunk_replay`` recomputes from the observations) is the
+scalar reference for that function's batched backward pass over the rows
+the rollout wrote,
 ``dense_forward``, ``lstm_step``,
 ``softmax_entropy`` and ``select_action`` are the whole-array expressions of
 one rollout step's network calls that ``qnav.nn`` and ``qnav.agent`` now
@@ -672,13 +674,10 @@ def replay_loss(model, trace, returns, advantages=None) -> float:
     computed by ``agent.episode_gradients``.
     """
     config = model.config
-    h = np.zeros(config.lstm_hidden)
-    c = np.zeros(config.lstm_hidden)
     values, logps, entropies = [], [], []
-    d = model.obs_dim
-    for row, action in zip(trace.obs, trace.actions):
-        h, c, logits, _ = model.trunk_forward(row[:d], row[d:], h, c)
-        probs, entropy = nn.softmax_entropy(logits)
+    _, hidden, logits = trunk_replay(model, trace)
+    for h, z, action in zip(hidden, logits, trace.actions):
+        probs, entropy = nn.softmax_entropy(z)
         logps.append(float(np.log(probs[action])))
         entropies.append(entropy)
         values.append(model.critic.value(h))
@@ -692,6 +691,26 @@ def replay_loss(model, trace, returns, advantages=None) -> float:
             for lp, a, ent in zip(logps, advantages, entropies)
         ) / t)
     return j_v - j_pi
+
+
+def trunk_replay(model, trace):
+    """The trunk forward pass of the trace's observations, one step at a time
+    with this module's expressions: per step the cache (encoder input, first
+    activation, enc2 input, second activation, LSTM cache, actor input) that
+    :func:`trunk_backward` reads, and the (T, hidden) hidden states and
+    (T, actions) logits."""
+    h = c = np.zeros(model.config.lstm_hidden)
+    d = model.obs_dim
+    caches, hidden, logits = [], [], []
+    for row in trace.obs:
+        obs, extras = row[:d], row[d:]
+        a1 = np.tanh(dense_forward(model.enc1, obs))
+        a2 = np.tanh(dense_forward(model.enc2, a1))
+        h, c, cl = lstm_step(model.lstm, np.concatenate([a2, extras]), h, c)
+        caches.append((obs, a1, a1, a2, cl, h))
+        hidden.append(h)
+        logits.append(dense_forward(model.actor, h))
+    return caches, np.array(hidden), np.array(logits)
 
 
 def _add_into(views: dict, grads: dict) -> None:
@@ -728,17 +747,17 @@ def episode_gradients(model, trace, returns, gradient_mode: Optional[str] = None
                       noise_rng: Optional[np.random.Generator] = None):
     """Gradient of J_V - J_pi over one recorded episode, one step at a time:
     per step, the logit gradient, the critic gradient and a ``trunk_backward``
-    whose per-layer gradient dicts are added into the gradient vector.
+    whose per-layer gradient dicts are added into the gradient vector. The
+    forward pass is :func:`trunk_replay`'s, not the rows the rollout wrote.
     Returns (grad, j_v, j_pi) like ``qnav.agent.episode_gradients``."""
     config = model.config
     mode = gradient_mode or config.gradient_mode
     t_len = trace.steps
     if t_len == 0:
         raise UsageError("empty episode")
-    if len(trace.caches) != t_len:
-        raise UsageError("the trace holds no forward pass (a greedy rollout?)")
+    caches, hidden, logits = trunk_replay(model, trace)
     values, vgrads, dvdh = model.critic.value_and_grads(
-        np.stack(trace.hidden), mode=mode, noise=config.noise, rng=noise_rng)
+        hidden, mode=mode, noise=config.noise, rng=noise_rng)
     values = values.tolist()
 
     j_v, j_pi = agent.losses(values, returns, trace.logps, trace.entropies,
@@ -752,7 +771,7 @@ def episode_gradients(model, trace, returns, gradient_mode: Optional[str] = None
     ent_sign = 1.0 if config.entropy_bonus else -1.0
     for t in range(t_len - 1, -1, -1):
         advantage = returns[t] - values[t]
-        probs = nn.softmax(trace.logits[t])
+        probs = nn.softmax(logits[t])
         onehot = np.zeros(env.N_ACTIONS)
         onehot[trace.actions[t]] = 1.0
         # d(J_V)/dV; the advantage path into J_pi is detached
@@ -763,7 +782,7 @@ def episode_gradients(model, trace, returns, gradient_mode: Optional[str] = None
         for key, g in vgrads.items():
             critic_grads[key] += dv * g[t]
         dh_next, dc_next = trunk_backward(
-            model, dlogits, dv * dvdh[t], dh_next, dc_next, trace.caches[t], layer_grads)
+            model, dlogits, dv * dvdh[t], dh_next, dc_next, caches[t], layer_grads)
     if config.max_grad_norm is not None:
         grad = nn.clip_by_global_norm(grad, config.max_grad_norm)
     return grad, j_v, j_pi

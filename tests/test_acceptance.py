@@ -213,22 +213,18 @@ def test_criterion_06_classical_gradients():
             dh_extra = rng.normal(size=(steps, config.lstm_hidden))
 
             def unroll():
-                h = c = np.zeros(config.lstm_hidden)
-                hidden, logits, caches = [], [], []
+                rows = agent.TraceRows(model, steps)
                 for t in range(steps):
-                    h, c, z, cache = model.trunk_forward(obs[t], extras[t], h, c)
-                    hidden.append(h)
-                    logits.append(z)
-                    caches.append(cache)
-                return np.array(hidden), np.array(logits), caches
+                    model.trunk_forward(obs[t], extras[t], rows, t)
+                return rows
 
             def loss():
-                hidden, logits, _ = unroll()
-                return float((dlogits * logits).sum() + (dh_extra * hidden).sum())
+                rows = unroll()
+                return float((dlogits * rows.logits).sum() + (dh_extra * rows.hidden[1:]).sum())
 
             trunk = ("enc1", "enc2", "lstm", "actor")
             layer_grads = nn.views(np.zeros_like(model.flat), model.layers)
-            model.trunk_backward(dlogits, dh_extra, unroll()[2], layer_grads)
+            model.trunk_backward(dlogits, dh_extra, unroll(), layer_grads)
             params = nn.named({k: model.layers[k] for k in trunk})
             grads = nn.named({k: layer_grads[k] for k in trunk})
         else:

@@ -13,6 +13,7 @@ import qnav.agent as agent
 import qnav.cli as cli
 import qnav.env as env
 import qnav.nn as nn
+import qnav.qsim as qsim
 from qnav import UsageError
 from qnav.agent import ActorCriticModel, AgentConfig
 from qnav.qsim import NoiseSpec
@@ -36,16 +37,19 @@ def small_episode(critic="quantum", seed=3, **kwargs):
     return config, model, trace, returns
 
 
+def replay(model, observations, steps=None):
+    """The trunk forward pass of these observation rows, into rows of their
+    own (``steps`` of them: one per row by default)."""
+    rows = agent.TraceRows(model, steps or len(observations))
+    d = model.obs_dim
+    for t, row in enumerate(observations):
+        model.trunk_forward(row[:d], row[d:], rows, t)
+    return rows
+
+
 def replayed_values(model, trace):
     """Critic values of the episode's hidden states under the current parameters."""
-    h = np.zeros(model.config.lstm_hidden)
-    c = np.zeros(model.config.lstm_hidden)
-    hidden = []
-    d = model.obs_dim
-    for row in trace.obs:
-        h, c, _, _ = model.trunk_forward(row[:d], row[d:], h, c)
-        hidden.append(h)
-    return model.critic.value(np.stack(hidden))
+    return model.critic.value(replay(model, trace.obs).hidden[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +73,29 @@ def test_config_validation():
         with pytest.raises(UsageError):
             AgentConfig(critic="quantum", **bad)
     AgentConfig(critic="classical", n_qubits=0)  # the circuit shape is unused
+
+
+COUNT_FIELDS = ("episodes", "max_steps", "seed", "n_qubits", "n_layers", "lstm_hidden",
+                "encoder_hidden", "encoder_out")
+
+
+@pytest.mark.parametrize("name", COUNT_FIELDS)
+@pytest.mark.parametrize("value", [2.5, 4.0, True, "4", None])
+def test_config_rejects_non_integer_counts(name, value):
+    """Every count is an int: 2.5 episodes would fail mid-run and a max_steps
+    of 2.5 would size the rollout's rows; a bool is no count either."""
+    with pytest.raises(UsageError, match=f"{name} must be an integer"):
+        AgentConfig(**{name: value})
+
+
+def test_config_rejects_nan_entropy_weight():
+    """NaN fails every comparison, so `x < 0` would let it through to NaN losses."""
+    with pytest.raises(UsageError):
+        AgentConfig(entropy_weight=float("nan"))
+    for bad in (float("nan"), -1e-9):
+        with pytest.raises(UsageError):
+            AgentConfig(critic="quantum", gradient_mode="param-shift",
+                        noise=NoiseSpec(gate_error=bad))
 
 
 @pytest.mark.parametrize("n,layers,total", [
@@ -231,12 +258,9 @@ def test_policy_term_detached_from_critic():
 
     def policy_loss():
         t = trace.steps
-        h = np.zeros(config.lstm_hidden)
-        c = np.zeros(config.lstm_hidden)
         total = 0.0
-        d = model.obs_dim
-        for row, action, adv in zip(trace.obs, trace.actions, advantages):
-            h, c, logits, _ = model.trunk_forward(row[:d], row[d:], h, c)
+        rows = replay(model, trace.obs)
+        for logits, action, adv in zip(rows.logits, trace.actions, advantages):
             probs, entropy = nn.softmax_entropy(logits)
             total += math.log(probs[action]) * adv + config.entropy_weight * entropy
         return total / t
@@ -311,9 +335,9 @@ def test_classical_critic_training_route_holds_no_per_row_weight_gradient():
 @pytest.mark.parametrize("critic", ["quantum", "classical"])
 def test_episode_gradients_reuse_the_rollout(critic, monkeypatch):
     """The gradient runs no trunk forward pass: it backpropagates through
-    the caches the training rollout recorded."""
+    the rows the training rollout wrote."""
     config, model, trace, returns = small_episode(critic)
-    assert len(trace.caches) == len(trace.hidden) == len(trace.logits) == trace.steps
+    assert len(trace.hidden) == len(trace.logits) == trace.steps
     expected, _, _ = agent.episode_gradients(model, trace, returns)
     calls = []
     trunk_forward = model.trunk_forward
@@ -326,32 +350,100 @@ def test_episode_gradients_reuse_the_rollout(critic, monkeypatch):
 
 
 def test_greedy_trace_records_no_forward_pass():
-    """Evaluation never backpropagates, so a greedy rollout keeps no caches,
-    hidden states or logits, and its trace cannot be differentiated."""
+    """Evaluation never backpropagates, so a greedy rollout keeps no hidden
+    states or logits and makes no training rows, and its trace cannot be
+    differentiated."""
     config, model, streams = small_model("classical")
     scene = env.make_scene(1, 20.0, 1.2)
     trace = agent.run_episode(model, scene, env.EnvConfig(), greedy=True)
     assert trace.steps > 0
-    assert trace.caches == [] and trace.hidden == [] and trace.logits == []
+    assert trace.rows is None and model._training_rows is None
+    with pytest.raises(UsageError, match="no forward pass"):
+        trace.hidden
     returns = agent.discounted_returns(trace.rewards, config.gamma)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="no forward pass"):
         agent.episode_gradients(model, trace, returns)
 
 
+def test_greedy_rollouts_run_the_forward_pass_of_full_rows(monkeypatch):
+    """A greedy rollout writes each step into one row in turn. Over scenes
+    rolled out one after another, every step's logits are bit for bit those
+    of the scene's observations replayed into rows of their own from the
+    zero state."""
+    config, model, _ = small_model("classical", max_steps=7)
+    seen = []
+    trunk_forward = model.trunk_forward
+
+    def recording(*args):
+        h, logits = trunk_forward(*args)
+        seen.append(logits.copy())
+        return h, logits
+
+    monkeypatch.setattr(model, "trunk_forward", recording)
+    traces = [agent.run_episode(model, scene, env.EnvConfig(), greedy=True)
+              for scene in scenes_small()[:3]]
+    monkeypatch.undo()
+    assert len(seen) == sum(trace.steps for trace in traces) > 2 * len(traces)
+    expected = np.concatenate([replay(model, trace.obs).logits for trace in traces])
+    np.testing.assert_array_equal(np.array(seen), expected)
+
+
+ROW_NAMES = ("obs", "a1", "x", "gates", "tanh_cell", "logits")
+STATE_NAMES = ("hidden", "cell")
+
+
 def test_recorded_forward_pass_equals_a_replay():
-    """The rollout's hidden states, logits, log-probabilities and entropies
-    are bit for bit those of replaying its observations."""
-    config, model, trace, _ = small_episode("classical")
-    h = np.zeros(config.lstm_hidden)
-    c = np.zeros(config.lstm_hidden)
-    d = model.obs_dim
-    for t, row in enumerate(trace.obs):
-        h, c, logits, _ = model.trunk_forward(row[:d], row[d:], h, c)
-        probs, entropy = nn.softmax_entropy(logits)
-        np.testing.assert_array_equal(trace.hidden[t], h)
-        np.testing.assert_array_equal(trace.logits[t], logits)
+    """The rollout's rows, hidden states, logits, log-probabilities and
+    entropies are bit for bit those of replaying its observations, and the
+    LSTM vectors of each step those of one nn.lstm_step on fresh arrays: on
+    a collision and on a truncated episode, whose bootstrap runs the trunk
+    once more after the last step."""
+    for episode in ("collision", "truncated"):
+        _, model, trace, _ = small_episode("classical", **PARITY_EPISODES[episode])
+        assert_recorded_rows_equal_a_replay(model, trace)
+
+
+def assert_recorded_rows_equal_a_replay(model, trace):
+    t_len = trace.steps
+    rows = replay(model, trace.obs)
+    for name in ROW_NAMES:
+        np.testing.assert_array_equal(getattr(trace.rows, name)[:t_len], getattr(rows, name))
+    for name in STATE_NAMES:
+        np.testing.assert_array_equal(getattr(trace.rows, name)[: t_len + 1], getattr(rows, name))
+    np.testing.assert_array_equal(trace.hidden, rows.hidden[1:])
+    np.testing.assert_array_equal(trace.logits, rows.logits)
+    for t in range(t_len):
+        probs, entropy = nn.softmax_entropy(trace.logits[t])
         assert trace.logps[t] == float(np.log(probs[trace.actions[t]]))
         assert trace.entropies[t] == entropy
+        h, _, (*_, i, f, o, g, c, tc) = nn.lstm_step(
+            model.lstm, rows.x[t].copy(), rows.hidden[t].copy(), rows.cell[t].copy())
+        np.testing.assert_array_equal(np.concatenate([i, f, o, g]), rows.gates[t])
+        np.testing.assert_array_equal(c, rows.cell[t + 1])
+        np.testing.assert_array_equal(tc, rows.tanh_cell[t])
+        np.testing.assert_array_equal(h, rows.hidden[t + 1])
+
+
+def test_a_later_training_rollout_makes_a_trace_stale():
+    """The model's next training rollout writes over a trace's rows, so the
+    earlier trace can no longer be read or differentiated; greedy rollouts
+    in between leave it valid, and the next trace reuses the same rows."""
+    config, model, streams = small_model("classical", max_steps=5)
+    scene = env.make_scene(1, 20.0, 1.2)
+    first = agent.run_episode(model, scene, env.EnvConfig(), policy_rng=streams["policy"])
+    returns = agent.discounted_returns(first.rewards, config.gamma, first.bootstrap)
+    hidden = first.hidden.copy()
+    agent.evaluate_policy(model, [scene])
+    np.testing.assert_array_equal(first.hidden, hidden)
+    agent.episode_gradients(model, first, returns)
+    second = agent.run_episode(model, scene, env.EnvConfig(), policy_rng=streams["policy"])
+    assert second.rows is first.rows and second.rollout == first.rollout + 1
+    for read in (lambda: first.hidden, lambda: first.logits,
+                 lambda: agent.episode_gradients(model, first, returns)):
+        with pytest.raises(UsageError, match="later training rollout"):
+            read()
+    agent.episode_gradients(model, second, agent.discounted_returns(
+        second.rewards, config.gamma, second.bootstrap))
 
 
 def test_agent_step_cap_truncates_as_timeout():
@@ -371,13 +463,11 @@ def test_agent_step_cap_truncates_as_timeout():
     assert len(calls) == 1
 
     world, row = env.reset(scene, config=env_config)
-    h = np.zeros(config.lstm_hidden)
-    c = np.zeros(config.lstm_hidden)
-    d = model.obs_dim
+    observations = [row]
     for action in trace.actions:
-        h, c, _, _ = model.trunk_forward(row[:d], row[d:], h, c)
         world, row, _, _, _ = env.step(world, action)
-    h, c, _, _ = model.trunk_forward(row[:d], row[d:], h, c)
+        observations.append(row)
+    h = replay(model, observations).hidden[-1]
     assert trace.bootstrap == model.critic.value(h)
     assert trace.bootstrap != 0.0
     returns = agent.discounted_returns(trace.rewards, config.gamma, trace.bootstrap)
@@ -536,6 +626,31 @@ def test_train_run_deterministic(critic):
     assert rec1.outcomes == rec2.outcomes
 
 
+@pytest.mark.parametrize("critic", ["quantum", "classical"])
+def test_train_run_bytes_do_not_depend_on_kept_memory(critic, monkeypatch):
+    """Training writes into the model's kept rows and the simulator's kept
+    workspaces. A run whose every rollout gets fresh rows and workspaces,
+    after a greedy rollout of another scene, records the same bytes and
+    ends with the same parameters."""
+    scenes = scenes_small()
+    config = AgentConfig(critic=critic, n_qubits=2, n_layers=1, episodes=6, seed=4,
+                         **{**SMALL, "max_steps": 30})
+    record, model = agent.train_run(config, scenes)
+    run_episode = agent.run_episode
+
+    def fresh_rollout(model, *args, **kwargs):
+        model._training_rows = None
+        vars(qsim._retained).clear()
+        run_episode(model, scenes[-1], env.EnvConfig(), greedy=True)
+        return run_episode(model, *args, **kwargs)
+
+    monkeypatch.setattr(agent, "run_episode", fresh_rollout)
+    fresh_record, fresh_model = agent.train_run(config, scenes)
+    assert "timeout" in record.outcomes
+    assert json.dumps(dataclasses.asdict(fresh_record)) == json.dumps(dataclasses.asdict(record))
+    assert fresh_model.flat.tobytes() == model.flat.tobytes()
+
+
 def test_train_run_with_noise_deterministic():
     scenes = scenes_small()
     config = AgentConfig(critic="quantum", n_qubits=2, n_layers=1, episodes=3,
@@ -606,11 +721,11 @@ def test_greedy_eval_skips_unread_bootstrap():
     expected = []
     for idx, scene in enumerate(scenes):
         world, row = env.reset(scene, config=env.EnvConfig())
-        h = c = np.zeros(config.lstm_hidden)
+        rows = agent.TraceRows(model, 1)  # one row, in turn, as a greedy rollout's
         d = model.obs_dim
         rewards, near_miss = [], False
         while not world.done and len(rewards) < config.max_steps:
-            h, c, logits, _ = model.trunk_forward(row[:d], row[d:], h, c)
+            _, logits = model.trunk_forward(row[:d], row[d:], rows, len(rewards))
             world, row, reward, _, info = env.step(world, int(np.argmax(nn.softmax(logits))))
             rewards.append(reward.total)
             near_miss |= env.NEAR_MISS in info["proximity"]

@@ -231,6 +231,19 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
     ({"seeds": 5}, []),
     ({"seeds": ["x"]}, []),
     ({"seeds": []}, []),
+    ({"agent": {"episodes": 2.5}}, []),
+    ({"agent": {"max_steps": 2.5}}, []),
+    ({"agent": {"seed": 1.5}}, []),
+    ({"agent": {"lstm_hidden": True}}, []),
+    ({"agent": {"critic": "quantum", "n_qubits": 2.0}}, []),
+    ({"env": {"max_steps": 2.5}}, []),
+    ({"env": {"k_pedestrians": 4.0}}, []),
+    ({"agent": {"entropy_weight": float("nan")}}, []),
+    ({"agent": {"critic": "quantum", "gradient_mode": "param-shift",
+                "noise": {"gate_error": float("nan")}}}, []),
+    ({"agent": {"critic": "quantum"}}, ["--noise", "gate_error=nan"]),
+    ({"env": {"near_miss_margin": -1.0}}, []),
+    ({"env": {"near_miss_margin": float("nan")}}, []),
 ], ids=["yaml-depolarizing-2", "flag-not-a-number", "flag-negative", "zero-qubits",
         "zero-lstm-hidden", "zero-encoder-hidden", "zero-agent-max-steps", "negative-episodes",
         "negative-lr", "negative-max-grad-norm", "zero-dt", "zero-map-resolution",
@@ -240,7 +253,11 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
         "road-x-min-above-max", "road-y-min-equals-max", "zero-speed-limit", "zero-v-max",
         "negative-v-max", "unknown-scenario", "unknown-split", "empty-speed-grid",
         "two-value-distance", "zero-speed-grid-step", "smooth-window-not-a-number",
-        "zero-smooth-window", "seeds-not-a-list", "seed-not-an-integer", "no-seeds"])
+        "zero-smooth-window", "seeds-not-a-list", "seed-not-an-integer", "no-seeds",
+        "fractional-episodes", "fractional-agent-max-steps", "fractional-agent-seed",
+        "boolean-lstm-hidden", "float-qubits", "fractional-env-max-steps",
+        "float-k-pedestrians", "nan-entropy-weight", "yaml-nan-gate-error", "flag-nan-gate-error",
+        "negative-near-miss-margin", "nan-near-miss-margin"])
 def test_cmd_train_bad_values_exit_2_before_output(tmp_path, sections, flags):
     """Bad values fail when the config loads: exit 2, no output directory."""
     path = write_config(tmp_path, **sections)

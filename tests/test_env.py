@@ -72,6 +72,20 @@ def test_empty_grid_rejected():
         env.generate_scenes("validation")
 
 
+@pytest.mark.parametrize("name", ["max_steps", "k_pedestrians"])
+@pytest.mark.parametrize("value", [2.5, 4.0, True])
+def test_config_rejects_non_integer_counts(name, value):
+    with pytest.raises(UsageError, match=f"{name} must be an integer"):
+        env.EnvConfig(**{name: value})
+
+
+@pytest.mark.parametrize("margin", [-0.5, float("nan")])
+def test_config_rejects_bad_near_miss_margin(margin):
+    with pytest.raises(UsageError, match="near_miss_margin"):
+        env.EnvConfig(near_miss_margin=margin)
+    env.EnvConfig(near_miss_margin=0.0)
+
+
 def test_scene_ordering_deterministic():
     a = env.generate_scenes("train")
     b = env.generate_scenes("train")

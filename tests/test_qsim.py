@@ -1,6 +1,7 @@
 """Statevector simulator: gate algebra, gradients, and noise trajectories."""
 
 import dataclasses
+import functools
 import math
 import pickle
 import tracemalloc
@@ -390,6 +391,10 @@ def test_noisy_run_deterministic_per_seed():
 def test_noise_spec_validation():
     with pytest.raises(UsageError):
         NoiseSpec(gate_error=-0.1)
+    with pytest.raises(UsageError):
+        NoiseSpec(gate_error=float("nan"))
+    with pytest.raises(UsageError):
+        NoiseSpec(depolarizing=float("nan"))
     with pytest.raises(UsageError):
         NoiseSpec(depolarizing=1.5)
     with pytest.raises(UsageError):
@@ -864,3 +869,81 @@ def test_kept_step_index_equals_a_fresh_build(noise):
     fresh = qsim._step_index(plan.blocks[key], angles, qsim._Workspace())
     assert fresh.dtype == kept.step_index.dtype and fresh.shape == kept.step_index.shape
     assert fresh.tobytes() == kept.step_index.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the kept row workspace of adjoint calls and run_circuit batches
+
+
+def test_adjoint_calls_of_any_row_count_give_the_bits_of_fresh_workspace_calls():
+    """Adjoint calls of 50, 1, 37, 200 and 50 rows, alternating between a
+    4-qubit and a 2-qubit plan with a run_circuit batch after each, give the
+    bits of the same calls each made in a fresh workspace, also with every
+    kept float buffer filled with NaN before each call: no call reads what
+    it has not written. The kept buffers grow to the largest call and stay
+    that size."""
+    cases = [default_case(4, 2, 11), default_case(2, 1, 12)]
+    rng = np.random.default_rng(13)
+    calls = []
+    for rows in (50, 1, 37, 200, 50):
+        for gates, marks, x, theta, w, n in cases:
+            inputs = rng.uniform(-1, 1, size=(rows, x.shape[1]))
+            calls.append(functools.partial(qsim.adjoint_value_and_grad,
+                                           gates, inputs, theta, w, 0.2, n))
+            calls.append(functools.partial(qsim.run_circuit, gates, inputs[::-1], theta, n))
+    expected = []
+    for call in calls:
+        forget_workspace()
+        expected.append(call())
+    forget_workspace()
+    sizes = []
+    for call, want in zip(calls, expected):
+        kept = getattr(qsim._retained, "rows", None)
+        for buffer in kept.arrays.values() if kept is not None else ():
+            if buffer.dtype.kind in "fc":
+                buffer.fill(np.nan)
+        got = call()
+        for part, ref in zip(got, want):
+            np.testing.assert_array_equal(part, ref)
+        assert_bits_equal(got, want)
+        sizes.append(qsim._retained.rows.arrays["psi"].size)
+    assert sizes[-1] == max(sizes) == 16 * 200
+
+
+@pytest.mark.parametrize("rows", [1, 50])
+def test_mutating_a_returned_array_leaves_the_next_call_unchanged(rows):
+    """Every array an adjoint call or a run_circuit batch returns is its own:
+    none shares memory with the kept workspace, and writing into them
+    changes nothing a later call returns."""
+    gates, marks, x, theta, w, n = default_case(4, 2, 14)
+    inputs = np.random.default_rng(15).uniform(-1, 1, size=(rows, x.shape[1]))
+    calls = [lambda: qsim.adjoint_value_and_grad(gates, inputs, theta, w, 0.2, n)[:4],
+             lambda: (qsim.run_circuit(gates, inputs, theta, n),)]
+    for call in calls:
+        first = call()
+        expected = [part.copy() for part in first]
+        buffers = qsim._retained.rows.arrays.values()
+        for part in first:
+            assert not any(np.shares_memory(part, buffer) for buffer in buffers)
+            part[...] = np.nan
+        assert_bits_equal(call(), expected)
+
+
+def test_warm_adjoint_call_allocates_no_per_call_arrays():
+    """After a warm-up call, a 50-row adjoint call of the default circuit
+    allocates only its outputs and small arrays: its traced peak is a
+    fraction of the arrays it works in (about 1.1 MB when each call
+    allocated its own)."""
+    layout = encoding.plan_layout(32, 4, 2)
+    gates, _ = encoding.build_circuit(layout)
+    rng = np.random.default_rng(16)
+    x = [encoding.pad_input(np.tanh(rng.normal(size=(50, 32))), layout) for _ in range(2)]
+    theta = rng.uniform(-np.pi, np.pi, layout.param_count)
+    qsim.adjoint_value_and_grad(gates, x[0], theta, np.ones(4), 0.1, 4)
+    tracemalloc.start()
+    try:
+        qsim.adjoint_value_and_grad(gates, x[1], theta, np.ones(4), 0.1, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 1024
