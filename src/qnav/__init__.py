@@ -2,6 +2,8 @@
 collision-free-navigation POMDP, with a noise-aware quantum simulator and
 capacity analysis tools."""
 
+import math
+
 __version__ = "0.1.0"
 
 
@@ -22,3 +24,13 @@ def check_ints(config, names) -> None:
         value = getattr(config, name)
         if not is_int(value):
             raise UsageError(f"{name} must be an integer, got {value!r}")
+
+
+def check_finite(config, names) -> None:
+    """Raise UsageError unless each named field of ``config`` that is set (not
+    None) is a finite number: NaN fails every comparison and infinity passes
+    a lower bound, so either would pass a range check and fail mid-run."""
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and not (isinstance(value, (int, float)) and math.isfinite(value)):
+            raise UsageError(f"{name} must be a finite number, got {value!r}")

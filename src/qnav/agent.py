@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import UsageError, check_ints, encoding, env, nn, qsim
+from . import UsageError, check_finite, check_ints, encoding, env, nn, qsim
 from .encoding import CircuitLayout
 from .qsim import NoiseSpec
 
@@ -49,6 +49,7 @@ class AgentConfig:
     def __post_init__(self):
         check_ints(self, ("episodes", "max_steps", "seed", "n_qubits", "n_layers", "lstm_hidden",
                           "encoder_hidden", "encoder_out"))
+        check_finite(self, ("gamma", "entropy_weight", "lr", "max_grad_norm"))
         if self.critic not in ("quantum", "classical"):
             raise UsageError(f"unknown critic kind {self.critic!r}")
         if self.gradient_mode not in ("backprop", "param-shift"):
@@ -542,7 +543,6 @@ def losses(values, returns, logps, entropies, entropy_weight: float,
 
 
 def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace, returns,
-                      gradient_mode: Optional[str] = None,
                       noise_rng: Optional[np.random.Generator] = None):
     """Gradient of the combined loss J_V - J_pi over one recorded episode.
 
@@ -556,7 +556,6 @@ def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace, returns,
     clipped to ``config.max_grad_norm`` when that is set.
     """
     config = model.config
-    mode = gradient_mode or config.gradient_mode
     t_len = trace.steps
     if t_len == 0:
         raise UsageError("empty episode")
@@ -564,8 +563,8 @@ def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace, returns,
     returns = np.asarray(returns, dtype=float)
     # d(J_V)/dV; the advantage path into J_pi is detached
     values, critic_grads, dh_critic = model.critic.value_and_grads(
-        rows.hidden[1 : t_len + 1], mode=mode, noise=config.noise, rng=noise_rng,
-        upstream=lambda v: 2.0 * (v - returns) / t_len)
+        rows.hidden[1 : t_len + 1], mode=config.gradient_mode, noise=config.noise,
+        rng=noise_rng, upstream=lambda v: 2.0 * (v - returns) / t_len)
     j_v, j_pi = losses(values, returns, trace.logps, trace.entropies,
                        config.entropy_weight, config.entropy_bonus)
 

@@ -29,6 +29,7 @@ The first ``D`` entries are the encoder input; the last 4 bypass the encoder.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import operator
@@ -38,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import UsageError, check_ints, planner
+from . import UsageError, check_finite, check_ints, planner
 from .planner import CostMap, Path
 
 KMH = 1.0 / 3.6  # km/h -> m/s
@@ -77,6 +78,7 @@ class EnvConfig:
 
     def __post_init__(self):
         check_ints(self, ("max_steps", "k_pedestrians"))
+        check_finite(self, [f.name for f in dataclasses.fields(self) if f.type == "float"])
         if not (self.dt > 0 and self.map_resolution > 0 and self.wheelbase > 0
                 and self.goal_tol > 0):
             raise UsageError("dt, map_resolution, wheelbase and goal_tol must be > 0")

@@ -87,17 +87,15 @@ and sin, the gate-error jitter and depolarizing coins, each event's drawn
 Pauli as [alpha, beta] rows, and every array of the adjoint reverse pass.
 Each name holds one flat buffer, sized for the largest request so far, and a
 call works on a contiguous view of its front, so a call of any row count up
-to that size reuses it. Workspaces are kept between calls, per thread: one
-for parameter-shift batches, whose row count 1 + 2 * uses the plan fixes,
-kept for the most recent (plan, noise) pair only and replaced when a call
-brings another, and one for ``run_circuit`` batches and adjoint calls, whose
-row counts vary per call. A run of calls thus allocates (and makes the
-system fault in) those arrays once, not each time. The (steps, G, B) value
-index of a parameter-shift batch depends only on the plan, the noise and the
-row count, so its workspace builds it once, on its first call, and the 0/1
-matrices that sum the adjoint's angle derivatives into parameters and
-features are built once per plan. An array a call returns is always its own
-copy, never a view of a workspace, so a later call cannot change it.
+to that size reuses it. One workspace is kept per thread and serves every
+call, of any plan, noise and row count, so a run of calls allocates (and
+makes the system fault in) those arrays once, not each time. What depends
+on the plan alone is kept on the plan, read-only: the (steps, G, B) value
+index of a parameter-shift batch, which only the depolarizing granularity
+and whether gate error is on change, and the 0/1 matrices that sum the
+adjoint's angle derivatives into parameters and features. An array a call
+returns is always its own copy, never a view of the workspace, so a later
+call cannot change it.
 """
 
 from __future__ import annotations
@@ -113,7 +111,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import UsageError
+from . import UsageError, check_finite
 
 MAX_QUBITS = 12
 
@@ -185,6 +183,7 @@ class NoiseSpec:
     granularity: str = "sublayer"  # "sublayer" | "gate"
 
     def __post_init__(self):
+        check_finite(self, ("gate_error",))
         if self.gate_error is not None and not self.gate_error >= 0:
             raise UsageError("gate_error scale must be >= 0")
         if self.depolarizing is not None and not 0.0 <= self.depolarizing <= 1.0:
@@ -329,7 +328,10 @@ class _Plan:
     ``features`` (the entries some gate uses), and column c reads value
     ``value_index[c]`` in its first row. ``sums`` holds, per input width,
     the 0/1 matrices that sum the adjoint's angle-column derivatives into
-    theta and into the features (see :func:`_source_sums`).
+    theta and into the features (see :func:`_source_sums`). ``shift_index``
+    holds the :func:`_step_index` of a parameter-shift batch per
+    (depolarizing granularity or None, gate error on): nothing else changes
+    it, so :func:`_forward` builds it on the first such call, read-only.
     """
 
     n: int
@@ -344,6 +346,7 @@ class _Plan:
     features: np.ndarray
     value_index: np.ndarray  # (rotations + 1,), the last column the identity
     sums: dict = field(default_factory=dict)
+    shift_index: dict = field(default_factory=dict)
 
 
 def _fuse(gates: tuple, steps: list, events: tuple, n_qubits: int, n_rotations: int) -> _Blocks:
@@ -544,73 +547,73 @@ def _check_params_used(plan: _Plan, theta: np.ndarray) -> None:
 
 class _Workspace:
     """Named arrays that calls write with ``out=`` (see "Workspace" in the
-    module docstring); ``plan`` and ``noise`` say which parameter-shift
-    batches may reuse a kept one's value index."""
+    module docstring)."""
 
-    def __init__(self, plan: Optional[_Plan] = None, noise: Optional[NoiseSpec] = None):
-        self.plan, self.noise = plan, noise
+    def __init__(self):
         self.arrays: dict = {}  # name -> its flat buffer
-        self.views: dict = {}  # name -> the last array handed out from it
-        self.step_index: Optional[np.ndarray] = None  # a kept one's, once built
+        self.views: dict = {}  # name -> the last two arrays handed out from it
 
     def array(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         """A contiguous array of this shape and dtype at the front of the
         buffer ``name``, holding whatever its last writer left there; the
         buffer is replaced by one of this size if it is smaller or of
         another dtype. Two requests of one name share memory, so a call is
-        done with the first before it makes the second."""
-        view = self.views.get(name)
-        if view is not None and view.shape == shape and view.dtype == dtype:
-            return view
+        done with the first before it makes the second. A name's last two
+        views are reused, so calls that alternate between two row counts (a
+        parameter-shift batch and a one-row value) carve no new ones."""
+        views = self.views.get(name, ())
+        for view in views:
+            if view.shape == shape and view.dtype == dtype:
+                return view
         size = math.prod(shape)
         buffer = self.arrays.get(name)
         if buffer is None or buffer.size < size or buffer.dtype != dtype:
             buffer = self.arrays[name] = np.empty(size, dtype)
-        view = self.views[name] = buffer[:size].reshape(shape)
+            views = ()
+        view = buffer[:size].reshape(shape)
+        self.views[name] = (view, *views[:1])
         return view
 
 
-# .workspace: this thread's last parameter-shift batch's; .rows: its
-# run_circuit batches' and adjoint calls'
+# .workspace: this thread's kept workspace
 _retained = threading.local()
 
 
-def _row_workspace() -> _Workspace:
-    """This thread's kept workspace of calls whose row count varies."""
-    ws = getattr(_retained, "rows", None)
-    if ws is None:
-        ws = _retained.rows = _Workspace()
-    return ws
-
-
-def _shift_workspace(plan: _Plan, noise: Optional[NoiseSpec]) -> _Workspace:
-    """The kept workspace of parameter-shift batches of ``plan`` under
-    ``noise``, replacing the one kept for another pair."""
+def _workspace() -> _Workspace:
+    """This thread's kept workspace, which every call runs in."""
     ws = getattr(_retained, "workspace", None)
-    if ws is None or ws.plan is not plan or ws.noise != noise:
-        ws = _retained.workspace = _Workspace(plan, noise)
+    if ws is None:
+        ws = _retained.workspace = _Workspace()
     return ws
 
 
 def _evolve(plan: _Plan, x: np.ndarray, theta: np.ndarray, noise: Optional[NoiseSpec] = None,
             rng: Optional[np.random.Generator] = None,
             shift_cols: Optional[np.ndarray] = None) -> np.ndarray:
-    """Final (B, 2**n) states, one trajectory per row.
+    """Final (B, 2**n) states, one trajectory per row: a copy of the state
+    :func:`_forward` leaves in the workspace (for one row psi.T is already
+    contiguous, so np.ascontiguousarray would return a view of it)."""
+    return _forward(plan, x, theta, noise, rng, shift_cols)[0].T.copy()
 
-    Row r runs input ``x[r]``. With ``shift_cols`` (U angle columns), ``x``
-    is one input and the rows are its parameter-shift batch: row 0 as is,
-    row 1 + k with pi/2 added to column ``shift_cols[k]`` and row 1 + U + k
-    with -pi/2; such a call runs in the kept workspace of its plan and noise,
-    any other in the kept row workspace.
+
+def _forward(plan: _Plan, x: np.ndarray, theta: np.ndarray, noise: Optional[NoiseSpec] = None,
+             rng: Optional[np.random.Generator] = None, shift_cols: Optional[np.ndarray] = None):
+    """The forward pass of one call: its final amplitude-major (2**n, B)
+    state, which stays in this thread's workspace, its :class:`_Angles`, its
+    (steps, G, B) :func:`_step_index` and its group matrices (see
+    :func:`_block_matrices`).
+
+    Row r runs input ``x[r]``. With ``shift_cols``, the plan's trainable
+    angle columns and then its data columns (U in all), ``x`` is one input
+    and the rows are its parameter-shift batch: row 0 as is, row 1 + k with
+    pi/2 added to column ``shift_cols[k]`` and row 1 + U + k with -pi/2.
     Draws the noise arrays in the order the module docstring fixes; gate
     error scales the trainable angles before the shifts are added.
     """
     values, index, stride = _angle_values(plan, x, theta)
-    if shift_cols is None:
-        rows, ws = len(x), _row_workspace()
-    else:
-        rows, ws = 1 + 2 * len(shift_cols), _shift_workspace(plan, noise)
-    blocks, jittered, kicks, phase = plan.blocks[None], None, None, 1.0
+    ws = _workspace()
+    rows = len(x) if shift_cols is None else 1 + 2 * len(shift_cols)
+    key, jittered, kicks, phase = None, None, None, 1.0
     if noise is not None and noise.enabled:
         if rng is None:
             raise UsageError("noise simulation requires an rng stream")
@@ -619,8 +622,8 @@ def _evolve(plan: _Plan, x: np.ndarray, theta: np.ndarray, noise: Optional[Noise
             jittered = perturb_gate_params(trainable, rng, noise.gate_error,
                                            ws.array("jitter", trainable.shape))
         if noise.depolarizing is not None:
-            blocks = plan.blocks[noise.granularity]
-            shape = (rows, blocks.n_events)
+            key = noise.granularity
+            shape = (rows, plan.blocks[key].n_events)
             coins = rng.random(shape, out=ws.array("coins", shape))
             drawn = rng.integers(3, size=shape)  # the Pauli choices; integers takes no out
             drawn += 1
@@ -632,16 +635,22 @@ def _evolve(plan: _Plan, x: np.ndarray, theta: np.ndarray, noise: Optional[Noise
             # in range, so "clip" writes straight into out
             kicks = tuple(table.take(paulis, out=ws.array(name, paulis.shape, complex), mode="clip")
                           for name, table in (("kick alpha", _KICK_ALPHA), ("kick beta", _KICK_BETA)))
+    blocks = plan.blocks[key]
     angles = _half_angles(plan, values, index, stride, rows, jittered, shift_cols, ws)
-    if shift_cols is not None and ws.step_index is None:
-        ws.step_index = _step_index(blocks, angles, ws)
+    if shift_cols is None:
+        steps = _step_index(blocks, angles, ws)
+    else:  # kept on the plan, read-only (see _Plan)
+        steps = plan.shift_index.get((key, jittered is not None))
+        if steps is None:
+            steps = _step_index(blocks, angles, ws).copy()
+            steps.flags.writeable = False
+            plan.shift_index[key, jittered is not None] = steps
     psi = ws.array("psi", (2**plan.n, rows), complex)  # amplitude-major: a pass reads whole rows
     psi[1:] = 0.0
     psi[0] = phase
-    _run_passes(blocks.passes, _block_matrices(blocks, angles, kicks, ws, ws.step_index), psi, ws)
-    # a copy: psi stays in the workspace (for one row psi.T is already
-    # contiguous, so np.ascontiguousarray would return a view of it)
-    return psi.T.copy()
+    matrices = _block_matrices(blocks, angles, kicks, ws, steps)
+    _run_passes(blocks.passes, matrices, psi, ws)
+    return psi, angles, steps, matrices
 
 
 def _half_angles(plan: _Plan, values: np.ndarray, index: np.ndarray, stride: np.ndarray,
@@ -687,19 +696,14 @@ def _run_passes(passes: tuple, matrices: np.ndarray, psi: np.ndarray, ws: _Works
             psi += part
 
 
-def _step_index(blocks: _Blocks, angles: _Angles, ws: _Workspace,
-                steps: slice = slice(None)) -> np.ndarray:
-    """Per row, the value each group reads at ``steps``, shape (steps, G, B)."""
-    cols = blocks.cols[steps]
+def _step_index(blocks: _Blocks, angles: _Angles, ws: _Workspace) -> np.ndarray:
+    """Per row, the value each group reads at each step, shape (steps, G, B)."""
+    cols = blocks.cols
     index = ws.array("index", cols.shape + (angles.rows,), np.intp)
     np.multiply(angles.stride[cols][..., None], np.arange(angles.rows), out=index)
     index += angles.index[cols][..., None]
     shifted_cols, shifted_rows, values = angles.shifted
-    if not shifted_cols.size:
-        return index
-    at = blocks.step_of[shifted_cols] - (steps.start or 0)
-    inside = (at >= 0) & (at < len(cols))
-    index[at[inside], blocks.group_of[shifted_cols[inside]], shifted_rows[inside]] = values[inside]
+    index[blocks.step_of[shifted_cols], blocks.group_of[shifted_cols], shifted_rows] = values
     return index
 
 
@@ -760,7 +764,7 @@ def _kick(a, b, kicks, events, groups, scratch, right=False) -> None:
 
 
 def _block_matrices(blocks: _Blocks, angles: _Angles, kicks: Optional[tuple],
-                    ws: _Workspace, index: Optional[np.ndarray] = None) -> np.ndarray:
+                    ws: _Workspace, index: np.ndarray) -> np.ndarray:
     """Each group's per-row 2x2 as [a, conj(a), b, -conj(b)], shape (G, 4, B).
 
     The leading steps every row shares (:func:`_shared_steps`) multiply once,
@@ -769,8 +773,7 @@ def _block_matrices(blocks: _Blocks, angles: _Angles, kicks: Optional[tuple],
     a group's first rotation then multiply on the right (a Pauli factor only
     permutes and rephases, so the order changes no bits), and the remaining
     steps and kicks run on the rows. ``kicks`` holds the drawn Paulis (see
-    :func:`_kick`), and ``index`` is the call's
-    :func:`_step_index` over all steps, if the caller has it.
+    :func:`_kick`), and ``index`` is the call's :func:`_step_index`.
     """
     rows = angles.rows
     n_steps, n_groups = blocks.cols.shape
@@ -808,7 +811,7 @@ def _block_matrices(blocks: _Blocks, angles: _Angles, kicks: Optional[tuple],
             b.fill(0.0)
         _kick(a, b, kicks, events, groups, scratch, right=True)
     if shared < n_steps:
-        index = _step_index(blocks, angles, ws, slice(shared, None)) if index is None else index[shared:]
+        index = index[shared:]
         cos = angles.cos.take(index, out=ws.array("step cos", index.shape), mode="clip")
         sin = angles.sin.take(index, out=ws.array("step sin", index.shape), mode="clip")
     for step in range(n_steps):
@@ -961,17 +964,10 @@ def adjoint_value_and_grad(
     theta = np.asarray(theta, dtype=float)
     weights = np.asarray(weights, dtype=float)
     _check_params_used(plan, theta)
-    rows = len(x)
-    ws = _row_workspace()
-    angles = _half_angles(plan, *_angle_values(plan, x, theta), rows, None, None, ws)
-    blocks = plan.blocks[None]
+    rows, ws, blocks = len(x), _workspace(), plan.blocks[None]
+    # reads: the value each (step, group, row) reads
+    psi, angles, reads, matrices = _forward(plan, x, theta)
     _, sign = _tables(n_qubits)
-    psi = ws.array("psi", (2**n_qubits, rows), complex)  # amplitude-major, as in _evolve
-    psi[1:] = 0.0
-    psi[0] = 1.0
-    reads = _step_index(blocks, angles, ws)  # the value each (step, group, row) reads
-    matrices = _block_matrices(blocks, angles, None, ws, reads)
-    _run_passes(blocks.passes, matrices, psi, ws)
     z = _expect(np.ascontiguousarray(psi.T), n_qubits)
     value = bias + z @ weights
     # psi in the first `rows` columns, lambda = O psi with O = sum_i w_i Z_i in

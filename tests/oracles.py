@@ -743,21 +743,19 @@ def trunk_backward(model, dlogits: np.ndarray, dh_extra: np.ndarray,
     return dh_prev, dc_prev
 
 
-def episode_gradients(model, trace, returns, gradient_mode: Optional[str] = None,
-                      noise_rng: Optional[np.random.Generator] = None):
+def episode_gradients(model, trace, returns, noise_rng: Optional[np.random.Generator] = None):
     """Gradient of J_V - J_pi over one recorded episode, one step at a time:
     per step, the logit gradient, the critic gradient and a ``trunk_backward``
     whose per-layer gradient dicts are added into the gradient vector. The
     forward pass is :func:`trunk_replay`'s, not the rows the rollout wrote.
     Returns (grad, j_v, j_pi) like ``qnav.agent.episode_gradients``."""
     config = model.config
-    mode = gradient_mode or config.gradient_mode
     t_len = trace.steps
     if t_len == 0:
         raise UsageError("empty episode")
     caches, hidden, logits = trunk_replay(model, trace)
     values, vgrads, dvdh = model.critic.value_and_grads(
-        hidden, mode=mode, noise=config.noise, rng=noise_rng)
+        hidden, mode=config.gradient_mode, noise=config.noise, rng=noise_rng)
     values = values.tolist()
 
     j_v, j_pi = agent.losses(values, returns, trace.logps, trace.entropies,

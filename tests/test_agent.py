@@ -88,11 +88,20 @@ def test_config_rejects_non_integer_counts(name, value):
         AgentConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["gamma", "entropy_weight", "lr", "max_grad_norm"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_config_rejects_non_finite_floats(name, value):
+    """`lr >= 0` lets infinity through, and the first Adam step then makes
+    every parameter NaN."""
+    with pytest.raises(UsageError, match=f"{name} must be a finite number"):
+        AgentConfig(**{name: value})
+
+
 def test_config_rejects_nan_entropy_weight():
     """NaN fails every comparison, so `x < 0` would let it through to NaN losses."""
     with pytest.raises(UsageError):
         AgentConfig(entropy_weight=float("nan"))
-    for bad in (float("nan"), -1e-9):
+    for bad in (float("nan"), float("inf"), -1e-9):
         with pytest.raises(UsageError):
             AgentConfig(critic="quantum", gradient_mode="param-shift",
                         noise=NoiseSpec(gate_error=bad))
@@ -223,12 +232,13 @@ def test_losses_length_mismatch():
 
 
 def test_gradient_modes_agree_quantum():
-    """Backprop-through-simulation equals parameter-shift on a real episode."""
+    """Backprop-through-simulation equals parameter-shift on a real episode;
+    the mode comes from the model's config."""
     config, model, trace, returns = small_episode()
-    g_bp, j_v, j_pi = agent.episode_gradients(model, trace, returns,
-                                              gradient_mode="backprop")
-    g_ps, j_v2, j_pi2 = agent.episode_gradients(model, trace, returns,
-                                                gradient_mode="param-shift")
+    assert config.gradient_mode == "backprop"
+    g_bp, j_v, j_pi = agent.episode_gradients(model, trace, returns)
+    model.config = dataclasses.replace(config, gradient_mode="param-shift")
+    g_ps, j_v2, j_pi2 = agent.episode_gradients(model, trace, returns)
     assert j_v == pytest.approx(j_v2, abs=1e-9)
     assert j_pi == pytest.approx(j_pi2, abs=1e-9)
     assert g_bp.shape == g_ps.shape == model.flat.shape
@@ -629,7 +639,7 @@ def test_train_run_deterministic(critic):
 @pytest.mark.parametrize("critic", ["quantum", "classical"])
 def test_train_run_bytes_do_not_depend_on_kept_memory(critic, monkeypatch):
     """Training writes into the model's kept rows and the simulator's kept
-    workspaces. A run whose every rollout gets fresh rows and workspaces,
+    workspace. A run whose every rollout gets fresh rows and a fresh workspace,
     after a greedy rollout of another scene, records the same bytes and
     ends with the same parameters."""
     scenes = scenes_small()

@@ -244,6 +244,8 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
     ({"agent": {"critic": "quantum"}}, ["--noise", "gate_error=nan"]),
     ({"env": {"near_miss_margin": -1.0}}, []),
     ({"env": {"near_miss_margin": float("nan")}}, []),
+    ({"env": {"oncoming_speed": float("nan")}}, []),
+    ({"agent": {"lr": float("inf")}}, []),
 ], ids=["yaml-depolarizing-2", "flag-not-a-number", "flag-negative", "zero-qubits",
         "zero-lstm-hidden", "zero-encoder-hidden", "zero-agent-max-steps", "negative-episodes",
         "negative-lr", "negative-max-grad-norm", "zero-dt", "zero-map-resolution",
@@ -257,9 +259,10 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
         "fractional-episodes", "fractional-agent-max-steps", "fractional-agent-seed",
         "boolean-lstm-hidden", "float-qubits", "fractional-env-max-steps",
         "float-k-pedestrians", "nan-entropy-weight", "yaml-nan-gate-error", "flag-nan-gate-error",
-        "negative-near-miss-margin", "nan-near-miss-margin"])
+        "negative-near-miss-margin", "nan-near-miss-margin", "nan-oncoming-speed", "infinite-lr"])
 def test_cmd_train_bad_values_exit_2_before_output(tmp_path, sections, flags):
-    """Bad values fail when the config loads: exit 2, no output directory."""
+    """Bad values fail when the config loads: exit 2, no output directory, so
+    no manifest.json."""
     path = write_config(tmp_path, **sections)
     assert cli.main(["train", "--config", str(path), *flags]) == cli.EXIT_CONFIG
     assert not (tmp_path / "run").exists()

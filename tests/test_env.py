@@ -79,6 +79,17 @@ def test_config_rejects_non_integer_counts(name, value):
         env.EnvConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["oncoming_speed", "dt", "speed_limit", "road_x_max",
+                                  "oncoming_lane_y"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_floats(name, value):
+    """Every float field must be finite: an unchecked NaN oncoming_speed, for
+    one, loads silently and turns every oncoming-car scene into a collision
+    at step 0."""
+    with pytest.raises(UsageError, match=f"{name} must be a finite number"):
+        env.EnvConfig(**{name: value})
+
+
 @pytest.mark.parametrize("margin", [-0.5, float("nan")])
 def test_config_rejects_bad_near_miss_margin(margin):
     with pytest.raises(UsageError, match="near_miss_margin"):

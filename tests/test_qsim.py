@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import pickle
+import threading
 import tracemalloc
 
 import numpy as np
@@ -742,7 +743,7 @@ def test_shared_steps_of_the_default_circuit():
 
 
 # ---------------------------------------------------------------------------
-# the kept parameter-shift workspace
+# the kept workspace and the plan-held parameter-shift index
 
 
 def default_case(n, layers, seed):
@@ -755,7 +756,17 @@ def default_case(n, layers, seed):
 
 
 def forget_workspace():
+    """Drop this thread's kept workspace and every compiled plan, with the
+    parameter-shift indexes the plans keep."""
     vars(qsim._retained).clear()
+    qsim._compile.cache_clear()
+
+
+def shift_key(noise):
+    """The key of a plan's kept parameter-shift index under ``noise``."""
+    depolarizing = noise is not None and noise.depolarizing is not None
+    return (noise.granularity if depolarizing else None,
+            noise is not None and noise.gate_error is not None)
 
 
 def assert_bits_equal(got, expected):
@@ -767,8 +778,9 @@ def assert_bits_equal(got, expected):
 def test_interleaved_calls_give_the_bits_of_calls_made_alone(noise):
     """Parameter-shift calls of two plans, alternating with run_circuit
     batches and adjoint calls, give the values and rng draws of the same calls
-    each made with no kept workspace; the last plan's workspace is the one
-    kept."""
+    each made with no kept workspace and no compiled plan, so with the
+    parameter-shift index built afresh; each plan keeps the index of this
+    noise only."""
     cases = [default_case(4, 2, 1), default_case(3, 3, 2)]
 
     def calls():
@@ -791,8 +803,8 @@ def test_interleaved_calls_give_the_bits_of_calls_made_alone(noise):
 
     forget_workspace()
     interleaved, states = run(alone=False)
-    kept = qsim._retained.workspace
-    assert kept.plan is qsim._plan(cases[1][0], 3, cases[1][1]) and kept.noise == noise
+    for gates, marks, _, _, _, n in cases:
+        assert list(qsim._plan(gates, n, marks).shift_index) == [shift_key(noise)]
     alone, alone_states = run(alone=True)
     for got, expected in zip(interleaved, alone):
         assert_bits_equal(got, expected)
@@ -848,31 +860,59 @@ def test_parameter_shift_call_allocates_no_per_call_arrays():
 
 @pytest.mark.parametrize("noise", NOISE_SETTINGS)
 def test_kept_step_index_equals_a_fresh_build(noise):
-    """The value index a kept workspace builds on its first call is, bit for
-    bit, the one a fresh build gives for a later call with other inputs and
-    parameters: the plan, the noise and the row count fix it."""
+    """The value index a plan keeps from its first parameter-shift call is,
+    bit for bit, the one a fresh build gives for a later call with other
+    inputs and parameters: the plan, the depolarizing granularity and whether
+    gate error is on fix it. The kept index is read-only."""
     gates, marks, x, theta, w, n = default_case(4, 2, 5)
+    forget_workspace()
     plan = qsim._plan(gates, n, marks)
     cols = np.concatenate([plan.param_cols, plan.data_cols])
     rng = np.random.default_rng(6)
-    forget_workspace()
+    kept = []
     for row in range(len(x)):
         qsim.param_shift_value_and_grad(gates, x[row], theta + row, w, 0.2, n, noise, rng, marks)
-    kept = qsim._retained.workspace
-    assert kept.plan is plan and kept.step_index is not None
+        assert list(plan.shift_index) == [shift_key(noise)]
+        kept.append(plan.shift_index[shift_key(noise)])
+    assert all(index is kept[0] for index in kept)  # built on the first call only
+    kept = kept[0]
+    assert not kept.flags.writeable
+    with pytest.raises(ValueError):
+        kept[0, 0, 0] = 0
     rows = 1 + 2 * len(cols)
     values, index, stride = qsim._angle_values(plan, x[-1:], theta + len(x) - 1)
-    gate_error = noise is not None and noise.gate_error is not None
+    key, gate_error = shift_key(noise)
     jittered = np.zeros((rows, plan.param_cols.size)) if gate_error else None
     angles = qsim._half_angles(plan, values, index, stride, rows, jittered, cols, qsim._Workspace())
-    key = noise.granularity if noise is not None and noise.depolarizing is not None else None
     fresh = qsim._step_index(plan.blocks[key], angles, qsim._Workspace())
-    assert fresh.dtype == kept.step_index.dtype and fresh.shape == kept.step_index.shape
-    assert fresh.tobytes() == kept.step_index.tobytes()
+    assert fresh.dtype == kept.dtype and fresh.shape == kept.shape
+    assert fresh.tobytes() == kept.tobytes()
+
+
+def test_workspace_reuses_its_last_two_views_of_a_name():
+    """Requests that alternate between two shapes get the same two views of
+    one buffer back, carving none anew; a third shape drops the view carved
+    first, and a larger request replaces the buffer and drops the views of
+    the old one."""
+    ws = qsim._Workspace()
+    big, one = ws.array("psi", (16, 241), complex), ws.array("psi", (16, 1), complex)
+    for _ in range(2):
+        assert ws.array("psi", (16, 241), complex) is big
+        assert ws.array("psi", (16, 1), complex) is one
+    assert np.shares_memory(big, one) and big.flags.c_contiguous
+    seven = ws.array("psi", (16, 7), complex)
+    assert ws.array("psi", (16, 241), complex) is not big
+    assert ws.array("psi", (16, 7), complex) is seven
+    assert ws.array("psi", (16, 1), complex) is not one
+    ws.array("psi", (16, 300), complex)
+    assert len(ws.views["psi"]) == 1
+    assert ws.array("psi", (16, 1), complex) is not one
+    assert all(np.shares_memory(view, ws.arrays["psi"]) for view in ws.views["psi"])
+    assert ws.array("psi", (16, 1), float).dtype == float
 
 
 # ---------------------------------------------------------------------------
-# the kept row workspace of adjoint calls and run_circuit batches
+# adjoint calls and run_circuit batches in the kept workspace
 
 
 def test_adjoint_calls_of_any_row_count_give_the_bits_of_fresh_workspace_calls():
@@ -898,7 +938,7 @@ def test_adjoint_calls_of_any_row_count_give_the_bits_of_fresh_workspace_calls()
     forget_workspace()
     sizes = []
     for call, want in zip(calls, expected):
-        kept = getattr(qsim._retained, "rows", None)
+        kept = getattr(qsim._retained, "workspace", None)
         for buffer in kept.arrays.values() if kept is not None else ():
             if buffer.dtype.kind in "fc":
                 buffer.fill(np.nan)
@@ -906,7 +946,7 @@ def test_adjoint_calls_of_any_row_count_give_the_bits_of_fresh_workspace_calls()
         for part, ref in zip(got, want):
             np.testing.assert_array_equal(part, ref)
         assert_bits_equal(got, want)
-        sizes.append(qsim._retained.rows.arrays["psi"].size)
+        sizes.append(qsim._retained.workspace.arrays["psi"].size)
     assert sizes[-1] == max(sizes) == 16 * 200
 
 
@@ -922,7 +962,7 @@ def test_mutating_a_returned_array_leaves_the_next_call_unchanged(rows):
     for call in calls:
         first = call()
         expected = [part.copy() for part in first]
-        buffers = qsim._retained.rows.arrays.values()
+        buffers = qsim._retained.workspace.arrays.values()
         for part in first:
             assert not any(np.shares_memory(part, buffer) for buffer in buffers)
             part[...] = np.nan
@@ -947,3 +987,63 @@ def test_warm_adjoint_call_allocates_no_per_call_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 200 * 1024
+
+
+# ---------------------------------------------------------------------------
+# one forward route, one kept workspace
+
+
+@pytest.mark.parametrize("rows", [1, 50])
+@pytest.mark.parametrize("case", ["default", *HAND_BUILT])
+def test_adjoint_forward_pass_gives_the_bits_of_run_circuit(case, rows):
+    """The value and <Z> of an adjoint call are, bit for bit, those that
+    circuit_value and run_circuit give for the same batch, and for one row
+    also for the same single input: all run the one forward pass."""
+    rng = np.random.default_rng(rows)
+    if case == "default":
+        layout = encoding.plan_layout(32, 4, 2)
+        gates, _ = encoding.build_circuit(layout)
+        n, params = 4, layout.param_count
+        x = encoding.pad_input(np.tanh(rng.normal(size=(rows, 32))), layout)
+    else:
+        gates, n, p, params = HAND_BUILT[case]
+        x = rng.uniform(-np.pi, np.pi, size=(rows, p))
+    theta = rng.uniform(-np.pi, np.pi, size=params)
+    w = rng.uniform(-1, 1, size=n)
+    for inputs in [x] + ([x[0]] if rows == 1 else []):
+        value, _, _, z, _ = qsim.adjoint_value_and_grad(gates, inputs, theta, w, 0.3, n)
+        expected = (qsim.circuit_value(gates, inputs, theta, w, 0.3, n),
+                    qsim.run_circuit(gates, inputs, theta, n))
+        assert type(value) is type(expected[0]) and z.shape == expected[1].shape
+        assert_bits_equal((value, z), expected)
+
+
+def test_one_kept_workspace_serves_every_call():
+    """Adjoint calls, run_circuit batches and noisy parameter-shift calls of
+    two plans, interleaved, leave this thread one kept workspace and no
+    other: the module keeps one thread-local store, it holds exactly one
+    workspace, no plan holds one, and its state buffer is sized for the
+    largest call, the 241-row shift batch of the default circuit."""
+    layout = encoding.plan_layout(32, 4, 2)
+    gates, marks = encoding.build_circuit(layout)
+    rng = np.random.default_rng(17)
+    x = encoding.pad_input(np.tanh(rng.normal(size=(3, 32))), layout)
+    cases = [(gates, marks, x, rng.uniform(-np.pi, np.pi, layout.param_count), np.ones(4), 4),
+             default_case(2, 1, 18)]
+    noise = NoiseSpec(gate_error=0.01, depolarizing=0.05)
+    forget_workspace()
+    for row in range(3):
+        for gates, marks, x, theta, w, n in cases:
+            qsim.adjoint_value_and_grad(gates, x[row:], theta, w, 0.2, n)
+            qsim.run_circuit(gates, x[: row + 1], theta, n, noise, rng, marks)
+            qsim.param_shift_value_and_grad(gates, x[row], theta, w, 0.2, n, noise, rng, marks)
+    assert [obj for obj in vars(qsim).values()
+            if isinstance(obj, threading.local)] == [qsim._retained]
+    kept = list(vars(qsim._retained).values())
+    assert len(kept) == 1 and type(kept[0]) is qsim._Workspace
+    plans = [qsim._plan(gates, n, marks) for gates, marks, _, _, _, n in cases]
+    for plan in plans:
+        assert not any(isinstance(value, qsim._Workspace) for value in vars(plan).values())
+    shift_rows = 1 + 2 * (plans[0].param_cols.size + plans[0].data_cols.size)
+    assert shift_rows == 241
+    assert kept[0].arrays["psi"].size == shift_rows * 16
