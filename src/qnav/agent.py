@@ -399,25 +399,31 @@ def _dense_grads(grads: dict, dy: np.ndarray, x: np.ndarray) -> None:
     dy.sum(axis=0, out=grads["b"])
 
 
-def select_action(logits: np.ndarray, rng: Optional[np.random.Generator] = None,
-                  greedy: bool = False) -> tuple[int, float, float]:
-    """Sample (or argmax) a speed action from the actor logits.
+def select_action(logits: np.ndarray, rng: np.random.Generator) -> tuple[int, float, float]:
+    """Sample a speed action from the actor logits.
     Returns (action, log-probability, policy entropy).
 
     Sampling inverts the CDF with one ``rng.random()`` draw, the draw and
     the action ``rng.choice(env.N_ACTIONS, p=probs)`` would make."""
-    probs, entropy = nn.softmax_entropy(logits)
-    # on Python floats, with the bits of np.argmax (first maximum, or first
-    # NaN: a NaN makes every probability NaN), cumsum and searchsorted
+    probs, logp, entropy = nn.softmax_logs(logits)
+    # on Python floats, with the bits of cumsum and searchsorted
     p = probs.tolist()
-    if greedy:
-        action = p.index(max(p))
-    else:
-        cdf = list(itertools.accumulate(p))
-        if not math.isfinite(cdf[-1]):
-            raise ValueError("action probabilities contain NaN or inf")
-        action = bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())
-    return action, float(np.log(probs[action])), entropy
+    cdf = list(itertools.accumulate(p))
+    if not math.isfinite(cdf[-1]):
+        raise ValueError("action probabilities contain NaN or inf")
+    action = bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())
+    # the row of logs is clipped at 1e-300; a smaller probability takes its own
+    if p[action] < 1e-300:
+        return action, float(np.log(probs[action])), entropy
+    return action, logp[action], entropy
+
+
+def greedy_action(logits: np.ndarray) -> int:
+    """The most probable speed action of the actor logits, with the bits of
+    ``np.argmax(nn.softmax(logits))``: the first maximum, or the first NaN
+    (a NaN makes every probability NaN)."""
+    p = nn.softmax_row(logits).tolist()
+    return p.index(max(p))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +440,8 @@ class EpisodeTrace:
     trace is valid until then; ``rollout`` is the rows' rollout count when
     it was recorded, and reading it later (``forward_rows``, ``hidden``,
     ``logits``, :func:`episode_gradients`) raises UsageError. A greedy
-    rollout keeps no forward pass."""
+    rollout keeps no forward pass, and its ``logps`` and ``entropies`` stay
+    empty: evaluation reads only the outcome, steps, return and near miss."""
 
     obs: list = field(default_factory=list)  # env observation rows, before each action
     actions: list = field(default_factory=list)
@@ -479,9 +486,11 @@ def run_episode(model: ActorCriticModel, scene: env.Scene,
                 greedy: bool = False) -> EpisodeTrace:
     """Roll out one episode. The critic is not evaluated along the way: only
     a truncated training episode needs a value, the bootstrap of its last
-    state. A training rollout writes its forward pass into the model's kept
-    rows (see :class:`EpisodeTrace`); a greedy (evaluation) rollout leaves
-    the bootstrap at 0 and keeps no forward pass."""
+    state. A training rollout samples its actions from ``policy_rng`` and
+    writes its forward pass into the model's kept rows (see
+    :class:`EpisodeTrace`); a greedy (evaluation) rollout takes the most
+    probable action, leaves the bootstrap at 0 and keeps no forward pass,
+    log-probabilities or entropies."""
     config = model.config
     noise = config.noise if noise_rng is not None else None
     world, row = env.reset(scene, config=env_config)
@@ -490,26 +499,33 @@ def run_episode(model: ActorCriticModel, scene: env.Scene,
     trace = EpisodeTrace()
     if not greedy:
         trace.rows, trace.rollout = rows, rows.rollout
+    obs, actions, logps, entropies, rewards = (
+        trace.obs, trace.actions, trace.logps, trace.entropies, trace.rewards)
+    steps, near_miss = 0, False
     while True:
-        if world.done or trace.steps >= config.max_steps:
+        if world.done or steps >= config.max_steps:
             # the agent's own step cap truncates the episode just as the env's does
             trace.outcome = world.outcome if world.done else "timeout"
             if greedy or trace.outcome != "timeout":
                 break
-        h, logits = model.trunk_forward(row[:d], row[d:], rows, trace.steps)
+        h, logits = model.trunk_forward(row[:d], row[d:], rows, steps)
         if trace.outcome is not None:
             # truncated: bootstrap the return from the value of the final state
             trace.bootstrap = model.critic.value(h, noise=noise, rng=noise_rng)
             break
-        action, logp, entropy = select_action(logits, policy_rng, greedy)
-        trace.obs.append(row)
-        world, row, reward, done, info = env.step(world, action)
-        trace.near_miss |= env.NEAR_MISS in info["proximity"]
-        trace.actions.append(action)
-        trace.logps.append(logp)
-        trace.entropies.append(entropy)
-        trace.rewards.append(reward.total)
-        trace.steps += 1
+        if greedy:
+            action = greedy_action(logits)
+        else:
+            action, logp, entropy = select_action(logits, policy_rng)
+            logps.append(logp)
+            entropies.append(entropy)
+        obs.append(row)
+        world, row, _, _, info = env.step(world, action)
+        near_miss |= env.NEAR_MISS in info["proximity"]
+        actions.append(action)
+        rewards.append(world.prev_reward)
+        steps += 1
+    trace.steps, trace.near_miss = steps, near_miss
     return trace
 
 
@@ -721,8 +737,8 @@ def random_policy_mean_return(scenes: list[env.Scene], rng: np.random.Generator,
         world, _ = env.reset(scene, config=env_config)
         total = 0.0
         while not world.done:
-            world, _, reward, _, _ = env.step(world, int(rng.integers(env.N_ACTIONS)))
-            total += reward.total
+            world, _, _, _, _ = env.step(world, int(rng.integers(env.N_ACTIONS)))
+            total += world.prev_reward
         totals.append(total)
     return float(np.mean(totals))
 

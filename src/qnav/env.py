@@ -25,6 +25,16 @@ input, one float64 row of length ``observation_dim(config) + 4``. With
   0 (maintain) or +1 (decelerate).
 
 The first ``D`` entries are the encoder input; the last 4 bypass the encoder.
+
+``step(world, acc)`` takes one of the int speed actions ``ACCELERATE``,
+``MAINTAIN`` or ``DECELERATE`` (anything else, a bool or a float included,
+is a UsageError raised before the world changes). It steers by
+``planner.tracking_steering``, moves the car, pedestrians and other cars one
+``dt``, and returns ``(world, row, reward, done, info)``: ``reward`` is the
+per-term ``RewardBreakdown`` whose total is also ``world.prev_reward``, and
+``info`` holds the steering angle, each pedestrian's proximity, the outcome
+and the step count. ``Action`` and ``RewardBreakdown`` are immutable named
+tuples: fields by name or position, equality by value.
 """
 
 from __future__ import annotations
@@ -35,11 +45,11 @@ import math
 import operator
 import weakref
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import UsageError, check_finite, check_ints, planner
+from . import UsageError, check_finite, check_ints, is_int, planner
 from .planner import CostMap, Path
 
 KMH = 1.0 / 3.6  # km/h -> m/s
@@ -252,8 +262,7 @@ class PedestrianState:
     heading: float
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     acc: int  # index into ACTION_NAMES
     steer: float  # radians, one of the planner bins
 
@@ -275,8 +284,7 @@ class WorldState:
     outcome: Optional[str] = None  # "goal" | "collision" | "timeout"
 
 
-@dataclass(frozen=True)
-class RewardBreakdown:
+class RewardBreakdown(NamedTuple):
     """Per-term reward values; inapplicable terms are zero."""
 
     goal: float = 0.0
@@ -337,20 +345,6 @@ def _fill_rect(cmap: CostMap, x0, y0, x1, y1, value):
 
 # ---------------------------------------------------------------------------
 # geometry helpers
-
-
-def _to_car_frame(car: CarState, x: float, y: float) -> tuple[float, float]:
-    dx, dy = x - car.x, y - car.y
-    c, s = math.cos(car.heading), math.sin(car.heading)
-    return c * dx + s * dy, -s * dx + c * dy
-
-
-def _rect_distance(car: CarState, x: float, y: float, config: EnvConfig) -> float:
-    """Distance from a point to the car's oriented footprint rectangle."""
-    lx, ly = _to_car_frame(car, x, y)
-    dx = max(abs(lx) - config.car_length / 2.0, 0.0)
-    dy = max(abs(ly) - config.car_width / 2.0, 0.0)
-    return math.hypot(dx, dy)
 
 
 def _rects_overlap(ax, ay, ah, alen, awid, bx, by, bh, blen, bwid) -> bool:
@@ -416,13 +410,22 @@ def check_proximity(world: WorldState) -> list[str]:
     Hit: pedestrian disc overlaps the car rectangle. Near miss: within the
     margin of the rectangle while the car is moving.
     """
-    config = world.config
+    heading = world.car.heading
+    return _proximity(world, math.cos(heading), math.sin(heading))
+
+
+def _proximity(world: WorldState, c: float, s: float) -> list[str]:
+    """:func:`check_proximity`, given the cosine and sine of the car heading:
+    each pedestrian's distance to the car rectangle, in the car frame."""
+    car, config = world.car, world.config
     out = []
     for ped in world.peds:
-        d = _rect_distance(world.car, ped.x, ped.y, config)
+        dx, dy = ped.x - car.x, ped.y - car.y
+        d = math.hypot(max(abs(c * dx + s * dy) - config.car_length / 2.0, 0.0),
+                       max(abs(-s * dx + c * dy) - config.car_width / 2.0, 0.0))
         if d <= config.ped_radius:
             out.append(HIT)
-        elif d <= config.near_miss_margin and world.car.v > 0:
+        elif d <= config.near_miss_margin and car.v > 0:
             out.append(NEAR_MISS)
         else:
             out.append(CLEAR)
@@ -463,12 +466,13 @@ def _footprint_cost(world: WorldState) -> int:
 # reward
 
 
-def _contacts(world: WorldState) -> tuple[float, list[str], bool]:
+def _contacts(world: WorldState, c: float, s: float) -> tuple[float, list[str], bool]:
     """Goal distance, per-pedestrian proximity and car/obstacle collision of
-    the current state: what the reward and the termination test both read."""
+    the current state, given the cosine and sine of the car heading: what
+    the reward and the termination test both read."""
     car, goal = world.car, world.scene.car_goal
     return (math.hypot(car.x - goal[0], car.y - goal[1]),
-            check_proximity(world), _car_collides(world))
+            _proximity(world, c, s), _car_collides(world))
 
 
 def compute_reward(world: WorldState, action: Action) -> RewardBreakdown:
@@ -480,57 +484,62 @@ def compute_reward(world: WorldState, action: Action) -> RewardBreakdown:
     distance penalty -dist/1000; -1 for braking while stationary; -1 for
     nonzero steering.
     """
-    return _reward(world, action, *_contacts(world))
+    heading = world.car.heading
+    return _reward(world, action, *_contacts(world, math.cos(heading), math.sin(heading)))
 
 
 def _reward(world: WorldState, action: Action, goal_dist: float, prox: list[str],
             car_hit: bool) -> RewardBreakdown:
     config = world.config
     car = world.car
-    terms = {}
+    goal = hit = obstacle = near_miss = over_speeding = not_goal = braking = steer = 0.0
     if goal_dist <= config.goal_tol:
-        terms["goal"] = 200.0
+        goal = 200.0
     else:
-        terms["not_goal"] = -goal_dist / 1000.0
+        not_goal = -goal_dist / 1000.0
     if HIT in prox or car_hit:
         beta = car.v / config.speed_limit  # impact speed over the 50 km/h limit
-        terms["hit"] = -100.0 * beta
+        hit = -100.0 * beta
         if car.v != 0:
-            terms["obstacle"] = -float(max(_footprint_cost(world), planner.COST_BLOCKED))
+            obstacle = -float(max(_footprint_cost(world), planner.COST_BLOCKED))
     if NEAR_MISS in prox:
-        terms["near_miss"] = -10.0
+        near_miss = -10.0
     if car.v > config.speed_limit:
-        terms["over_speeding"] = -10.0
+        over_speeding = -10.0
     if action.acc == DECELERATE and world.v_prev == 0:
-        terms["braking"] = -1.0
+        braking = -1.0
     if action.steer != 0.0:
-        terms["steer"] = -1.0
-    return RewardBreakdown(**terms)
+        steer = -1.0
+    return RewardBreakdown(goal, hit, obstacle, near_miss, over_speeding, not_goal, braking, steer)
 
 
 # ---------------------------------------------------------------------------
 # observation
 
 
-def build_observation(world: WorldState) -> np.ndarray:
+def build_observation(world: WorldState,
+                      frame: Optional[tuple[float, float]] = None) -> np.ndarray:
     """The policy input row of the current state; the module docstring gives
-    its layout."""
+    its layout. ``frame`` is the cosine and sine of the car heading, when
+    the caller has taken them already."""
     config = world.config
     car = world.car
-    goal_x, goal_y = _to_car_frame(car, *world.scene.car_goal)
+    c, s = frame if frame is not None else (math.cos(car.heading), math.sin(car.heading))
+    gx, gy = world.scene.car_goal
+    dx, dy = gx - car.x, gy - car.y
+    goal_x, goal_y = c * dx + s * dy, -s * dx + c * dy
     cte = planner.cross_track_error(world.path, car.x, car.y)
-    c, s = math.cos(car.heading), math.sin(car.heading)
     car_vx, car_vy = car.v * c, car.v * s
 
     sensed = []
     for ped in world.peds:
-        dist = math.hypot(ped.x - car.x, ped.y - car.y)
+        dx, dy = ped.x - car.x, ped.y - car.y
+        dist = math.hypot(dx, dy)
         if dist > config.sense_radius or is_occluded(world, ped):
             continue
-        rel_x, rel_y = _to_car_frame(car, ped.x, ped.y)
         dvx = ped.speed * math.cos(ped.heading) - car_vx
         dvy = ped.speed * math.sin(ped.heading) - car_vy
-        sensed.append((dist, [rel_x / 50.0, rel_y / 50.0,
+        sensed.append((dist, [(c * dx + s * dy) / 50.0, (-s * dx + c * dy) / 50.0,
                               (c * dvx + s * dvy) / 3.0, (-s * dvx + c * dvy) / 3.0, 1.0]))
     sensed.sort(key=lambda item: item[0])
 
@@ -577,8 +586,7 @@ def _layout_path(obstacles, start, goal, fields: tuple) -> Path:
     return _interned_paths.setdefault(repr((path.poses, path.steering, path.total_cost)), path)
 
 
-def reset(scene: Scene, rng: Optional[np.random.Generator] = None,
-          config: EnvConfig = EnvConfig()) -> tuple[WorldState, np.ndarray]:
+def reset(scene: Scene, config: EnvConfig = EnvConfig()) -> tuple[WorldState, np.ndarray]:
     """Instantiate a scene: plan the path (once per layout) and place everyone
     at spawn. An unplannable scene raises ``planner.PlanningError``."""
     cost_map = build_cost_map(scene, config)
@@ -600,22 +608,22 @@ def reset(scene: Scene, rng: Optional[np.random.Generator] = None,
     return world, build_observation(world)
 
 
-def planned_steering(world: WorldState) -> float:
-    return planner.tracking_steering(
-        world.path, (world.car.x, world.car.y, world.car.heading),
-        world.car.v, world.config.wheelbase,
-    )
-
-
 def step(world: WorldState, acc: int) -> tuple[WorldState, np.ndarray, RewardBreakdown, bool, dict]:
-    """Advance one control period; mutates and returns the world state."""
+    """Advance one control period; mutates and returns the world state.
+
+    Steers by ``planner.tracking_steering``, moves everyone, then takes the
+    cosine and sine of the new heading once for the proximity test and the
+    observation. The reward total is summed once, into ``world.prev_reward``,
+    where a caller reads it too. An action that is not the int 0, 1 or 2 is
+    a UsageError, raised before the world changes."""
     if world.done:
         raise UsageError("episode already finished")
-    if acc not in (ACCELERATE, MAINTAIN, DECELERATE):
+    if not (is_int(acc) and ACCELERATE <= acc <= DECELERATE):
         raise UsageError(f"bad speed action {acc!r}")
     config = world.config
     car = world.car
-    steer = planned_steering(world)
+    steer = planner.tracking_steering(world.path, (car.x, car.y, car.heading), car.v,
+                                      config.wheelbase)
     action = Action(acc, steer)
 
     world.v_prev = car.v
@@ -628,6 +636,7 @@ def step(world: WorldState, acc: int) -> tuple[WorldState, np.ndarray, RewardBre
     car.x += car.v * math.cos(car.heading) * config.dt
     car.y += car.v * math.sin(car.heading) * config.dt
     car.heading = (car.heading + car.v / config.wheelbase * math.tan(steer) * config.dt) % (2 * math.pi)
+    frame = math.cos(car.heading), math.sin(car.heading)
 
     for ped in world.peds:
         gx, gy = ped.goal
@@ -641,7 +650,7 @@ def step(world: WorldState, acc: int) -> tuple[WorldState, np.ndarray, RewardBre
         other.y += other.v * math.sin(other.heading) * config.dt
 
     world.t += 1
-    goal_dist, prox, car_hit = _contacts(world)
+    goal_dist, prox, car_hit = _contacts(world, *frame)
     reward = _reward(world, action, goal_dist, prox, car_hit)
     if goal_dist <= config.goal_tol:
         world.done, world.outcome = True, "goal"
@@ -652,6 +661,6 @@ def step(world: WorldState, acc: int) -> tuple[WorldState, np.ndarray, RewardBre
 
     world.prev_action = action
     world.prev_reward = reward.total
-    row = build_observation(world)
+    row = build_observation(world, frame)
     info = {"steer": steer, "proximity": prox, "outcome": world.outcome, "t": world.t}
     return world, row, reward, world.done, info

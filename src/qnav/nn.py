@@ -104,19 +104,32 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_entropy(logits: np.ndarray) -> tuple[np.ndarray, float]:
-    """Softmax probabilities and the natural-log entropy -sum p log p of one
-    row of logits, with the bits of :func:`softmax` and of the same sums
-    taken by numpy (NaN payloads aside): the row's reductions run on Python
-    floats, in numpy's order (:func:`_pairwise_sum`), and only exp and log
+def softmax_row(logits: np.ndarray) -> np.ndarray:
+    """Softmax probabilities of one row of logits with the bits of
+    :func:`softmax`: the max and the sum run on Python floats, the sum in
+    numpy's order (:func:`_pairwise_sum`), and only exp and the division
     stay numpy calls."""
-    values = logits.tolist()
     # a NaN makes every probability NaN whether or not max() sees it
-    e = np.exp(logits - max(values))
-    probs = e / _pairwise_sum(e.tolist())
+    e = np.exp(logits - max(logits.tolist()))
+    return e / _pairwise_sum(e.tolist())
+
+
+def softmax_logs(logits: np.ndarray) -> tuple[np.ndarray, list, float]:
+    """:func:`softmax_row` of one row of logits, the log of each probability
+    clipped below at 1e-300 (so exact for every probability of at least
+    1e-300) as a list of floats, and the natural-log entropy -sum p log p,
+    with the bits of the same sum taken by numpy (NaN payloads aside)."""
+    probs = softmax_row(logits)
     # p log p -> 0 as p -> 0
     logp = np.log(np.maximum(probs, 1e-300)).tolist()
-    return probs, -_pairwise_sum([p * lp for p, lp in zip(probs.tolist(), logp)])
+    return probs, logp, -_pairwise_sum([p * lp for p, lp in zip(probs.tolist(), logp)])
+
+
+def softmax_entropy(logits: np.ndarray) -> tuple[np.ndarray, float]:
+    """Softmax probabilities and the natural-log entropy of one row of
+    logits, as :func:`softmax_logs` gives them."""
+    probs, _, entropy = softmax_logs(logits)
+    return probs, entropy
 
 
 def _pairwise_sum(values: list) -> float:

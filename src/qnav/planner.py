@@ -309,7 +309,14 @@ def tracking_steering(
     eta = math.atan2(dy, dx) - heading
     eta = (eta + math.pi) % (2 * math.pi) - math.pi
     desired = math.atan2(2.0 * wheelbase * math.sin(eta), dist)
-    return min(STEERING_BINS, key=lambda b: abs(b - desired))
+    # the first bin of least error, as min(key=...) picks it: a NaN error is
+    # never less, so a NaN desired angle keeps STEERING_BINS[0]
+    snapped, least = STEERING_BINS[0], abs(STEERING_BINS[0] - desired)
+    for b in STEERING_BINS[1:]:
+        err = abs(b - desired)
+        if err < least:
+            snapped, least = b, err
+    return snapped
 
 
 def cross_track_error(path: Path, x: float, y: float) -> float:

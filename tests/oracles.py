@@ -22,8 +22,11 @@ dispatch with fewer numpy calls, the per-segment path-tracking loops and the sep
 broad phase are the scalar references for ``qnav.planner``'s cell-indexed
 path queries and ``qnav.env._rects_overlap``, and the ``Observation`` and
 ``PedObservation`` records with ``to_vector``, ``extras_vector`` and their
-``build_observation`` at the end of this file are the reference for the
-policy input row that ``qnav.env.build_observation`` writes directly.
+``build_observation`` are the reference for the
+policy input row that ``qnav.env.build_observation`` writes directly, and
+``step`` at the end of this file, which takes the car frame anew in every
+helper and builds the reward from named terms, is the reference for the
+one-pass ``qnav.env.step``.
 """
 
 from __future__ import annotations
@@ -921,7 +924,7 @@ def build_observation(world: env.WorldState) -> Observation:
     config = world.config
     car = world.car
     gx, gy = world.scene.car_goal
-    rel_goal = env._to_car_frame(car, gx, gy)
+    rel_goal = to_car_frame(car, gx, gy)
     cte = planner.cross_track_error(world.path, car.x, car.y)
     car_vel = (car.v * math.cos(car.heading), car.v * math.sin(car.heading))
 
@@ -930,7 +933,7 @@ def build_observation(world: env.WorldState) -> Observation:
         dist = math.hypot(ped.x - car.x, ped.y - car.y)
         if dist > config.sense_radius or env.is_occluded(world, ped):
             continue
-        rel = env._to_car_frame(car, ped.x, ped.y)
+        rel = to_car_frame(car, ped.x, ped.y)
         pvx = ped.speed * math.cos(ped.heading)
         pvy = ped.speed * math.sin(ped.heading)
         c, s = math.cos(car.heading), math.sin(car.heading)
@@ -959,3 +962,129 @@ def observation_row(world: env.WorldState) -> np.ndarray:
     LSTM extras, built through the objects above."""
     obs = build_observation(world)
     return np.concatenate([obs.to_vector(), extras_vector(obs)])
+
+
+# ---------------------------------------------------------------------------
+# one env step, each helper taking the car frame and the reward terms anew
+
+
+def to_car_frame(car: env.CarState, x: float, y: float) -> tuple[float, float]:
+    dx, dy = x - car.x, y - car.y
+    c, s = math.cos(car.heading), math.sin(car.heading)
+    return c * dx + s * dy, -s * dx + c * dy
+
+
+def rect_distance(car: env.CarState, x: float, y: float, config: env.EnvConfig) -> float:
+    """Distance from a point to the car's oriented footprint rectangle."""
+    lx, ly = to_car_frame(car, x, y)
+    dx = max(abs(lx) - config.car_length / 2.0, 0.0)
+    dy = max(abs(ly) - config.car_width / 2.0, 0.0)
+    return math.hypot(dx, dy)
+
+
+def check_proximity(world: env.WorldState) -> list[str]:
+    config = world.config
+    out = []
+    for ped in world.peds:
+        d = rect_distance(world.car, ped.x, ped.y, config)
+        if d <= config.ped_radius:
+            out.append(env.HIT)
+        elif d <= config.near_miss_margin and world.car.v > 0:
+            out.append(env.NEAR_MISS)
+        else:
+            out.append(env.CLEAR)
+    return out
+
+
+def car_collides(world: env.WorldState) -> bool:
+    car = world.car
+    config = world.config
+    for other in world.others:
+        if rects_overlap(car.x, car.y, car.heading, config.car_length, config.car_width,
+                         other.x, other.y, other.heading, config.car_length, config.car_width):
+            return True
+    for (bx0, by0, bx1, by1) in world.scene.obstacles:
+        cx, cy = (bx0 + bx1) / 2.0, (by0 + by1) / 2.0
+        if rects_overlap(car.x, car.y, car.heading, config.car_length, config.car_width,
+                         cx, cy, 0.0, bx1 - bx0, by1 - by0):
+            return True
+    return False
+
+
+def reward(world: env.WorldState, action: env.Action, goal_dist: float, prox: list[str],
+           car_hit: bool) -> env.RewardBreakdown:
+    """The reward terms by name, every inapplicable one left at its default."""
+    config = world.config
+    car = world.car
+    terms = {}
+    if goal_dist <= config.goal_tol:
+        terms["goal"] = 200.0
+    else:
+        terms["not_goal"] = -goal_dist / 1000.0
+    if env.HIT in prox or car_hit:
+        beta = car.v / config.speed_limit
+        terms["hit"] = -100.0 * beta
+        if car.v != 0:
+            terms["obstacle"] = -float(max(env._footprint_cost(world), planner.COST_BLOCKED))
+    if env.NEAR_MISS in prox:
+        terms["near_miss"] = -10.0
+    if car.v > config.speed_limit:
+        terms["over_speeding"] = -10.0
+    if action.acc == env.DECELERATE and world.v_prev == 0:
+        terms["braking"] = -1.0
+    if action.steer != 0.0:
+        terms["steer"] = -1.0
+    return env.RewardBreakdown(**terms)
+
+
+def step(world: env.WorldState, acc: int):
+    """What ``env.step`` returns, one helper call at a time: the per-segment
+    path queries, the car frame taken anew for the goal and each pedestrian,
+    the reward by named terms and the observation through its records."""
+    if world.done:
+        raise UsageError("episode already finished")
+    if acc not in (env.ACCELERATE, env.MAINTAIN, env.DECELERATE):
+        raise UsageError(f"bad speed action {acc!r}")
+    config = world.config
+    car = world.car
+    steer = tracking_steering(world.path, (car.x, car.y, car.heading), car.v, config.wheelbase)
+    action = env.Action(acc, steer)
+
+    world.v_prev = car.v
+    if acc == env.ACCELERATE:
+        car.v = min(car.v + config.speed_step, config.v_max)
+    elif acc == env.DECELERATE:
+        car.v = max(car.v - config.speed_step, 0.0)
+
+    car.x += car.v * math.cos(car.heading) * config.dt
+    car.y += car.v * math.sin(car.heading) * config.dt
+    car.heading = (car.heading + car.v / config.wheelbase * math.tan(steer) * config.dt) % (2 * math.pi)
+
+    for ped in world.peds:
+        gx, gy = ped.goal
+        remaining = math.hypot(gx - ped.x, gy - ped.y)
+        advance = min(ped.speed * config.dt, remaining)
+        if remaining > 1e-9:
+            ped.x += advance * (gx - ped.x) / remaining
+            ped.y += advance * (gy - ped.y) / remaining
+    for other in world.others:
+        other.x += other.v * math.cos(other.heading) * config.dt
+        other.y += other.v * math.sin(other.heading) * config.dt
+
+    world.t += 1
+    goal = world.scene.car_goal
+    goal_dist = math.hypot(car.x - goal[0], car.y - goal[1])
+    prox, car_hit = check_proximity(world), car_collides(world)
+    breakdown = reward(world, action, goal_dist, prox, car_hit)
+    if goal_dist <= config.goal_tol:
+        world.done, world.outcome = True, "goal"
+    elif env.HIT in prox or car_hit:
+        world.done, world.outcome = True, "collision"
+    elif world.t >= config.max_steps:
+        world.done, world.outcome = True, "timeout"
+
+    world.prev_action = action
+    world.prev_reward = breakdown.total
+    row = observation_row(world)
+    info = {"steer": steer, "proximity": prox, "outcome": world.outcome, "t": world.t}
+    return world, row, breakdown, world.done, info

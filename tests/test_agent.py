@@ -361,12 +361,13 @@ def test_episode_gradients_reuse_the_rollout(critic, monkeypatch):
 
 def test_greedy_trace_records_no_forward_pass():
     """Evaluation never backpropagates, so a greedy rollout keeps no hidden
-    states or logits and makes no training rows, and its trace cannot be
-    differentiated."""
+    states, logits, log-probabilities or entropies and makes no training
+    rows, and its trace cannot be differentiated."""
     config, model, streams = small_model("classical")
     scene = env.make_scene(1, 20.0, 1.2)
     trace = agent.run_episode(model, scene, env.EnvConfig(), greedy=True)
-    assert trace.steps > 0
+    assert trace.steps == len(trace.actions) == len(trace.rewards) > 0
+    assert trace.logps == [] and trace.entropies == []
     assert trace.rows is None and model._training_rows is None
     with pytest.raises(UsageError, match="no forward pass"):
         trace.hidden
@@ -546,9 +547,52 @@ def test_empty_episode_rejected():
 
 
 def test_select_action_greedy():
-    action, logp, entropy = agent.select_action(np.array([5.0, 0.0, 0.0]), greedy=True)
-    assert action == 0
-    assert logp == pytest.approx(math.log(nn.softmax(np.array([5.0, 0.0, 0.0]))[0]))
+    """A greedy rollout's action is the most probable one, the first of a tie."""
+    assert agent.greedy_action(np.array([5.0, 0.0, 0.0])) == 0
+    assert agent.greedy_action(np.array([0.0, 5.0, 5.0])) == 1
+    assert isinstance(agent.greedy_action(np.array([0.0, 0.0, 5.0])), int)
+
+
+def test_greedy_action_keeps_the_argmax_of_the_array_route():
+    """greedy_action equals np.argmax of the whole-array softmax, for 1 to 8
+    actions and rows with non-finite, huge and tied logits: a tie keeps the
+    first maximum and a NaN the first NaN."""
+    rng = np.random.default_rng(19)
+    with np.errstate(all="ignore"):
+        rows = list(oracles.logit_rows(rng, range(1, 9), 400))
+        rows += [np.array(row) for row in ([1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [np.inf, np.inf, 0.0],
+                                            [-np.inf] * 3, [1e308, -1e308, 1e308],
+                                            [0.0, 1e-300, 0.0], [np.nan, 0.0, np.nan])]
+        for row in rows:
+            assert agent.greedy_action(row) == oracles.select_action(row, greedy=True)[0], row
+
+
+class FixedDraw:
+    """An rng whose every ``random()`` draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_sampled_logp_below_the_clip_is_the_log_itself():
+    """The sampled log-probability is float(np.log(probs[a])) also where the
+    probability lies below the 1e-300 that clips the row of logs: the draw
+    0.0 picks the first action of nonzero probability, here a subnormal one
+    or one near the clip."""
+    rows = [[-745.0, 0.0], [-740.0, 0.0], [-740.0, 0.0, 0.0], [-700.0, 0.0, 0.0],
+            [-691.0, 0.0], [-690.0, 0.0], [-np.inf, -744.0, 0.0], [0.0, 0.0, 0.0]]
+    below = 0
+    for row in map(np.array, rows):
+        probs = nn.softmax(row)
+        for u in (0.0, 0.5, 1.0 - 2.0**-53):
+            got = agent.select_action(row, FixedDraw(u))
+            assert oracles.same_bits(got, oracles.select_action(row, FixedDraw(u))), (row, u)
+            assert oracles.same_bits(got[1], float(np.log(probs[got[0]]))), (row, u)
+            below += bool(probs[got[0]] < 1e-300)
+    assert below >= 4
 
 
 def test_select_action_uniform_sampling():
@@ -588,15 +632,13 @@ def test_select_action_matches_generator_choice():
 
 
 def test_select_action_keeps_the_draws_of_the_array_route():
-    """Greedy and sampled actions, log-probabilities and entropies on Python
-    floats equal the np.argmax and cumsum/searchsorted route, with the same
+    """Sampled actions, log-probabilities and entropies on Python floats
+    equal the cumsum/searchsorted route, with the same
     rng draws, for 1 to 8 actions and non-finite or huge logits; a row whose
     probabilities are not finite fails in both."""
     rng = np.random.default_rng(17)
     with np.errstate(all="ignore"):
         for k, row in enumerate(oracles.logit_rows(rng, range(1, 9), 400)):
-            greedy = agent.select_action(row, greedy=True)
-            assert oracles.same_bits(greedy, oracles.select_action(row, greedy=True)), row
             ours, ref = np.random.default_rng(k), np.random.default_rng(k)
             try:
                 want = oracles.select_action(row, ref)

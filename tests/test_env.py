@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qnav.env as env
-from qnav import UsageError, planner
+from qnav import UsageError, agent, planner
 from qnav.env import ACCELERATE, DECELERATE, KMH, MAINTAIN, Action
 from qnav.planner import PlanningError
 
@@ -396,6 +396,137 @@ def test_transition_deterministic():
                 break
         runs.append(states)
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("action", [True, False, 1.0, 0.0, np.int64(1), "1", None, -1, 3])
+def test_step_rejects_what_is_not_an_action(action):
+    """Only the ints 0, 1 and 2 are actions: a bool or a float that equals
+    one is rejected too, before the world moves."""
+    world, _ = fresh_world(scenario=5)
+    env.step(world, ACCELERATE)
+    before = world_state(world)
+    with pytest.raises(UsageError, match="bad speed action"):
+        env.step(world, action)
+    assert oracles.same_bits(world_state(world), before)
+    assert (world.t, world.done, world.outcome) == (1, False, None)
+
+
+def world_state(world):
+    """Every float and int of a world's mutable state, as one flat list."""
+    car, prev = world.car, world.prev_action
+    values = [car.x, car.y, car.heading, car.v, world.t, world.v_prev, prev.acc, prev.steer,
+              world.prev_reward]
+    for ped in world.peds:
+        values += [ped.x, ped.y, *ped.goal, ped.speed, ped.heading]
+    for other in world.others:
+        values += [other.x, other.y, other.heading, other.v]
+    return values
+
+
+def lockstep_episode(scene, policy, config, mutate=None):
+    """Roll one scene out with ``env.step`` and, on a second world of the
+    same scene, ``oracles.step``; at every step both worlds, the rows,
+    every reward term, the total and ``info`` must agree bit for bit.
+    Returns the outcome, whether a pedestrian was hit and the reward terms
+    that fired."""
+    world, row = env.reset(scene, config=config)
+    ref, ref_row = env.reset(scene, config=config)
+    if mutate is not None:
+        mutate(world)
+        mutate(ref)
+        row = ref_row = env.build_observation(world)
+    fired, ped_hit, t = set(), False, 0
+    while not world.done:
+        action = policy(row, t)
+        _, row, reward, done, info = env.step(world, action)
+        _, ref_row, ref_reward, ref_done, ref_info = oracles.step(ref, action)
+        where = (scene, t)
+        assert oracles.same_bits(row, ref_row), where
+        assert reward._fields == ref_reward._fields
+        assert oracles.same_bits(list(reward), list(ref_reward)), where
+        assert oracles.same_bits(reward.total, ref_reward.total), where
+        assert oracles.same_bits(world.prev_reward, reward.total), where
+        assert oracles.same_bits(world_state(world), world_state(ref)), where
+        assert (done, world.done, world.outcome) == (ref_done, ref.done, ref.outcome), where
+        assert oracles.same_bits(info.pop("steer"), ref_info.pop("steer")), where
+        assert info == ref_info, where
+        fired |= {name for name, value in zip(reward._fields, reward) if value}
+        ped_hit |= env.HIT in info["proximity"]
+        t += 1
+    return world.outcome, ped_hit, fired
+
+
+def test_step_equals_the_helper_by_helper_oracle():
+    """env.step, which takes the car frame and the reward total once, gives
+    the bits of oracles.step in every scenario, under random, forward-biased
+    and greedy-policy actions, and on worlds moved off the path, into a
+    parked car and into the oncoming car: goal, pedestrian hit, car and
+    obstacle collision, near miss and timeout, and every reward term."""
+    config = env.EnvConfig(max_steps=200)
+    model = agent.ActorCriticModel(agent.AgentConfig(critic="classical", seed=3),
+                                   env.observation_dim(config), agent.rng_streams(3)["init"])
+    d = model.obs_dim
+
+    def greedy():
+        rows = agent.TraceRows(model, 1)
+        return lambda row, t: agent.greedy_action(model.trunk_forward(row[:d], row[d:], rows, t)[1])
+
+    def drawn(seed, p):
+        rng = np.random.default_rng(seed)
+        return lambda row, t: int(rng.choice(3, p=p))
+
+    outcomes, fired = set(), set()
+    for sid in env.TEST_SCENARIOS:
+        for distance, speed in ((15.0, 1.0), (30.0, 1.5)):
+            scene = env.make_scene(sid, distance, speed)
+            for policy in (drawn(sid, None), drawn(100 + sid, [0.6, 0.3, 0.1]), greedy()):
+                outcome, ped_hit, terms = lockstep_episode(scene, policy, config)
+                outcomes.add((outcome, ped_hit))
+                fired |= terms
+    assert outcomes >= {("goal", False), ("collision", True), ("timeout", False)}
+
+    def off_path(world):
+        world.car.y, world.car.heading, world.car.v = 1.5, 0.3, 4.0
+
+    def behind_parked_car(world):
+        park_pedestrian(world)
+        x0, y0, _, y1 = world.scene.obstacles[0]
+        world.car.x, world.car.y, world.car.v = x0 - 3.0, (y0 + y1) / 2.0, 8.0
+
+    def oncoming_in_lane(world):
+        park_pedestrian(world)
+        world.others[0].y = 0.0
+
+    forward = drawn(7, [0.6, 0.3, 0.1])
+    outcome, _, terms = lockstep_episode(env.make_scene(2, 30.0, 1.0), forward, config, off_path)
+    fired |= terms
+    for scene, mutate in ((env.make_scene(3, 30.0, 1.0), behind_parked_car),
+                          (env.make_scene(5, 30.0, 1.0), oncoming_in_lane)):
+        outcome, ped_hit, terms = lockstep_episode(scene, forward, config, mutate)
+        assert (outcome, ped_hit) == ("collision", False)
+        assert {"hit", "obstacle"} <= terms
+    assert fired == set(env.RewardBreakdown._fields)
+
+
+def test_step_calls_the_traced_functions_once(monkeypatch):
+    """The benchmark times the observation and path tracking by wrapping
+    env.build_observation, planner.tracking_steering and
+    planner.cross_track_error on their modules: env.step must reach each of
+    them through that module name, once a step, or the traced timings read
+    0."""
+    calls = []
+    for module, name in ((env, "build_observation"), (planner, "tracking_steering"),
+                         (planner, "cross_track_error")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    world, _ = fresh_world(scenario=7)
+    calls.clear()
+    for _ in range(20):
+        env.step(world, ACCELERATE)
+        assert sorted(calls) == ["build_observation", "cross_track_error", "tracking_steering"]
+        calls.clear()
 
 
 def test_step_checks_contacts_once(monkeypatch):
