@@ -15,6 +15,7 @@ the episode; only the LSTM recurrence steps through time.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 import math
@@ -105,8 +106,14 @@ class QuantumCritic:
     def __init__(self, layout: CircuitLayout, params: dict):
         """``params`` holds views of the critic's parameters: theta, w, b."""
         self.layout = layout
-        self.gates, self.sublayer_marks = encoding.build_circuit(layout)
         self.params = params
+
+    @functools.cached_property
+    def circuit(self) -> qsim.Circuit:
+        """The layout's circuit, compiled on first use (not in setup) and
+        then run by every value and gradient call."""
+        gates, marks = encoding.build_circuit(self.layout)
+        return qsim.compile_circuit(gates, self.layout.n, marks)
 
     @staticmethod
     def init(layout: CircuitLayout, rng: np.random.Generator) -> dict:
@@ -124,11 +131,8 @@ class QuantumCritic:
               rng: Optional[np.random.Generator] = None):
         """V(h) as a float, or shape (T,) for hidden states of shape (T, hidden)."""
         x = encoding.pad_input(h, self.layout)
-        return qsim.circuit_value(
-            self.gates, x, self.params["theta"], self.params["w"],
-            float(self.params["b"][0]), self.layout.n,
-            noise=noise, rng=rng, sublayer_marks=self.sublayer_marks,
-        )
+        return qsim.circuit_value(self.circuit, x, self.params["theta"], self.params["w"],
+                                  float(self.params["b"][0]), noise, rng)
 
     def value_and_grads(self, h: np.ndarray, mode: str = "backprop",
                         noise: Optional[NoiseSpec] = None,
@@ -143,13 +147,12 @@ class QuantumCritic:
         sums over the rows weighted by dv, with no T axis, and the third
         output is dLoss/dh, each dV/dh row times its dv."""
         x = encoding.pad_input(h, self.layout)
-        args = (self.gates, x, self.params["theta"], self.params["w"],
-                float(self.params["b"][0]), self.layout.n)
+        args = (self.circuit, x, self.params["theta"], self.params["w"],
+                float(self.params["b"][0]))
         if mode == "backprop":
             value, d_theta, d_x, z, _ = qsim.adjoint_value_and_grad(*args)
         elif mode == "param-shift":
-            value, d_theta, d_x, z, _ = qsim.param_shift_value_and_grad(
-                *args, noise, rng, self.sublayer_marks)
+            value, d_theta, d_x, z, _ = qsim.param_shift_value_and_grad(*args, noise, rng)
         else:
             raise UsageError(f"unknown gradient mode {mode!r}")
         dh = d_x[..., : self.layout.p]

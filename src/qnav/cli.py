@@ -73,6 +73,15 @@ def _check_keys(section: dict, allowed: set, where: str):
         raise UsageError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _section(raw: dict, key: str, default: dict) -> dict:
+    """A copy of the config section ``key``: a mapping, or ``default`` if it
+    is missing, empty or null."""
+    section = raw.get(key)
+    if section is not None and not isinstance(section, dict):
+        raise UsageError(f"config section {key!r} must be a mapping, got {section!r}")
+    return dict(section or default)
+
+
 def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     try:
         with open(path) as fh:
@@ -83,15 +92,20 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
         raise UsageError("config root must be a mapping")
     _check_keys(raw, _TOP_KEYS, "config")
 
-    agent_section = dict(raw.get("agent") or {})
-    env_section = dict(raw.get("env") or {})
-    scene_section = dict(raw.get("scenes") or {"split": "train"})
+    agent_section = _section(raw, "agent", {})
+    env_section = _section(raw, "env", {})
+    scene_section = _section(raw, "scenes", {"split": "train"})
+    name = raw.get("name", Path(path).stem)
+    if not isinstance(name, str):
+        raise UsageError(f"name must be a string, got {name!r}")
     config = {
-        "name": raw.get("name", Path(path).stem),
+        "name": name,
         "seeds": raw.get("seeds", [0]),
-        "output": raw.get("output", "runs/" + raw.get("name", Path(path).stem)),
+        "output": raw.get("output", "runs/" + name),
         "smooth_window": raw.get("smooth_window", 100),
     }
+    if not isinstance(config["output"], str):
+        raise UsageError(f"output must be a string, got {config['output']!r}")
     if not (isinstance(config["seeds"], list) and config["seeds"]
             and all(map(is_int, config["seeds"]))):
         raise UsageError(f"seeds must be a non-empty list of integers, got {config['seeds']!r}")

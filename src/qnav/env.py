@@ -271,7 +271,6 @@ class Action(NamedTuple):
 class WorldState:
     scene: Scene
     config: EnvConfig
-    cost_map: CostMap
     path: Path
     car: CarState
     peds: list[PedestrianState]
@@ -448,20 +447,6 @@ def _car_collides(world: WorldState) -> bool:
     return False
 
 
-def _footprint_cost(world: WorldState) -> int:
-    """Max cost-map value under the car footprint (center + corners)."""
-    car, config = world.car, world.config
-    c, s = math.cos(car.heading), math.sin(car.heading)
-    pts = [(0.0, 0.0)]
-    for sx in (-config.car_length / 2, config.car_length / 2):
-        for sy in (-config.car_width / 2, config.car_width / 2):
-            pts.append((sx, sy))
-    return max(
-        world.cost_map.cost_at(car.x + c * sx - s * sy, car.y + s * sx + c * sy)
-        for sx, sy in pts
-    )
-
-
 # ---------------------------------------------------------------------------
 # reward
 
@@ -479,10 +464,9 @@ def compute_reward(world: WorldState, action: Action) -> RewardBreakdown:
     """Reward terms for the current world state after applying ``action``.
 
     goal +200; hit -100*beta with beta = impact speed / 50 km/h; obstacle
-    penalty equal to the cost-map value under the car when something is in the
-    hit area while moving; near-miss -10; over-speeding -10; per-step goal
-    distance penalty -dist/1000; -1 for braking while stationary; -1 for
-    nonzero steering.
+    -100 (``planner.COST_BLOCKED``) when something is in the hit area while
+    moving; near-miss -10; over-speeding -10; per-step goal distance penalty
+    -dist/1000; -1 for braking while stationary; -1 for nonzero steering.
     """
     heading = world.car.heading
     return _reward(world, action, *_contacts(world, math.cos(heading), math.sin(heading)))
@@ -501,7 +485,7 @@ def _reward(world: WorldState, action: Action, goal_dist: float, prox: list[str]
         beta = car.v / config.speed_limit  # impact speed over the 50 km/h limit
         hit = -100.0 * beta
         if car.v != 0:
-            obstacle = -float(max(_footprint_cost(world), planner.COST_BLOCKED))
+            obstacle = -float(planner.COST_BLOCKED)
     if NEAR_MISS in prox:
         near_miss = -10.0
     if car.v > config.speed_limit:
@@ -589,7 +573,6 @@ def _layout_path(obstacles, start, goal, fields: tuple) -> Path:
 def reset(scene: Scene, config: EnvConfig = EnvConfig()) -> tuple[WorldState, np.ndarray]:
     """Instantiate a scene: plan the path (once per layout) and place everyone
     at spawn. An unplannable scene raises ``planner.PlanningError``."""
-    cost_map = build_cost_map(scene, config)
     path = _layout_path(scene.obstacles, scene.car_start, scene.car_goal, _plan_fields(config))
     sx, sy, sh = scene.car_start
     px, py = scene.ped_spawn
@@ -598,7 +581,6 @@ def reset(scene: Scene, config: EnvConfig = EnvConfig()) -> tuple[WorldState, np
     world = WorldState(
         scene=scene,
         config=config,
-        cost_map=cost_map,
         path=path,
         car=CarState(sx, sy, sh % (2 * math.pi), 0.0),
         peds=[PedestrianState(px, py, (gx, gy), scene.ped_speed, heading)],

@@ -9,15 +9,16 @@ Rotation convention is exp(-i * theta * P / 2), so a single RY on |0> gives
 <Z> = cos(theta). Qubit 0 is the most significant bit of a basis index.
 
 Batch axis. The entry points ``run_circuit``, ``circuit_value``,
-``adjoint_value_and_grad`` and ``param_shift_value_and_grad`` take ``x`` of
-shape ``(p,)`` or ``(B, p)`` (``theta`` is shared by all rows) and evolve a
-``(B, 2**n)`` state; a 1-d ``x`` gives the unbatched return shapes. Each gate
-list is compiled once into a plan, cached on the gates, the qubit count and
-the sublayer marks. The plan holds every rotation's angle source and index;
-all <Z_i> come from one ``|psi|**2 @ sign.T`` with a Z-sign table per qubit
-count.
+``adjoint_value_and_grad`` and ``param_shift_value_and_grad`` take a
+:class:`Circuit` and ``x`` of shape ``(p,)`` or ``(B, p)`` (``theta`` is
+shared by all rows) and evolve a ``(B, 2**n)`` state; a 1-d ``x`` gives the
+unbatched return shapes. A gate list, its qubit count and its sublayer marks
+are compiled into a circuit by :func:`compile_circuit`, once, by whoever
+runs it: a critic compiles its own and passes it to every call. The circuit
+holds every rotation's angle source and index; all <Z_i> come from one
+``|psi|**2 @ sign.T`` with a Z-sign table per qubit count.
 
-Forward pass. The plan splits the circuit into blocks separated by runs of
+Forward pass. The compiled circuit splits into blocks separated by runs of
 CZs; each CZ run is one +/-1 mask. Inside a block, everything that acts on
 one qubit, its rotations and the depolarizing kicks that land on it, in
 circuit order, multiplies into one per-row 2x2 matrix (M <- R M, and M <- P M
@@ -88,9 +89,9 @@ Pauli as [alpha, beta] rows, and every array of the adjoint reverse pass.
 Each name holds one flat buffer, sized for the largest request so far, and a
 call works on a contiguous view of its front, so a call of any row count up
 to that size reuses it. One workspace is kept per thread and serves every
-call, of any plan, noise and row count, so a run of calls allocates (and
+call, of any circuit, noise and row count, so a run of calls allocates (and
 makes the system fault in) those arrays once, not each time. What depends
-on the plan alone is kept on the plan, read-only: the (steps, G, B) value
+on the circuit alone is kept on it, read-only: the (steps, G, B) value
 index of a parameter-shift batch, which only the depolarizing granularity
 and whether gate error is on change, and the 0/1 matrices that sum the
 adjoint's angle derivatives into parameters and features. An array a call
@@ -103,7 +104,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
@@ -117,14 +117,10 @@ MAX_QUBITS = 12
 
 ROTATIONS = ("rx", "ry", "rz")
 
-_GATE_IDS: dict = {}  # the fields of every distinct gate built -> its id
-_GATES: dict = {}  # id -> the first gate built with those fields
-_NEW_IDS = itertools.count()
-
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate in a circuit plan.
+    """One gate of a circuit's gate list.
 
     Rotation angles come from a literal ``angle``, a data feature
     (``source="data"``) or a trainable parameter (``source="param"``), with
@@ -153,19 +149,6 @@ class GateOp:
                 raise UsageError("data/param gates need an index")
             if self.source is None and self.angle is None:
                 raise UsageError("fixed-angle rotation needs an angle")
-        fields = (self.kind, self.target, self.control, self.angle, self.source, self.index)
-        object.__setattr__(self, "_hash", hash(fields))
-        # Equal gates share one integer id, so a plan lookup compares ints,
-        # never gates field by field (each setdefault is atomic).
-        object.__setattr__(self, "_id", _GATE_IDS.setdefault(fields, next(_NEW_IDS)))
-        _GATES.setdefault(self._id, self)
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):  # rebuild, so the hash is taken in the loading process
-        return GateOp, (self.kind, self.target, self.control, self.angle, self.source,
-                        self.index)
 
 
 @dataclass(frozen=True)
@@ -314,15 +297,17 @@ class _Blocks:
     n_events: int
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """A gate list compiled for batched simulation.
+@dataclass(frozen=True, eq=False)
+class Circuit:
+    """A gate list compiled for batched simulation on ``n`` qubits by
+    :func:`compile_circuit`; every entry point takes one.
 
     ``blocks[key]`` is the fused circuit (:class:`_Blocks`) without
     depolarizing events (``key=None``), which the adjoint reverse pass walks
-    backwards, or with those of granularity ``key``. Angle columns number the
-    rotations in circuit order; ``data_cols``/``data_index`` and
-    ``param_cols``/``param_index`` map data and trainable columns to their
+    backwards, or with those of granularity ``key``; the sublayer marks shape
+    only ``blocks["sublayer"]``, so one circuit serves every route. Angle
+    columns number the rotations in circuit order; ``data_cols``/``data_index``
+    and ``param_cols``/``param_index`` map data and trainable columns to their
     source entries. A call's angle values (see :func:`_angle_values`) hold a
     zero, then ``fixed_angles``, then theta at ``params`` and the input at
     ``features`` (the entries some gate uses), and column c reads value
@@ -433,13 +418,16 @@ def _fuse(gates: tuple, steps: list, events: tuple, n_qubits: int, n_rotations: 
                    n_events=event)
 
 
-@functools.lru_cache(maxsize=64)
-def _compile(ids: tuple, n_qubits: int, marks: tuple) -> _Plan:
+def compile_circuit(gates: Sequence[GateOp], n_qubits: int,
+                    sublayer_marks: Sequence[int] = ()) -> Circuit:
+    """Compile ``gates`` on ``n_qubits`` for the entry points. ``sublayer_marks``
+    lists gate positions after which per-sublayer depolarizing events are
+    injected on every qubit."""
     _check_n(n_qubits)
-    gates = [_GATES[i] for i in ids]
+    gates = tuple(gates)
     steps = []
     sources: dict = {None: ([], []), "data": ([], []), "param": ([], [])}
-    marked = frozenset(marks)
+    marked = frozenset(sublayer_marks)
     per_gate, per_sublayer = [], []
     for pos, gate in enumerate(gates):
         _check_qubit(gate.target, n_qubits)
@@ -465,7 +453,7 @@ def _compile(ids: tuple, n_qubits: int, marks: tuple) -> _Plan:
     value_index[fixed_cols] = 1 + np.arange(len(fixed_cols))
     value_index[param_cols] = 1 + len(fixed) + np.searchsorted(params, param_idx)
     value_index[data_cols] = 1 + len(fixed) + len(params) + np.searchsorted(features, data_idx)
-    return _Plan(
+    return Circuit(
         n=n_qubits,
         n_rotations=n_rotations,
         blocks={key: _fuse(gates, steps, kicked, n_qubits, n_rotations)
@@ -479,13 +467,6 @@ def _compile(ids: tuple, n_qubits: int, marks: tuple) -> _Plan:
         features=features,
         value_index=value_index,
     )
-
-
-_GATE_ID = operator.attrgetter("_id")
-
-
-def _plan(gates: Sequence[GateOp], n_qubits: int, sublayer_marks: Sequence[int]) -> _Plan:
-    return _compile(tuple(map(_GATE_ID, gates)), n_qubits, tuple(sublayer_marks))
 
 
 def _rows(x) -> tuple[np.ndarray, bool]:
@@ -516,32 +497,32 @@ class _Angles(NamedTuple):
 _NO_SHIFTS = (np.zeros(0, dtype=np.intp),) * 3
 
 
-def _angle_values(plan: _Plan, x: np.ndarray,
+def _angle_values(circuit: Circuit, x: np.ndarray,
                   theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The call's noise-free angle values, and each column's index and stride
     into them (see :class:`_Angles`): a fixed angle and a parameter are one
     value for all rows, and a feature one per row of ``x``, or one for all
     rows if ``x`` has a single row."""
-    if plan.data_index.size and plan.data_index.max() >= x.shape[1]:
-        raise UsageError(f"data index {plan.data_index.max()} outside feature vector "
+    if circuit.data_index.size and circuit.data_index.max() >= x.shape[1]:
+        raise UsageError(f"data index {circuit.data_index.max()} outside feature vector "
                           f"of length {x.shape[1]}")
-    if plan.param_index.size and plan.param_index.max() >= len(theta):
-        raise UsageError(f"param index {plan.param_index.max()} outside theta "
+    if circuit.param_index.size and circuit.param_index.max() >= len(theta):
+        raise UsageError(f"param index {circuit.param_index.max()} outside theta "
                           f"of length {len(theta)}")
-    values = np.concatenate([[0.0], plan.fixed_angles, theta[plan.params],
-                             x[:, plan.features].ravel()])
+    values = np.concatenate([[0.0], circuit.fixed_angles, theta[circuit.params],
+                             x[:, circuit.features].ravel()])
     if not np.isfinite(values).all():  # training diverged: a runtime fault, not misuse
         raise ValueError("rotation angle must be finite")
-    stride = np.zeros(plan.n_rotations + 1, dtype=np.intp)
+    stride = np.zeros(circuit.n_rotations + 1, dtype=np.intp)
     if len(x) != 1:
-        stride[plan.data_cols] = plan.features.size
-    return values, plan.value_index, stride
+        stride[circuit.data_cols] = circuit.features.size
+    return values, circuit.value_index, stride
 
 
-def _check_params_used(plan: _Plan, theta: np.ndarray) -> None:
+def _check_params_used(circuit: Circuit, theta: np.ndarray) -> None:
     """Gradients are taken for every parameter, so each must feed some gate."""
-    if plan.params.size < len(theta):  # else each is used, or one is out of range
-        unused = sorted(set(range(len(theta))) - set(plan.params.tolist()))
+    if circuit.params.size < len(theta):  # else each is used, or one is out of range
+        unused = sorted(set(range(len(theta))) - set(circuit.params.tolist()))
         raise UsageError(f"parameters never used by any gate: {unused}")
 
 
@@ -587,30 +568,30 @@ def _workspace() -> _Workspace:
     return ws
 
 
-def _evolve(plan: _Plan, x: np.ndarray, theta: np.ndarray, noise: Optional[NoiseSpec] = None,
+def _evolve(circuit: Circuit, x: np.ndarray, theta: np.ndarray, noise: Optional[NoiseSpec] = None,
             rng: Optional[np.random.Generator] = None,
             shift_cols: Optional[np.ndarray] = None) -> np.ndarray:
     """Final (B, 2**n) states, one trajectory per row: a copy of the state
     :func:`_forward` leaves in the workspace (for one row psi.T is already
     contiguous, so np.ascontiguousarray would return a view of it)."""
-    return _forward(plan, x, theta, noise, rng, shift_cols)[0].T.copy()
+    return _forward(circuit, x, theta, noise, rng, shift_cols)[0].T.copy()
 
 
-def _forward(plan: _Plan, x: np.ndarray, theta: np.ndarray, noise: Optional[NoiseSpec] = None,
+def _forward(circuit: Circuit, x: np.ndarray, theta: np.ndarray, noise: Optional[NoiseSpec] = None,
              rng: Optional[np.random.Generator] = None, shift_cols: Optional[np.ndarray] = None):
     """The forward pass of one call: its final amplitude-major (2**n, B)
     state, which stays in this thread's workspace, its :class:`_Angles`, its
     (steps, G, B) :func:`_step_index` and its group matrices (see
     :func:`_block_matrices`).
 
-    Row r runs input ``x[r]``. With ``shift_cols``, the plan's trainable
+    Row r runs input ``x[r]``. With ``shift_cols``, the circuit's trainable
     angle columns and then its data columns (U in all), ``x`` is one input
     and the rows are its parameter-shift batch: row 0 as is, row 1 + k with
     pi/2 added to column ``shift_cols[k]`` and row 1 + U + k with -pi/2.
     Draws the noise arrays in the order the module docstring fixes; gate
     error scales the trainable angles before the shifts are added.
     """
-    values, index, stride = _angle_values(plan, x, theta)
+    values, index, stride = _angle_values(circuit, x, theta)
     ws = _workspace()
     rows = len(x) if shift_cols is None else 1 + 2 * len(shift_cols)
     key, jittered, kicks, phase = None, None, None, 1.0
@@ -618,12 +599,13 @@ def _forward(plan: _Plan, x: np.ndarray, theta: np.ndarray, noise: Optional[Nois
         if rng is None:
             raise UsageError("noise simulation requires an rng stream")
         if noise.gate_error is not None:
-            trainable = np.broadcast_to(values[index[plan.param_cols]], (rows, plan.param_cols.size))
+            cols = circuit.param_cols
+            trainable = np.broadcast_to(values[index[cols]], (rows, cols.size))
             jittered = perturb_gate_params(trainable, rng, noise.gate_error,
                                            ws.array("jitter", trainable.shape))
         if noise.depolarizing is not None:
             key = noise.granularity
-            shape = (rows, plan.blocks[key].n_events)
+            shape = (rows, circuit.blocks[key].n_events)
             coins = rng.random(shape, out=ws.array("coins", shape))
             drawn = rng.integers(3, size=shape)  # the Pauli choices; integers takes no out
             drawn += 1
@@ -635,17 +617,17 @@ def _forward(plan: _Plan, x: np.ndarray, theta: np.ndarray, noise: Optional[Nois
             # in range, so "clip" writes straight into out
             kicks = tuple(table.take(paulis, out=ws.array(name, paulis.shape, complex), mode="clip")
                           for name, table in (("kick alpha", _KICK_ALPHA), ("kick beta", _KICK_BETA)))
-    blocks = plan.blocks[key]
-    angles = _half_angles(plan, values, index, stride, rows, jittered, shift_cols, ws)
+    blocks = circuit.blocks[key]
+    angles = _half_angles(circuit, values, index, stride, rows, jittered, shift_cols, ws)
     if shift_cols is None:
         steps = _step_index(blocks, angles, ws)
-    else:  # kept on the plan, read-only (see _Plan)
-        steps = plan.shift_index.get((key, jittered is not None))
+    else:  # kept on the circuit, read-only (see Circuit)
+        steps = circuit.shift_index.get((key, jittered is not None))
         if steps is None:
             steps = _step_index(blocks, angles, ws).copy()
             steps.flags.writeable = False
-            plan.shift_index[key, jittered is not None] = steps
-    psi = ws.array("psi", (2**plan.n, rows), complex)  # amplitude-major: a pass reads whole rows
+            circuit.shift_index[key, jittered is not None] = steps
+    psi = ws.array("psi", (2**circuit.n, rows), complex)  # amplitude-major: a pass reads whole rows
     psi[1:] = 0.0
     psi[0] = phase
     matrices = _block_matrices(blocks, angles, kicks, ws, steps)
@@ -653,7 +635,7 @@ def _forward(plan: _Plan, x: np.ndarray, theta: np.ndarray, noise: Optional[Nois
     return psi, angles, steps, matrices
 
 
-def _half_angles(plan: _Plan, values: np.ndarray, index: np.ndarray, stride: np.ndarray,
+def _half_angles(circuit: Circuit, values: np.ndarray, index: np.ndarray, stride: np.ndarray,
                  rows: int, jittered: Optional[np.ndarray], shift_cols: Optional[np.ndarray],
                  ws: _Workspace) -> _Angles:
     """Cos and sin of half of each value of :func:`_angle_values`, of each
@@ -664,7 +646,7 @@ def _half_angles(plan: _Plan, values: np.ndarray, index: np.ndarray, stride: np.
     half = ws.array("half", (size + 2 * uses,))
     half[: len(values)] = values
     if jittered is not None:
-        cols = plan.param_cols
+        cols = circuit.param_cols
         index, stride = index.copy(), stride.copy()
         index[cols], stride[cols] = len(values) + np.arange(cols.size), cols.size
         half[len(values) : size] = jittered.ravel()
@@ -688,7 +670,7 @@ def _run_passes(passes: tuple, matrices: np.ndarray, psi: np.ndarray, ws: _Works
         if group is None:  # a CZ run, index holds its mask
             psi *= index
         else:
-            # indices come from the plan, in range; "clip" writes straight into out
+            # indices come from the circuit, in range; "clip" writes straight into out
             matrices[group].take(index, axis=0, out=coef, mode="clip")
             psi.take(flip, axis=0, out=part, mode="clip")
             part *= coef[1]
@@ -745,7 +727,7 @@ def _kick(a, b, kicks, events, groups, scratch, right=False) -> None:
     drawn Pauli's alpha and beta, ``scratch`` six arrays of at least
     ``len(groups)`` rows."""
     alpha, beta, ag, bg, ra, rb = (arr[: len(groups)] for arr in scratch)
-    # indices come from the plan, in range; "clip" writes straight into out
+    # indices come from the circuit, in range; "clip" writes straight into out
     kicks[0].take(events, axis=0, out=alpha, mode="clip")
     kicks[1].take(events, axis=0, out=beta, mode="clip")
     a.take(groups, axis=0, out=ag, mode="clip")
@@ -841,19 +823,19 @@ def _product(angles: _Angles, index: np.ndarray, u: np.ndarray, v: np.ndarray):
     return a, b
 
 
-def _source_sums(plan: _Plan, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _source_sums(circuit: Circuit, width: int) -> tuple[np.ndarray, np.ndarray]:
     """The 0/1 matrices that sum each angle column's derivative into its
     parameter and into its feature of an input of ``width`` features; built
-    once per plan and width, read-only."""
-    sums = plan.sums.get(width)
+    once per circuit and width, read-only."""
+    sums = circuit.sums.get(width)
     if sums is None:
-        to_theta = np.zeros((plan.n_rotations + 1, plan.params.size))
-        to_theta[plan.param_cols, plan.param_index] = 1.0
-        to_x = np.zeros((plan.n_rotations + 1, width))
-        to_x[plan.data_cols, plan.data_index] = 1.0
+        to_theta = np.zeros((circuit.n_rotations + 1, circuit.params.size))
+        to_theta[circuit.param_cols, circuit.param_index] = 1.0
+        to_x = np.zeros((circuit.n_rotations + 1, width))
+        to_x[circuit.data_cols, circuit.data_index] = 1.0
         for arr in (to_theta, to_x):
             arr.flags.writeable = False
-        sums = plan.sums[width] = (to_theta, to_x)
+        sums = circuit.sums[width] = (to_theta, to_x)
     return sums
 
 
@@ -862,53 +844,45 @@ def _source_sums(plan: _Plan, width: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def run_circuit(
-    gates: Sequence[GateOp],
+    circuit: Circuit,
     x: np.ndarray,
     theta: np.ndarray,
-    n_qubits: int,
     noise: Optional[NoiseSpec] = None,
     rng: Optional[np.random.Generator] = None,
-    sublayer_marks: Sequence[int] = (),
 ) -> np.ndarray:
     """Run the circuit and return (<Z_0>, ..., <Z_{n-1}>) per row.
 
-    ``sublayer_marks`` lists gate positions after which per-sublayer
-    depolarizing events are injected on every qubit. Returns shape (n,) for
-    a single input and (B, n) for a batch, one trajectory per row.
+    Returns shape (n,) for a single input and (B, n) for a batch, one
+    trajectory per row.
     """
-    plan = _plan(gates, n_qubits, sublayer_marks)
     x, single = _rows(x)
-    z = _expect(_evolve(plan, x, np.asarray(theta, dtype=float), noise, rng), n_qubits)
+    z = _expect(_evolve(circuit, x, np.asarray(theta, dtype=float), noise, rng), circuit.n)
     return z[0] if single else z
 
 
 def circuit_value(
-    gates: Sequence[GateOp],
+    circuit: Circuit,
     x: np.ndarray,
     theta: np.ndarray,
     weights: np.ndarray,
     bias: float,
-    n_qubits: int,
     noise: Optional[NoiseSpec] = None,
     rng: Optional[np.random.Generator] = None,
-    sublayer_marks: Sequence[int] = (),
 ):
     """Linear readout bias + sum_i w_i <Z_i>: a float, or shape (B,) for a batch."""
-    z = run_circuit(gates, x, theta, n_qubits, noise, rng, sublayer_marks)
+    z = run_circuit(circuit, x, theta, noise, rng)
     value = bias + z @ np.asarray(weights, dtype=float)
     return float(value) if z.ndim == 1 else value
 
 
 def param_shift_value_and_grad(
-    gates: Sequence[GateOp],
+    circuit: Circuit,
     x: np.ndarray,
     theta: np.ndarray,
     weights: np.ndarray,
     bias: float,
-    n_qubits: int,
     noise: Optional[NoiseSpec] = None,
     rng: Optional[np.random.Generator] = None,
-    sublayer_marks: Sequence[int] = (),
 ):
     """Readout value and its exact parameter-shift gradients.
 
@@ -920,23 +894,22 @@ def param_shift_value_and_grad(
     every -pi/2 shift (trainable uses, then data uses, in circuit order)
     run as one batch of 1 + 2 * (uses) trajectories.
     """
-    plan = _plan(gates, n_qubits, sublayer_marks)
     x, single = _rows(x)
     theta = np.asarray(theta, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    _check_params_used(plan, theta)
-    cols = np.concatenate([plan.param_cols, plan.data_cols])
+    _check_params_used(circuit, theta)
+    cols = np.concatenate([circuit.param_cols, circuit.data_cols])
     uses = len(cols)
     values = np.empty(len(x))
     d_theta = np.zeros((len(x), len(theta)))
     d_x = np.zeros(x.shape)
-    z = np.empty((len(x), n_qubits))
+    z = np.empty((len(x), circuit.n))
     for row in range(len(x)):
-        zs = _expect(_evolve(plan, x[row : row + 1], theta, noise, rng, cols), n_qubits)
+        zs = _expect(_evolve(circuit, x[row : row + 1], theta, noise, rng, cols), circuit.n)
         v = bias + zs @ weights
         diff = (v[1 : 1 + uses] - v[1 + uses :]) / 2.0
-        np.add.at(d_theta[row], plan.param_index, diff[: plan.param_cols.size])
-        np.add.at(d_x[row], plan.data_index, diff[plan.param_cols.size :])
+        np.add.at(d_theta[row], circuit.param_index, diff[: circuit.param_cols.size])
+        np.add.at(d_x[row], circuit.data_index, diff[circuit.param_cols.size :])
         values[row], z[row] = v[0], zs[0]
     if single:
         return float(values[0]), d_theta[0], d_x[0], z[0], 1.0
@@ -944,12 +917,11 @@ def param_shift_value_and_grad(
 
 
 def adjoint_value_and_grad(
-    gates: Sequence[GateOp],
+    circuit: Circuit,
     x: np.ndarray,
     theta: np.ndarray,
     weights: np.ndarray,
     bias: float,
-    n_qubits: int,
 ):
     """Backpropagation through the simulation via the adjoint method.
 
@@ -959,21 +931,20 @@ def adjoint_value_and_grad(
     unitary reverse pass, so noisy gradients must use the parameter-shift
     path.
     """
-    plan = _plan(gates, n_qubits, ())
     x, single = _rows(x)
     theta = np.asarray(theta, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    _check_params_used(plan, theta)
-    rows, ws, blocks = len(x), _workspace(), plan.blocks[None]
+    _check_params_used(circuit, theta)
+    rows, ws, blocks = len(x), _workspace(), circuit.blocks[None]
     # reads: the value each (step, group, row) reads
-    psi, angles, reads, matrices = _forward(plan, x, theta)
-    _, sign = _tables(n_qubits)
-    z = _expect(np.ascontiguousarray(psi.T), n_qubits)
+    psi, angles, reads, matrices = _forward(circuit, x, theta)
+    _, sign = _tables(circuit.n)
+    z = _expect(np.ascontiguousarray(psi.T), circuit.n)
     value = bias + z @ weights
     # psi in the first `rows` columns, lambda = O psi with O = sum_i w_i Z_i in
     # the rest; lambda goes through a contiguous temporary, as a ufunc writing
     # a strided out allocates a buffer for it
-    state = ws.array("state", (2**n_qubits, 2 * rows), complex)
+    state = ws.array("state", (2**circuit.n, 2 * rows), complex)
     weighted = np.multiply(psi, (weights @ sign)[:, None], out=ws.array("lambda", psi.shape, complex))
     state[:, :rows] = psi
     state[:, rows:] = weighted
@@ -1002,7 +973,7 @@ def adjoint_value_and_grad(
         if group in blocks.reads:  # the last group of a chunk: read the chunk
             span, flips, xy = blocks.reads[group]
             bra = np.conjugate(lam, out=ws.array("bra", lam.shape, complex))
-            # indices come from the plan, in range; "clip" writes straight into out
+            # indices come from the circuit, in range; "clip" writes straight into out
             flipped = psi.take(flips, axis=0, out=ws.array("flipped", flips.shape + (rows,), complex),
                                mode="clip")
             # real weights, so each sum runs on the (re, im) float view
@@ -1045,11 +1016,11 @@ def adjoint_value_and_grad(
         rotated[0] += turned[0]
         rotated[1] -= turned[1]
         y[others] = rotated
-    d_angle = ws.array("d angle", (plan.n_rotations + 1, rows))
+    d_angle = ws.array("d angle", (circuit.n_rotations + 1, rows))
     d_angle.fill(0.0)
     d_angle[blocks.cols] = d_steps
     # each angle column's derivative summed into its parameter or feature
-    to_theta, to_x = _source_sums(plan, x.shape[1])
+    to_theta, to_x = _source_sums(circuit, x.shape[1])
     d_theta, d_x = d_angle.T @ to_theta, d_angle.T @ to_x
     if single:
         return float(value[0]), d_theta[0], d_x[0], z[0], 1.0

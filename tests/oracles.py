@@ -25,8 +25,10 @@ path queries and ``qnav.env._rects_overlap``, and the ``Observation`` and
 ``build_observation`` are the reference for the
 policy input row that ``qnav.env.build_observation`` writes directly, and
 ``step`` at the end of this file, which takes the car frame anew in every
-helper and builds the reward from named terms, is the reference for the
-one-pass ``qnav.env.step``.
+helper and builds the reward from named terms (the obstacle term as the
+largest cost-map value under the car's footprint, at least
+``planner.COST_BLOCKED``), is the reference for the one-pass
+``qnav.env.step``.
 """
 
 from __future__ import annotations
@@ -1011,6 +1013,20 @@ def car_collides(world: env.WorldState) -> bool:
     return False
 
 
+def footprint_cost(world: env.WorldState) -> int:
+    """Max value, under the car footprint (center and corners), of the cost
+    map of the world's obstacle layout."""
+    cost_map = env._obstacle_cost_map(world.scene.obstacles, world.config)
+    car, config = world.car, world.config
+    c, s = math.cos(car.heading), math.sin(car.heading)
+    pts = [(0.0, 0.0)]
+    for sx in (-config.car_length / 2, config.car_length / 2):
+        for sy in (-config.car_width / 2, config.car_width / 2):
+            pts.append((sx, sy))
+    return max(cost_map.cost_at(car.x + c * sx - s * sy, car.y + s * sx + c * sy)
+               for sx, sy in pts)
+
+
 def reward(world: env.WorldState, action: env.Action, goal_dist: float, prox: list[str],
            car_hit: bool) -> env.RewardBreakdown:
     """The reward terms by name, every inapplicable one left at its default."""
@@ -1025,7 +1041,7 @@ def reward(world: env.WorldState, action: env.Action, goal_dist: float, prox: li
         beta = car.v / config.speed_limit
         terms["hit"] = -100.0 * beta
         if car.v != 0:
-            terms["obstacle"] = -float(max(env._footprint_cost(world), planner.COST_BLOCKED))
+            terms["obstacle"] = -float(max(footprint_cost(world), planner.COST_BLOCKED))
     if env.NEAR_MISS in prox:
         terms["near_miss"] = -10.0
     if car.v > config.speed_limit:

@@ -74,10 +74,10 @@ def test_criterion_03_simulator_properties():
     # (a) norm preservation, (b) single-RY analytic value, one row per angle
     thetas = rng.uniform(-2 * np.pi, 2 * np.pi, size=(100, 1))
     ry = [GateOp("ry", 0, source="data", index=0)]
-    plan = qsim._plan(ry, 1, ())  # final states through run_circuit's own steps
-    states = qsim._evolve(plan, thetas, np.zeros(0))
+    circuit = qsim.compile_circuit(ry, 1)
+    states = qsim._evolve(circuit, thetas, np.zeros(0))  # final states, as run_circuit takes them
     ok &= bool(np.all(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= 1e-12))
-    z = qsim.run_circuit(ry, thetas, np.zeros(0), 1)
+    z = qsim.run_circuit(circuit, thetas, np.zeros(0))
     ok &= bool(np.all(np.abs(z - np.cos(thetas)) <= 1e-12))
     # (c) three-way gradient agreement on 100 random reuploading circuits
     worst = 0.0
@@ -91,19 +91,19 @@ def test_criterion_03_simulator_properties():
         theta = rng.uniform(-np.pi, np.pi, size=layout.param_count)
         w = rng.uniform(-1, 1, size=n)
         b = float(rng.uniform(-1, 1))
-        plan = qsim._plan(gates, n, ())
-        state = qsim._evolve(plan, x[None], theta)[0]
+        circuit = qsim.compile_circuit(gates, n)
+        state = qsim._evolve(circuit, x[None], theta)[0]
         ok &= abs(np.linalg.norm(state) - 1.0) <= 1e-12
-        _, ps, _, _, _ = qsim.param_shift_value_and_grad(gates, x, theta, w, b, n)
-        _, adj, _, _, _ = qsim.adjoint_value_and_grad(gates, x, theta, w, b, n)
+        _, ps, _, _, _ = qsim.param_shift_value_and_grad(circuit, x, theta, w, b)
+        _, adj, _, _, _ = qsim.adjoint_value_and_grad(circuit, x, theta, w, b)
         fd = np.zeros_like(theta)
         h = 1e-5
         for k in range(theta.size):
             tp, tm = theta.copy(), theta.copy()
             tp[k] += h
             tm[k] -= h
-            fd[k] = (qsim.circuit_value(gates, x, tp, w, b, n)
-                     - qsim.circuit_value(gates, x, tm, w, b, n)) / (2 * h)
+            fd[k] = (qsim.circuit_value(circuit, x, tp, w, b)
+                     - qsim.circuit_value(circuit, x, tm, w, b)) / (2 * h)
         worst = max(worst, float(np.max(np.abs(ps - adj))),
                     float(np.max(np.abs(ps - fd))))
     ok &= worst <= 1e-6
@@ -123,8 +123,8 @@ def test_criterion_04_depolarizing_oracle():
         exact = oracles.dm_expect_z(rho, 0, 1)
         ok &= abs(exact - (1 - 4 * p / 3) * math.cos(angle)) <= 1e-12
         samples = qsim.run_circuit(
-            [GateOp("ry", 0, angle=angle)], np.zeros((n_traj, 0)), np.zeros(0), 1,
-            noise=NoiseSpec(depolarizing=p), rng=rng, sublayer_marks=(0,))[:, 0]
+            qsim.compile_circuit([GateOp("ry", 0, angle=angle)], 1, (0,)), np.zeros((n_traj, 0)),
+            np.zeros(0), noise=NoiseSpec(depolarizing=p), rng=rng)[:, 0]
         se = samples.std(ddof=1) / math.sqrt(n_traj)
         ok &= abs(samples.mean() - exact) <= 3.0 * max(se, 1e-12)
     report(4, "trajectory mean <Z> matches (1 - 4p/3) <Z> within 3 SE", ok)

@@ -1,9 +1,11 @@
 """Actor-critic training: critics, losses, gradients, runs, evaluation."""
 
 import dataclasses
+import gc
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -701,6 +703,38 @@ def test_train_run_bytes_do_not_depend_on_kept_memory(critic, monkeypatch):
     assert "timeout" in record.outcomes
     assert json.dumps(dataclasses.asdict(fresh_record)) == json.dumps(dataclasses.asdict(record))
     assert fresh_model.flat.tobytes() == model.flat.tobytes()
+
+
+def test_quantum_train_run_compiles_one_circuit(monkeypatch):
+    """The critic compiles its circuit once, on first use, and runs every
+    bootstrap value and every adjoint gradient of a run through it."""
+    compiled = []
+    compile_circuit = qsim.compile_circuit
+
+    def counted(*args, **kwargs):
+        compiled.append(compile_circuit(*args, **kwargs))
+        return compiled[-1]
+
+    monkeypatch.setattr(qsim, "compile_circuit", counted)
+    config = AgentConfig(critic="quantum", n_qubits=2, n_layers=1, episodes=3, seed=4,
+                         **{**SMALL, "max_steps": 5})
+    model = ActorCriticModel(config, env.observation_dim(env.EnvConfig()),
+                             agent.rng_streams(4)["init"])
+    assert not compiled  # not in setup
+    record, _ = agent.train_run(config, scenes_small(), model=model)
+    assert record.outcomes == ["timeout"] * 3  # each reads a bootstrap value
+    assert compiled == [model.critic.circuit]
+
+
+def test_critic_circuit_is_freed_with_its_model():
+    """Nothing outside the model keeps its compiled circuit alive."""
+    config = AgentConfig(critic="quantum", n_qubits=2, n_layers=1, episodes=1, seed=4,
+                         **{**SMALL, "max_steps": 5})
+    _, model = agent.train_run(config, scenes_small())
+    circuit = weakref.ref(model.critic.circuit)
+    del model
+    gc.collect()
+    assert circuit() is None
 
 
 def test_train_run_with_noise_deterministic():

@@ -28,7 +28,7 @@ SMOKE_SCENES = {
 }
 
 
-def write_config(tmp_path, name="smoke.yaml", **overrides):
+def write_config(tmp_path, filename="smoke.yaml", **overrides):
     raw = {
         "name": "smoke",
         "seeds": [0],
@@ -41,7 +41,7 @@ def write_config(tmp_path, name="smoke.yaml", **overrides):
             raw[key].update(val)
         else:
             raw[key] = val
-    path = tmp_path / name
+    path = tmp_path / filename
     path.write_text(yaml.safe_dump(raw))
     return path
 
@@ -246,6 +246,11 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
     ({"env": {"near_miss_margin": float("nan")}}, []),
     ({"env": {"oncoming_speed": float("nan")}}, []),
     ({"agent": {"lr": float("inf")}}, []),
+    ({"name": 5}, []),
+    ({"output": 5}, []),
+    ({"scenes": [1, 2]}, []),
+    ({"agent": [1]}, []),
+    ({"env": 3}, []),
 ], ids=["yaml-depolarizing-2", "flag-not-a-number", "flag-negative", "zero-qubits",
         "zero-lstm-hidden", "zero-encoder-hidden", "zero-agent-max-steps", "negative-episodes",
         "negative-lr", "negative-max-grad-norm", "zero-dt", "zero-map-resolution",
@@ -259,7 +264,9 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
         "fractional-episodes", "fractional-agent-max-steps", "fractional-agent-seed",
         "boolean-lstm-hidden", "float-qubits", "fractional-env-max-steps",
         "float-k-pedestrians", "nan-entropy-weight", "yaml-nan-gate-error", "flag-nan-gate-error",
-        "negative-near-miss-margin", "nan-near-miss-margin", "nan-oncoming-speed", "infinite-lr"])
+        "negative-near-miss-margin", "nan-near-miss-margin", "nan-oncoming-speed", "infinite-lr",
+        "name-not-a-string", "output-not-a-string", "scenes-not-a-mapping",
+        "agent-not-a-mapping", "env-not-a-mapping"])
 def test_cmd_train_bad_values_exit_2_before_output(tmp_path, sections, flags):
     """Bad values fail when the config loads: exit 2, no output directory, so
     no manifest.json."""

@@ -140,7 +140,7 @@ def test_zero_angle_composability():
         layout = encoding.plan_layout(p, n, layers)
         gates, _ = encoding.build_circuit(layout)
         x = encoding.pad_input(np.zeros(p), layout)
-        z = qsim.run_circuit(gates, x, np.zeros(layout.param_count), n)
+        z = qsim.run_circuit(qsim.compile_circuit(gates, n), x, np.zeros(layout.param_count))
         np.testing.assert_allclose(z, np.ones(n), atol=1e-12)
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnav import UsageError, encoding, qsim
-from qnav.qsim import GateOp, NoiseSpec
+from qnav.qsim import GateOp, NoiseSpec, compile_circuit
 
 import oracles
 
@@ -32,10 +32,9 @@ def random_gates(rng, n_qubits, n_gates):
 
 
 def final_states(gates, n, x, theta=np.zeros(0), marks=(), noise=None, rng=None):
-    """Final (B, 2**n) states of a (B, p) input, through the plan, angle and
-    evolution steps that ``run_circuit`` takes."""
-    plan = qsim._plan(gates, n, marks)
-    return qsim._evolve(plan, x, theta, noise, rng)
+    """Final (B, 2**n) states of a (B, p) input, through the compile, angle
+    and evolution steps that ``run_circuit`` takes."""
+    return qsim._evolve(compile_circuit(gates, n, marks), x, theta, noise, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -51,17 +50,19 @@ def test_init_state_ground():
 @pytest.mark.parametrize("n", [0, -1, 13])
 def test_init_state_rejects_bad_counts(n):
     with pytest.raises(UsageError):
-        qsim.run_circuit([], np.zeros(0), np.zeros(0), n)
+        compile_circuit([], n)
 
 
 def test_ry_pi_flips_z():
-    z = qsim.run_circuit([GateOp("ry", 0, angle=math.pi)], np.zeros(0), np.zeros(0), 1)
+    z = qsim.run_circuit(compile_circuit([GateOp("ry", 0, angle=math.pi)], 1), np.zeros(0),
+                         np.zeros(0))
     assert z[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_rz_fixes_ground_population():
     for angle in (0.3, -1.7, 2.9):
-        z = qsim.run_circuit([GateOp("rz", 0, angle=angle)], np.zeros(0), np.zeros(0), 1)
+        z = qsim.run_circuit(compile_circuit([GateOp("rz", 0, angle=angle)], 1), np.zeros(0),
+                             np.zeros(0))
         assert z[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -77,14 +78,15 @@ def test_cz_phases_11_only():
 def test_expectation_z_cos_theta():
     rng = np.random.default_rng(7)
     thetas = rng.uniform(-2 * np.pi, 2 * np.pi, size=20)
-    z = qsim.run_circuit([GateOp("ry", 0, source="data", index=0)], thetas[:, None],
-                         np.zeros(0), 1)
+    z = qsim.run_circuit(compile_circuit([GateOp("ry", 0, source="data", index=0)], 1),
+                         thetas[:, None], np.zeros(0))
     for theta, z0 in zip(thetas, z[:, 0]):
         assert z0 == pytest.approx(math.cos(theta), abs=1e-12)
 
 
 def test_expectation_z_minus_one_on_excited():
-    z = qsim.run_circuit([GateOp("ry", 1, angle=math.pi)], np.zeros(0), np.zeros(0), 2)
+    z = qsim.run_circuit(compile_circuit([GateOp("ry", 1, angle=math.pi)], 2), np.zeros(0),
+                         np.zeros(0))
     assert z[1] == pytest.approx(-1.0, abs=1e-12)
     assert z[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -93,7 +95,7 @@ def test_expectation_z_index_checked():
     """Every qubit index a circuit names is checked against the qubit count."""
     for gate in (GateOp("ry", 2, angle=0.1), GateOp("cz", target=0, control=2)):
         with pytest.raises(UsageError):
-            qsim.run_circuit([gate], np.zeros(0), np.zeros(0), 2)
+            compile_circuit([gate], 2)
 
 
 def test_gateop_validation():
@@ -107,18 +109,17 @@ def test_gateop_validation():
         GateOp("ry", 0, source="data")  # missing index
 
 
-def test_equal_gate_lists_hash_equal_and_share_a_plan():
-    """GateOp hashes once, from its fields: separately built equal lists
-    compare and hash equal and find the same compiled plan."""
+def test_equal_gate_lists_compare_and_hash_equal():
+    """GateOp is a plain frozen dataclass: separately built equal lists
+    compare and hash equal, and a gate survives a pickle round trip."""
     layout = encoding.plan_layout(7, 3, 2)
-    first, marks = encoding.build_circuit(layout)
+    first, _ = encoding.build_circuit(layout)
     second, _ = encoding.build_circuit(layout)
     assert first == second and all(a is not b for a, b in zip(first, second))
     assert [hash(g) for g in first] == [hash(g) for g in second]
     assert hash(tuple(first)) == hash(tuple(second))
     for gate in first + [GateOp("rx", 1, angle=-0.0), GateOp("cz", target=0, control=2)]:
         fields = (gate.kind, gate.target, gate.control, gate.angle, gate.source, gate.index)
-        assert hash(gate) == hash(fields)
         assert gate == GateOp(*fields) and hash(gate) == hash(GateOp(*fields))
         assert pickle.loads(pickle.dumps(gate)) == gate
     assert GateOp("ry", 0, angle=0.0) == GateOp("ry", 0, angle=-0.0)
@@ -126,28 +127,6 @@ def test_equal_gate_lists_hash_equal_and_share_a_plan():
     assert GateOp("ry", 0, angle=0.5) != GateOp("rz", 0, angle=0.5)
     with pytest.raises(dataclasses.FrozenInstanceError):
         first[0].target = 1
-    plan = qsim._plan(first, 3, marks)
-    hits = qsim._compile.cache_info().hits
-    assert qsim._plan(second, 3, marks) is plan
-    assert qsim._compile.cache_info().hits == hits + 1
-
-
-def test_plan_hit_compares_no_gates(monkeypatch):
-    """Looking up the plan of a separately built equal circuit, as each new
-    model does, makes no field-by-field gate comparison."""
-    layout = encoding.plan_layout(11, 3, 2)
-    first, marks = encoding.build_circuit(layout)
-    plan = qsim._plan(first, 3, marks)
-    second, _ = encoding.build_circuit(layout)
-    compared = []
-    equal = GateOp.__eq__
-    monkeypatch.setattr(GateOp, "__eq__", lambda a, b: compared.append(a) or equal(a, b))
-    assert second[0] == first[0] and compared  # the counter sees comparisons
-    compared.clear()
-    hits = qsim._compile.cache_info().hits
-    assert qsim._plan(second, 3, marks) is plan
-    assert qsim._compile.cache_info().hits == hits + 1
-    assert not compared
 
 
 @settings(max_examples=30, deadline=None)
@@ -169,7 +148,7 @@ def test_gates_match_dense_matrix_oracle():
         else:
             u = oracles.lift(oracles.rotation_matrix(gate.kind, gate.angle), gate.target, n)
         rho = oracles.dm_apply_unitary(rho, u)
-    z = qsim.run_circuit(gates, np.zeros(0), np.zeros(0), n)
+    z = qsim.run_circuit(compile_circuit(gates, n), np.zeros(0), np.zeros(0))
     for q in range(n):
         assert z[q] == pytest.approx(oracles.dm_expect_z(rho, q, n), abs=1e-12)
 
@@ -179,13 +158,13 @@ def test_gates_match_dense_matrix_oracle():
 
 
 def test_run_circuit_identity():
-    z = qsim.run_circuit([], np.zeros(0), np.zeros(0), n_qubits=4)
+    z = qsim.run_circuit(compile_circuit([], 4), np.zeros(0), np.zeros(0))
     np.testing.assert_allclose(z, np.ones(4), atol=1e-15)
 
 
 def test_run_circuit_single_param_gate():
     gates = [GateOp("ry", 0, source="param", index=0)]
-    z = qsim.run_circuit(gates, np.zeros(0), np.array([1.0]), n_qubits=1)
+    z = qsim.run_circuit(compile_circuit(gates, 1), np.zeros(0), np.array([1.0]))
     assert z[0] == pytest.approx(math.cos(1.0), abs=1e-12)
 
 
@@ -193,15 +172,15 @@ def test_run_circuit_zero_angles_any_layout():
     layout = encoding.plan_layout(p=10, n=3, layers=2)
     gates, marks = encoding.build_circuit(layout)
     x = np.zeros(3 * layout.n * layout.sublayers)
-    z = qsim.run_circuit(gates, x, np.zeros(layout.param_count), layout.n,
-                         sublayer_marks=marks)
+    z = qsim.run_circuit(compile_circuit(gates, layout.n, marks), x,
+                         np.zeros(layout.param_count))
     np.testing.assert_allclose(z, np.ones(3), atol=1e-12)
 
 
 def test_run_circuit_bad_index_is_layout_error():
-    gates = [GateOp("ry", 0, source="data", index=5)]
+    circuit = compile_circuit([GateOp("ry", 0, source="data", index=5)], 1)
     with pytest.raises(UsageError):
-        qsim.run_circuit(gates, np.zeros(2), np.zeros(0), n_qubits=1)
+        qsim.run_circuit(circuit, np.zeros(2), np.zeros(0))
 
 
 # ---------------------------------------------------------------------------
@@ -209,45 +188,44 @@ def test_run_circuit_bad_index_is_layout_error():
 
 
 def test_param_shift_single_ry_at_zero():
-    gates = [GateOp("ry", 0, source="param", index=0)]
-    grad = qsim.param_shift_value_and_grad(gates, np.zeros(0), np.array([0.0]),
-                                           np.array([1.0]), 0.0, 1)[1]
+    circuit = compile_circuit([GateOp("ry", 0, source="param", index=0)], 1)
+    grad = qsim.param_shift_value_and_grad(circuit, np.zeros(0), np.array([0.0]),
+                                           np.array([1.0]), 0.0)[1]
     assert grad[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_param_shift_single_ry_at_half_pi():
-    gates = [GateOp("ry", 0, source="param", index=0)]
-    grad = qsim.param_shift_value_and_grad(gates, np.zeros(0), np.array([np.pi / 2]),
-                                           np.array([1.0]), 0.0, 1)[1]
+    circuit = compile_circuit([GateOp("ry", 0, source="param", index=0)], 1)
+    grad = qsim.param_shift_value_and_grad(circuit, np.zeros(0), np.array([np.pi / 2]),
+                                           np.array([1.0]), 0.0)[1]
     assert grad[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_param_shift_unused_parameter_rejected():
-    gates = [GateOp("ry", 0, source="param", index=0)]
+    circuit = compile_circuit([GateOp("ry", 0, source="param", index=0)], 1)
     with pytest.raises(UsageError):
-        qsim.param_shift_value_and_grad(gates, np.zeros(0), np.zeros(2),
-                                        np.array([1.0]), 0.0, 1)
+        qsim.param_shift_value_and_grad(circuit, np.zeros(0), np.zeros(2), np.array([1.0]), 0.0)
 
 
 def test_adjoint_unused_parameter_rejected():
     """Both gradient modes agree on a valid layout: every parameter feeds a gate."""
-    gates = [GateOp("ry", 0, source="param", index=0)]
+    circuit = compile_circuit([GateOp("ry", 0, source="param", index=0)], 1)
     with pytest.raises(UsageError, match=r"never used by any gate: \[1\]"):
-        qsim.adjoint_value_and_grad(gates, np.zeros(0), np.zeros(2), np.array([1.0]), 0.0, 1)
+        qsim.adjoint_value_and_grad(circuit, np.zeros(0), np.zeros(2), np.array([1.0]), 0.0)
     cz_only, n, p, _ = HAND_BUILT["cz-only"]
     for grad in (qsim.adjoint_value_and_grad, qsim.param_shift_value_and_grad):
         with pytest.raises(UsageError, match=r"never used by any gate: \[0, 1\]"):
-            grad(cz_only, np.zeros(p), np.zeros(2), np.ones(n), 0.0, n)
+            grad(compile_circuit(cz_only, n), np.zeros(p), np.zeros(2), np.ones(n), 0.0)
 
 
-def finite_diff(gates, x, theta, w, b, n, h=1e-5):
+def finite_diff(circuit, x, theta, w, b, h=1e-5):
     grad = np.zeros_like(theta)
     for k in range(len(theta)):
         tp, tm = theta.copy(), theta.copy()
         tp[k] += h
         tm[k] -= h
-        grad[k] = (qsim.circuit_value(gates, x, tp, w, b, n)
-                   - qsim.circuit_value(gates, x, tm, w, b, n)) / (2 * h)
+        grad[k] = (qsim.circuit_value(circuit, x, tp, w, b)
+                   - qsim.circuit_value(circuit, x, tm, w, b)) / (2 * h)
     return grad
 
 
@@ -259,17 +237,17 @@ def test_gradient_three_way_agreement(seed):
     layers = int(rng.integers(1, 3))
     p = int(rng.integers(1, 3 * n + 1))
     layout = encoding.plan_layout(p, n, layers)
-    gates, _ = encoding.build_circuit(layout)
+    circuit = compile_circuit(encoding.build_circuit(layout)[0], n)
     x = encoding.pad_input(rng.uniform(-1, 1, size=p), layout)
     theta = rng.uniform(-np.pi, np.pi, size=layout.param_count)
     w = rng.uniform(-1, 1, size=n)
     b = float(rng.uniform(-1, 1))
 
-    _, ps, ps_x, _, _ = qsim.param_shift_value_and_grad(gates, x, theta, w, b, n)
-    value, d_theta, d_x, z, d_b = qsim.adjoint_value_and_grad(gates, x, theta, w, b, n)
-    fd = finite_diff(gates, x, theta, w, b, n)
+    _, ps, ps_x, _, _ = qsim.param_shift_value_and_grad(circuit, x, theta, w, b)
+    value, d_theta, d_x, z, d_b = qsim.adjoint_value_and_grad(circuit, x, theta, w, b)
+    fd = finite_diff(circuit, x, theta, w, b)
 
-    assert value == pytest.approx(qsim.circuit_value(gates, x, theta, w, b, n), abs=1e-12)
+    assert value == pytest.approx(qsim.circuit_value(circuit, x, theta, w, b), abs=1e-12)
     np.testing.assert_allclose(ps, d_theta, atol=1e-10)
     np.testing.assert_allclose(ps, fd, atol=1e-6)
     # data gradient agrees with its own finite difference
@@ -277,12 +255,12 @@ def test_gradient_three_way_agreement(seed):
         xp, xm = x.copy(), x.copy()
         xp[k] += 1e-5
         xm[k] -= 1e-5
-        num = (qsim.circuit_value(gates, xp, theta, w, b, n)
-               - qsim.circuit_value(gates, xm, theta, w, b, n)) / 2e-5
+        num = (qsim.circuit_value(circuit, xp, theta, w, b)
+               - qsim.circuit_value(circuit, xm, theta, w, b)) / 2e-5
         assert ps_x[k] == pytest.approx(num, abs=1e-6)
         assert d_x[k] == pytest.approx(num, abs=1e-6)
     # readout gradients
-    np.testing.assert_allclose(z, qsim.run_circuit(gates, x, theta, n), atol=1e-12)
+    np.testing.assert_allclose(z, qsim.run_circuit(circuit, x, theta), atol=1e-12)
     assert d_b == 1.0
 
 
@@ -313,9 +291,9 @@ def test_depolarize_matches_density_matrix_oracle(p):
     rng = np.random.default_rng(42)
     angle = 0.7
     n_traj = 10_000
-    samples = qsim.run_circuit([GateOp("ry", 0, angle=angle)], np.zeros((n_traj, 0)),
-                               np.zeros(0), 1, noise=NoiseSpec(depolarizing=p), rng=rng,
-                               sublayer_marks=(0,))[:, 0]
+    samples = qsim.run_circuit(compile_circuit([GateOp("ry", 0, angle=angle)], 1, (0,)),
+                               np.zeros((n_traj, 0)), np.zeros(0),
+                               noise=NoiseSpec(depolarizing=p), rng=rng)[:, 0]
     rho = oracles.dm_apply_unitary(oracles.dm_init(1),
                                    oracles.rotation_matrix("ry", angle))
     rho = oracles.dm_depolarize(rho, 0, p, 1)
@@ -352,8 +330,8 @@ def test_two_qubit_circuit_depolarizing_oracle():
 
     rng = np.random.default_rng(99)
     n_traj = 10_000
-    acc = qsim.run_circuit(gates, np.tile(x, (n_traj, 1)), theta, 2, noise=noise, rng=rng,
-                           sublayer_marks=marks)
+    acc = qsim.run_circuit(compile_circuit(gates, 2, marks), np.tile(x, (n_traj, 1)), theta,
+                           noise=noise, rng=rng)
     se = acc.std(axis=0, ddof=1) / math.sqrt(n_traj)
     assert np.all(np.abs(acc.mean(axis=0) - exact) <= 3.0 * np.maximum(se, 1e-12))
 
@@ -364,28 +342,26 @@ def test_gate_error_perturbs_only_param_angles():
     noise = NoiseSpec(gate_error=0.01)
     x, theta = np.array([0.5]), np.array([0.0])
     # theta = 0: multiplicative jitter has no effect, so output is exact
-    z = qsim.run_circuit(gates, x, theta, 1, noise=noise, rng=np.random.default_rng(0))
+    z = qsim.run_circuit(compile_circuit(gates, 1), x, theta, noise=noise,
+                         rng=np.random.default_rng(0))
     assert z[0] == pytest.approx(math.cos(0.5), abs=1e-12)
 
 
 def test_noise_requires_rng():
-    gates = [GateOp("ry", 0, source="param", index=0)]
+    circuit = compile_circuit([GateOp("ry", 0, source="param", index=0)], 1)
     with pytest.raises(UsageError):
-        qsim.run_circuit(gates, np.zeros(0), np.array([1.0]), 1,
-                         noise=NoiseSpec(gate_error=0.01))
+        qsim.run_circuit(circuit, np.zeros(0), np.array([1.0]), noise=NoiseSpec(gate_error=0.01))
 
 
 def test_noisy_run_deterministic_per_seed():
     layout = encoding.plan_layout(p=6, n=2, layers=1)
     gates, marks = encoding.build_circuit(layout)
+    circuit = compile_circuit(gates, 2, marks)
     x = np.linspace(-1, 1, 6)
     theta = np.linspace(0.1, 0.8, layout.param_count)
     noise = NoiseSpec(gate_error=0.01, depolarizing=0.1)
-    runs = [
-        qsim.run_circuit(gates, x, theta, 2, noise=noise,
-                         rng=np.random.default_rng(123), sublayer_marks=marks)
-        for _ in range(2)
-    ]
+    runs = [qsim.run_circuit(circuit, x, theta, noise=noise, rng=np.random.default_rng(123))
+            for _ in range(2)]
     np.testing.assert_array_equal(runs[0], runs[1])
 
 
@@ -440,8 +416,9 @@ def test_batched_forward_and_adjoint_match_references(n, layers):
     rng = np.random.default_rng(100 * n + layers)
     for batch in (1, 7, 50):
         gates, _, x, theta, w, b = reuploading_case(rng, n, layers, batch)
-        z = qsim.run_circuit(gates, x, theta, n)
-        value, d_theta, d_x, dw, db = qsim.adjoint_value_and_grad(gates, x, theta, w, b, n)
+        circuit = compile_circuit(gates, n)
+        z = qsim.run_circuit(circuit, x, theta)
+        value, d_theta, d_x, dw, db = qsim.adjoint_value_and_grad(circuit, x, theta, w, b)
         assert z.shape == (batch, n) and value.shape == (batch,)
         assert d_theta.shape == (batch, theta.size) and d_x.shape == x.shape
         assert db == 1.0
@@ -465,7 +442,8 @@ def test_batched_param_shift_matches_scalar_reference(n, layers):
     rng = np.random.default_rng(200 * n + layers)
     for batch in (1, 7):
         gates, _, x, theta, w, b = reuploading_case(rng, n, layers, batch)
-        value, d_theta, d_x, z, _ = qsim.param_shift_value_and_grad(gates, x, theta, w, b, n)
+        value, d_theta, d_x, z, _ = qsim.param_shift_value_and_grad(compile_circuit(gates, n),
+                                                                    x, theta, w, b)
         # the scalar reference runs 2 circuits per angle use; first and last row suffice
         # here, test_batch_rows_equal_unbatched_calls covers the rows in between
         for i in sorted({0, batch - 1}):
@@ -484,19 +462,20 @@ def test_batched_param_shift_matches_scalar_reference(n, layers):
 def test_batch_rows_equal_unbatched_calls():
     rng = np.random.default_rng(17)
     gates, marks, x, theta, w, b = reuploading_case(rng, 3, 2, 7)
-    z = qsim.run_circuit(gates, x, theta, 3, sublayer_marks=marks)
-    values = qsim.circuit_value(gates, x, theta, w, b, 3, sublayer_marks=marks)
-    adjoint = qsim.adjoint_value_and_grad(gates, x, theta, w, b, 3)
-    shifted = qsim.param_shift_value_and_grad(gates, x, theta, w, b, 3, sublayer_marks=marks)
+    circuit = compile_circuit(gates, 3, marks)
+    z = qsim.run_circuit(circuit, x, theta)
+    values = qsim.circuit_value(circuit, x, theta, w, b)
+    adjoint = qsim.adjoint_value_and_grad(circuit, x, theta, w, b)
+    shifted = qsim.param_shift_value_and_grad(circuit, x, theta, w, b)
     for i in range(len(x)):
-        np.testing.assert_allclose(z[i], qsim.run_circuit(gates, x[i], theta, 3),
+        np.testing.assert_allclose(z[i], qsim.run_circuit(circuit, x[i], theta),
                                    rtol=0, atol=1e-12)
-        assert values[i] == pytest.approx(qsim.circuit_value(gates, x[i], theta, w, b, 3),
+        assert values[i] == pytest.approx(qsim.circuit_value(circuit, x[i], theta, w, b),
                                           abs=1e-12)
         for batched, single in zip(
                 (adjoint, shifted),
-                (qsim.adjoint_value_and_grad(gates, x[i], theta, w, b, 3),
-                 qsim.param_shift_value_and_grad(gates, x[i], theta, w, b, 3))):
+                (qsim.adjoint_value_and_grad(circuit, x[i], theta, w, b),
+                 qsim.param_shift_value_and_grad(circuit, x[i], theta, w, b))):
             assert isinstance(single[0], float)
             for part in range(4):
                 np.testing.assert_allclose(np.asarray(batched[part])[i], single[part],
@@ -508,13 +487,14 @@ def test_empty_batch_gives_empty_results():
     gradient modes give the same batched shapes with zero rows."""
     layout = encoding.plan_layout(5, 2, 1)
     gates, marks = encoding.build_circuit(layout)
+    circuit = compile_circuit(gates, 2, marks)
     x, theta = np.zeros((0, 6)), np.zeros(layout.param_count)
     noise = NoiseSpec(gate_error=0.01, depolarizing=0.5)
-    assert qsim.run_circuit(gates, x, theta, 2).shape == (0, 2)
-    assert qsim.run_circuit(gates, x, theta, 2, noise, np.random.default_rng(0), marks).shape == (0, 2)
+    assert qsim.run_circuit(circuit, x, theta).shape == (0, 2)
+    assert qsim.run_circuit(circuit, x, theta, noise, np.random.default_rng(0)).shape == (0, 2)
     expected = [(0,), (0, 4), (0, 6), (0, 2)]
     for grad in (qsim.param_shift_value_and_grad, qsim.adjoint_value_and_grad):
-        parts = grad(gates, x, theta, np.ones(2), 0.0, 2)
+        parts = grad(circuit, x, theta, np.ones(2), 0.0)
         assert [np.shape(part) for part in parts[:4]] == expected
         assert parts[4] == 1.0
 
@@ -522,9 +502,9 @@ def test_empty_batch_gives_empty_results():
 
 def test_non_finite_angle_is_a_runtime_fault():
     """A NaN angle means training diverged: a plain ValueError, not misuse."""
-    gates = [GateOp("ry", 0, source="data", index=0)]
+    circuit = compile_circuit([GateOp("ry", 0, source="data", index=0)], 1)
     with pytest.raises(ValueError, match="finite") as info:
-        qsim.run_circuit(gates, np.array([np.nan]), np.zeros(0), 1)
+        qsim.run_circuit(circuit, np.array([np.nan]), np.zeros(0))
     assert not isinstance(info.value, UsageError)
 
 _DATA = [GateOp(kind, q, source="data", index=i)
@@ -565,12 +545,13 @@ HAND_BUILT = {
 def assert_adjoint_matches_oracle(gates, n, x, theta, w, b):
     """Batched and single-row adjoint calls against the scalar reference;
     returns the batched result."""
-    batched = qsim.adjoint_value_and_grad(gates, x, theta, w, b, n)
+    circuit = compile_circuit(gates, n)
+    batched = qsim.adjoint_value_and_grad(circuit, x, theta, w, b)
     value, d_theta, d_x, z, d_b = batched
     assert d_theta.shape == (len(x), len(theta)) and d_x.shape == x.shape and d_b == 1.0
     for i in range(len(x)):
         ref = oracles.adjoint_value_and_grad(gates, x[i], theta, w, b, n)
-        single = qsim.adjoint_value_and_grad(gates, x[i], theta, w, b, n)
+        single = qsim.adjoint_value_and_grad(circuit, x[i], theta, w, b)
         for got in (single, (value[i], d_theta[i], d_x[i], z[i], d_b)):
             assert got[0] == pytest.approx(ref[0], abs=1e-12)
             for part in (1, 2, 3):
@@ -606,15 +587,16 @@ def test_noisy_batched_param_shift_deterministic_per_seed():
     rng = np.random.default_rng(23)
     gates, marks, x, theta, w, b = reuploading_case(rng, 2, 2, 3)
     noise = NoiseSpec(gate_error=0.01, depolarizing=0.1)
+    circuit = compile_circuit(gates, 2, marks)
     runs = [
-        qsim.param_shift_value_and_grad(gates, x, theta, w, b, 2, noise=noise,
-                                        rng=np.random.default_rng(seed), sublayer_marks=marks)
+        qsim.param_shift_value_and_grad(circuit, x, theta, w, b, noise=noise,
+                                        rng=np.random.default_rng(seed))
         for seed in (5, 5, 6)
     ]
     for part in range(4):
         np.testing.assert_array_equal(runs[0][part], runs[1][part])
     assert not np.array_equal(runs[0][1], runs[2][1])
-    noiseless = qsim.param_shift_value_and_grad(gates, x, theta, w, b, 2)
+    noiseless = qsim.param_shift_value_and_grad(circuit, x, theta, w, b)
     assert not np.array_equal(runs[0][1], noiseless[1])
 
 
@@ -622,7 +604,8 @@ def test_gate_granularity_noise_draws_one_event_per_qubit_touched():
     gates = [GateOp("ry", 0, angle=0.3), GateOp("cz", target=1, control=0)]
     noise = NoiseSpec(depolarizing=0.5, granularity="gate")
     rng = np.random.default_rng(4)
-    z = qsim.run_circuit(gates, np.zeros((4, 0)), np.zeros(0), 2, noise=noise, rng=rng)
+    z = qsim.run_circuit(compile_circuit(gates, 2), np.zeros((4, 0)), np.zeros(0), noise=noise,
+                         rng=rng)
     expected = np.random.default_rng(4)
     expected.uniform(size=(4, 3))
     expected.integers(3, size=(4, 3))
@@ -659,7 +642,7 @@ def shift_batch(gates):
 def assert_same_trajectories(gates, n, marks, x, theta, seed):
     """Per-row inputs, and the parameter-shift batch of the first input, give
     the gate-at-a-time states and rng draws under every noise setting."""
-    plan = qsim._plan(gates, n, marks)
+    circuit = compile_circuit(gates, n, marks)
     angles = oracles.angle_matrix(gates, x, theta)
     cols, shifts = shift_batch(gates)
     batches = [(x, None, angles, None),
@@ -667,7 +650,7 @@ def assert_same_trajectories(gates, n, marks, x, theta, seed):
     for noise in NOISE_SETTINGS:
         for inputs, shift_cols, rows, shift in batches:
             fused, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            psi = qsim._evolve(plan, inputs, theta, noise, fused, shift_cols)
+            psi = qsim._evolve(circuit, inputs, theta, noise, fused, shift_cols)
             expected = oracles.evolve(gates, n, marks, rows, noise, ref, shift)
             assert psi.shape == expected.shape
             np.testing.assert_allclose(psi, expected, rtol=0, atol=1e-12)
@@ -722,7 +705,7 @@ def test_shared_steps_of_the_default_circuit():
     that differ per row."""
     layout = encoding.plan_layout(32, 4, 2)
     gates, marks = encoding.build_circuit(layout)
-    plan = qsim._plan(gates, 4, marks)
+    circuit = compile_circuit(gates, 4, marks)
     x = encoding.pad_input(np.linspace(-1, 1, 64).reshape(2, 32), layout)
     theta = np.linspace(-3, 3, layout.param_count)
     cols, _ = shift_batch(gates)
@@ -730,12 +713,12 @@ def test_shared_steps_of_the_default_circuit():
     def shared(inputs, key=None, jitter=False):
         single = len(inputs) == 1
         rows = 1 + 2 * len(cols) if single else len(inputs)
-        jittered = np.ones((rows, plan.param_cols.size)) if jitter else None
-        angles = qsim._half_angles(plan, *qsim._angle_values(plan, inputs, theta), rows,
+        jittered = np.ones((rows, circuit.param_cols.size)) if jitter else None
+        angles = qsim._half_angles(circuit, *qsim._angle_values(circuit, inputs, theta), rows,
                                    jittered, cols if single else None, qsim._Workspace())
-        return qsim._shared_steps(plan.blocks[key], angles)
+        return qsim._shared_steps(circuit.blocks[key], angles)
 
-    assert plan.blocks[None].cols.shape == (5, 24)
+    assert circuit.blocks[None].cols.shape == (5, 24)
     assert shared(x[:1]) == shared(x[:1], "sublayer") == 5
     assert shared(x[:1], jitter=True) == shared(x[:1], "sublayer", jitter=True) == 3
     assert shared(x[:1], "gate") == 1
@@ -743,7 +726,7 @@ def test_shared_steps_of_the_default_circuit():
 
 
 # ---------------------------------------------------------------------------
-# the kept workspace and the plan-held parameter-shift index
+# the kept workspace and the circuit-held parameter-shift index
 
 
 def default_case(n, layers, seed):
@@ -756,14 +739,18 @@ def default_case(n, layers, seed):
 
 
 def forget_workspace():
-    """Drop this thread's kept workspace and every compiled plan, with the
-    parameter-shift indexes the plans keep."""
+    """Drop this thread's kept workspace."""
     vars(qsim._retained).clear()
-    qsim._compile.cache_clear()
+
+
+def compiled(case):
+    """The circuit of a :func:`default_case`, compiled afresh."""
+    gates, marks, _, _, _, n = case
+    return compile_circuit(gates, n, marks)
 
 
 def shift_key(noise):
-    """The key of a plan's kept parameter-shift index under ``noise``."""
+    """The key of a circuit's kept parameter-shift index under ``noise``."""
     depolarizing = noise is not None and noise.depolarizing is not None
     return (noise.granularity if depolarizing else None,
             noise is not None and noise.gate_error is not None)
@@ -776,36 +763,39 @@ def assert_bits_equal(got, expected):
 
 @pytest.mark.parametrize("noise", NOISE_SETTINGS)
 def test_interleaved_calls_give_the_bits_of_calls_made_alone(noise):
-    """Parameter-shift calls of two plans, alternating with run_circuit
+    """Parameter-shift calls of two circuits, alternating with run_circuit
     batches and adjoint calls, give the values and rng draws of the same calls
-    each made with no kept workspace and no compiled plan, so with the
-    parameter-shift index built afresh; each plan keeps the index of this
-    noise only."""
+    each made with no kept workspace and a freshly compiled circuit, so with
+    the parameter-shift index built afresh; each circuit keeps the index of
+    this noise only."""
     cases = [default_case(4, 2, 1), default_case(3, 3, 2)]
 
     def calls():
         for row in range(3):
-            for k, (gates, marks, x, theta, w, n) in enumerate(cases):
-                yield k, lambda rng: qsim.param_shift_value_and_grad(
-                    gates, x[row], theta, w, 0.2, n, noise, rng, marks)
-                yield k, lambda rng: (qsim.run_circuit(gates, x[: row + 1], theta, n, noise,
-                                                       rng, marks),)
-                yield k, lambda rng: qsim.adjoint_value_and_grad(gates, x[row:], theta, w, 0.2, n)
+            for k, (_, _, x, theta, w, _) in enumerate(cases):
+                yield k, lambda circuit, rng: qsim.param_shift_value_and_grad(
+                    circuit, x[row], theta, w, 0.2, noise, rng)
+                yield k, lambda circuit, rng: (qsim.run_circuit(circuit, x[: row + 1], theta,
+                                                                noise, rng),)
+                yield k, lambda circuit, rng: qsim.adjoint_value_and_grad(circuit, x[row:], theta,
+                                                                          w, 0.2)
 
     def run(alone):
+        circuits = [compiled(case) for case in cases]
         rngs = [np.random.default_rng(7), np.random.default_rng(8)]
         results = []
         for k, call in calls():
             if alone:
                 forget_workspace()
-            results.append(call(rngs[k]))
-        return results, [rng.bit_generator.state for rng in rngs]
+                circuits[k] = compiled(cases[k])
+            results.append(call(circuits[k], rngs[k]))
+        return results, [rng.bit_generator.state for rng in rngs], circuits
 
     forget_workspace()
-    interleaved, states = run(alone=False)
-    for gates, marks, _, _, _, n in cases:
-        assert list(qsim._plan(gates, n, marks).shift_index) == [shift_key(noise)]
-    alone, alone_states = run(alone=True)
+    interleaved, states, circuits = run(alone=False)
+    for circuit in circuits:
+        assert list(circuit.shift_index) == [shift_key(noise)]
+    alone, alone_states, _ = run(alone=True)
     for got, expected in zip(interleaved, alone):
         assert_bits_equal(got, expected)
     assert states == alone_states
@@ -821,17 +811,17 @@ def test_returned_arrays_never_alias_the_workspace(case):
     else:
         gates, marks, n = [GateOp("rx", 0, angle=0.3), GateOp("cz", target=1, control=0)], [0], 2
         x, theta, w = np.zeros((3, 0)), np.zeros(0), np.ones(2)
-    plan = qsim._plan(gates, n, marks)
-    cols = np.concatenate([plan.param_cols, plan.data_cols])
+    circuit = compile_circuit(gates, n, marks)
+    cols = np.concatenate([circuit.param_cols, circuit.data_cols])
     noise, rng = NoiseSpec(gate_error=0.01, depolarizing=0.5), np.random.default_rng(4)
     kept = []
     for row in range(len(x)):
-        kept.append(qsim._evolve(plan, x[row : row + 1], theta, noise, rng, cols))
-        kept.extend(qsim.param_shift_value_and_grad(gates, x[row], theta, w, 0.2, n, noise, rng,
-                                                    marks)[1:4])
+        kept.append(qsim._evolve(circuit, x[row : row + 1], theta, noise, rng, cols))
+        kept.extend(qsim.param_shift_value_and_grad(circuit, x[row], theta, w, 0.2, noise,
+                                                    rng)[1:4])
     assert kept[0].shape == (1 + 2 * len(cols), 2**n)
     copies = [arr.copy() for arr in kept]
-    qsim.param_shift_value_and_grad(gates, x, theta, w, 0.2, n, noise, rng, marks)
+    qsim.param_shift_value_and_grad(circuit, x, theta, w, 0.2, noise, rng)
     workspace = qsim._retained.workspace.arrays.values()
     for arr, copy in zip(kept, copies):
         assert arr.tobytes() == copy.tobytes()
@@ -844,14 +834,15 @@ def test_parameter_shift_call_allocates_no_per_call_arrays():
     the arrays it works in (about 1.6 MB when each call allocated its own)."""
     layout = encoding.plan_layout(32, 4, 2)
     gates, marks = encoding.build_circuit(layout)
+    circuit = compile_circuit(gates, 4, marks)
     x = encoding.pad_input(np.linspace(-1, 1, 64).reshape(2, 32), layout)
     theta = np.linspace(-3, 3, layout.param_count)
     noise, rng = NoiseSpec(gate_error=0.01, depolarizing=0.05), np.random.default_rng(0)
-    args = (theta, np.ones(4), 0.1, 4, noise, rng, marks)
-    qsim.param_shift_value_and_grad(gates, x[0], *args)
+    args = (theta, np.ones(4), 0.1, noise, rng)
+    qsim.param_shift_value_and_grad(circuit, x[0], *args)
     tracemalloc.start()
     try:
-        qsim.param_shift_value_and_grad(gates, x[1], *args)
+        qsim.param_shift_value_and_grad(circuit, x[1], *args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -860,31 +851,33 @@ def test_parameter_shift_call_allocates_no_per_call_arrays():
 
 @pytest.mark.parametrize("noise", NOISE_SETTINGS)
 def test_kept_step_index_equals_a_fresh_build(noise):
-    """The value index a plan keeps from its first parameter-shift call is,
-    bit for bit, the one a fresh build gives for a later call with other
-    inputs and parameters: the plan, the depolarizing granularity and whether
-    gate error is on fix it. The kept index is read-only."""
-    gates, marks, x, theta, w, n = default_case(4, 2, 5)
+    """The value index a circuit keeps from its first parameter-shift call
+    is, bit for bit, the one a fresh build gives for a later call with other
+    inputs and parameters: the circuit, the depolarizing granularity and
+    whether gate error is on fix it. The kept index is read-only."""
+    case = default_case(4, 2, 5)
+    _, _, x, theta, w, _ = case
     forget_workspace()
-    plan = qsim._plan(gates, n, marks)
-    cols = np.concatenate([plan.param_cols, plan.data_cols])
+    circuit = compiled(case)
+    cols = np.concatenate([circuit.param_cols, circuit.data_cols])
     rng = np.random.default_rng(6)
     kept = []
     for row in range(len(x)):
-        qsim.param_shift_value_and_grad(gates, x[row], theta + row, w, 0.2, n, noise, rng, marks)
-        assert list(plan.shift_index) == [shift_key(noise)]
-        kept.append(plan.shift_index[shift_key(noise)])
+        qsim.param_shift_value_and_grad(circuit, x[row], theta + row, w, 0.2, noise, rng)
+        assert list(circuit.shift_index) == [shift_key(noise)]
+        kept.append(circuit.shift_index[shift_key(noise)])
     assert all(index is kept[0] for index in kept)  # built on the first call only
     kept = kept[0]
     assert not kept.flags.writeable
     with pytest.raises(ValueError):
         kept[0, 0, 0] = 0
     rows = 1 + 2 * len(cols)
-    values, index, stride = qsim._angle_values(plan, x[-1:], theta + len(x) - 1)
+    values, index, stride = qsim._angle_values(circuit, x[-1:], theta + len(x) - 1)
     key, gate_error = shift_key(noise)
-    jittered = np.zeros((rows, plan.param_cols.size)) if gate_error else None
-    angles = qsim._half_angles(plan, values, index, stride, rows, jittered, cols, qsim._Workspace())
-    fresh = qsim._step_index(plan.blocks[key], angles, qsim._Workspace())
+    jittered = np.zeros((rows, circuit.param_cols.size)) if gate_error else None
+    angles = qsim._half_angles(circuit, values, index, stride, rows, jittered, cols,
+                               qsim._Workspace())
+    fresh = qsim._step_index(circuit.blocks[key], angles, qsim._Workspace())
     assert fresh.dtype == kept.dtype and fresh.shape == kept.shape
     assert fresh.tobytes() == kept.tobytes()
 
@@ -917,20 +910,21 @@ def test_workspace_reuses_its_last_two_views_of_a_name():
 
 def test_adjoint_calls_of_any_row_count_give_the_bits_of_fresh_workspace_calls():
     """Adjoint calls of 50, 1, 37, 200 and 50 rows, alternating between a
-    4-qubit and a 2-qubit plan with a run_circuit batch after each, give the
+    4-qubit and a 2-qubit circuit with a run_circuit batch after each, give the
     bits of the same calls each made in a fresh workspace, also with every
     kept float buffer filled with NaN before each call: no call reads what
     it has not written. The kept buffers grow to the largest call and stay
     that size."""
     cases = [default_case(4, 2, 11), default_case(2, 1, 12)]
+    circuits = [compiled(case) for case in cases]
     rng = np.random.default_rng(13)
     calls = []
     for rows in (50, 1, 37, 200, 50):
-        for gates, marks, x, theta, w, n in cases:
+        for circuit, (_, _, x, theta, w, _) in zip(circuits, cases):
             inputs = rng.uniform(-1, 1, size=(rows, x.shape[1]))
             calls.append(functools.partial(qsim.adjoint_value_and_grad,
-                                           gates, inputs, theta, w, 0.2, n))
-            calls.append(functools.partial(qsim.run_circuit, gates, inputs[::-1], theta, n))
+                                           circuit, inputs, theta, w, 0.2))
+            calls.append(functools.partial(qsim.run_circuit, circuit, inputs[::-1], theta))
     expected = []
     for call in calls:
         forget_workspace()
@@ -955,10 +949,12 @@ def test_mutating_a_returned_array_leaves_the_next_call_unchanged(rows):
     """Every array an adjoint call or a run_circuit batch returns is its own:
     none shares memory with the kept workspace, and writing into them
     changes nothing a later call returns."""
-    gates, marks, x, theta, w, n = default_case(4, 2, 14)
+    case = default_case(4, 2, 14)
+    _, _, x, theta, w, _ = case
+    circuit = compiled(case)
     inputs = np.random.default_rng(15).uniform(-1, 1, size=(rows, x.shape[1]))
-    calls = [lambda: qsim.adjoint_value_and_grad(gates, inputs, theta, w, 0.2, n)[:4],
-             lambda: (qsim.run_circuit(gates, inputs, theta, n),)]
+    calls = [lambda: qsim.adjoint_value_and_grad(circuit, inputs, theta, w, 0.2)[:4],
+             lambda: (qsim.run_circuit(circuit, inputs, theta),)]
     for call in calls:
         first = call()
         expected = [part.copy() for part in first]
@@ -975,14 +971,14 @@ def test_warm_adjoint_call_allocates_no_per_call_arrays():
     fraction of the arrays it works in (about 1.1 MB when each call
     allocated its own)."""
     layout = encoding.plan_layout(32, 4, 2)
-    gates, _ = encoding.build_circuit(layout)
+    circuit = compile_circuit(encoding.build_circuit(layout)[0], 4)
     rng = np.random.default_rng(16)
     x = [encoding.pad_input(np.tanh(rng.normal(size=(50, 32))), layout) for _ in range(2)]
     theta = rng.uniform(-np.pi, np.pi, layout.param_count)
-    qsim.adjoint_value_and_grad(gates, x[0], theta, np.ones(4), 0.1, 4)
+    qsim.adjoint_value_and_grad(circuit, x[0], theta, np.ones(4), 0.1)
     tracemalloc.start()
     try:
-        qsim.adjoint_value_and_grad(gates, x[1], theta, np.ones(4), 0.1, 4)
+        qsim.adjoint_value_and_grad(circuit, x[1], theta, np.ones(4), 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1010,19 +1006,20 @@ def test_adjoint_forward_pass_gives_the_bits_of_run_circuit(case, rows):
         x = rng.uniform(-np.pi, np.pi, size=(rows, p))
     theta = rng.uniform(-np.pi, np.pi, size=params)
     w = rng.uniform(-1, 1, size=n)
+    circuit = compile_circuit(gates, n)
     for inputs in [x] + ([x[0]] if rows == 1 else []):
-        value, _, _, z, _ = qsim.adjoint_value_and_grad(gates, inputs, theta, w, 0.3, n)
-        expected = (qsim.circuit_value(gates, inputs, theta, w, 0.3, n),
-                    qsim.run_circuit(gates, inputs, theta, n))
+        value, _, _, z, _ = qsim.adjoint_value_and_grad(circuit, inputs, theta, w, 0.3)
+        expected = (qsim.circuit_value(circuit, inputs, theta, w, 0.3),
+                    qsim.run_circuit(circuit, inputs, theta))
         assert type(value) is type(expected[0]) and z.shape == expected[1].shape
         assert_bits_equal((value, z), expected)
 
 
 def test_one_kept_workspace_serves_every_call():
     """Adjoint calls, run_circuit batches and noisy parameter-shift calls of
-    two plans, interleaved, leave this thread one kept workspace and no
+    two circuits, interleaved, leave this thread one kept workspace and no
     other: the module keeps one thread-local store, it holds exactly one
-    workspace, no plan holds one, and its state buffer is sized for the
+    workspace, no circuit holds one, and its state buffer is sized for the
     largest call, the 241-row shift batch of the default circuit."""
     layout = encoding.plan_layout(32, 4, 2)
     gates, marks = encoding.build_circuit(layout)
@@ -1030,20 +1027,20 @@ def test_one_kept_workspace_serves_every_call():
     x = encoding.pad_input(np.tanh(rng.normal(size=(3, 32))), layout)
     cases = [(gates, marks, x, rng.uniform(-np.pi, np.pi, layout.param_count), np.ones(4), 4),
              default_case(2, 1, 18)]
+    circuits = [compiled(case) for case in cases]
     noise = NoiseSpec(gate_error=0.01, depolarizing=0.05)
     forget_workspace()
     for row in range(3):
-        for gates, marks, x, theta, w, n in cases:
-            qsim.adjoint_value_and_grad(gates, x[row:], theta, w, 0.2, n)
-            qsim.run_circuit(gates, x[: row + 1], theta, n, noise, rng, marks)
-            qsim.param_shift_value_and_grad(gates, x[row], theta, w, 0.2, n, noise, rng, marks)
+        for circuit, (_, _, x, theta, w, _) in zip(circuits, cases):
+            qsim.adjoint_value_and_grad(circuit, x[row:], theta, w, 0.2)
+            qsim.run_circuit(circuit, x[: row + 1], theta, noise, rng)
+            qsim.param_shift_value_and_grad(circuit, x[row], theta, w, 0.2, noise, rng)
     assert [obj for obj in vars(qsim).values()
             if isinstance(obj, threading.local)] == [qsim._retained]
     kept = list(vars(qsim._retained).values())
     assert len(kept) == 1 and type(kept[0]) is qsim._Workspace
-    plans = [qsim._plan(gates, n, marks) for gates, marks, _, _, _, n in cases]
-    for plan in plans:
-        assert not any(isinstance(value, qsim._Workspace) for value in vars(plan).values())
-    shift_rows = 1 + 2 * (plans[0].param_cols.size + plans[0].data_cols.size)
+    for circuit in circuits:
+        assert not any(isinstance(value, qsim._Workspace) for value in vars(circuit).values())
+    shift_rows = 1 + 2 * (circuits[0].param_cols.size + circuits[0].data_cols.size)
     assert shift_rows == 241
     assert kept[0].arrays["psi"].size == shift_rows * 16
