@@ -61,6 +61,8 @@ class AgentConfig:
             raise UsageError("entropy weight must be >= 0")
         if not self.lr >= 0 or self.episodes < 0:
             raise UsageError("lr and episodes must be >= 0")
+        if self.seed < 0:
+            raise UsageError("seed must be >= 0")
         if min(self.lstm_hidden, self.encoder_hidden, self.encoder_out, self.max_steps) < 1:
             raise UsageError("lstm_hidden, encoder_hidden, encoder_out and max_steps must be >= 1")
         if self.max_grad_norm is not None and not self.max_grad_norm > 0:
@@ -254,6 +256,10 @@ class ActorCriticModel:
         self.params = nn.named(self.layers)
         self.enc1, self.enc2 = self.layers["enc1"], self.layers["enc2"]
         self.lstm, self.actor = self.layers["lstm"], self.layers["actor"]
+        # the dense weights and biases trunk_forward reads, bound once; as
+        # views of flat they see every optimizer step and checkpoint load
+        self._trunk_dense = tuple(layer[key] for layer in (self.enc1, self.enc2, self.actor)
+                                  for key in ("W", "b"))
         if config.critic == "quantum":
             self.critic = QuantumCritic(layout, self.layers["critic"])
         else:
@@ -278,7 +284,7 @@ class ActorCriticModel:
         trunk once more, for its bootstrap), whose rollout count moves on."""
         if greedy:
             if self._greedy_rows is None:
-                self._greedy_rows = TraceRows(self, 1)
+                self._greedy_rows = TraceRows(self, 1, greedy=True)
             rows = self._greedy_rows
         else:
             if self._training_rows is None or self._training_rows.steps <= self.config.max_steps:
@@ -294,19 +300,27 @@ class ActorCriticModel:
         """Step t of the trunk, written into ``rows`` (see :class:`TraceRows`):
         the encoder on ``obs_vec``, the LSTM on its output and ``extras`` from
         the state step t - 1 left there, and the actor head. Returns the new
-        hidden state and the logits, views of the rows."""
+        hidden state and the logits, views of the rows.
+
+        Each dense layer is ``np.dot`` into its row, then ``+=`` its bias:
+        the bits of ``nn.dense_forward`` for a fraction of its dispatch cost."""
         n = rows.steps
         obs, a1, x, a2, x_extras, gates, tanh_cell, logits = rows.step_views[t % n]
         h_prev, c_prev = rows.state_views[t % (n + 1)]
         h, c = rows.state_views[(t + 1) % (n + 1)]
-        nn.dense_forward(self.enc1, obs_vec, out=a1)
-        obs[...] = obs_vec
+        w1, b1, w2, b2, wa, ba = self._trunk_dense
+        np.dot(w1, obs_vec, out=a1)
+        a1 += b1
         np.tanh(a1, out=a1)
-        nn.dense_forward(self.enc2, a1, out=a2)
+        if obs is not None:
+            obs[...] = obs_vec
+        np.dot(w2, a1, out=a2)
+        a2 += b2
         np.tanh(a2, out=a2)
         x_extras[...] = extras
-        nn.lstm_step(self.lstm, x, h_prev, c_prev, (gates, c, tanh_cell, h))
-        nn.dense_forward(self.actor, h, out=logits)
+        nn.lstm_step(self.lstm, x, h_prev, c_prev, (gates, c, tanh_cell, h, *rows.lstm_scratch))
+        np.dot(wa, h, out=logits)
+        logits += ba
         return h, logits
 
     def trunk_backward(self, dlogits: np.ndarray, dh_extra: np.ndarray, rows: TraceRows,
@@ -371,14 +385,15 @@ class TraceRows:
     vectors of step t are hidden[t], cell[t], gates[t], cell[t + 1] and
     tanh_cell[t]. Rows are indexed modulo their count: with ``steps`` = 1,
     step t writes row 0 and state row (t + 1) % 2, which is all a greedy
-    rollout needs.
+    rollout needs. ``greedy`` rows keep no ``obs`` (None), which only the
+    backward pass reads.
     """
 
-    def __init__(self, model: ActorCriticModel, steps: int):
+    def __init__(self, model: ActorCriticModel, steps: int, greedy: bool = False):
         config, hidden = model.config, model.config.lstm_hidden
         self.steps = steps
         self.rollout = 0  # training rollouts written into these rows so far
-        self.obs = np.empty((steps, model.obs_dim))
+        self.obs = None if greedy else np.empty((steps, model.obs_dim))
         self.a1 = np.empty((steps, config.encoder_hidden))
         self.x = np.empty((steps, model.lstm_in))
         self.gates = np.empty((steps, 4 * hidden))
@@ -386,12 +401,15 @@ class TraceRows:
         self.logits = np.empty((steps, env.N_ACTIONS))
         self.hidden = np.zeros((steps + 1, hidden))
         self.cell = np.zeros((steps + 1, hidden))
+        # scratch for the LSTM's Wh h_prev and i g (see nn.lstm_step)
+        self.lstm_scratch = (np.empty(4 * hidden), np.empty(hidden))
         # the views each step writes, sliced once: on rows this short,
         # slicing them anew each step costs about as much as their arithmetic
         enc_out = config.encoder_out
         self.step_views = [
-            (self.obs[t], self.a1[t], self.x[t], self.x[t, :enc_out], self.x[t, enc_out:],
-             self.gates[t], self.tanh_cell[t], self.logits[t]) for t in range(steps)]
+            (None if greedy else self.obs[t], self.a1[t], self.x[t], self.x[t, :enc_out],
+             self.x[t, enc_out:], self.gates[t], self.tanh_cell[t], self.logits[t])
+            for t in range(steps)]
         self.state_views = [(self.hidden[t], self.cell[t]) for t in range(steps + 1)]
 
 
@@ -424,7 +442,22 @@ def select_action(logits: np.ndarray, rng: np.random.Generator) -> tuple[int, fl
 def greedy_action(logits: np.ndarray) -> int:
     """The most probable speed action of the actor logits, with the bits of
     ``np.argmax(nn.softmax(logits))``: the first maximum, or the first NaN
-    (a NaN makes every probability NaN)."""
+    (a NaN makes every probability NaN).
+
+    The first maximum of the logits is that answer when every logit is
+    finite and every one before it lies more than 1e-9 below it, and is
+    returned without the softmax: the maximum's softmax numerator is
+    exp(0) = 1 exactly, a later logit's is at most 1, and an earlier one's
+    at most exp(-1e-9), millions of ulps below 1. Each is divided by the
+    same sum (between 1 and the action count), so after rounding no later
+    probability exceeds the maximum's and every earlier one stays below it.
+    A near-tie, an inf or a NaN takes the softmax."""
+    row = logits.tolist()
+    top = max(row)
+    first = row.index(top)
+    # a finite sum means finite logits; subtracting top keeps their order
+    if math.isfinite(sum(row)) and (first == 0 or max(row[:first]) - top < -1e-9):
+        return first
     p = nn.softmax_row(logits).tolist()
     return p.index(max(p))
 
@@ -817,12 +850,15 @@ def _recorded_env_config(payload: dict) -> env.EnvConfig:
 
 def _read_checkpoint(path: str) -> dict:
     """The checkpoint's JSON object. Raises UsageError if the file holds no
-    JSON object with a ``config`` and a ``params`` object and an ``obs_dim``."""
-    with open(path) as fh:
-        try:
+    JSON object with a ``config`` and a ``params`` object and an ``obs_dim``,
+    or cannot be read as UTF-8 text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"checkpoint {path} is not JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read checkpoint {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"checkpoint {path} is not JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise UsageError(f"checkpoint {path} holds a JSON {type(payload).__name__}, not an object")
     missing = [key for key in ("config", "obs_dim", "params") if key not in payload]

@@ -137,6 +137,8 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
         elif noise:
             _check_keys(noise, _NOISE_KEYS, "agent.noise")
         agent_config = agent.config_from_dict(agent_section)
+        for seed in config["seeds"]:
+            dataclasses.replace(agent_config, seed=seed)  # each run's config must build
         env_config = env.EnvConfig(**env_section)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
@@ -292,18 +294,21 @@ def cmd_eval(args) -> int:
 
 
 def _read_curve(path: Path) -> list[float]:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             return [float(row["return"]) for row in csv.DictReader(fh)]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"curve CSV {path} needs a numeric 'return' column: "
-                             f"{exc!r}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read curve CSV {path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"curve CSV {path} needs a numeric 'return' column: "
+                         f"{exc!r}") from exc
 
 
 def cmd_analyze(args) -> int:
     for flag, value, least in (("--theta-samples", args.theta_samples, 2),
                                ("--inputs", args.inputs, 1),
-                               ("--smooth-window", args.smooth_window, 1)):
+                               ("--smooth-window", args.smooth_window, 1),
+                               ("--seed", args.seed or 0, 0)):
         if value < least:
             raise UsageError(f"{flag} must be >= {least}, got {value}")
     curves, names = [], []

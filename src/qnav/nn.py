@@ -39,17 +39,12 @@ def _matvec(W: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(W, x[..., None])[..., 0]
 
 
-def dense_forward(params: dict, x: np.ndarray, out: Optional[np.ndarray] = None):
-    """y = W x + b for x of shape (in,), written into ``out`` if given, or
-    row-wise for x of shape (T, in)."""
-    W, b = params["W"], params["b"]
+def dense_forward(params: dict, x: np.ndarray):
+    """y = W x + b for x of shape (in,), or row-wise for x of shape (T, in)."""
+    W = params["W"]
     if x.ndim not in (1, 2) or x.shape[-1] != W.shape[1]:
         raise UsageError(f"dense expects input of length {W.shape[1]}, got {x.shape}")
-    if x.ndim == 2:
-        return _matvec(W, x) + b, x
-    y = np.matmul(W, x, out=out)  # the bits of _matvec, for one dispatch instead of four
-    y += b
-    return y, x
+    return _matvec(W, x) + params["b"], x
 
 
 def dense_backward(params: dict, dy: np.ndarray, cache):
@@ -179,17 +174,20 @@ def lstm_init(rng: np.random.Generator, in_dim: int, hidden: int) -> dict:
 def lstm_step(params: dict, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
               out: Optional[tuple] = None):
     """Standard LSTM update; gate order in the stacked weights is i, f, o, g.
-    Returns (h, c, cache). The gate activations, c, tanh(c) and h go into the
-    four arrays ``out`` (of lengths 4 * hidden, hidden, hidden, hidden) if
-    given, and the cache holds views of them."""
+    Returns (h, c, cache). ``out``, if given, holds six contiguous arrays of
+    lengths 4 * hidden, hidden, hidden, hidden, 4 * hidden and hidden: the
+    gate activations, c, tanh(c) and h go into the first four, and the cache
+    holds views of them; the last two are scratch for Wh h_prev and i g."""
     hidden = h_prev.shape[0]
     if params["Wx"].shape[1] != x.shape[0]:
         raise UsageError(f"lstm expects input of length {params['Wx'].shape[1]}, got {x.shape}")
     if out is None:
-        out = (np.empty(4 * hidden), np.empty(hidden), np.empty(hidden), np.empty(hidden))
-    pre, c, tc, h = out
-    np.matmul(params["Wx"], x, out=pre)
-    pre += params["Wh"] @ h_prev
+        out = tuple(np.empty(n * hidden) for n in (4, 1, 1, 1, 4, 1))
+    pre, c, tc, h, wh_h, ig = out
+    # np.dot, not @: the same BLAS call, for less dispatch on rows this short
+    np.dot(params["Wx"], x, out=pre)
+    np.dot(params["Wh"], h_prev, out=wh_h)
+    pre += wh_h
     pre += params["b"]
     # the i, f and o sigmoids 1 / (1 + exp(-pre)) in one pass, in place
     sig = pre[: 3 * hidden]
@@ -198,10 +196,12 @@ def lstm_step(params: dict, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarra
     sig += 1.0
     np.divide(1.0, sig, out=sig)
     i, f, o = sig[:hidden], sig[hidden : 2 * hidden], sig[2 * hidden :]
-    g = np.tanh(pre[3 * hidden :], out=pre[3 * hidden :])
+    g = pre[3 * hidden :]
+    np.tanh(g, out=g)
     # c = f c_prev + i g, tanh(c) and h = o tanh(c)
     np.multiply(f, c_prev, out=c)
-    c += i * g
+    np.multiply(i, g, out=ig)
+    c += ig
     np.tanh(c, out=tc)
     np.multiply(o, tc, out=h)
     return h, c, (x, h_prev, c_prev, i, f, o, g, c, tc)

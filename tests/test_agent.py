@@ -67,6 +67,8 @@ def test_config_validation():
         AgentConfig(gamma=1.5)
     with pytest.raises(UsageError):
         AgentConfig(entropy_weight=-0.1)
+    with pytest.raises(UsageError, match="seed"):
+        AgentConfig(seed=-1)
     with pytest.raises(UsageError):
         AgentConfig(noise=NoiseSpec(depolarizing=0.1), gradient_mode="backprop")
     # depolarizing noise is fine with parameter-shift gradients
@@ -437,6 +439,81 @@ def assert_recorded_rows_equal_a_replay(model, trace):
         np.testing.assert_array_equal(h, rows.hidden[t + 1])
 
 
+TRUNK_NAMES = ("hidden", "cell", "gates", "tanh_cell", "logits")
+
+
+def oracle_trunk_rows(model, trace):
+    """The TRUNK_NAMES rows of the trace's steps by oracles.trunk_replay."""
+    caches, hidden, logits = oracles.trunk_replay(model, trace)
+    lstm = [cache[4] for cache in caches]  # (x, h_prev, c_prev, i, f, o, g, c, tc)
+    return {"hidden": hidden, "cell": np.array([cl[7] for cl in lstm]),
+            "gates": np.array([np.concatenate(cl[3:7]) for cl in lstm]),
+            "tanh_cell": np.array([cl[8] for cl in lstm]), "logits": logits}
+
+
+def test_trunk_steps_equal_the_oracle_in_every_scenario(monkeypatch):
+    """Training and greedy rollouts of a default-sized model, on one scene of
+    each test scenario, step the trunk with the bits of the whole-array
+    oracle in every row the step writes: its matrix-vector products give the
+    oracle's bits on each shape the model uses. A greedy rollout keeps no
+    rows, so each of its steps is recorded as it runs."""
+    config = AgentConfig(critic="classical", seed=3, max_steps=120)
+    model = ActorCriticModel(config, env.observation_dim(), agent.rng_streams(3)["init"])
+    trunk_forward, seen = model.trunk_forward, []
+
+    def recording(obs_vec, extras, rows, t):
+        h, logits = trunk_forward(obs_vec, extras, rows, t)
+        *_, gates, tanh_cell, _ = rows.step_views[t % rows.steps]
+        c = rows.state_views[(t + 1) % (rows.steps + 1)][1]
+        seen.append({name: step_row.copy() for name, step_row
+                     in zip(TRUNK_NAMES, (h, c, gates, tanh_cell, logits))})
+        return h, logits
+
+    policy_rng = np.random.default_rng(4)
+    for sid in env.TEST_SCENARIOS:
+        scene = env.make_scene(sid, 20.0, 1.2)
+        trace = agent.run_episode(model, scene, env.EnvConfig(), policy_rng=policy_rng)
+        t_len, rows = trace.steps, trace.rows
+        got = {"hidden": rows.hidden[1 : t_len + 1], "cell": rows.cell[1 : t_len + 1],
+               "gates": rows.gates[:t_len], "tanh_cell": rows.tanh_cell[:t_len],
+               "logits": rows.logits[:t_len]}
+        want = oracle_trunk_rows(model, trace)
+        for name in TRUNK_NAMES:
+            assert got[name].tobytes() == want[name].tobytes(), (sid, "training", name)
+        seen.clear()
+        monkeypatch.setattr(model, "trunk_forward", recording)
+        trace = agent.run_episode(model, scene, env.EnvConfig(), greedy=True)
+        monkeypatch.undo()
+        assert len(seen) == trace.steps > 0
+        want = oracle_trunk_rows(model, trace)
+        for name in TRUNK_NAMES:
+            got = np.array([step[name] for step in seen])
+            assert got.tobytes() == want[name].tobytes(), (sid, "greedy", name)
+
+
+@pytest.mark.parametrize("greedy", [False, True], ids=["training", "greedy"])
+def test_warm_trunk_step_allocates_no_array(greedy):
+    """A warm trunk_forward step writes into rows made before it and makes
+    no array of its own. With every layer 256 wide, any intermediate but the
+    3 logits would hold at least 2 KiB, above the peak that the step's views
+    and tuples reach."""
+    config = AgentConfig(critic="classical", lstm_hidden=256, encoder_hidden=256,
+                         encoder_out=256)
+    model = ActorCriticModel(config, env.observation_dim(), np.random.default_rng(0))
+    _, row = env.reset(env.make_scene(1, 20.0, 1.2))
+    d = model.obs_dim
+    rows = model._rollout_rows(greedy)
+    for t in range(2):
+        model.trunk_forward(row[:d], row[d:], rows, t)
+    tracemalloc.start()
+    try:
+        model.trunk_forward(row[:d], row[d:], rows, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048
+
+
 def test_a_later_training_rollout_makes_a_trace_stale():
     """The model's next training rollout writes over a trace's rows, so the
     earlier trace can no longer be read or differentiated; greedy rollouts
@@ -548,23 +625,50 @@ def test_empty_episode_rejected():
 # action selection
 
 
-def test_select_action_greedy():
-    """A greedy rollout's action is the most probable one, the first of a tie."""
+def test_select_action_greedy(monkeypatch):
+    """A greedy rollout's action is the most probable one, the first of a tie;
+    a row whose first maximum stands clear of every earlier logit takes no
+    softmax."""
     assert agent.greedy_action(np.array([5.0, 0.0, 0.0])) == 0
     assert agent.greedy_action(np.array([0.0, 5.0, 5.0])) == 1
     assert isinstance(agent.greedy_action(np.array([0.0, 0.0, 5.0])), int)
+    monkeypatch.setattr(nn, "softmax_row", None)
+    assert agent.greedy_action(np.array([0.1, 0.5, -0.2])) == 1
+    assert agent.greedy_action(np.array([-1.0, 2.0, 2.0])) == 1
 
 
 def test_greedy_action_keeps_the_argmax_of_the_array_route():
     """greedy_action equals np.argmax of the whole-array softmax, for 1 to 8
     actions and rows with non-finite, huge and tied logits: a tie keeps the
-    first maximum and a NaN the first NaN."""
+    first maximum and a NaN the first NaN. The boundary rows sit on both
+    sides of the 1e-9 gap that lets the first maximum skip the softmax."""
     rng = np.random.default_rng(19)
+    up, down = np.nextafter(-1e-9, 0.0), np.nextafter(-1e-9, -1.0)
+    ulp = np.nextafter(1.0, 2.0)
+    tiny = np.nextafter(0.0, 1.0)
     with np.errstate(all="ignore"):
         rows = list(oracles.logit_rows(rng, range(1, 9), 400))
-        rows += [np.array(row) for row in ([1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [np.inf, np.inf, 0.0],
-                                            [-np.inf] * 3, [1e308, -1e308, 1e308],
-                                            [0.0, 1e-300, 0.0], [np.nan, 0.0, np.nan])]
+        rows += [np.array(row) for row in (
+            [1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [np.inf, np.inf, 0.0], [-np.inf] * 3,
+            [1e308, -1e308, 1e308], [0.0, 1e-300, 0.0], [np.nan, 0.0, np.nan],
+            # the top two 1 ulp apart
+            [1.0, ulp, 0.0], [ulp, 1.0, 0.0], [0.0, 1.0, ulp],
+            # gaps of -1e-9 and its neighbours, before and after the maximum
+            *([gap, 0.0, -3.0] for gap in (-1e-9, up, down)),
+            *([0.0, gap, -3.0] for gap in (-1e-9, up, down)),
+            *([3.0 + gap, 3.0, 2.0] for gap in (-1e-9, up, down)),
+            # an earlier near-tie and a later exact tie
+            [1.0 - 1e-12, 1.0, 1.0], [1.0 - 2e-9, 1.0, 1.0], [1.0, 1.0 - 1e-12, 1.0],
+            # signed zeros and subnormal gaps
+            [-0.0, 0.0, -1.0], [0.0, -0.0, -1.0], [-0.0, -0.0], [-tiny, 0.0, tiny],
+            [tiny, 0.0], [0.0, tiny], [-tiny, -0.0], [1e-300, 1e-300 + tiny * 4],
+            # large magnitudes: the ulp at 1e17 is 16
+            [1e17, 1e17 + 16, 1e17 - 16], [1e17 - 16, 1e17, 1e17], [-1e17, 1e17, 0.0],
+            [1e308, -1e308], [-1e308, 1e308, 0.0], [1e308, 1e308, -1e308],
+            # non-finite logits
+            [np.inf, 0.0, 0.0], [0.0, np.inf], [-np.inf, 0.0], [0.0, -np.inf, 1.0],
+            [np.nan, 0.0, 0.0], [0.0, np.nan], [0.0, 1.0, np.nan], [np.inf, np.nan],
+            [-np.inf, np.inf], [np.inf, -np.inf, np.inf])]
         for row in rows:
             assert agent.greedy_action(row) == oracles.select_action(row, greedy=True)[0], row
 
@@ -807,7 +911,7 @@ def test_greedy_eval_skips_unread_bootstrap():
     expected = []
     for idx, scene in enumerate(scenes):
         world, row = env.reset(scene, config=env.EnvConfig())
-        rows = agent.TraceRows(model, 1)  # one row, in turn, as a greedy rollout's
+        rows = agent.TraceRows(model, 1, greedy=True)  # as a greedy rollout's
         d = model.obs_dim
         rewards, near_miss = [], False
         while not world.done and len(rewards) < config.max_steps:

@@ -251,6 +251,9 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
     ({"scenes": [1, 2]}, []),
     ({"agent": [1]}, []),
     ({"env": 3}, []),
+    ({"seeds": [0, -1]}, []),
+    ({}, ["--seed", "-1"]),
+    ({"agent": {"seed": -1}}, []),
 ], ids=["yaml-depolarizing-2", "flag-not-a-number", "flag-negative", "zero-qubits",
         "zero-lstm-hidden", "zero-encoder-hidden", "zero-agent-max-steps", "negative-episodes",
         "negative-lr", "negative-max-grad-norm", "zero-dt", "zero-map-resolution",
@@ -266,7 +269,8 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
         "float-k-pedestrians", "nan-entropy-weight", "yaml-nan-gate-error", "flag-nan-gate-error",
         "negative-near-miss-margin", "nan-near-miss-margin", "nan-oncoming-speed", "infinite-lr",
         "name-not-a-string", "output-not-a-string", "scenes-not-a-mapping",
-        "agent-not-a-mapping", "env-not-a-mapping"])
+        "agent-not-a-mapping", "env-not-a-mapping", "negative-seed-in-list", "negative-seed-flag",
+        "negative-agent-seed"])
 def test_cmd_train_bad_values_exit_2_before_output(tmp_path, sections, flags):
     """Bad values fail when the config loads: exit 2, no output directory, so
     no manifest.json."""
@@ -392,6 +396,24 @@ def test_malformed_checkpoint_exit_2_before_output(tmp_path, command, section, k
     assert not out.exists()
 
 
+@pytest.mark.parametrize("make", [
+    lambda path: path.write_bytes(b'{"config": "\xff"}'),
+    lambda path: path.mkdir(),
+    lambda path: None,
+], ids=["not-utf-8", "directory", "missing"])
+@pytest.mark.parametrize("command", ["eval", "analyze-fim"])
+def test_unreadable_checkpoint_exit_2_naming_the_file(tmp_path, capsys, command, make):
+    """A checkpoint path that cannot be read as text is misuse: exit 2 with
+    the path in the message, nothing written."""
+    ckpt = tmp_path / "checkpoint.json"
+    make(ckpt)
+    out = tmp_path / "out"
+    load = ["eval", "--checkpoint"] if command == "eval" else ["analyze", "--fim"]
+    assert cli.main([*load, str(ckpt), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert str(ckpt) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _without(key):
     return lambda payload: {k: v for k, v in payload.items() if k != key}
 
@@ -480,6 +502,7 @@ def test_cmd_analyze_no_inputs(tmp_path):
     ("--theta-samples", "1"),
     ("--inputs", "0"),
     ("--smooth-window", "0"),
+    ("--seed", "-1"),
 ])
 def test_cmd_analyze_bad_numbers_exit_2_before_output(tmp_path, flag, value):
     """Exit 2 and no output directory; the run has a curve CSV and a
@@ -492,13 +515,14 @@ def test_cmd_analyze_bad_numbers_exit_2_before_output(tmp_path, flag, value):
     assert not an.exists()
 
 
-@pytest.mark.parametrize("text", ["episode,return\n0,1.5\n1,abc\n", "episode,reward\n0,1.5\n"],
-                         ids=["non-numeric-return", "no-return-column"])
-def test_cmd_analyze_bad_curve_exit_2_naming_the_file(tmp_path, capsys, text):
+@pytest.mark.parametrize("data", [b"episode,return\n0,1.5\n1,abc\n", b"episode,reward\n0,1.5\n",
+                                  b"episode,return\n0,1.5\xff\n"],
+                         ids=["non-numeric-return", "no-return-column", "not-utf-8"])
+def test_cmd_analyze_bad_curve_exit_2_naming_the_file(tmp_path, capsys, data):
     run = tmp_path / "run"
     run.mkdir()
     curve = run / "curve_seed0.csv"
-    curve.write_text(text)
+    curve.write_bytes(data)
     with pytest.raises(UsageError, match=re.escape(str(curve))):
         cli._read_curve(curve)
     an = tmp_path / "an"
