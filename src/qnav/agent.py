@@ -37,7 +37,6 @@ class AgentConfig:
     noise: Optional[NoiseSpec] = None
     gamma: float = 0.99
     entropy_weight: float = 0.01
-    entropy_bonus: bool = True  # False flips to the literal negative-entropy term
     lr: float = 0.0005
     episodes: int = 100
     max_steps: int = 500
@@ -67,9 +66,12 @@ class AgentConfig:
             raise UsageError("lstm_hidden, encoder_hidden, encoder_out and max_steps must be >= 1")
         if self.max_grad_norm is not None and not self.max_grad_norm > 0:
             raise UsageError("max_grad_norm must be > 0")
-        if (self.noise is not None and self.noise.depolarizing is not None
-                and self.gradient_mode == "backprop"):
-            raise UsageError("depolarizing noise requires the parameter-shift gradient mode")
+        # a setting the run would ignore would mislabel it
+        noisy = self.noise is not None and self.noise.enabled
+        if self.critic == "classical" and (noisy or self.gradient_mode == "param-shift"):
+            raise UsageError("noise and the param-shift gradient mode need a quantum critic")
+        if noisy and self.gradient_mode == "backprop":
+            raise UsageError("noise requires the parameter-shift gradient mode")
         if self.critic == "quantum" and not (1 <= self.n_qubits <= qsim.MAX_QUBITS
                                              and self.n_layers >= 1):
             raise UsageError(f"a quantum critic needs n_qubits in 1..{qsim.MAX_QUBITS} "
@@ -85,9 +87,22 @@ def config_to_dict(config: AgentConfig) -> dict:
 
 
 def config_from_dict(fields: dict) -> AgentConfig:
-    """Inverse of :func:`config_to_dict`; a missing or empty ``noise`` is no noise."""
+    """Inverse of :func:`config_to_dict`; a missing or empty ``noise`` is no noise.
+    Older checkpoints record ``entropy_bonus: true`` and a noise ``granularity:
+    "sublayer"``, now fixed; both are dropped, and any other value raises UsageError."""
+    fields = _without_fixed(fields, "entropy_bonus", True)
     noise = fields.get("noise")
-    return AgentConfig(**{**fields, "noise": NoiseSpec(**noise) if noise else None})
+    noise = NoiseSpec(**_without_fixed(noise, "granularity", "sublayer")) if noise else None
+    return AgentConfig(**{**fields, "noise": noise})
+
+
+def _without_fixed(fields, name: str, value) -> dict:
+    """A copy of the mapping ``fields`` without ``name``, which may only hold ``value``."""
+    fields = dict(fields)
+    recorded = fields.pop(name, value)
+    if recorded != value:
+        raise UsageError(f"{name} {recorded!r} is no longer supported: every run uses {value!r}")
+    return fields
 
 
 def rng_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -578,8 +593,7 @@ def discounted_returns(rewards, gamma: float, bootstrap: float = 0.0) -> list[fl
     return out
 
 
-def losses(values, returns, logps, entropies, entropy_weight: float,
-           entropy_bonus: bool = True) -> tuple[float, float]:
+def losses(values, returns, logps, entropies, entropy_weight: float) -> tuple[float, float]:
     """(J_V, J_pi): mean squared value error and the policy objective
     (advantage-weighted log-prob plus the entropy term, to be ascended),
     over series of T steps given as sequences or arrays."""
@@ -588,9 +602,8 @@ def losses(values, returns, logps, entropies, entropy_weight: float,
     if not values.shape == returns.shape == logps.shape == entropies.shape:
         raise UsageError("mismatched series lengths")
     advantage = returns - values
-    sign = 1.0 if entropy_bonus else -1.0
     j_v = np.mean(advantage * advantage)
-    j_pi = np.mean(logps * advantage + entropy_weight * sign * entropies)
+    j_pi = np.mean(logps * advantage + entropy_weight * entropies)
     return float(j_v), float(j_pi)
 
 
@@ -617,15 +630,13 @@ def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace, returns,
     values, critic_grads, dh_critic = model.critic.value_and_grads(
         rows.hidden[1 : t_len + 1], mode=config.gradient_mode, noise=config.noise,
         rng=noise_rng, upstream=lambda v: 2.0 * (v - returns) / t_len)
-    j_v, j_pi = losses(values, returns, trace.logps, trace.entropies,
-                       config.entropy_weight, config.entropy_bonus)
+    j_v, j_pi = losses(values, returns, trace.logps, trace.entropies, config.entropy_weight)
 
     advantage = returns - values
     probs = nn.softmax(rows.logits[:t_len])
     onehot = np.eye(env.N_ACTIONS)[trace.actions]
-    ent_sign = 1.0 if config.entropy_bonus else -1.0
     dlogits = -(advantage[:, None] * (onehot - probs)) / t_len
-    dlogits += nn.entropy_backward(probs, -config.entropy_weight * ent_sign / t_len)
+    dlogits += nn.entropy_backward(probs, -config.entropy_weight / t_len)
 
     grad = np.zeros_like(model.flat)
     layer_grads = nn.views(grad, model.layers)

@@ -84,9 +84,9 @@ def _section(raw: dict, key: str, default: dict) -> dict:
 
 def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh) or {}
-    except (OSError, yaml.YAMLError) as exc:
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("config root must be a mapping")
@@ -123,6 +123,8 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
         else:
             raise UsageError(f"unknown override {key!r}")
 
+    if "seed" in agent_section:
+        raise UsageError(f"agent.seed is not read: set seeds: [{agent_section['seed']!r}]")
     agent_fields = {f.name for f in dataclasses.fields(AgentConfig)}
     _check_keys(agent_section, agent_fields, "agent")
     env_fields = {f.name for f in dataclasses.fields(env.EnvConfig)}
@@ -165,7 +167,7 @@ def _parse_noise_flag(spec: str) -> Optional[NoiseSpec]:
             raise UsageError(f"unknown noise field {key!r}")
         kwargs[key] = val
     try:
-        return NoiseSpec(**{k: v if k == "granularity" else float(v) for k, v in kwargs.items()})
+        return NoiseSpec(**{k: float(v) for k, v in kwargs.items()})
     except ValueError as exc:
         raise UsageError(f"bad noise flag {spec!r}: {exc}") from exc
 

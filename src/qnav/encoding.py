@@ -16,9 +16,6 @@ import numpy as np
 from . import UsageError
 from .qsim import GateOp
 
-DEFAULT_ENCODING_AXES = ("rz", "ry", "rz")
-ALT_ENCODING_AXES = ("rx", "ry", "rz")
-
 
 @dataclass(frozen=True)
 class CircuitLayout:
@@ -30,7 +27,6 @@ class CircuitLayout:
     sublayers: int  # k = ceil(p / 3n)
     pad_len: int  # 3nk - p
     param_count: int  # layers * sublayers * 2n
-    encoding_axes: tuple[str, str, str] = DEFAULT_ENCODING_AXES
 
     def manifest(self) -> dict:
         return {
@@ -40,17 +36,13 @@ class CircuitLayout:
             "k": self.sublayers,
             "pad_len": self.pad_len,
             "pqc_param_count": self.param_count,
-            "encoding_axes": list(self.encoding_axes),
         }
 
 
-def plan_layout(p: int, n: int, layers: int, encoding_axes=DEFAULT_ENCODING_AXES) -> CircuitLayout:
+def plan_layout(p: int, n: int, layers: int) -> CircuitLayout:
     """Compute sublayer count, padding and trainable-parameter count."""
     if p < 1 or n < 1 or layers < 1:
         raise UsageError(f"p, n, L must all be >= 1 (got {p}, {n}, {layers})")
-    axes = tuple(encoding_axes)
-    if len(axes) != 3 or any(a not in ("rx", "ry", "rz") for a in axes):
-        raise UsageError(f"encoding axes must be three rotations, got {axes}")
     k = math.ceil(p / (3 * n))
     pad_len = 3 * n * k - p
     return CircuitLayout(
@@ -60,7 +52,6 @@ def plan_layout(p: int, n: int, layers: int, encoding_axes=DEFAULT_ENCODING_AXES
         sublayers=k,
         pad_len=pad_len,
         param_count=layers * k * 2 * n,
-        encoding_axes=axes,
     )
 
 
@@ -80,7 +71,7 @@ def build_circuit(layout: CircuitLayout) -> tuple[list[GateOp], tuple[int, ...]]
     (used to place per-sublayer depolarizing events).
 
     Per layer l and sublayer m: each qubit q first encodes features
-    3n(m-1) + 3q .. + 3q + 2 of the padded vector on the configured axes,
+    3n(m-1) + 3q .. + 3q + 2 of the padded vector as RZ, RY, RZ angles,
     then applies trainable RY and RZ rotations, and the sublayer closes with
     a CZ daisy chain CZ(0,1) .. CZ(n-2, n-1).
     """
@@ -91,7 +82,7 @@ def build_circuit(layout: CircuitLayout) -> tuple[list[GateOp], tuple[int, ...]]
         for m in range(k):
             base = 3 * n * m
             for q in range(n):
-                for j, axis in enumerate(layout.encoding_axes):
+                for j, axis in enumerate(("rz", "ry", "rz")):
                     gates.append(GateOp(axis, target=q, source="data", index=base + 3 * q + j))
             pbase = (layer * k + m) * 2 * n
             for q in range(n):

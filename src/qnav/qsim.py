@@ -74,10 +74,9 @@ draws from ``rng`` as whole arrays, in this order:
 2. depolarizing: the coins, U(0, 1) of shape (rows, events), then the Pauli
    choices, integers in [0, 3) for X, Y, Z of the same shape.
 
-Depolarizing events follow circuit order: with ``granularity="sublayer"``
-every qubit 0..n-1 after each marked gate, with ``"gate"`` the target of
-every gate and then, for a CZ, its control. Parameter shift makes one call
-per input, so one input's draws are made before the next input's.
+Depolarizing events follow circuit order: every qubit 0..n-1 after each
+gate the circuit's sublayer marks name. Parameter shift makes one call per
+input, so one input's draws are made before the next input's.
 
 Workspace. A call writes its large arrays with ``out=`` into a workspace
 (:class:`_Workspace`): the (2**n, B) state, its partner amplitudes and the
@@ -92,8 +91,8 @@ to that size reuses it. One workspace is kept per thread and serves every
 call, of any circuit, noise and row count, so a run of calls allocates (and
 makes the system fault in) those arrays once, not each time. What depends
 on the circuit alone is kept on it, read-only: the (steps, G, B) value
-index of a parameter-shift batch, which only the depolarizing granularity
-and whether gate error is on change, and the 0/1 matrices that sum the
+index of a parameter-shift batch, which only whether depolarizing noise
+and gate error are on change, and the 0/1 matrices that sum the
 adjoint's angle derivatives into parameters and features. An array a call
 returns is always its own copy, never a view of the workspace, so a later
 call cannot change it.
@@ -157,13 +156,12 @@ class NoiseSpec:
 
     gate_error: multiplicative angle jitter theta -> theta*(1 + scale*U(0,1))
     on trainable rotation angles, re-sampled at every gate application.
-    depolarizing: per-qubit Pauli kick with probability p, injected per
-    sublayer boundary (default) or after every gate.
+    depolarizing: per-qubit Pauli kick with probability p, injected on every
+    qubit at each sublayer boundary.
     """
 
     gate_error: Optional[float] = None  # scale, paper default 0.01
     depolarizing: Optional[float] = None  # p in [0, 1]
-    granularity: str = "sublayer"  # "sublayer" | "gate"
 
     def __post_init__(self):
         check_finite(self, ("gate_error",))
@@ -171,8 +169,6 @@ class NoiseSpec:
             raise UsageError("gate_error scale must be >= 0")
         if self.depolarizing is not None and not 0.0 <= self.depolarizing <= 1.0:
             raise UsageError("depolarizing p must be in [0, 1]")
-        if self.granularity not in ("sublayer", "gate"):
-            raise UsageError(f"bad noise granularity {self.granularity!r}")
 
     @property
     def enabled(self) -> bool:
@@ -304,8 +300,8 @@ class Circuit:
 
     ``blocks[key]`` is the fused circuit (:class:`_Blocks`) without
     depolarizing events (``key=None``), which the adjoint reverse pass walks
-    backwards, or with those of granularity ``key``; the sublayer marks shape
-    only ``blocks["sublayer"]``, so one circuit serves every route. Angle
+    backwards, or with those after each sublayer mark (``key="sublayer"``),
+    which the marks shape alone, so one circuit serves every route. Angle
     columns number the rotations in circuit order; ``data_cols``/``data_index``
     and ``param_cols``/``param_index`` map data and trainable columns to their
     source entries. A call's angle values (see :func:`_angle_values`) hold a
@@ -315,7 +311,7 @@ class Circuit:
     the 0/1 matrices that sum the adjoint's angle-column derivatives into
     theta and into the features (see :func:`_source_sums`). ``shift_index``
     holds the :func:`_step_index` of a parameter-shift batch per
-    (depolarizing granularity or None, gate error on): nothing else changes
+    (``blocks`` key, gate error on): nothing else changes
     it, so :func:`_forward` builds it on the first such call, read-only.
     """
 
@@ -428,25 +424,23 @@ def compile_circuit(gates: Sequence[GateOp], n_qubits: int,
     steps = []
     sources: dict = {None: ([], []), "data": ([], []), "param": ([], [])}
     marked = frozenset(sublayer_marks)
-    per_gate, per_sublayer = [], []
+    per_sublayer = []
     for pos, gate in enumerate(gates):
         _check_qubit(gate.target, n_qubits)
         if gate.kind == "cz":
             _check_qubit(gate.control, n_qubits)
             steps.append((None, _cz_mask(gate.control, gate.target, n_qubits)))
-            per_gate.append((gate.target, gate.control))
         else:
             col = sum(len(cols) for cols, _ in sources.values())
             cols, values = sources[gate.source]
             cols.append(col)
             values.append(gate.angle if gate.source is None else gate.index)
             steps.append((col, None))
-            per_gate.append((gate.target,))
         per_sublayer.append(tuple(range(n_qubits)) if pos in marked else ())
     (fixed_cols, fixed), (data_cols, data_idx), (param_cols, param_idx) = (
         sources[None], sources["data"], sources["param"])
     n_rotations = sum(g.kind != "cz" for g in gates)
-    events = {None: ((),) * len(gates), "gate": tuple(per_gate), "sublayer": tuple(per_sublayer)}
+    events = {None: ((),) * len(gates), "sublayer": tuple(per_sublayer)}
     param_idx, data_idx = np.array(param_idx, dtype=np.intp), np.array(data_idx, dtype=np.intp)
     params, features = np.unique(param_idx), np.unique(data_idx)
     value_index = np.zeros(n_rotations + 1, dtype=np.intp)
@@ -604,7 +598,7 @@ def _forward(circuit: Circuit, x: np.ndarray, theta: np.ndarray, noise: Optional
             jittered = perturb_gate_params(trainable, rng, noise.gate_error,
                                            ws.array("jitter", trainable.shape))
         if noise.depolarizing is not None:
-            key = noise.granularity
+            key = "sublayer"
             shape = (rows, circuit.blocks[key].n_events)
             coins = rng.random(shape, out=ws.array("coins", shape))
             drawn = rng.integers(3, size=shape)  # the Pauli choices; integers takes no out

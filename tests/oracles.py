@@ -286,14 +286,9 @@ def run_circuit(
             if shift is not None and shift[0] == pos:
                 angle += shift[1]
             state = apply_gate(state, gate, angle=angle)
-        if noise is not None and noise.depolarizing is not None:
-            if noise.granularity == "gate":
-                state = depolarize_step(state, gate.target, noise.depolarizing, rng)
-                if gate.kind == "cz":
-                    state = depolarize_step(state, gate.control, noise.depolarizing, rng)
-            elif pos in marks:
-                for q in range(n_qubits):
-                    state = depolarize_step(state, q, noise.depolarizing, rng)
+        if noise is not None and noise.depolarizing is not None and pos in marks:
+            for q in range(n_qubits):
+                state = depolarize_step(state, q, noise.depolarizing, rng)
     return all_expectations_z(state)
 
 
@@ -489,12 +484,8 @@ def evolve(gates: Sequence[GateOp], n_qubits: int, sublayer_marks: Sequence[int]
                 angles[:, param_cols], rng, noise.gate_error)
         if noise.depolarizing is not None:
             marked = frozenset(sublayer_marks)
-            if noise.granularity == "gate":
-                events = [(g.target,) if g.control is None else (g.target, g.control)
-                          for g in gates]
-            else:
-                events = [tuple(range(n_qubits)) if pos in marked else ()
-                          for pos in range(len(gates))]
+            events = [tuple(range(n_qubits)) if pos in marked else ()
+                      for pos in range(len(gates))]
             n_events = sum(map(len, events))
             coins = rng.uniform(size=(rows, n_events))
             paulis = rng.integers(3, size=(rows, n_events))
@@ -686,13 +677,11 @@ def replay_loss(model, trace, returns, advantages=None) -> float:
         logps.append(float(np.log(probs[action])))
         entropies.append(entropy)
         values.append(model.critic.value(h))
-    j_v, j_pi = agent.losses(values, returns, logps, entropies,
-                             config.entropy_weight, config.entropy_bonus)
+    j_v, j_pi = agent.losses(values, returns, logps, entropies, config.entropy_weight)
     if advantages is not None:
         t = len(values)
-        sign = 1.0 if config.entropy_bonus else -1.0
         j_pi = float(sum(
-            lp * a + config.entropy_weight * sign * ent
+            lp * a + config.entropy_weight * ent
             for lp, a, ent in zip(logps, advantages, entropies)
         ) / t)
     return j_v - j_pi
@@ -764,14 +753,13 @@ def episode_gradients(model, trace, returns, noise_rng: Optional[np.random.Gener
     values = values.tolist()
 
     j_v, j_pi = agent.losses(values, returns, trace.logps, trace.entropies,
-                             config.entropy_weight, config.entropy_bonus)
+                             config.entropy_weight)
 
     grad = np.zeros_like(model.flat)
     layer_grads = nn.views(grad, model.layers)
     critic_grads = nn.named(layer_grads["critic"])
     dh_next = np.zeros(config.lstm_hidden)
     dc_next = np.zeros(config.lstm_hidden)
-    ent_sign = 1.0 if config.entropy_bonus else -1.0
     for t in range(t_len - 1, -1, -1):
         advantage = returns[t] - values[t]
         probs = nn.softmax(logits[t])
@@ -780,7 +768,7 @@ def episode_gradients(model, trace, returns, noise_rng: Optional[np.random.Gener
         # d(J_V)/dV; the advantage path into J_pi is detached
         dv = 2.0 * (values[t] - returns[t]) / t_len
         dlogits = -(advantage * (onehot - probs)) / t_len
-        dlogits += nn.entropy_backward(probs, -config.entropy_weight * ent_sign / t_len)
+        dlogits += nn.entropy_backward(probs, -config.entropy_weight / t_len)
 
         for key, g in vgrads.items():
             critic_grads[key] += dv * g[t]

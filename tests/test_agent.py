@@ -215,15 +215,9 @@ def test_losses_single_step_example():
     assert j_v == pytest.approx(0.25)
     assert j_pi == pytest.approx(math.log(0.5) * 0.5, abs=1e-4)
     assert j_pi == pytest.approx(-0.3466, abs=1e-4)
-
-
-def test_losses_entropy_sign_flag():
-    base = agent.losses([0.0], [1.0], [-0.5], [1.0], entropy_weight=0.01)[1]
-    flipped = agent.losses([0.0], [1.0], [-0.5], [1.0], entropy_weight=0.01,
-                           entropy_bonus=False)[1]
-    assert base - flipped == pytest.approx(0.02)
-    neutral = agent.losses([0.0], [1.0], [-0.5], [1.0], entropy_weight=0.0)[1]
-    assert base - neutral == pytest.approx(0.01)
+    # the entropy term is a bonus: it adds entropy_weight * H to the objective
+    j_pi_bonus = agent.losses([0.5], [1.0], [math.log(0.5)], [0.7], entropy_weight=0.01)[1]
+    assert j_pi_bonus - j_pi == pytest.approx(0.007)
 
 
 def test_losses_length_mismatch():

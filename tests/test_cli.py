@@ -11,6 +11,7 @@ import yaml
 
 import qnav
 from qnav import UsageError, agent, cli, env, planner
+from qnav.qsim import NoiseSpec
 
 SMOKE_AGENT = {
     "critic": "classical",
@@ -75,6 +76,22 @@ def test_load_config_rejects_unknown_keys(tmp_path):
 def test_load_config_missing_file():
     with pytest.raises(UsageError):
         cli.load_config("/nonexistent/config.yaml")
+
+
+def test_load_config_rejects_agent_seed_pointing_to_seeds(tmp_path):
+    """Every run takes its seed from seeds, so an agent seed would be ignored
+    while the manifest recorded it."""
+    path = write_config(tmp_path, agent={"seed": 7})
+    with pytest.raises(UsageError, match=r"seeds: \[7\]"):
+        cli.load_config(str(path))
+
+
+def test_cmd_train_non_utf8_config_exit_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"name: caf\xe9\n")
+    assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == cli.EXIT_CONFIG
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_load_config_overrides(tmp_path):
@@ -254,6 +271,9 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
     ({"seeds": [0, -1]}, []),
     ({}, ["--seed", "-1"]),
     ({"agent": {"seed": -1}}, []),
+    ({"agent": {"noise": {"gate_error": 0.01}}}, []),
+    ({"agent": {"gradient_mode": "param-shift"}}, []),
+    ({"agent": {"critic": "quantum", "noise": {"gate_error": 0.01}}}, []),
 ], ids=["yaml-depolarizing-2", "flag-not-a-number", "flag-negative", "zero-qubits",
         "zero-lstm-hidden", "zero-encoder-hidden", "zero-agent-max-steps", "negative-episodes",
         "negative-lr", "negative-max-grad-norm", "zero-dt", "zero-map-resolution",
@@ -270,7 +290,8 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
         "negative-near-miss-margin", "nan-near-miss-margin", "nan-oncoming-speed", "infinite-lr",
         "name-not-a-string", "output-not-a-string", "scenes-not-a-mapping",
         "agent-not-a-mapping", "env-not-a-mapping", "negative-seed-in-list", "negative-seed-flag",
-        "negative-agent-seed"])
+        "negative-agent-seed", "noise-with-classical-critic", "param-shift-with-classical-critic",
+        "gate-error-with-backprop"])
 def test_cmd_train_bad_values_exit_2_before_output(tmp_path, sections, flags):
     """Bad values fail when the config loads: exit 2, no output directory, so
     no manifest.json."""
@@ -281,7 +302,8 @@ def test_cmd_train_bad_values_exit_2_before_output(tmp_path, sections, flags):
 
 def test_noise_flag_off_overrides_yaml_noise(tmp_path):
     path = write_config(tmp_path, agent={"critic": "quantum", "n_qubits": 2, "n_layers": 1,
-                                         "episodes": 1, "noise": {"gate_error": 0.01}})
+                                         "episodes": 1, "gradient_mode": "param-shift",
+                                         "noise": {"gate_error": 0.01}})
     assert cli.load_config(str(path)).agent.noise is not None
     assert cli.main(["train", "--config", str(path), "--noise", "off"]) == 0
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
@@ -418,6 +440,13 @@ def _without(key):
     return lambda payload: {k: v for k, v in payload.items() if k != key}
 
 
+def _config_entry(key, value):
+    def edit(payload):
+        payload["config"][key] = value
+        return payload
+    return edit
+
+
 def _first_param_data(change):
     def edit(payload):
         entry = next(iter(payload["params"].values()))
@@ -433,8 +462,10 @@ def _first_param_data(change):
     lambda payload: [payload],
     _first_param_data(lambda data: ["x"] + data[1:]),
     _first_param_data(lambda data: data[:-1]),
+    _config_entry("entropy_bonus", False),
+    _config_entry("noise", {"gate_error": None, "depolarizing": None, "granularity": "gate"}),
 ], ids=["no-config", "no-obs-dim", "no-params", "not-an-object", "non-numeric-data",
-        "data-not-fitting-shape"])
+        "data-not-fitting-shape", "entropy-penalty", "gate-noise-granularity"])
 def test_cmd_eval_malformed_checkpoint_payload_exit_2_before_output(tmp_path, edit):
     """A file that is no checkpoint of the expected layout is misuse too."""
     ckpt = trained_checkpoint(tmp_path)
@@ -442,6 +473,30 @@ def test_cmd_eval_malformed_checkpoint_payload_exit_2_before_output(tmp_path, ed
     out = tmp_path / "eval"
     assert cli.main(["eval", "--checkpoint", str(ckpt), "--out", str(out)]) == cli.EXIT_CONFIG
     assert not out.exists()
+
+
+def test_cmd_eval_of_a_checkpoint_recording_fixed_settings(tmp_path, monkeypatch):
+    """A checkpoint that records entropy_bonus true and a sublayer noise
+    granularity, as older versions wrote each one, loads and evaluates to
+    the same outcomes."""
+    config = agent.AgentConfig(n_qubits=2, n_layers=1, gradient_mode="param-shift",
+                               noise=NoiseSpec(gate_error=0.01, depolarizing=0.02),
+                               **{**SMOKE_AGENT, "critic": "quantum"})
+    model = agent.ActorCriticModel(config, env.observation_dim(), agent.rng_streams(0)["init"])
+    ckpt = tmp_path / "checkpoint.json"
+    agent.save_checkpoint(model, str(ckpt))
+    payload = json.loads(ckpt.read_text())
+    payload["config"]["entropy_bonus"] = True
+    payload["config"]["noise"]["granularity"] = "sublayer"
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(payload))
+    assert agent.load_checkpoint(str(old)).config == config
+    slice_scenes(monkeypatch, slice(5))
+    for path, out in ((ckpt, "e1"), (old, "e2")):
+        assert cli.main(["eval", "--checkpoint", str(path), "--scenarios", "1",
+                         "--out", str(tmp_path / out)]) == 0
+    assert ((tmp_path / "e1" / "outcomes.csv").read_bytes()
+            == (tmp_path / "e2" / "outcomes.csv").read_bytes())
 
 
 def test_cmd_eval_deterministic(tmp_path, monkeypatch):
@@ -579,10 +634,10 @@ def short_curve_run(tmp_path, monkeypatch):
 
 
 def bad_noise_checkpoint(tmp_path, monkeypatch):
-    """eval of a checkpoint whose recorded noise granularity qnav.qsim rejects."""
+    """eval of a checkpoint whose recorded noise qnav.qsim rejects."""
     ckpt = trained_checkpoint(tmp_path)
     payload = json.loads(ckpt.read_text())
-    payload["config"]["noise"] = {"gate_error": 0.01, "granularity": "shot"}
+    payload["config"]["noise"] = {"gate_error": -0.01}
     ckpt.write_text(json.dumps(payload))
     return ["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")]
 

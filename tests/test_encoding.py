@@ -57,13 +57,6 @@ def test_plan_layout_rejects_nonpositive(p, n, layers):
         encoding.plan_layout(p, n, layers)
 
 
-def test_plan_layout_rejects_bad_axes():
-    with pytest.raises(UsageError):
-        encoding.plan_layout(6, 2, 1, encoding_axes=("rz", "ry"))
-    with pytest.raises(UsageError):
-        encoding.plan_layout(6, 2, 1, encoding_axes=("rz", "ry", "cz"))
-
-
 def test_pad_input():
     layout = encoding.plan_layout(p=32, n=4, layers=1)
     x = np.arange(32, dtype=float)
@@ -123,11 +116,6 @@ def test_encoding_axis_order():
     gates, _ = encoding.build_circuit(layout)
     q0 = [g for g in gates if g.source == "data" and g.target == 0]
     assert [g.kind for g in q0] == ["rz", "ry", "rz"]
-    alt = encoding.plan_layout(p=6, n=2, layers=1,
-                               encoding_axes=encoding.ALT_ENCODING_AXES)
-    gates_alt, _ = encoding.build_circuit(alt)
-    q0_alt = [g for g in gates_alt if g.source == "data" and g.target == 0]
-    assert [g.kind for g in q0_alt] == ["rx", "ry", "rz"]
 
 
 def test_build_circuit_deterministic():
@@ -149,5 +137,5 @@ def test_manifest_fields():
     m = layout.manifest()
     assert m == {
         "p": 32, "n": 4, "L": 2, "k": 3, "pad_len": 4,
-        "pqc_param_count": 48, "encoding_axes": ["rz", "ry", "rz"],
+        "pqc_param_count": 48,
     }

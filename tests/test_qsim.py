@@ -374,8 +374,6 @@ def test_noise_spec_validation():
         NoiseSpec(depolarizing=float("nan"))
     with pytest.raises(UsageError):
         NoiseSpec(depolarizing=1.5)
-    with pytest.raises(UsageError):
-        NoiseSpec(granularity="shot")
     assert not NoiseSpec().enabled
     assert NoiseSpec(gate_error=0.01).enabled
 
@@ -573,10 +571,12 @@ def test_adjoint_matches_scalar_reference_on_hand_built_circuits(case):
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 7])
 def test_adjoint_matches_scalar_reference_with_mixed_encoding_axes(n):
-    """Also covers blocks read in chunks (5 qubits) and one group at a time (7)."""
+    """The layout's circuit with each qubit's first feature encoded by RX, not
+    RZ. Also covers blocks read in chunks (5 qubits) and one group at a time (7)."""
     rng = np.random.default_rng(n)
-    layout = encoding.plan_layout(3 * n + 2, n, 2, encoding.ALT_ENCODING_AXES)
-    gates, _ = encoding.build_circuit(layout)
+    layout = encoding.plan_layout(3 * n + 2, n, 2)
+    gates = [dataclasses.replace(g, kind="rx") if g.source == "data" and g.index % 3 == 0 else g
+             for g in encoding.build_circuit(layout)[0]]
     assert {g.kind for g in gates} >= {"rx", "ry", "rz"}
     x = encoding.pad_input(rng.uniform(-1, 1, size=(5, layout.p)), layout)
     theta = rng.uniform(-np.pi, np.pi, size=layout.param_count)
@@ -600,30 +600,20 @@ def test_noisy_batched_param_shift_deterministic_per_seed():
     assert not np.array_equal(runs[0][1], noiseless[1])
 
 
-def test_gate_granularity_noise_draws_one_event_per_qubit_touched():
-    gates = [GateOp("ry", 0, angle=0.3), GateOp("cz", target=1, control=0)]
-    noise = NoiseSpec(depolarizing=0.5, granularity="gate")
-    rng = np.random.default_rng(4)
-    z = qsim.run_circuit(compile_circuit(gates, 2), np.zeros((4, 0)), np.zeros(0), noise=noise,
-                         rng=rng)
-    expected = np.random.default_rng(4)
-    expected.uniform(size=(4, 3))
-    expected.integers(3, size=(4, 3))
-    assert z.shape == (4, 2)
-    assert rng.bit_generator.state == expected.bit_generator.state
-
-
 # ---------------------------------------------------------------------------
 # the fused block kernel against the gate-at-a-time evolution
 
+# (noise, every_gate): with every_gate the circuit is compiled with a sublayer
+# mark after each of its gates, so kicks also fall between a group's rotations
 NOISE_SETTINGS = [
-    None,
-    NoiseSpec(gate_error=0.01),
-    NoiseSpec(depolarizing=0.5),
-    NoiseSpec(gate_error=0.01, depolarizing=0.5),
-    NoiseSpec(depolarizing=0.5, granularity="gate"),
-    NoiseSpec(gate_error=0.01, depolarizing=0.5, granularity="gate"),
+    (None, False),
+    (NoiseSpec(gate_error=0.01), False),
+    (NoiseSpec(depolarizing=0.5), False),
+    (NoiseSpec(gate_error=0.01, depolarizing=0.5), False),
+    (NoiseSpec(depolarizing=0.5), True),
+    (NoiseSpec(gate_error=0.01, depolarizing=0.5), True),
 ]
+NOISE_IDS = ["None", "noise1", "noise2", "noise3", "noise4", "noise5"]
 
 
 def shift_batch(gates):
@@ -642,16 +632,17 @@ def shift_batch(gates):
 def assert_same_trajectories(gates, n, marks, x, theta, seed):
     """Per-row inputs, and the parameter-shift batch of the first input, give
     the gate-at-a-time states and rng draws under every noise setting."""
-    circuit = compile_circuit(gates, n, marks)
     angles = oracles.angle_matrix(gates, x, theta)
     cols, shifts = shift_batch(gates)
     batches = [(x, None, angles, None),
                (x[:1], cols, np.broadcast_to(angles[0], shifts.shape), shifts)]
-    for noise in NOISE_SETTINGS:
+    for noise, every_gate in NOISE_SETTINGS:
+        kicked = range(len(gates)) if every_gate else marks
+        circuit = compile_circuit(gates, n, kicked)
         for inputs, shift_cols, rows, shift in batches:
             fused, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             psi = qsim._evolve(circuit, inputs, theta, noise, fused, shift_cols)
-            expected = oracles.evolve(gates, n, marks, rows, noise, ref, shift)
+            expected = oracles.evolve(gates, n, kicked, rows, noise, ref, shift)
             assert psi.shape == expected.shape
             np.testing.assert_allclose(psi, expected, rtol=0, atol=1e-12)
             assert fused.bit_generator.state == ref.bit_generator.state
@@ -701,16 +692,17 @@ def test_shared_steps_of_the_default_circuit():
     """Each group of the default circuit opens with three data rotations and
     then two trainable ones. A call multiplies once, for all rows, every step
     of a noise-free parameter-shift batch, only the data steps under gate
-    error, just the first under gate-granularity kicks, and none for inputs
-    that differ per row."""
+    error, just the first when a kick follows every gate, and none for
+    inputs that differ per row."""
     layout = encoding.plan_layout(32, 4, 2)
     gates, marks = encoding.build_circuit(layout)
     circuit = compile_circuit(gates, 4, marks)
+    every_gate = compile_circuit(gates, 4, range(len(gates)))
     x = encoding.pad_input(np.linspace(-1, 1, 64).reshape(2, 32), layout)
     theta = np.linspace(-3, 3, layout.param_count)
     cols, _ = shift_batch(gates)
 
-    def shared(inputs, key=None, jitter=False):
+    def shared(inputs, key=None, jitter=False, circuit=circuit):
         single = len(inputs) == 1
         rows = 1 + 2 * len(cols) if single else len(inputs)
         jittered = np.ones((rows, circuit.param_cols.size)) if jitter else None
@@ -721,7 +713,7 @@ def test_shared_steps_of_the_default_circuit():
     assert circuit.blocks[None].cols.shape == (5, 24)
     assert shared(x[:1]) == shared(x[:1], "sublayer") == 5
     assert shared(x[:1], jitter=True) == shared(x[:1], "sublayer", jitter=True) == 3
-    assert shared(x[:1], "gate") == 1
+    assert shared(x[:1], "sublayer", circuit=every_gate) == 1
     assert shared(x) == shared(x, "sublayer") == 0
 
 
@@ -743,16 +735,17 @@ def forget_workspace():
     vars(qsim._retained).clear()
 
 
-def compiled(case):
-    """The circuit of a :func:`default_case`, compiled afresh."""
+def compiled(case, every_gate=False):
+    """The circuit of a :func:`default_case`, compiled afresh, with a sublayer
+    mark after each gate if ``every_gate``."""
     gates, marks, _, _, _, n = case
-    return compile_circuit(gates, n, marks)
+    return compile_circuit(gates, n, range(len(gates)) if every_gate else marks)
 
 
 def shift_key(noise):
     """The key of a circuit's kept parameter-shift index under ``noise``."""
     depolarizing = noise is not None and noise.depolarizing is not None
-    return (noise.granularity if depolarizing else None,
+    return ("sublayer" if depolarizing else None,
             noise is not None and noise.gate_error is not None)
 
 
@@ -761,8 +754,8 @@ def assert_bits_equal(got, expected):
         assert np.asarray(part).tobytes() == np.asarray(ref).tobytes()
 
 
-@pytest.mark.parametrize("noise", NOISE_SETTINGS)
-def test_interleaved_calls_give_the_bits_of_calls_made_alone(noise):
+@pytest.mark.parametrize("noise,every_gate", NOISE_SETTINGS, ids=NOISE_IDS)
+def test_interleaved_calls_give_the_bits_of_calls_made_alone(noise, every_gate):
     """Parameter-shift calls of two circuits, alternating with run_circuit
     batches and adjoint calls, give the values and rng draws of the same calls
     each made with no kept workspace and a freshly compiled circuit, so with
@@ -781,13 +774,13 @@ def test_interleaved_calls_give_the_bits_of_calls_made_alone(noise):
                                                                           w, 0.2)
 
     def run(alone):
-        circuits = [compiled(case) for case in cases]
+        circuits = [compiled(case, every_gate) for case in cases]
         rngs = [np.random.default_rng(7), np.random.default_rng(8)]
         results = []
         for k, call in calls():
             if alone:
                 forget_workspace()
-                circuits[k] = compiled(cases[k])
+                circuits[k] = compiled(cases[k], every_gate)
             results.append(call(circuits[k], rngs[k]))
         return results, [rng.bit_generator.state for rng in rngs], circuits
 
@@ -849,16 +842,16 @@ def test_parameter_shift_call_allocates_no_per_call_arrays():
     assert peak < 256 * 1024
 
 
-@pytest.mark.parametrize("noise", NOISE_SETTINGS)
-def test_kept_step_index_equals_a_fresh_build(noise):
+@pytest.mark.parametrize("noise,every_gate", NOISE_SETTINGS, ids=NOISE_IDS)
+def test_kept_step_index_equals_a_fresh_build(noise, every_gate):
     """The value index a circuit keeps from its first parameter-shift call
     is, bit for bit, the one a fresh build gives for a later call with other
-    inputs and parameters: the circuit, the depolarizing granularity and
-    whether gate error is on fix it. The kept index is read-only."""
+    inputs and parameters: the circuit and whether depolarizing noise and
+    gate error are on fix it. The kept index is read-only."""
     case = default_case(4, 2, 5)
     _, _, x, theta, w, _ = case
     forget_workspace()
-    circuit = compiled(case)
+    circuit = compiled(case, every_gate)
     cols = np.concatenate([circuit.param_cols, circuit.data_cols])
     rng = np.random.default_rng(6)
     kept = []
