@@ -333,7 +333,8 @@ class ActorCriticModel:
         a2 += b2
         np.tanh(a2, out=a2)
         x_extras[...] = extras
-        nn.lstm_step(self.lstm, x, h_prev, c_prev, (gates, c, tanh_cell, h, *rows.lstm_scratch))
+        nn.lstm_step(self.lstm, x, h_prev, c_prev, (gates, c, tanh_cell, h, *rows.lstm_scratch),
+                     rows.gate_views[t % n])
         np.dot(wa, h, out=logits)
         logits += ba
         return h, logits
@@ -426,6 +427,7 @@ class TraceRows:
              self.x[t, enc_out:], self.gates[t], self.tanh_cell[t], self.logits[t])
             for t in range(steps)]
         self.state_views = [(self.hidden[t], self.cell[t]) for t in range(steps + 1)]
+        self.gate_views = [nn.gate_views(row) for row in self.gates]  # see nn.lstm_step
 
 
 def _dense_grads(grads: dict, dy: np.ndarray, x: np.ndarray) -> None:

@@ -56,10 +56,15 @@ class RunConfig:
     smooth_window: int = 100
 
     def resolved(self) -> dict:
+        """The config as the run manifest records it. The agent section has
+        no ``seed``: ``seeds`` holds the runs' seeds, and each checkpoint
+        records its own."""
+        fields = agent.config_to_dict(self.agent)
+        del fields["seed"]
         return {
             "name": self.name,
             "seeds": list(self.seeds),
-            "agent": agent.config_to_dict(self.agent),
+            "agent": fields,
             "env": dataclasses.asdict(self.env),
             "scenes": self.scene_spec,
             "output": self.output,

@@ -171,32 +171,41 @@ def lstm_init(rng: np.random.Generator, in_dim: int, hidden: int) -> dict:
     }
 
 
+def gate_views(pre: np.ndarray) -> tuple:
+    """The views ``lstm_step`` works on of a stacked gate row of length
+    4 * hidden: its i, f and o part, then i, f, o and g."""
+    hidden = len(pre) // 4
+    sig = pre[: 3 * hidden]
+    return sig, sig[:hidden], sig[hidden : 2 * hidden], sig[2 * hidden :], pre[3 * hidden :]
+
+
 def lstm_step(params: dict, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
-              out: Optional[tuple] = None):
+              out: Optional[tuple] = None, views: Optional[tuple] = None):
     """Standard LSTM update; gate order in the stacked weights is i, f, o, g.
     Returns (h, c, cache). ``out``, if given, holds six contiguous arrays of
     lengths 4 * hidden, hidden, hidden, hidden, 4 * hidden and hidden: the
     gate activations, c, tanh(c) and h go into the first four, and the cache
-    holds views of them; the last two are scratch for Wh h_prev and i g."""
+    holds views of them; the last two are scratch for Wh h_prev and i g.
+    ``views``, if given, are ``gate_views(out[0])``, sliced once by a caller
+    that writes the same row again: on rows this short, slicing them anew
+    costs a few percent of the step."""
     hidden = h_prev.shape[0]
     if params["Wx"].shape[1] != x.shape[0]:
         raise UsageError(f"lstm expects input of length {params['Wx'].shape[1]}, got {x.shape}")
     if out is None:
         out = tuple(np.empty(n * hidden) for n in (4, 1, 1, 1, 4, 1))
     pre, c, tc, h, wh_h, ig = out
+    sig, i, f, o, g = gate_views(pre) if views is None else views
     # np.dot, not @: the same BLAS call, for less dispatch on rows this short
     np.dot(params["Wx"], x, out=pre)
     np.dot(params["Wh"], h_prev, out=wh_h)
     pre += wh_h
     pre += params["b"]
     # the i, f and o sigmoids 1 / (1 + exp(-pre)) in one pass, in place
-    sig = pre[: 3 * hidden]
     np.negative(sig, out=sig)
     np.exp(sig, out=sig)
     sig += 1.0
     np.divide(1.0, sig, out=sig)
-    i, f, o = sig[:hidden], sig[hidden : 2 * hidden], sig[2 * hidden :]
-    g = pre[3 * hidden :]
     np.tanh(g, out=g)
     # c = f c_prev + i g, tanh(c) and h = o tanh(c)
     np.multiply(f, c_prev, out=c)

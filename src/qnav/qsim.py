@@ -30,7 +30,23 @@ gates; under sublayer noise it is 34 instead of 138 gates and 24 kicks, as
 the last sublayer's kicks follow the last CZ run. A 2x2 on one qubit maps
 amplitude k to a combination of k and k with that qubit's bit flipped, so a
 pass is one gather along the amplitude axis and a few elementwise products
-with per-row coefficients.
+with per-row coefficients. The first block acts on |0...0>, so its state is
+each row's tensor product of its groups' first columns (a, b), multiplied
+in pass order onto the row's phase: one product per group on a growing
+array, and 26 passes over the state remain at the defaults (30 under
+sublayer noise).
+
+Each factor of a group matrix costs only what its form needs. A rotation
+step applies, to the groups that turn about each axis at that step (fixed
+when the circuit compiles), that axis's form: for RY a real cos/sin mix of
+the matrix's columns, for RZ one diagonal phase, for RX the mix with -i; a
+group with no rotation at that step passes through. A depolarizing kick
+multiplies only the (event, row) pairs that drew X, Y or Z. Every complex
+product keeps the operand order of the general SU(2) product (numpy's
+complex multiply fuses a multiply-add, so the order can move a bit) and
+goes to an array distinct from its operands, so the state and every
+result have the bits of the general route; a matrix entry that is exactly
+zero may differ from it in its sign.
 
 Angles and shared steps. A call takes cos and sin of half of each distinct
 angle value once: a fixed angle or a parameter once per call, a feature once
@@ -48,9 +64,9 @@ of its unshifted circuit and one circuit per +/-pi/2 shift of each angle
 use: 241 rows at the defaults. Each row differs from the first in one angle
 only (and in its noise), so the rows share the input's values, each shifted
 angle is one more value, and a row whose shifted angle falls among the
-shared steps multiplies its own short product for that one group. Without
-noise every step is shared; under gate error the three data rotations of
-each group of the default circuit are.
+shared steps takes its own column of the shared product for that group.
+Without noise every step is shared; under gate error the three data
+rotations of each group of the default circuit are.
 
 Adjoint reverse pass. ``adjoint_value_and_grad`` runs the same passes
 backwards on psi and lambda = O psi at once, undoing each CZ run with its
@@ -72,7 +88,10 @@ draws from ``rng`` as whole arrays, in this order:
 1. gate error: U(0, 1) of shape (rows, trainable-rotation applications),
    in circuit order (``perturb_gate_params``);
 2. depolarizing: the coins, U(0, 1) of shape (rows, events), then the Pauli
-   choices, integers in [0, 3) for X, Y, Z of the same shape.
+   choices, integers in [0, 3) for X, Y, Z of the same shape. An event
+   kicks where its coin falls under p; one ``np.flatnonzero`` of the coins
+   under p lists those (row, event) pairs and gives each row's number of
+   kicks, whose factors i multiply into one phase per row.
 
 Depolarizing events follow circuit order: every qubit 0..n-1 after each
 gate the circuit's sublayer marks name. Parameter shift makes one call per
@@ -81,21 +100,23 @@ input, so one input's draws are made before the next input's.
 Workspace. A call writes its large arrays with ``out=`` into a workspace
 (:class:`_Workspace`): the (2**n, B) state, its partner amplitudes and the
 coefficient gather of a pass, the (G, 4, B) group matrices, the per-row
-products of the rotation steps with their temporaries, the (steps, G, B)
-value index with its cos and sin gathers, the half-angle table with its cos
-and sin, the gate-error jitter and depolarizing coins, each event's drawn
-Pauli as [alpha, beta] rows, and every array of the adjoint reverse pass.
-Each name holds one flat buffer, sized for the largest request so far, and a
-call works on a contiguous view of its front, so a call of any row count up
-to that size reuses it. One workspace is kept per thread and serves every
-call, of any circuit, noise and row count, so a run of calls allocates (and
-makes the system fault in) those arrays once, not each time. What depends
-on the circuit alone is kept on it, read-only: the (steps, G, B) value
-index of a parameter-shift batch, which only whether depolarizing noise
-and gate error are on change, and the 0/1 matrices that sum the
-adjoint's angle derivatives into parameters and features. An array a call
-returns is always its own copy, never a view of the workspace, so a later
-call cannot change it.
+pairs of the rotation steps with their temporaries, the shared product's
+columns, the (steps, G, B) value index with its cos and sin gathers, the
+half-angle table with its cos and sin, the gate-error jitter and
+depolarizing coins, and every array of the adjoint reverse pass; the kicks
+that were drawn are a few small arrays per call. Each name holds one flat
+buffer, sized for the largest request so far, and a call works on a
+contiguous view of its front, so a call of any row count up to that size
+reuses it. One workspace is kept per thread and serves every call, of any
+circuit, noise and row count, so a run of calls allocates (and makes the
+system fault in) those arrays once, not each time. What depends on the
+circuit alone is kept on it, read-only: the :class:`_Plan` of a
+parameter-shift batch (its (steps, G, B) value index and the columns of
+its shared product), which only whether depolarizing noise and gate error
+are on change, and the 0/1 matrices that sum the adjoint's angle
+derivatives into parameters and features. An array a call returns is
+always its own copy, never a view of the workspace, so a later call cannot
+change it.
 """
 
 from __future__ import annotations
@@ -232,14 +253,16 @@ def perturb_gate_params(theta: np.ndarray, rng: np.random.Generator, scale: floa
 # compiled circuits
 
 # exp(-i a P / 2) = cos(a/2) I + sin(a/2) (-iP) lies in SU(2), so it is the
-# matrix [[alpha, -conj(beta)], [beta, conj(alpha)]] with alpha = cos + sin * u
-# and beta = sin * v for the (u, v) of -iP below. A product of such matrices
-# is again one, so a per-row 2x2 is two complex numbers (a, b).
-_SU2 = {"x": (0.0, -1j), "y": (0.0, 1.0), "z": (-1j, 0.0)}
-# A Pauli kick is i times the SU(2) form of -iP, with rows 0..3 for I, X, Y, Z;
+# matrix [[alpha, -conj(beta)], [beta, conj(alpha)]], and so is a product of
+# such matrices: a per-row 2x2 is two complex numbers (a, b), its first column.
+# With c and s the half-angle cos and sin, alpha = c + s * u and beta = s * v
+# for the (u, v) of -iP below, for axes 0, 1, 2 = X, Y, Z: (c, -i s) for RX,
+# (c, s) for RY and (c - i s, 0) for RZ.
+_SU2 = ((0.0, -1j), (0.0, 1.0), (-1j, 0.0))
+# A Pauli kick is i times the SU(2) form of -iP, with rows 0..2 for X, Y, Z;
 # the factors i multiply into one phase per row, i ** (number of kicks).
-_KICK_ALPHA = np.array([1.0, 0.0, 0.0, -1j])
-_KICK_BETA = np.array([0.0, -1j, 1.0, 0.0])
+_KICK_ALPHA = np.array([0.0, 0.0, -1j])
+_KICK_BETA = np.array([-1j, 1.0, 0.0])
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 _READ_AMPLITUDES = 64  # per row, in the partner copies of one adjoint read
 
@@ -256,18 +279,24 @@ class _Blocks:
     ``(group, index, flip)`` for one group's 2x2 on its qubit (``index`` picks
     each amplitude's diagonal and off-diagonal coefficient out of the group's
     [a, conj(a), b, -conj(b)], and ``flip`` its partner amplitude), and
-    ``(None, mask, None)`` for a CZ run.
+    ``(None, mask, None)`` for a CZ run. The first block, the passes before
+    the first CZ run, acts on |0...0> and so leaves a product state: its
+    groups are groups 0 .. F - 1, one per qubit, and ``first`` lists their
+    qubits in pass order.
 
     Group g's matrix is the product of its rotations, step s = 0 .. S-1
-    reading angle column ``cols[s, g]`` and the coefficients ``u[s, g]``,
-    ``v[s, g]``; a group with fewer rotations reads the zero angle in column
-    ``n_rotations`` (the identity) for the rest. Angle column c is step
-    ``step_of[c]`` of group ``group_of[c]``. ``kick_rounds[step]`` lists
-    ``(events, groups)`` in the order they apply: depolarizing event
-    ``events[i]`` multiplies onto group ``groups[i]`` after the group's
-    rotation ``step`` (-1: before its first), each group at most once per
-    entry, so an entry kicks at most ``kick_width`` groups. No kick falls
-    between two of the first ``kick_free`` steps.
+    reading angle column ``cols[s, g]`` about axis ``axes[s, g]`` (0, 1, 2 for
+    X, Y, Z); a group with fewer rotations has axis -1 and reads the zero
+    angle in column ``n_rotations`` for the rest. ``turns[s]`` groups step s by
+    form: ``(((axis, groups), ...), still)``, the groups that turn about each
+    axis and those with no rotation there (None if there are none), each a
+    slice when consecutive. Angle column c is step ``step_of[c]`` of group
+    ``group_of[c]``. Depolarizing event e multiplies onto group
+    ``kick_group[e]`` in round ``kick_round[e]``; round r follows rotation step
+    ``rounds[r]`` (-1: precedes the group's first rotation, so it multiplies
+    on the right), the rounds listed in the order they apply, and a round
+    kicks each group at most once. No kick falls between two of the first
+    ``kick_free`` steps.
 
     For the adjoint reverse pass, a block's groups read their Bloch vectors in
     one or more chunks, and ``reads[g]`` is set for the last group g of each:
@@ -280,15 +309,17 @@ class _Blocks:
     """
 
     passes: tuple
+    first: tuple
     reads: dict
     cols: np.ndarray  # (S, G)
+    axes: np.ndarray  # (S, G)
+    turns: tuple  # (S,)
     step_of: np.ndarray  # (rotations,)
     group_of: np.ndarray  # (rotations,)
     axis_rows: np.ndarray  # (S, 3, G)
-    u: np.ndarray  # (S, G, 1)
-    v: np.ndarray  # (S, G, 1)
-    kick_rounds: dict
-    kick_width: int
+    kick_group: np.ndarray  # (events,)
+    kick_round: np.ndarray  # (events,)
+    rounds: tuple
     kick_free: int
     n_events: int
 
@@ -309,10 +340,10 @@ class Circuit:
     ``features`` (the entries some gate uses), and column c reads value
     ``value_index[c]`` in its first row. ``sums`` holds, per input width,
     the 0/1 matrices that sum the adjoint's angle-column derivatives into
-    theta and into the features (see :func:`_source_sums`). ``shift_index``
-    holds the :func:`_step_index` of a parameter-shift batch per
-    (``blocks`` key, gate error on): nothing else changes
-    it, so :func:`_forward` builds it on the first such call, read-only.
+    theta and into the features (see :func:`_source_sums`). ``shift_plans``
+    holds the :class:`_Plan` of a parameter-shift batch per (``blocks``
+    key, gate error on): nothing else changes it, so :func:`_forward` builds
+    it on the first such call, read-only.
     """
 
     n: int
@@ -327,7 +358,25 @@ class Circuit:
     features: np.ndarray
     value_index: np.ndarray  # (rotations + 1,), the last column the identity
     sums: dict = field(default_factory=dict)
-    shift_index: dict = field(default_factory=dict)
+    shift_plans: dict = field(default_factory=dict)
+
+
+def _selection(indices: np.ndarray, size: int):
+    """``indices`` among ``size`` as None if they are all, as a slice if they
+    are consecutive, else as they are."""
+    if indices.size == size:
+        return None
+    if indices.size and indices[-1] - indices[0] == indices.size - 1:
+        return slice(int(indices[0]), int(indices[-1]) + 1)
+    return indices
+
+
+def _turns(axes: np.ndarray) -> tuple:
+    """One step's groups by form (see ``_Blocks.turns``), from their axes."""
+    turning = tuple((axis, _selection(np.flatnonzero(axes == axis), axes.size))
+                    for axis in range(3) if (axes == axis).any())
+    still = np.flatnonzero(axes < 0)
+    return turning, _selection(still, axes.size) if still.size else None
 
 
 def _fuse(gates: tuple, steps: list, events: tuple, n_qubits: int, n_rotations: int) -> _Blocks:
@@ -339,7 +388,7 @@ def _fuse(gates: tuple, steps: list, events: tuple, n_qubits: int, n_rotations: 
     bits = (sign < 0).astype(np.intp)
     rotations: list = []  # per group: (col, kind) of each rotation
     qubits: list = []  # per group: its qubit
-    kicked: dict = {}  # (step, k) -> (events, groups) of each group's k-th kick after that step
+    kicks: list = []  # per event: (group, step, k), its group's k-th kick after that step
     nth: Counter = Counter()  # (group, step) -> its kicks there so far
     passes: list = []
     block: dict = {}  # qubit -> its group in the current block
@@ -358,7 +407,6 @@ def _fuse(gates: tuple, steps: list, events: tuple, n_qubits: int, n_rotations: 
                            flip[qubit]))
         return block[qubit]
 
-    event = 0
     for gate, (col, mask), targets in zip(gates, steps, events):
         if col is None:
             run = mask if run is None else run * mask
@@ -368,30 +416,27 @@ def _fuse(gates: tuple, steps: list, events: tuple, n_qubits: int, n_rotations: 
         for qubit in targets:
             g = group(qubit)
             step = len(rotations[g]) - 1
-            events_there, groups_there = kicked.setdefault((step, nth[g, step]), ([], []))
-            events_there.append(event)
-            groups_there.append(g)
+            kicks.append((g, step, nth[g, step]))
             nth[g, step] += 1
-            event += 1
     if run is not None:
         passes.append((None, run[:, None], None))
 
     shape = (max(map(len, rotations), default=0), len(rotations))
     cols = np.full(shape, n_rotations, dtype=np.intp)
     step_of, group_of = np.zeros((2, n_rotations), dtype=np.intp)
-    axes = np.zeros(shape, dtype=np.intp)
-    u, v = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+    axes = np.full(shape, -1, dtype=np.intp)
     for g, ops in enumerate(rotations):
         for s, (col, kind) in enumerate(ops):
             cols[s, g] = col
             step_of[col], group_of[col] = s, g
             axes[s, g] = "xyz".index(kind[1])
-            u[s, g], v[s, g] = _SU2[kind[1]]
-    axis_rows = np.stack([(axes + k) % 3 * shape[1] + np.arange(shape[1]) for k in range(3)],
-                         axis=1)
-    kick_rounds: dict = {}
-    for (step, _), (es, gs) in sorted(kicked.items()):
-        kick_rounds.setdefault(step, []).append((np.array(es), np.array(gs)))
+    axis_rows = np.stack([(np.maximum(axes, 0) + k) % 3 * shape[1] + np.arange(shape[1])
+                          for k in range(3)], axis=1)
+    # rounds in the order they apply: before a group's first rotation the
+    # kicks multiply on the right, so the last applies first
+    rounds = sorted({(step, k) for _, step, k in kicks},
+                    key=lambda round_: (round_[0], -round_[1] if round_[0] < 0 else round_[1]))
+    number = {round_: r for r, round_ in enumerate(rounds)}
     # A read copies each of its groups' partner amplitudes, so a block's groups
     # (numbered consecutively) read in chunks whose copies hold at most
     # _READ_AMPLITUDES amplitudes per row, or one group's: one read per block
@@ -406,12 +451,15 @@ def _fuse(gates: tuple, steps: list, events: tuple, n_qubits: int, n_rotations: 
                 on = qubits[first : last + 1]
                 reads[last] = (slice(first, last + 1), flip[on],
                                np.stack([np.ones_like(sign[on]), sign[on]], axis=1))
-    kick_width = max((len(gs) for entries in kick_rounds.values() for _, gs in entries), default=0)
-    kick_free = min((step + 1 for step in kick_rounds if step >= 0), default=shape[0])
-    return _Blocks(passes=tuple(passes), reads=reads, cols=cols, step_of=step_of,
-                   group_of=group_of, axis_rows=axis_rows, u=u[..., None], v=v[..., None],
-                   kick_rounds=kick_rounds, kick_width=kick_width, kick_free=kick_free,
-                   n_events=event)
+    kick_free = min((step + 1 for step, _ in rounds if step >= 0), default=shape[0])
+    opening = sum(1 for _ in itertools.takewhile(lambda entry: entry[0] is not None, passes))
+    return _Blocks(passes=tuple(passes), first=tuple(qubits[:opening]), reads=reads, cols=cols,
+                   axes=axes, turns=tuple(map(_turns, axes)), step_of=step_of,
+                   group_of=group_of, axis_rows=axis_rows,
+                   kick_group=np.array([g for g, _, _ in kicks], dtype=np.intp),
+                   kick_round=np.array([number[step, k] for _, step, k in kicks], dtype=np.intp),
+                   rounds=tuple(step for step, _ in rounds), kick_free=kick_free,
+                   n_events=len(kicks))
 
 
 def compile_circuit(gates: Sequence[GateOp], n_qubits: int,
@@ -588,7 +636,7 @@ def _forward(circuit: Circuit, x: np.ndarray, theta: np.ndarray, noise: Optional
     values, index, stride = _angle_values(circuit, x, theta)
     ws = _workspace()
     rows = len(x) if shift_cols is None else 1 + 2 * len(shift_cols)
-    key, jittered, kicks, phase = None, None, None, 1.0
+    key, jittered, kicks, phase = None, None, (), 1.0
     if noise is not None and noise.enabled:
         if rng is None:
             raise UsageError("noise simulation requires an rng stream")
@@ -601,32 +649,83 @@ def _forward(circuit: Circuit, x: np.ndarray, theta: np.ndarray, noise: Optional
             key = "sublayer"
             shape = (rows, circuit.blocks[key].n_events)
             coins = rng.random(shape, out=ws.array("coins", shape))
-            drawn = rng.integers(3, size=shape)  # the Pauli choices; integers takes no out
-            drawn += 1
-            drawn[coins >= noise.depolarizing] = 0
-            phase = _I_POWERS[np.count_nonzero(drawn, axis=1) % 4]
-            # event-major, as _kick reads them: each drawn Pauli's alpha and beta
-            paulis = ws.array("paulis", shape[::-1], np.intp)
-            np.copyto(paulis, drawn.T)
-            # in range, so "clip" writes straight into out
-            kicks = tuple(table.take(paulis, out=ws.array(name, paulis.shape, complex), mode="clip")
-                          for name, table in (("kick alpha", _KICK_ALPHA), ("kick beta", _KICK_BETA)))
+            paulis = rng.integers(3, size=shape)  # X, Y, Z; integers takes no out
+            kicks, phase = _kicks(circuit.blocks[key], np.flatnonzero(coins < noise.depolarizing),
+                                  paulis)
     blocks = circuit.blocks[key]
     angles = _half_angles(circuit, values, index, stride, rows, jittered, shift_cols, ws)
     if shift_cols is None:
-        steps = _step_index(blocks, angles, ws)
+        plan = _Plan(_step_index(blocks, angles, ws), _head(blocks, angles))
     else:  # kept on the circuit, read-only (see Circuit)
-        steps = circuit.shift_index.get((key, jittered is not None))
-        if steps is None:
-            steps = _step_index(blocks, angles, ws).copy()
-            steps.flags.writeable = False
-            circuit.shift_index[key, jittered is not None] = steps
-    psi = ws.array("psi", (2**circuit.n, rows), complex)  # amplitude-major: a pass reads whole rows
-    psi[1:] = 0.0
-    psi[0] = phase
-    matrices = _block_matrices(blocks, angles, kicks, ws, steps)
-    _run_passes(blocks.passes, matrices, psi, ws)
-    return psi, angles, steps, matrices
+        plan = circuit.shift_plans.get((key, jittered is not None))
+        if plan is None:
+            plan = _Plan(_step_index(blocks, angles, ws).copy(), _head(blocks, angles))
+            for arr in (plan.index, plan.head.index):
+                arr.flags.writeable = False
+            circuit.shift_plans[key, jittered is not None] = plan
+    matrices = _block_matrices(blocks, angles, kicks, ws, plan)
+    psi = _product_state(blocks, circuit.n, matrices, phase, ws)
+    _run_passes(blocks.passes[len(blocks.first) :], matrices, psi, ws)
+    return psi, angles, plan.index, matrices
+
+
+def _kicks(blocks: _Blocks, kicked: np.ndarray, paulis: np.ndarray) -> tuple[list, np.ndarray]:
+    """The drawn Paulis ``paulis`` (rows, events), 0, 1, 2 for X, Y, Z, at the
+    flat (row, event) positions ``kicked`` whose coin fell under p: per round
+    of ``blocks.rounds``, the ``(groups, rows, alpha, beta)`` of its kicks, and
+    each row's phase i ** (its number of kicks)."""
+    rows, events = np.divmod(kicked, blocks.n_events)
+    phase = _I_POWERS[np.bincount(rows, minlength=len(paulis)) % 4]
+    drawn = paulis.take(kicked)
+    kicks = (blocks.kick_group[events], rows, _KICK_ALPHA[drawn], _KICK_BETA[drawn])
+    if len(blocks.rounds) == 1:
+        return [kicks], phase
+    rounds = blocks.kick_round[events]
+    order = np.argsort(rounds, kind="stable")
+    bounds = np.searchsorted(rounds[order], np.arange(1, len(blocks.rounds)))
+    return list(zip(*(np.split(arr[order], bounds) for arr in kicks))), phase
+
+
+class _Head(NamedTuple):
+    """The leading rotation steps every row shares (:func:`_shared_steps`),
+    as one product over columns: the groups' own, after one column per
+    shifted entry that falls among those steps. Column c reads value
+    ``index[s, c]`` at step s, and ``turns[s]`` groups the columns by form
+    (see ``_Blocks.turns``); shifted column k belongs to group ``groups[k]``
+    in row ``rows[k]``."""
+
+    index: np.ndarray  # (steps, shifted + G)
+    turns: tuple
+    groups: np.ndarray
+    rows: np.ndarray
+
+
+class _Plan(NamedTuple):
+    """The (steps, G, B) :func:`_step_index` of a call and its :class:`_Head`;
+    a parameter-shift batch's is kept on the circuit (see Circuit)."""
+
+    index: np.ndarray
+    head: _Head
+
+
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+
+
+def _head(blocks: _Blocks, angles: _Angles) -> _Head:
+    """The :class:`_Head` of a call."""
+    shared = _shared_steps(blocks, angles)
+    index = angles.index[blocks.cols[:shared]]
+    cols, rows, values = angles.shifted
+    steps = blocks.step_of[cols]
+    inside = steps < shared
+    if not cols.size or not inside.any():
+        return _Head(index, blocks.turns[:shared], _NO_ROWS, _NO_ROWS)
+    groups = blocks.group_of[cols[inside]]
+    own = index[:, groups]
+    own[steps[inside], np.arange(groups.size)] = values[inside]
+    axes = np.concatenate([blocks.axes[:shared, groups], blocks.axes[:shared]], axis=1)
+    return _Head(np.concatenate([own, index], axis=1), tuple(map(_turns, axes)), groups,
+                 rows[inside])
 
 
 def _half_angles(circuit: Circuit, values: np.ndarray, index: np.ndarray, stride: np.ndarray,
@@ -690,113 +789,152 @@ def _shared_steps(blocks: _Blocks, angles: _Angles) -> int:
     return min(int(varies.argmax()) if varies.any() else len(varies), blocks.kick_free)
 
 
-def _rotate(a, b, cos, sin, u, v, out):
-    """(a, b) of R M for M = (a, b) (None: the identity) and R the rotations
-    with these half-angle tables and SU(2) coefficients, written into the
-    first two of the four distinct arrays ``out``; ``a`` is overwritten."""
-    ra, rb, alpha, beta = out if a is not None else (out[2], out[3], out[0], out[1])
-    # cos and sin as complex first: mixed float-complex products give the
-    # same values, but numpy allocates cast buffers for them
-    np.copyto(ra, sin)
-    np.multiply(ra, u, out=alpha)
-    np.multiply(ra, v, out=beta)
-    np.copyto(rb, cos)
-    alpha += rb
-    if a is None:
-        return alpha, beta
-    # alpha a - conj(beta) b and beta a + conj(alpha) b; each product goes to
-    # an array distinct from its operands, as numpy may round an in-place
-    # complex product of a single element differently
+def _turn(turns: tuple, a, b, cos: np.ndarray, sin: np.ndarray, out: tuple, temps: tuple):
+    """(a, b) of R M for M = (a, b) (None: the identity) and R the step's
+    rotations, grouped by form as ``turns`` (see ``_Blocks.turns``), with these
+    half-angle cos and sin; written into the pair ``out``, distinct from
+    (a, b), which are left as scratch. ``temps`` are two arrays of a's shape."""
+    turning, still = turns
+    if still is not None:  # no rotation: the group passes through
+        if a is None:
+            out[0][still], out[1][still] = 1.0, 0.0
+        else:
+            out[0][still], out[1][still] = a[still], b[still]
+    for axis, groups in turning:
+        if groups is None:  # every group
+            _rotate(axis, a, b, cos, sin, *out, *temps)
+        elif isinstance(groups, slice):
+            _rotate(axis, None if a is None else a[groups], None if b is None else b[groups],
+                    cos[groups], sin[groups], out[0][groups], out[1][groups],
+                    *(temp[groups] for temp in temps))
+        else:  # gathered, then written back
+            parts = [None if m is None else m[groups] for m in (a, b)]
+            ra, rb = np.empty((2, groups.size) + cos.shape[1:], complex)
+            _rotate(axis, *parts, cos[groups], sin[groups], ra, rb,
+                    *(temp[groups] for temp in temps))
+            out[0][groups], out[1][groups] = ra, rb
+    return out
+
+
+def _rotate(axis: int, a, b, cos, sin, ra, rb, alpha, beta) -> None:
+    """(a, b) of R M into (ra, rb), for M = (a, b) (None: the identity) and R
+    rotations about one axis, with each its half-angle cos and sin; alpha and
+    beta are scratch, and so are a and b. Each complex product keeps the
+    operand order of the general SU(2) product and goes to an array distinct
+    from its operands: numpy's complex multiply fuses a multiply-add, so
+    either change can move a bit. cos and sin are made complex before they
+    multiply, as a mixed float-complex product would allocate cast buffers."""
+    if a is None:  # the rotation itself: alpha = c + s u, beta = s v
+        u, v = _SU2[axis]
+        np.copyto(alpha, sin)
+        np.multiply(alpha, u, out=ra)
+        np.multiply(alpha, v, out=rb)
+        np.copyto(beta, cos)
+        ra += beta
+        return
+    np.copyto(alpha, cos)
+    if axis == 2:  # diagonal: (alpha a, conj(alpha) b) with alpha = c - i s
+        np.subtract(alpha.imag, sin, out=alpha.imag)
+        np.multiply(alpha, a, out=ra)
+        np.multiply(np.conjugate(alpha, out=alpha), b, out=rb)
+        return
+    # (alpha a - conj(beta) b, beta a + conj(alpha) b) with alpha = c and beta
+    # = s (RY) or -i s (RX); alpha and RY's beta are real, so only RX's beta
+    # is conjugated
+    if axis == 1:
+        np.copyto(beta, sin)
+    else:
+        np.copyto(rb, sin)
+        np.multiply(rb, _SU2[0][1], out=beta)
     np.multiply(alpha, a, out=ra)
     np.multiply(beta, a, out=rb)
-    part = np.multiply(np.conjugate(beta, out=beta), b, out=a)
-    ra -= part
-    rb += np.multiply(np.conjugate(alpha, out=alpha), b, out=part)
-    return ra, rb
+    if axis == 0:
+        np.conjugate(beta, out=beta)
+    ra -= np.multiply(beta, b, out=a)
+    rb += np.multiply(alpha, b, out=a)
 
 
-def _kick(a, b, kicks, events, groups, scratch, right=False) -> None:
-    """Multiply the drawn Paulis of ``events`` onto ``groups``, in place: P M,
-    or M P with ``right``. ``kicks`` is the pair of (events, B) tables of each
-    drawn Pauli's alpha and beta, ``scratch`` six arrays of at least
-    ``len(groups)`` rows."""
-    alpha, beta, ag, bg, ra, rb = (arr[: len(groups)] for arr in scratch)
-    # indices come from the circuit, in range; "clip" writes straight into out
-    kicks[0].take(events, axis=0, out=alpha, mode="clip")
-    kicks[1].take(events, axis=0, out=beta, mode="clip")
-    a.take(groups, axis=0, out=ag, mode="clip")
-    b.take(groups, axis=0, out=bg, mode="clip")
+def _kick(a, b, kicks: tuple, right: bool = False) -> None:
+    """Multiply the drawn Paulis of one round onto their (group, row) pairs of
+    (a, b), in place: P M, or M P with ``right``. ``kicks`` is that round's
+    ``(groups, rows, alpha, beta)`` (see :func:`_kicks`)."""
+    groups, rows, alpha, beta = kicks
+    if not groups.size:
+        return
+    ag, bg = a[groups, rows], b[groups, rows]
     if right:  # a M P: a alpha - conj(b) beta and b alpha + conj(a) beta
-        np.multiply(ag, alpha, out=ra)
-        np.multiply(bg, alpha, out=rb)
-        ra -= np.multiply(np.conjugate(bg, out=bg), beta, out=alpha)
-        rb += np.multiply(np.conjugate(ag, out=ag), beta, out=alpha)
+        ra, rb = np.multiply(ag, alpha), np.multiply(bg, alpha)
+        ra -= np.multiply(np.conjugate(bg), beta)
+        rb += np.multiply(np.conjugate(ag), beta)
     else:  # P M: alpha a - conj(beta) b and beta a + conj(alpha) b
-        np.multiply(alpha, ag, out=ra)
-        np.multiply(beta, ag, out=rb)
-        ra -= np.multiply(np.conjugate(beta, out=beta), bg, out=ag)
-        rb += np.multiply(np.conjugate(alpha, out=alpha), bg, out=ag)
-    a[groups], b[groups] = ra, rb
+        ra, rb = np.multiply(alpha, ag), np.multiply(beta, ag)
+        ra -= np.multiply(np.conjugate(beta), bg)
+        rb += np.multiply(np.conjugate(alpha), bg)
+    a[groups, rows], b[groups, rows] = ra, rb
 
 
-def _block_matrices(blocks: _Blocks, angles: _Angles, kicks: Optional[tuple],
-                    ws: _Workspace, index: np.ndarray) -> np.ndarray:
+def _block_matrices(blocks: _Blocks, angles: _Angles, kicks: list, ws: _Workspace,
+                    plan: _Plan) -> np.ndarray:
     """Each group's per-row 2x2 as [a, conj(a), b, -conj(b)], shape (G, 4, B).
 
-    The leading steps every row shares (:func:`_shared_steps`) multiply once,
-    on (G, 1), and are broadcast to the rows; a row whose shifted column falls
-    among them multiplies its own copy for that column's group. Kicks before
-    a group's first rotation then multiply on the right (a Pauli factor only
-    permutes and rephases, so the order changes no bits), and the remaining
-    steps and kicks run on the rows. ``kicks`` holds the drawn Paulis (see
-    :func:`_kick`), and ``index`` is the call's :func:`_step_index`.
+    The leading steps every row shares multiply once, as the product of
+    ``plan.head`` on (columns, 1), and are broadcast to the rows; a row whose
+    shifted column falls among them takes its own column for that column's
+    group. Kicks before a group's first rotation then multiply on the right
+    (a Pauli factor only permutes and rephases, so the order changes no
+    bits), and the remaining steps and kicks run on the rows, each step
+    reading the values of ``plan.index``. ``kicks`` holds each round's drawn
+    Paulis (see :func:`_kicks`).
     """
     rows = angles.rows
     n_steps, n_groups = blocks.cols.shape
     matrices = ws.array("matrices", (n_groups, 4, rows), complex)
     if not n_groups:  # no rotations and no kicks, so no groups
         return matrices
-    shared = _shared_steps(blocks, angles)
+    head = plan.head
+    shared = len(head.index)
     # (a, b) and the pair the next rotation step writes, in turn
     pairs = [tuple(ws.array(name, (n_groups, rows), complex) for name in names)
              for names in (("a", "b"), ("next a", "next b"))]
-    temps = [ws.array(name, (n_groups, rows), complex) for name in ("alpha", "beta")]
-    # _rotate's temporaries are free between steps, so a kick uses them too
-    scratch = [*temps, *(ws.array(f"kick {k}", (blocks.kick_width, rows), complex)
-                         for k in range(4))]
+    temps = tuple(ws.array(name, (n_groups, rows), complex) for name in ("alpha", "beta"))
     a = b = None
     if shared:
-        head = angles.index[blocks.cols[:shared]][..., None]  # (steps, G, 1)
-        u, v = blocks.u[:shared], blocks.v[:shared]
+        cos = angles.cos.take(head.index, out=ws.array("head cos", head.index.shape), mode="clip")
+        sin = angles.sin.take(head.index, out=ws.array("head sin", head.index.shape), mode="clip")
+        pair = (None, None)
+        names = ("head a", "head b", "next head a", "next head b", "head alpha", "head beta")
+        scratch = [ws.array(name, (head.index.shape[1], 1), complex) for name in names]
+        for step in range(shared):
+            out = scratch[2:4] if pair[0] is scratch[0] else scratch[:2]
+            pair = _turn(head.turns[step], *pair, cos[step, :, None], sin[step, :, None], out,
+                         scratch[4:])
         a, b = pairs[0]
-        for m, out in zip(_product(angles, head, u, v), pairs[0]):
-            np.copyto(out, m)  # broadcast to the rows
-        cols, shifted_rows, values = angles.shifted
-        steps = blocks.step_of[cols]
-        inside = steps < shared
-        if cols.size and inside.any():  # one row and one group per shifted entry
-            groups, shifted_rows = blocks.group_of[cols[inside]], shifted_rows[inside]
-            own = head[:, groups]
-            own[steps[inside], np.arange(groups.size), 0] = values[inside]
-            pa, pb = _product(angles, own, u[:, groups], v[:, groups])
-            a[groups, shifted_rows], b[groups, shifted_rows] = pa[:, 0], pb[:, 0]
-    for events, groups in reversed(blocks.kick_rounds.get(-1, ())):
+        shifted = head.groups.size
+        for m, out in zip(pair, (a, b)):
+            np.copyto(out, m[shifted:])  # broadcast to the rows
+            if shifted:
+                out[head.groups, head.rows] = m[:shifted, 0]
+    rounds = iter(zip(blocks.rounds, kicks))
+    step_kicks = next(rounds, None)
+    while step_kicks is not None and step_kicks[0] < 0:
         if a is None:
             a, b = pairs[0]
             a.fill(1.0)
             b.fill(0.0)
-        _kick(a, b, kicks, events, groups, scratch, right=True)
+        _kick(a, b, step_kicks[1], right=True)
+        step_kicks = next(rounds, None)
     if shared < n_steps:
-        index = index[shared:]
+        index = plan.index[shared:]
         cos = angles.cos.take(index, out=ws.array("step cos", index.shape), mode="clip")
         sin = angles.sin.take(index, out=ws.array("step sin", index.shape), mode="clip")
     for step in range(n_steps):
         if step >= shared:
             out = pairs[1] if a is pairs[0][0] else pairs[0]
-            a, b = _rotate(a, b, cos[step - shared], sin[step - shared],
-                           blocks.u[step], blocks.v[step], (*out, *temps))
-        for events, groups in blocks.kick_rounds.get(step, ()):
-            _kick(a, b, kicks, events, groups, scratch)
+            a, b = _turn(blocks.turns[step], a, b, cos[step - shared], sin[step - shared], out,
+                         temps)
+        while step_kicks is not None and step_kicks[0] == step:
+            _kick(a, b, step_kicks[1])
+            step_kicks = next(rounds, None)
     # each through a contiguous temporary: a ufunc writing a strided out
     # allocates a buffer for it, a plain assignment does not
     conj_a, neg_conj_b = temps
@@ -807,14 +945,39 @@ def _block_matrices(blocks: _Blocks, angles: _Angles, kicks: Optional[tuple],
     return matrices
 
 
-def _product(angles: _Angles, index: np.ndarray, u: np.ndarray, v: np.ndarray):
-    """(a, b) of the rotations that read values ``index`` (steps on axis 0)."""
-    cos, sin = angles.cos[index], angles.sin[index]
-    a = b = None
-    for step in range(len(index)):
-        a, b = _rotate(a, b, cos[step], sin[step], u[step], v[step],
-                       [np.empty(cos[step].shape, complex) for _ in range(4)])
-    return a, b
+def _product_state(blocks: _Blocks, n_qubits: int, matrices: np.ndarray, phase,
+                   ws: _Workspace) -> np.ndarray:
+    """The amplitude-major state that the first block leaves from |0...0>
+    with amplitude ``phase``: per row, the tensor product of its groups' first
+    columns (a, b), multiplied in pass order as the passes would multiply
+    them, each onto the product so far. The products alternate between the
+    state and its partner array, so that none is written in place, and end
+    in the state unless the block's qubits are out of order or leave a qubit
+    idle; then the product is copied in, its axes put in qubit order."""
+    rows, first = matrices.shape[-1], blocks.first
+    psi = ws.array("psi", (2**n_qubits, rows), complex)
+    part = ws.array("partner", psi.shape, complex)
+    in_place = first == tuple(range(n_qubits))
+    if not first:
+        psi.fill(0.0)
+        psi[0] = phase
+        return psi
+    product = np.asarray(phase).reshape(1, 1, -1)
+    for group in range(len(first)):
+        out = psi if (len(first) - group) % 2 == in_place else part
+        size = 2 * product.shape[0]
+        # the (2, B) pair (a, b) of each row onto each amplitude so far
+        product = np.multiply(product, matrices[group, ::2],
+                              out=out[:size].reshape(size // 2, 2, rows))
+        product = product.reshape(size, 1, rows)
+    if not in_place:
+        psi.fill(0.0)
+        state = psi.reshape((2,) * n_qubits + (rows,))
+        span = tuple(slice(None) if q in first else 0 for q in range(n_qubits))
+        order = np.argsort(first)
+        np.copyto(state[span], product.reshape((2,) * len(first) + (rows,))
+                  .transpose(*order, len(first)))
+    return psi
 
 
 def _source_sums(circuit: Circuit, width: int) -> tuple[np.ndarray, np.ndarray]:

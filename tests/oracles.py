@@ -6,7 +6,11 @@ an exact density-matrix channel, grid paths are found with plain Dijkstra,
 the gate-at-a-time statevector simulator (one state, one gate, ``moveaxis``
 per application) is the scalar reference for the batched simulator in
 ``qnav.qsim``, ``evolve`` (all rows, one gate and one depolarizing kick at
-a time) is the reference for its fused block kernel, ``replay_loss``
+a time) is the reference for its fused block kernel, ``forward`` (every
+(event, row) kicked from dense tables, the general SU(2) product for every
+rotation step, every pass from |0...0>) is the bit-for-bit reference for
+that kernel's per-form group matrices and product-state first block,
+``replay_loss``
 recomputes an episode loss step by step for finite-difference checks of
 ``qnav.agent.episode_gradients``, ``finite_diff_check`` compares any
 analytic gradient with central differences, the per-step loop of
@@ -511,6 +515,160 @@ def evolve(gates: Sequence[GateOp], n_qubits: int, sublayer_marks: Sequence[int]
                 psi = phase[which, qubit] * np.take_along_axis(psi, src[which, qubit], axis=1)
                 event += 1
     return psi
+
+
+# ---------------------------------------------------------------------------
+# the general group-matrix route of the fused block kernel
+
+# exp(-i a P / 2) = cos(a/2) I + sin(a/2) (-iP) is the matrix
+# [[alpha, -conj(beta)], [beta, conj(alpha)]] with alpha = cos + sin * u and
+# beta = sin * v for the (u, v) of -iP below (the identity for no rotation)
+_SU2 = {-1: (0.0, 0.0), 0: (0.0, -1j), 1: (0.0, 1.0), 2: (-1j, 0.0)}
+# a Pauli kick, rows 0..3 for I, X, Y, Z: i times the SU(2) form of -iP
+_KICK_ALPHA = np.array([1.0, 0.0, 0.0, -1j])
+_KICK_BETA = np.array([0.0, -1j, 1.0, 0.0])
+
+
+def forward(circuit: qsim.Circuit, x: np.ndarray, theta: np.ndarray,
+            noise: Optional[NoiseSpec] = None, rng: Optional[np.random.Generator] = None,
+            shift_cols: Optional[np.ndarray] = None):
+    """``qsim._forward`` by the general route, with its signature and return:
+    every (event, row) multiplies its drawn Pauli, the identity too, from
+    dense (events, rows) alpha and beta tables; every rotation step, a padded
+    one too, multiplies the general product alpha = cos + sin u, beta = sin v;
+    the shared head and each shifted entry inside it multiply as separate
+    products; and the state starts at |0...0> and runs every pass. It draws the
+    same noise arrays in the same order, and is the bit-for-bit reference for
+    the per-axis steps, sparse kicks and product-state first block of
+    ``qsim._forward``."""
+    values, index, stride = qsim._angle_values(circuit, x, theta)
+    ws = qsim._Workspace()
+    rows = len(x) if shift_cols is None else 1 + 2 * len(shift_cols)
+    key, jittered, kicks, phase = None, None, None, 1.0
+    if noise is not None and noise.enabled:
+        if rng is None:
+            raise UsageError("noise simulation requires an rng stream")
+        if noise.gate_error is not None:
+            cols = circuit.param_cols
+            trainable = np.broadcast_to(values[index[cols]], (rows, cols.size))
+            jittered = qsim.perturb_gate_params(trainable, rng, noise.gate_error)
+        if noise.depolarizing is not None:
+            key = "sublayer"
+            shape = (rows, circuit.blocks[key].n_events)
+            coins = rng.random(shape)
+            drawn = rng.integers(3, size=shape)
+            drawn += 1
+            drawn[coins >= noise.depolarizing] = 0
+            phase = np.array([1.0, 1j, -1.0, -1j])[np.count_nonzero(drawn, axis=1) % 4]
+            paulis = np.ascontiguousarray(drawn.T)  # event-major
+            kicks = (_KICK_ALPHA[paulis], _KICK_BETA[paulis])
+    blocks = circuit.blocks[key]
+    angles = qsim._half_angles(circuit, values, index, stride, rows, jittered, shift_cols, ws)
+    steps = qsim._step_index(blocks, angles, ws).copy()
+    psi = np.zeros((2**circuit.n, rows), dtype=complex)
+    psi[0] = phase
+    matrices = _general_matrices(blocks, angles, kicks, steps)
+    qsim._run_passes(blocks.passes, matrices, psi, ws)
+    return psi, angles, steps, matrices
+
+
+def _general_rounds(blocks) -> dict:
+    """step -> the (events, groups) of each round of kicks after that step (-1:
+    before a group's first rotation), in the order they apply."""
+    rounds: dict = {}
+    for number, step in enumerate(blocks.rounds):
+        events = np.flatnonzero(blocks.kick_round == number)
+        rounds.setdefault(step, []).append((events, blocks.kick_group[events]))
+    return rounds
+
+
+def _general_matrices(blocks, angles, kicks, index) -> np.ndarray:
+    """Each group's per-row 2x2 as [a, conj(a), b, -conj(b)], shape (G, 4, B)."""
+    rows = angles.rows
+    n_steps, n_groups = blocks.cols.shape
+    matrices = np.empty((n_groups, 4, rows), complex)
+    if not n_groups:
+        return matrices
+    u = np.array([[_SU2[axis][0] for axis in step] for step in blocks.axes], complex)[..., None]
+    v = np.array([[_SU2[axis][1] for axis in step] for step in blocks.axes], complex)[..., None]
+    rounds = _general_rounds(blocks)
+    shared = qsim._shared_steps(blocks, angles)
+    a = b = None
+    if shared:
+        head = angles.index[blocks.cols[:shared]][..., None]  # (steps, G, 1)
+        a, b = (np.empty((n_groups, rows), complex) for _ in range(2))
+        for m, out in zip(_general_product(angles, head, u[:shared], v[:shared]), (a, b)):
+            np.copyto(out, m)  # broadcast to the rows
+        cols, shifted_rows, values = angles.shifted
+        steps = blocks.step_of[cols]
+        inside = steps < shared
+        if cols.size and inside.any():  # one row and one group per shifted entry
+            groups, shifted_rows = blocks.group_of[cols[inside]], shifted_rows[inside]
+            own = head[:, groups]
+            own[steps[inside], np.arange(groups.size), 0] = values[inside]
+            pa, pb = _general_product(angles, own, u[:shared, groups], v[:shared, groups])
+            a[groups, shifted_rows], b[groups, shifted_rows] = pa[:, 0], pb[:, 0]
+    for events, groups in rounds.get(-1, ()):
+        if a is None:
+            a, b = np.ones((n_groups, rows), complex), np.zeros((n_groups, rows), complex)
+        _general_kick(a, b, kicks, events, groups, right=True)
+    cos, sin = angles.cos[index], angles.sin[index]
+    for step in range(n_steps):
+        if step >= shared:
+            a, b = _general_rotate(a, b, cos[step], sin[step], u[step], v[step])
+        for events, groups in rounds.get(step, ()):
+            _general_kick(a, b, kicks, events, groups)
+    matrices[:, 0] = a
+    matrices[:, 1] = np.conjugate(a)
+    matrices[:, 2] = b
+    matrices[:, 3] = np.negative(np.conjugate(b))
+    return matrices
+
+
+def _general_rotate(a, b, cos, sin, u, v):
+    """(a, b) of R M for M = (a, b) (None: the identity) and R the rotations
+    with these half-angle tables and SU(2) coefficients. Each complex product
+    keeps its operand order and goes to an array distinct from its operands:
+    numpy's complex multiply fuses a multiply-add, so either change can move
+    a bit."""
+    # cos and sin as complex first, as a mixed float-complex product would
+    # cast them
+    ra, rb = np.array(sin, complex), np.array(cos, complex)
+    alpha = np.multiply(ra, u)
+    beta = np.multiply(ra, v)
+    alpha += rb
+    if a is None:
+        return alpha, beta
+    ra, rb = np.multiply(alpha, a), np.multiply(beta, a)
+    ra -= np.multiply(np.conjugate(beta), b)
+    rb += np.multiply(np.conjugate(alpha), b)
+    return ra, rb
+
+
+def _general_kick(a, b, kicks, events, groups, right=False) -> None:
+    """Multiply the drawn Paulis of ``events`` onto ``groups``, in place: P M,
+    or M P with ``right``; ``kicks`` holds the (events, B) alpha and beta
+    tables of the drawn Paulis."""
+    alpha, beta = kicks[0][events], kicks[1][events]
+    ag, bg = a[groups], b[groups]
+    if right:  # a M P: a alpha - conj(b) beta and b alpha + conj(a) beta
+        ra, rb = np.multiply(ag, alpha), np.multiply(bg, alpha)
+        ra -= np.multiply(np.conjugate(bg), beta)
+        rb += np.multiply(np.conjugate(ag), beta)
+    else:  # P M: alpha a - conj(beta) b and beta a + conj(alpha) b
+        ra, rb = np.multiply(alpha, ag), np.multiply(beta, ag)
+        ra -= np.multiply(np.conjugate(beta), bg)
+        rb += np.multiply(np.conjugate(alpha), bg)
+    a[groups], b[groups] = ra, rb
+
+
+def _general_product(angles, index, u, v):
+    """(a, b) of the rotations that read values ``index`` (steps on axis 0)."""
+    cos, sin = angles.cos[index], angles.sin[index]
+    a = b = None
+    for step in range(len(index)):
+        a, b = _general_rotate(a, b, cos[step], sin[step], u[step], v[step])
+    return a, b
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,14 @@ def test_resolved_config_round_trips_to_json(tmp_path):
     assert "classical" in payload
 
 
+def test_resolved_config_records_the_seeds_and_no_agent_seed(tmp_path):
+    """The manifest's config names each run's seed in ``seeds`` only: its
+    agent section has no seed, which would read 0 whatever seeds hold."""
+    config = cli.load_config(str(write_config(tmp_path, seeds=[3, 4])))
+    assert config.resolved()["seeds"] == [3, 4]
+    assert "seed" not in config.resolved()["agent"]
+
+
 # ---------------------------------------------------------------------------
 # train
 

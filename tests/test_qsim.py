@@ -718,6 +718,100 @@ def test_shared_steps_of_the_default_circuit():
 
 
 # ---------------------------------------------------------------------------
+# the per-form group matrices against the general route
+
+# every noise setting, also with no kick and with every kick drawn
+EXACT_SETTINGS = NOISE_SETTINGS + [
+    (NoiseSpec(depolarizing=p), every_gate) for p in (0.0, 1.0) for every_gate in (False, True)
+] + [(NoiseSpec(gate_error=0.01, depolarizing=1.0), True)]
+EXACT_IDS = NOISE_IDS + ["p0", "p0-every-gate", "p1", "p1-every-gate", "jitter-p1-every-gate"]
+
+
+def as_floats(arr):
+    """A complex array as its (re, im) floats, for oracles.same_bits."""
+    return np.ascontiguousarray(arr).view(float)
+
+
+def assert_forward_matches_general_route(gates, n, marks, x, theta, exact_matrices=True):
+    """qsim._forward against oracles.forward under every exact setting: a
+    batch, a one-row batch and the first input's parameter-shift batch give
+    the same final states and group matrices, bit for bit, and the same rng
+    draws. With ``exact_matrices`` False the matrices may differ in the sign
+    of an entry that is exactly zero."""
+    for noise, every_gate in EXACT_SETTINGS:
+        circuit = compile_circuit(gates, n, range(len(gates)) if every_gate else marks)
+        cols = np.concatenate([circuit.param_cols, circuit.data_cols])
+        for inputs, shift_cols in ((x, None), (x[:1], None), (x[:1], cols)):
+            fast, general = np.random.default_rng(3), np.random.default_rng(3)
+            psi, _, _, matrices = qsim._forward(circuit, inputs, theta, noise, fast, shift_cols)
+            want = oracles.forward(circuit, inputs, theta, noise, general, shift_cols)
+            assert oracles.same_bits(as_floats(psi), as_floats(want[0]))
+            got, expected = as_floats(matrices), as_floats(want[3])
+            if not exact_matrices:  # x + 0.0 is x, except that -0.0 becomes 0.0
+                got, expected = got + 0.0, expected + 0.0
+            assert oracles.same_bits(got, expected)
+            assert fast.bit_generator.state == general.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_forward_gives_the_bits_of_the_general_route(n):
+    """Layout circuits, also with a mark on every gate, so that kicks fall
+    between rotation steps and onto groups that no rotation follows."""
+    rng = np.random.default_rng(400 + n)
+    gates, marks, x, theta, _, _ = reuploading_case(rng, n, 2, 5)
+    assert_forward_matches_general_route(gates, n, marks, x, theta)
+
+
+@pytest.mark.parametrize("case", list(HAND_BUILT))
+def test_forward_gives_the_bits_of_the_general_route_on_hand_built_circuits(case):
+    """Mixed axes in one step (RX among them), fixed zero angles, idle qubits
+    and CZ runs first. A group left exactly diagonal or exactly off-diagonal
+    (RZ only, a lone kick, no rotation at a step) can hold an exact zero whose
+    sign the per-form product and the general one set differently; the states
+    are the same bits all the same."""
+    gates, n, p, params = HAND_BUILT[case]
+    rng = np.random.default_rng(len(gates) + 7)
+    x = rng.uniform(-np.pi, np.pi, size=(4, p))
+    theta = rng.uniform(-np.pi, np.pi, size=params)
+    marks = sorted({0, len(gates) // 2, len(gates) - 1})
+    assert_forward_matches_general_route(gates, n, marks, x, theta, exact_matrices=False)
+
+
+@pytest.mark.parametrize("noise,every_gate", EXACT_SETTINGS, ids=EXACT_IDS)
+def test_entry_points_give_the_bits_of_the_general_route(noise, every_gate, monkeypatch):
+    """run_circuit, param_shift_value_and_grad and (noise-free)
+    adjoint_value_and_grad return the bits they return when their forward
+    pass takes the general route, on layout and hand-built circuits."""
+    rng = np.random.default_rng(17)
+    cases = [default_case(n, 2, n)[:2] + (n,) for n in (1, 4)]
+    cases += [(gates, sorted({0, len(gates) - 1}), n) for gates, n, _, _ in HAND_BUILT.values()]
+    for gates, marks, n in cases:
+        rotations = [gate for gate in gates if gate.kind != "cz"]
+        p = 1 + max((g.index for g in rotations if g.source == "data"), default=0)
+        params = 1 + max((g.index for g in rotations if g.source == "param"), default=-1)
+        x = rng.uniform(-np.pi, np.pi, size=(3, p))
+        theta, w = rng.uniform(-np.pi, np.pi, size=params), rng.uniform(-1, 1, size=n)
+        circuit = compile_circuit(gates, n, range(len(gates)) if every_gate else marks)
+
+        def results():
+            out = [qsim.run_circuit(circuit, inputs, theta, noise, np.random.default_rng(5))
+                   for inputs in (x, x[0])]
+            out += qsim.param_shift_value_and_grad(circuit, x, theta, w, 0.3, noise,
+                                                   np.random.default_rng(6))[:4]
+            if noise is None:
+                out += qsim.adjoint_value_and_grad(circuit, x, theta, w, 0.3)[:4]
+            return out
+
+        fast = results()
+        with monkeypatch.context() as patch:
+            patch.setattr(qsim, "_forward", oracles.forward)
+            general = results()
+        assert len(fast) == len(general)
+        for got, want in zip(fast, general):
+            assert oracles.same_bits(got, want)
+
+
+# ---------------------------------------------------------------------------
 # the kept workspace and the circuit-held parameter-shift index
 
 
@@ -743,7 +837,7 @@ def compiled(case, every_gate=False):
 
 
 def shift_key(noise):
-    """The key of a circuit's kept parameter-shift index under ``noise``."""
+    """The key of a circuit's kept parameter-shift plan under ``noise``."""
     depolarizing = noise is not None and noise.depolarizing is not None
     return ("sublayer" if depolarizing else None,
             noise is not None and noise.gate_error is not None)
@@ -787,7 +881,7 @@ def test_interleaved_calls_give_the_bits_of_calls_made_alone(noise, every_gate):
     forget_workspace()
     interleaved, states, circuits = run(alone=False)
     for circuit in circuits:
-        assert list(circuit.shift_index) == [shift_key(noise)]
+        assert list(circuit.shift_plans) == [shift_key(noise)]
     alone, alone_states, _ = run(alone=True)
     for got, expected in zip(interleaved, alone):
         assert_bits_equal(got, expected)
@@ -842,12 +936,36 @@ def test_parameter_shift_call_allocates_no_per_call_arrays():
     assert peak < 256 * 1024
 
 
+@pytest.mark.parametrize("p", [0.05, 1.0])
+def test_one_row_noisy_value_allocates_no_per_call_arrays(p):
+    """After a warm-up call, a noisy one-row value of the default circuit (a
+    truncated episode's bootstrap) allocates only small temporaries, also
+    when every kick is drawn: its traced peak stays under 24 KB (about 14 KB
+    at p = 1, where each of its 24 events kicks)."""
+    layout = encoding.plan_layout(32, 4, 2)
+    gates, marks = encoding.build_circuit(layout)
+    circuit = compile_circuit(gates, 4, marks)
+    x = encoding.pad_input(np.linspace(-1, 1, 64).reshape(2, 32), layout)
+    theta = np.linspace(-3, 3, layout.param_count)
+    noise, rng = NoiseSpec(gate_error=0.01, depolarizing=p), np.random.default_rng(0)
+    args = (theta, np.ones(4), 0.1, noise, rng)
+    qsim.circuit_value(circuit, x[0], *args)
+    tracemalloc.start()
+    try:
+        qsim.circuit_value(circuit, x[1], *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 1024
+
+
 @pytest.mark.parametrize("noise,every_gate", NOISE_SETTINGS, ids=NOISE_IDS)
 def test_kept_step_index_equals_a_fresh_build(noise, every_gate):
-    """The value index a circuit keeps from its first parameter-shift call
-    is, bit for bit, the one a fresh build gives for a later call with other
-    inputs and parameters: the circuit and whether depolarizing noise and
-    gate error are on fix it. The kept index is read-only."""
+    """The value index and the shared head a circuit keeps from its first
+    parameter-shift call are, bit for bit, those a fresh build gives for a
+    later call with other inputs and parameters: the circuit and whether
+    depolarizing noise and gate error are on fix them. The kept arrays are
+    read-only."""
     case = default_case(4, 2, 5)
     _, _, x, theta, w, _ = case
     forget_workspace()
@@ -857,13 +975,14 @@ def test_kept_step_index_equals_a_fresh_build(noise, every_gate):
     kept = []
     for row in range(len(x)):
         qsim.param_shift_value_and_grad(circuit, x[row], theta + row, w, 0.2, noise, rng)
-        assert list(circuit.shift_index) == [shift_key(noise)]
-        kept.append(circuit.shift_index[shift_key(noise)])
-    assert all(index is kept[0] for index in kept)  # built on the first call only
+        assert list(circuit.shift_plans) == [shift_key(noise)]
+        kept.append(circuit.shift_plans[shift_key(noise)])
+    assert all(plan is kept[0] for plan in kept)  # built on the first call only
     kept = kept[0]
-    assert not kept.flags.writeable
+    for arr in (kept.index, kept.head.index):
+        assert not arr.flags.writeable
     with pytest.raises(ValueError):
-        kept[0, 0, 0] = 0
+        kept.index[0, 0, 0] = 0
     rows = 1 + 2 * len(cols)
     values, index, stride = qsim._angle_values(circuit, x[-1:], theta + len(x) - 1)
     key, gate_error = shift_key(noise)
@@ -871,8 +990,12 @@ def test_kept_step_index_equals_a_fresh_build(noise, every_gate):
     angles = qsim._half_angles(circuit, values, index, stride, rows, jittered, cols,
                                qsim._Workspace())
     fresh = qsim._step_index(circuit.blocks[key], angles, qsim._Workspace())
-    assert fresh.dtype == kept.dtype and fresh.shape == kept.shape
-    assert fresh.tobytes() == kept.tobytes()
+    head = qsim._head(circuit.blocks[key], angles)
+    for got, want in [(kept.index, fresh), (kept.head.index, head.index),
+                      (kept.head.groups, head.groups), (kept.head.rows, head.rows)]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert repr(kept.head.turns) == repr(head.turns)
 
 
 def test_workspace_reuses_its_last_two_views_of_a_name():
