@@ -539,10 +539,11 @@ def run_episode(model: ActorCriticModel, scene: env.Scene,
                 greedy: bool = False) -> EpisodeTrace:
     """Roll out one episode. The critic is not evaluated along the way: only
     a truncated training episode needs a value, the bootstrap of its last
-    state. A training rollout samples its actions from ``policy_rng`` and
+    state. A training rollout samples its actions from ``policy_rng``,
     writes its forward pass into the model's kept rows (see
-    :class:`EpisodeTrace`); a greedy (evaluation) rollout takes the most
-    probable action, leaves the bootstrap at 0 and keeps no forward pass,
+    :class:`EpisodeTrace`) and is also truncated at ``AgentConfig.max_steps``;
+    a greedy (evaluation) rollout takes the most probable action, runs until
+    the env ends it, leaves the bootstrap at 0 and keeps no forward pass,
     log-probabilities or entropies."""
     config = model.config
     noise = config.noise if noise_rng is not None else None
@@ -556,8 +557,9 @@ def run_episode(model: ActorCriticModel, scene: env.Scene,
         trace.obs, trace.actions, trace.logps, trace.entropies, trace.rewards)
     steps, near_miss = 0, False
     while True:
-        if world.done or steps >= config.max_steps:
-            # the agent's own step cap truncates the episode just as the env's does
+        if world.done or (not greedy and steps >= config.max_steps):
+            # the agent's own step cap truncates a training episode just as
+            # the env's does; an evaluation runs until the env ends it
             trace.outcome = world.outcome if world.done else "timeout"
             if greedy or trace.outcome != "timeout":
                 break
@@ -573,8 +575,8 @@ def run_episode(model: ActorCriticModel, scene: env.Scene,
             logps.append(logp)
             entropies.append(entropy)
         obs.append(row)
-        world, row, _, _, info = env.step(world, action)
-        near_miss |= env.NEAR_MISS in info["proximity"]
+        row = env.step(world, action)
+        near_miss |= env.NEAR_MISS in world.proximity
         actions.append(action)
         rewards.append(world.prev_reward)
         steps += 1
@@ -786,7 +788,7 @@ def random_policy_mean_return(scenes: list[env.Scene], rng: np.random.Generator,
         world, _ = env.reset(scene, config=env_config)
         total = 0.0
         while not world.done:
-            world, _, _, _, _ = env.step(world, int(rng.integers(env.N_ACTIONS)))
+            env.step(world, int(rng.integers(env.N_ACTIONS)))
             total += world.prev_reward
         totals.append(total)
     return float(np.mean(totals))
@@ -815,18 +817,23 @@ def save_checkpoint(model: ActorCriticModel, path: str, extra: Optional[dict] = 
         json.dump(payload, fh)
 
 
-def load_checkpoint(path: str) -> ActorCriticModel:
-    """The model a checkpoint holds. Raises UsageError if it is no checkpoint
-    (see :func:`_read_checkpoint`), its agent or env config does not build,
-    its parameters are not numeric arrays of their shapes that fit its agent
-    config, or its input length is not the observation length of the
-    EnvConfig it records."""
+def load_checkpoint(path: str) -> tuple[ActorCriticModel, env.EnvConfig]:
+    """The model a checkpoint holds and the EnvConfig it was trained under
+    (the default EnvConfig for checkpoints that predate recording it).
+    Raises UsageError if it is no checkpoint (see :func:`_read_checkpoint`),
+    its agent or env config does not build, its parameters are not numeric
+    arrays of their shapes that fit its agent config, or its input length is
+    not the observation length of the EnvConfig it records."""
     payload = _read_checkpoint(path)
     try:
         config = config_from_dict(payload["config"])
     except (TypeError, ValueError) as exc:
         raise UsageError(f"checkpoint agent config: {exc}") from exc
-    obs_dim = env.observation_dim(_recorded_env_config(payload))
+    try:
+        env_config = env.EnvConfig(**payload.get("env", {}))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"checkpoint env config: {exc}") from exc
+    obs_dim = env.observation_dim(env_config)
     if payload["obs_dim"] != obs_dim:
         raise UsageError(f"checkpoint obs_dim {payload['obs_dim']} != {obs_dim}, the "
                          "observation length of its recorded EnvConfig")
@@ -845,20 +852,7 @@ def load_checkpoint(path: str) -> ActorCriticModel:
     missing = sorted(set(model.params) - set(payload["params"]))
     if missing:
         raise UsageError(f"checkpoint lacks parameters {missing} of this architecture")
-    return model
-
-
-def checkpoint_env_config(path: str) -> env.EnvConfig:
-    """The EnvConfig a checkpoint was trained under (the default EnvConfig
-    for checkpoints that predate recording it)."""
-    return _recorded_env_config(_read_checkpoint(path))
-
-
-def _recorded_env_config(payload: dict) -> env.EnvConfig:
-    try:
-        return env.EnvConfig(**payload.get("env", {}))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"checkpoint env config: {exc}") from exc
+    return model, env_config
 
 
 def _read_checkpoint(path: str) -> dict:

@@ -4,7 +4,7 @@ effective dimension, eigenspectra, and return-curve aggregation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -89,16 +89,7 @@ class FIMReport:
     normalized_effective_dim: float
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "gamma": self.gamma,
-            "n_data": self.n_data,
-            "n_theta_samples": self.n_theta_samples,
-            "n_inputs": self.n_inputs,
-            "eigenvalues": list(self.eigenvalues),
-            "effective_dim": self.effective_dim,
-            "normalized_effective_dim": self.normalized_effective_dim,
-        }
+        return asdict(self)
 
 
 def fim_report(grads_at: Callable[[np.ndarray], np.ndarray],

@@ -114,6 +114,9 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     if not (isinstance(config["seeds"], list) and config["seeds"]
             and all(map(is_int, config["seeds"]))):
         raise UsageError(f"seeds must be a non-empty list of integers, got {config['seeds']!r}")
+    repeated = [s for i, s in enumerate(config["seeds"]) if s in config["seeds"][:i]]
+    if repeated:
+        raise UsageError(f"seeds lists {repeated[0]} more than once; each seed trains one run")
     if not (is_int(config["smooth_window"]) and config["smooth_window"] >= 1):
         raise UsageError(f"smooth_window must be an integer >= 1, got {config['smooth_window']!r}")
     for key, val in (overrides or {}).items():
@@ -282,14 +285,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ckpt = Path(args.checkpoint)
-    if not ckpt.exists():
-        raise UsageError(f"checkpoint not found: {ckpt}")
-    model = agent.load_checkpoint(str(ckpt))
-    env_config = agent.checkpoint_env_config(str(ckpt))
+    model, env_config = agent.load_checkpoint(args.checkpoint)
     scenes = build_scenes(_flag_scene_spec(args), env_config)
     metrics, per_scene = agent.evaluate_policy(model, scenes, env_config)
-    out = Path(args.out or ckpt.parent)
+    out = Path(args.out or Path(args.checkpoint).parent)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "metrics.json", "w") as fh:
         json.dump(metrics.to_dict(), fh, indent=2)
@@ -325,7 +324,7 @@ def cmd_analyze(args) -> int:
             names.append(str(curve))
     if args.runs and not curves:
         raise UsageError("no curve CSVs found in the given run directories")
-    model = agent.load_checkpoint(args.fim) if args.fim else None
+    model = agent.load_checkpoint(args.fim)[0] if args.fim else None
     out = Path(args.out or (args.runs[0] if args.runs else "."))
     out.mkdir(parents=True, exist_ok=True)
     if curves:

@@ -30,11 +30,13 @@ The first ``D`` entries are the encoder input; the last 4 bypass the encoder.
 ``MAINTAIN`` or ``DECELERATE`` (anything else, a bool or a float included,
 is a UsageError raised before the world changes). It steers by
 ``planner.tracking_steering``, moves the car, pedestrians and other cars one
-``dt``, and returns ``(world, row, reward, done, info)``: ``reward`` is the
-per-term ``RewardBreakdown`` whose total is also ``world.prev_reward``, and
-``info`` holds the steering angle, each pedestrian's proximity, the outcome
-and the step count. ``Action`` and ``RewardBreakdown`` are immutable named
-tuples: fields by name or position, equality by value.
+``dt``, and returns the observation row. The rest of the step lives on the
+world it mutates: ``done``, ``outcome`` and ``t``; ``prev_action``, whose
+``steer`` is the steering angle; ``prev_reward``, the reward total; and
+``proximity``, each pedestrian's hit / near-miss / clear status.
+``compute_reward(world, world.prev_action)`` gives the per-term
+``RewardBreakdown`` of that total. ``Action`` and ``RewardBreakdown`` are
+immutable named tuples: fields by name or position, equality by value.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import functools
 import math
 import operator
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -109,11 +111,12 @@ class EnvConfig:
 
 @dataclass(frozen=True)
 class OtherCar:
+    """A car driving straight at constant speed; it has the ego car's size
+    (``EnvConfig.car_length`` and ``car_width``)."""
+
     start: tuple[float, float]
     heading: float
     speed: float
-    length: float = 4.5
-    width: float = 2.0
 
 
 @dataclass(frozen=True)
@@ -281,6 +284,7 @@ class WorldState:
     prev_reward: float = 0.0
     done: bool = False
     outcome: Optional[str] = None  # "goal" | "collision" | "timeout"
+    proximity: list[str] = field(default_factory=list)  # per pedestrian, after the last step
 
 
 class RewardBreakdown(NamedTuple):
@@ -590,14 +594,16 @@ def reset(scene: Scene, config: EnvConfig = EnvConfig()) -> tuple[WorldState, np
     return world, build_observation(world)
 
 
-def step(world: WorldState, acc: int) -> tuple[WorldState, np.ndarray, RewardBreakdown, bool, dict]:
-    """Advance one control period; mutates and returns the world state.
+def step(world: WorldState, acc: int) -> np.ndarray:
+    """Advance one control period, mutating the world state; returns the
+    observation row of the new state.
 
     Steers by ``planner.tracking_steering``, moves everyone, then takes the
     cosine and sine of the new heading once for the proximity test and the
-    observation. The reward total is summed once, into ``world.prev_reward``,
-    where a caller reads it too. An action that is not the int 0, 1 or 2 is
-    a UsageError, raised before the world changes."""
+    observation. The reward total is summed once, into ``world.prev_reward``;
+    the module docstring lists the rest of the step the world holds. An
+    action that is not the int 0, 1 or 2 is a UsageError, raised before the
+    world changes."""
     if world.done:
         raise UsageError("episode already finished")
     if not (is_int(acc) and ACCELERATE <= acc <= DECELERATE):
@@ -643,6 +649,5 @@ def step(world: WorldState, acc: int) -> tuple[WorldState, np.ndarray, RewardBre
 
     world.prev_action = action
     world.prev_reward = reward.total
-    row = build_observation(world, frame)
-    info = {"steer": steer, "proximity": prox, "outcome": world.outcome, "t": world.t}
-    return world, row, reward, world.done, info
+    world.proximity = prox
+    return build_observation(world, frame)

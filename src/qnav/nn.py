@@ -129,24 +129,12 @@ def softmax_entropy(logits: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _pairwise_sum(values: list) -> float:
     """``np.add.reduce`` of a contiguous float64 row, in its order: fewer than
-    8 values add left to right; up to 128 go into 8 strided partial sums,
-    combined as a tree, and the tail adds on; longer rows split in two at a
-    multiple of 8 near the middle."""
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    8 values (an actor row holds ``env.N_ACTIONS`` = 3) add left to right, as
+    numpy adds them; longer rows go to ``np.add.reduce`` itself."""
+    if len(values) >= 8:
+        return float(np.add.reduce(np.array(values, dtype=float)))
     total = 0.0
-    if n < 8:
-        for v in values:
-            total += v
-        return total
-    r = values[:8]
-    body = n - n % 8
-    for i in range(8, body, 8):
-        r = [acc + v for acc, v in zip(r, values[i : i + 8])]
-    total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in values[body:]:
+    for v in values:
         total += v
     return total
 

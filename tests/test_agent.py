@@ -464,9 +464,10 @@ def test_trunk_steps_equal_the_oracle_in_every_scenario(monkeypatch):
         return h, logits
 
     policy_rng = np.random.default_rng(4)
+    env_config = env.EnvConfig(max_steps=120)
     for sid in env.TEST_SCENARIOS:
         scene = env.make_scene(sid, 20.0, 1.2)
-        trace = agent.run_episode(model, scene, env.EnvConfig(), policy_rng=policy_rng)
+        trace = agent.run_episode(model, scene, env_config, policy_rng=policy_rng)
         t_len, rows = trace.steps, trace.rows
         got = {"hidden": rows.hidden[1 : t_len + 1], "cell": rows.cell[1 : t_len + 1],
                "gates": rows.gates[:t_len], "tanh_cell": rows.tanh_cell[:t_len],
@@ -476,7 +477,7 @@ def test_trunk_steps_equal_the_oracle_in_every_scenario(monkeypatch):
             assert got[name].tobytes() == want[name].tobytes(), (sid, "training", name)
         seen.clear()
         monkeypatch.setattr(model, "trunk_forward", recording)
-        trace = agent.run_episode(model, scene, env.EnvConfig(), greedy=True)
+        trace = agent.run_episode(model, scene, env_config, greedy=True)
         monkeypatch.undo()
         assert len(seen) == trace.steps > 0
         want = oracle_trunk_rows(model, trace)
@@ -549,13 +550,26 @@ def test_agent_step_cap_truncates_as_timeout():
     world, row = env.reset(scene, config=env_config)
     observations = [row]
     for action in trace.actions:
-        world, row, _, _, _ = env.step(world, action)
-        observations.append(row)
+        observations.append(env.step(world, action))
     h = replay(model, observations).hidden[-1]
     assert trace.bootstrap == model.critic.value(h)
     assert trace.bootstrap != 0.0
     returns = agent.discounted_returns(trace.rewards, config.gamma, trace.bootstrap)
     assert returns[-1] == pytest.approx(trace.rewards[-1] + config.gamma * trace.bootstrap)
+
+
+def test_agent_step_cap_leaves_evaluation_to_the_env():
+    """AgentConfig.max_steps truncates training rollouts only: greedy
+    evaluation of a model whose agent cap (5) lies below the env's (500)
+    gives the per-scene rows of the same parameters under an agent cap of
+    500, and runs each scene until the env ends it."""
+    _, capped, _ = small_model("classical", max_steps=5)
+    _, uncapped, _ = small_model("classical", max_steps=500)
+    scenes = scenes_small()[:4]
+    _, rows = agent.evaluate_policy(capped, scenes)
+    assert rows == agent.evaluate_policy(uncapped, scenes)[1]
+    assert all(row["steps"] > 5 for row in rows)
+    assert all(row["steps"] == 500 for row in rows if row["outcome"] == "timeout")
 
 
 def test_episode_gradients_clipped_to_max_norm():
@@ -901,24 +915,24 @@ def test_greedy_eval_skips_unread_bootstrap():
     """Greedy evaluation of a quantum model on scenes that time out calls the
     critic zero times; its per-scene rows equal a plain greedy rollout's."""
     config, model, _ = small_model(max_steps=4)
+    env_config = env.EnvConfig(max_steps=4)
     scenes = scenes_small()[:3]
     expected = []
     for idx, scene in enumerate(scenes):
-        world, row = env.reset(scene, config=env.EnvConfig())
+        world, row = env.reset(scene, config=env_config)
         rows = agent.TraceRows(model, 1, greedy=True)  # as a greedy rollout's
         d = model.obs_dim
         rewards, near_miss = [], False
-        while not world.done and len(rewards) < config.max_steps:
+        while not world.done:
             _, logits = model.trunk_forward(row[:d], row[d:], rows, len(rewards))
-            world, row, reward, _, info = env.step(world, int(np.argmax(nn.softmax(logits))))
-            rewards.append(reward.total)
-            near_miss |= env.NEAR_MISS in info["proximity"]
-        outcome = world.outcome if world.done else "timeout"
-        expected.append((idx, outcome, len(rewards), float(sum(rewards)), near_miss))
+            row = env.step(world, int(np.argmax(nn.softmax(logits))))
+            rewards.append(env.compute_reward(world, world.prev_action).total)
+            near_miss |= env.NEAR_MISS in world.proximity
+        expected.append((idx, world.outcome, len(rewards), float(sum(rewards)), near_miss))
     calls = []
     value = model.critic.value
     model.critic.value = lambda *a, **k: calls.append(1) or value(*a, **k)
-    _, per_scene = agent.evaluate_policy(model, scenes)
+    _, per_scene = agent.evaluate_policy(model, scenes, env_config)
     assert calls == []
     assert [row["outcome"] for row in per_scene] == ["timeout"] * 3
     assert [(row["scene"], row["outcome"], row["steps"], row["return"], row["near_miss"])
@@ -953,9 +967,9 @@ def test_random_policy_runs_to_the_env_step_cap(monkeypatch):
     step, rewards = env.step, []
 
     def brake(world, action):
-        world, obs, reward, done, info = step(world, env.DECELERATE)
-        rewards.append(reward.total)
-        return world, obs, reward, done, info
+        row = step(world, env.DECELERATE)
+        rewards.append(world.prev_reward)
+        return row
 
     monkeypatch.setattr(env, "step", brake)
     scenes = scenes_small()[:1]
@@ -974,7 +988,7 @@ def test_checkpoint_round_trip(critic, tmp_path):
     config, model, streams = small_model(critic)
     path = tmp_path / "ckpt.json"
     agent.save_checkpoint(model, str(path))
-    loaded = agent.load_checkpoint(str(path))
+    loaded, _ = agent.load_checkpoint(str(path))
     assert loaded.config == model.config
     assert set(loaded.params) == set(model.params)
     for key in model.params:
@@ -988,7 +1002,7 @@ def test_checkpoint_preserves_noise_config(tmp_path):
         gradient_mode="param-shift", noise=NoiseSpec(gate_error=0.01))
     path = tmp_path / "ckpt.json"
     agent.save_checkpoint(model, str(path))
-    loaded = agent.load_checkpoint(str(path))
+    loaded, _ = agent.load_checkpoint(str(path))
     assert loaded.config.noise == NoiseSpec(gate_error=0.01)
 
 

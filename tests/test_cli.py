@@ -277,6 +277,7 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
     ({"agent": [1]}, []),
     ({"env": 3}, []),
     ({"seeds": [0, -1]}, []),
+    ({"seeds": [1, 2, 1]}, []),
     ({}, ["--seed", "-1"]),
     ({"agent": {"seed": -1}}, []),
     ({"agent": {"noise": {"gate_error": 0.01}}}, []),
@@ -297,9 +298,9 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
         "float-k-pedestrians", "nan-entropy-weight", "yaml-nan-gate-error", "flag-nan-gate-error",
         "negative-near-miss-margin", "nan-near-miss-margin", "nan-oncoming-speed", "infinite-lr",
         "name-not-a-string", "output-not-a-string", "scenes-not-a-mapping",
-        "agent-not-a-mapping", "env-not-a-mapping", "negative-seed-in-list", "negative-seed-flag",
-        "negative-agent-seed", "noise-with-classical-critic", "param-shift-with-classical-critic",
-        "gate-error-with-backprop"])
+        "agent-not-a-mapping", "env-not-a-mapping", "negative-seed-in-list", "repeated-seeds",
+        "negative-seed-flag", "negative-agent-seed", "noise-with-classical-critic",
+        "param-shift-with-classical-critic", "gate-error-with-backprop"])
 def test_cmd_train_bad_values_exit_2_before_output(tmp_path, sections, flags):
     """Bad values fail when the config loads: exit 2, no output directory, so
     no manifest.json."""
@@ -367,23 +368,52 @@ def test_cmd_eval_uses_training_env_config(tmp_path, monkeypatch):
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 0
     ckpt = out / "checkpoint_seed0.json"
-    assert agent.checkpoint_env_config(str(ckpt)) == env.EnvConfig(k_pedestrians=2)
+    assert agent.load_checkpoint(str(ckpt))[1] == env.EnvConfig(k_pedestrians=2)
     seen = slice_scenes(monkeypatch, slice(3))
     code = cli.main(["eval", "--checkpoint", str(ckpt), "--scenarios", "1",
                      "--out", str(tmp_path / "eval")])
     assert code == 0
     assert seen == [env.EnvConfig(k_pedestrians=2)]
     assert len(read_csv(tmp_path / "eval" / "outcomes.csv")) == 3
-    # a checkpoint without a recorded EnvConfig evaluates under the default one
+    # a checkpoint without a recorded EnvConfig loads under the default one,
+    # which this model's input length does not fit
     payload = json.loads(ckpt.read_text())
     del payload["env"]
     ckpt.write_text(json.dumps(payload))
-    assert agent.checkpoint_env_config(str(ckpt)) == env.EnvConfig()
+    with pytest.raises(UsageError, match="obs_dim"):
+        agent.load_checkpoint(str(ckpt))
+    model = agent.ActorCriticModel(agent.AgentConfig(**SMOKE_AGENT), env.observation_dim(),
+                                   agent.rng_streams(0)["init"])
+    agent.save_checkpoint(model, str(ckpt))
+    payload = json.loads(ckpt.read_text())
+    del payload["env"]
+    ckpt.write_text(json.dumps(payload))
+    assert agent.load_checkpoint(str(ckpt))[1] == env.EnvConfig()
 
 
 def test_cmd_eval_missing_checkpoint(tmp_path):
     code = cli.main(["eval", "--checkpoint", str(tmp_path / "none.json")])
     assert code == cli.EXIT_CONFIG
+
+
+def test_cmd_eval_reads_the_checkpoint_once(tmp_path, monkeypatch):
+    """The model and the EnvConfig it was trained under come from one read
+    and parse of the checkpoint file."""
+    ckpt = trained_checkpoint(tmp_path)
+    slice_scenes(monkeypatch, slice(2))
+    read, calls = agent._read_checkpoint, []
+    monkeypatch.setattr(agent, "_read_checkpoint", lambda path: calls.append(path) or read(path))
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--scenarios", "1",
+                     "--out", str(tmp_path / "eval")]) == 0
+    assert calls == [str(ckpt)]
+
+
+def test_load_config_rejects_repeated_seeds_naming_the_seed(tmp_path):
+    """A repeated seed would train twice and overwrite its own curve and
+    checkpoint: it fails at load, and the message names it."""
+    path = write_config(tmp_path, seeds=[3, 7, 3])
+    with pytest.raises(UsageError, match="seeds lists 3 more than once"):
+        cli.load_config(str(path))
 
 
 def test_cmd_eval_unknown_scenario_exit_2_before_output(tmp_path):
@@ -498,7 +528,7 @@ def test_cmd_eval_of_a_checkpoint_recording_fixed_settings(tmp_path, monkeypatch
     payload["config"]["noise"]["granularity"] = "sublayer"
     old = tmp_path / "old.json"
     old.write_text(json.dumps(payload))
-    assert agent.load_checkpoint(str(old)).config == config
+    assert agent.load_checkpoint(str(old))[0].config == config
     slice_scenes(monkeypatch, slice(5))
     for path, out in ((ckpt, "e1"), (old, "e2")):
         assert cli.main(["eval", "--checkpoint", str(path), "--scenarios", "1",

@@ -273,7 +273,7 @@ def test_observation_rows_equal_object_oracle():
             world, row = env.reset(scene, config=config)
             rows, expected = [row], [oracles.observation_row(world)]
             while not world.done:
-                world, row, _, _, _ = env.step(world, int(next(actions)))
+                row = env.step(world, int(next(actions)))
                 rows.append(row)
                 expected.append(oracles.observation_row(world))
             assert np.array(rows).tobytes() == np.array(expected).tobytes(), (split, i)
@@ -300,7 +300,7 @@ def test_crowded_observation_rows_equal_object_oracle():
             full += config.k_pedestrians > 0 and row[env.observation_dim(config) - 1] == 1.0
             if world.done:
                 break
-            world, row, _, _, _ = env.step(world, int(rng.integers(env.N_ACTIONS)))
+            row = env.step(world, int(rng.integers(env.N_ACTIONS)))
     assert full > 0  # some step had more sensed pedestrians than slots
 
 
@@ -322,7 +322,7 @@ def test_occlusion_blocks_view():
 def test_accelerate_from_rest():
     world, _ = fresh_world()
     park_pedestrian(world)
-    world, _, _, _, _ = env.step(world, ACCELERATE)
+    env.step(world, ACCELERATE)
     assert world.car.v == pytest.approx(5.0 * KMH)
     assert world.car.v == pytest.approx(1.389, abs=1e-3)
 
@@ -331,7 +331,7 @@ def test_maintain_at_rest_stays_put():
     world, _ = fresh_world()
     park_pedestrian(world)
     x0, y0 = world.car.x, world.car.y
-    world, _, _, _, _ = env.step(world, MAINTAIN)
+    env.step(world, MAINTAIN)
     assert (world.car.x, world.car.y) == (x0, y0)
 
 
@@ -339,8 +339,8 @@ def test_speed_clamped_to_hard_max():
     world, _ = fresh_world()
     park_pedestrian(world)
     for _ in range(20):
-        world, _, _, done, _ = env.step(world, ACCELERATE)
-        if done:
+        env.step(world, ACCELERATE)
+        if world.done:
             break
     assert world.car.v <= world.config.v_max + 1e-12
 
@@ -348,7 +348,7 @@ def test_speed_clamped_to_hard_max():
 def test_decelerate_clamps_at_zero():
     world, _ = fresh_world()
     park_pedestrian(world)
-    world, _, _, _, _ = env.step(world, DECELERATE)
+    env.step(world, DECELERATE)
     assert world.car.v == 0.0
 
 
@@ -356,7 +356,7 @@ def test_heading_and_speed_invariants():
     world, _ = fresh_world(scenario=3)
     rng = np.random.default_rng(0)
     while not world.done:
-        world, _, _, _, _ = env.step(world, int(rng.integers(3)))
+        env.step(world, int(rng.integers(3)))
         assert 0.0 <= world.car.heading < 2 * math.pi
         assert world.car.v >= 0.0
 
@@ -366,7 +366,7 @@ def test_episode_caps_at_500_steps():
     park_pedestrian(world)
     steps = 0
     while not world.done:
-        world, _, _, _, _ = env.step(world, MAINTAIN)  # stationary forever
+        env.step(world, MAINTAIN)  # stationary forever
         steps += 1
     assert steps == 500
     assert world.outcome == "timeout"
@@ -388,9 +388,9 @@ def test_transition_deterministic():
         world, _ = fresh_world(scenario=5)
         states = []
         for _ in range(40):
-            world, _, reward, done, _ = env.step(world, ACCELERATE)
-            states.append((world.car.x, world.car.y, world.car.v, reward.total))
-            if done:
+            env.step(world, ACCELERATE)
+            states.append((world.car.x, world.car.y, world.car.v, world.prev_reward))
+            if world.done:
                 break
         runs.append(states)
     assert runs[0] == runs[1]
@@ -424,9 +424,10 @@ def world_state(world):
 def lockstep_episode(scene, policy, config, mutate=None):
     """Roll one scene out with ``env.step`` and, on a second world of the
     same scene, ``oracles.step``; at every step both worlds, the rows,
-    every reward term, the total and ``info`` must agree bit for bit.
-    Returns the outcome, whether a pedestrian was hit and the reward terms
-    that fired."""
+    every reward term (``env.compute_reward`` of the stepped world), the
+    total, the steering angle, the proximity, the outcome and the step count
+    must agree bit for bit. Returns the outcome, whether a pedestrian was
+    hit and the reward terms that fired."""
     world, row = env.reset(scene, config=config)
     ref, ref_row = env.reset(scene, config=config)
     if mutate is not None:
@@ -436,20 +437,24 @@ def lockstep_episode(scene, policy, config, mutate=None):
     fired, ped_hit, t = set(), False, 0
     while not world.done:
         action = policy(row, t)
-        _, row, reward, done, info = env.step(world, action)
+        row = env.step(world, action)
         _, ref_row, ref_reward, ref_done, ref_info = oracles.step(ref, action)
+        reward = env.compute_reward(world, world.prev_action)
         where = (scene, t)
+        assert isinstance(row, np.ndarray), where
         assert oracles.same_bits(row, ref_row), where
         assert reward._fields == ref_reward._fields
         assert oracles.same_bits(list(reward), list(ref_reward)), where
         assert oracles.same_bits(reward.total, ref_reward.total), where
-        assert oracles.same_bits(world.prev_reward, reward.total), where
+        assert oracles.same_bits(world.prev_reward, ref_reward.total), where
         assert oracles.same_bits(world_state(world), world_state(ref)), where
-        assert (done, world.done, world.outcome) == (ref_done, ref.done, ref.outcome), where
-        assert oracles.same_bits(info.pop("steer"), ref_info.pop("steer")), where
-        assert info == ref_info, where
+        assert ((world.done, world.outcome) == (ref.done, ref.outcome)
+                == (ref_done, ref_info["outcome"])), where
+        assert world.t == ref_info["t"], where
+        assert oracles.same_bits(world.prev_action.steer, ref_info["steer"]), where
+        assert world.proximity == ref_info["proximity"], where
         fired |= {name for name, value in zip(reward._fields, reward) if value}
-        ped_hit |= env.HIT in info["proximity"]
+        ped_hit |= env.HIT in world.proximity
         t += 1
     return world.outcome, ped_hit, fired
 
@@ -528,17 +533,18 @@ def test_step_calls_the_traced_functions_once(monkeypatch):
 
 
 def test_step_checks_contacts_once(monkeypatch):
-    """env.step runs the car collision test once per step; its reward and
-    proximity equal compute_reward and check_proximity on the stepped state."""
+    """env.step runs the car collision test once per step; its reward total
+    and proximity equal compute_reward and check_proximity on the stepped
+    state."""
     world, _ = fresh_world(scenario=5)
     calls = []
     collides = env._car_collides
     monkeypatch.setattr(env, "_car_collides", lambda w: calls.append(1) or collides(w))
     for _ in range(10):
-        world, _, reward, _, info = env.step(world, ACCELERATE)
+        env.step(world, ACCELERATE)
         assert len(calls) == 1
-        assert info["proximity"] == env.check_proximity(world)
-        assert reward == env.compute_reward(world, world.prev_action)
+        assert world.proximity == env.check_proximity(world)
+        assert world.prev_reward == env.compute_reward(world, world.prev_action).total
         calls.clear()
 
 
@@ -688,7 +694,9 @@ def test_reward_total_is_sum_of_terms():
     world, _ = fresh_world(scenario=3)
     rng = np.random.default_rng(1)
     while not world.done:
-        world, _, breakdown, _, _ = env.step(world, int(rng.integers(3)))
+        env.step(world, int(rng.integers(3)))
+        breakdown = env.compute_reward(world, world.prev_action)
+        assert world.prev_reward == breakdown.total
         fields = (breakdown.goal + breakdown.hit + breakdown.obstacle
                   + breakdown.near_miss + breakdown.over_speeding
                   + breakdown.not_goal + breakdown.braking + breakdown.steer)
@@ -704,7 +712,7 @@ def test_goal_outcome():
     park_pedestrian(world)
     while not world.done:
         acc = ACCELERATE if world.car.v < 40.0 * KMH else MAINTAIN
-        world, _, _, _, _ = env.step(world, acc)
+        env.step(world, acc)
     assert world.outcome == "goal"
 
 
@@ -714,7 +722,7 @@ def test_collision_outcome():
     ped.x, ped.y = 10.0, 0.0  # parked in the lane
     ped.goal = (10.0, 0.0)
     while not world.done:
-        world, _, _, _, _ = env.step(world, ACCELERATE)
+        env.step(world, ACCELERATE)
     assert world.outcome == "collision"
 
 
