@@ -817,9 +817,15 @@ def save_checkpoint(model: ActorCriticModel, path: str, extra: Optional[dict] = 
         json.dump(payload, fh)
 
 
+# EnvConfig fields that older checkpoints record and no run reads any more:
+# the planner's map resolution and wheelbase
+_RETIRED_ENV_KEYS = ("map_resolution", "wheelbase")
+
+
 def load_checkpoint(path: str) -> tuple[ActorCriticModel, env.EnvConfig]:
     """The model a checkpoint holds and the EnvConfig it was trained under
-    (the default EnvConfig for checkpoints that predate recording it).
+    (the default EnvConfig for checkpoints that predate recording it; the
+    retired ``map_resolution`` and ``wheelbase`` are dropped).
     Raises UsageError if it is no checkpoint (see :func:`_read_checkpoint`),
     its agent or env config does not build, its parameters are not numeric
     arrays of their shapes that fit its agent config, or its input length is
@@ -830,7 +836,9 @@ def load_checkpoint(path: str) -> tuple[ActorCriticModel, env.EnvConfig]:
     except (TypeError, ValueError) as exc:
         raise UsageError(f"checkpoint agent config: {exc}") from exc
     try:
-        env_config = env.EnvConfig(**payload.get("env", {}))
+        env_fields = payload.get("env", {})
+        env_config = env.EnvConfig(**{key: value for key, value in env_fields.items()
+                                      if key not in _RETIRED_ENV_KEYS})
     except (TypeError, ValueError) as exc:
         raise UsageError(f"checkpoint env config: {exc}") from exc
     obs_dim = env.observation_dim(env_config)
@@ -858,7 +866,7 @@ def load_checkpoint(path: str) -> tuple[ActorCriticModel, env.EnvConfig]:
 def _read_checkpoint(path: str) -> dict:
     """The checkpoint's JSON object. Raises UsageError if the file holds no
     JSON object with a ``config`` and a ``params`` object and an ``obs_dim``,
-    or cannot be read as UTF-8 text."""
+    whose ``env``, if recorded, is an object, or cannot be read as UTF-8 text."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -871,8 +879,8 @@ def _read_checkpoint(path: str) -> dict:
     missing = [key for key in ("config", "obs_dim", "params") if key not in payload]
     if missing:
         raise UsageError(f"checkpoint {path} lacks {missing}")
-    for key in ("config", "params"):
-        if not isinstance(payload[key], dict):
+    for key in ("config", "params", "env"):
+        if not isinstance(payload.get(key, {}), dict):
             raise UsageError(f"checkpoint {path}: {key} is not an object")
     return payload
 

@@ -8,8 +8,8 @@ Commands:
 
 Exit codes: 0 success; 2 configuration error, any ``qnav.UsageError`` (a bad
 config, flag, scene spec or checkpoint, or misuse caught deeper in the
-package); 3 runtime failure, any other exception (an unplannable scene
-raises ``planner.PlanningError``, a diverged run a plain ``ValueError``).
+package); 3 runtime failure, any other exception (a diverged run raises a
+plain ``ValueError``).
 """
 
 from __future__ import annotations
@@ -317,6 +317,8 @@ def cmd_analyze(args) -> int:
                                ("--seed", args.seed or 0, 0)):
         if value < least:
             raise UsageError(f"{flag} must be >= {least}, got {value}")
+    if not (args.runs or args.fim):
+        raise UsageError("nothing to analyze: give --runs, --fim or both")
     curves, names = [], []
     for run_dir in args.runs:
         for curve in sorted(Path(run_dir).glob("curve_seed*.csv")):

@@ -3,16 +3,18 @@
 A bicycle-model car drives ~100 m down a straight road toward a goal while
 pedestrians cross from the sidewalks (optionally occluded by parked cars,
 optionally with an oncoming car in the other lane). The agent controls only
-the speed action; steering comes from a cost-map path planner. Pedestrian
-goals are hidden state: observations expose only positions and velocities of
-unoccluded pedestrians within sensing range.
+the speed action; the car holds its lane, driving the route from the scene's
+``car_start`` to its ``car_goal``, a straight line along the lane's centre
+(y = 0 on both grids), with a steering of 0.0. Pedestrian goals are hidden
+state: observations expose only positions and velocities of unoccluded
+pedestrians within sensing range.
 
 The observation that ``reset`` and ``step`` return is the policy's whole
 input, one float64 row of length ``observation_dim(config) + 4``. With
 ``D = observation_dim(config) = 8 + 5 * k_pedestrians``:
 
 - ``[0:2]`` goal position in the car frame, / 50 m;
-- ``[2]`` signed cross-track error to the planned path, / 5 m;
+- ``[2]`` signed lateral offset from the route, left positive, / 5 m;
 - ``[3]`` speed, / 15 m/s;
 - ``[4:7]`` previous speed action, one-hot (accelerate, maintain, decelerate);
 - ``[7]`` previous reward, / 10;
@@ -28,12 +30,12 @@ The first ``D`` entries are the encoder input; the last 4 bypass the encoder.
 
 ``step(world, acc)`` takes one of the int speed actions ``ACCELERATE``,
 ``MAINTAIN`` or ``DECELERATE`` (anything else, a bool or a float included,
-is a UsageError raised before the world changes). It steers by
-``planner.tracking_steering``, moves the car, pedestrians and other cars one
-``dt``, and returns the observation row. The rest of the step lives on the
-world it mutates: ``done``, ``outcome`` and ``t``; ``prev_action``, whose
-``steer`` is the steering angle; ``prev_reward``, the reward total; and
-``proximity``, each pedestrian's hit / near-miss / clear status.
+is a UsageError raised before the world changes). It moves the car along
+its heading, which a steering of 0.0 leaves as it is, and the pedestrians
+and other cars one ``dt``, and returns the observation row. The rest of the
+step lives on the world it mutates: ``done``, ``outcome`` and ``t``;
+``prev_action``, whose ``steer`` is always 0.0; ``prev_reward``, the reward
+total; and ``proximity``, each pedestrian's hit / near-miss / clear status.
 ``compute_reward(world, world.prev_action)`` gives the per-term
 ``RewardBreakdown`` of that total. ``Action`` and ``RewardBreakdown`` are
 immutable named tuples: fields by name or position, equality by value.
@@ -42,19 +44,16 @@ immutable named tuples: fields by name or position, equality by value.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
-import operator
-import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import UsageError, check_finite, check_ints, is_int, planner
-from .planner import CostMap, Path
+from . import UsageError, check_finite, check_ints, is_int
 
 KMH = 1.0 / 3.6  # km/h -> m/s
+OBSTACLE_PENALTY = -100.0  # reward when something is in the hit area while moving
 
 ACCELERATE, MAINTAIN, DECELERATE = 0, 1, 2
 ACTION_NAMES = ("accelerate", "maintain", "decelerate")
@@ -66,7 +65,6 @@ class EnvConfig:
     """Physical and sensing knobs. Defaults are typical sedan/pedestrian scales."""
 
     dt: float = 0.1
-    wheelbase: float = 2.5
     car_length: float = 4.5
     car_width: float = 2.0
     ped_radius: float = 0.3
@@ -86,14 +84,12 @@ class EnvConfig:
     road_x_max: float = 112.0
     oncoming_lane_y: float = 4.0
     oncoming_speed: float = 8.0
-    map_resolution: float = 1.0
 
     def __post_init__(self):
         check_ints(self, ("max_steps", "k_pedestrians"))
         check_finite(self, [f.name for f in dataclasses.fields(self) if f.type == "float"])
-        if not (self.dt > 0 and self.map_resolution > 0 and self.wheelbase > 0
-                and self.goal_tol > 0):
-            raise UsageError("dt, map_resolution, wheelbase and goal_tol must be > 0")
+        if not (self.dt > 0 and self.goal_tol > 0):
+            raise UsageError("dt and goal_tol must be > 0")
         if self.max_steps < 1:
             raise UsageError("max_steps must be >= 1")
         if self.k_pedestrians < 0:
@@ -236,6 +232,10 @@ def generate_scenes(split: str = "train", grid: Optional[SceneGrid] = None,
             raise UsageError(f"unknown split {split!r}")
     if not grid.scenarios or not grid.speeds() or not grid.distances():
         raise UsageError("empty scene grid")
+    repeated = [sid for i, sid in enumerate(grid.scenarios) if sid in grid.scenarios[:i]]
+    if repeated:
+        raise UsageError(f"scenarios lists {repeated[0]} more than once; "
+                         "a scene set holds each scenario once")
     scenes = []
     for sid in grid.scenarios:
         for speed in grid.speeds():
@@ -267,14 +267,13 @@ class PedestrianState:
 
 class Action(NamedTuple):
     acc: int  # index into ACTION_NAMES
-    steer: float  # radians, one of the planner bins
+    steer: float  # radians; a step always steers 0.0
 
 
 @dataclass
 class WorldState:
     scene: Scene
     config: EnvConfig
-    path: Path
     car: CarState
     peds: list[PedestrianState]
     others: list[CarState]
@@ -307,43 +306,6 @@ class RewardBreakdown(NamedTuple):
 
 def observation_dim(config: EnvConfig = EnvConfig()) -> int:
     return 8 + 5 * config.k_pedestrians
-
-
-# ---------------------------------------------------------------------------
-# cost map construction
-
-
-def build_cost_map(scene: Scene, config: EnvConfig = EnvConfig()) -> CostMap:
-    return _obstacle_cost_map(scene.obstacles, config)
-
-
-def _obstacle_cost_map(obstacles, config: EnvConfig) -> CostMap:
-    res = config.map_resolution
-    x0 = config.road_x_min
-    y0 = config.road_y_min - config.sidewalk_width - 1.0
-    y1 = config.road_y_max + config.sidewalk_width + 1.0
-    nx = int(math.ceil((config.road_x_max - x0) / res))
-    ny = int(math.ceil((y1 - y0) / res))
-    costs = np.full((ny, nx), planner.COST_BLOCKED, dtype=int)
-    ys = y0 + (np.arange(ny) + 0.5) * res
-    road = (ys >= config.road_y_min) & (ys <= config.road_y_max)
-    walk = ((ys >= config.road_y_min - config.sidewalk_width) & (ys < config.road_y_min)) | (
-        (ys > config.road_y_max) & (ys <= config.road_y_max + config.sidewalk_width)
-    )
-    costs[road, :] = planner.COST_ROAD
-    costs[walk, :] = planner.COST_SIDEWALK
-    cmap = CostMap(x0=x0, y0=y0, resolution=res, costs=costs)
-    for (ox0, oy0, ox1, oy1) in obstacles:
-        _fill_rect(cmap, ox0, oy0, ox1, oy1, planner.COST_BLOCKED)
-    return cmap
-
-
-def _fill_rect(cmap: CostMap, x0, y0, x1, y1, value):
-    ix0 = max(0, int(math.floor((x0 - cmap.x0) / cmap.resolution)))
-    iy0 = max(0, int(math.floor((y0 - cmap.y0) / cmap.resolution)))
-    ix1 = min(cmap.costs.shape[1], int(math.ceil((x1 - cmap.x0) / cmap.resolution)))
-    iy1 = min(cmap.costs.shape[0], int(math.ceil((y1 - cmap.y0) / cmap.resolution)))
-    cmap.costs[iy0:iy1, ix0:ix1] = value
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +430,10 @@ def compute_reward(world: WorldState, action: Action) -> RewardBreakdown:
     """Reward terms for the current world state after applying ``action``.
 
     goal +200; hit -100*beta with beta = impact speed / 50 km/h; obstacle
-    -100 (``planner.COST_BLOCKED``) when something is in the hit area while
+    -100 (``OBSTACLE_PENALTY``) when something is in the hit area while
     moving; near-miss -10; over-speeding -10; per-step goal distance penalty
-    -dist/1000; -1 for braking while stationary; -1 for nonzero steering.
+    -dist/1000; -1 for braking while stationary; -1 for nonzero steering,
+    which ``step`` never applies.
     """
     heading = world.car.heading
     return _reward(world, action, *_contacts(world, math.cos(heading), math.sin(heading)))
@@ -489,7 +452,7 @@ def _reward(world: WorldState, action: Action, goal_dist: float, prox: list[str]
         beta = car.v / config.speed_limit  # impact speed over the 50 km/h limit
         hit = -100.0 * beta
         if car.v != 0:
-            obstacle = -float(planner.COST_BLOCKED)
+            obstacle = OBSTACLE_PENALTY
     if NEAR_MISS in prox:
         near_miss = -10.0
     if car.v > config.speed_limit:
@@ -513,10 +476,14 @@ def build_observation(world: WorldState,
     config = world.config
     car = world.car
     c, s = frame if frame is not None else (math.cos(car.heading), math.sin(car.heading))
+    sx, sy, _ = world.scene.car_start
     gx, gy = world.scene.car_goal
     dx, dy = gx - car.x, gy - car.y
     goal_x, goal_y = c * dx + s * dy, -s * dx + c * dy
-    cte = planner.cross_track_error(world.path, car.x, car.y)
+    # the lateral offset from the route: the cross product with its unit direction
+    rx, ry = gx - sx, gy - sy
+    length = math.hypot(rx, ry)
+    lateral = rx / length * (car.y - sy) - ry / length * (car.x - sx)
     car_vx, car_vy = car.v * c, car.v * s
 
     sensed = []
@@ -535,7 +502,7 @@ def build_observation(world: WorldState,
     reward = world.prev_reward / 10.0
     onehot = [0.0, 0.0, 0.0]
     onehot[world.prev_action.acc] = 1.0
-    row = [goal_x / 50.0, goal_y / 50.0, cte / 5.0, speed, *onehot, reward]
+    row = [goal_x / 50.0, goal_y / 50.0, lateral / 5.0, speed, *onehot, reward]
     for _, slot in sensed[: config.k_pedestrians]:
         row += slot
     row += [0.0] * (5 * (config.k_pedestrians - len(sensed)))
@@ -547,37 +514,8 @@ def build_observation(world: WorldState,
 # reset / step
 
 
-# The EnvConfig fields a layout's planned path depends on: those that
-# _obstacle_cost_map reads, and the planner's own.
-_PLAN_FIELDS = ("map_resolution", "road_x_min", "road_x_max", "road_y_min", "road_y_max",
-                "sidewalk_width", "wheelbase", "goal_tol")
-_plan_fields = operator.attrgetter(*_PLAN_FIELDS)
-
-
-# Planned paths by value, so equal plans share one Path and its cell index;
-# an entry lives as long as some plan-cache entry or world holds its path.
-_interned_paths: "weakref.WeakValueDictionary[str, Path]" = weakref.WeakValueDictionary()
-
-
-@functools.lru_cache(maxsize=1024)
-def _layout_path(obstacles, start, goal, fields: tuple) -> Path:
-    """The planned path of one obstacle layout, start and goal, under a config
-    with these ``_PLAN_FIELDS`` values. A grid has far fewer layouts than
-    scenes (the test grid: 91 for 9720), and configs that differ in other
-    fields share them, so each is planned once; a PlanningError propagates and
-    caches nothing. Layouts whose plans are equal, bit for bit, get one Path
-    object (every layout of both grids plans the same path)."""
-    config = EnvConfig(**dict(zip(_PLAN_FIELDS, fields)))
-    path = planner.plan_path(_obstacle_cost_map(obstacles, config), start, goal,
-                             wheelbase=config.wheelbase, goal_tol=config.goal_tol)
-    # repr tells apart every float that == does not, such as 0.0 and -0.0
-    return _interned_paths.setdefault(repr((path.poses, path.steering, path.total_cost)), path)
-
-
 def reset(scene: Scene, config: EnvConfig = EnvConfig()) -> tuple[WorldState, np.ndarray]:
-    """Instantiate a scene: plan the path (once per layout) and place everyone
-    at spawn. An unplannable scene raises ``planner.PlanningError``."""
-    path = _layout_path(scene.obstacles, scene.car_start, scene.car_goal, _plan_fields(config))
+    """Instantiate a scene: place everyone at spawn."""
     sx, sy, sh = scene.car_start
     px, py = scene.ped_spawn
     gx, gy = scene.ped_goal
@@ -585,7 +523,6 @@ def reset(scene: Scene, config: EnvConfig = EnvConfig()) -> tuple[WorldState, np
     world = WorldState(
         scene=scene,
         config=config,
-        path=path,
         car=CarState(sx, sy, sh % (2 * math.pi), 0.0),
         peds=[PedestrianState(px, py, (gx, gy), scene.ped_speed, heading)],
         others=[CarState(oc.start[0], oc.start[1], oc.heading, oc.speed)
@@ -594,37 +531,34 @@ def reset(scene: Scene, config: EnvConfig = EnvConfig()) -> tuple[WorldState, np
     return world, build_observation(world)
 
 
+_STRAIGHT = tuple(Action(acc, 0.0) for acc in range(N_ACTIONS))  # the Action of each step
+
+
 def step(world: WorldState, acc: int) -> np.ndarray:
     """Advance one control period, mutating the world state; returns the
     observation row of the new state.
 
-    Steers by ``planner.tracking_steering``, moves everyone, then takes the
-    cosine and sine of the new heading once for the proximity test and the
-    observation. The reward total is summed once, into ``world.prev_reward``;
-    the module docstring lists the rest of the step the world holds. An
-    action that is not the int 0, 1 or 2 is a UsageError, raised before the
-    world changes."""
+    Steers 0.0, so the heading stays, and takes its cosine and sine once for
+    the move, the proximity test and the observation. The reward total is
+    summed once, into ``world.prev_reward``; the module docstring lists the
+    rest of the step the world holds. An action that is not the int 0, 1 or
+    2 is a UsageError, raised before the world changes."""
     if world.done:
         raise UsageError("episode already finished")
     if not (is_int(acc) and ACCELERATE <= acc <= DECELERATE):
         raise UsageError(f"bad speed action {acc!r}")
     config = world.config
     car = world.car
-    steer = planner.tracking_steering(world.path, (car.x, car.y, car.heading), car.v,
-                                      config.wheelbase)
-    action = Action(acc, steer)
-
     world.v_prev = car.v
     if acc == ACCELERATE:
         car.v = min(car.v + config.speed_step, config.v_max)
     elif acc == DECELERATE:
         car.v = max(car.v - config.speed_step, 0.0)
 
-    # bicycle kinematics
-    car.x += car.v * math.cos(car.heading) * config.dt
-    car.y += car.v * math.sin(car.heading) * config.dt
-    car.heading = (car.heading + car.v / config.wheelbase * math.tan(steer) * config.dt) % (2 * math.pi)
-    frame = math.cos(car.heading), math.sin(car.heading)
+    # bicycle kinematics at a steering of 0.0
+    frame = c, s = math.cos(car.heading), math.sin(car.heading)
+    car.x += car.v * c * config.dt
+    car.y += car.v * s * config.dt
 
     for ped in world.peds:
         gx, gy = ped.goal
@@ -639,6 +573,7 @@ def step(world: WorldState, acc: int) -> np.ndarray:
 
     world.t += 1
     goal_dist, prox, car_hit = _contacts(world, *frame)
+    action = _STRAIGHT[acc]
     reward = _reward(world, action, goal_dist, prox, car_hit)
     if goal_dist <= config.goal_tol:
         world.done, world.outcome = True, "goal"

@@ -24,7 +24,9 @@ the rollout wrote,
 one rollout step's network calls that ``qnav.nn`` and ``qnav.agent`` now
 dispatch with fewer numpy calls, the per-segment path-tracking loops and the separating-axis test without a
 broad phase are the scalar references for ``qnav.planner``'s cell-indexed
-path queries and ``qnav.env._rects_overlap``, and the ``Observation`` and
+path queries and ``qnav.env._rects_overlap``, ``cost_map`` and ``plan`` build
+a scene's cost map and hybrid A* path as the environment did before its car
+drove the lane's centre line, and the ``Observation`` and
 ``PedObservation`` records with ``to_vector``, ``extras_vector`` and their
 ``build_observation`` are the reference for the
 policy input row that ``qnav.env.build_observation`` writes directly, and
@@ -32,7 +34,10 @@ policy input row that ``qnav.env.build_observation`` writes directly, and
 helper and builds the reward from named terms (the obstacle term as the
 largest cost-map value under the car's footprint, at least
 ``planner.COST_BLOCKED``), is the reference for the one-pass
-``qnav.env.step``.
+``qnav.env.step``. Given a planned path, ``step`` tracks it by pure pursuit
+and reads observation ``[2]`` as the cross-track error to it, as the
+planner-driven environment did; without one it steers 0.0 and reads ``[2]``
+as the lateral offset from the straight route.
 """
 
 from __future__ import annotations
@@ -938,7 +943,56 @@ def episode_gradients(model, trace, returns, noise_rng: Optional[np.random.Gener
 
 
 # ---------------------------------------------------------------------------
-# path tracking and rectangle overlap, one segment and one corner at a time
+# the planner reference: a scene's cost map and path, and path tracking and
+# rectangle overlap, one segment and one corner at a time
+
+
+# EnvConfig.wheelbase and map_resolution as the planner-driven environment
+# had them; both went when its car began to drive the lane's centre line
+WHEELBASE = 2.5
+MAP_RESOLUTION = 1.0
+
+
+def cost_map(obstacles, config: env.EnvConfig) -> planner.CostMap:
+    """The road, sidewalk and obstacle costs of one obstacle layout."""
+    res = MAP_RESOLUTION
+    x0 = config.road_x_min
+    y0 = config.road_y_min - config.sidewalk_width - 1.0
+    y1 = config.road_y_max + config.sidewalk_width + 1.0
+    nx = int(math.ceil((config.road_x_max - x0) / res))
+    ny = int(math.ceil((y1 - y0) / res))
+    costs = np.full((ny, nx), planner.COST_BLOCKED, dtype=int)
+    ys = y0 + (np.arange(ny) + 0.5) * res
+    road = (ys >= config.road_y_min) & (ys <= config.road_y_max)
+    walk = ((ys >= config.road_y_min - config.sidewalk_width) & (ys < config.road_y_min)) | (
+        (ys > config.road_y_max) & (ys <= config.road_y_max + config.sidewalk_width)
+    )
+    costs[road, :] = planner.COST_ROAD
+    costs[walk, :] = planner.COST_SIDEWALK
+    for (ox0, oy0, ox1, oy1) in obstacles:
+        ix0 = max(0, int(math.floor((ox0 - x0) / res)))
+        iy0 = max(0, int(math.floor((oy0 - y0) / res)))
+        ix1 = min(nx, int(math.ceil((ox1 - x0) / res)))
+        iy1 = min(ny, int(math.ceil((oy1 - y0) / res)))
+        costs[iy0:iy1, ix0:ix1] = planner.COST_BLOCKED
+    return planner.CostMap(x0=x0, y0=y0, resolution=res, costs=costs)
+
+
+def plan(scene: env.Scene, config: env.EnvConfig = env.EnvConfig()) -> planner.Path:
+    """The hybrid A* path of the scene's obstacle layout, from the car's start
+    to its goal."""
+    return planner.plan_path(cost_map(scene.obstacles, config), scene.car_start, scene.car_goal,
+                             wheelbase=WHEELBASE, goal_tol=config.goal_tol)
+
+
+def lateral_offset(scene: env.Scene, x: float, y: float) -> float:
+    """Signed offset of (x, y) from the straight line through the car's start
+    toward its goal (left positive): the y of the point in the frame of that
+    route."""
+    sx, sy, _ = scene.car_start
+    gx, gy = scene.car_goal
+    heading = math.atan2(gy - sy, gx - sx)
+    return -math.sin(heading) * (x - sx) + math.cos(heading) * (y - sy)
 
 
 def tracking_steering(
@@ -1068,12 +1122,17 @@ def extras_vector(obs: Observation) -> np.ndarray:
     return np.array([obs.prev_reward / 10.0, vx / 15.0, 0.0, acc_scalar])
 
 
-def build_observation(world: env.WorldState) -> Observation:
+def build_observation(world: env.WorldState, path: Optional[planner.Path] = None) -> Observation:
+    """The observation records; ``cross_track`` is the lateral offset from the
+    straight route, or the cross-track error to ``path`` when one is given."""
     config = world.config
     car = world.car
     gx, gy = world.scene.car_goal
     rel_goal = to_car_frame(car, gx, gy)
-    cte = planner.cross_track_error(world.path, car.x, car.y)
+    if path is None:
+        cte = lateral_offset(world.scene, car.x, car.y)
+    else:
+        cte = cross_track_error(path, car.x, car.y)
     car_vel = (car.v * math.cos(car.heading), car.v * math.sin(car.heading))
 
     visible = []
@@ -1105,10 +1164,10 @@ def build_observation(world: env.WorldState) -> Observation:
     )
 
 
-def observation_row(world: env.WorldState) -> np.ndarray:
+def observation_row(world: env.WorldState, path: Optional[planner.Path] = None) -> np.ndarray:
     """What ``env.build_observation`` returns: the encoder input, then the
     LSTM extras, built through the objects above."""
-    obs = build_observation(world)
+    obs = build_observation(world, path)
     return np.concatenate([obs.to_vector(), extras_vector(obs)])
 
 
@@ -1162,14 +1221,14 @@ def car_collides(world: env.WorldState) -> bool:
 def footprint_cost(world: env.WorldState) -> int:
     """Max value, under the car footprint (center and corners), of the cost
     map of the world's obstacle layout."""
-    cost_map = env._obstacle_cost_map(world.scene.obstacles, world.config)
+    layout = cost_map(world.scene.obstacles, world.config)
     car, config = world.car, world.config
     c, s = math.cos(car.heading), math.sin(car.heading)
     pts = [(0.0, 0.0)]
     for sx in (-config.car_length / 2, config.car_length / 2):
         for sy in (-config.car_width / 2, config.car_width / 2):
             pts.append((sx, sy))
-    return max(cost_map.cost_at(car.x + c * sx - s * sy, car.y + s * sx + c * sy)
+    return max(layout.cost_at(car.x + c * sx - s * sy, car.y + s * sx + c * sy)
                for sx, sy in pts)
 
 
@@ -1199,17 +1258,21 @@ def reward(world: env.WorldState, action: env.Action, goal_dist: float, prox: li
     return env.RewardBreakdown(**terms)
 
 
-def step(world: env.WorldState, acc: int):
-    """What ``env.step`` returns, one helper call at a time: the per-segment
-    path queries, the car frame taken anew for the goal and each pedestrian,
-    the reward by named terms and the observation through its records."""
+def step(world: env.WorldState, acc: int, path: Optional[planner.Path] = None):
+    """What ``env.step`` computes, one helper call at a time: the car frame
+    taken anew for the goal and each pedestrian, the reward by named terms
+    and the observation through its records. The car steers 0.0, or, given a
+    planned ``path``, by pure pursuit along it with the per-segment path
+    queries, as the planner-driven environment did."""
     if world.done:
         raise UsageError("episode already finished")
     if acc not in (env.ACCELERATE, env.MAINTAIN, env.DECELERATE):
         raise UsageError(f"bad speed action {acc!r}")
     config = world.config
     car = world.car
-    steer = tracking_steering(world.path, (car.x, car.y, car.heading), car.v, config.wheelbase)
+    steer = 0.0
+    if path is not None:
+        steer = tracking_steering(path, (car.x, car.y, car.heading), car.v, WHEELBASE)
     action = env.Action(acc, steer)
 
     world.v_prev = car.v
@@ -1220,7 +1283,7 @@ def step(world: env.WorldState, acc: int):
 
     car.x += car.v * math.cos(car.heading) * config.dt
     car.y += car.v * math.sin(car.heading) * config.dt
-    car.heading = (car.heading + car.v / config.wheelbase * math.tan(steer) * config.dt) % (2 * math.pi)
+    car.heading = (car.heading + car.v / WHEELBASE * math.tan(steer) * config.dt) % (2 * math.pi)
 
     for ped in world.peds:
         gx, gy = ped.goal
@@ -1247,6 +1310,6 @@ def step(world: env.WorldState, acc: int):
 
     world.prev_action = action
     world.prev_reward = breakdown.total
-    row = observation_row(world)
+    row = observation_row(world, path)
     info = {"steer": steer, "proximity": prox, "outcome": world.outcome, "t": world.t}
     return world, row, breakdown, world.done, info

@@ -229,10 +229,10 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
     ({"agent": {"lr": -1}}, []),
     ({"agent": {"max_grad_norm": -1}}, []),
     ({"env": {"dt": 0}}, []),
-    ({"env": {"map_resolution": 0}}, []),
+    ({"env": {"map_resolution": 0}}, []),  # an unknown key: the route is planned no more
     ({"env": {"max_steps": 0}}, []),
     ({"env": {"k_pedestrians": -1}}, []),
-    ({"env": {"wheelbase": 0}}, []),
+    ({"env": {"wheelbase": 0}}, []),  # an unknown key too
     ({"env": {"goal_tol": -1}}, []),
     ({"agent": {"encoder_out": 0}}, []),
     ({"env": {"speed_step": 0}}, []),
@@ -251,6 +251,7 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
     ({"scenes": {"speed": [2.0, 1.0, 0.1]}}, []),
     ({"scenes": {"distance": [0, 10]}}, []),
     ({"scenes": {"speed": [0.6, 2.0, 0.0]}}, []),
+    ({"scenes": {"scenarios": [1, 1]}}, []),
     ({"smooth_window": "abc"}, []),
     ({"smooth_window": 0}, []),
     ({"seeds": 5}, []),
@@ -291,7 +292,8 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
         "negative-sense-radius", "zero-car-length", "zero-car-width", "zero-ped-radius",
         "road-x-min-above-max", "road-y-min-equals-max", "zero-speed-limit", "zero-v-max",
         "negative-v-max", "unknown-scenario", "unknown-split", "empty-speed-grid",
-        "two-value-distance", "zero-speed-grid-step", "smooth-window-not-a-number",
+        "two-value-distance", "zero-speed-grid-step", "repeated-scenarios",
+        "smooth-window-not-a-number",
         "zero-smooth-window", "seeds-not-a-list", "seed-not-an-integer", "no-seeds",
         "fractional-episodes", "fractional-agent-max-steps", "fractional-agent-seed",
         "boolean-lstm-hidden", "float-qubits", "fractional-env-max-steps",
@@ -307,6 +309,32 @@ def test_cmd_train_bad_values_exit_2_before_output(tmp_path, sections, flags):
     path = write_config(tmp_path, **sections)
     assert cli.main(["train", "--config", str(path), *flags]) == cli.EXIT_CONFIG
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key,value", [("map_resolution", 1.0), ("wheelbase", 2.5)])
+def test_load_config_rejects_retired_env_keys(tmp_path, key, value):
+    """The planner's map resolution and wheelbase are gone from EnvConfig: a
+    config that names either, even at its old default, names an unknown key."""
+    path = write_config(tmp_path, env={key: value})
+    with pytest.raises(UsageError, match=f"unknown keys in env: \\['{key}'\\]"):
+        cli.load_config(str(path))
+
+
+@pytest.mark.parametrize("flags", [["--split", "train", "--scenarios", "1,1"],
+                                   ["--scenarios", "3,1,3"]], ids=["train-1-1", "test-3-1-3"])
+def test_repeated_scenarios_fail_naming_the_id(tmp_path, capsys, flags):
+    """A repeated scenario id would count its scenes twice: qnav scenes and
+    qnav eval exit 2 before writing, and the message names the id."""
+    out = tmp_path / "scenes.jsonl"
+    assert cli.main(["scenes", *flags, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+    repeated = flags[-1].split(",")[-1]
+    assert f"scenarios lists {repeated} more than once" in capsys.readouterr().err
+    ckpt = trained_checkpoint(tmp_path)
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--checkpoint", str(ckpt), *flags,
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_noise_flag_off_overrides_yaml_noise(tmp_path):
@@ -537,6 +565,25 @@ def test_cmd_eval_of_a_checkpoint_recording_fixed_settings(tmp_path, monkeypatch
             == (tmp_path / "e2" / "outcomes.csv").read_bytes())
 
 
+def test_cmd_eval_of_a_checkpoint_recording_retired_env_keys(tmp_path, monkeypatch):
+    """A checkpoint that records the planner's map_resolution and wheelbase,
+    as older versions wrote them, loads under the EnvConfig without them and
+    evaluates to the outcomes of one that does not record them."""
+    ckpt = trained_checkpoint(tmp_path)
+    payload = json.loads(ckpt.read_text())
+    payload["env"].update(map_resolution=0.5, wheelbase=3.0)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(payload))
+    model, env_config = agent.load_checkpoint(str(old))
+    assert env_config == env.EnvConfig()
+    slice_scenes(monkeypatch, slice(5))
+    for path, out in ((ckpt, "e1"), (old, "e2")):
+        assert cli.main(["eval", "--checkpoint", str(path), "--scenarios", "1",
+                         "--out", str(tmp_path / out)]) == 0
+    assert ((tmp_path / "e1" / "outcomes.csv").read_bytes()
+            == (tmp_path / "e2" / "outcomes.csv").read_bytes())
+
+
 def test_cmd_eval_deterministic(tmp_path, monkeypatch):
     ckpt = trained_checkpoint(tmp_path)
     slice_scenes(monkeypatch, EVAL_SLICE)
@@ -589,6 +636,16 @@ def test_cmd_analyze_fim(tmp_path):
 def test_cmd_analyze_no_inputs(tmp_path):
     code = cli.main(["analyze", "--runs", str(tmp_path), "--out", str(tmp_path)])
     assert code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("flags", [[], ["--runs"]], ids=["no-flags", "empty-runs"])
+def test_cmd_analyze_with_nothing_to_analyze_exit_2_before_output(tmp_path, capsys, flags):
+    """Neither curves nor a checkpoint: exit 2 before the output directory
+    is made, as there is nothing to write into it."""
+    an = tmp_path / "an"
+    assert cli.main(["analyze", *flags, "--out", str(an)]) == cli.EXIT_CONFIG
+    assert "nothing to analyze" in capsys.readouterr().err
+    assert not an.exists()
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -653,8 +710,9 @@ def test_cmd_scenes_unknown_scenario_exit_2_before_output(tmp_path, scenarios):
 
 
 def test_package_defines_two_exception_classes():
-    """Misuse is qnav.UsageError and an unplannable scene PlanningError; no
-    module defines an exception class of its own beyond these."""
+    """Misuse is qnav.UsageError, and qnav.planner, which no run reaches any
+    more, keeps its PlanningError; no module defines an exception class of
+    its own beyond these."""
     modules = [qnav] + [importlib.import_module(f"qnav.{info.name}")
                         for info in pkgutil.iter_modules(qnav.__path__)]
     defined = {obj for module in modules for obj in vars(module).values()
@@ -688,25 +746,11 @@ def injected_failure(tmp_path, monkeypatch):
     return ["train", "--config", str(write_config(tmp_path))]
 
 
-def unplannable_scene(tmp_path, monkeypatch):
-    ckpt = trained_checkpoint(tmp_path)
-    slice_scenes(monkeypatch, slice(1))
-
-    def fail(*args, **kwargs):
-        raise planner.PlanningError("no path found")
-
-    env._layout_path.cache_clear()  # a cached layout would skip the planner
-    monkeypatch.setattr(planner, "plan_path", fail)
-    return ["eval", "--checkpoint", str(ckpt), "--scenarios", "1",
-            "--out", str(tmp_path / "eval")]
-
-
 @pytest.mark.parametrize("make_argv,code", [
     (short_curve_run, cli.EXIT_CONFIG),
     (bad_noise_checkpoint, cli.EXIT_CONFIG),
     (injected_failure, cli.EXIT_RUNTIME),
-    (unplannable_scene, cli.EXIT_RUNTIME),
-], ids=["analysis-misuse", "qsim-misuse", "injected-runtime-error", "unplannable-scene"])
+], ids=["analysis-misuse", "qsim-misuse", "injected-runtime-error"])
 def test_main_maps_usage_error_to_2_and_the_rest_to_3(tmp_path, monkeypatch, capsys,
                                                       make_argv, code):
     argv = make_argv(tmp_path, monkeypatch)

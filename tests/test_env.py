@@ -1,7 +1,9 @@
 """Navigation POMDP: scene grids, rewards, kinematics, sensing, termination."""
 
-import dataclasses
+import ast
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ import pytest
 import qnav.env as env
 from qnav import UsageError, agent, planner
 from qnav.env import ACCELERATE, DECELERATE, KMH, MAINTAIN, Action
-from qnav.planner import PlanningError
 
 import oracles
 
@@ -134,7 +135,7 @@ def test_reset_initial_state():
     assert not world.done
     assert row.shape == (env.observation_dim() + 4,) and env.observation_dim() == 28
     assert row[SPEED] == 0.0
-    assert world.path.poses  # plan exists
+    assert row[2] == 0.0  # on the lane's centre line
 
 
 def test_reset_deterministic():
@@ -142,93 +143,6 @@ def test_reset_deterministic():
     _, row1 = env.reset(scene)
     _, row2 = env.reset(scene)
     assert row1.tobytes() == row2.tobytes()
-
-
-@pytest.fixture
-def plan_calls(monkeypatch):
-    """Arguments of every planner.plan_path call, from an empty plan cache."""
-    env._layout_path.cache_clear()
-    calls = []
-    plan_path = planner.plan_path
-
-    def counted(cost_map, start, goal, **kwargs):
-        calls.append((start, goal, kwargs))
-        return plan_path(cost_map, start, goal, **kwargs)
-
-    monkeypatch.setattr(planner, "plan_path", counted)
-    yield calls
-    env._layout_path.cache_clear()
-
-
-def uncached_path(scene, config=env.EnvConfig()):
-    return planner.plan_path(env.build_cost_map(scene, config), scene.car_start, scene.car_goal,
-                             wheelbase=config.wheelbase, goal_tol=config.goal_tol)
-
-
-def test_reset_plans_each_layout_once(plan_calls):
-    # scenarios 3 and 7 share their occluders, 1 has none
-    scenes = env.generate_scenes(grid=env.SceneGrid((1, 3, 7), 0.25, 0.55, 0.1, 4.75, 12.75, 1.0))
-    layouts = {(s.obstacles, s.car_start, s.car_goal) for s in scenes}
-    for scene in scenes:
-        env.reset(scene)
-    assert (len(scenes), len(layouts)) == (108, 10)
-    assert len(plan_calls) == len(layouts)
-
-
-def test_cached_reset_equals_uncached(plan_calls):
-    scene = env.make_scene(3, 20.0, 1.0)
-    world1, row1 = env.reset(scene)
-    world2, row2 = env.reset(scene)
-    assert len(plan_calls) == 1
-    assert world2.path is world1.path
-    assert world2.path == uncached_path(scene)
-    assert row2.tobytes() == row1.tobytes()
-
-
-def test_plan_cache_keys_on_env_config(plan_calls):
-    """Configs that differ only in fields the planner and the cost map never
-    read share one plan; a planner or map field plans again."""
-    scene = env.make_scene(4, 25.0, 1.0)
-    longer = env.EnvConfig(wheelbase=3.0)
-    finer = env.EnvConfig(map_resolution=0.5)
-    for _ in range(2):
-        default_world, _ = env.reset(scene)
-        longer_world, _ = env.reset(scene, config=longer)
-        finer_world, _ = env.reset(scene, config=finer)
-    for config in (env.EnvConfig(k_pedestrians=6), env.EnvConfig(k_pedestrians=0),
-                   env.EnvConfig(sense_radius=10.0), env.EnvConfig(max_steps=50)):
-        assert env.reset(scene, config=config)[0].path is default_world.path
-    assert [kwargs["wheelbase"] for _, _, kwargs in plan_calls] == [2.5, 3.0, 2.5]
-    assert default_world.path == uncached_path(scene)
-    assert longer_world.path == uncached_path(scene, longer)
-    assert finer_world.path == uncached_path(scene, finer)
-
-
-def test_equal_plans_share_one_path(plan_calls):
-    """Every layout of the test grid plans the same path, and all of them get
-    one Path object, so one cell index; another wheelbase still plans again."""
-    layouts = {}
-    for scene in env.generate_scenes("test"):
-        layouts.setdefault((scene.obstacles, scene.car_start, scene.car_goal), scene)
-    paths = {id(env.reset(scene)[0].path) for scene in layouts.values()}
-    assert (len(layouts), len(plan_calls), len(paths)) == (91, 91, 1)
-    # a block across the lane makes the path turn, so its arcs depend on the wheelbase
-    scene = dataclasses.replace(next(iter(layouts.values())), obstacles=((40.0, -3.0, 45.0, 1.0),))
-    longer = env.EnvConfig(wheelbase=2.75)
-    detour, longer_detour = env.reset(scene)[0].path, env.reset(scene, config=longer)[0].path
-    assert [kwargs["wheelbase"] for _, _, kwargs in plan_calls[91:]] == [2.5, 2.75]
-    assert detour != longer_detour and longer_detour == uncached_path(scene, longer)
-    assert env.reset(scene, config=longer)[0].path is longer_detour
-
-
-def test_unplannable_scene_raises_on_every_reset(plan_calls):
-    blocked_goal = dataclasses.replace(env.make_scene(1, 20.0, 1.0),
-                                       obstacles=((95.0, -3.0, 105.0, 3.0),))
-    for attempt in range(1, 4):
-        with pytest.raises(PlanningError):
-            env.reset(blocked_goal)
-        assert len(plan_calls) == attempt
-    assert env._layout_path.cache_info().currsize == 0
 
 
 def test_far_pedestrian_not_observed():
@@ -421,28 +335,51 @@ def world_state(world):
     return values
 
 
-def lockstep_episode(scene, policy, config, mutate=None):
+def same_rows_but_cross_track(row, ref_row, x):
+    """Rows of the lane-driving env and of the planner oracle agree bit for
+    bit, except [2], the cross-track input: the planned path runs from x = 2
+    to x = 98 on the lane's centre line, so there [2] is the oracle's 0.0,
+    and before and past it the oracle reads a gap along the road that the
+    lateral offset does not. Returns whether the oracle read such a gap."""
+    assert oracles.same_bits(np.delete(row, 2), np.delete(ref_row, 2))
+    if 2.0 <= x <= 98.0:
+        assert oracles.same_bits(row[2], ref_row[2])
+    assert oracles.same_bits(row[2], 0.0)
+    return ref_row[2] != 0.0
+
+
+def lockstep_episode(scene, policy, config, mutate=None, planned=False):
     """Roll one scene out with ``env.step`` and, on a second world of the
     same scene, ``oracles.step``; at every step both worlds, the rows,
     every reward term (``env.compute_reward`` of the stepped world), the
     total, the steering angle, the proximity, the outcome and the step count
-    must agree bit for bit. Returns the outcome, whether a pedestrian was
-    hit and the reward terms that fired."""
+    must agree bit for bit. With ``planned``, the oracle steers along the
+    scene's planned path and the rows agree as ``same_rows_but_cross_track``
+    says. Returns the outcome, whether a pedestrian was hit, the reward
+    terms that fired and the number of rows whose [2] the plan changed."""
+    path = oracles.plan(scene, config) if planned else None
     world, row = env.reset(scene, config=config)
     ref, ref_row = env.reset(scene, config=config)
     if mutate is not None:
         mutate(world)
         mutate(ref)
         row = ref_row = env.build_observation(world)
-    fired, ped_hit, t = set(), False, 0
-    while not world.done:
+    elif planned:
+        ref_row = oracles.observation_row(ref, path)
+    fired, ped_hit, t, gaps = set(), False, 0, 0
+    while True:
+        if planned:
+            gaps += same_rows_but_cross_track(row, ref_row, world.car.x)
+        else:
+            assert oracles.same_bits(row, ref_row), (scene, t)
+        if world.done:
+            break
         action = policy(row, t)
         row = env.step(world, action)
-        _, ref_row, ref_reward, ref_done, ref_info = oracles.step(ref, action)
+        _, ref_row, ref_reward, ref_done, ref_info = oracles.step(ref, action, path)
         reward = env.compute_reward(world, world.prev_action)
         where = (scene, t)
         assert isinstance(row, np.ndarray), where
-        assert oracles.same_bits(row, ref_row), where
         assert reward._fields == ref_reward._fields
         assert oracles.same_bits(list(reward), list(ref_reward)), where
         assert oracles.same_bits(reward.total, ref_reward.total), where
@@ -456,34 +393,63 @@ def lockstep_episode(scene, policy, config, mutate=None):
         fired |= {name for name, value in zip(reward._fields, reward) if value}
         ped_hit |= env.HIT in world.proximity
         t += 1
-    return world.outcome, ped_hit, fired
+    return world.outcome, ped_hit, fired, gaps
 
 
-def test_step_equals_the_helper_by_helper_oracle():
-    """env.step, which takes the car frame and the reward total once, gives
-    the bits of oracles.step in every scenario, under random, forward-biased
-    and greedy-policy actions, and on worlds moved off the path, into a
-    parked car and into the oncoming car: goal, pedestrian hit, car and
-    obstacle collision, near miss and timeout, and every reward term."""
-    config = env.EnvConfig(max_steps=200)
+LOCKSTEP_CONFIG = env.EnvConfig(max_steps=200)
+
+
+def lockstep_policies(sid):
+    """A random, a forward-biased and a greedy-policy action source for
+    scenario ``sid``; each is a function of the row and the step."""
     model = agent.ActorCriticModel(agent.AgentConfig(critic="classical", seed=3),
-                                   env.observation_dim(config), agent.rng_streams(3)["init"])
-    d = model.obs_dim
-
-    def greedy():
-        rows = agent.TraceRows(model, 1)
-        return lambda row, t: agent.greedy_action(model.trunk_forward(row[:d], row[d:], rows, t)[1])
+                                   env.observation_dim(LOCKSTEP_CONFIG),
+                                   agent.rng_streams(3)["init"])
+    d, rows = model.obs_dim, agent.TraceRows(model, 1)
 
     def drawn(seed, p):
         rng = np.random.default_rng(seed)
         return lambda row, t: int(rng.choice(3, p=p))
 
+    return (drawn(sid, None), drawn(100 + sid, [0.6, 0.3, 0.1]),
+            lambda row, t: agent.greedy_action(model.trunk_forward(row[:d], row[d:], rows, t)[1]))
+
+
+def test_step_equals_the_planner_oracle_on_the_lane():
+    """Every layout plans a straight path on the lane's centre line, so
+    env.step, which steers 0.0 and plans nothing, gives the world states and
+    reward terms of oracles.step steering along the plan, bit for bit, in
+    every scenario under random, forward-biased and greedy-policy actions.
+    The rows differ only in [2] before x = 2 and past x = 98, where the
+    oracle reads a gap along the road and the lateral offset reads 0.0."""
+    outcomes, gaps = set(), 0
+    for sid in env.TEST_SCENARIOS:
+        for distance, speed in ((15.0, 1.0), (30.0, 1.5)):
+            scene = env.make_scene(sid, distance, speed)
+            assert {pose[1:] for pose in oracles.plan(scene, LOCKSTEP_CONFIG).poses} == {(0.0, 0.0)}
+            for policy in lockstep_policies(sid):
+                outcome, ped_hit, _, changed = lockstep_episode(scene, policy, LOCKSTEP_CONFIG,
+                                                                planned=True)
+                outcomes.add((outcome, ped_hit))
+                gaps += changed
+    assert outcomes >= {("goal", False), ("collision", True), ("timeout", False)}
+    assert gaps > 0
+
+
+def test_step_equals_the_helper_by_helper_oracle():
+    """env.step, which takes the car frame and the reward total once, gives
+    the bits of oracles.step in every scenario, under random, forward-biased
+    and greedy-policy actions, and on worlds moved off the lane, into a
+    parked car and into the oncoming car: goal, pedestrian hit, car and
+    obstacle collision, near miss and timeout, and every reward term but
+    the steering one, as a step always steers 0.0."""
+    config = LOCKSTEP_CONFIG
     outcomes, fired = set(), set()
     for sid in env.TEST_SCENARIOS:
         for distance, speed in ((15.0, 1.0), (30.0, 1.5)):
             scene = env.make_scene(sid, distance, speed)
-            for policy in (drawn(sid, None), drawn(100 + sid, [0.6, 0.3, 0.1]), greedy()):
-                outcome, ped_hit, terms = lockstep_episode(scene, policy, config)
+            for policy in lockstep_policies(sid):
+                outcome, ped_hit, terms, _ = lockstep_episode(scene, policy, config)
                 outcomes.add((outcome, ped_hit))
                 fired |= terms
     assert outcomes >= {("goal", False), ("collision", True), ("timeout", False)}
@@ -500,36 +466,68 @@ def test_step_equals_the_helper_by_helper_oracle():
         park_pedestrian(world)
         world.others[0].y = 0.0
 
-    forward = drawn(7, [0.6, 0.3, 0.1])
-    outcome, _, terms = lockstep_episode(env.make_scene(2, 30.0, 1.0), forward, config, off_path)
+    forward = lockstep_policies(7)[1]
+    outcome, _, terms, _ = lockstep_episode(env.make_scene(2, 30.0, 1.0), forward, config, off_path)
     fired |= terms
     for scene, mutate in ((env.make_scene(3, 30.0, 1.0), behind_parked_car),
                           (env.make_scene(5, 30.0, 1.0), oncoming_in_lane)):
-        outcome, ped_hit, terms = lockstep_episode(scene, forward, config, mutate)
+        outcome, ped_hit, terms, _ = lockstep_episode(scene, forward, config, mutate)
         assert (outcome, ped_hit) == ("collision", False)
         assert {"hit", "obstacle"} <= terms
-    assert fired == set(env.RewardBreakdown._fields)
+    assert fired == set(env.RewardBreakdown._fields) - {"steer"}
 
 
 def test_step_calls_the_traced_functions_once(monkeypatch):
-    """The benchmark times the observation and path tracking by wrapping
-    env.build_observation, planner.tracking_steering and
-    planner.cross_track_error on their modules: env.step must reach each of
-    them through that module name, once a step, or the traced timings read
-    0."""
+    """The benchmark times the observation by wrapping env.build_observation
+    on its module: env.step must reach it through that module name, once a
+    step, or the traced timings read 0. Neither reset nor step reaches any
+    function of qnav.planner: the car drives the lane's centre line."""
     calls = []
-    for module, name in ((env, "build_observation"), (planner, "tracking_steering"),
-                         (planner, "cross_track_error")):
-        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+    targets = [(env, "build_observation")] + [
+        (planner, name) for name, fn in vars(planner).items()
+        if inspect.isfunction(fn) and fn.__module__ == planner.__name__]
+    for module, name in targets:
+        def counted(*args, _fn=getattr(module, name), _name=f"{module.__name__}.{name}", **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
+    assert len(targets) > 3
     world, _ = fresh_world(scenario=7)
+    assert calls == ["qnav.env.build_observation"]
     calls.clear()
     for _ in range(20):
         env.step(world, ACCELERATE)
-        assert sorted(calls) == ["build_observation", "cross_track_error", "tracking_steering"]
+        assert calls == ["qnav.env.build_observation"]
         calls.clear()
+
+
+def planner_imports(source: str) -> list[str]:
+    """The import statements of a qnav module that name qnav.planner,
+    absolutely or relative to the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith("qnav.planner")]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("." * node.level) + (node.module or "")
+            if module in ("qnav.planner", ".planner") or module.startswith(("qnav.planner.", ".planner.")):
+                found.append(module)
+            elif module in ("qnav", "."):
+                found += [f"{module}:{a.name}" for a in node.names if a.name == "planner"]
+    return found
+
+
+def test_no_qnav_module_imports_the_planner():
+    """Only the benchmark and the tests still read qnav.planner, so deleting
+    it will touch no production code."""
+    assert planner_imports("from . import UsageError, planner\nimport qnav.planner as p\n"
+                           "from .planner import Path\n") == [".:planner", "qnav.planner", ".planner"]
+    package = Path(env.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) > 5
+    for source in sources:
+        if source.name != "planner.py":
+            assert planner_imports(source.read_text()) == [], source.name
 
 
 def test_step_checks_contacts_once(monkeypatch):
@@ -727,11 +725,12 @@ def test_collision_outcome():
 
 
 def test_cost_map_layout():
+    """The cost map the planner oracle plans on and reads the obstacle term
+    from: road, sidewalks, blocked beyond them and under a parked car."""
     scene = env.make_scene(3, 20.0, 1.0)
-    cmap = env.build_cost_map(scene)
-    from qnav import planner as planner_mod
-    assert cmap.cost_at(50.0, 0.0) == planner_mod.COST_ROAD
-    assert cmap.cost_at(50.0, -4.5) == planner_mod.COST_SIDEWALK
-    assert cmap.cost_at(50.0, 20.0) == planner_mod.COST_BLOCKED
+    cmap = oracles.cost_map(scene.obstacles, env.EnvConfig())
+    assert cmap.cost_at(50.0, 0.0) == planner.COST_ROAD
+    assert cmap.cost_at(50.0, -4.5) == planner.COST_SIDEWALK
+    assert cmap.cost_at(50.0, 20.0) == planner.COST_BLOCKED
     ox0, oy0, ox1, oy1 = scene.obstacles[0]
-    assert cmap.cost_at((ox0 + ox1) / 2.0, (oy0 + oy1) / 2.0) == planner_mod.COST_BLOCKED
+    assert cmap.cost_at((ox0 + ox1) / 2.0, (oy0 + oy1) / 2.0) == planner.COST_BLOCKED
