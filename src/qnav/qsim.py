@@ -24,17 +24,29 @@ one qubit, its rotations and the depolarizing kicks that land on it, in
 circuit order, multiplies into one per-row 2x2 matrix (M <- R M, and M <- P M
 for a kick, also one that opens the block). All blocks' products are
 computed at once, one rotation step across every (block, qubit) group at a
-time, so the state sees one pass per group and one per CZ run. At the
-defaults (4 qubits, 2 layers, 6 sublayers) that is 30 passes instead of 138
-gates; under sublayer noise it is 34 instead of 138 gates and 24 kicks, as
-the last sublayer's kicks follow the last CZ run. A 2x2 on one qubit maps
-amplitude k to a combination of k and k with that qubit's bit flipped, so a
-pass is one gather along the amplitude axis and a few elementwise products
-with per-row coefficients. The first block acts on |0...0>, so its state is
-each row's tensor product of its groups' first columns (a, b), multiplied
-in pass order onto the row's phase: one product per group on a growing
-array, and 26 passes over the state remain at the defaults (30 under
-sublayer noise).
+time, so the state sees one pass per group and one per CZ run, up to the
+tail (below). At the defaults (4 qubits, 2 layers, 6 sublayers) that is 29
+passes and 24 groups instead of 138 gates, with or without sublayer noise's
+24 kicks. A 2x2 on one qubit maps amplitude k to a combination of k and k
+with that qubit's bit flipped, so a pass is one gather along the amplitude
+axis and a few elementwise products with per-row coefficients. The first
+block acts on |0...0>, so its state is each row's tensor product of its
+groups' first columns (a, b), multiplied in pass order onto the row's
+phase: one product per group on a growing array, and 25 passes over the
+state remain at the defaults.
+
+Tail. The readout sees only |psi|^2, so the passes stop at the last group
+that holds a rotation, and the CZ runs and kick-only groups after it, the
+tail, never run. A +/-1 mask leaves |psi|^2 as it is, and so does a Z
+kick; an X or Y kick on qubit q moves each amplitude k to k with q's bit
+flipped, times a unit factor. So a row's final |psi|^2 at k is its |psi|^2
+before the tail at k XOR f, where f, the row's tail flip, is the XOR of the
+bits of the qubits its tail kicks with X or Y, and the readout reads it so,
+with the same bits. The default circuit's tail is its last CZ run and,
+under sublayer noise, the last sublayer's kick on each qubit (30 and 34
+passes, and 28 groups under noise, when the tail ran). Its events are
+still drawn, and the row's phase still counts its kicks, so the state
+before the tail keeps its bits.
 
 Each factor of a group matrix costs only what its form needs. A rotation
 step applies, to the groups that turn about each axis at that step (fixed
@@ -51,13 +63,16 @@ zero may differ from it in its sign.
 Angles and shared steps. A call takes cos and sin of half of each distinct
 angle value once: a fixed angle or a parameter once per call, a feature once
 per input row (not once per re-upload), and per row only the trainable uses
-that gate error jitters. Every (step, group, row) reads its value through an
-index. The leading rotation steps that all rows share, up to the first
-jittered step or the first kick that follows a rotation, multiply once per
-group, on (G,), and are broadcast to the rows; kicks before a group's first
-rotation then multiply on the right of that product (a Pauli factor only
-permutes and rephases, so the order changes no bits). Per row only the
-remaining steps, the kicks and the state passes are left.
+that gate error jitters. The jittered angles go into the half-angle table in
+(step, group, row) order, so a step at which every group turns by one reads
+its per-row cos and sin as a slice of the tables; every other (step, group,
+row) reads its value through an index. The leading rotation steps that all
+rows share, up to the first jittered step or the first kick that follows a
+rotation, multiply once per group, on (G,), and are broadcast to the rows;
+kicks before a group's first rotation then multiply on the right of that
+product (a Pauli factor only permutes and rephases, so the order changes no
+bits). Per row only the remaining steps, the kicks and the state passes are
+left.
 
 Parameter shift. ``param_shift_value_and_grad`` runs, per input, one batch
 of its unshifted circuit and one circuit per +/-pi/2 shift of each angle
@@ -65,8 +80,9 @@ use: 241 rows at the defaults. Each row differs from the first in one angle
 only (and in its noise), so the rows share the input's values, each shifted
 angle is one more value, and a row whose shifted angle falls among the
 shared steps takes its own column of the shared product for that group.
-Without noise every step is shared; under gate error the three data
-rotations of each group of the default circuit are.
+A shifted jittered angle shifts in place in the table. Without noise every
+step is shared; under gate error the three data rotations of each group of
+the default circuit are, and its two trainable steps are slices.
 
 Adjoint reverse pass. ``adjoint_value_and_grad`` runs the same passes
 backwards on psi and lambda = O psi at once, undoing each CZ run with its
@@ -79,8 +95,12 @@ chunks, which bounds the read's copies of the state). The derivative of a
 rotation about P is the P component of its group's vector just after it,
 and undoing the rotation turns the other two components by its angle, so
 one loop over rotation steps, last step first and all groups at once, gives
-every derivative from the vectors with no further state pass: 30 passes and
-6 reads back instead of 138 gates at the defaults.
+every derivative from the vectors with no further state pass. The walk back
+ends at the read of the chunk that holds group 0, as nothing reads what it
+would undo after it, and it starts before the tail's CZ runs: O is
+diagonal, so it commutes with them, and a +/-1 mask undone is the bits it
+was. At the defaults that is 25 passes and 6 reads back instead of 138
+gates.
 
 Noise. Under noise every row is its own trajectory. One simulation call
 draws from ``rng`` as whole arrays, in this order:
@@ -89,9 +109,10 @@ draws from ``rng`` as whole arrays, in this order:
    in circuit order (``perturb_gate_params``);
 2. depolarizing: the coins, U(0, 1) of shape (rows, events), then the Pauli
    choices, integers in [0, 3) for X, Y, Z of the same shape. An event
-   kicks where its coin falls under p; one ``np.flatnonzero`` of the coins
-   under p lists those (row, event) pairs and gives each row's number of
-   kicks, whose factors i multiply into one phase per row.
+   kicks where its coin falls under p; each row's number of kicks gives the
+   factors i that multiply into one phase per row, its tail events give its
+   tail flip, and one ``np.flatnonzero`` of the coins under p lists the
+   other (row, event) pairs that kick.
 
 Depolarizing events follow circuit order: every qubit 0..n-1 after each
 gate the circuit's sublayer marks name. Parameter shift makes one call per
@@ -103,16 +124,18 @@ coefficient gather of a pass, the (G, 4, B) group matrices, the per-row
 pairs of the rotation steps with their temporaries, the shared product's
 columns, the (steps, G, B) value index with its cos and sin gathers, the
 half-angle table with its cos and sin, the gate-error jitter and
-depolarizing coins, and every array of the adjoint reverse pass; the kicks
-that were drawn are a few small arrays per call. Each name holds one flat
-buffer, sized for the largest request so far, and a call works on a
-contiguous view of its front, so a call of any row count up to that size
-reuses it. One workspace is kept per thread and serves every call, of any
-circuit, noise and row count, so a run of calls allocates (and makes the
-system fault in) those arrays once, not each time. What depends on the
-circuit alone is kept on it, read-only: the :class:`_Plan` of a
-parameter-shift batch (its (steps, G, B) value index and the columns of
-its shared product), which only whether depolarizing noise and gate error
+depolarizing coins, the indices, factors and products of the drawn kicks
+(sized by their count), the gather index of the tail flips and every array
+of the adjoint reverse pass. Each name holds one flat buffer, sized for the
+largest request so far, and a call works on a contiguous view of its
+front, so a call of any row count up to that size reuses it. One workspace
+is kept per thread and serves every call, of any circuit, noise and row
+count, so a run of calls allocates (and makes the system fault in) those
+arrays once, not each time. What depends on the circuit alone is kept on
+it, read-only: the :class:`_Plan` of a call of one input (its angle table's
+layout, its (steps, G, B) value index, the columns of its shared product
+and the slices of its steps), one for a value and one for a
+parameter-shift batch, which only whether depolarizing noise and gate error
 are on change, and the 0/1 matrices that sum the adjoint's angle
 derivatives into parameters and features. An array a call returns is
 always its own copy, never a view of the workspace, so a later call cannot
@@ -241,8 +264,9 @@ def _check_qubit(qubit: int, n: int):
 def perturb_gate_params(theta: np.ndarray, rng: np.random.Generator, scale: float = 0.01,
                         out: Optional[np.ndarray] = None) -> np.ndarray:
     """Multiplicative angle jitter theta_k -> theta_k * (1 + scale * U(0,1)),
-    written into ``out`` if given (of theta's shape)."""
-    jitter = rng.random(np.shape(theta), out=out)
+    one draw per entry of ``out`` if given (of a shape theta broadcasts to,
+    such as rows of theta), else of theta."""
+    jitter = rng.random(np.shape(theta)) if out is None else rng.random(out=out)
     jitter *= scale
     jitter += 1.0
     jitter *= theta
@@ -298,6 +322,17 @@ class _Blocks:
     kicks each group at most once. No kick falls between two of the first
     ``kick_free`` steps.
 
+    The passes end with the last group that holds a rotation. The CZ runs
+    and kick-only groups after it, the tail, are left out: the readout
+    absorbs them (see "Tail" in the module docstring). Their events
+    ``tail_events`` (a slice when consecutive) have group and round -1, and
+    kick the qubits whose bits are ``tail_bits``.
+
+    ``param_order`` lists the trainable angle columns (by their position in
+    ``Circuit.param_cols``) in (step, group) order; ``trainable[s]`` is the
+    rank there of step s's first if every group turns by a trainable angle
+    at step s, else None.
+
     For the adjoint reverse pass, a block's groups read their Bloch vectors in
     one or more chunks, and ``reads[g]`` is set for the last group g of each:
     ``(groups, flips, xy)``, the chunk's groups as a slice and, per group, its
@@ -322,6 +357,10 @@ class _Blocks:
     rounds: tuple
     kick_free: int
     n_events: int
+    tail_events: object  # slice or (tail events,)
+    tail_bits: np.ndarray  # (tail events,)
+    param_order: np.ndarray  # (trainable columns,)
+    trainable: tuple  # (S,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,10 +379,10 @@ class Circuit:
     ``features`` (the entries some gate uses), and column c reads value
     ``value_index[c]`` in its first row. ``sums`` holds, per input width,
     the 0/1 matrices that sum the adjoint's angle-column derivatives into
-    theta and into the features (see :func:`_source_sums`). ``shift_plans``
-    holds the :class:`_Plan` of a parameter-shift batch per (``blocks``
-    key, gate error on): nothing else changes it, so :func:`_forward` builds
-    it on the first such call, read-only.
+    theta and into the features (see :func:`_source_sums`). ``plans`` holds
+    the :class:`_Plan` of a call of one input per (``blocks`` key, gate
+    error on, parameter-shift batch): nothing else changes it, so
+    :func:`_forward` builds it on the first such call, read-only.
     """
 
     n: int
@@ -358,17 +397,20 @@ class Circuit:
     features: np.ndarray
     value_index: np.ndarray  # (rotations + 1,), the last column the identity
     sums: dict = field(default_factory=dict)
-    shift_plans: dict = field(default_factory=dict)
+    plans: dict = field(default_factory=dict)
 
 
-def _selection(indices: np.ndarray, size: int):
-    """``indices`` among ``size`` as None if they are all, as a slice if they
-    are consecutive, else as they are."""
-    if indices.size == size:
-        return None
+def _span(indices: np.ndarray):
+    """``indices`` as a slice if they are consecutive, else as they are."""
     if indices.size and indices[-1] - indices[0] == indices.size - 1:
         return slice(int(indices[0]), int(indices[-1]) + 1)
     return indices
+
+
+def _selection(indices: np.ndarray, size: int):
+    """``indices`` among ``size`` as None if they are all, else as :func:`_span`
+    gives them."""
+    return None if indices.size == size else _span(indices)
 
 
 def _turns(axes: np.ndarray) -> tuple:
@@ -379,11 +421,12 @@ def _turns(axes: np.ndarray) -> tuple:
     return turning, _selection(still, axes.size) if still.size else None
 
 
-def _fuse(gates: tuple, steps: list, events: tuple, n_qubits: int, n_rotations: int) -> _Blocks:
+def _fuse(gates: tuple, steps: list, events: tuple, n_qubits: int, n_rotations: int,
+          param_cols: list) -> _Blocks:
     """Fuse a circuit, with a depolarizing event on each qubit that ``events[pos]``
     lists after gate ``pos``, into blocks (see :class:`_Blocks`). ``steps[pos]``
     is ``(col, None)`` for a rotation, with its angle column, and
-    ``(None, mask)`` for a CZ."""
+    ``(None, mask)`` for a CZ; ``param_cols`` are the trainable columns."""
     flip, sign = _tables(n_qubits)
     bits = (sign < 0).astype(np.intp)
     rotations: list = []  # per group: (col, kind) of each rotation
@@ -420,6 +463,16 @@ def _fuse(gates: tuple, steps: list, events: tuple, n_qubits: int, n_rotations: 
             nth[g, step] += 1
     if run is not None:
         passes.append((None, run[:, None], None))
+    # the tail: the CZ runs and kick-only groups after the last group that
+    # holds a rotation, which the readout absorbs; groups are numbered in
+    # pass order, so the tail's come last
+    body = max((pos + 1 for pos, (g, _, _) in enumerate(passes) if g is not None and rotations[g]),
+               default=0)
+    passes = passes[:body]
+    n_groups = sum(g is not None for g, _, _ in passes)
+    tail = [e for e, (g, _, _) in enumerate(kicks) if g >= n_groups]
+    tail_bits = np.array([1 << (n_qubits - 1 - qubits[kicks[e][0]]) for e in tail], dtype=np.intp)
+    rotations, qubits = rotations[:n_groups], qubits[:n_groups]
 
     shape = (max(map(len, rotations), default=0), len(rotations))
     cols = np.full(shape, n_rotations, dtype=np.intp)
@@ -434,9 +487,16 @@ def _fuse(gates: tuple, steps: list, events: tuple, n_qubits: int, n_rotations: 
                           for k in range(3)], axis=1)
     # rounds in the order they apply: before a group's first rotation the
     # kicks multiply on the right, so the last applies first
-    rounds = sorted({(step, k) for _, step, k in kicks},
+    rounds = sorted({(step, k) for g, step, k in kicks if g < n_groups},
                     key=lambda round_: (round_[0], -round_[1] if round_[0] < 0 else round_[1]))
     number = {round_: r for r, round_ in enumerate(rounds)}
+    # trainable columns in (step, group) order, and the rank there of each
+    # step's first if every group turns by a trainable angle at that step
+    params = {col: j for j, col in enumerate(param_cols)}
+    order, trainable = [], []
+    for step in cols.tolist():
+        trainable.append(len(order) if all(col in params for col in step) else None)
+        order += [params[col] for col in step if col in params]
     # A read copies each of its groups' partner amplitudes, so a block's groups
     # (numbered consecutively) read in chunks whose copies hold at most
     # _READ_AMPLITUDES amplitudes per row, or one group's: one read per block
@@ -453,13 +513,17 @@ def _fuse(gates: tuple, steps: list, events: tuple, n_qubits: int, n_rotations: 
                                np.stack([np.ones_like(sign[on]), sign[on]], axis=1))
     kick_free = min((step + 1 for step, _ in rounds if step >= 0), default=shape[0])
     opening = sum(1 for _ in itertools.takewhile(lambda entry: entry[0] is not None, passes))
+    kick_group = [g if g < n_groups else -1 for g, _, _ in kicks]
     return _Blocks(passes=tuple(passes), first=tuple(qubits[:opening]), reads=reads, cols=cols,
                    axes=axes, turns=tuple(map(_turns, axes)), step_of=step_of,
                    group_of=group_of, axis_rows=axis_rows,
-                   kick_group=np.array([g for g, _, _ in kicks], dtype=np.intp),
-                   kick_round=np.array([number[step, k] for _, step, k in kicks], dtype=np.intp),
+                   kick_group=np.array(kick_group, dtype=np.intp),
+                   kick_round=np.array([number[step, k] if g >= 0 else -1
+                                        for g, (_, step, k) in zip(kick_group, kicks)], dtype=np.intp),
                    rounds=tuple(step for step, _ in rounds), kick_free=kick_free,
-                   n_events=len(kicks))
+                   n_events=len(kicks), tail_events=_span(np.array(tail, dtype=np.intp)),
+                   tail_bits=tail_bits, param_order=np.array(order, dtype=np.intp),
+                   trainable=tuple(trainable))
 
 
 def compile_circuit(gates: Sequence[GateOp], n_qubits: int,
@@ -498,7 +562,7 @@ def compile_circuit(gates: Sequence[GateOp], n_qubits: int,
     return Circuit(
         n=n_qubits,
         n_rotations=n_rotations,
-        blocks={key: _fuse(gates, steps, kicked, n_qubits, n_rotations)
+        blocks={key: _fuse(gates, steps, kicked, n_qubits, n_rotations, param_cols)
                 for key, kicked in events.items()},
         fixed_angles=np.array(fixed, dtype=float),
         data_cols=np.array(data_cols, dtype=np.intp),
@@ -519,32 +583,14 @@ def _rows(x) -> tuple[np.ndarray, bool]:
     return np.atleast_2d(x), x.ndim == 1
 
 
-class _Angles(NamedTuple):
-    """The half angles of one simulation call.
-
-    ``cos`` and ``sin`` hold each distinct value once. Row r of angle column c
-    reads value ``index[c] + stride[c] * r``, except the shifted entries:
-    ``shifted = (cols, rows, values)`` gives row ``rows[i]`` of column
-    ``cols[i]`` value ``values[i]``.
-    """
-
-    cos: np.ndarray
-    sin: np.ndarray
-    index: np.ndarray  # (rotations + 1,)
-    stride: np.ndarray  # (rotations + 1,)
-    shifted: tuple
-    rows: int
-
-
 _NO_SHIFTS = (np.zeros(0, dtype=np.intp),) * 3
 
 
-def _angle_values(circuit: Circuit, x: np.ndarray,
-                  theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The call's noise-free angle values, and each column's index and stride
-    into them (see :class:`_Angles`): a fixed angle and a parameter are one
-    value for all rows, and a feature one per row of ``x``, or one for all
-    rows if ``x`` has a single row."""
+def _angle_values(circuit: Circuit, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The call's noise-free angle values: a zero, ``circuit.fixed_angles``,
+    theta at ``circuit.params`` and each row's features at
+    ``circuit.features``, so a fixed angle and a parameter are one value for
+    all rows and a feature one per row of ``x``."""
     if circuit.data_index.size and circuit.data_index.max() >= x.shape[1]:
         raise UsageError(f"data index {circuit.data_index.max()} outside feature vector "
                           f"of length {x.shape[1]}")
@@ -555,10 +601,7 @@ def _angle_values(circuit: Circuit, x: np.ndarray,
                              x[:, circuit.features].ravel()])
     if not np.isfinite(values).all():  # training diverged: a runtime fault, not misuse
         raise ValueError("rotation angle must be finite")
-    stride = np.zeros(circuit.n_rotations + 1, dtype=np.intp)
-    if len(x) != 1:
-        stride[circuit.data_cols] = circuit.features.size
-    return values, circuit.value_index, stride
+    return values
 
 
 def _check_params_used(circuit: Circuit, theta: np.ndarray) -> None:
@@ -613,18 +656,30 @@ def _workspace() -> _Workspace:
 def _evolve(circuit: Circuit, x: np.ndarray, theta: np.ndarray, noise: Optional[NoiseSpec] = None,
             rng: Optional[np.random.Generator] = None,
             shift_cols: Optional[np.ndarray] = None) -> np.ndarray:
-    """Final (B, 2**n) states, one trajectory per row: a copy of the state
-    :func:`_forward` leaves in the workspace (for one row psi.T is already
+    """The (B, 2**n) states the readout sees, one trajectory per row: the
+    final states up to a phase on each amplitude. They are the states
+    :func:`_forward` leaves before the tail, each row's amplitudes permuted by
+    its tail flip, as a copy of the workspace's (for one row psi.T is already
     contiguous, so np.ascontiguousarray would return a view of it)."""
-    return _forward(circuit, x, theta, noise, rng, shift_cols)[0].T.copy()
+    psi, _, _, _, flips = _forward(circuit, x, theta, noise, rng, shift_cols)
+    if flips is None:
+        return psi.T.copy()
+    # row r's amplitude k is psi[k ^ flips[r], r]
+    rows = psi.shape[1]
+    index = np.bitwise_xor(flips[:, None], np.arange(len(psi)),
+                           out=_workspace().array("flipped index", (rows, len(psi)), np.intp))
+    index *= rows
+    index += np.arange(rows)[:, None]
+    return psi.take(index, mode="clip")
 
 
 def _forward(circuit: Circuit, x: np.ndarray, theta: np.ndarray, noise: Optional[NoiseSpec] = None,
              rng: Optional[np.random.Generator] = None, shift_cols: Optional[np.ndarray] = None):
-    """The forward pass of one call: its final amplitude-major (2**n, B)
-    state, which stays in this thread's workspace, its :class:`_Angles`, its
-    (steps, G, B) :func:`_step_index` and its group matrices (see
-    :func:`_block_matrices`).
+    """The forward pass of one call: the amplitude-major (2**n, B) state it
+    leaves before the tail, which stays in this thread's workspace, the cos
+    and sin tables of its half angles (see :class:`_Plan`), its (steps, G, B)
+    step index, its group matrices (see :func:`_block_matrices`) and each
+    row's tail flip (see :func:`_kicks`), or None if no row flips.
 
     Row r runs input ``x[r]``. With ``shift_cols``, the circuit's trainable
     angle columns and then its data columns (U in all), ``x`` is one input
@@ -633,57 +688,81 @@ def _forward(circuit: Circuit, x: np.ndarray, theta: np.ndarray, noise: Optional
     Draws the noise arrays in the order the module docstring fixes; gate
     error scales the trainable angles before the shifts are added.
     """
-    values, index, stride = _angle_values(circuit, x, theta)
+    values = _angle_values(circuit, x, theta)
     ws = _workspace()
-    rows = len(x) if shift_cols is None else 1 + 2 * len(shift_cols)
-    key, jittered, kicks, phase = None, None, (), 1.0
+    gate_error = depolarizing = None
     if noise is not None and noise.enabled:
         if rng is None:
             raise UsageError("noise simulation requires an rng stream")
-        if noise.gate_error is not None:
-            cols = circuit.param_cols
-            trainable = np.broadcast_to(values[index[cols]], (rows, cols.size))
-            jittered = perturb_gate_params(trainable, rng, noise.gate_error,
-                                           ws.array("jitter", trainable.shape))
-        if noise.depolarizing is not None:
-            key = "sublayer"
-            shape = (rows, circuit.blocks[key].n_events)
-            coins = rng.random(shape, out=ws.array("coins", shape))
-            paulis = rng.integers(3, size=shape)  # X, Y, Z; integers takes no out
-            kicks, phase = _kicks(circuit.blocks[key], np.flatnonzero(coins < noise.depolarizing),
-                                  paulis)
+        gate_error, depolarizing = noise.gate_error, noise.depolarizing
+    key, jitter = None if depolarizing is None else "sublayer", gate_error is not None
     blocks = circuit.blocks[key]
-    angles = _half_angles(circuit, values, index, stride, rows, jittered, shift_cols, ws)
-    if shift_cols is None:
-        plan = _Plan(_step_index(blocks, angles, ws), _head(blocks, angles))
-    else:  # kept on the circuit, read-only (see Circuit)
-        plan = circuit.shift_plans.get((key, jittered is not None))
+    if len(x) == 1:  # kept on the circuit, read-only (see Circuit)
+        plan = circuit.plans.get((key, jitter, shift_cols is not None))
         if plan is None:
-            plan = _Plan(_step_index(blocks, angles, ws).copy(), _head(blocks, angles))
-            for arr in (plan.index, plan.head.index):
-                arr.flags.writeable = False
-            circuit.shift_plans[key, jittered is not None] = plan
-    matrices = _block_matrices(blocks, angles, kicks, ws, plan)
+            plan = circuit.plans[key, jitter, shift_cols is not None] = _plan(
+                circuit, key, jitter, 1, len(values), shift_cols, ws)
+    else:
+        plan = _plan(circuit, key, jitter, len(x), len(values), None, ws)
+    rows = plan.rows
+    jittered, kicks, phase, flips = None, (), 1.0, None
+    if jitter:
+        shape = (rows, circuit.param_cols.size)
+        jittered = perturb_gate_params(theta.take(circuit.param_index), rng, gate_error,
+                                       ws.array("jitter", shape))
+    if depolarizing is not None:
+        shape = (rows, blocks.n_events)
+        coins = rng.random(shape, out=ws.array("coins", shape))
+        paulis = rng.integers(3, size=shape)  # X, Y, Z; integers takes no out
+        kicked = np.less(coins, depolarizing, out=ws.array("kicked", shape, bool))
+        kicks, phase, flips = _kicks(blocks, kicked, paulis, ws)
+    trig = _half_angles(values, jittered, plan, ws)
+    matrices = _block_matrices(blocks, trig, kicks, ws, plan)
     psi = _product_state(blocks, circuit.n, matrices, phase, ws)
     _run_passes(blocks.passes[len(blocks.first) :], matrices, psi, ws)
-    return psi, angles, plan.index, matrices
+    return psi, trig, plan.index, matrices, flips
 
 
-def _kicks(blocks: _Blocks, kicked: np.ndarray, paulis: np.ndarray) -> tuple[list, np.ndarray]:
-    """The drawn Paulis ``paulis`` (rows, events), 0, 1, 2 for X, Y, Z, at the
-    flat (row, event) positions ``kicked`` whose coin fell under p: per round
-    of ``blocks.rounds``, the ``(groups, rows, alpha, beta)`` of its kicks, and
-    each row's phase i ** (its number of kicks)."""
-    rows, events = np.divmod(kicked, blocks.n_events)
-    phase = _I_POWERS[np.bincount(rows, minlength=len(paulis)) % 4]
-    drawn = paulis.take(kicked)
-    kicks = (blocks.kick_group[events], rows, _KICK_ALPHA[drawn], _KICK_BETA[drawn])
-    if len(blocks.rounds) == 1:
-        return [kicks], phase
-    rounds = blocks.kick_round[events]
+def _kicks(blocks: _Blocks, kicked: np.ndarray, paulis: np.ndarray,
+           ws: _Workspace) -> tuple[list, np.ndarray, Optional[np.ndarray]]:
+    """The drawn Paulis ``paulis`` (rows, events), 0, 1, 2 for X, Y, Z, of the
+    (row, event) pairs ``kicked`` whose coin fell under p: per round of
+    ``blocks.rounds``, the ``(pairs, alpha, beta)`` of its kicks, each pair a
+    flat index into a (G, rows) array; each row's phase i ** (its number of
+    kicks, the tail's too); and each row's tail flip, the XOR of the bits of
+    the qubits that its tail kicks with X or Y, or None if no row flips. The
+    per-kick arrays are the workspace's; ``kicked`` is left with no tail kick."""
+    rows = len(kicked)
+    counts = kicked.sum(axis=1)
+    counts &= 3
+    phase = _I_POWERS[counts]
+    flips, tail = None, blocks.tail_events
+    if blocks.tail_bits.size and kicked[:, tail].any():
+        flipped = kicked[:, tail] & (paulis[:, tail] < 2)
+        if flipped.any():
+            flips = np.bitwise_xor.reduce(flipped * blocks.tail_bits, axis=1)
+        kicked[:, tail] = False
+    at = np.flatnonzero(kicked)
+    if not at.size:
+        return [], phase, flips
+    row, events, pairs = ws.array("kick indices", (3,) + at.shape, np.intp)
+    np.divmod(at, blocks.n_events, out=(row, events))
+    blocks.kick_group.take(events, out=pairs, mode="clip")
+    pairs *= rows
+    pairs += row
+    drawn = paulis.take(at, out=row, mode="clip")
+    alpha, beta = ws.array("kick factors", (2,) + at.shape, complex)
+    kicks = (pairs, _KICK_ALPHA.take(drawn, out=alpha, mode="clip"),
+             _KICK_BETA.take(drawn, out=beta, mode="clip"))
+    if len(blocks.rounds) <= 1:
+        return [kicks], phase, flips
+    rounds = blocks.kick_round.take(events, out=row, mode="clip")
     order = np.argsort(rounds, kind="stable")
-    bounds = np.searchsorted(rounds[order], np.arange(1, len(blocks.rounds)))
-    return list(zip(*(np.split(arr[order], bounds) for arr in kicks))), phase
+    bounds = np.searchsorted(rounds.take(order, out=events, mode="clip"),
+                             np.arange(1, len(blocks.rounds)))
+    kicks = [arr.take(order, out=ws.array(f"sorted kick {name}", at.shape, arr.dtype), mode="clip")
+             for name, arr in zip(("pairs", "alpha", "beta"), kicks)]
+    return list(zip(*(np.split(arr, bounds) for arr in kicks))), phase, flips
 
 
 class _Head(NamedTuple):
@@ -701,21 +780,103 @@ class _Head(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """The (steps, G, B) :func:`_step_index` of a call and its :class:`_Head`;
-    a parameter-shift batch's is kept on the circuit (see Circuit)."""
+    """What a call's angle values do not change: its angle table's layout,
+    its step index and its :class:`_Head`. A call of one input, a value or
+    a parameter-shift batch, keeps its plan on the circuit (see Circuit);
+    any other builds its own.
 
-    index: np.ndarray
+    The half-angle table holds the call's values, then, under gate error,
+    each row's jittered trainable angles in (step, group, row) order, which
+    ``jitter`` gathers from the (rows, trainable uses) draws, then one value
+    per shifted entry that ``moves`` makes: the value at ``sources[i]``
+    plus ``addends[i]``. Jittered trainable entries shift in place:
+    ``inplace`` adds its ``addends[i]`` to entry ``positions[i]``. Row r of
+    angle column c reads entry ``columns[c] + stride[c] * r``, except the
+    moved entries: ``shifted = (cols, rows, values)`` gives row ``rows[i]``
+    of column ``cols[i]`` entry ``values[i]``. ``index[s, g, r]`` is the entry
+    that group g reads at step s in row r. Each step after the head reads
+    its cos and sin as the slice ``trig[k]`` of the tables if every group
+    turns by a jittered angle there, else as the next step of the gather of
+    ``gather``.
+    """
+
+    rows: int
+    columns: np.ndarray  # (rotations + 1,)
+    stride: np.ndarray  # (rotations + 1,)
+    shifted: tuple
+    jitter: Optional[np.ndarray]  # (trainable uses, rows)
+    moves: tuple  # (sources, addends)
+    inplace: tuple  # (positions, addends)
+    index: np.ndarray  # (steps, G, rows)
     head: _Head
+    trig: tuple  # (steps after the head,)
+    gather: Optional[np.ndarray]  # (gathered steps, G, rows)
 
 
 _NO_ROWS = np.zeros(0, dtype=np.intp)
+_NO_MOVES = (_NO_ROWS, np.zeros(0))
 
 
-def _head(blocks: _Blocks, angles: _Angles) -> _Head:
-    """The :class:`_Head` of a call."""
-    shared = _shared_steps(blocks, angles)
-    index = angles.index[blocks.cols[:shared]]
-    cols, rows, values = angles.shifted
+def _plan(circuit: Circuit, key: Optional[str], jitter: bool, inputs: int, n_values: int,
+          shift_cols: Optional[np.ndarray], ws: _Workspace) -> _Plan:
+    """The :class:`_Plan` of a call on ``circuit.blocks[key]``, under gate
+    error if ``jitter``, of ``inputs`` rows of input and ``n_values`` angle
+    values, or with ``shift_cols`` of a one-input parameter-shift batch (see
+    :func:`_forward`). A plan of one input is read-only and owns its step
+    index; another's stays in the workspace."""
+    blocks = circuit.blocks[key]
+    rows = inputs if shift_cols is None else 1 + 2 * len(shift_cols)
+    columns = circuit.value_index.copy()
+    stride = np.zeros(circuit.n_rotations + 1, dtype=np.intp)
+    if inputs != 1:
+        stride[circuit.data_cols] = circuit.features.size
+    size, gather_jitter = n_values, None
+    if jitter:
+        order = blocks.param_order
+        ranks = np.empty_like(order)
+        ranks[order] = np.arange(order.size)
+        columns[circuit.param_cols] = n_values + ranks * rows
+        stride[circuit.param_cols] = 1
+        gather_jitter = order[:, None] + order.size * np.arange(rows)
+        size += order.size * rows
+    shifted, moves, inplace = _NO_SHIFTS, _NO_MOVES, _NO_MOVES
+    if shift_cols is not None:
+        cols, shifted_rows = np.tile(shift_cols, 2), np.arange(1, rows)  # row 1 + i shifts cols[i]
+        addends = np.repeat([np.pi / 2, -np.pi / 2], len(shift_cols))
+        sources = columns[cols] + stride[cols] * shifted_rows
+        own = np.zeros(circuit.n_rotations + 1, dtype=bool)
+        own[circuit.param_cols] = jitter
+        own = own[cols]
+        inplace, moves = (sources[own], addends[own]), (sources[~own], addends[~own])
+        shifted = (cols[~own], shifted_rows[~own], size + np.arange(moves[0].size))
+    shared = _shared_steps(blocks, stride)
+    index = _step_index(blocks, columns, stride, shifted, rows, ws)
+    if inputs == 1:
+        index = index.copy()
+    width = blocks.cols.shape[1] * rows
+    trig = tuple(None if first is None or not jitter
+                 else slice(n_values + first * rows, n_values + first * rows + width)
+                 for first in blocks.trainable[shared:])
+    gathered = [shared + k for k, part in enumerate(trig) if part is None]
+    gather = None
+    if gathered:
+        gather = index[shared:] if len(gathered) == len(trig) else index[gathered]
+    plan = _Plan(rows, columns, stride, shifted, gather_jitter, moves, inplace, index,
+                 _head(blocks, shared, columns, shifted), trig, gather)
+    if inputs == 1:
+        for arr in (plan.columns, plan.stride, *plan.shifted, plan.jitter, *plan.moves,
+                    *plan.inplace, plan.index, plan.head.index, plan.gather):
+            if arr is not None:
+                arr.flags.writeable = False
+    return plan
+
+
+def _head(blocks: _Blocks, shared: int, columns: np.ndarray, shifted: tuple) -> _Head:
+    """The :class:`_Head` of the first ``shared`` steps of a call whose
+    columns and shifted entries are ``columns`` and ``shifted`` (see
+    :class:`_Plan`)."""
+    index = columns[blocks.cols[:shared]]
+    cols, rows, values = shifted
     steps = blocks.step_of[cols]
     inside = steps < shared
     if not cols.size or not inside.any():
@@ -728,31 +889,27 @@ def _head(blocks: _Blocks, angles: _Angles) -> _Head:
                  rows[inside])
 
 
-def _half_angles(circuit: Circuit, values: np.ndarray, index: np.ndarray, stride: np.ndarray,
-                 rows: int, jittered: Optional[np.ndarray], shift_cols: Optional[np.ndarray],
-                 ws: _Workspace) -> _Angles:
-    """Cos and sin of half of each value of :func:`_angle_values`, of each
-    row's ``jittered`` trainable angles, which replace the shared ones, and of
-    each shifted entry of :func:`_evolve`'s parameter-shift batch."""
-    uses = 0 if shift_cols is None else len(shift_cols)
+def _half_angles(values: np.ndarray, jittered: Optional[np.ndarray], plan: _Plan,
+                 ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """Cos and sin of half of each entry of a call's angle table (see
+    :class:`_Plan`): its values of :func:`_angle_values`, each row's
+    ``jittered`` trainable angles and the shifted entries."""
+    sources, addends = plan.moves
     size = len(values) + (0 if jittered is None else jittered.size)
-    half = ws.array("half", (size + 2 * uses,))
+    half = ws.array("half", (size + sources.size,))
     half[: len(values)] = values
     if jittered is not None:
-        cols = circuit.param_cols
-        index, stride = index.copy(), stride.copy()
-        index[cols], stride[cols] = len(values) + np.arange(cols.size), cols.size
-        half[len(values) : size] = jittered.ravel()
-    shifted = _NO_SHIFTS
-    if shift_cols is not None:
-        cols, shifted_rows = np.tile(shift_cols, 2), np.arange(1, rows)  # row 1 + i shifts cols[i]
+        jittered.take(plan.jitter, out=half[len(values) : size].reshape(plan.jitter.shape),
+                      mode="clip")
+    positions, turns = plan.inplace
+    if positions.size:
+        half[positions] += turns
+    if sources.size:
         moved = half[size:]
-        np.take(half, index[cols] + stride[cols] * shifted_rows, out=moved)
-        moved += np.repeat([np.pi / 2, -np.pi / 2], uses)
-        shifted = (cols, shifted_rows, size + np.arange(2 * uses))
+        np.take(half, sources, out=moved)
+        moved += addends
     half *= 0.5
-    return _Angles(np.cos(half, out=ws.array("cos", half.shape)),
-                   np.sin(half, out=ws.array("sin", half.shape)), index, stride, shifted, rows)
+    return np.cos(half, out=ws.array("cos", half.shape)), np.sin(half, out=ws.array("sin", half.shape))
 
 
 def _run_passes(passes: tuple, matrices: np.ndarray, psi: np.ndarray, ws: _Workspace) -> None:
@@ -771,21 +928,24 @@ def _run_passes(passes: tuple, matrices: np.ndarray, psi: np.ndarray, ws: _Works
             psi += part
 
 
-def _step_index(blocks: _Blocks, angles: _Angles, ws: _Workspace) -> np.ndarray:
-    """Per row, the value each group reads at each step, shape (steps, G, B)."""
+def _step_index(blocks: _Blocks, columns: np.ndarray, stride: np.ndarray, shifted: tuple,
+                rows: int, ws: _Workspace) -> np.ndarray:
+    """Per row, the entry each group reads at each step, shape (steps, G,
+    rows), in the workspace (see :class:`_Plan`)."""
     cols = blocks.cols
-    index = ws.array("index", cols.shape + (angles.rows,), np.intp)
-    np.multiply(angles.stride[cols][..., None], np.arange(angles.rows), out=index)
-    index += angles.index[cols][..., None]
-    shifted_cols, shifted_rows, values = angles.shifted
+    index = ws.array("index", cols.shape + (rows,), np.intp)
+    np.multiply(stride[cols][..., None], np.arange(rows), out=index)
+    index += columns[cols][..., None]
+    shifted_cols, shifted_rows, values = shifted
     index[blocks.step_of[shifted_cols], blocks.group_of[shifted_cols], shifted_rows] = values
     return index
 
 
-def _shared_steps(blocks: _Blocks, angles: _Angles) -> int:
+def _shared_steps(blocks: _Blocks, stride: np.ndarray) -> int:
     """How many leading rotation steps read one value in every row (shifted
-    entries aside) and precede every kick that follows a rotation."""
-    varies = (angles.stride[blocks.cols] != 0).any(axis=1)
+    entries aside), by the columns' ``stride`` (see :class:`_Plan`), and
+    precede every kick that follows a rotation."""
+    varies = (stride[blocks.cols] != 0).any(axis=1)
     return min(int(varies.argmax()) if varies.any() else len(varies), blocks.kick_free)
 
 
@@ -854,28 +1014,36 @@ def _rotate(axis: int, a, b, cos, sin, ra, rb, alpha, beta) -> None:
     rb += np.multiply(alpha, b, out=a)
 
 
-def _kick(a, b, kicks: tuple, right: bool = False) -> None:
+def _kick(a: np.ndarray, b: np.ndarray, kicks: tuple, ws: _Workspace, right: bool = False) -> None:
     """Multiply the drawn Paulis of one round onto their (group, row) pairs of
-    (a, b), in place: P M, or M P with ``right``. ``kicks`` is that round's
-    ``(groups, rows, alpha, beta)`` (see :func:`_kicks`)."""
-    groups, rows, alpha, beta = kicks
-    if not groups.size:
+    the (G, rows) arrays (a, b), in place: P M, or M P with ``right``.
+    ``kicks`` is that round's ``(pairs, alpha, beta)`` (see :func:`_kicks`);
+    the per-pair products are the workspace's."""
+    pairs, alpha, beta = kicks
+    if not pairs.size:
         return
-    ag, bg = a[groups, rows], b[groups, rows]
+    ag, bg, ra, rb, conj, product = ws.array("kick products", (6,) + pairs.shape, complex)
+    # pairs come from the circuit, in range; "clip" writes straight into out
+    a.take(pairs, out=ag, mode="clip")
+    b.take(pairs, out=bg, mode="clip")
     if right:  # a M P: a alpha - conj(b) beta and b alpha + conj(a) beta
-        ra, rb = np.multiply(ag, alpha), np.multiply(bg, alpha)
-        ra -= np.multiply(np.conjugate(bg), beta)
-        rb += np.multiply(np.conjugate(ag), beta)
+        np.multiply(ag, alpha, out=ra)
+        np.multiply(bg, alpha, out=rb)
+        ra -= np.multiply(np.conjugate(bg, out=conj), beta, out=product)
+        rb += np.multiply(np.conjugate(ag, out=conj), beta, out=product)
     else:  # P M: alpha a - conj(beta) b and beta a + conj(alpha) b
-        ra, rb = np.multiply(alpha, ag), np.multiply(beta, ag)
-        ra -= np.multiply(np.conjugate(beta), bg)
-        rb += np.multiply(np.conjugate(alpha), bg)
-    a[groups, rows], b[groups, rows] = ra, rb
+        np.multiply(alpha, ag, out=ra)
+        np.multiply(beta, ag, out=rb)
+        ra -= np.multiply(np.conjugate(beta, out=conj), bg, out=product)
+        rb += np.multiply(np.conjugate(alpha, out=conj), bg, out=product)
+    a.put(pairs, ra, mode="clip")
+    b.put(pairs, rb, mode="clip")
 
 
-def _block_matrices(blocks: _Blocks, angles: _Angles, kicks: list, ws: _Workspace,
+def _block_matrices(blocks: _Blocks, trig: tuple, kicks: list, ws: _Workspace,
                     plan: _Plan) -> np.ndarray:
-    """Each group's per-row 2x2 as [a, conj(a), b, -conj(b)], shape (G, 4, B).
+    """Each group's per-row 2x2 as [a, conj(a), b, -conj(b)], shape (G, 4, B),
+    from the cos and sin tables ``trig`` of the call's half angles.
 
     The leading steps every row shares multiply once, as the product of
     ``plan.head`` on (columns, 1), and are broadcast to the rows; a row whose
@@ -883,10 +1051,10 @@ def _block_matrices(blocks: _Blocks, angles: _Angles, kicks: list, ws: _Workspac
     group. Kicks before a group's first rotation then multiply on the right
     (a Pauli factor only permutes and rephases, so the order changes no
     bits), and the remaining steps and kicks run on the rows, each step
-    reading the values of ``plan.index``. ``kicks`` holds each round's drawn
-    Paulis (see :func:`_kicks`).
+    reading its cos and sin as ``plan.trig`` and ``plan.gather`` say.
+    ``kicks`` holds each round's drawn Paulis (see :func:`_kicks`).
     """
-    rows = angles.rows
+    rows = plan.rows
     n_steps, n_groups = blocks.cols.shape
     matrices = ws.array("matrices", (n_groups, 4, rows), complex)
     if not n_groups:  # no rotations and no kicks, so no groups
@@ -899,8 +1067,8 @@ def _block_matrices(blocks: _Blocks, angles: _Angles, kicks: list, ws: _Workspac
     temps = tuple(ws.array(name, (n_groups, rows), complex) for name in ("alpha", "beta"))
     a = b = None
     if shared:
-        cos = angles.cos.take(head.index, out=ws.array("head cos", head.index.shape), mode="clip")
-        sin = angles.sin.take(head.index, out=ws.array("head sin", head.index.shape), mode="clip")
+        cos, sin = (table.take(head.index, out=ws.array(f"head {name}", head.index.shape),
+                               mode="clip") for name, table in zip(("cos", "sin"), trig))
         pair = (None, None)
         names = ("head a", "head b", "next head a", "next head b", "head alpha", "head beta")
         scratch = [ws.array(name, (head.index.shape[1], 1), complex) for name in names]
@@ -921,19 +1089,21 @@ def _block_matrices(blocks: _Blocks, angles: _Angles, kicks: list, ws: _Workspac
             a, b = pairs[0]
             a.fill(1.0)
             b.fill(0.0)
-        _kick(a, b, step_kicks[1], right=True)
+        _kick(a, b, step_kicks[1], ws, right=True)
         step_kicks = next(rounds, None)
-    if shared < n_steps:
-        index = plan.index[shared:]
-        cos = angles.cos.take(index, out=ws.array("step cos", index.shape), mode="clip")
-        sin = angles.sin.take(index, out=ws.array("step sin", index.shape), mode="clip")
+    # each later step's cos and sin: a slice of the tables, or gathered
+    gathered = iter(())
+    if plan.gather is not None:
+        gathered = zip(*(table.take(plan.gather, out=ws.array(f"step {name}", plan.gather.shape),
+                                    mode="clip") for name, table in zip(("cos", "sin"), trig)))
+    steps = [next(gathered) if part is None else
+             tuple(table[part].reshape(n_groups, rows) for table in trig) for part in plan.trig]
     for step in range(n_steps):
         if step >= shared:
             out = pairs[1] if a is pairs[0][0] else pairs[0]
-            a, b = _turn(blocks.turns[step], a, b, cos[step - shared], sin[step - shared], out,
-                         temps)
+            a, b = _turn(blocks.turns[step], a, b, *steps[step - shared], out, temps)
         while step_kicks is not None and step_kicks[0] == step:
-            _kick(a, b, step_kicks[1])
+            _kick(a, b, step_kicks[1], ws)
             step_kicks = next(rounds, None)
     # each through a contiguous temporary: a ufunc writing a strided out
     # allocates a buffer for it, a plain assignment does not
@@ -1094,7 +1264,7 @@ def adjoint_value_and_grad(
     _check_params_used(circuit, theta)
     rows, ws, blocks = len(x), _workspace(), circuit.blocks[None]
     # reads: the value each (step, group, row) reads
-    psi, angles, reads, matrices = _forward(circuit, x, theta)
+    psi, (half_cos, half_sin), reads, matrices, _ = _forward(circuit, x, theta)
     _, sign = _tables(circuit.n)
     z = _expect(np.ascontiguousarray(psi.T), circuit.n)
     value = bias + z @ weights
@@ -1107,10 +1277,12 @@ def adjoint_value_and_grad(
     state[:, rows:] = weighted
     psi, lam = state[:, :rows], state[:, rows:]
 
-    # Walk the passes backwards, undoing each on psi and lambda. Before a block
-    # is undone, read each of its groups' sums of conj(lambda) psi: gates on
-    # other qubits in the block commute with the group, so its Bloch vector
-    # does not depend on how much of the rest of the block is undone.
+    # Walk the passes backwards, undoing each on psi and lambda, up to the
+    # read of group 0's chunk. Before a block is undone, read each of its
+    # groups' sums of conj(lambda) psi: gates on other qubits in the block
+    # commute with the group, so its Bloch vector does not depend on how much
+    # of the rest of the block is undone. The tail's CZ runs are diagonal, so
+    # they commute with O and leave O psi's and psi's bits as they are.
     n_groups = len(matrices)
     # [conj(a), a, -b, conj(b)] of the adjoint 2x2, for psi's and lambda's columns
     inverse = matrices.take([1, 0, 2, 3], axis=1, out=ws.array("inverse", matrices.shape, complex),
@@ -1138,6 +1310,8 @@ def adjoint_value_and_grad(
             np.matmul(xy, products.view(float), out=bloch[span, :2].view(float))
             products = np.multiply(bra, psi, out=ws.array("products", psi.shape, complex))
             np.matmul(xy[:, 1], products.view(float), out=bloch[span, 2].view(float))
+            if span.start == 0:  # the last read: nothing undone after it is read
+                break
         both[group].take(index, axis=0, out=coef, mode="clip")
         state.take(partner, axis=0, out=part, mode="clip")
         part *= coef[1]
@@ -1153,10 +1327,10 @@ def adjoint_value_and_grad(
     # component of its group's vector there; undoing the rotation turns the
     # other two components by its angle. Padded steps land in the last column.
     # cos and sin of the whole angles, once per value: 1 - 2 sin^2 and 2 sin cos
-    whole_cos = np.square(angles.sin, out=ws.array("whole cos", angles.sin.shape))
+    whole_cos = np.square(half_sin, out=ws.array("whole cos", half_sin.shape))
     whole_cos *= 2.0
     np.subtract(1.0, whole_cos, out=whole_cos)
-    whole_sin = np.multiply(angles.sin, angles.cos, out=ws.array("whole sin", angles.sin.shape))
+    whole_sin = np.multiply(half_sin, half_cos, out=ws.array("whole sin", half_sin.shape))
     whole_sin *= 2.0
     # the forward pass is done with its step gathers
     cos = whole_cos.take(reads, out=ws.array("step cos", reads.shape), mode="clip")

@@ -540,26 +540,31 @@ def forward(circuit: qsim.Circuit, x: np.ndarray, theta: np.ndarray,
     """``qsim._forward`` by the general route, with its signature and return:
     every (event, row) multiplies its drawn Pauli, the identity too, from
     dense (events, rows) alpha and beta tables; every rotation step, a padded
-    one too, multiplies the general product alpha = cos + sin u, beta = sin v;
-    the shared head and each shifted entry inside it multiply as separate
-    products; and the state starts at |0...0> and runs every pass. It draws the
-    same noise arrays in the same order, and is the bit-for-bit reference for
-    the per-axis steps, sparse kicks and product-state first block of
-    ``qsim._forward``."""
-    values, index, stride = qsim._angle_values(circuit, x, theta)
+    one too, multiplies the general product alpha = cos + sin u, beta = sin v,
+    reading its values through the step index; the shared head and each
+    shifted entry inside it multiply as separate products; the state starts
+    at |0...0> and runs every pass up to the tail; and each row's tail flip
+    is the XOR of the bits of the tail events that drew X or Y, from the
+    dense table, for every row. It draws the same noise arrays in the same
+    order, and is the bit-for-bit reference for the per-axis steps, sparse
+    kicks, step slices and product-state first block of ``qsim._forward``."""
+    values = qsim._angle_values(circuit, x, theta)
     ws = qsim._Workspace()
-    rows = len(x) if shift_cols is None else 1 + 2 * len(shift_cols)
-    key, jittered, kicks, phase = None, None, None, 1.0
+    key, jittered, kicks, phase, flips = None, None, None, 1.0, None
+    jitter = noise is not None and noise.gate_error is not None
+    if noise is not None and noise.depolarizing is not None:
+        key = "sublayer"
+    plan = qsim._plan(circuit, key, jitter, len(x), len(values), shift_cols, ws)
+    rows = plan.rows
     if noise is not None and noise.enabled:
         if rng is None:
             raise UsageError("noise simulation requires an rng stream")
         if noise.gate_error is not None:
-            cols = circuit.param_cols
-            trainable = np.broadcast_to(values[index[cols]], (rows, cols.size))
+            trainable = np.broadcast_to(theta[circuit.param_index], (rows, circuit.param_index.size))
             jittered = qsim.perturb_gate_params(trainable, rng, noise.gate_error)
         if noise.depolarizing is not None:
-            key = "sublayer"
-            shape = (rows, circuit.blocks[key].n_events)
+            blocks = circuit.blocks[key]
+            shape = (rows, blocks.n_events)
             coins = rng.random(shape)
             drawn = rng.integers(3, size=shape)
             drawn += 1
@@ -567,14 +572,19 @@ def forward(circuit: qsim.Circuit, x: np.ndarray, theta: np.ndarray,
             phase = np.array([1.0, 1j, -1.0, -1j])[np.count_nonzero(drawn, axis=1) % 4]
             paulis = np.ascontiguousarray(drawn.T)  # event-major
             kicks = (_KICK_ALPHA[paulis], _KICK_BETA[paulis])
+            if blocks.tail_bits.size:
+                tail = np.arange(blocks.n_events)[blocks.tail_events]
+                flips = np.zeros(rows, dtype=np.intp)
+                for event, bit in zip(tail, blocks.tail_bits):
+                    flips ^= np.where((paulis[event] == 1) | (paulis[event] == 2), bit, 0)
     blocks = circuit.blocks[key]
-    angles = qsim._half_angles(circuit, values, index, stride, rows, jittered, shift_cols, ws)
-    steps = qsim._step_index(blocks, angles, ws).copy()
+    trig = qsim._half_angles(values, jittered, plan, ws)
+    steps = plan.index.copy()
     psi = np.zeros((2**circuit.n, rows), dtype=complex)
     psi[0] = phase
-    matrices = _general_matrices(blocks, angles, kicks, steps)
+    matrices = _general_matrices(blocks, trig, kicks, plan)
     qsim._run_passes(blocks.passes, matrices, psi, ws)
-    return psi, angles, steps, matrices
+    return psi, trig, steps, matrices, flips
 
 
 def _general_rounds(blocks) -> dict:
@@ -587,9 +597,9 @@ def _general_rounds(blocks) -> dict:
     return rounds
 
 
-def _general_matrices(blocks, angles, kicks, index) -> np.ndarray:
+def _general_matrices(blocks, trig, kicks, plan) -> np.ndarray:
     """Each group's per-row 2x2 as [a, conj(a), b, -conj(b)], shape (G, 4, B)."""
-    rows = angles.rows
+    rows = plan.rows
     n_steps, n_groups = blocks.cols.shape
     matrices = np.empty((n_groups, 4, rows), complex)
     if not n_groups:
@@ -597,27 +607,27 @@ def _general_matrices(blocks, angles, kicks, index) -> np.ndarray:
     u = np.array([[_SU2[axis][0] for axis in step] for step in blocks.axes], complex)[..., None]
     v = np.array([[_SU2[axis][1] for axis in step] for step in blocks.axes], complex)[..., None]
     rounds = _general_rounds(blocks)
-    shared = qsim._shared_steps(blocks, angles)
+    shared = qsim._shared_steps(blocks, plan.stride)
     a = b = None
     if shared:
-        head = angles.index[blocks.cols[:shared]][..., None]  # (steps, G, 1)
+        head = plan.columns[blocks.cols[:shared]][..., None]  # (steps, G, 1)
         a, b = (np.empty((n_groups, rows), complex) for _ in range(2))
-        for m, out in zip(_general_product(angles, head, u[:shared], v[:shared]), (a, b)):
+        for m, out in zip(_general_product(trig, head, u[:shared], v[:shared]), (a, b)):
             np.copyto(out, m)  # broadcast to the rows
-        cols, shifted_rows, values = angles.shifted
+        cols, shifted_rows, values = plan.shifted
         steps = blocks.step_of[cols]
         inside = steps < shared
         if cols.size and inside.any():  # one row and one group per shifted entry
             groups, shifted_rows = blocks.group_of[cols[inside]], shifted_rows[inside]
             own = head[:, groups]
             own[steps[inside], np.arange(groups.size), 0] = values[inside]
-            pa, pb = _general_product(angles, own, u[:shared, groups], v[:shared, groups])
+            pa, pb = _general_product(trig, own, u[:shared, groups], v[:shared, groups])
             a[groups, shifted_rows], b[groups, shifted_rows] = pa[:, 0], pb[:, 0]
     for events, groups in rounds.get(-1, ()):
         if a is None:
             a, b = np.ones((n_groups, rows), complex), np.zeros((n_groups, rows), complex)
         _general_kick(a, b, kicks, events, groups, right=True)
-    cos, sin = angles.cos[index], angles.sin[index]
+    cos, sin = trig[0][plan.index], trig[1][plan.index]
     for step in range(n_steps):
         if step >= shared:
             a, b = _general_rotate(a, b, cos[step], sin[step], u[step], v[step])
@@ -667,9 +677,10 @@ def _general_kick(a, b, kicks, events, groups, right=False) -> None:
     a[groups], b[groups] = ra, rb
 
 
-def _general_product(angles, index, u, v):
-    """(a, b) of the rotations that read values ``index`` (steps on axis 0)."""
-    cos, sin = angles.cos[index], angles.sin[index]
+def _general_product(trig, index, u, v):
+    """(a, b) of the rotations that read entries ``index`` (steps on axis 0)
+    of the cos and sin tables ``trig``."""
+    cos, sin = trig[0][index], trig[1][index]
     a = b = None
     for step in range(len(index)):
         a, b = _general_rotate(a, b, cos[step], sin[step], u[step], v[step])

@@ -32,8 +32,9 @@ def random_gates(rng, n_qubits, n_gates):
 
 
 def final_states(gates, n, x, theta=np.zeros(0), marks=(), noise=None, rng=None):
-    """Final (B, 2**n) states of a (B, p) input, through the compile, angle
-    and evolution steps that ``run_circuit`` takes."""
+    """The (B, 2**n) states that the readout of a (B, p) input sees, through
+    the compile, angle and evolution steps that ``run_circuit`` takes: the
+    final states up to a phase on each amplitude, as the tail is left out."""
     return qsim._evolve(compile_circuit(gates, n, marks), x, theta, noise, rng)
 
 
@@ -67,12 +68,19 @@ def test_rz_fixes_ground_population():
 
 
 def test_cz_phases_11_only():
+    """A CZ flips the sign of |11> alone. A last CZ is in the tail, which
+    the readout absorbs, so an identity rotation after it keeps it in the
+    state."""
     flips = [GateOp("ry", q, angle=math.pi) for q in (0, 1)]  # |11> up to phase
-    state = final_states(flips, 2, np.zeros((1, 0)))[0]
+    cz, identity = GateOp("cz", target=1, control=0), GateOp("rz", 0, angle=0.0)
+    state = final_states(flips + [identity], 2, np.zeros((1, 0)))[0]
     probs_before = np.abs(state) ** 2
-    flipped = final_states(flips + [GateOp("cz", target=1, control=0)], 2, np.zeros((1, 0)))[0]
+    flipped = final_states(flips + [cz, identity], 2, np.zeros((1, 0)))[0]
     np.testing.assert_allclose(np.abs(flipped) ** 2, probs_before, atol=1e-12)
     assert flipped[3] == pytest.approx(-state[3], abs=1e-12)
+    assert flipped[:3] == pytest.approx(state[:3], abs=1e-12)
+    assert final_states(flips + [cz], 2, np.zeros((1, 0))).tobytes() == (
+        final_states(flips, 2, np.zeros((1, 0))).tobytes())
 
 
 def test_expectation_z_cos_theta():
@@ -631,7 +639,8 @@ def shift_batch(gates):
 
 def assert_same_trajectories(gates, n, marks, x, theta, seed):
     """Per-row inputs, and the parameter-shift batch of the first input, give
-    the gate-at-a-time states and rng draws under every noise setting."""
+    the gate-at-a-time rng draws, and states whose |psi|^2, all the readout
+    sees, and <Z> are the gate-at-a-time ones, under every noise setting."""
     angles = oracles.angle_matrix(gates, x, theta)
     cols, shifts = shift_batch(gates)
     batches = [(x, None, angles, None),
@@ -644,7 +653,10 @@ def assert_same_trajectories(gates, n, marks, x, theta, seed):
             psi = qsim._evolve(circuit, inputs, theta, noise, fused, shift_cols)
             expected = oracles.evolve(gates, n, kicked, rows, noise, ref, shift)
             assert psi.shape == expected.shape
-            np.testing.assert_allclose(psi, expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(np.abs(psi) ** 2, np.abs(expected) ** 2, rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(qsim._expect(psi, n), qsim._expect(expected, n), rtol=0,
+                                       atol=1e-12)
             assert fused.bit_generator.state == ref.bit_generator.state
 
 
@@ -704,11 +716,10 @@ def test_shared_steps_of_the_default_circuit():
 
     def shared(inputs, key=None, jitter=False, circuit=circuit):
         single = len(inputs) == 1
-        rows = 1 + 2 * len(cols) if single else len(inputs)
-        jittered = np.ones((rows, circuit.param_cols.size)) if jitter else None
-        angles = qsim._half_angles(circuit, *qsim._angle_values(circuit, inputs, theta), rows,
-                                   jittered, cols if single else None, qsim._Workspace())
-        return qsim._shared_steps(circuit.blocks[key], angles)
+        plan = qsim._plan(circuit, key, jitter, len(inputs),
+                          len(qsim._angle_values(circuit, inputs, theta)),
+                          cols if single else None, qsim._Workspace())
+        return qsim._shared_steps(circuit.blocks[key], plan.stride)
 
     assert circuit.blocks[None].cols.shape == (5, 24)
     assert shared(x[:1]) == shared(x[:1], "sublayer") == 5
@@ -735,17 +746,21 @@ def as_floats(arr):
 def assert_forward_matches_general_route(gates, n, marks, x, theta, exact_matrices=True):
     """qsim._forward against oracles.forward under every exact setting: a
     batch, a one-row batch and the first input's parameter-shift batch give
-    the same final states and group matrices, bit for bit, and the same rng
-    draws. With ``exact_matrices`` False the matrices may differ in the sign
-    of an entry that is exactly zero."""
+    the same states before the tail, group matrices and tail flips, bit for
+    bit, and the same rng draws. With ``exact_matrices`` False the matrices
+    may differ in the sign of an entry that is exactly zero."""
     for noise, every_gate in EXACT_SETTINGS:
         circuit = compile_circuit(gates, n, range(len(gates)) if every_gate else marks)
         cols = np.concatenate([circuit.param_cols, circuit.data_cols])
         for inputs, shift_cols in ((x, None), (x[:1], None), (x[:1], cols)):
             fast, general = np.random.default_rng(3), np.random.default_rng(3)
-            psi, _, _, matrices = qsim._forward(circuit, inputs, theta, noise, fast, shift_cols)
+            psi, _, _, matrices, flips = qsim._forward(circuit, inputs, theta, noise, fast,
+                                                       shift_cols)
             want = oracles.forward(circuit, inputs, theta, noise, general, shift_cols)
             assert oracles.same_bits(as_floats(psi), as_floats(want[0]))
+            no_flips = np.zeros(psi.shape[1], dtype=np.intp)
+            assert np.array_equal(no_flips if flips is None else flips,
+                                  no_flips if want[4] is None else want[4])
             got, expected = as_floats(matrices), as_floats(want[3])
             if not exact_matrices:  # x + 0.0 is x, except that -0.0 becomes 0.0
                 got, expected = got + 0.0, expected + 0.0
@@ -812,6 +827,101 @@ def test_entry_points_give_the_bits_of_the_general_route(noise, every_gate, monk
 
 
 # ---------------------------------------------------------------------------
+# the tail: CZ runs and kick-only groups after the last rotation
+
+
+def tail_events(blocks):
+    return np.arange(blocks.n_events)[blocks.tail_events]
+
+
+def test_the_default_circuit_leaves_its_tail_to_the_readout():
+    """The default circuit ends in a CZ run and, under sublayer noise, in the
+    last sublayer's kick on each qubit. Both are left out of the passes: 29
+    passes and 24 groups with and without noise (30 passes without noise and
+    34 passes and 28 groups under it when the tail ran). The draws are the
+    same: 24 events, the last 4 kicking qubits 0..3 in the readout."""
+    layout = encoding.plan_layout(32, 4, 2)
+    gates, marks = encoding.build_circuit(layout)
+    circuit = compile_circuit(gates, 4, marks)
+    for key in (None, "sublayer"):
+        blocks = circuit.blocks[key]
+        groups = [g for g, _, _ in blocks.passes if g is not None]
+        assert len(blocks.passes) == 29 and groups == list(range(24))
+        assert blocks.cols.shape == (5, 24) and (blocks.axes >= 0).all()
+        assert blocks.passes[-1][0] == 23  # the last group with a rotation
+        assert sum(g is None for g, _, _ in blocks.passes) == 5
+    assert tail_events(circuit.blocks[None]).size == 0
+    noisy = circuit.blocks["sublayer"]
+    assert noisy.n_events == 24 and noisy.rounds == (-1,)
+    assert noisy.tail_events == slice(20, 24) and noisy.tail_bits.tolist() == [8, 4, 2, 1]
+    assert (noisy.kick_group[20:] == -1).all() and (noisy.kick_group[:20] >= 0).all()
+
+
+def kept_tail(gates, n):
+    """``gates`` followed by an identity rotation on every qubit, so that
+    nothing after their last rotation is a tail: the route that runs the
+    tail's passes on the state, reference for the readout that absorbs it."""
+    return list(gates) + [GateOp("rz", q, angle=0.0) for q in range(n)]
+
+
+_LAYOUT_GATES, _LAYOUT_MARKS = encoding.build_circuit(encoding.plan_layout(14, 4, 2))
+TAIL_CASES = {  # (gates, n, marks): a CZ-run tail, kick tails, no tail, all tail
+    "cz-last": (HAND_BUILT["cz-runs"][0], 3, [0, 5]),
+    "kicks-last": (_LAYOUT_GATES, 4, list(_LAYOUT_MARKS)),
+    "rotation-last": ([_DATA[0], _param("ry", 1, 0), _cz(0, 1), _DATA[1],
+                       _param("rz", 0, 1), GateOp("rx", 1, angle=0.4)], 2, [0, 5]),
+    "no-rotation": (HAND_BUILT["cz-only"][0], 3, [0, 1, 2]),
+}
+TAIL_SETTINGS = [None, NoiseSpec(gate_error=0.01), NoiseSpec(depolarizing=0.5),
+                 NoiseSpec(depolarizing=1.0), NoiseSpec(gate_error=0.01, depolarizing=1.0)]
+
+
+@pytest.mark.parametrize("case", list(TAIL_CASES))
+def test_the_readout_absorbs_the_tail_bit_for_bit(case):
+    """Values, gradients, <Z> and rng draws of every entry point are, bit for
+    bit, those of the same circuit run with its tail's passes, under every
+    noise setting. At p = 1 every row of the kick tails kicks each of its
+    qubits, so most rows flip."""
+    gates, n, marks = TAIL_CASES[case]
+    rotations = [gate for gate in gates if gate.kind != "cz"]
+    p = 1 + max((g.index for g in rotations if g.source == "data"), default=0)
+    params = 1 + max((g.index for g in rotations if g.source == "param"), default=-1)
+    rng = np.random.default_rng(len(gates))
+    x = rng.uniform(-np.pi, np.pi, size=(3, p))
+    theta, w = rng.uniform(-np.pi, np.pi, size=params), rng.uniform(-1, 1, size=n)
+    circuit = compile_circuit(gates, n, marks)
+    reference = compile_circuit(kept_tail(gates, n), n, marks)
+    for blocks in (*circuit.blocks.values(), *reference.blocks.values()):
+        assert not blocks.passes or blocks.passes[-1][0] is not None  # ends in a rotation
+    for blocks in reference.blocks.values():
+        assert tail_events(blocks).size == 0
+    tails = {key: tail_events(blocks).size for key, blocks in circuit.blocks.items()}
+    assert tails == {"cz-last": {None: 0, "sublayer": 0}, "kicks-last": {None: 0, "sublayer": 4},
+                     "rotation-last": {None: 0, "sublayer": 0},
+                     "no-rotation": {None: 0, "sublayer": 9}}[case]
+    for noise in TAIL_SETTINGS:
+
+        def results(circuit):
+            rng = np.random.default_rng(5)
+            out = [qsim.run_circuit(circuit, inputs, theta, noise, rng) for inputs in (x, x[0])]
+            out.append(qsim.circuit_value(circuit, x[1], theta, w, 0.3, noise, rng))
+            out += qsim.param_shift_value_and_grad(circuit, x, theta, w, 0.3, noise, rng)[:4]
+            if noise is None:
+                out += qsim.adjoint_value_and_grad(circuit, x, theta, w, 0.3)[:4]
+            return out, rng.bit_generator.state
+
+        got, drawn = results(circuit)
+        want, ref_drawn = results(reference)
+        assert drawn == ref_drawn and len(got) == len(want)
+        for part, ref in zip(got, want):
+            assert oracles.same_bits(part, ref)
+        if case == "kicks-last" and noise is not None and noise.depolarizing == 1.0:
+            flips = qsim._forward(circuit, x[:1], theta, noise, np.random.default_rng(1),
+                                  np.concatenate([circuit.param_cols, circuit.data_cols]))[4]
+            assert np.count_nonzero(flips) > 0.9 * len(flips)
+
+
+# ---------------------------------------------------------------------------
 # the kept workspace and the circuit-held parameter-shift index
 
 
@@ -836,11 +946,12 @@ def compiled(case, every_gate=False):
     return compile_circuit(gates, n, range(len(gates)) if every_gate else marks)
 
 
-def shift_key(noise):
-    """The key of a circuit's kept parameter-shift plan under ``noise``."""
+def plan_key(noise, shift=True):
+    """The key of the plan a circuit keeps for one input under ``noise``: of
+    its parameter-shift batch, or with ``shift`` False of a value."""
     depolarizing = noise is not None and noise.depolarizing is not None
     return ("sublayer" if depolarizing else None,
-            noise is not None and noise.gate_error is not None)
+            noise is not None and noise.gate_error is not None, shift)
 
 
 def assert_bits_equal(got, expected):
@@ -853,8 +964,8 @@ def test_interleaved_calls_give_the_bits_of_calls_made_alone(noise, every_gate):
     """Parameter-shift calls of two circuits, alternating with run_circuit
     batches and adjoint calls, give the values and rng draws of the same calls
     each made with no kept workspace and a freshly compiled circuit, so with
-    the parameter-shift index built afresh; each circuit keeps the index of
-    this noise only."""
+    the parameter-shift plan built afresh; each circuit keeps the plans of
+    this noise only, and the adjoint's."""
     cases = [default_case(4, 2, 1), default_case(3, 3, 2)]
 
     def calls():
@@ -880,8 +991,9 @@ def test_interleaved_calls_give_the_bits_of_calls_made_alone(noise, every_gate):
 
     forget_workspace()
     interleaved, states, circuits = run(alone=False)
-    for circuit in circuits:
-        assert list(circuit.shift_plans) == [shift_key(noise)]
+    for circuit in circuits:  # the one-input adjoint call keeps the noise-free value plan
+        assert set(circuit.plans) == {plan_key(noise), plan_key(noise, False),
+                                      plan_key(None, False)}
     alone, alone_states, _ = run(alone=True)
     for got, expected in zip(interleaved, alone):
         assert_bits_equal(got, expected)
@@ -915,16 +1027,19 @@ def test_returned_arrays_never_alias_the_workspace(case):
         assert not any(np.shares_memory(arr, buffer) for buffer in workspace)
 
 
-def test_parameter_shift_call_allocates_no_per_call_arrays():
+@pytest.mark.parametrize("p", [0.05, 1.0])
+def test_parameter_shift_call_allocates_no_per_call_arrays(p):
     """After a warm-up call, a noisy parameter-shift call of the default circuit
-    on one input allocates only small arrays: its traced peak is a fraction of
-    the arrays it works in (about 1.6 MB when each call allocated its own)."""
+    on one input allocates only small arrays, also when every kick is drawn:
+    its traced peak is a fraction of the arrays it works in (about 1.6 MB
+    when each call allocated its own, and 0.9 MB at p = 1 when the kicks
+    did)."""
     layout = encoding.plan_layout(32, 4, 2)
     gates, marks = encoding.build_circuit(layout)
     circuit = compile_circuit(gates, 4, marks)
     x = encoding.pad_input(np.linspace(-1, 1, 64).reshape(2, 32), layout)
     theta = np.linspace(-3, 3, layout.param_count)
-    noise, rng = NoiseSpec(gate_error=0.01, depolarizing=0.05), np.random.default_rng(0)
+    noise, rng = NoiseSpec(gate_error=0.01, depolarizing=p), np.random.default_rng(0)
     args = (theta, np.ones(4), 0.1, noise, rng)
     qsim.param_shift_value_and_grad(circuit, x[0], *args)
     tracemalloc.start()
@@ -961,11 +1076,12 @@ def test_one_row_noisy_value_allocates_no_per_call_arrays(p):
 
 @pytest.mark.parametrize("noise,every_gate", NOISE_SETTINGS, ids=NOISE_IDS)
 def test_kept_step_index_equals_a_fresh_build(noise, every_gate):
-    """The value index and the shared head a circuit keeps from its first
-    parameter-shift call are, bit for bit, those a fresh build gives for a
-    later call with other inputs and parameters: the circuit and whether
-    depolarizing noise and gate error are on fix them. The kept arrays are
-    read-only."""
+    """The plans a circuit keeps from its first parameter-shift call and its
+    first one-input value (the step index, the shared head, the layout of
+    the angle table and the step slices) are, bit for bit, those a fresh
+    build gives for a later call with other inputs and parameters: the
+    circuit and whether depolarizing noise and gate error are on fix them.
+    The kept arrays are read-only."""
     case = default_case(4, 2, 5)
     _, _, x, theta, w, _ = case
     forget_workspace()
@@ -975,27 +1091,31 @@ def test_kept_step_index_equals_a_fresh_build(noise, every_gate):
     kept = []
     for row in range(len(x)):
         qsim.param_shift_value_and_grad(circuit, x[row], theta + row, w, 0.2, noise, rng)
-        assert list(circuit.shift_plans) == [shift_key(noise)]
-        kept.append(circuit.shift_plans[shift_key(noise)])
-    assert all(plan is kept[0] for plan in kept)  # built on the first call only
-    kept = kept[0]
-    for arr in (kept.index, kept.head.index):
-        assert not arr.flags.writeable
-    with pytest.raises(ValueError):
-        kept.index[0, 0, 0] = 0
-    rows = 1 + 2 * len(cols)
-    values, index, stride = qsim._angle_values(circuit, x[-1:], theta + len(x) - 1)
-    key, gate_error = shift_key(noise)
-    jittered = np.zeros((rows, circuit.param_cols.size)) if gate_error else None
-    angles = qsim._half_angles(circuit, values, index, stride, rows, jittered, cols,
-                               qsim._Workspace())
-    fresh = qsim._step_index(circuit.blocks[key], angles, qsim._Workspace())
-    head = qsim._head(circuit.blocks[key], angles)
-    for got, want in [(kept.index, fresh), (kept.head.index, head.index),
-                      (kept.head.groups, head.groups), (kept.head.rows, head.rows)]:
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-    assert repr(kept.head.turns) == repr(head.turns)
+        qsim.run_circuit(circuit, x[row], theta + row, noise, rng)
+        assert set(circuit.plans) == {plan_key(noise), plan_key(noise, False)}
+        kept.append(dict(circuit.plans))
+    assert all(plans[key] is kept[0][key] for plans in kept for key in plans)  # built once
+    n_values = len(qsim._angle_values(circuit, x[-1:], theta + len(x) - 1))
+    key, gate_error, _ = plan_key(noise)
+    for shift_cols in (cols, None):
+        plan = kept[0][plan_key(noise, shift_cols is not None)]
+        for arr in (plan.index, plan.head.index, plan.columns, plan.stride):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            plan.index[0, 0, 0] = 0
+        fresh = qsim._plan(circuit, key, gate_error, 1, n_values, shift_cols, qsim._Workspace())
+        assert plan.rows == fresh.rows and plan.trig == fresh.trig
+        assert repr(plan.head.turns) == repr(fresh.head.turns)
+        for got, want in [(plan.columns, fresh.columns), (plan.stride, fresh.stride),
+                          *zip(plan.shifted, fresh.shifted), (plan.jitter, fresh.jitter),
+                          *zip(plan.moves, fresh.moves), *zip(plan.inplace, fresh.inplace),
+                          (plan.index, fresh.index), (plan.gather, fresh.gather),
+                          *zip(plan.head[:1] + plan.head[2:], fresh.head[:1] + fresh.head[2:])]:
+            if want is None:
+                assert got is None
+                continue
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_workspace_reuses_its_last_two_views_of_a_name():
