@@ -833,9 +833,7 @@ def _plan(circuit: Circuit, key: Optional[str], jitter: bool, inputs: int, n_val
     size, gather_jitter = n_values, None
     if jitter:
         order = blocks.param_order
-        ranks = np.empty_like(order)
-        ranks[order] = np.arange(order.size)
-        columns[circuit.param_cols] = n_values + ranks * rows
+        columns[circuit.param_cols] = n_values + np.argsort(order) * rows
         stride[circuit.param_cols] = 1
         gather_jitter = order[:, None] + order.size * np.arange(rows)
         size += order.size * rows
