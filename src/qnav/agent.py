@@ -90,18 +90,21 @@ def config_from_dict(fields: dict) -> AgentConfig:
     """Inverse of :func:`config_to_dict`; a missing or empty ``noise`` is no noise.
     Older checkpoints record ``entropy_bonus: true`` and a noise ``granularity:
     "sublayer"``, now fixed; both are dropped, and any other value raises UsageError."""
-    fields = _without_fixed(fields, "entropy_bonus", True)
+    fields = _without_retired(fields, {"entropy_bonus": True})
     noise = fields.get("noise")
-    noise = NoiseSpec(**_without_fixed(noise, "granularity", "sublayer")) if noise else None
+    noise = NoiseSpec(**_without_retired(noise, {"granularity": "sublayer"})) if noise else None
     return AgentConfig(**{**fields, "noise": noise})
 
 
-def _without_fixed(fields, name: str, value) -> dict:
-    """A copy of the mapping ``fields`` without ``name``, which may only hold ``value``."""
-    fields = dict(fields)
-    recorded = fields.pop(name, value)
-    if recorded != value:
-        raise UsageError(f"{name} {recorded!r} is no longer supported: every run uses {value!r}")
+def _without_retired(fields, fixed: dict, dropped=()) -> dict:
+    """A copy of the mapping ``fields`` without the keys of ``fixed``, each of
+    which may only hold its value there, and without ``dropped`` at any value."""
+    fields = {key: value for key, value in fields.items() if key not in dropped}
+    for name, value in fixed.items():
+        recorded = fields.pop(name, value)
+        if recorded != value:
+            raise UsageError(f"{name} {recorded!r} is no longer supported: "
+                             f"every run uses {value!r}")
     return fields
 
 
@@ -752,7 +755,7 @@ def evaluate_policy(model: ActorCriticModel, scenes: list[env.Scene],
             "steps": trace.steps,
             "return": trace.episode_return,
             "near_miss": trace.near_miss,
-            "time_to_goal": trace.steps * env_config.dt if trace.outcome == "goal" else None,
+            "time_to_goal": trace.steps * env.DT if trace.outcome == "goal" else None,
         })
     crashes = [row["outcome"] == "collision" for row in per_scene]
     near = [row["near_miss"] for row in per_scene]
@@ -817,28 +820,33 @@ def save_checkpoint(model: ActorCriticModel, path: str, extra: Optional[dict] = 
         json.dump(payload, fh)
 
 
-# EnvConfig fields that older checkpoints record and no run reads any more:
-# the planner's map resolution and wheelbase
-_RETIRED_ENV_KEYS = ("map_resolution", "wheelbase")
+# EnvConfig fields that older checkpoints record: the env constants they
+# became, each dropped only at its constant, and the planner's map resolution
+# and wheelbase and the road's x_min, which nothing reads, dropped at any value
+_RETIRED_ENV = {key: getattr(env, key.upper()) for key in (
+    "dt", "car_length", "car_width", "ped_radius", "near_miss_margin", "sense_radius",
+    "speed_limit", "speed_step", "v_max", "goal_tol", "road_y_min", "road_y_max",
+    "sidewalk_width", "road_x_max", "oncoming_lane_y", "oncoming_speed")}
+_DROPPED_ENV_KEYS = ("map_resolution", "wheelbase", "road_x_min")
 
 
 def load_checkpoint(path: str) -> tuple[ActorCriticModel, env.EnvConfig]:
     """The model a checkpoint holds and the EnvConfig it was trained under
     (the default EnvConfig for checkpoints that predate recording it; the
-    retired ``map_resolution`` and ``wheelbase`` are dropped).
+    retired env keys of older ones are dropped, see ``_RETIRED_ENV``).
     Raises UsageError if it is no checkpoint (see :func:`_read_checkpoint`),
-    its agent or env config does not build, its parameters are not numeric
-    arrays of their shapes that fit its agent config, or its input length is
-    not the observation length of the EnvConfig it records."""
+    its agent or env config does not build (a retired key off its constant
+    included), its parameters are not numeric arrays of their shapes that
+    fit its agent config, or its input length is not the observation length
+    of the EnvConfig it records."""
     payload = _read_checkpoint(path)
     try:
         config = config_from_dict(payload["config"])
     except (TypeError, ValueError) as exc:
         raise UsageError(f"checkpoint agent config: {exc}") from exc
     try:
-        env_fields = payload.get("env", {})
-        env_config = env.EnvConfig(**{key: value for key, value in env_fields.items()
-                                      if key not in _RETIRED_ENV_KEYS})
+        env_config = env.EnvConfig(**_without_retired(payload.get("env", {}), _RETIRED_ENV,
+                                                      _DROPPED_ENV_KEYS))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"checkpoint env config: {exc}") from exc
     obs_dim = env.observation_dim(env_config)

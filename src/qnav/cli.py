@@ -173,6 +173,8 @@ def _parse_noise_flag(spec: str) -> Optional[NoiseSpec]:
         key = key.strip()
         if key not in _NOISE_KEYS:
             raise UsageError(f"unknown noise field {key!r}")
+        if key in kwargs:
+            raise UsageError(f"noise field {key!r} given more than once in {spec!r}")
         kwargs[key] = val
     try:
         return NoiseSpec(**{k: float(v) for k, v in kwargs.items()})
@@ -180,7 +182,7 @@ def _parse_noise_flag(spec: str) -> Optional[NoiseSpec]:
         raise UsageError(f"bad noise flag {spec!r}: {exc}") from exc
 
 
-def build_scenes(scene_spec: dict, env_config: env.EnvConfig) -> list[env.Scene]:
+def build_scenes(scene_spec: dict) -> list[env.Scene]:
     split = scene_spec.get("split", "train")
     if split not in ("train", "test"):
         raise UsageError(f"unknown scene split {split!r}")
@@ -192,8 +194,8 @@ def build_scenes(scene_spec: dict, env_config: env.EnvConfig) -> list[env.Scene]
             speed = scene_spec.get("speed", [base.speed_start, base.speed_stop, base.speed_step])
             dist = scene_spec.get("distance", [base.dist_start, base.dist_stop, base.dist_step])
             grid = env.SceneGrid(scenarios, *map(float, speed), *map(float, dist))
-            return env.generate_scenes(split, grid, env_config)
-        return env.generate_scenes(split, config=env_config)
+            return env.generate_scenes(split, grid)
+        return env.generate_scenes(split)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise UsageError(f"bad scene selection: {exc}") from exc
 
@@ -245,7 +247,7 @@ def cmd_train(args) -> int:
         "episodes": args.episodes,
         "noise": args.noise,
     })
-    scenes = build_scenes(run_config.scene_spec, run_config.env)
+    scenes = build_scenes(run_config.scene_spec)
     out = Path(run_config.output)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
@@ -286,7 +288,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, env_config = agent.load_checkpoint(args.checkpoint)
-    scenes = build_scenes(_flag_scene_spec(args), env_config)
+    scenes = build_scenes(_flag_scene_spec(args))
     metrics, per_scene = agent.evaluate_policy(model, scenes, env_config)
     out = Path(args.out or Path(args.checkpoint).parent)
     out.mkdir(parents=True, exist_ok=True)
@@ -385,8 +387,7 @@ def capacity_report(model: ActorCriticModel, theta_samples: int = 20,
 
 
 def cmd_scenes(args) -> int:
-    env_config = env.EnvConfig()
-    scenes = build_scenes(_flag_scene_spec(args), env_config)
+    scenes = build_scenes(_flag_scene_spec(args))
     rows = [
         {
             "scenario": s.scenario_id,

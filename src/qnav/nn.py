@@ -120,13 +120,6 @@ def softmax_logs(logits: np.ndarray) -> tuple[np.ndarray, list, float]:
     return probs, logp, -_pairwise_sum([p * lp for p, lp in zip(probs.tolist(), logp)])
 
 
-def softmax_entropy(logits: np.ndarray) -> tuple[np.ndarray, float]:
-    """Softmax probabilities and the natural-log entropy of one row of
-    logits, as :func:`softmax_logs` gives them."""
-    probs, _, entropy = softmax_logs(logits)
-    return probs, entropy
-
-
 def _pairwise_sum(values: list) -> float:
     """``np.add.reduce`` of a contiguous float64 row, in its order: fewer than
     8 values (an actor row holds ``env.N_ACTIONS`` = 3) add left to right, as

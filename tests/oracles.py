@@ -847,7 +847,7 @@ def replay_loss(model, trace, returns, advantages=None) -> float:
     values, logps, entropies = [], [], []
     _, hidden, logits = trunk_replay(model, trace)
     for h, z, action in zip(hidden, logits, trace.actions):
-        probs, entropy = nn.softmax_entropy(z)
+        probs, _, entropy = nn.softmax_logs(z)
         logps.append(float(np.log(probs[action])))
         entropies.append(entropy)
         values.append(model.critic.value(h))
@@ -958,25 +958,27 @@ def episode_gradients(model, trace, returns, noise_rng: Optional[np.random.Gener
 # rectangle overlap, one segment and one corner at a time
 
 
-# EnvConfig.wheelbase and map_resolution as the planner-driven environment
-# had them; both went when its car began to drive the lane's centre line
+# EnvConfig.wheelbase, map_resolution and road_x_min as the planner-driven
+# environment had them; all three went when its car began to drive the
+# lane's centre line
 WHEELBASE = 2.5
 MAP_RESOLUTION = 1.0
+ROAD_X_MIN = -10.0
 
 
-def cost_map(obstacles, config: env.EnvConfig) -> planner.CostMap:
+def cost_map(obstacles) -> planner.CostMap:
     """The road, sidewalk and obstacle costs of one obstacle layout."""
     res = MAP_RESOLUTION
-    x0 = config.road_x_min
-    y0 = config.road_y_min - config.sidewalk_width - 1.0
-    y1 = config.road_y_max + config.sidewalk_width + 1.0
-    nx = int(math.ceil((config.road_x_max - x0) / res))
+    x0 = ROAD_X_MIN
+    y0 = env.ROAD_Y_MIN - env.SIDEWALK_WIDTH - 1.0
+    y1 = env.ROAD_Y_MAX + env.SIDEWALK_WIDTH + 1.0
+    nx = int(math.ceil((env.ROAD_X_MAX - x0) / res))
     ny = int(math.ceil((y1 - y0) / res))
     costs = np.full((ny, nx), planner.COST_BLOCKED, dtype=int)
     ys = y0 + (np.arange(ny) + 0.5) * res
-    road = (ys >= config.road_y_min) & (ys <= config.road_y_max)
-    walk = ((ys >= config.road_y_min - config.sidewalk_width) & (ys < config.road_y_min)) | (
-        (ys > config.road_y_max) & (ys <= config.road_y_max + config.sidewalk_width)
+    road = (ys >= env.ROAD_Y_MIN) & (ys <= env.ROAD_Y_MAX)
+    walk = ((ys >= env.ROAD_Y_MIN - env.SIDEWALK_WIDTH) & (ys < env.ROAD_Y_MIN)) | (
+        (ys > env.ROAD_Y_MAX) & (ys <= env.ROAD_Y_MAX + env.SIDEWALK_WIDTH)
     )
     costs[road, :] = planner.COST_ROAD
     costs[walk, :] = planner.COST_SIDEWALK
@@ -989,11 +991,11 @@ def cost_map(obstacles, config: env.EnvConfig) -> planner.CostMap:
     return planner.CostMap(x0=x0, y0=y0, resolution=res, costs=costs)
 
 
-def plan(scene: env.Scene, config: env.EnvConfig = env.EnvConfig()) -> planner.Path:
+def plan(scene: env.Scene) -> planner.Path:
     """The hybrid A* path of the scene's obstacle layout, from the car's start
     to its goal."""
-    return planner.plan_path(cost_map(scene.obstacles, config), scene.car_start, scene.car_goal,
-                             wheelbase=WHEELBASE, goal_tol=config.goal_tol)
+    return planner.plan_path(cost_map(scene.obstacles), scene.car_start, scene.car_goal,
+                             wheelbase=WHEELBASE, goal_tol=env.GOAL_TOL)
 
 
 def lateral_offset(scene: env.Scene, x: float, y: float) -> float:
@@ -1149,7 +1151,7 @@ def build_observation(world: env.WorldState, path: Optional[planner.Path] = None
     visible = []
     for ped in world.peds:
         dist = math.hypot(ped.x - car.x, ped.y - car.y)
-        if dist > config.sense_radius or env.is_occluded(world, ped):
+        if dist > env.SENSE_RADIUS or env.is_occluded(world, ped):
             continue
         rel = to_car_frame(car, ped.x, ped.y)
         pvx = ped.speed * math.cos(ped.heading)
@@ -1192,22 +1194,21 @@ def to_car_frame(car: env.CarState, x: float, y: float) -> tuple[float, float]:
     return c * dx + s * dy, -s * dx + c * dy
 
 
-def rect_distance(car: env.CarState, x: float, y: float, config: env.EnvConfig) -> float:
+def rect_distance(car: env.CarState, x: float, y: float) -> float:
     """Distance from a point to the car's oriented footprint rectangle."""
     lx, ly = to_car_frame(car, x, y)
-    dx = max(abs(lx) - config.car_length / 2.0, 0.0)
-    dy = max(abs(ly) - config.car_width / 2.0, 0.0)
+    dx = max(abs(lx) - env.CAR_LENGTH / 2.0, 0.0)
+    dy = max(abs(ly) - env.CAR_WIDTH / 2.0, 0.0)
     return math.hypot(dx, dy)
 
 
 def check_proximity(world: env.WorldState) -> list[str]:
-    config = world.config
     out = []
     for ped in world.peds:
-        d = rect_distance(world.car, ped.x, ped.y, config)
-        if d <= config.ped_radius:
+        d = rect_distance(world.car, ped.x, ped.y)
+        if d <= env.PED_RADIUS:
             out.append(env.HIT)
-        elif d <= config.near_miss_margin and world.car.v > 0:
+        elif d <= env.NEAR_MISS_MARGIN and world.car.v > 0:
             out.append(env.NEAR_MISS)
         else:
             out.append(env.CLEAR)
@@ -1216,14 +1217,13 @@ def check_proximity(world: env.WorldState) -> list[str]:
 
 def car_collides(world: env.WorldState) -> bool:
     car = world.car
-    config = world.config
     for other in world.others:
-        if rects_overlap(car.x, car.y, car.heading, config.car_length, config.car_width,
-                         other.x, other.y, other.heading, config.car_length, config.car_width):
+        if rects_overlap(car.x, car.y, car.heading, env.CAR_LENGTH, env.CAR_WIDTH,
+                         other.x, other.y, other.heading, env.CAR_LENGTH, env.CAR_WIDTH):
             return True
     for (bx0, by0, bx1, by1) in world.scene.obstacles:
         cx, cy = (bx0 + bx1) / 2.0, (by0 + by1) / 2.0
-        if rects_overlap(car.x, car.y, car.heading, config.car_length, config.car_width,
+        if rects_overlap(car.x, car.y, car.heading, env.CAR_LENGTH, env.CAR_WIDTH,
                          cx, cy, 0.0, bx1 - bx0, by1 - by0):
             return True
     return False
@@ -1232,12 +1232,12 @@ def car_collides(world: env.WorldState) -> bool:
 def footprint_cost(world: env.WorldState) -> int:
     """Max value, under the car footprint (center and corners), of the cost
     map of the world's obstacle layout."""
-    layout = cost_map(world.scene.obstacles, world.config)
-    car, config = world.car, world.config
+    layout = cost_map(world.scene.obstacles)
+    car = world.car
     c, s = math.cos(car.heading), math.sin(car.heading)
     pts = [(0.0, 0.0)]
-    for sx in (-config.car_length / 2, config.car_length / 2):
-        for sy in (-config.car_width / 2, config.car_width / 2):
+    for sx in (-env.CAR_LENGTH / 2, env.CAR_LENGTH / 2):
+        for sy in (-env.CAR_WIDTH / 2, env.CAR_WIDTH / 2):
             pts.append((sx, sy))
     return max(layout.cost_at(car.x + c * sx - s * sy, car.y + s * sx + c * sy)
                for sx, sy in pts)
@@ -1246,21 +1246,20 @@ def footprint_cost(world: env.WorldState) -> int:
 def reward(world: env.WorldState, action: env.Action, goal_dist: float, prox: list[str],
            car_hit: bool) -> env.RewardBreakdown:
     """The reward terms by name, every inapplicable one left at its default."""
-    config = world.config
     car = world.car
     terms = {}
-    if goal_dist <= config.goal_tol:
+    if goal_dist <= env.GOAL_TOL:
         terms["goal"] = 200.0
     else:
         terms["not_goal"] = -goal_dist / 1000.0
     if env.HIT in prox or car_hit:
-        beta = car.v / config.speed_limit
+        beta = car.v / env.SPEED_LIMIT
         terms["hit"] = -100.0 * beta
         if car.v != 0:
             terms["obstacle"] = -float(max(footprint_cost(world), planner.COST_BLOCKED))
     if env.NEAR_MISS in prox:
         terms["near_miss"] = -10.0
-    if car.v > config.speed_limit:
+    if car.v > env.SPEED_LIMIT:
         terms["over_speeding"] = -10.0
     if action.acc == env.DECELERATE and world.v_prev == 0:
         terms["braking"] = -1.0
@@ -1288,31 +1287,31 @@ def step(world: env.WorldState, acc: int, path: Optional[planner.Path] = None):
 
     world.v_prev = car.v
     if acc == env.ACCELERATE:
-        car.v = min(car.v + config.speed_step, config.v_max)
+        car.v = min(car.v + env.SPEED_STEP, env.V_MAX)
     elif acc == env.DECELERATE:
-        car.v = max(car.v - config.speed_step, 0.0)
+        car.v = max(car.v - env.SPEED_STEP, 0.0)
 
-    car.x += car.v * math.cos(car.heading) * config.dt
-    car.y += car.v * math.sin(car.heading) * config.dt
-    car.heading = (car.heading + car.v / WHEELBASE * math.tan(steer) * config.dt) % (2 * math.pi)
+    car.x += car.v * math.cos(car.heading) * env.DT
+    car.y += car.v * math.sin(car.heading) * env.DT
+    car.heading = (car.heading + car.v / WHEELBASE * math.tan(steer) * env.DT) % (2 * math.pi)
 
     for ped in world.peds:
         gx, gy = ped.goal
         remaining = math.hypot(gx - ped.x, gy - ped.y)
-        advance = min(ped.speed * config.dt, remaining)
+        advance = min(ped.speed * env.DT, remaining)
         if remaining > 1e-9:
             ped.x += advance * (gx - ped.x) / remaining
             ped.y += advance * (gy - ped.y) / remaining
     for other in world.others:
-        other.x += other.v * math.cos(other.heading) * config.dt
-        other.y += other.v * math.sin(other.heading) * config.dt
+        other.x += other.v * math.cos(other.heading) * env.DT
+        other.y += other.v * math.sin(other.heading) * env.DT
 
     world.t += 1
     goal = world.scene.car_goal
     goal_dist = math.hypot(car.x - goal[0], car.y - goal[1])
     prox, car_hit = check_proximity(world), car_collides(world)
     breakdown = reward(world, action, goal_dist, prox, car_hit)
-    if goal_dist <= config.goal_tol:
+    if goal_dist <= env.GOAL_TOL:
         world.done, world.outcome = True, "goal"
     elif env.HIT in prox or car_hit:
         world.done, world.outcome = True, "collision"

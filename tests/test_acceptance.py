@@ -132,10 +132,9 @@ def test_criterion_04_depolarizing_oracle():
 
 def test_criterion_05_reward_branches():
     scene = env.make_scene(1, 20.0, 1.0)
-    config = env.EnvConfig()
 
     def world_with(ped_xy=(1000.0, 1000.0), car_xy=(0.0, 0.0), v=0.0, v_prev=0.0):
-        world, _ = env.reset(scene, config=config)
+        world, _ = env.reset(scene)
         world.peds[0].x, world.peds[0].y = ped_xy
         world.peds[0].goal = ped_xy
         world.car.x, world.car.y = car_xy
@@ -146,15 +145,15 @@ def test_criterion_05_reward_branches():
     checks = []
     checks.append(env.compute_reward(world_with(car_xy=scene.car_goal),
                                      Action(MAINTAIN, 0.0)).goal == 200.0)
-    hit = env.compute_reward(world_with(ped_xy=(0.0, 0.0), v=config.speed_limit),
+    hit = env.compute_reward(world_with(ped_xy=(0.0, 0.0), v=env.SPEED_LIMIT),
                              Action(MAINTAIN, 0.0))
     checks.append(hit.hit == pytest.approx(-100.0))
     checks.append(hit.obstacle <= -100.0)
     half = env.compute_reward(world_with(ped_xy=(0.0, 0.0),
-                                         v=config.speed_limit / 2.0),
+                                         v=env.SPEED_LIMIT / 2.0),
                               Action(MAINTAIN, 0.0))
     checks.append(half.hit == pytest.approx(-50.0))
-    near = world_with(ped_xy=(0.0, config.car_width / 2 + 1.0), v=2.0)
+    near = world_with(ped_xy=(0.0, env.CAR_WIDTH / 2 + 1.0), v=2.0)
     checks.append(env.compute_reward(near, Action(MAINTAIN, 0.0)).near_miss == -10.0)
     fast = world_with(v=55.0 * KMH)
     checks.append(env.compute_reward(fast, Action(MAINTAIN, 0.0)).over_speeding == -10.0)
@@ -232,10 +231,10 @@ def test_criterion_06_classical_gradients():
             params = {"logits": rng.normal(size=dim)}
 
             def loss():
-                _, ent = nn.softmax_entropy(params["logits"])
+                _, _, ent = nn.softmax_logs(params["logits"])
                 return ent
 
-            probs, _ = nn.softmax_entropy(params["logits"])
+            probs, _, _ = nn.softmax_logs(params["logits"])
             grads = {"logits": nn.entropy_backward(probs, 1.0)}
         worst = max(worst, oracles.finite_diff_check(params, loss, grads))
     report(6, f"dense/layernorm/trunk (LSTM unroll)/softmax max FD error {worst:.2e} <= 1e-5",

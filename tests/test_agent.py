@@ -269,7 +269,7 @@ def test_policy_term_detached_from_critic():
         total = 0.0
         rows = replay(model, trace.obs)
         for logits, action, adv in zip(rows.logits, trace.actions, advantages):
-            probs, entropy = nn.softmax_entropy(logits)
+            probs, _, entropy = nn.softmax_logs(logits)
             total += math.log(probs[action]) * adv + config.entropy_weight * entropy
         return total / t
 
@@ -351,7 +351,7 @@ def test_episode_gradients_reuse_the_rollout(critic, monkeypatch):
     trunk_forward = model.trunk_forward
     monkeypatch.setattr(model, "trunk_forward",
                         lambda *a: calls.append(1) or trunk_forward(*a))
-    monkeypatch.setattr(nn, "softmax_entropy", None)
+    monkeypatch.setattr(nn, "softmax_logs", None)
     grad, _, _ = agent.episode_gradients(model, trace, returns)
     assert calls == []
     np.testing.assert_array_equal(grad, expected)
@@ -422,7 +422,7 @@ def assert_recorded_rows_equal_a_replay(model, trace):
     np.testing.assert_array_equal(trace.hidden, rows.hidden[1:])
     np.testing.assert_array_equal(trace.logits, rows.logits)
     for t in range(t_len):
-        probs, entropy = nn.softmax_entropy(trace.logits[t])
+        probs, _, entropy = nn.softmax_logs(trace.logits[t])
         assert trace.logps[t] == float(np.log(probs[trace.actions[t]]))
         assert trace.entropies[t] == entropy
         h, _, (*_, i, f, o, g, c, tc) = nn.lstm_step(

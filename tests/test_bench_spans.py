@@ -1,16 +1,25 @@
-"""The benchmark's named spans name functions that exist in qnav.
+"""The benchmark's calls into qnav still resolve and run.
 
 The benchmark's tracer finds its per-layer spans by name (for example
 ``env.build_observation`` for ``env.observation_us_p50``); a name that no
 longer resolves silently reads 0. ``bench/workloads.py`` is only read here,
-not imported.
+not imported; its setup and a short run go through ``bench/run.py`` in a
+subprocess.
 """
 
 import ast
 import importlib
+import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "bench" / "workloads.py"
+WORKLOAD_NAMES = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def named_spans() -> tuple:
@@ -77,3 +86,31 @@ def test_a_read_counting_trace_class_can_take_over_training_traces(monkeypatch):
     assert record.outcomes == ["timeout"] * 3
     assert reads == [(0, "bootstrap"), (1, "bootstrap"), (2, "bootstrap")]
     assert (record.returns, record.value_losses) == (expected.returns, expected.value_losses)
+
+
+@pytest.mark.parametrize("workload", WORKLOAD_NAMES)
+def test_each_workload_sets_up(workload):
+    """The benchmark's setup builds each workload's configs, scenes and model
+    through the qnav API (``EnvConfig(max_steps=...)`` and
+    ``generate_scenes(..., config=...)`` among its calls): a change to that
+    API that breaks it fails here, not only in a benchmark run."""
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
+                           "--seed", "0", "--setup-probe"],
+                          capture_output=True, text=True, timeout=120, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert "setup_s" in json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_an_eval_grid_run_passes_its_checks(tmp_path):
+    """A short ``eval-grid`` run, in a copy of the checkout so that its
+    ``.bench_out`` lands there, passes every output check: the check reads
+    ``max_steps`` and ``dt`` through the run's EnvConfig."""
+    shutil.copytree(ROOT / "bench", tmp_path / "bench")
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "eval-grid", "--seed", "0",
+                           "--seconds", "1"], capture_output=True, text=True, timeout=120,
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0, proc.stdout

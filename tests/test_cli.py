@@ -109,6 +109,8 @@ def test_parse_noise_flag():
     assert cli._parse_noise_flag("off") is None
     with pytest.raises(UsageError):
         cli._parse_noise_flag("amplitude_damping=0.1")
+    with pytest.raises(UsageError, match="'gate_error' given more than once"):
+        cli._parse_noise_flag("gate_error=0.1,gate_error=0.2")
 
 
 def test_resolved_config_round_trips_to_json(tmp_path):
@@ -284,6 +286,8 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
     ({"agent": {"noise": {"gate_error": 0.01}}}, []),
     ({"agent": {"gradient_mode": "param-shift"}}, []),
     ({"agent": {"critic": "quantum", "noise": {"gate_error": 0.01}}}, []),
+    ({"agent": {"critic": "quantum", "gradient_mode": "param-shift"}},
+     ["--noise", "gate_error=0.1,gate_error=0.2"]),
 ], ids=["yaml-depolarizing-2", "flag-not-a-number", "flag-negative", "zero-qubits",
         "zero-lstm-hidden", "zero-encoder-hidden", "zero-agent-max-steps", "negative-episodes",
         "negative-lr", "negative-max-grad-norm", "zero-dt", "zero-map-resolution",
@@ -302,19 +306,23 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
         "name-not-a-string", "output-not-a-string", "scenes-not-a-mapping",
         "agent-not-a-mapping", "env-not-a-mapping", "negative-seed-in-list", "repeated-seeds",
         "negative-seed-flag", "negative-agent-seed", "noise-with-classical-critic",
-        "param-shift-with-classical-critic", "gate-error-with-backprop"])
+        "param-shift-with-classical-critic", "gate-error-with-backprop",
+        "flag-repeated-noise-field"])
 def test_cmd_train_bad_values_exit_2_before_output(tmp_path, sections, flags):
     """Bad values fail when the config loads: exit 2, no output directory, so
-    no manifest.json."""
+    no manifest.json. The env keys other than max_steps and k_pedestrians
+    are no EnvConfig fields, so they fail as unknown keys at any value."""
     path = write_config(tmp_path, **sections)
     assert cli.main(["train", "--config", str(path), *flags]) == cli.EXIT_CONFIG
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("key,value", [("map_resolution", 1.0), ("wheelbase", 2.5)])
+@pytest.mark.parametrize("key,value", [("map_resolution", 1.0), ("wheelbase", 2.5),
+                                       ("road_x_min", -10.0), ("dt", 0.1)])
 def test_load_config_rejects_retired_env_keys(tmp_path, key, value):
-    """The planner's map resolution and wheelbase are gone from EnvConfig: a
-    config that names either, even at its old default, names an unknown key."""
+    """The planner's map resolution and wheelbase, the road's x_min and the
+    env constants are gone from EnvConfig: a config that names one, even at
+    its old default, names an unknown key."""
     path = write_config(tmp_path, env={key: value})
     with pytest.raises(UsageError, match=f"unknown keys in env: \\['{key}'\\]"):
         cli.load_config(str(path))
@@ -360,14 +368,15 @@ def trained_checkpoint(tmp_path):
 
 def slice_scenes(monkeypatch, pick):
     """Make ``qnav eval`` run ``build_scenes(...)[pick]``; returns the list of
-    EnvConfigs it was called with."""
-    build_scenes, seen = cli.build_scenes, []
+    EnvConfigs it evaluated under."""
+    build_scenes, evaluate_policy, seen = cli.build_scenes, agent.evaluate_policy, []
 
-    def sliced(scene_spec, env_config):
+    def evaluate(model, scenes, env_config):
         seen.append(env_config)
-        return build_scenes(scene_spec, env_config)[pick]
+        return evaluate_policy(model, scenes, env_config)
 
-    monkeypatch.setattr(cli, "build_scenes", sliced)
+    monkeypatch.setattr(cli, "build_scenes", lambda scene_spec: build_scenes(scene_spec)[pick])
+    monkeypatch.setattr(agent, "evaluate_policy", evaluate)
     return seen
 
 
@@ -565,23 +574,65 @@ def test_cmd_eval_of_a_checkpoint_recording_fixed_settings(tmp_path, monkeypatch
             == (tmp_path / "e2" / "outcomes.csv").read_bytes())
 
 
+# the env section of a checkpoint written while EnvConfig held the road's
+# scales, as JSON wrote it, with the planner's map_resolution and wheelbase
+# of the versions before that
+OLD_ENV_SECTION = {
+    "dt": 0.1, "car_length": 4.5, "car_width": 2.0, "ped_radius": 0.3, "near_miss_margin": 1.5,
+    "sense_radius": 50.0, "speed_limit": 13.88888888888889, "speed_step": 1.3888888888888888,
+    "v_max": 16.666666666666668, "goal_tol": 2.0, "max_steps": 500, "k_pedestrians": 4,
+    "road_y_min": -3.0, "road_y_max": 7.0, "sidewalk_width": 3.0, "road_x_min": -10.0,
+    "road_x_max": 112.0, "oncoming_lane_y": 4.0, "oncoming_speed": 8.0,
+    "map_resolution": 1.0, "wheelbase": 2.5,
+}
+# the retired keys that became env constants
+ENV_CONSTANT_KEYS = sorted(set(OLD_ENV_SECTION) - {"max_steps", "k_pedestrians", "road_x_min",
+                                                   "map_resolution", "wheelbase"})
+
+
 def test_cmd_eval_of_a_checkpoint_recording_retired_env_keys(tmp_path, monkeypatch):
-    """A checkpoint that records the planner's map_resolution and wheelbase,
-    as older versions wrote them, loads under the EnvConfig without them and
-    evaluates to the outcomes of one that does not record them."""
+    """A checkpoint whose env section records every key older versions wrote
+    loads under the EnvConfig without them and evaluates to the metrics and
+    outcomes of one that does not record them. Each env constant holds the
+    value its field recorded; map_resolution, wheelbase and road_x_min load
+    at any value."""
+    assert {key: getattr(env, key.upper()) for key in ENV_CONSTANT_KEYS} == {
+        key: OLD_ENV_SECTION[key] for key in ENV_CONSTANT_KEYS}
     ckpt = trained_checkpoint(tmp_path)
     payload = json.loads(ckpt.read_text())
-    payload["env"].update(map_resolution=0.5, wheelbase=3.0)
+    assert payload["env"] == {"max_steps": 500, "k_pedestrians": 4}
+    payload["env"] = OLD_ENV_SECTION
     old = tmp_path / "old.json"
     old.write_text(json.dumps(payload))
-    model, env_config = agent.load_checkpoint(str(old))
-    assert env_config == env.EnvConfig()
+    payload["env"] = {**OLD_ENV_SECTION, "map_resolution": 0.5, "wheelbase": 3.0,
+                      "road_x_min": 200.0}
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(payload))
+    for path in (old, older):
+        assert agent.load_checkpoint(str(path))[1] == env.EnvConfig()
     slice_scenes(monkeypatch, slice(5))
-    for path, out in ((ckpt, "e1"), (old, "e2")):
+    outputs = []
+    for path in (ckpt, old, older):
+        out = tmp_path / ("eval_" + path.stem)
         assert cli.main(["eval", "--checkpoint", str(path), "--scenarios", "1",
-                         "--out", str(tmp_path / out)]) == 0
-    assert ((tmp_path / "e1" / "outcomes.csv").read_bytes()
-            == (tmp_path / "e2" / "outcomes.csv").read_bytes())
+                         "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("metrics.json", "outcomes.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_cmd_eval_of_a_checkpoint_with_an_env_constant_changed_exit_2(tmp_path, capsys):
+    """A checkpoint recording a retired env key off the constant it became
+    (dt 0.05, say) was trained on another road: exit 2 naming the key,
+    nothing written."""
+    ckpt = trained_checkpoint(tmp_path)
+    payload = json.loads(ckpt.read_text())
+    out = tmp_path / "eval"
+    for key in ENV_CONSTANT_KEYS:
+        payload["env"] = {**OLD_ENV_SECTION, key: OLD_ENV_SECTION[key] / 2}
+        ckpt.write_text(json.dumps(payload))
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"{key} {OLD_ENV_SECTION[key] / 2!r} is no longer supported" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cmd_eval_deterministic(tmp_path, monkeypatch):

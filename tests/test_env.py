@@ -80,24 +80,6 @@ def test_config_rejects_non_integer_counts(name, value):
         env.EnvConfig(**{name: value})
 
 
-@pytest.mark.parametrize("name", ["oncoming_speed", "dt", "speed_limit", "road_x_max",
-                                  "oncoming_lane_y"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-def test_config_rejects_non_finite_floats(name, value):
-    """Every float field must be finite: an unchecked NaN oncoming_speed, for
-    one, loads silently and turns every oncoming-car scene into a collision
-    at step 0."""
-    with pytest.raises(UsageError, match=f"{name} must be a finite number"):
-        env.EnvConfig(**{name: value})
-
-
-@pytest.mark.parametrize("margin", [-0.5, float("nan")])
-def test_config_rejects_bad_near_miss_margin(margin):
-    with pytest.raises(UsageError, match="near_miss_margin"):
-        env.EnvConfig(near_miss_margin=margin)
-    env.EnvConfig(near_miss_margin=0.0)
-
-
 def test_scene_ordering_deterministic():
     a = env.generate_scenes("train")
     b = env.generate_scenes("train")
@@ -256,7 +238,7 @@ def test_speed_clamped_to_hard_max():
         env.step(world, ACCELERATE)
         if world.done:
             break
-    assert world.car.v <= world.config.v_max + 1e-12
+    assert world.car.v <= env.V_MAX + 1e-12
 
 
 def test_decelerate_clamps_at_zero():
@@ -357,7 +339,7 @@ def lockstep_episode(scene, policy, config, mutate=None, planned=False):
     scene's planned path and the rows agree as ``same_rows_but_cross_track``
     says. Returns the outcome, whether a pedestrian was hit, the reward
     terms that fired and the number of rows whose [2] the plan changed."""
-    path = oracles.plan(scene, config) if planned else None
+    path = oracles.plan(scene) if planned else None
     world, row = env.reset(scene, config=config)
     ref, ref_row = env.reset(scene, config=config)
     if mutate is not None:
@@ -426,7 +408,7 @@ def test_step_equals_the_planner_oracle_on_the_lane():
     for sid in env.TEST_SCENARIOS:
         for distance, speed in ((15.0, 1.0), (30.0, 1.5)):
             scene = env.make_scene(sid, distance, speed)
-            assert {pose[1:] for pose in oracles.plan(scene, LOCKSTEP_CONFIG).poses} == {(0.0, 0.0)}
+            assert {pose[1:] for pose in oracles.plan(scene).poses} == {(0.0, 0.0)}
             for policy in lockstep_policies(sid):
                 outcome, ped_hit, _, changed = lockstep_episode(scene, policy, LOCKSTEP_CONFIG,
                                                                 planned=True)
@@ -599,7 +581,7 @@ def test_proximity_near_miss_requires_motion():
     ped = world.peds[0]
     # 1.0 m off the side of the car body
     ped.x = world.car.x
-    ped.y = world.car.y + world.config.car_width / 2.0 + 1.0
+    ped.y = world.car.y + env.CAR_WIDTH / 2.0 + 1.0
     world.car.v = 0.0
     assert env.check_proximity(world) == [env.CLEAR]
     world.car.v = 2.0
@@ -633,7 +615,7 @@ def test_reward_stationary_composite_example():
 
 def test_reward_hit_at_speed_limit():
     world, _ = fresh_world()
-    world.car.v = world.config.speed_limit  # 50 km/h
+    world.car.v = env.SPEED_LIMIT  # 50 km/h
     ped = world.peds[0]
     ped.x, ped.y = world.car.x, world.car.y
     breakdown = env.compute_reward(world, Action(MAINTAIN, 0.0))
@@ -645,7 +627,7 @@ def test_reward_hit_scales_with_impact_speed():
     world, _ = fresh_world()
     ped = world.peds[0]
     ped.x, ped.y = world.car.x, world.car.y
-    world.car.v = world.config.speed_limit / 2.0
+    world.car.v = env.SPEED_LIMIT / 2.0
     assert env.compute_reward(world, Action(MAINTAIN, 0.0)).hit == pytest.approx(-50.0)
     world.car.v = 0.0
     breakdown = env.compute_reward(world, Action(MAINTAIN, 0.0))
@@ -657,7 +639,7 @@ def test_reward_near_miss_term():
     world, _ = fresh_world()
     ped = world.peds[0]
     ped.x = world.car.x
-    ped.y = world.car.y + world.config.car_width / 2.0 + 1.0
+    ped.y = world.car.y + env.CAR_WIDTH / 2.0 + 1.0
     world.car.v = 2.0
     assert env.compute_reward(world, Action(MAINTAIN, 0.0)).near_miss == -10.0
 
@@ -728,7 +710,7 @@ def test_cost_map_layout():
     """The cost map the planner oracle plans on and reads the obstacle term
     from: road, sidewalks, blocked beyond them and under a parked car."""
     scene = env.make_scene(3, 20.0, 1.0)
-    cmap = oracles.cost_map(scene.obstacles, env.EnvConfig())
+    cmap = oracles.cost_map(scene.obstacles)
     assert cmap.cost_at(50.0, 0.0) == planner.COST_ROAD
     assert cmap.cost_at(50.0, -4.5) == planner.COST_SIDEWALK
     assert cmap.cost_at(50.0, 20.0) == planner.COST_BLOCKED

@@ -138,18 +138,18 @@ def test_layer_norm_gradients():
 
 
 def test_softmax_uniform():
-    probs, entropy = nn.softmax_entropy(np.zeros(3))
+    probs, _, entropy = nn.softmax_logs(np.zeros(3))
     np.testing.assert_allclose(probs, np.full(3, 1 / 3), atol=1e-12)
     assert entropy == pytest.approx(math.log(3), abs=1e-12)
 
 
 def test_softmax_degenerate():
-    _, entropy = nn.softmax_entropy(np.array([50.0, 0.0, 0.0]))
+    _, _, entropy = nn.softmax_logs(np.array([50.0, 0.0, 0.0]))
     assert entropy < 1e-10
 
 
 def test_softmax_two_logits():
-    probs, entropy = nn.softmax_entropy(np.zeros(2))
+    probs, _, entropy = nn.softmax_logs(np.zeros(2))
     np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
     assert entropy == pytest.approx(math.log(2), abs=1e-12)
 
@@ -157,7 +157,7 @@ def test_softmax_two_logits():
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8))
 def test_softmax_properties(logits):
-    probs, entropy = nn.softmax_entropy(np.array(logits))
+    probs, _, entropy = nn.softmax_logs(np.array(logits))
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(probs > 0)
     assert -1e-12 <= entropy <= math.log(len(logits)) + 1e-12
@@ -175,7 +175,7 @@ def test_entropy_floor_keeps_the_bits_of_clip():
     rows = []
     for logits in ([0.0, -800.0, -800.0], [0.0, -744.0, -710.0], [np.nan, 0.0, 0.0],
                    [0.3, -0.2, 0.1]):
-        probs, entropy = nn.softmax_entropy(np.array(logits))
+        probs, _, entropy = nn.softmax_logs(np.array(logits))
         clipped = float(-(probs * np.log(np.clip(probs, 1e-300, None))).sum())
         np.testing.assert_array_equal(entropy, clipped)
         np.testing.assert_array_equal(nn.entropy_backward(probs, 0.7),
@@ -194,7 +194,7 @@ def test_softmax_entropy_keeps_the_bits_of_the_array_route():
     rng = np.random.default_rng(14)
     with np.errstate(all="ignore"):
         for row in oracles.logit_rows(rng, [*range(1, 10), 16, 23, 128, 129, 300], 300):
-            probs, entropy = nn.softmax_entropy(row)
+            probs, _, entropy = nn.softmax_logs(row)
             want_probs, want_entropy = oracles.softmax_entropy(row)
             assert oracles.same_bits(probs, want_probs), row
             assert oracles.same_bits(entropy, want_entropy), row
@@ -205,10 +205,10 @@ def test_entropy_backward_matches_fd():
     logits = {"z": rng.normal(size=4)}
 
     def loss():
-        _, ent = nn.softmax_entropy(logits["z"])
+        _, _, ent = nn.softmax_logs(logits["z"])
         return ent
 
-    probs, _ = nn.softmax_entropy(logits["z"])
+    probs, _, _ = nn.softmax_logs(logits["z"])
     grad = nn.entropy_backward(probs, 1.0)
     assert oracles.finite_diff_check(logits, loss, {"z": grad}) < 1e-7
 
