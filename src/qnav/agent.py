@@ -9,7 +9,9 @@ update, so nothing is run forward twice, and the quantum gradient route
 (adjoint backprop vs parameter-shift) can be swapped freely. The rollout
 writes its forward pass into rows the model keeps (:class:`TraceRows`), one
 row per step, and the backward pass runs each layer once on all T rows of
-the episode; only the LSTM recurrence steps through time.
+the episode; only the LSTM recurrence steps through time. A rollout never
+evaluates the critic: the gradient pass reads every value, the bootstrap of
+a truncated episode included.
 """
 
 from __future__ import annotations
@@ -163,9 +165,11 @@ class QuantumCritic:
         run as one batch.
 
         ``upstream`` maps the (T,) values of a batch to the loss gradient dv
-        = dLoss/dV at each row. With it the grads are of the loss instead:
-        sums over the rows weighted by dv, with no T axis, and the third
-        output is dLoss/dh, each dV/dh row times its dv."""
+        = dLoss/dV at its first len(dv) rows; any rows after them are read
+        for their value only, as if their dv were 0. With it the grads are of
+        the loss instead: sums over the rows weighted by dv, with no T axis,
+        and the third output is dLoss/dh of the first len(dv) rows, each
+        dV/dh row times its dv."""
         x = encoding.pad_input(h, self.layout)
         args = (self.circuit, x, self.params["theta"], self.params["w"],
                 float(self.params["b"][0]))
@@ -179,8 +183,9 @@ class QuantumCritic:
         if upstream is None:
             return value, {"theta": d_theta, "w": z, "b": np.ones(np.shape(value) + (1,))}, dh
         dv = upstream(value)
-        grads = {"theta": dv @ d_theta, "w": dv @ z, "b": np.array([dv.sum()])}
-        return value, grads, dv[:, None] * dh
+        n = len(dv)
+        grads = {"theta": dv @ d_theta[:n], "w": dv @ z[:n], "b": np.array([dv.sum()])}
+        return value, grads, dv[:, None] * dh[:n]
 
 
 class ClassicalCritic:
@@ -222,13 +227,17 @@ class ClassicalCritic:
         """(value, grads dict, dV/dh). For h of shape (T, hidden) every output
         gains a leading T axis and all rows run as one batch. ``upstream``
         is as for :meth:`QuantumCritic.value_and_grads`: the backward pass
-        then starts from the (T,) loss gradient dv it gives, the grads are
-        sums over the rows and the third output is dLoss/dh."""
+        then starts from the loss gradient dv it gives, on the first len(dv)
+        rows only, the grads are sums over those rows and the third output
+        is their dLoss/dh."""
         value, (c1, c2, c3) = self._forward(h)
         if upstream is None:
             dy = np.ones(np.shape(h)[:-1] + (1,))
         else:
             dy = upstream(value)[:, None]
+            # value-only rows after the first len(dy) leave the backward pass
+            h, c1, c3 = h[: len(dy)], c1[: len(dy)], c3[: len(dy)]
+            c2 = tuple(part[: len(dy)] for part in c2)
         dz2, g3 = nn.dense_backward(self.d2, dy, c3)
         dz1, g2 = nn.layer_norm_backward(self.ln, dz2, c2)
         grads = {"d1.b": dz1, "ln.gain": g2["gain"], "ln.bias": g2["bias"],
@@ -278,6 +287,7 @@ class ActorCriticModel:
         # views of flat they see every optimizer step and checkpoint load
         self._trunk_dense = tuple(layer[key] for layer in (self.enc1, self.enc2, self.actor)
                                   for key in ("W", "b"))
+        self._lstm_weights = (self.lstm["Wx"], self.lstm["Wh"], self.lstm["b"])
         if config.critic == "quantum":
             self.critic = QuantumCritic(layout, self.layers["critic"])
         else:
@@ -321,24 +331,27 @@ class ActorCriticModel:
         hidden state and the logits, views of the rows.
 
         Each dense layer is ``np.dot`` into its row, then ``+=`` its bias:
-        the bits of ``nn.dense_forward`` for a fraction of its dispatch cost."""
+        the bits of ``nn.dense_forward`` for a fraction of its dispatch cost.
+        The LSTM is ``nn.lstm_cell`` on the weights and row views bound once."""
         n = rows.steps
         obs, a1, x, a2, x_extras, gates, tanh_cell, logits = rows.step_views[t % n]
         h_prev, c_prev = rows.state_views[t % (n + 1)]
         h, c = rows.state_views[(t + 1) % (n + 1)]
         w1, b1, w2, b2, wa, ba = self._trunk_dense
-        np.dot(w1, obs_vec, out=a1)
+        np.dot(w1, obs_vec, a1)
         a1 += b1
-        np.tanh(a1, out=a1)
+        np.tanh(a1, a1)
         if obs is not None:
             obs[...] = obs_vec
-        np.dot(w2, a1, out=a2)
+        np.dot(w2, a1, a2)
         a2 += b2
-        np.tanh(a2, out=a2)
+        np.tanh(a2, a2)
         x_extras[...] = extras
-        nn.lstm_step(self.lstm, x, h_prev, c_prev, (gates, c, tanh_cell, h, *rows.lstm_scratch),
-                     rows.gate_views[t % n])
-        np.dot(wa, h, out=logits)
+        wx, wh, b = self._lstm_weights
+        wh_h, ig = rows.lstm_scratch
+        sig, i, f, o, g = rows.gate_views[t % n]
+        nn.lstm_cell(wx, wh, b, x, h_prev, c_prev, gates, c, tanh_cell, h, wh_h, ig, sig, i, f, o, g)
+        np.dot(wa, h, logits)
         logits += ba
         return h, logits
 
@@ -350,10 +363,12 @@ class ActorCriticModel:
 
         dlogits (T, actions) is the loss gradient at the logits and dh_extra
         (T, hidden) the critic's pull on each hidden state. Only the LSTM
-        recurrence runs step by step; each weight gradient is one
-        (T, out).T @ (T, in) product over the episode."""
+        recurrence runs step by step, in the rows' ``backward`` arrays; each
+        weight gradient is one (T, out).T @ (T, in) product over the episode."""
         t_len, n_hidden = len(dlogits), self.config.lstm_hidden
-        dh = dlogits @ self.actor["W"] + dh_extra
+        dh, a, k, dpre = (buffer[:t_len] for buffer in rows.backward)
+        np.matmul(dlogits, self.actor["W"], out=dh)
+        dh += dh_extra
         x = rows.x[:t_len]
         gates = rows.gates[:t_len].reshape(t_len, 4, n_hidden)
         i, f, o, g = (gates[:, j] for j in range(4))
@@ -361,24 +376,27 @@ class ActorCriticModel:
         # every elementwise factor of the gate gradients, for all T steps at
         # once: dc_t = f_{t+1} dc_{t+1} + dh_t A_t, and the gate pre-activations take
         # [dc_t, dc_t, dh_t, dc_t] K_t in the gate order i, f, o, g
-        a = o * (1.0 - tc * tc)
-        k = np.empty((t_len, 4, n_hidden))
+        np.multiply(tc, tc, out=a)
+        np.subtract(1.0, a, out=a)
+        a *= o
         sig = gates[:, :3]
         dsig = sig * (1.0 - sig)
         for j, factor in enumerate((g, c_prev, tc)):
             np.multiply(factor, dsig[:, j], out=k[:, j])
         np.multiply(i, 1.0 - g * g, out=k[:, 3])
-        dpre = np.empty((t_len, 4 * n_hidden))
-        dpre_gates = dpre.reshape(t_len, 4, n_hidden)
-        dh_next = dc = np.zeros(n_hidden)
+        # dh_t, dc and Wh.T dpre_t are written in place, into arrays made once
+        dh_t, dc, dh_next, dc_term = (np.zeros(n_hidden) for _ in range(4))
         wh_t = self.lstm["Wh"].T
-        for t in range(t_len - 1, -1, -1):
-            dh_t = dh[t] + dh_next
-            dc = dh_t * a[t] + dc
-            np.multiply(k[t], dc, out=dpre_gates[t])
-            np.multiply(k[t, 2], dh_t, out=dpre_gates[t, 2])
-            dc *= f[t]
-            dh_next = wh_t @ dpre[t]
+        add, multiply, dot = np.add, np.multiply, np.dot
+        for dh_row, a_row, k_row, k_out, f_row, dpre_row, dpre_gates, dpre_out in reversed(
+                rows.backward_views[:t_len]):
+            add(dh_row, dh_next, dh_t)
+            multiply(dh_t, a_row, dc_term)
+            add(dc_term, dc, dc)
+            multiply(k_row, dc, dpre_gates)
+            multiply(k_out, dh_t, dpre_out)
+            multiply(dc, f_row, dc)
+            dot(wh_t, dpre_row, dh_next)
         _dense_grads(grads["actor"], dlogits, rows.hidden[1 : t_len + 1])
         np.matmul(dpre.T, x, out=grads["lstm"]["Wx"])
         np.matmul(dpre.T, rows.hidden[:t_len], out=grads["lstm"]["Wh"])
@@ -394,7 +412,7 @@ class ActorCriticModel:
 
 class TraceRows:
     """A rollout's trunk forward pass, one row per step, all its backward
-    pass reads.
+    pass reads, and the arrays that backward pass works in.
 
     Step t writes row t of ``obs`` (the encoder input), ``a1`` (the first
     tanh activation), ``x`` (the LSTM input: the second tanh activation,
@@ -404,8 +422,8 @@ class TraceRows:
     vectors of step t are hidden[t], cell[t], gates[t], cell[t + 1] and
     tanh_cell[t]. Rows are indexed modulo their count: with ``steps`` = 1,
     step t writes row 0 and state row (t + 1) % 2, which is all a greedy
-    rollout needs. ``greedy`` rows keep no ``obs`` (None), which only the
-    backward pass reads.
+    rollout needs. ``greedy`` rows keep no ``obs`` (None) and no
+    ``backward`` arrays, which only the backward pass reads.
     """
 
     def __init__(self, model: ActorCriticModel, steps: int, greedy: bool = False):
@@ -420,7 +438,7 @@ class TraceRows:
         self.logits = np.empty((steps, env.N_ACTIONS))
         self.hidden = np.zeros((steps + 1, hidden))
         self.cell = np.zeros((steps + 1, hidden))
-        # scratch for the LSTM's Wh h_prev and i g (see nn.lstm_step)
+        # scratch for the LSTM's Wh h_prev and i g (see nn.lstm_cell)
         self.lstm_scratch = (np.empty(4 * hidden), np.empty(hidden))
         # the views each step writes, sliced once: on rows this short,
         # slicing them anew each step costs about as much as their arithmetic
@@ -430,7 +448,21 @@ class TraceRows:
              self.x[t, enc_out:], self.gates[t], self.tanh_cell[t], self.logits[t])
             for t in range(steps)]
         self.state_views = [(self.hidden[t], self.cell[t]) for t in range(steps + 1)]
-        self.gate_views = [nn.gate_views(row) for row in self.gates]  # see nn.lstm_step
+        self.gate_views = [nn.gate_views(row) for row in self.gates]  # see nn.lstm_cell
+        # what the backward pass writes for all steps at once and its LSTM
+        # recurrence reads step by step (see ActorCriticModel.trunk_backward):
+        # dLoss/dh before the recurrence, the factors A and K of the gate
+        # gradients and the gate pre-activation gradients dpre, with each
+        # step's views of them and of the f gate sliced once, as above
+        self.backward = self.backward_views = None
+        if not greedy:
+            dh, a = np.empty((steps, hidden)), np.empty((steps, hidden))
+            k, dpre = np.empty((steps, 4, hidden)), np.empty((steps, 4 * hidden))
+            self.backward = (dh, a, k, dpre)
+            dpre_gates = dpre.reshape(steps, 4, hidden)
+            f = self.gates.reshape(steps, 4, hidden)[:, 1]
+            self.backward_views = list(zip(dh, a, k, k[:, 2], f, dpre, dpre_gates,
+                                           dpre_gates[:, 2]))
 
 
 def _dense_grads(grads: dict, dy: np.ndarray, x: np.ndarray) -> None:
@@ -497,7 +529,11 @@ class EpisodeTrace:
     it was recorded, and reading it later (``forward_rows``, ``hidden``,
     ``logits``, :func:`episode_gradients`) raises UsageError. A greedy
     rollout keeps no forward pass, and its ``logps`` and ``entropies`` stay
-    empty: evaluation reads only the outcome, steps, return and near miss."""
+    empty: evaluation reads only the outcome, steps, return and near miss.
+
+    A truncated training episode (outcome "timeout") also leaves in its rows
+    the hidden state after its last step, ``rows.hidden[steps + 1]``, which
+    :func:`episode_gradients` bootstraps the return from."""
 
     obs: list = field(default_factory=list)  # env observation rows, before each action
     actions: list = field(default_factory=list)
@@ -505,7 +541,6 @@ class EpisodeTrace:
     entropies: list = field(default_factory=list)
     rewards: list = field(default_factory=list)  # totals
     outcome: Optional[str] = None
-    bootstrap: float = 0.0
     steps: int = 0
     near_miss: bool = False
     rows: Optional[TraceRows] = field(default=None, repr=False)
@@ -538,18 +573,16 @@ class EpisodeTrace:
 def run_episode(model: ActorCriticModel, scene: env.Scene,
                 env_config: env.EnvConfig,
                 policy_rng: Optional[np.random.Generator] = None,
-                noise_rng: Optional[np.random.Generator] = None,
                 greedy: bool = False) -> EpisodeTrace:
-    """Roll out one episode. The critic is not evaluated along the way: only
-    a truncated training episode needs a value, the bootstrap of its last
-    state. A training rollout samples its actions from ``policy_rng``,
-    writes its forward pass into the model's kept rows (see
-    :class:`EpisodeTrace`) and is also truncated at ``AgentConfig.max_steps``;
-    a greedy (evaluation) rollout takes the most probable action, runs until
-    the env ends it, leaves the bootstrap at 0 and keeps no forward pass,
-    log-probabilities or entropies."""
+    """Roll out one episode; the critic is never evaluated. A training
+    rollout samples its actions from ``policy_rng``, writes its forward pass
+    into the model's kept rows (see :class:`EpisodeTrace`) and is also
+    truncated at ``AgentConfig.max_steps``; a truncated one runs the trunk
+    once more, on the state after its last step, whose hidden state
+    :func:`episode_gradients` bootstraps the return from. A greedy
+    (evaluation) rollout takes the most probable action, runs until the env
+    ends it and keeps no forward pass, log-probabilities or entropies."""
     config = model.config
-    noise = config.noise if noise_rng is not None else None
     world, row = env.reset(scene, config=env_config)
     d = model.obs_dim  # the row's encoder input; the LSTM extras follow it
     rows = model._rollout_rows(greedy)
@@ -566,11 +599,9 @@ def run_episode(model: ActorCriticModel, scene: env.Scene,
             trace.outcome = world.outcome if world.done else "timeout"
             if greedy or trace.outcome != "timeout":
                 break
-        h, logits = model.trunk_forward(row[:d], row[d:], rows, steps)
+        _, logits = model.trunk_forward(row[:d], row[d:], rows, steps)
         if trace.outcome is not None:
-            # truncated: bootstrap the return from the value of the final state
-            trace.bootstrap = model.critic.value(h, noise=noise, rng=noise_rng)
-            break
+            break  # truncated: the hidden state to bootstrap from is written
         if greedy:
             action = greedy_action(logits)
         else:
@@ -614,29 +645,53 @@ def losses(values, returns, logps, entropies, entropy_weight: float) -> tuple[fl
     return float(j_v), float(j_pi)
 
 
-def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace, returns,
+def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace,
                       noise_rng: Optional[np.random.Generator] = None):
     """Gradient of the combined loss J_V - J_pi over one recorded episode.
 
     The parameters are those of the rollout, so the backward pass runs on
-    the trace's own forward pass: the critic runs once on all T recorded
+    the trace's own forward pass: the critic runs once, on all T recorded
     hidden states, then ``trunk_backward`` backpropagates the whole episode
     through the recorded rows, which must still hold it (see
-    :class:`EpisodeTrace`). The advantage in the policy term is treated as
-    a constant, so no policy gradient flows into the critic parameters. Returns
-    (grad, j_v, j_pi), where grad is laid out like ``model.flat`` and
-    clipped to ``config.max_grad_norm`` when that is set.
+    :class:`EpisodeTrace`). A truncated episode (outcome "timeout")
+    bootstraps its returns from the value of the state after its last step:
+    that state joins the critic's batch as a value-only last row, or, for a
+    parameter-shift critic, is one unshifted value of its own, drawn from
+    ``noise_rng`` before the gradient's rows. ``noise_rng`` is required for
+    a noisy critic. The advantage in the policy term is treated as a
+    constant, so no policy gradient flows into the critic parameters.
+    Returns (grad, j_v, j_pi), where grad is laid out like ``model.flat``
+    and clipped to ``config.max_grad_norm`` when that is set.
     """
     config = model.config
     t_len = trace.steps
     if t_len == 0:
         raise UsageError("empty episode")
     rows = trace.forward_rows()
-    returns = np.asarray(returns, dtype=float)
-    # d(J_V)/dV; the advantage path into J_pi is detached
+    if config.noise is not None and config.noise.enabled and noise_rng is None:
+        raise UsageError("a noisy critic needs a noise rng stream")
+    batch = rows.hidden[1 : t_len + 1]
+    bootstrap = 0.0
+    if trace.outcome == "timeout":
+        if config.gradient_mode == "param-shift":
+            # a batch row would run every shifted circuit of the state
+            bootstrap = model.critic.value(rows.hidden[t_len + 1], noise=config.noise,
+                                           rng=noise_rng)
+        else:
+            batch = rows.hidden[1 : t_len + 2]
+    returns = None
+
+    def upstream(values):
+        """d(J_V)/dV at the T steps, from the returns the batch's values give."""
+        nonlocal returns
+        tail = float(values[t_len]) if len(values) > t_len else bootstrap
+        returns = np.array(discounted_returns(trace.rewards, config.gamma, tail))
+        return 2.0 * (values[:t_len] - returns) / t_len
+
+    # the advantage path into J_pi is detached
     values, critic_grads, dh_critic = model.critic.value_and_grads(
-        rows.hidden[1 : t_len + 1], mode=config.gradient_mode, noise=config.noise,
-        rng=noise_rng, upstream=lambda v: 2.0 * (v - returns) / t_len)
+        batch, mode=config.gradient_mode, noise=config.noise, rng=noise_rng, upstream=upstream)
+    values = values[:t_len]
     j_v, j_pi = losses(values, returns, trace.logps, trace.entropies, config.entropy_weight)
 
     advantage = returns - values
@@ -708,10 +763,8 @@ def train_run(config: AgentConfig, scenes: list[env.Scene],
     )
     for _ in range(config.episodes):
         scene = scenes[int(streams["env"].integers(len(scenes)))]
-        trace = run_episode(model, scene, env_config,
-                            policy_rng=streams["policy"], noise_rng=streams["noise"])
-        returns = discounted_returns(trace.rewards, config.gamma, trace.bootstrap)
-        grad, j_v, _ = episode_gradients(model, trace, returns, noise_rng=streams["noise"])
+        trace = run_episode(model, scene, env_config, policy_rng=streams["policy"])
+        grad, j_v, _ = episode_gradients(model, trace, noise_rng=streams["noise"])
         optimizer.update(model.flat, grad)
         record.returns.append(trace.episode_return)
         record.entropies.append(float(np.mean(trace.entropies)))

@@ -153,48 +153,57 @@ def lstm_init(rng: np.random.Generator, in_dim: int, hidden: int) -> dict:
 
 
 def gate_views(pre: np.ndarray) -> tuple:
-    """The views ``lstm_step`` works on of a stacked gate row of length
+    """The views ``lstm_cell`` works on of a stacked gate row of length
     4 * hidden: its i, f and o part, then i, f, o and g."""
     hidden = len(pre) // 4
     sig = pre[: 3 * hidden]
     return sig, sig[:hidden], sig[hidden : 2 * hidden], sig[2 * hidden :], pre[3 * hidden :]
 
 
-def lstm_step(params: dict, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
-              out: Optional[tuple] = None, views: Optional[tuple] = None):
+def lstm_step(params: dict, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
     """Standard LSTM update; gate order in the stacked weights is i, f, o, g.
-    Returns (h, c, cache). ``out``, if given, holds six contiguous arrays of
-    lengths 4 * hidden, hidden, hidden, hidden, 4 * hidden and hidden: the
-    gate activations, c, tanh(c) and h go into the first four, and the cache
-    holds views of them; the last two are scratch for Wh h_prev and i g.
-    ``views``, if given, are ``gate_views(out[0])``, sliced once by a caller
-    that writes the same row again: on rows this short, slicing them anew
-    costs a few percent of the step."""
+    Returns (h, c, cache), in arrays of their own; the cache holds views of
+    the gate activations."""
     hidden = h_prev.shape[0]
     if params["Wx"].shape[1] != x.shape[0]:
         raise UsageError(f"lstm expects input of length {params['Wx'].shape[1]}, got {x.shape}")
-    if out is None:
-        out = tuple(np.empty(n * hidden) for n in (4, 1, 1, 1, 4, 1))
-    pre, c, tc, h, wh_h, ig = out
-    sig, i, f, o, g = gate_views(pre) if views is None else views
-    # np.dot, not @: the same BLAS call, for less dispatch on rows this short
-    np.dot(params["Wx"], x, out=pre)
-    np.dot(params["Wh"], h_prev, out=wh_h)
-    pre += wh_h
-    pre += params["b"]
-    # the i, f and o sigmoids 1 / (1 + exp(-pre)) in one pass, in place
-    np.negative(sig, out=sig)
-    np.exp(sig, out=sig)
-    sig += 1.0
-    np.divide(1.0, sig, out=sig)
-    np.tanh(g, out=g)
-    # c = f c_prev + i g, tanh(c) and h = o tanh(c)
-    np.multiply(f, c_prev, out=c)
-    np.multiply(i, g, out=ig)
-    c += ig
-    np.tanh(c, out=tc)
-    np.multiply(o, tc, out=h)
+    pre, c, tc, h, wh_h, ig = (np.empty(n * hidden) for n in (4, 1, 1, 1, 4, 1))
+    sig, i, f, o, g = gate_views(pre)
+    lstm_cell(params["Wx"], params["Wh"], params["b"], x, h_prev, c_prev,
+              pre, c, tc, h, wh_h, ig, sig, i, f, o, g)
     return h, c, (x, h_prev, c_prev, i, f, o, g, c, tc)
+
+
+# the numpy functions lstm_cell calls, looked up once
+_dot, _add, _negative, _exp, _divide, _tanh, _multiply = (
+    np.dot, np.add, np.negative, np.exp, np.divide, np.tanh, np.multiply)
+
+
+def lstm_cell(Wx, Wh, b, x, h_prev, c_prev, pre, c, tc, h, wh_h, ig, sig, i, f, o, g) -> None:
+    """The arithmetic of one :func:`lstm_step`, unchecked, on its weights and
+    into arrays the caller made: the gate activations into ``pre`` (of length
+    4 * hidden, with ``sig, i, f, o, g = gate_views(pre)``), c, tanh(c) and h
+    into ``c``, ``tc`` and ``h``, and Wh h_prev and i g into the scratch
+    ``wh_h`` and ``ig``. A rollout step calls it with everything bound once:
+    on rows this short, each lookup, slice or check costs a few percent of
+    the step."""
+    # np.dot, not @: the same BLAS call, for less dispatch
+    _dot(Wx, x, pre)
+    _dot(Wh, h_prev, wh_h)
+    _add(pre, wh_h, pre)
+    _add(pre, b, pre)
+    # the i, f and o sigmoids 1 / (1 + exp(-pre)) in one pass, in place
+    _negative(sig, sig)
+    _exp(sig, sig)
+    _add(sig, 1.0, sig)
+    _divide(1.0, sig, sig)
+    _tanh(g, g)
+    # c = f c_prev + i g, tanh(c) and h = o tanh(c)
+    _multiply(f, c_prev, c)
+    _multiply(i, g, ig)
+    _add(c, ig, c)
+    _tanh(c, tc)
+    _multiply(o, tc, h)
 
 
 # ---------------------------------------------------------------------------

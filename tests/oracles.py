@@ -12,7 +12,10 @@ rotation step, every pass from |0...0>) is the bit-for-bit reference for
 that kernel's per-form group matrices and product-state first block,
 ``replay_loss``
 recomputes an episode loss step by step for finite-difference checks of
-``qnav.agent.episode_gradients``, ``finite_diff_check`` compares any
+``qnav.agent.episode_gradients``, ``train_run`` draws each truncated
+episode's bootstrap as its own one-row critic value right after the rollout,
+the reference for the noise stream order of ``qnav.agent.train_run``,
+``finite_diff_check`` compares any
 analytic gradient with central differences, the per-step loop of
 ``episode_gradients`` here (one ``trunk_backward`` per step, each through
 ``lstm_step_backward`` and ``lstm_gates_backward``, one LSTM step, on the
@@ -951,6 +954,62 @@ def episode_gradients(model, trace, returns, noise_rng: Optional[np.random.Gener
     if config.max_grad_norm is not None:
         grad = nn.clip_by_global_norm(grad, config.max_grad_norm)
     return grad, j_v, j_pi
+
+
+def train_run(config, scenes, env_config=env.EnvConfig()):
+    """``qnav.agent.train_run`` with each truncated episode's bootstrap taken
+    as a one-row critic value of the state after its last step, drawn from
+    the noise stream right after the rollout and before any gradient row,
+    and the returns it seeds handed to :func:`returns_gradients`. Returns
+    (RunRecord, model) like ``train_run``."""
+    streams = agent.rng_streams(config.seed)
+    model = agent.ActorCriticModel(config, env.observation_dim(env_config), streams["init"])
+    optimizer = nn.Adam(lr=config.lr)
+    record = agent.RunRecord(seed=config.seed, critic=config.critic,
+                             critic_params=model.critic_param_count,
+                             total_params=model.param_count)
+    for _ in range(config.episodes):
+        scene = scenes[int(streams["env"].integers(len(scenes)))]
+        trace = agent.run_episode(model, scene, env_config, policy_rng=streams["policy"])
+        bootstrap = 0.0
+        if trace.outcome == "timeout":
+            bootstrap = model.critic.value(trace.rows.hidden[trace.steps + 1],
+                                           noise=config.noise, rng=streams["noise"])
+        returns = agent.discounted_returns(trace.rewards, config.gamma, bootstrap)
+        grad, j_v = returns_gradients(model, trace, returns, streams["noise"])
+        optimizer.update(model.flat, grad)
+        record.returns.append(trace.episode_return)
+        record.entropies.append(float(np.mean(trace.entropies)))
+        record.steps.append(trace.steps)
+        record.outcomes.append(trace.outcome)
+        record.value_losses.append(j_v)
+    return record, model
+
+
+def returns_gradients(model, trace, returns, noise_rng):
+    """(grad, j_v) of ``qnav.agent.episode_gradients`` for given returns: one
+    critic call on the T hidden states alone, then the batched backward pass
+    through the rows the rollout wrote."""
+    config, t_len = model.config, trace.steps
+    rows = trace.forward_rows()
+    returns = np.asarray(returns, dtype=float)
+    values, critic_grads, dh_critic = model.critic.value_and_grads(
+        rows.hidden[1 : t_len + 1], mode=config.gradient_mode, noise=config.noise,
+        rng=noise_rng, upstream=lambda v: 2.0 * (v - returns) / t_len)
+    j_v, _ = agent.losses(values, returns, trace.logps, trace.entropies, config.entropy_weight)
+    advantage = returns - values
+    probs = nn.softmax(rows.logits[:t_len])
+    onehot = np.eye(env.N_ACTIONS)[trace.actions]
+    dlogits = -(advantage[:, None] * (onehot - probs)) / t_len
+    dlogits += nn.entropy_backward(probs, -config.entropy_weight / t_len)
+    grad = np.zeros_like(model.flat)
+    layer_grads = nn.views(grad, model.layers)
+    for key, g in nn.named(layer_grads["critic"]).items():
+        g[...] = critic_grads[key]
+    model.trunk_backward(dlogits, dh_critic, rows, layer_grads)
+    if config.max_grad_norm is not None:
+        grad = nn.clip_by_global_norm(grad, config.max_grad_norm)
+    return grad, j_v
 
 
 # ---------------------------------------------------------------------------

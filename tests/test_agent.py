@@ -35,8 +35,20 @@ def small_episode(critic="quantum", seed=3, **kwargs):
     scene = env.make_scene(1, 20.0, 1.2)
     trace = agent.run_episode(model, scene, env.EnvConfig(),
                               policy_rng=streams["policy"])
-    returns = agent.discounted_returns(trace.rewards, config.gamma, trace.bootstrap)
-    return config, model, trace, returns
+    return config, model, trace, episode_returns(model, trace)
+
+
+def bootstrap_value(model, trace):
+    """The one-row critic value of the state after a truncated episode's last
+    step, which its return is bootstrapped from; 0 for an episode the env ended."""
+    if trace.outcome != "timeout":
+        return 0.0
+    return model.critic.value(trace.rows.hidden[trace.steps + 1])
+
+
+def episode_returns(model, trace):
+    return agent.discounted_returns(trace.rewards, model.config.gamma,
+                                    bootstrap_value(model, trace))
 
 
 def replay(model, observations, steps=None):
@@ -234,9 +246,9 @@ def test_gradient_modes_agree_quantum():
     the mode comes from the model's config."""
     config, model, trace, returns = small_episode()
     assert config.gradient_mode == "backprop"
-    g_bp, j_v, j_pi = agent.episode_gradients(model, trace, returns)
+    g_bp, j_v, j_pi = agent.episode_gradients(model, trace)
     model.config = dataclasses.replace(config, gradient_mode="param-shift")
-    g_ps, j_v2, j_pi2 = agent.episode_gradients(model, trace, returns)
+    g_ps, j_v2, j_pi2 = agent.episode_gradients(model, trace)
     assert j_v == pytest.approx(j_v2, abs=1e-9)
     assert j_pi == pytest.approx(j_pi2, abs=1e-9)
     assert g_bp.shape == g_ps.shape == model.flat.shape
@@ -247,7 +259,7 @@ def test_gradient_modes_agree_quantum():
 def test_gradients_match_finite_differences(critic):
     config, model, trace, returns = small_episode(critic)
     advantages = [g - v for g, v in zip(returns, replayed_values(model, trace))]
-    grad, _, _ = agent.episode_gradients(model, trace, returns)
+    grad, _, _ = agent.episode_gradients(model, trace)
     grads = nn.named(nn.views(grad, model.layers))
 
     def loss():
@@ -346,13 +358,13 @@ def test_episode_gradients_reuse_the_rollout(critic, monkeypatch):
     the rows the training rollout wrote."""
     config, model, trace, returns = small_episode(critic)
     assert len(trace.hidden) == len(trace.logits) == trace.steps
-    expected, _, _ = agent.episode_gradients(model, trace, returns)
+    expected, _, _ = agent.episode_gradients(model, trace)
     calls = []
     trunk_forward = model.trunk_forward
     monkeypatch.setattr(model, "trunk_forward",
                         lambda *a: calls.append(1) or trunk_forward(*a))
     monkeypatch.setattr(nn, "softmax_logs", None)
-    grad, _, _ = agent.episode_gradients(model, trace, returns)
+    grad, _, _ = agent.episode_gradients(model, trace)
     assert calls == []
     np.testing.assert_array_equal(grad, expected)
 
@@ -361,7 +373,7 @@ def test_greedy_trace_records_no_forward_pass():
     """Evaluation never backpropagates, so a greedy rollout keeps no hidden
     states, logits, log-probabilities or entropies and makes no training
     rows, and its trace cannot be differentiated."""
-    config, model, streams = small_model("classical")
+    _, model, _ = small_model("classical")
     scene = env.make_scene(1, 20.0, 1.2)
     trace = agent.run_episode(model, scene, env.EnvConfig(), greedy=True)
     assert trace.steps == len(trace.actions) == len(trace.rewards) > 0
@@ -369,9 +381,8 @@ def test_greedy_trace_records_no_forward_pass():
     assert trace.rows is None and model._training_rows is None
     with pytest.raises(UsageError, match="no forward pass"):
         trace.hidden
-    returns = agent.discounted_returns(trace.rewards, config.gamma)
     with pytest.raises(UsageError, match="no forward pass"):
-        agent.episode_gradients(model, trace, returns)
+        agent.episode_gradients(model, trace)
 
 
 def test_greedy_rollouts_run_the_forward_pass_of_full_rows(monkeypatch):
@@ -516,46 +527,117 @@ def test_a_later_training_rollout_makes_a_trace_stale():
     config, model, streams = small_model("classical", max_steps=5)
     scene = env.make_scene(1, 20.0, 1.2)
     first = agent.run_episode(model, scene, env.EnvConfig(), policy_rng=streams["policy"])
-    returns = agent.discounted_returns(first.rewards, config.gamma, first.bootstrap)
     hidden = first.hidden.copy()
     agent.evaluate_policy(model, [scene])
     np.testing.assert_array_equal(first.hidden, hidden)
-    agent.episode_gradients(model, first, returns)
+    agent.episode_gradients(model, first)
     second = agent.run_episode(model, scene, env.EnvConfig(), policy_rng=streams["policy"])
     assert second.rows is first.rows and second.rollout == first.rollout + 1
     for read in (lambda: first.hidden, lambda: first.logits,
-                 lambda: agent.episode_gradients(model, first, returns)):
+                 lambda: agent.episode_gradients(model, first)):
         with pytest.raises(UsageError, match="later training rollout"):
             read()
-    agent.episode_gradients(model, second, agent.discounted_returns(
-        second.rewards, config.gamma, second.bootstrap))
+    agent.episode_gradients(model, second)
 
 
 def test_agent_step_cap_truncates_as_timeout():
     """An episode cut by AgentConfig.max_steps below EnvConfig.max_steps ends
-    as a timeout whose bootstrap is the critic value of the next state, and
-    the rollout calls the critic for that bootstrap only."""
-    config, model, streams = small_model(max_steps=5)
+    as a timeout. The rollout makes no critic call: it runs the trunk once
+    more and leaves the state after the last step, which the return is
+    bootstrapped from, in its rows."""
+    _, model, streams = small_model(max_steps=5)
     env_config = env.EnvConfig(max_steps=500)
     scene = env.make_scene(1, 20.0, 1.2)
-    calls = []
-    value = model.critic.value
-    model.critic.value = lambda *a, **k: calls.append(1) or value(*a, **k)
+    calls = count_critic_calls(model)
     trace = agent.run_episode(model, scene, env_config, policy_rng=streams["policy"])
-    del model.critic.value
+    assert calls == []
     assert trace.steps == 5
     assert trace.outcome == "timeout"
-    assert len(calls) == 1
 
     world, row = env.reset(scene, config=env_config)
     observations = [row]
     for action in trace.actions:
         observations.append(env.step(world, action))
     h = replay(model, observations).hidden[-1]
-    assert trace.bootstrap == model.critic.value(h)
-    assert trace.bootstrap != 0.0
-    returns = agent.discounted_returns(trace.rewards, config.gamma, trace.bootstrap)
-    assert returns[-1] == pytest.approx(trace.rewards[-1] + config.gamma * trace.bootstrap)
+    np.testing.assert_array_equal(trace.rows.hidden[trace.steps + 1], h)
+    assert model.critic.value(h) != 0.0
+
+
+def count_critic_calls(model):
+    """A list that each later call of the model critic's ``value`` or
+    ``value_and_grads`` appends its name and first argument to."""
+    calls = []
+    for name in ("value", "value_and_grads"):
+        method = getattr(model.critic, name)
+
+        def counted(h, *args, _name=name, _method=method, **kwargs):
+            calls.append((_name, np.array(h)))
+            return _method(h, *args, **kwargs)
+
+        setattr(model.critic, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("critic", ["quantum", "classical"])
+def test_a_truncated_episode_runs_its_critic_once(critic):
+    """The gradient pass of a truncated adjoint or classical episode makes one
+    critic call, on the T hidden states and then the bootstrap state as a
+    value-only last row. Its value is the one-row value of that state, bit
+    for bit for the classical critic and to 1e-12 for the circuit, the
+    returns are bootstrapped from it, and the loss gradient covers the T
+    steps only."""
+    config, model, trace, _ = small_episode(critic, max_steps=5)
+    assert trace.outcome == "timeout" and trace.steps == 5
+    final = trace.rows.hidden[trace.steps + 1].copy()
+    calls = count_critic_calls(model)
+    seen = {}
+    value_and_grads = model.critic.value_and_grads
+
+    def recording(h, *args, upstream, **kwargs):
+        def recorded(values):
+            seen["values"], seen["dv"] = values.copy(), upstream(values)
+            return seen["dv"]
+        return value_and_grads(h, *args, upstream=recorded, **kwargs)
+
+    model.critic.value_and_grads = recording
+    _, j_v, _ = agent.episode_gradients(model, trace)
+    assert [name for name, _ in calls] == ["value_and_grads"]
+    h = calls[0][1]
+    np.testing.assert_array_equal(h[:-1], trace.hidden)
+    np.testing.assert_array_equal(h[-1], final)
+    values, dv = seen["values"], seen["dv"]
+    assert len(values) == trace.steps + 1 and len(dv) == trace.steps
+    bootstrap = model.critic.value(final)
+    if critic == "classical":
+        assert values[-1] == bootstrap
+    else:
+        assert values[-1] == pytest.approx(bootstrap, rel=0, abs=1e-12)
+    returns = np.array(agent.discounted_returns(trace.rewards, config.gamma, float(values[-1])))
+    np.testing.assert_array_equal(dv, 2.0 * (values[:-1] - returns) / trace.steps)
+    assert j_v == agent.losses(values[:-1], returns, trace.logps, trace.entropies,
+                               config.entropy_weight)[0]
+
+
+def test_a_noisy_train_run_draws_the_bootstrap_before_the_gradient():
+    """A noisy parameter-shift run equals, bit for bit, the reference that
+    draws each truncated episode's bootstrap from the noise stream right
+    after the rollout and then the gradient of those returns; the critic
+    runs only in the gradient pass, and without a noise stream that pass
+    is refused."""
+    config = AgentConfig(critic="quantum", n_qubits=2, n_layers=1, episodes=3, seed=5,
+                         gradient_mode="param-shift",
+                         noise=NoiseSpec(gate_error=0.01, depolarizing=0.02),
+                         **{**SMALL, "max_steps": 3})
+    scenes = scenes_small()
+    record, model = agent.train_run(config, scenes)
+    expected, expected_model = oracles.train_run(config, scenes)
+    assert record.outcomes == ["timeout"] * 3
+    assert json.dumps(dataclasses.asdict(record)) == json.dumps(dataclasses.asdict(expected))
+    assert model.flat.tobytes() == expected_model.flat.tobytes()
+    trace = agent.run_episode(model, scenes[0], env.EnvConfig(),
+                              policy_rng=np.random.default_rng(0))
+    with pytest.raises(UsageError, match="noise rng"):
+        agent.episode_gradients(model, trace)
 
 
 def test_agent_step_cap_leaves_evaluation_to_the_env():
@@ -576,15 +658,15 @@ def test_episode_gradients_clipped_to_max_norm():
     """With max_grad_norm set, the returned gradient has exactly that norm
     and the direction of the unclipped one."""
     config, model, trace, returns = small_episode("classical")
-    raw, _, _ = agent.episode_gradients(model, trace, returns)
+    raw, _, _ = agent.episode_gradients(model, trace)
     norm = float(np.linalg.norm(raw))
     assert norm > 0.5
     model.config = dataclasses.replace(config, max_grad_norm=0.5)
-    clipped, _, _ = agent.episode_gradients(model, trace, returns)
+    clipped, _, _ = agent.episode_gradients(model, trace)
     assert float(np.linalg.norm(clipped)) == pytest.approx(0.5, rel=1e-12)
     np.testing.assert_allclose(clipped, raw * (0.5 / norm), rtol=1e-12, atol=0)
     model.config = dataclasses.replace(config, max_grad_norm=10 * norm)
-    loose, _, _ = agent.episode_gradients(model, trace, returns)
+    loose, _, _ = agent.episode_gradients(model, trace)
     np.testing.assert_array_equal(loose, raw)
 
 
@@ -608,14 +690,14 @@ def test_batched_gradient_matches_per_step_loop(critic, mode, episode, clip):
     if episode == "collision":
         assert trace.outcome == "collision" and trace.steps > 1
     else:
-        assert trace.outcome == "timeout" and trace.bootstrap != 0.0
+        assert trace.outcome == "timeout" and bootstrap_value(model, trace) != 0.0
         assert trace.steps == PARITY_EPISODES[episode]["max_steps"]
     if clip:
         raw, _, _ = oracles.episode_gradients(model, trace, returns)
         model.config = dataclasses.replace(
             config, max_grad_norm=0.5 * float(np.linalg.norm(raw)))
     expected, j_v, j_pi = oracles.episode_gradients(model, trace, returns)
-    grad, j_v_batched, j_pi_batched = agent.episode_gradients(model, trace, returns)
+    grad, j_v_batched, j_pi_batched = agent.episode_gradients(model, trace)
     scale = float(np.abs(expected).max())
     assert scale > 0.0
     assert float(np.abs(grad - expected).max()) <= 1e-12 * scale
@@ -624,9 +706,9 @@ def test_batched_gradient_matches_per_step_loop(critic, mode, episode, clip):
 
 
 def test_empty_episode_rejected():
-    config, model, _ = small_model()
+    _, model, _ = small_model()
     with pytest.raises(UsageError):
-        agent.episode_gradients(model, agent.EpisodeTrace(), [])
+        agent.episode_gradients(model, agent.EpisodeTrace())
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +901,7 @@ def test_train_run_bytes_do_not_depend_on_kept_memory(critic, monkeypatch):
 
 def test_quantum_train_run_compiles_one_circuit(monkeypatch):
     """The critic compiles its circuit once, on first use, and runs every
-    bootstrap value and every adjoint gradient of a run through it."""
+    adjoint gradient of a run, bootstrap values included, through it."""
     compiled = []
     compile_circuit = qsim.compile_circuit
 
@@ -913,7 +995,8 @@ def test_evaluate_policy_deterministic():
 
 def test_greedy_eval_skips_unread_bootstrap():
     """Greedy evaluation of a quantum model on scenes that time out calls the
-    critic zero times; its per-scene rows equal a plain greedy rollout's."""
+    critic zero times; its per-scene rows equal a plain greedy rollout's. A
+    training rollout of such a scene makes no critic call either."""
     config, model, _ = small_model(max_steps=4)
     env_config = env.EnvConfig(max_steps=4)
     scenes = scenes_small()[:3]
@@ -929,19 +1012,15 @@ def test_greedy_eval_skips_unread_bootstrap():
             rewards.append(env.compute_reward(world, world.prev_action).total)
             near_miss |= env.NEAR_MISS in world.proximity
         expected.append((idx, world.outcome, len(rewards), float(sum(rewards)), near_miss))
-    calls = []
-    value = model.critic.value
-    model.critic.value = lambda *a, **k: calls.append(1) or value(*a, **k)
+    calls = count_critic_calls(model)
     _, per_scene = agent.evaluate_policy(model, scenes, env_config)
     assert calls == []
     assert [row["outcome"] for row in per_scene] == ["timeout"] * 3
     assert [(row["scene"], row["outcome"], row["steps"], row["return"], row["near_miss"])
             for row in per_scene] == expected
-    # a training rollout of the same scene still computes its bootstrap
     trace = agent.run_episode(model, scenes[0], env.EnvConfig(),
                               policy_rng=np.random.default_rng(0))
-    del model.critic.value
-    assert trace.outcome == "timeout" and len(calls) == 1 and trace.bootstrap != 0.0
+    assert trace.outcome == "timeout" and calls == []
 
 
 def test_evaluation_requires_scenes():

@@ -55,9 +55,10 @@ def test_a_read_counting_trace_class_can_take_over_training_traces(monkeypatch):
     sets the ``__class__`` of each trace ``agent.run_episode`` returns to a
     subclass of ``agent.EpisodeTrace`` that overrides ``__getattribute__``,
     and gives it an attribute with ``object.__setattr__``. So the trace must
-    stay a plain dataclass, and ``train_run`` must read ``bootstrap`` through
-    that class and train as it does without it. Only traced benchmark runs
-    would show a break."""
+    stay a plain dataclass, and ``train_run`` must train through that class
+    as it does without it. The critic runs in the gradient pass, not in the
+    rollout, so no trace holds a value or a bootstrap for the class to count.
+    Only traced benchmark runs would show a break."""
     from qnav import agent, env
 
     reads, traces = [], []
@@ -80,12 +81,13 @@ def test_a_read_counting_trace_class_can_take_over_training_traces(monkeypatch):
     config = agent.AgentConfig(critic="quantum", n_qubits=2, n_layers=1, lstm_hidden=6,
                                encoder_out=8, max_steps=5, episodes=3, seed=3)
     scenes = [env.make_scene(1, 20.0, 1.2)]
-    expected, _ = agent.train_run(config, scenes)
+    expected, expected_model = agent.train_run(config, scenes)
     monkeypatch.setattr(agent, "run_episode", counted)
-    record, _ = agent.train_run(config, scenes)
-    assert record.outcomes == ["timeout"] * 3
-    assert reads == [(0, "bootstrap"), (1, "bootstrap"), (2, "bootstrap")]
+    record, model = agent.train_run(config, scenes)
+    assert record.outcomes == ["timeout"] * 3 and len(traces) == 3
+    assert reads == []
     assert (record.returns, record.value_losses) == (expected.returns, expected.value_losses)
+    assert model.flat.tobytes() == expected_model.flat.tobytes()
 
 
 @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
@@ -105,10 +107,26 @@ def test_an_eval_grid_run_passes_its_checks(tmp_path):
     """A short ``eval-grid`` run, in a copy of the checkout so that its
     ``.bench_out`` lands there, passes every output check: the check reads
     ``max_steps`` and ``dt`` through the run's EnvConfig."""
+    assert_a_short_run_passes_its_checks("eval-grid", tmp_path)
+
+
+@pytest.mark.parametrize("workload", ["train-quantum", "train-paramshift-noisy"])
+def test_a_training_run_passes_its_checks(workload, tmp_path):
+    """A short training run passes every output check: the episodes and
+    value losses its hooks on ``agent.run_episode`` and
+    ``agent.episode_gradients`` capture equal the RunRecord, its repeat of
+    the first episodes gives their bytes and losses again, and the adjoint
+    and parameter-shift critic gradients agree."""
+    assert_a_short_run_passes_its_checks(workload, tmp_path)
+
+
+def assert_a_short_run_passes_its_checks(workload, tmp_path):
+    """A one-second run of the workload in a copy of ``bench/`` and ``src/``
+    reports ``correct`` with no failed episode."""
     shutil.copytree(ROOT / "bench", tmp_path / "bench")
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
-    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "eval-grid", "--seed", "0",
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
                            "--seconds", "1"], capture_output=True, text=True, timeout=120,
                           cwd=tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
