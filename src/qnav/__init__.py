@@ -28,9 +28,11 @@ def check_ints(config, names) -> None:
 
 def check_finite(config, names) -> None:
     """Raise UsageError unless each named field of ``config`` that is set (not
-    None) is a finite number: NaN fails every comparison and infinity passes
-    a lower bound, so either would pass a range check and fail mid-run."""
+    None) is a finite number and not a bool: NaN fails every comparison and
+    infinity passes a lower bound, so either would pass a range check and
+    fail mid-run, and a YAML ``true`` would pass as 1."""
     for name in names:
         value = getattr(config, name)
-        if value is not None and not (isinstance(value, (int, float)) and math.isfinite(value)):
+        if value is not None and (isinstance(value, bool) or not (
+                isinstance(value, (int, float)) and math.isfinite(value))):
             raise UsageError(f"{name} must be a finite number, got {value!r}")

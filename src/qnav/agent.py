@@ -149,12 +149,19 @@ class QuantumCritic:
     def param_count(self) -> int:
         return self.layout.param_count + self.layout.n + 1
 
+    def _input(self, h: np.ndarray) -> np.ndarray:
+        """``h`` as floats, checked to hold hidden states of length p; the
+        circuit reads them as they are (its padding slots are zero angles)."""
+        x = np.asarray(h, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.layout.p:
+            raise UsageError(f"expected inputs of length {self.layout.p}, got shape {x.shape}")
+        return x
+
     def value(self, h: np.ndarray, noise: Optional[NoiseSpec] = None,
               rng: Optional[np.random.Generator] = None):
         """V(h) as a float, or shape (T,) for hidden states of shape (T, hidden)."""
-        x = encoding.pad_input(h, self.layout)
-        return qsim.circuit_value(self.circuit, x, self.params["theta"], self.params["w"],
-                                  float(self.params["b"][0]), noise, rng)
+        return qsim.circuit_value(self.circuit, self._input(h), self.params["theta"],
+                                  self.params["w"], float(self.params["b"][0]), noise, rng)
 
     def value_and_grads(self, h: np.ndarray, mode: str = "backprop",
                         noise: Optional[NoiseSpec] = None,
@@ -170,16 +177,14 @@ class QuantumCritic:
         the loss instead: sums over the rows weighted by dv, with no T axis,
         and the third output is dLoss/dh of the first len(dv) rows, each
         dV/dh row times its dv."""
-        x = encoding.pad_input(h, self.layout)
-        args = (self.circuit, x, self.params["theta"], self.params["w"],
+        args = (self.circuit, self._input(h), self.params["theta"], self.params["w"],
                 float(self.params["b"][0]))
         if mode == "backprop":
-            value, d_theta, d_x, z, _ = qsim.adjoint_value_and_grad(*args)
+            value, d_theta, dh, z, _ = qsim.adjoint_value_and_grad(*args)
         elif mode == "param-shift":
-            value, d_theta, d_x, z, _ = qsim.param_shift_value_and_grad(*args, noise, rng)
+            value, d_theta, dh, z, _ = qsim.param_shift_value_and_grad(*args, noise, rng)
         else:
             raise UsageError(f"unknown gradient mode {mode!r}")
-        dh = d_x[..., : self.layout.p]
         if upstream is None:
             return value, {"theta": d_theta, "w": z, "b": np.ones(np.shape(value) + (1,))}, dh
         dv = upstream(value)

@@ -3,15 +3,16 @@
 A p-dimensional input is split across k = ceil(p / 3n) sublayers per layer,
 each sublayer encoding 3 features per qubit as rotation angles followed by a
 trainable hardware-efficient block (RY+RZ per qubit, CZ daisy chain). The
-input is zero-padded to length 3nk and re-encoded in full in every layer.
+input is re-encoded in full in every layer. The 3nk - p slots past its end
+are padding: a zero feature would be a zero-angle rotation, so each slot is
+emitted as a fixed ``angle=0.0`` rotation and the circuit reads the length-p
+input as it is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import UsageError
 from .qsim import GateOp
@@ -55,15 +56,6 @@ def plan_layout(p: int, n: int, layers: int) -> CircuitLayout:
     )
 
 
-def pad_input(x: np.ndarray, layout: CircuitLayout) -> np.ndarray:
-    """Append the zero padding the layout expects to an input of shape (p,)
-    or to every row of a batch of shape (B, p)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != layout.p:
-        raise UsageError(f"expected inputs of length {layout.p}, got shape {x.shape}")
-    return np.concatenate([x, np.zeros(x.shape[:-1] + (layout.pad_len,))], axis=-1)
-
-
 def build_circuit(layout: CircuitLayout) -> tuple[list[GateOp], tuple[int, ...]]:
     """Emit the deterministic gate sequence for a layout.
 
@@ -71,9 +63,9 @@ def build_circuit(layout: CircuitLayout) -> tuple[list[GateOp], tuple[int, ...]]
     (used to place per-sublayer depolarizing events).
 
     Per layer l and sublayer m: each qubit q first encodes features
-    3n(m-1) + 3q .. + 3q + 2 of the padded vector as RZ, RY, RZ angles,
-    then applies trainable RY and RZ rotations, and the sublayer closes with
-    a CZ daisy chain CZ(0,1) .. CZ(n-2, n-1).
+    3n(m-1) + 3q .. + 3q + 2 as RZ, RY, RZ angles (a slot at or past p as a
+    fixed zero angle), then applies trainable RY and RZ rotations, and the
+    sublayer closes with a CZ daisy chain CZ(0,1) .. CZ(n-2, n-1).
     """
     gates: list[GateOp] = []
     marks: list[int] = []
@@ -83,7 +75,9 @@ def build_circuit(layout: CircuitLayout) -> tuple[list[GateOp], tuple[int, ...]]
             base = 3 * n * m
             for q in range(n):
                 for j, axis in enumerate(("rz", "ry", "rz")):
-                    gates.append(GateOp(axis, target=q, source="data", index=base + 3 * q + j))
+                    index = base + 3 * q + j
+                    gates.append(GateOp(axis, target=q, source="data", index=index)
+                                 if index < layout.p else GateOp(axis, target=q, angle=0.0))
             pbase = (layer * k + m) * 2 * n
             for q in range(n):
                 gates.append(GateOp("ry", target=q, source="param", index=pbase + 2 * q))

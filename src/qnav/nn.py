@@ -160,33 +160,19 @@ def gate_views(pre: np.ndarray) -> tuple:
     return sig, sig[:hidden], sig[hidden : 2 * hidden], sig[2 * hidden :], pre[3 * hidden :]
 
 
-def lstm_step(params: dict, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-    """Standard LSTM update; gate order in the stacked weights is i, f, o, g.
-    Returns (h, c, cache), in arrays of their own; the cache holds views of
-    the gate activations."""
-    hidden = h_prev.shape[0]
-    if params["Wx"].shape[1] != x.shape[0]:
-        raise UsageError(f"lstm expects input of length {params['Wx'].shape[1]}, got {x.shape}")
-    pre, c, tc, h, wh_h, ig = (np.empty(n * hidden) for n in (4, 1, 1, 1, 4, 1))
-    sig, i, f, o, g = gate_views(pre)
-    lstm_cell(params["Wx"], params["Wh"], params["b"], x, h_prev, c_prev,
-              pre, c, tc, h, wh_h, ig, sig, i, f, o, g)
-    return h, c, (x, h_prev, c_prev, i, f, o, g, c, tc)
-
-
 # the numpy functions lstm_cell calls, looked up once
 _dot, _add, _negative, _exp, _divide, _tanh, _multiply = (
     np.dot, np.add, np.negative, np.exp, np.divide, np.tanh, np.multiply)
 
 
 def lstm_cell(Wx, Wh, b, x, h_prev, c_prev, pre, c, tc, h, wh_h, ig, sig, i, f, o, g) -> None:
-    """The arithmetic of one :func:`lstm_step`, unchecked, on its weights and
-    into arrays the caller made: the gate activations into ``pre`` (of length
-    4 * hidden, with ``sig, i, f, o, g = gate_views(pre)``), c, tanh(c) and h
-    into ``c``, ``tc`` and ``h``, and Wh h_prev and i g into the scratch
-    ``wh_h`` and ``ig``. A rollout step calls it with everything bound once:
-    on rows this short, each lookup, slice or check costs a few percent of
-    the step."""
+    """One standard LSTM step (gate order i, f, o, g in the stacked weights
+    ``Wx``, ``Wh`` and ``b``), unchecked, into arrays the caller made: the
+    gate activations into ``pre`` (of length 4 * hidden, with ``sig, i, f,
+    o, g = gate_views(pre)``), c, tanh(c) and h into ``c``, ``tc`` and
+    ``h``, and Wh h_prev and i g into the scratch ``wh_h`` and ``ig``. A
+    rollout step calls it with everything bound once: on rows this short,
+    each lookup, slice or check costs a few percent of the step."""
     # np.dot, not @: the same BLAS call, for less dispatch
     _dot(Wx, x, pre)
     _dot(Wh, h_prev, wh_h)

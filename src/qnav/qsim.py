@@ -27,13 +27,15 @@ computed at once, one rotation step across every (block, qubit) group at a
 time, so the state sees one pass per group and one per CZ run, up to the
 tail (below). At the defaults (4 qubits, 2 layers, 6 sublayers) that is 29
 passes and 24 groups instead of 138 gates, with or without sublayer noise's
-24 kicks. A 2x2 on one qubit maps amplitude k to a combination of k and k
-with that qubit's bit flipped, so a pass is one gather along the amplitude
-axis and a few elementwise products with per-row coefficients. The first
-block acts on |0...0>, so its state is each row's tensor product of its
-groups' first columns (a, b), multiplied in pass order onto the row's
-phase: one product per group on a growing array, and 25 passes over the
-state remain at the defaults.
+24 kicks. A circuit is fused once, with its sublayer events in place: a
+noise-free call draws none, so its groups are the product of their
+rotations alone. A 2x2 on one qubit maps amplitude k to a combination of k
+and k with that qubit's bit flipped, so a pass is one gather along the
+amplitude axis and a few elementwise products with per-row coefficients.
+The first block acts on |0...0>, so its state is each row's tensor product
+of its groups' first columns (a, b), multiplied in pass order onto 1: one
+product per group on a growing array, and 25 passes over the state remain
+at the defaults.
 
 Tail. The readout sees only |psi|^2, so the passes stop at the last group
 that holds a rotation, and the CZ runs and kick-only groups after it, the
@@ -45,8 +47,12 @@ bits of the qubits its tail kicks with X or Y, and the readout reads it so,
 with the same bits. The default circuit's tail is its last CZ run and,
 under sublayer noise, the last sublayer's kick on each qubit (30 and 34
 passes, and 28 groups under noise, when the tail ran). Its events are
-still drawn, and the row's phase still counts its kicks, so the state
-before the tail keeps its bits.
+still drawn, so the noise stream keeps its order.
+
+Phase. A Pauli kick is i times an SU(2) matrix, and the simulation
+multiplies only the SU(2) factor: each row's state is the trajectory's up
+to the global phase i ** (its kicks), which |psi|^2, all the readout sees,
+cannot tell.
 
 Each factor of a group matrix costs only what its form needs. A rotation
 step applies, to the groups that turn about each axis at that step (fixed
@@ -76,10 +82,12 @@ left.
 
 Parameter shift. ``param_shift_value_and_grad`` runs, per input, one batch
 of its unshifted circuit and one circuit per +/-pi/2 shift of each angle
-use: 241 rows at the defaults. Each row differs from the first in one angle
-only (and in its noise), so the rows share the input's values, each shifted
-angle is one more value, and a row whose shifted angle falls among the
-shared steps takes its own column of the shared product for that group.
+use: 225 rows at the defaults, 1 + 2 * (48 trainable + 64 data uses), as
+the encoding's padding slots are fixed angles. Each row differs from the
+first in one angle only (and in its noise), so the rows share the input's
+values, each shifted angle is one more value, and a row whose shifted angle
+falls among the shared steps takes its own column of the shared product for
+that group.
 A shifted jittered angle shifts in place in the table. Without noise every
 step is shared; under gate error the three data rotations of each group of
 the default circuit are, and its two trainable steps are slices.
@@ -109,10 +117,9 @@ draws from ``rng`` as whole arrays, in this order:
    in circuit order (``perturb_gate_params``);
 2. depolarizing: the coins, U(0, 1) of shape (rows, events), then the Pauli
    choices, integers in [0, 3) for X, Y, Z of the same shape. An event
-   kicks where its coin falls under p; each row's number of kicks gives the
-   factors i that multiply into one phase per row, its tail events give its
-   tail flip, and one ``np.flatnonzero`` of the coins under p lists the
-   other (row, event) pairs that kick.
+   kicks where its coin falls under p; each row's tail events give its tail
+   flip, and one ``np.flatnonzero`` of the coins under p lists the other
+   (row, event) pairs that kick.
 
 Depolarizing events follow circuit order: every qubit 0..n-1 after each
 gate the circuit's sublayer marks name. Parameter shift makes one call per
@@ -135,11 +142,10 @@ arrays once, not each time. What depends on the circuit alone is kept on
 it, read-only: the :class:`_Plan` of a call of one input (its angle table's
 layout, its (steps, G, B) value index, the columns of its shared product
 and the slices of its steps), one for a value and one for a
-parameter-shift batch, which only whether depolarizing noise and gate error
-are on change, and the 0/1 matrices that sum the adjoint's angle
-derivatives into parameters and features. An array a call returns is
-always its own copy, never a view of the workspace, so a later call cannot
-change it.
+parameter-shift batch, which only whether gate error is on changes, and the
+0/1 matrices that sum the adjoint's angle derivatives into parameters and
+features. An array a call returns is always its own copy, never a view of
+the workspace, so a later call cannot change it.
 """
 
 from __future__ import annotations
@@ -208,7 +214,7 @@ class NoiseSpec:
     depolarizing: Optional[float] = None  # p in [0, 1]
 
     def __post_init__(self):
-        check_finite(self, ("gate_error",))
+        check_finite(self, ("gate_error", "depolarizing"))
         if self.gate_error is not None and not self.gate_error >= 0:
             raise UsageError("gate_error scale must be >= 0")
         if self.depolarizing is not None and not 0.0 <= self.depolarizing <= 1.0:
@@ -284,16 +290,16 @@ def perturb_gate_params(theta: np.ndarray, rng: np.random.Generator, scale: floa
 # (c, s) for RY and (c - i s, 0) for RZ.
 _SU2 = ((0.0, -1j), (0.0, 1.0), (-1j, 0.0))
 # A Pauli kick is i times the SU(2) form of -iP, with rows 0..2 for X, Y, Z;
-# the factors i multiply into one phase per row, i ** (number of kicks).
+# the factor i is a global phase, which the readout cannot see, so it is
+# left out.
 _KICK_ALPHA = np.array([0.0, 0.0, -1j])
 _KICK_BETA = np.array([-1j, 1.0, 0.0])
-_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 _READ_AMPLITUDES = 64  # per row, in the partner copies of one adjoint read
 
 
 @dataclass(frozen=True)
 class _Blocks:
-    """A circuit fused into blocks, under one depolarizing setting.
+    """A circuit fused into blocks, with its depolarizing events.
 
     The circuit splits into blocks separated by runs of CZs, and each CZ run
     multiplies into one +/-1 mask. Inside a block, gates on different qubits
@@ -368,26 +374,26 @@ class Circuit:
     """A gate list compiled for batched simulation on ``n`` qubits by
     :func:`compile_circuit`; every entry point takes one.
 
-    ``blocks[key]`` is the fused circuit (:class:`_Blocks`) without
-    depolarizing events (``key=None``), which the adjoint reverse pass walks
-    backwards, or with those after each sublayer mark (``key="sublayer"``),
-    which the marks shape alone, so one circuit serves every route. Angle
-    columns number the rotations in circuit order; ``data_cols``/``data_index``
-    and ``param_cols``/``param_index`` map data and trainable columns to their
+    ``blocks`` is the fused circuit (:class:`_Blocks`) with a depolarizing
+    event on every qubit after each sublayer mark. A call under depolarizing
+    noise draws them; any other draws none, and the adjoint reverse pass
+    walks the same blocks backwards. Angle columns number the rotations in
+    circuit order; ``data_cols``/``data_index`` and
+    ``param_cols``/``param_index`` map data and trainable columns to their
     source entries. A call's angle values (see :func:`_angle_values`) hold a
     zero, then ``fixed_angles``, then theta at ``params`` and the input at
     ``features`` (the entries some gate uses), and column c reads value
     ``value_index[c]`` in its first row. ``sums`` holds, per input width,
     the 0/1 matrices that sum the adjoint's angle-column derivatives into
     theta and into the features (see :func:`_source_sums`). ``plans`` holds
-    the :class:`_Plan` of a call of one input per (``blocks`` key, gate
-    error on, parameter-shift batch): nothing else changes it, so
-    :func:`_forward` builds it on the first such call, read-only.
+    the :class:`_Plan` of a call of one input per (gate error on,
+    parameter-shift batch): nothing else changes it, so :func:`_forward`
+    builds it on the first such call, read-only.
     """
 
     n: int
     n_rotations: int  # angle columns, one per rotation
-    blocks: dict
+    blocks: _Blocks
     fixed_angles: np.ndarray
     data_cols: np.ndarray
     data_index: np.ndarray
@@ -536,7 +542,7 @@ def compile_circuit(gates: Sequence[GateOp], n_qubits: int,
     steps = []
     sources: dict = {None: ([], []), "data": ([], []), "param": ([], [])}
     marked = frozenset(sublayer_marks)
-    per_sublayer = []
+    events = []
     for pos, gate in enumerate(gates):
         _check_qubit(gate.target, n_qubits)
         if gate.kind == "cz":
@@ -548,11 +554,10 @@ def compile_circuit(gates: Sequence[GateOp], n_qubits: int,
             cols.append(col)
             values.append(gate.angle if gate.source is None else gate.index)
             steps.append((col, None))
-        per_sublayer.append(tuple(range(n_qubits)) if pos in marked else ())
+        events.append(tuple(range(n_qubits)) if pos in marked else ())
     (fixed_cols, fixed), (data_cols, data_idx), (param_cols, param_idx) = (
         sources[None], sources["data"], sources["param"])
     n_rotations = sum(g.kind != "cz" for g in gates)
-    events = {None: ((),) * len(gates), "sublayer": tuple(per_sublayer)}
     param_idx, data_idx = np.array(param_idx, dtype=np.intp), np.array(data_idx, dtype=np.intp)
     params, features = np.unique(param_idx), np.unique(data_idx)
     value_index = np.zeros(n_rotations + 1, dtype=np.intp)
@@ -562,8 +567,7 @@ def compile_circuit(gates: Sequence[GateOp], n_qubits: int,
     return Circuit(
         n=n_qubits,
         n_rotations=n_rotations,
-        blocks={key: _fuse(gates, steps, kicked, n_qubits, n_rotations, param_cols)
-                for key, kicked in events.items()},
+        blocks=_fuse(gates, steps, events, n_qubits, n_rotations, param_cols),
         fixed_angles=np.array(fixed, dtype=float),
         data_cols=np.array(data_cols, dtype=np.intp),
         data_index=data_idx,
@@ -695,17 +699,16 @@ def _forward(circuit: Circuit, x: np.ndarray, theta: np.ndarray, noise: Optional
         if rng is None:
             raise UsageError("noise simulation requires an rng stream")
         gate_error, depolarizing = noise.gate_error, noise.depolarizing
-    key, jitter = None if depolarizing is None else "sublayer", gate_error is not None
-    blocks = circuit.blocks[key]
+    blocks, jitter = circuit.blocks, gate_error is not None
     if len(x) == 1:  # kept on the circuit, read-only (see Circuit)
-        plan = circuit.plans.get((key, jitter, shift_cols is not None))
+        plan = circuit.plans.get((jitter, shift_cols is not None))
         if plan is None:
-            plan = circuit.plans[key, jitter, shift_cols is not None] = _plan(
-                circuit, key, jitter, 1, len(values), shift_cols, ws)
+            plan = circuit.plans[jitter, shift_cols is not None] = _plan(
+                circuit, jitter, 1, len(values), shift_cols, ws)
     else:
-        plan = _plan(circuit, key, jitter, len(x), len(values), None, ws)
+        plan = _plan(circuit, jitter, len(x), len(values), None, ws)
     rows = plan.rows
-    jittered, kicks, phase, flips = None, (), 1.0, None
+    jittered, kicks, flips = None, (), None
     if jitter:
         shape = (rows, circuit.param_cols.size)
         jittered = perturb_gate_params(theta.take(circuit.param_index), rng, gate_error,
@@ -715,27 +718,24 @@ def _forward(circuit: Circuit, x: np.ndarray, theta: np.ndarray, noise: Optional
         coins = rng.random(shape, out=ws.array("coins", shape))
         paulis = rng.integers(3, size=shape)  # X, Y, Z; integers takes no out
         kicked = np.less(coins, depolarizing, out=ws.array("kicked", shape, bool))
-        kicks, phase, flips = _kicks(blocks, kicked, paulis, ws)
+        kicks, flips = _kicks(blocks, kicked, paulis, ws)
     trig = _half_angles(values, jittered, plan, ws)
     matrices = _block_matrices(blocks, trig, kicks, ws, plan)
-    psi = _product_state(blocks, circuit.n, matrices, phase, ws)
+    psi = _product_state(blocks, circuit.n, matrices, ws)
     _run_passes(blocks.passes[len(blocks.first) :], matrices, psi, ws)
     return psi, trig, plan.index, matrices, flips
 
 
 def _kicks(blocks: _Blocks, kicked: np.ndarray, paulis: np.ndarray,
-           ws: _Workspace) -> tuple[list, np.ndarray, Optional[np.ndarray]]:
+           ws: _Workspace) -> tuple[list, Optional[np.ndarray]]:
     """The drawn Paulis ``paulis`` (rows, events), 0, 1, 2 for X, Y, Z, of the
     (row, event) pairs ``kicked`` whose coin fell under p: per round of
     ``blocks.rounds``, the ``(pairs, alpha, beta)`` of its kicks, each pair a
-    flat index into a (G, rows) array; each row's phase i ** (its number of
-    kicks, the tail's too); and each row's tail flip, the XOR of the bits of
-    the qubits that its tail kicks with X or Y, or None if no row flips. The
-    per-kick arrays are the workspace's; ``kicked`` is left with no tail kick."""
+    flat index into a (G, rows) array; and each row's tail flip, the XOR of
+    the bits of the qubits that its tail kicks with X or Y, or None if no row
+    flips. The per-kick arrays are the workspace's; ``kicked`` is left with no
+    tail kick."""
     rows = len(kicked)
-    counts = kicked.sum(axis=1)
-    counts &= 3
-    phase = _I_POWERS[counts]
     flips, tail = None, blocks.tail_events
     if blocks.tail_bits.size and kicked[:, tail].any():
         flipped = kicked[:, tail] & (paulis[:, tail] < 2)
@@ -744,7 +744,7 @@ def _kicks(blocks: _Blocks, kicked: np.ndarray, paulis: np.ndarray,
         kicked[:, tail] = False
     at = np.flatnonzero(kicked)
     if not at.size:
-        return [], phase, flips
+        return [], flips
     row, events, pairs = ws.array("kick indices", (3,) + at.shape, np.intp)
     np.divmod(at, blocks.n_events, out=(row, events))
     blocks.kick_group.take(events, out=pairs, mode="clip")
@@ -755,14 +755,14 @@ def _kicks(blocks: _Blocks, kicked: np.ndarray, paulis: np.ndarray,
     kicks = (pairs, _KICK_ALPHA.take(drawn, out=alpha, mode="clip"),
              _KICK_BETA.take(drawn, out=beta, mode="clip"))
     if len(blocks.rounds) <= 1:
-        return [kicks], phase, flips
+        return [kicks], flips
     rounds = blocks.kick_round.take(events, out=row, mode="clip")
     order = np.argsort(rounds, kind="stable")
     bounds = np.searchsorted(rounds.take(order, out=events, mode="clip"),
                              np.arange(1, len(blocks.rounds)))
     kicks = [arr.take(order, out=ws.array(f"sorted kick {name}", at.shape, arr.dtype), mode="clip")
              for name, arr in zip(("pairs", "alpha", "beta"), kicks)]
-    return list(zip(*(np.split(arr, bounds) for arr in kicks))), phase, flips
+    return list(zip(*(np.split(arr, bounds) for arr in kicks))), flips
 
 
 class _Head(NamedTuple):
@@ -782,8 +782,9 @@ class _Head(NamedTuple):
 class _Plan(NamedTuple):
     """What a call's angle values do not change: its angle table's layout,
     its step index and its :class:`_Head`. A call of one input, a value or
-    a parameter-shift batch, keeps its plan on the circuit (see Circuit);
-    any other builds its own.
+    a parameter-shift batch, keeps its plan on the circuit, one per whether
+    gate error is on (see Circuit); any other builds its own. Depolarizing
+    noise leaves the plan as it is: the blocks hold its events either way.
 
     The half-angle table holds the call's values, then, under gate error,
     each row's jittered trainable angles in (step, group, row) order, which
@@ -817,14 +818,14 @@ _NO_ROWS = np.zeros(0, dtype=np.intp)
 _NO_MOVES = (_NO_ROWS, np.zeros(0))
 
 
-def _plan(circuit: Circuit, key: Optional[str], jitter: bool, inputs: int, n_values: int,
+def _plan(circuit: Circuit, jitter: bool, inputs: int, n_values: int,
           shift_cols: Optional[np.ndarray], ws: _Workspace) -> _Plan:
-    """The :class:`_Plan` of a call on ``circuit.blocks[key]``, under gate
-    error if ``jitter``, of ``inputs`` rows of input and ``n_values`` angle
-    values, or with ``shift_cols`` of a one-input parameter-shift batch (see
+    """The :class:`_Plan` of a call on ``circuit``, under gate error if
+    ``jitter``, of ``inputs`` rows of input and ``n_values`` angle values, or
+    with ``shift_cols`` of a one-input parameter-shift batch (see
     :func:`_forward`). A plan of one input is read-only and owns its step
     index; another's stays in the workspace."""
-    blocks = circuit.blocks[key]
+    blocks = circuit.blocks
     rows = inputs if shift_cols is None else 1 + 2 * len(shift_cols)
     columns = circuit.value_index.copy()
     stride = np.zeros(circuit.n_rotations + 1, dtype=np.intp)
@@ -1113,24 +1114,24 @@ def _block_matrices(blocks: _Blocks, trig: tuple, kicks: list, ws: _Workspace,
     return matrices
 
 
-def _product_state(blocks: _Blocks, n_qubits: int, matrices: np.ndarray, phase,
+def _product_state(blocks: _Blocks, n_qubits: int, matrices: np.ndarray,
                    ws: _Workspace) -> np.ndarray:
-    """The amplitude-major state that the first block leaves from |0...0>
-    with amplitude ``phase``: per row, the tensor product of its groups' first
-    columns (a, b), multiplied in pass order as the passes would multiply
-    them, each onto the product so far. The products alternate between the
-    state and its partner array, so that none is written in place, and end
-    in the state unless the block's qubits are out of order or leave a qubit
-    idle; then the product is copied in, its axes put in qubit order."""
+    """The amplitude-major state that the first block leaves from |0...0>:
+    per row, the tensor product of its groups' first columns (a, b),
+    multiplied in pass order as the passes would multiply them, each onto
+    the product so far. The products alternate between the state and its
+    partner array, so that none is written in place, and end in the state
+    unless the block's qubits are out of order or leave a qubit idle; then
+    the product is copied in, its axes put in qubit order."""
     rows, first = matrices.shape[-1], blocks.first
     psi = ws.array("psi", (2**n_qubits, rows), complex)
     part = ws.array("partner", psi.shape, complex)
     in_place = first == tuple(range(n_qubits))
     if not first:
         psi.fill(0.0)
-        psi[0] = phase
+        psi[0] = 1.0
         return psi
-    product = np.asarray(phase).reshape(1, 1, -1)
+    product = np.ones((1, 1, 1))
     for group in range(len(first)):
         out = psi if (len(first) - group) % 2 == in_place else part
         size = 2 * product.shape[0]
@@ -1260,7 +1261,7 @@ def adjoint_value_and_grad(
     theta = np.asarray(theta, dtype=float)
     weights = np.asarray(weights, dtype=float)
     _check_params_used(circuit, theta)
-    rows, ws, blocks = len(x), _workspace(), circuit.blocks[None]
+    rows, ws, blocks = len(x), _workspace(), circuit.blocks
     # reads: the value each (step, group, row) reads
     psi, (half_cos, half_sin), reads, matrices, _ = _forward(circuit, x, theta)
     _, sign = _tables(circuit.n)

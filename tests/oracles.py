@@ -546,18 +546,17 @@ def forward(circuit: qsim.Circuit, x: np.ndarray, theta: np.ndarray,
     one too, multiplies the general product alpha = cos + sin u, beta = sin v,
     reading its values through the step index; the shared head and each
     shifted entry inside it multiply as separate products; the state starts
-    at |0...0> and runs every pass up to the tail; and each row's tail flip
+    at |0...0> with amplitude 1 (a kick's factor i, a global phase, is left
+    out) and runs every pass up to the tail; and each row's tail flip
     is the XOR of the bits of the tail events that drew X or Y, from the
     dense table, for every row. It draws the same noise arrays in the same
     order, and is the bit-for-bit reference for the per-axis steps, sparse
     kicks, step slices and product-state first block of ``qsim._forward``."""
     values = qsim._angle_values(circuit, x, theta)
     ws = qsim._Workspace()
-    key, jittered, kicks, phase, flips = None, None, None, 1.0, None
+    blocks, jittered, kicks, flips = circuit.blocks, None, None, None
     jitter = noise is not None and noise.gate_error is not None
-    if noise is not None and noise.depolarizing is not None:
-        key = "sublayer"
-    plan = qsim._plan(circuit, key, jitter, len(x), len(values), shift_cols, ws)
+    plan = qsim._plan(circuit, jitter, len(x), len(values), shift_cols, ws)
     rows = plan.rows
     if noise is not None and noise.enabled:
         if rng is None:
@@ -566,13 +565,11 @@ def forward(circuit: qsim.Circuit, x: np.ndarray, theta: np.ndarray,
             trainable = np.broadcast_to(theta[circuit.param_index], (rows, circuit.param_index.size))
             jittered = qsim.perturb_gate_params(trainable, rng, noise.gate_error)
         if noise.depolarizing is not None:
-            blocks = circuit.blocks[key]
             shape = (rows, blocks.n_events)
             coins = rng.random(shape)
             drawn = rng.integers(3, size=shape)
             drawn += 1
             drawn[coins >= noise.depolarizing] = 0
-            phase = np.array([1.0, 1j, -1.0, -1j])[np.count_nonzero(drawn, axis=1) % 4]
             paulis = np.ascontiguousarray(drawn.T)  # event-major
             kicks = (_KICK_ALPHA[paulis], _KICK_BETA[paulis])
             if blocks.tail_bits.size:
@@ -580,11 +577,10 @@ def forward(circuit: qsim.Circuit, x: np.ndarray, theta: np.ndarray,
                 flips = np.zeros(rows, dtype=np.intp)
                 for event, bit in zip(tail, blocks.tail_bits):
                     flips ^= np.where((paulis[event] == 1) | (paulis[event] == 2), bit, 0)
-    blocks = circuit.blocks[key]
     trig = qsim._half_angles(values, jittered, plan, ws)
     steps = plan.index.copy()
     psi = np.zeros((2**circuit.n, rows), dtype=complex)
-    psi[0] = phase
+    psi[0] = 1.0
     matrices = _general_matrices(blocks, trig, kicks, plan)
     qsim._run_passes(blocks.passes, matrices, psi, ws)
     return psi, trig, steps, matrices, flips
@@ -609,7 +605,7 @@ def _general_matrices(blocks, trig, kicks, plan) -> np.ndarray:
         return matrices
     u = np.array([[_SU2[axis][0] for axis in step] for step in blocks.axes], complex)[..., None]
     v = np.array([[_SU2[axis][1] for axis in step] for step in blocks.axes], complex)[..., None]
-    rounds = _general_rounds(blocks)
+    rounds = {} if kicks is None else _general_rounds(blocks)  # no kicks drawn
     shared = qsim._shared_steps(blocks, plan.stride)
     a = b = None
     if shared:

@@ -87,7 +87,7 @@ def test_criterion_03_simulator_properties():
         p = int(rng.integers(1, 6 * n + 1))
         layout = encoding.plan_layout(p, n, layers)
         gates, _ = encoding.build_circuit(layout)
-        x = encoding.pad_input(rng.uniform(-1, 1, size=p), layout)
+        x = rng.uniform(-1, 1, size=p)
         theta = rng.uniform(-np.pi, np.pi, size=layout.param_count)
         w = rng.uniform(-1, 1, size=n)
         b = float(rng.uniform(-1, 1))

@@ -105,10 +105,10 @@ def test_config_rejects_non_integer_counts(name, value):
 
 
 @pytest.mark.parametrize("name", ["gamma", "entropy_weight", "lr", "max_grad_norm"])
-@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), True])
 def test_config_rejects_non_finite_floats(name, value):
     """`lr >= 0` lets infinity through, and the first Adam step then makes
-    every parameter NaN."""
+    every parameter NaN; a YAML `true` would pass as 1."""
     with pytest.raises(UsageError, match=f"{name} must be a finite number"):
         AgentConfig(**{name: value})
 
@@ -180,6 +180,20 @@ def test_quantum_critic_constant_readout():
     model.params["critic.b"][0] = 1.5
     h = np.random.default_rng(0).uniform(-1, 1, size=6)
     assert model.critic.value(h) == pytest.approx(1.5)
+
+
+def test_quantum_critic_rejects_a_width_other_than_p():
+    """The circuit reads hidden states of length p (6 here) as they are, so
+    the critic rejects any other width or rank before it runs."""
+    _, model, _ = small_model()
+    assert model.critic.layout.p == 6
+    for shape in ((5,), (7,), (3, 5), (3, 8), (), (2, 3, 6)):
+        h = np.zeros(shape)
+        with pytest.raises(UsageError, match="expected inputs of length 6"):
+            model.critic.value(h)
+        for mode in ("backprop", "param-shift"):
+            with pytest.raises(UsageError, match="expected inputs of length 6"):
+                model.critic.value_and_grads(h, mode)
 
 
 def test_quantum_critic_all_ones_expectations():
@@ -415,7 +429,8 @@ STATE_NAMES = ("hidden", "cell")
 def test_recorded_forward_pass_equals_a_replay():
     """The rollout's rows, hidden states, logits, log-probabilities and
     entropies are bit for bit those of replaying its observations, and the
-    LSTM vectors of each step those of one nn.lstm_step on fresh arrays: on
+    LSTM vectors of each step those of one oracles.lstm_step, which
+    test_nn holds to the bits of nn.lstm_cell on fresh arrays: on
     a collision and on a truncated episode, whose bootstrap runs the trunk
     once more after the last step."""
     for episode in ("collision", "truncated"):
@@ -436,7 +451,7 @@ def assert_recorded_rows_equal_a_replay(model, trace):
         probs, _, entropy = nn.softmax_logs(trace.logits[t])
         assert trace.logps[t] == float(np.log(probs[trace.actions[t]]))
         assert trace.entropies[t] == entropy
-        h, _, (*_, i, f, o, g, c, tc) = nn.lstm_step(
+        h, _, (*_, i, f, o, g, c, tc) = oracles.lstm_step(
             model.lstm, rows.x[t].copy(), rows.hidden[t].copy(), rows.cell[t].copy())
         np.testing.assert_array_equal(np.concatenate([i, f, o, g]), rows.gates[t])
         np.testing.assert_array_equal(c, rows.cell[t + 1])

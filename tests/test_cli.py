@@ -288,6 +288,14 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
     ({"agent": {"critic": "quantum", "noise": {"gate_error": 0.01}}}, []),
     ({"agent": {"critic": "quantum", "gradient_mode": "param-shift"}},
      ["--noise", "gate_error=0.1,gate_error=0.2"]),
+    ({"agent": {"gamma": True}}, []),
+    ({"agent": {"lr": True}}, []),
+    ({"agent": {"entropy_weight": True}}, []),
+    ({"agent": {"max_grad_norm": True}}, []),
+    ({"agent": {"critic": "quantum", "gradient_mode": "param-shift",
+                "noise": {"gate_error": True}}}, []),
+    ({"agent": {"critic": "quantum", "gradient_mode": "param-shift",
+                "noise": {"depolarizing": True}}}, []),
 ], ids=["yaml-depolarizing-2", "flag-not-a-number", "flag-negative", "zero-qubits",
         "zero-lstm-hidden", "zero-encoder-hidden", "zero-agent-max-steps", "negative-episodes",
         "negative-lr", "negative-max-grad-norm", "zero-dt", "zero-map-resolution",
@@ -307,7 +315,8 @@ def test_cmd_train_invalid_noise_combo_exit_code(tmp_path):
         "agent-not-a-mapping", "env-not-a-mapping", "negative-seed-in-list", "repeated-seeds",
         "negative-seed-flag", "negative-agent-seed", "noise-with-classical-critic",
         "param-shift-with-classical-critic", "gate-error-with-backprop",
-        "flag-repeated-noise-field"])
+        "flag-repeated-noise-field", "boolean-gamma", "boolean-lr", "boolean-entropy-weight",
+        "boolean-max-grad-norm", "boolean-gate-error", "boolean-depolarizing"])
 def test_cmd_train_bad_values_exit_2_before_output(tmp_path, sections, flags):
     """Bad values fail when the config loads: exit 2, no output directory, so
     no manifest.json. The env keys other than max_steps and k_pedestrians

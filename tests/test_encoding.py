@@ -1,4 +1,4 @@
-"""Circuit layout planning: sublayer math, padding, and gate emission."""
+"""Circuit layout planning: sublayer math, padding slots, and gate emission."""
 
 import numpy as np
 import pytest
@@ -57,25 +57,27 @@ def test_plan_layout_rejects_nonpositive(p, n, layers):
         encoding.plan_layout(p, n, layers)
 
 
-def test_pad_input():
-    layout = encoding.plan_layout(p=32, n=4, layers=1)
-    x = np.arange(32, dtype=float)
-    padded = encoding.pad_input(x, layout)
-    assert padded.shape == (36,)
-    np.testing.assert_array_equal(padded[:32], x)
-    np.testing.assert_array_equal(padded[32:], np.zeros(4))
+def test_padding_slots_are_fixed_zero_angle_rotations():
+    """The default layout's 138 gates hold its 4 padding slots per layer as
+    fixed zero-angle rotations, on the qubit and axis a feature there would
+    take, and no data gate reads past p."""
+    layout = encoding.plan_layout(p=32, n=4, layers=2)
+    gates, _ = encoding.build_circuit(layout)
+    fixed = [g for g in gates if g.kind != "cz" and g.source is None]
+    assert len(gates) == 138 and len(fixed) == 8 == layout.layers * layout.pad_len
+    assert all(g.angle == 0.0 and g.index is None for g in fixed)
+    # per layer: slot 32 on qubit 2's last RZ, slots 33..35 on qubit 3's RZ, RY, RZ
+    assert [(g.target, g.kind) for g in fixed] == [
+        (2, "rz"), (3, "rz"), (3, "ry"), (3, "rz")] * 2
+    assert max(g.index for g in gates if g.source == "data") == layout.p - 1
 
 
-def test_pad_input_identity_when_no_padding():
+def test_no_padding_emits_no_fixed_rotations():
     layout = encoding.plan_layout(p=6, n=2, layers=1)
-    x = np.linspace(-1, 1, 6)
-    np.testing.assert_array_equal(encoding.pad_input(x, layout), x)
-
-
-def test_pad_input_rejects_wrong_length():
-    layout = encoding.plan_layout(p=6, n=2, layers=1)
-    with pytest.raises(UsageError):
-        encoding.pad_input(np.zeros(5), layout)
+    gates, _ = encoding.build_circuit(layout)
+    assert layout.pad_len == 0
+    assert all(g.source is not None for g in gates if g.kind != "cz")
+    assert sorted(g.index for g in gates if g.source == "data") == list(range(6))
 
 
 def test_gate_count_6_2_1():
@@ -97,17 +99,23 @@ def test_gate_count_formula():
 
 
 def test_feature_and_param_coverage():
-    """Each padded feature is consumed once per layer; each theta exactly once."""
+    """Each feature is consumed once per layer, each padding slot is a fixed
+    zero angle once per layer, and each theta is consumed exactly once."""
     layout = encoding.plan_layout(p=20, n=4, layers=3)
     gates, _ = encoding.build_circuit(layout)
-    data_counts = np.zeros(3 * layout.n * layout.sublayers, dtype=int)
+    data_counts = np.zeros(layout.p, dtype=int)
     param_counts = np.zeros(layout.param_count, dtype=int)
+    fixed = 0
     for gate in gates:
         if gate.source == "data":
             data_counts[gate.index] += 1
         elif gate.source == "param":
             param_counts[gate.index] += 1
+        elif gate.kind != "cz":
+            assert gate.angle == 0.0
+            fixed += 1
     assert np.all(data_counts == layout.layers)
+    assert fixed == layout.pad_len * layout.layers == 12
     assert np.all(param_counts == 1)
 
 
@@ -127,8 +135,8 @@ def test_zero_angle_composability():
     for (p, n, layers) in [(6, 2, 1), (32, 4, 2), (11, 3, 1)]:
         layout = encoding.plan_layout(p, n, layers)
         gates, _ = encoding.build_circuit(layout)
-        x = encoding.pad_input(np.zeros(p), layout)
-        z = qsim.run_circuit(qsim.compile_circuit(gates, n), x, np.zeros(layout.param_count))
+        z = qsim.run_circuit(qsim.compile_circuit(gates, n), np.zeros(p),
+                             np.zeros(layout.param_count))
         np.testing.assert_allclose(z, np.ones(n), atol=1e-12)
 
 

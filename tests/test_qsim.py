@@ -246,7 +246,7 @@ def test_gradient_three_way_agreement(seed):
     p = int(rng.integers(1, 3 * n + 1))
     layout = encoding.plan_layout(p, n, layers)
     circuit = compile_circuit(encoding.build_circuit(layout)[0], n)
-    x = encoding.pad_input(rng.uniform(-1, 1, size=p), layout)
+    x = rng.uniform(-1, 1, size=p)
     theta = rng.uniform(-np.pi, np.pi, size=layout.param_count)
     w = rng.uniform(-1, 1, size=n)
     b = float(rng.uniform(-1, 1))
@@ -382,6 +382,9 @@ def test_noise_spec_validation():
         NoiseSpec(depolarizing=float("nan"))
     with pytest.raises(UsageError):
         NoiseSpec(depolarizing=1.5)
+    for name in ("gate_error", "depolarizing"):  # a YAML `true` would pass as 1
+        with pytest.raises(UsageError, match=f"{name} must be a finite number"):
+            NoiseSpec(**{name: True})
     assert not NoiseSpec().enabled
     assert NoiseSpec(gate_error=0.01).enabled
 
@@ -394,7 +397,7 @@ def reuploading_case(rng, n, layers, batch):
     p = int(rng.integers(1, 6 * n + 1))
     layout = encoding.plan_layout(p, n, layers)
     gates, marks = encoding.build_circuit(layout)
-    x = encoding.pad_input(rng.uniform(-1, 1, size=(batch, p)), layout)
+    x = rng.uniform(-1, 1, size=(batch, p))
     theta = rng.uniform(-np.pi, np.pi, size=layout.param_count)
     w = rng.uniform(-1, 1, size=n)
     b = float(rng.uniform(-1, 1))
@@ -409,7 +412,7 @@ def dense_expectations(gates, x, theta, n):
         if gate.kind == "cz":
             u = oracles.cz_matrix(gate.control, gate.target, n)
         else:
-            angle = x[gate.index] if gate.source == "data" else theta[gate.index]
+            angle = oracles.angle_matrix([gate], x, theta)[0, 0]
             u = oracles.lift(oracles.rotation_matrix(gate.kind, angle), gate.target, n)
         state = u @ state
     rho = np.outer(state, state.conj())
@@ -586,7 +589,7 @@ def test_adjoint_matches_scalar_reference_with_mixed_encoding_axes(n):
     gates = [dataclasses.replace(g, kind="rx") if g.source == "data" and g.index % 3 == 0 else g
              for g in encoding.build_circuit(layout)[0]]
     assert {g.kind for g in gates} >= {"rx", "ry", "rz"}
-    x = encoding.pad_input(rng.uniform(-1, 1, size=(5, layout.p)), layout)
+    x = rng.uniform(-1, 1, size=(5, layout.p))
     theta = rng.uniform(-np.pi, np.pi, size=layout.param_count)
     assert_adjoint_matches_oracle(gates, n, x, theta, rng.uniform(-1, 1, size=n), -0.2)
 
@@ -710,22 +713,22 @@ def test_shared_steps_of_the_default_circuit():
     gates, marks = encoding.build_circuit(layout)
     circuit = compile_circuit(gates, 4, marks)
     every_gate = compile_circuit(gates, 4, range(len(gates)))
-    x = encoding.pad_input(np.linspace(-1, 1, 64).reshape(2, 32), layout)
+    x = np.linspace(-1, 1, 64).reshape(2, 32)
     theta = np.linspace(-3, 3, layout.param_count)
     cols, _ = shift_batch(gates)
 
-    def shared(inputs, key=None, jitter=False, circuit=circuit):
+    def shared(inputs, jitter=False, circuit=circuit):
         single = len(inputs) == 1
-        plan = qsim._plan(circuit, key, jitter, len(inputs),
+        plan = qsim._plan(circuit, jitter, len(inputs),
                           len(qsim._angle_values(circuit, inputs, theta)),
                           cols if single else None, qsim._Workspace())
-        return qsim._shared_steps(circuit.blocks[key], plan.stride)
+        return qsim._shared_steps(circuit.blocks, plan.stride)
 
-    assert circuit.blocks[None].cols.shape == (5, 24)
-    assert shared(x[:1]) == shared(x[:1], "sublayer") == 5
-    assert shared(x[:1], jitter=True) == shared(x[:1], "sublayer", jitter=True) == 3
-    assert shared(x[:1], "sublayer", circuit=every_gate) == 1
-    assert shared(x) == shared(x, "sublayer") == 0
+    assert circuit.blocks.cols.shape == (5, 24)
+    assert shared(x[:1]) == 5
+    assert shared(x[:1], jitter=True) == 3
+    assert shared(x[:1], circuit=every_gate) == 1
+    assert shared(x) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -842,19 +845,15 @@ def test_the_default_circuit_leaves_its_tail_to_the_readout():
     same: 24 events, the last 4 kicking qubits 0..3 in the readout."""
     layout = encoding.plan_layout(32, 4, 2)
     gates, marks = encoding.build_circuit(layout)
-    circuit = compile_circuit(gates, 4, marks)
-    for key in (None, "sublayer"):
-        blocks = circuit.blocks[key]
-        groups = [g for g, _, _ in blocks.passes if g is not None]
-        assert len(blocks.passes) == 29 and groups == list(range(24))
-        assert blocks.cols.shape == (5, 24) and (blocks.axes >= 0).all()
-        assert blocks.passes[-1][0] == 23  # the last group with a rotation
-        assert sum(g is None for g, _, _ in blocks.passes) == 5
-    assert tail_events(circuit.blocks[None]).size == 0
-    noisy = circuit.blocks["sublayer"]
-    assert noisy.n_events == 24 and noisy.rounds == (-1,)
-    assert noisy.tail_events == slice(20, 24) and noisy.tail_bits.tolist() == [8, 4, 2, 1]
-    assert (noisy.kick_group[20:] == -1).all() and (noisy.kick_group[:20] >= 0).all()
+    blocks = compile_circuit(gates, 4, marks).blocks
+    groups = [g for g, _, _ in blocks.passes if g is not None]
+    assert len(blocks.passes) == 29 and groups == list(range(24))
+    assert blocks.cols.shape == (5, 24) and (blocks.axes >= 0).all()
+    assert blocks.passes[-1][0] == 23  # the last group with a rotation
+    assert sum(g is None for g, _, _ in blocks.passes) == 5
+    assert blocks.n_events == 24 and blocks.rounds == (-1,)
+    assert blocks.tail_events == slice(20, 24) and blocks.tail_bits.tolist() == [8, 4, 2, 1]
+    assert (blocks.kick_group[20:] == -1).all() and (blocks.kick_group[:20] >= 0).all()
 
 
 def kept_tail(gates, n):
@@ -891,14 +890,11 @@ def test_the_readout_absorbs_the_tail_bit_for_bit(case):
     theta, w = rng.uniform(-np.pi, np.pi, size=params), rng.uniform(-1, 1, size=n)
     circuit = compile_circuit(gates, n, marks)
     reference = compile_circuit(kept_tail(gates, n), n, marks)
-    for blocks in (*circuit.blocks.values(), *reference.blocks.values()):
+    for blocks in (circuit.blocks, reference.blocks):
         assert not blocks.passes or blocks.passes[-1][0] is not None  # ends in a rotation
-    for blocks in reference.blocks.values():
-        assert tail_events(blocks).size == 0
-    tails = {key: tail_events(blocks).size for key, blocks in circuit.blocks.items()}
-    assert tails == {"cz-last": {None: 0, "sublayer": 0}, "kicks-last": {None: 0, "sublayer": 4},
-                     "rotation-last": {None: 0, "sublayer": 0},
-                     "no-rotation": {None: 0, "sublayer": 9}}[case]
+    assert tail_events(reference.blocks).size == 0
+    assert tail_events(circuit.blocks).size == {"cz-last": 0, "kicks-last": 4,
+                                                "rotation-last": 0, "no-rotation": 9}[case]
     for noise in TAIL_SETTINGS:
 
         def results(circuit):
@@ -922,6 +918,92 @@ def test_the_readout_absorbs_the_tail_bit_for_bit(case):
 
 
 # ---------------------------------------------------------------------------
+# padding slots and the one fused form
+
+
+def zero_padded_route(gates, layout):
+    """``gates`` with each padding slot read as a data gate, as the layout's
+    circuit read an input zero-padded to length 3nk: the route the fixed
+    zero angles replace."""
+    width, slot, padded = 3 * layout.n * layout.sublayers, 0, []
+    for gate in gates:
+        if gate.kind != "cz" and gate.source != "param":
+            if gate.source is None:
+                gate = GateOp(gate.kind, gate.target, source="data", index=slot % width)
+            assert gate.index == slot % width
+            slot += 1
+        padded.append(gate)
+    return padded
+
+
+def test_padding_slots_keep_the_bits_of_a_zero_padded_input():
+    """The adjoint and noise-free parameter-shift values and gradients and
+    circuit_value of a length-p input are, bit for bit, those of the circuit
+    that reads each padding slot from an input padded with zeros (its d/dx
+    cut to the first p columns), on one input and on a batch: for hand-picked
+    layouts, with one qubit and with no padding among them, and random ones."""
+    rng = np.random.default_rng(29)
+    layouts = [(1, 1, 5), (1, 2, 9), (2, 1, 7), (3, 2, 20), (4, 2, 32), (2, 2, 6), (1, 1, 3)]
+    layouts += [(int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 25)))
+                for _ in range(4)]
+    for n, layers, p in layouts:
+        layout = encoding.plan_layout(p, n, layers)
+        gates, marks = encoding.build_circuit(layout)
+        circuit = compile_circuit(gates, n, marks)
+        reference = compile_circuit(zero_padded_route(gates, layout), n, marks)
+        assert circuit.data_cols.size == layers * p
+        assert reference.data_cols.size == layers * (p + layout.pad_len)
+        x = rng.uniform(-1, 1, size=(4, p))
+        padded = np.concatenate([x, np.zeros((4, layout.pad_len))], axis=1)
+        theta, w = rng.uniform(-np.pi, np.pi, layout.param_count), rng.uniform(-1, 1, n)
+        for inputs, zeros in ((x, padded), (x[0], padded[0])):
+            for call in (qsim.adjoint_value_and_grad, qsim.param_shift_value_and_grad):
+                value, d_theta, d_x, z, _ = call(circuit, inputs, theta, w, 0.3)
+                want = call(reference, zeros, theta, w, 0.3)
+                assert d_x.shape == inputs.shape
+                assert_bits_equal((value, d_theta, d_x, z),
+                                  (want[0], want[1], want[2][..., :p], want[3]))
+            assert_bits_equal((qsim.circuit_value(circuit, inputs, theta, w, 0.3),),
+                              (qsim.circuit_value(reference, zeros, theta, w, 0.3),))
+
+
+def test_one_fused_form_serves_every_call(monkeypatch):
+    """The default circuit is fused once: noise-free, gate-error and
+    depolarizing calls and adjoint calls all run ``circuit.blocks``, one
+    :class:`qsim._Blocks`, and the plans it keeps for one input are keyed by
+    (gate error on, parameter-shift batch) alone. Its parameter-shift batch
+    is 1 + 2 * (48 trainable + 64 data uses) = 225 rows, as the 8 padding
+    slots are fixed angles."""
+    layout = encoding.plan_layout(32, 4, 2)
+    gates, marks = encoding.build_circuit(layout)
+    circuit = compile_circuit(gates, 4, marks)
+    assert type(circuit.blocks) is qsim._Blocks
+    assert (circuit.param_cols.size, circuit.data_cols.size) == (48, 64)
+    seen = []
+    block_matrices = qsim._block_matrices
+
+    def spy(blocks, *args):
+        seen.append(blocks)
+        return block_matrices(blocks, *args)
+
+    monkeypatch.setattr(qsim, "_block_matrices", spy)
+    rng = np.random.default_rng(30)
+    x = np.tanh(rng.normal(size=(3, 32)))
+    theta, w = rng.uniform(-np.pi, np.pi, layout.param_count), np.ones(4)
+    noises = [None, NoiseSpec(gate_error=0.01), NoiseSpec(depolarizing=0.05),
+              NoiseSpec(gate_error=0.01, depolarizing=0.05)]
+    for noise in noises:
+        qsim.param_shift_value_and_grad(circuit, x[0], theta, w, 0.1, noise, rng)
+        qsim.circuit_value(circuit, x[1], theta, w, 0.1, noise, rng)
+        qsim.run_circuit(circuit, x, theta, noise, rng)
+    qsim.adjoint_value_and_grad(circuit, x, theta, w, 0.1)
+    assert len(seen) == 3 * len(noises) + 1
+    assert all(blocks is circuit.blocks for blocks in seen)
+    assert set(circuit.plans) == {(False, True), (False, False), (True, True), (True, False)}
+    assert circuit.plans[False, True].rows == circuit.plans[True, True].rows == 225
+
+
+# ---------------------------------------------------------------------------
 # the kept workspace and the circuit-held parameter-shift index
 
 
@@ -929,7 +1011,7 @@ def default_case(n, layers, seed):
     layout = encoding.plan_layout(3 * n + 2, n, layers)
     gates, marks = encoding.build_circuit(layout)
     rng = np.random.default_rng(seed)
-    x = encoding.pad_input(rng.uniform(-1, 1, size=(3, 3 * n + 2)), layout)
+    x = rng.uniform(-1, 1, size=(3, 3 * n + 2))
     theta = rng.uniform(-np.pi, np.pi, size=layout.param_count)
     return gates, marks, x, theta, rng.uniform(-1, 1, size=n), n
 
@@ -948,10 +1030,9 @@ def compiled(case, every_gate=False):
 
 def plan_key(noise, shift=True):
     """The key of the plan a circuit keeps for one input under ``noise``: of
-    its parameter-shift batch, or with ``shift`` False of a value."""
-    depolarizing = noise is not None and noise.depolarizing is not None
-    return ("sublayer" if depolarizing else None,
-            noise is not None and noise.gate_error is not None, shift)
+    its parameter-shift batch, or with ``shift`` False of a value. Only gate
+    error changes it."""
+    return noise is not None and noise.gate_error is not None, shift
 
 
 def assert_bits_equal(got, expected):
@@ -1037,7 +1118,7 @@ def test_parameter_shift_call_allocates_no_per_call_arrays(p):
     layout = encoding.plan_layout(32, 4, 2)
     gates, marks = encoding.build_circuit(layout)
     circuit = compile_circuit(gates, 4, marks)
-    x = encoding.pad_input(np.linspace(-1, 1, 64).reshape(2, 32), layout)
+    x = np.linspace(-1, 1, 64).reshape(2, 32)
     theta = np.linspace(-3, 3, layout.param_count)
     noise, rng = NoiseSpec(gate_error=0.01, depolarizing=p), np.random.default_rng(0)
     args = (theta, np.ones(4), 0.1, noise, rng)
@@ -1060,7 +1141,7 @@ def test_one_row_noisy_value_allocates_no_per_call_arrays(p):
     layout = encoding.plan_layout(32, 4, 2)
     gates, marks = encoding.build_circuit(layout)
     circuit = compile_circuit(gates, 4, marks)
-    x = encoding.pad_input(np.linspace(-1, 1, 64).reshape(2, 32), layout)
+    x = np.linspace(-1, 1, 64).reshape(2, 32)
     theta = np.linspace(-3, 3, layout.param_count)
     noise, rng = NoiseSpec(gate_error=0.01, depolarizing=p), np.random.default_rng(0)
     args = (theta, np.ones(4), 0.1, noise, rng)
@@ -1080,7 +1161,7 @@ def test_kept_step_index_equals_a_fresh_build(noise, every_gate):
     first one-input value (the step index, the shared head, the layout of
     the angle table and the step slices) are, bit for bit, those a fresh
     build gives for a later call with other inputs and parameters: the
-    circuit and whether depolarizing noise and gate error are on fix them.
+    circuit and whether gate error is on fix them.
     The kept arrays are read-only."""
     case = default_case(4, 2, 5)
     _, _, x, theta, w, _ = case
@@ -1096,14 +1177,14 @@ def test_kept_step_index_equals_a_fresh_build(noise, every_gate):
         kept.append(dict(circuit.plans))
     assert all(plans[key] is kept[0][key] for plans in kept for key in plans)  # built once
     n_values = len(qsim._angle_values(circuit, x[-1:], theta + len(x) - 1))
-    key, gate_error, _ = plan_key(noise)
+    gate_error, _ = plan_key(noise)
     for shift_cols in (cols, None):
         plan = kept[0][plan_key(noise, shift_cols is not None)]
         for arr in (plan.index, plan.head.index, plan.columns, plan.stride):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             plan.index[0, 0, 0] = 0
-        fresh = qsim._plan(circuit, key, gate_error, 1, n_values, shift_cols, qsim._Workspace())
+        fresh = qsim._plan(circuit, gate_error, 1, n_values, shift_cols, qsim._Workspace())
         assert plan.rows == fresh.rows and plan.trig == fresh.trig
         assert repr(plan.head.turns) == repr(fresh.head.turns)
         for got, want in [(plan.columns, fresh.columns), (plan.stride, fresh.stride),
@@ -1209,7 +1290,7 @@ def test_warm_adjoint_call_allocates_no_per_call_arrays():
     layout = encoding.plan_layout(32, 4, 2)
     circuit = compile_circuit(encoding.build_circuit(layout)[0], 4)
     rng = np.random.default_rng(16)
-    x = [encoding.pad_input(np.tanh(rng.normal(size=(50, 32))), layout) for _ in range(2)]
+    x = [np.tanh(rng.normal(size=(50, 32))) for _ in range(2)]
     theta = rng.uniform(-np.pi, np.pi, layout.param_count)
     qsim.adjoint_value_and_grad(circuit, x[0], theta, np.ones(4), 0.1)
     tracemalloc.start()
@@ -1236,7 +1317,7 @@ def test_adjoint_forward_pass_gives_the_bits_of_run_circuit(case, rows):
         layout = encoding.plan_layout(32, 4, 2)
         gates, _ = encoding.build_circuit(layout)
         n, params = 4, layout.param_count
-        x = encoding.pad_input(np.tanh(rng.normal(size=(rows, 32))), layout)
+        x = np.tanh(rng.normal(size=(rows, 32)))
     else:
         gates, n, p, params = HAND_BUILT[case]
         x = rng.uniform(-np.pi, np.pi, size=(rows, p))
@@ -1256,11 +1337,11 @@ def test_one_kept_workspace_serves_every_call():
     two circuits, interleaved, leave this thread one kept workspace and no
     other: the module keeps one thread-local store, it holds exactly one
     workspace, no circuit holds one, and its state buffer is sized for the
-    largest call, the 241-row shift batch of the default circuit."""
+    largest call, the 225-row shift batch of the default circuit."""
     layout = encoding.plan_layout(32, 4, 2)
     gates, marks = encoding.build_circuit(layout)
     rng = np.random.default_rng(17)
-    x = encoding.pad_input(np.tanh(rng.normal(size=(3, 32))), layout)
+    x = np.tanh(rng.normal(size=(3, 32)))
     cases = [(gates, marks, x, rng.uniform(-np.pi, np.pi, layout.param_count), np.ones(4), 4),
              default_case(2, 1, 18)]
     circuits = [compiled(case) for case in cases]
@@ -1278,5 +1359,5 @@ def test_one_kept_workspace_serves_every_call():
     for circuit in circuits:
         assert not any(isinstance(value, qsim._Workspace) for value in vars(circuit).values())
     shift_rows = 1 + 2 * (circuits[0].param_cols.size + circuits[0].data_cols.size)
-    assert shift_rows == 241
+    assert shift_rows == 225
     assert kept[0].arrays["psi"].size == shift_rows * 16
