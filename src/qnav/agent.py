@@ -477,23 +477,23 @@ def _dense_grads(grads: dict, dy: np.ndarray, x: np.ndarray) -> None:
     dy.sum(axis=0, out=grads["b"])
 
 
-def select_action(logits: np.ndarray, rng: np.random.Generator) -> tuple[int, float, float]:
+def select_action(logits: np.ndarray, rng: np.random.Generator) -> int:
     """Sample a speed action from the actor logits.
-    Returns (action, log-probability, policy entropy).
 
     Sampling inverts the CDF with one ``rng.random()`` draw, the draw and
-    the action ``rng.choice(env.N_ACTIONS, p=probs)`` would make."""
-    probs, logp, entropy = nn.softmax_logs(logits)
-    # on Python floats, with the bits of cumsum and searchsorted
-    p = probs.tolist()
-    cdf = list(itertools.accumulate(p))
+    the action ``rng.choice(env.N_ACTIONS, p=probs)`` would make. The
+    probabilities have the bits of ``nn.softmax_row``: numpy's exp of the
+    max-shifted row, then its sum and the division on Python floats. The
+    log-probability and the entropy the policy loss needs are not taken
+    here: ``episode_gradients`` computes them once per episode, for all its
+    steps (see :attr:`EpisodeTrace.policy_terms`)."""
+    e = np.exp(logits - max(logits.tolist())).tolist()
+    total = nn._pairwise_sum(e)
+    # with the bits of cumsum and searchsorted
+    cdf = list(itertools.accumulate([v / total for v in e]))
     if not math.isfinite(cdf[-1]):
         raise ValueError("action probabilities contain NaN or inf")
-    action = bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())
-    # the row of logs is clipped at 1e-300; a smaller probability takes its own
-    if p[action] < 1e-300:
-        return action, float(np.log(probs[action])), entropy
-    return action, logp[action], entropy
+    return bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())
 
 
 def greedy_action(logits: np.ndarray) -> int:
@@ -532,9 +532,12 @@ class EpisodeTrace:
     model's next training rollout writes over. So the forward pass of a
     trace is valid until then; ``rollout`` is the rows' rollout count when
     it was recorded, and reading it later (``forward_rows``, ``hidden``,
-    ``logits``, :func:`episode_gradients`) raises UsageError. A greedy
-    rollout keeps no forward pass, and its ``logps`` and ``entropies`` stay
-    empty: evaluation reads only the outcome, steps, return and near miss.
+    ``logits``, :func:`episode_gradients`) raises UsageError. Its policy
+    terms (``policy_terms``, ``logps``, ``entropies``) are derived from the
+    recorded logits and actions once, on first read, and stay readable
+    after that. A greedy rollout keeps no forward pass, so it has no policy
+    terms either: evaluation reads only the outcome, steps, return and near
+    miss.
 
     A truncated training episode (outcome "timeout") also leaves in its rows
     the hidden state after its last step, ``rows.hidden[steps + 1]``, which
@@ -542,8 +545,6 @@ class EpisodeTrace:
 
     obs: list = field(default_factory=list)  # env observation rows, before each action
     actions: list = field(default_factory=list)
-    logps: list = field(default_factory=list)
-    entropies: list = field(default_factory=list)
     rewards: list = field(default_factory=list)  # totals
     outcome: Optional[str] = None
     steps: int = 0
@@ -574,6 +575,23 @@ class EpisodeTrace:
         """(steps, actions): the actor logits of each step."""
         return self.forward_rows().logits[: self.steps]
 
+    @functools.cached_property
+    def policy_terms(self) -> tuple:
+        """``nn.policy_terms`` of the recorded logits and actions: the (steps,
+        actions) probabilities and clipped log table and the (steps,)
+        log-probabilities of the actions taken and entropies."""
+        return nn.policy_terms(self.logits, self.actions)
+
+    @property
+    def logps(self) -> np.ndarray:
+        """(steps,): the log-probability of each action taken."""
+        return self.policy_terms[2]
+
+    @property
+    def entropies(self) -> np.ndarray:
+        """(steps,): the policy entropy of each step."""
+        return self.policy_terms[3]
+
 
 def run_episode(model: ActorCriticModel, scene: env.Scene,
                 env_config: env.EnvConfig,
@@ -584,9 +602,11 @@ def run_episode(model: ActorCriticModel, scene: env.Scene,
     into the model's kept rows (see :class:`EpisodeTrace`) and is also
     truncated at ``AgentConfig.max_steps``; a truncated one runs the trunk
     once more, on the state after its last step, whose hidden state
-    :func:`episode_gradients` bootstraps the return from. A greedy
-    (evaluation) rollout takes the most probable action, runs until the env
-    ends it and keeps no forward pass, log-probabilities or entropies."""
+    :func:`episode_gradients` bootstraps the return from. It records the
+    actions only: their log-probabilities and the entropies are derived
+    from its logits once, for all steps (see :class:`EpisodeTrace`). A
+    greedy (evaluation) rollout takes the most probable action, runs until
+    the env ends it and keeps no forward pass."""
     config = model.config
     world, row = env.reset(scene, config=env_config)
     d = model.obs_dim  # the row's encoder input; the LSTM extras follow it
@@ -594,8 +614,7 @@ def run_episode(model: ActorCriticModel, scene: env.Scene,
     trace = EpisodeTrace()
     if not greedy:
         trace.rows, trace.rollout = rows, rows.rollout
-    obs, actions, logps, entropies, rewards = (
-        trace.obs, trace.actions, trace.logps, trace.entropies, trace.rewards)
+    obs, actions, rewards = trace.obs, trace.actions, trace.rewards
     steps, near_miss = 0, False
     while True:
         if world.done or (not greedy and steps >= config.max_steps):
@@ -607,12 +626,7 @@ def run_episode(model: ActorCriticModel, scene: env.Scene,
         _, logits = model.trunk_forward(row[:d], row[d:], rows, steps)
         if trace.outcome is not None:
             break  # truncated: the hidden state to bootstrap from is written
-        if greedy:
-            action = greedy_action(logits)
-        else:
-            action, logp, entropy = select_action(logits, policy_rng)
-            logps.append(logp)
-            entropies.append(entropy)
+        action = greedy_action(logits) if greedy else select_action(logits, policy_rng)
         obs.append(row)
         row = env.step(world, action)
         near_miss |= env.NEAR_MISS in world.proximity
@@ -663,8 +677,11 @@ def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace,
     that state joins the critic's batch as a value-only last row, or, for a
     parameter-shift critic, is one unshifted value of its own, drawn from
     ``noise_rng`` before the gradient's rows. ``noise_rng`` is required for
-    a noisy critic. The advantage in the policy term is treated as a
-    constant, so no policy gradient flows into the critic parameters.
+    a noisy critic. The policy term's log-probabilities and entropies, and
+    the entropy gradient, read the trace's :attr:`EpisodeTrace.policy_terms`,
+    computed for all T steps at once. The advantage in the policy term is
+    treated as a constant, so no policy gradient flows into the critic
+    parameters.
     Returns (grad, j_v, j_pi), where grad is laid out like ``model.flat``
     and clipped to ``config.max_grad_norm`` when that is set.
     """
@@ -697,13 +714,13 @@ def episode_gradients(model: ActorCriticModel, trace: EpisodeTrace,
     values, critic_grads, dh_critic = model.critic.value_and_grads(
         batch, mode=config.gradient_mode, noise=config.noise, rng=noise_rng, upstream=upstream)
     values = values[:t_len]
-    j_v, j_pi = losses(values, returns, trace.logps, trace.entropies, config.entropy_weight)
+    probs, logp, logps, entropies = trace.policy_terms
+    j_v, j_pi = losses(values, returns, logps, entropies, config.entropy_weight)
 
     advantage = returns - values
-    probs = nn.softmax(rows.logits[:t_len])
     onehot = np.eye(env.N_ACTIONS)[trace.actions]
     dlogits = -(advantage[:, None] * (onehot - probs)) / t_len
-    dlogits += nn.entropy_backward(probs, -config.entropy_weight / t_len)
+    dlogits += nn.entropy_backward(probs, logp, entropies, -config.entropy_weight / t_len)
 
     grad = np.zeros_like(model.flat)
     layer_grads = nn.views(grad, model.layers)

@@ -109,17 +109,6 @@ def softmax_row(logits: np.ndarray) -> np.ndarray:
     return e / _pairwise_sum(e.tolist())
 
 
-def softmax_logs(logits: np.ndarray) -> tuple[np.ndarray, list, float]:
-    """:func:`softmax_row` of one row of logits, the log of each probability
-    clipped below at 1e-300 (so exact for every probability of at least
-    1e-300) as a list of floats, and the natural-log entropy -sum p log p,
-    with the bits of the same sum taken by numpy (NaN payloads aside)."""
-    probs = softmax_row(logits)
-    # p log p -> 0 as p -> 0
-    logp = np.log(np.maximum(probs, 1e-300)).tolist()
-    return probs, logp, -_pairwise_sum([p * lp for p, lp in zip(probs.tolist(), logp)])
-
-
 def _pairwise_sum(values: list) -> float:
     """``np.add.reduce`` of a contiguous float64 row, in its order: fewer than
     8 values (an actor row holds ``env.N_ACTIONS`` = 3) add left to right, as
@@ -132,12 +121,25 @@ def _pairwise_sum(values: list) -> float:
     return total
 
 
-def entropy_backward(probs: np.ndarray, dH: float) -> np.ndarray:
-    """Gradient of entropy w.r.t. the logits, scaled by upstream dH; probs
-    of shape (A,), or each row of (T, A)."""
+def policy_terms(logits: np.ndarray, taken) -> tuple:
+    """The policy terms of (T, A) logits, one row per step, with ``taken``
+    the T actions taken, each one array expression over all rows: the
+    :func:`softmax` probabilities, their logs clipped below at 1e-300
+    (exact for every probability of at least 1e-300), the unclipped
+    log-probability of each taken action and each row's entropy
+    -sum p log p (p log p -> 0 as p -> 0)."""
+    probs = softmax(logits)
     logp = np.log(np.maximum(probs, 1e-300))
-    ent = -(probs * logp).sum(axis=-1, keepdims=True)
-    return dH * (-probs * (logp + ent))
+    taken_logp = np.log(probs[np.arange(len(probs)), taken])
+    return probs, logp, taken_logp, -(probs * logp).sum(axis=-1)
+
+
+def entropy_backward(probs: np.ndarray, logp: np.ndarray, entropy: np.ndarray,
+                     dH: float) -> np.ndarray:
+    """Gradient of entropy w.r.t. the logits, scaled by upstream dH, from the
+    (T, A) probabilities, clipped log table and (T,) entropies that
+    :func:`policy_terms` gives."""
+    return dH * (-probs * (logp + entropy[..., None]))
 
 
 # ---------------------------------------------------------------------------

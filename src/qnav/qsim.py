@@ -384,11 +384,11 @@ class Circuit:
     zero, then ``fixed_angles``, then theta at ``params`` and the input at
     ``features`` (the entries some gate uses), and column c reads value
     ``value_index[c]`` in its first row. ``sums`` holds, per input width,
-    the 0/1 matrices that sum the adjoint's angle-column derivatives into
-    theta and into the features (see :func:`_source_sums`). ``plans`` holds
-    the :class:`_Plan` of a call of one input per (gate error on,
-    parameter-shift batch): nothing else changes it, so :func:`_forward`
-    builds it on the first such call, read-only.
+    the 0/1 matrices that sum both gradient routes' angle-column
+    derivatives into theta and into the features (see :func:`_source_sums`).
+    ``plans`` holds the :class:`_Plan` of a call of one input per (gate
+    error on, parameter-shift batch): nothing else changes it, so
+    :func:`_forward` builds it on the first such call, read-only.
     """
 
     n: int
@@ -1165,6 +1165,15 @@ def _source_sums(circuit: Circuit, width: int) -> tuple[np.ndarray, np.ndarray]:
     return sums
 
 
+def _sum_sources(circuit: Circuit, d_angle: np.ndarray, width: int) -> tuple:
+    """(d/dtheta, d/dx), each (rows, sources): the (n_rotations + 1, rows)
+    angle-column derivatives ``d_angle`` (its last column unused) summed
+    into their parameters and features by the :func:`_source_sums`
+    matrices, one product per source for all rows."""
+    to_theta, to_x = _source_sums(circuit, width)
+    return d_angle.T @ to_theta, d_angle.T @ to_x
+
+
 # ---------------------------------------------------------------------------
 # public simulation entry points
 
@@ -1218,7 +1227,9 @@ def param_shift_value_and_grad(
     features enter as Pauli rotation angles, so the rule is exact for them
     too. Per input, the unshifted circuit, then every +pi/2 shift, then
     every -pi/2 shift (trainable uses, then data uses, in circuit order)
-    run as one batch of 1 + 2 * (uses) trajectories.
+    run as one batch of 1 + 2 * (uses) trajectories. The differences of all
+    inputs are summed into their sources after the loop, as the adjoint
+    route sums its derivatives (see :func:`_sum_sources`).
     """
     x, single = _rows(x)
     theta = np.asarray(theta, dtype=float)
@@ -1227,16 +1238,14 @@ def param_shift_value_and_grad(
     cols = np.concatenate([circuit.param_cols, circuit.data_cols])
     uses = len(cols)
     values = np.empty(len(x))
-    d_theta = np.zeros((len(x), len(theta)))
-    d_x = np.zeros(x.shape)
+    d_angle = np.zeros((circuit.n_rotations + 1, len(x)))
     z = np.empty((len(x), circuit.n))
     for row in range(len(x)):
         zs = _expect(_evolve(circuit, x[row : row + 1], theta, noise, rng, cols), circuit.n)
         v = bias + zs @ weights
-        diff = (v[1 : 1 + uses] - v[1 + uses :]) / 2.0
-        np.add.at(d_theta[row], circuit.param_index, diff[: circuit.param_cols.size])
-        np.add.at(d_x[row], circuit.data_index, diff[circuit.param_cols.size :])
+        d_angle[cols, row] = (v[1 : 1 + uses] - v[1 + uses :]) / 2.0
         values[row], z[row] = v[0], zs[0]
+    d_theta, d_x = _sum_sources(circuit, d_angle, x.shape[1])
     if single:
         return float(values[0]), d_theta[0], d_x[0], z[0], 1.0
     return values, d_theta, d_x, z, 1.0
@@ -1349,9 +1358,7 @@ def adjoint_value_and_grad(
     d_angle = ws.array("d angle", (circuit.n_rotations + 1, rows))
     d_angle.fill(0.0)
     d_angle[blocks.cols] = d_steps
-    # each angle column's derivative summed into its parameter or feature
-    to_theta, to_x = _source_sums(circuit, x.shape[1])
-    d_theta, d_x = d_angle.T @ to_theta, d_angle.T @ to_x
+    d_theta, d_x = _sum_sources(circuit, d_angle, x.shape[1])
     if single:
         return float(value[0]), d_theta[0], d_x[0], z[0], 1.0
     return value, d_theta, d_x, z, 1.0

@@ -25,7 +25,13 @@ the rollout wrote,
 ``dense_forward``, ``lstm_step``,
 ``softmax_entropy`` and ``select_action`` are the whole-array expressions of
 one rollout step's network calls that ``qnav.nn`` and ``qnav.agent`` now
-dispatch with fewer numpy calls, the per-segment path-tracking loops and the separating-axis test without a
+dispatch with fewer numpy calls, ``softmax_logs`` (one row on Python floats)
+and ``policy_terms`` (a trace's steps one row at a time) are the per-row
+references for the log-probabilities and entropies that
+``qnav.nn.policy_terms`` computes for all steps of an episode, and
+``entropy_backward`` takes its logs and entropies from the probabilities
+alone, the reference for ``qnav.nn.entropy_backward`` on the ones
+``policy_terms`` shares with it, the per-segment path-tracking loops and the separating-axis test without a
 broad phase are the scalar references for ``qnav.planner``'s cell-indexed
 path queries and ``qnav.env._rects_overlap``, ``cost_map`` and ``plan`` build
 a scene's cost map and hybrid A* path as the environment did before its car
@@ -804,6 +810,37 @@ def select_action(logits: np.ndarray, rng: Optional[np.random.Generator] = None,
     return action, float(np.log(probs[action])), entropy
 
 
+def softmax_logs(logits: np.ndarray) -> tuple[np.ndarray, list, float]:
+    """``nn.softmax_row`` of one row of logits, the log of each probability
+    clipped below at 1e-300 (so exact for every probability of at least
+    1e-300) as a list of floats, and the natural-log entropy -sum p log p,
+    summed on Python floats in numpy's order."""
+    probs = nn.softmax_row(logits)
+    # p log p -> 0 as p -> 0
+    logp = np.log(np.maximum(probs, 1e-300)).tolist()
+    return probs, logp, -nn._pairwise_sum([p * lp for p, lp in zip(probs.tolist(), logp)])
+
+
+def policy_terms(logits: np.ndarray, actions) -> tuple[list, list]:
+    """The log-probability of each taken action, unclipped, and each step's
+    entropy, one row of (T, A) logits at a time through :func:`softmax_logs`."""
+    logps, entropies = [], []
+    for z, action in zip(logits, actions):
+        probs, _, entropy = softmax_logs(z)
+        logps.append(float(np.log(probs[action])))
+        entropies.append(entropy)
+    return logps, entropies
+
+
+def entropy_backward(probs: np.ndarray, dH: float) -> np.ndarray:
+    """Gradient of entropy w.r.t. the logits, scaled by upstream dH, from the
+    probabilities alone (shape (A,), or each row of (T, A)): the clipped log
+    table and the entropy are taken here."""
+    logp = np.log(np.maximum(probs, 1e-300))
+    ent = -(probs * logp).sum(axis=-1, keepdims=True)
+    return dH * (-probs * (logp + ent))
+
+
 def same_bits(got, want) -> bool:
     """Equal bytes, except that a NaN may have another payload: IEEE 754 does
     not fix which NaN an operation on two of them keeps, and the array route's
@@ -843,13 +880,9 @@ def replay_loss(model, trace, returns, advantages=None) -> float:
     computed by ``agent.episode_gradients``.
     """
     config = model.config
-    values, logps, entropies = [], [], []
     _, hidden, logits = trunk_replay(model, trace)
-    for h, z, action in zip(hidden, logits, trace.actions):
-        probs, _, entropy = nn.softmax_logs(z)
-        logps.append(float(np.log(probs[action])))
-        entropies.append(entropy)
-        values.append(model.critic.value(h))
+    logps, entropies = policy_terms(logits, trace.actions)
+    values = [model.critic.value(h) for h in hidden]
     j_v, j_pi = agent.losses(values, returns, logps, entropies, config.entropy_weight)
     if advantages is not None:
         t = len(values)
@@ -924,9 +957,8 @@ def episode_gradients(model, trace, returns, noise_rng: Optional[np.random.Gener
     values, vgrads, dvdh = model.critic.value_and_grads(
         hidden, mode=config.gradient_mode, noise=config.noise, rng=noise_rng)
     values = values.tolist()
-
-    j_v, j_pi = agent.losses(values, returns, trace.logps, trace.entropies,
-                             config.entropy_weight)
+    logps, entropies = policy_terms(logits, trace.actions)
+    j_v, j_pi = agent.losses(values, returns, logps, entropies, config.entropy_weight)
 
     grad = np.zeros_like(model.flat)
     layer_grads = nn.views(grad, model.layers)
@@ -941,7 +973,7 @@ def episode_gradients(model, trace, returns, noise_rng: Optional[np.random.Gener
         # d(J_V)/dV; the advantage path into J_pi is detached
         dv = 2.0 * (values[t] - returns[t]) / t_len
         dlogits = -(advantage * (onehot - probs)) / t_len
-        dlogits += nn.entropy_backward(probs, -config.entropy_weight / t_len)
+        dlogits += entropy_backward(probs, -config.entropy_weight / t_len)
 
         for key, g in vgrads.items():
             critic_grads[key] += dv * g[t]
@@ -956,8 +988,9 @@ def train_run(config, scenes, env_config=env.EnvConfig()):
     """``qnav.agent.train_run`` with each truncated episode's bootstrap taken
     as a one-row critic value of the state after its last step, drawn from
     the noise stream right after the rollout and before any gradient row,
-    and the returns it seeds handed to :func:`returns_gradients`. Returns
-    (RunRecord, model) like ``train_run``."""
+    and the returns it seeds handed to :func:`returns_gradients`; each
+    episode's entropies are taken one row at a time by :func:`policy_terms`.
+    Returns (RunRecord, model) like ``train_run``."""
     streams = agent.rng_streams(config.seed)
     model = agent.ActorCriticModel(config, env.observation_dim(env_config), streams["init"])
     optimizer = nn.Adam(lr=config.lr)
@@ -975,7 +1008,7 @@ def train_run(config, scenes, env_config=env.EnvConfig()):
         grad, j_v = returns_gradients(model, trace, returns, streams["noise"])
         optimizer.update(model.flat, grad)
         record.returns.append(trace.episode_return)
-        record.entropies.append(float(np.mean(trace.entropies)))
+        record.entropies.append(float(np.mean(policy_terms(trace.logits, trace.actions)[1])))
         record.steps.append(trace.steps)
         record.outcomes.append(trace.outcome)
         record.value_losses.append(j_v)
@@ -992,12 +1025,13 @@ def returns_gradients(model, trace, returns, noise_rng):
     values, critic_grads, dh_critic = model.critic.value_and_grads(
         rows.hidden[1 : t_len + 1], mode=config.gradient_mode, noise=config.noise,
         rng=noise_rng, upstream=lambda v: 2.0 * (v - returns) / t_len)
-    j_v, _ = agent.losses(values, returns, trace.logps, trace.entropies, config.entropy_weight)
+    logps, entropies = policy_terms(rows.logits[:t_len], trace.actions)
+    j_v, _ = agent.losses(values, returns, logps, entropies, config.entropy_weight)
     advantage = returns - values
     probs = nn.softmax(rows.logits[:t_len])
     onehot = np.eye(env.N_ACTIONS)[trace.actions]
     dlogits = -(advantage[:, None] * (onehot - probs)) / t_len
-    dlogits += nn.entropy_backward(probs, -config.entropy_weight / t_len)
+    dlogits += entropy_backward(probs, -config.entropy_weight / t_len)
     grad = np.zeros_like(model.flat)
     layer_grads = nn.views(grad, model.layers)
     for key, g in nn.named(layer_grads["critic"]).items():

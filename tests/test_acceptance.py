@@ -231,11 +231,10 @@ def test_criterion_06_classical_gradients():
             params = {"logits": rng.normal(size=dim)}
 
             def loss():
-                _, _, ent = nn.softmax_logs(params["logits"])
-                return ent
+                return float(nn.policy_terms(params["logits"][None], [0])[3][0])
 
-            probs, _, _ = nn.softmax_logs(params["logits"])
-            grads = {"logits": nn.entropy_backward(probs, 1.0)}
+            probs, logp, _, ent = nn.policy_terms(params["logits"][None], [0])
+            grads = {"logits": nn.entropy_backward(probs, logp, ent, 1.0)[0]}
         worst = max(worst, oracles.finite_diff_check(params, loss, grads))
     report(6, f"dense/layernorm/trunk (LSTM unroll)/softmax max FD error {worst:.2e} <= 1e-5",
            worst <= 1e-5)

@@ -295,7 +295,7 @@ def test_policy_term_detached_from_critic():
         total = 0.0
         rows = replay(model, trace.obs)
         for logits, action, adv in zip(rows.logits, trace.actions, advantages):
-            probs, _, entropy = nn.softmax_logs(logits)
+            probs, _, entropy = oracles.softmax_logs(logits)
             total += math.log(probs[action]) * adv + config.entropy_weight * entropy
         return total / t
 
@@ -377,7 +377,7 @@ def test_episode_gradients_reuse_the_rollout(critic, monkeypatch):
     trunk_forward = model.trunk_forward
     monkeypatch.setattr(model, "trunk_forward",
                         lambda *a: calls.append(1) or trunk_forward(*a))
-    monkeypatch.setattr(nn, "softmax_logs", None)
+    monkeypatch.setattr(nn, "policy_terms", None)  # computed once, by the first pass
     grad, _, _ = agent.episode_gradients(model, trace)
     assert calls == []
     np.testing.assert_array_equal(grad, expected)
@@ -385,16 +385,16 @@ def test_episode_gradients_reuse_the_rollout(critic, monkeypatch):
 
 def test_greedy_trace_records_no_forward_pass():
     """Evaluation never backpropagates, so a greedy rollout keeps no hidden
-    states, logits, log-probabilities or entropies and makes no training
-    rows, and its trace cannot be differentiated."""
+    states or logits, hence no log-probabilities or entropies, and makes no
+    training rows, and its trace cannot be differentiated."""
     _, model, _ = small_model("classical")
     scene = env.make_scene(1, 20.0, 1.2)
     trace = agent.run_episode(model, scene, env.EnvConfig(), greedy=True)
     assert trace.steps == len(trace.actions) == len(trace.rewards) > 0
-    assert trace.logps == [] and trace.entropies == []
     assert trace.rows is None and model._training_rows is None
-    with pytest.raises(UsageError, match="no forward pass"):
-        trace.hidden
+    for name in ("hidden", "logits", "policy_terms", "logps", "entropies"):
+        with pytest.raises(UsageError, match="no forward pass"):
+            getattr(trace, name)
     with pytest.raises(UsageError, match="no forward pass"):
         agent.episode_gradients(model, trace)
 
@@ -447,10 +447,10 @@ def assert_recorded_rows_equal_a_replay(model, trace):
         np.testing.assert_array_equal(getattr(trace.rows, name)[: t_len + 1], getattr(rows, name))
     np.testing.assert_array_equal(trace.hidden, rows.hidden[1:])
     np.testing.assert_array_equal(trace.logits, rows.logits)
+    logps, entropies = oracles.policy_terms(rows.logits, trace.actions)
+    assert oracles.same_bits(trace.logps, logps)
+    assert oracles.same_bits(trace.entropies, entropies)
     for t in range(t_len):
-        probs, _, entropy = nn.softmax_logs(trace.logits[t])
-        assert trace.logps[t] == float(np.log(probs[trace.actions[t]]))
-        assert trace.entropies[t] == entropy
         h, _, (*_, i, f, o, g, c, tc) = oracles.lstm_step(
             model.lstm, rows.x[t].copy(), rows.hidden[t].copy(), rows.cell[t].copy())
         np.testing.assert_array_equal(np.concatenate([i, f, o, g]), rows.gates[t])
@@ -655,6 +655,29 @@ def test_a_noisy_train_run_draws_the_bootstrap_before_the_gradient():
         agent.episode_gradients(model, trace)
 
 
+@pytest.mark.parametrize("critic,mode", [("classical", "backprop"), ("quantum", "backprop"),
+                                         ("quantum", "param-shift")])
+def test_a_train_run_equals_the_reference(critic, mode):
+    """A fixed-seed run of each noiseless critic equals, bit for bit, the
+    reference whose entropies come one row at a time from
+    oracles.softmax_logs: the record, its entropy column included, and the
+    final parameters, over episodes that end by the step cap and by the
+    env. The adjoint critic's gradient rows run in a batch that holds the
+    bootstrap row, the reference's without it, so its parameters agree to
+    1e-12 (see test_a_truncated_episode_runs_its_critic_once)."""
+    config = AgentConfig(critic=critic, gradient_mode=mode, n_qubits=2, n_layers=1,
+                         episodes=6, seed=1, **{**SMALL, "max_steps": 40})
+    scenes = scenes_small()
+    record, model = agent.train_run(config, scenes)
+    expected, expected_model = oracles.train_run(config, scenes)
+    assert "timeout" in record.outcomes and set(record.outcomes) != {"timeout"}
+    assert json.dumps(dataclasses.asdict(record)) == json.dumps(dataclasses.asdict(expected))
+    if critic == "quantum" and mode == "backprop":
+        np.testing.assert_allclose(model.flat, expected_model.flat, rtol=0, atol=1e-12)
+    else:
+        assert model.flat.tobytes() == expected_model.flat.tobytes()
+
+
 def test_agent_step_cap_leaves_evaluation_to_the_env():
     """AgentConfig.max_steps truncates training rollouts only: greedy
     evaluation of a model whose agent cap (5) lies below the env's (500)
@@ -789,32 +812,73 @@ class FixedDraw:
 
 
 def test_sampled_logp_below_the_clip_is_the_log_itself():
-    """The sampled log-probability is float(np.log(probs[a])) also where the
-    probability lies below the 1e-300 that clips the row of logs: the draw
-    0.0 picks the first action of nonzero probability, here a subnormal one
-    or one near the clip."""
+    """The log-probability of a sampled action is float(np.log(probs[a]))
+    also where the probability lies below the 1e-300 that clips the table
+    of logs: the draw 0.0 picks the first action of nonzero probability,
+    here a subnormal one or one near the clip."""
     rows = [[-745.0, 0.0], [-740.0, 0.0], [-740.0, 0.0, 0.0], [-700.0, 0.0, 0.0],
             [-691.0, 0.0], [-690.0, 0.0], [-np.inf, -744.0, 0.0], [0.0, 0.0, 0.0]]
     below = 0
     for row in map(np.array, rows):
         probs = nn.softmax(row)
-        for u in (0.0, 0.5, 1.0 - 2.0**-53):
-            got = agent.select_action(row, FixedDraw(u))
-            assert oracles.same_bits(got, oracles.select_action(row, FixedDraw(u))), (row, u)
-            assert oracles.same_bits(got[1], float(np.log(probs[got[0]]))), (row, u)
-            below += bool(probs[got[0]] < 1e-300)
+        draws = (0.0, 0.5, 1.0 - 2.0**-53)
+        actions = [agent.select_action(row, FixedDraw(u)) for u in draws]
+        _, _, logps, _ = nn.policy_terms(np.tile(row, (len(draws), 1)), actions)
+        for u, action, logp in zip(draws, actions, logps):
+            want = oracles.select_action(row, FixedDraw(u))
+            assert isinstance(action, int) and action == want[0], (row, u)
+            assert oracles.same_bits(logp, want[1]), (row, u)
+            assert oracles.same_bits(logp, float(np.log(probs[action]))), (row, u)
+            below += bool(probs[action] < 1e-300)
     assert below >= 4
+
+
+def test_batched_policy_terms_equal_the_per_row_route():
+    """The log-probabilities and entropies the gradient pass computes for
+    all steps at once are, row by row, those of the per-row route: the
+    unclipped log of oracles.select_action, the entropy of
+    oracles.softmax_entropy and of oracles.softmax_logs. Over every
+    oracles.logit_rows row with finite probabilities, 1 to 8 actions, each
+    row taking a drawn action and the one the draw 0.0 picks (its first of
+    nonzero probability): among them rows whose taken or untaken
+    probability lies below the 1e-300 that clips the table of logs."""
+    rng = np.random.default_rng(23)
+    below = {"taken": 0, "untaken": 0}
+    with np.errstate(all="ignore"):
+        for width in range(1, 9):
+            rows, actions, want = [], [], []
+            for k, row in enumerate(oracles.logit_rows(rng, [width], 400)):
+                for draw in (np.random.default_rng(k), FixedDraw(0.0)):
+                    try:
+                        sampled = oracles.select_action(row, draw)
+                    except ValueError:
+                        break  # no finite probabilities: sampling refuses the row
+                    rows.append(row)
+                    actions.append(sampled[0])
+                    want.append(sampled)
+            probs, _, logps, entropies = nn.policy_terms(np.array(rows), actions)
+            for row, p, action, logp, entropy, (_, want_logp, want_entropy) in zip(
+                    rows, probs, actions, logps, entropies, want):
+                assert oracles.same_bits(logp, want_logp), row
+                assert oracles.same_bits(entropy, want_entropy), row
+                assert oracles.same_bits(entropy, oracles.softmax_entropy(row)[1]), row
+                assert oracles.same_bits(entropy, oracles.softmax_logs(row)[2]), row
+                small = p < 1e-300
+                below["taken"] += bool(small[action])
+                below["untaken"] += bool(np.delete(small, action).any())
+    assert below["taken"] > 0 and below["untaken"] > 0, below
 
 
 def test_select_action_uniform_sampling():
     rng = np.random.default_rng(11)
     counts = np.zeros(3)
     n = 10_000
-    for _ in range(n):
-        action, logp, entropy = agent.select_action(np.zeros(3), rng=rng)
+    actions = [agent.select_action(np.zeros(3), rng=rng) for _ in range(n)]
+    for action in actions:
         counts[action] += 1
-        assert logp == pytest.approx(math.log(1 / 3), abs=1e-12)
-        assert entropy == pytest.approx(math.log(3), abs=1e-12)
+    _, _, logps, entropies = nn.policy_terms(np.zeros((n, 3)), actions)
+    np.testing.assert_allclose(logps, math.log(1 / 3), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(entropies, math.log(3), rtol=0, atol=1e-12)
     chi2 = float(((counts - n / 3) ** 2 / (n / 3)).sum())
     assert chi2 < 13.8  # chi-square(2) at the 0.1% level
 
@@ -824,8 +888,9 @@ def test_select_action_logp_matches_softmax():
     rng = np.random.default_rng(2)
     h = rng.uniform(-1, 1, size=6)
     logits, _ = nn.dense_forward(model.actor, h)
-    action, logp, _ = agent.select_action(logits, rng=rng)
-    assert logp == pytest.approx(math.log(nn.softmax(logits)[action]), abs=1e-12)
+    action = agent.select_action(logits, rng=rng)
+    _, _, logps, _ = nn.policy_terms(logits[None], [action])
+    assert logps[0] == pytest.approx(math.log(nn.softmax(logits)[action]), abs=1e-12)
 
 
 def test_select_action_matches_generator_choice():
@@ -837,16 +902,15 @@ def test_select_action_matches_generator_choice():
         logits = draws.normal(size=(40, 3)) * scale
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for row in logits:
-            action, _, _ = agent.select_action(row, rng=ours)
+            action = agent.select_action(row, rng=ours)
             assert action == int(ref.choice(env.N_ACTIONS, p=nn.softmax(row)))
         assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def test_select_action_keeps_the_draws_of_the_array_route():
-    """Sampled actions, log-probabilities and entropies on Python floats
-    equal the cumsum/searchsorted route, with the same
-    rng draws, for 1 to 8 actions and non-finite or huge logits; a row whose
-    probabilities are not finite fails in both."""
+    """Sampled actions on Python floats equal the cumsum/searchsorted route,
+    with the same rng draws, for 1 to 8 actions and non-finite or huge
+    logits; a row whose probabilities are not finite fails in both."""
     rng = np.random.default_rng(17)
     with np.errstate(all="ignore"):
         for k, row in enumerate(oracles.logit_rows(rng, range(1, 9), 400)):
@@ -857,7 +921,8 @@ def test_select_action_keeps_the_draws_of_the_array_route():
                 with pytest.raises(ValueError):
                     agent.select_action(row, ours)
             else:
-                assert oracles.same_bits(agent.select_action(row, ours), want), row
+                got = agent.select_action(row, ours)
+                assert isinstance(got, int) and got == want[0], row
             assert ours.bit_generator.state == ref.bit_generator.state
 
 

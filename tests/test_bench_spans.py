@@ -110,13 +110,16 @@ def test_an_eval_grid_run_passes_its_checks(tmp_path):
     assert_a_short_run_passes_its_checks("eval-grid", tmp_path)
 
 
-@pytest.mark.parametrize("workload", ["train-quantum", "train-paramshift-noisy"])
+@pytest.mark.parametrize("workload", ["train-quantum", "train-paramshift-noisy",
+                                      "train-classical"])
 def test_a_training_run_passes_its_checks(workload, tmp_path):
     """A short training run passes every output check: the episodes and
     value losses its hooks on ``agent.run_episode`` and
     ``agent.episode_gradients`` capture equal the RunRecord, its repeat of
-    the first episodes gives their bytes and losses again, and the adjoint
-    and parameter-shift critic gradients agree."""
+    the first episodes gives their bytes and losses again, and, for a
+    quantum critic, the adjoint and parameter-shift critic gradients agree.
+    ``train-classical`` is the workload where the rollout's own glue
+    (sampling, the trunk) dominates."""
     assert_a_short_run_passes_its_checks(workload, tmp_path)
 
 

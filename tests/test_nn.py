@@ -137,19 +137,26 @@ def test_layer_norm_gradients():
 # softmax / entropy
 
 
+def entropy_of(logits) -> tuple:
+    """The probabilities and entropy of one row of logits by the batched
+    route, ``nn.policy_terms`` on a batch of one row."""
+    probs, _, _, entropies = nn.policy_terms(np.asarray(logits, dtype=float)[None], [0])
+    return probs[0], entropies[0]
+
+
 def test_softmax_uniform():
-    probs, _, entropy = nn.softmax_logs(np.zeros(3))
+    probs, entropy = entropy_of(np.zeros(3))
     np.testing.assert_allclose(probs, np.full(3, 1 / 3), atol=1e-12)
     assert entropy == pytest.approx(math.log(3), abs=1e-12)
 
 
 def test_softmax_degenerate():
-    _, _, entropy = nn.softmax_logs(np.array([50.0, 0.0, 0.0]))
+    _, entropy = entropy_of([50.0, 0.0, 0.0])
     assert entropy < 1e-10
 
 
 def test_softmax_two_logits():
-    probs, _, entropy = nn.softmax_logs(np.zeros(2))
+    probs, entropy = entropy_of(np.zeros(2))
     np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
     assert entropy == pytest.approx(math.log(2), abs=1e-12)
 
@@ -157,7 +164,7 @@ def test_softmax_two_logits():
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8))
 def test_softmax_properties(logits):
-    probs, _, entropy = nn.softmax_logs(np.array(logits))
+    probs, entropy = entropy_of(logits)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(probs > 0)
     assert -1e-12 <= entropy <= math.log(len(logits)) + 1e-12
@@ -172,32 +179,38 @@ def test_entropy_floor_keeps_the_bits_of_clip():
         ent = -(probs * logp).sum(axis=-1, keepdims=True)
         return dH * (-probs * (logp + ent))
 
-    rows = []
-    for logits in ([0.0, -800.0, -800.0], [0.0, -744.0, -710.0], [np.nan, 0.0, 0.0],
-                   [0.3, -0.2, 0.1]):
-        probs, _, entropy = nn.softmax_logs(np.array(logits))
-        clipped = float(-(probs * np.log(np.clip(probs, 1e-300, None))).sum())
-        np.testing.assert_array_equal(entropy, clipped)
-        np.testing.assert_array_equal(nn.entropy_backward(probs, 0.7),
-                                      clipped_backward(probs, 0.7))
-        rows.append(probs)
-    rows = np.array(rows)
-    assert rows[0, 1] == 0.0 and 0.0 < rows[1, 1] < np.finfo(float).tiny
-    assert np.isnan(rows[2]).all()
-    np.testing.assert_array_equal(nn.entropy_backward(rows, 0.7), clipped_backward(rows, 0.7))
+    logits = np.array([[0.0, -800.0, -800.0], [0.0, -744.0, -710.0], [np.nan, 0.0, 0.0],
+                       [0.3, -0.2, 0.1]])
+    probs, logp, _, entropies = nn.policy_terms(logits, [0, 1, 2, 0])
+    clipped = -(probs * np.log(np.clip(probs, 1e-300, None))).sum(axis=-1)
+    np.testing.assert_array_equal(entropies, clipped)
+    np.testing.assert_array_equal(nn.entropy_backward(probs, logp, entropies, 0.7),
+                                  clipped_backward(probs, 0.7))
+    assert probs[0, 1] == 0.0 and 0.0 < probs[1, 1] < np.finfo(float).tiny
+    assert np.isnan(probs[2]).all()
 
 
 def test_softmax_entropy_keeps_the_bits_of_the_array_route():
-    """One row reduced on Python floats gives the probabilities and entropy
-    of numpy's reductions, for every width that numpy sums left to right,
-    with a tree of 8 partial sums, or in halves (over 128)."""
+    """The batched policy terms of rows of one width give, row by row, the
+    probabilities and entropy of numpy's reductions on that row alone and
+    of the Python-float row (oracles.softmax_logs), and the unclipped log of
+    the taken action's probability, for every width that numpy sums left to
+    right, with a tree of 8 partial sums, or in halves (over 128)."""
     rng = np.random.default_rng(14)
     with np.errstate(all="ignore"):
-        for row in oracles.logit_rows(rng, [*range(1, 10), 16, 23, 128, 129, 300], 300):
-            probs, _, entropy = nn.softmax_logs(row)
-            want_probs, want_entropy = oracles.softmax_entropy(row)
-            assert oracles.same_bits(probs, want_probs), row
-            assert oracles.same_bits(entropy, want_entropy), row
+        for width in [*range(1, 10), 16, 23, 128, 129, 300]:
+            rows = np.array(list(oracles.logit_rows(rng, [width], 300)))
+            taken = rng.integers(0, width, len(rows))
+            probs, _, logps, entropies = nn.policy_terms(rows, taken)
+            for row, got_probs, action, logp, entropy in zip(rows, probs, taken, logps,
+                                                             entropies):
+                want_probs, want_entropy = oracles.softmax_entropy(row)
+                row_probs, _, row_entropy = oracles.softmax_logs(row)
+                assert oracles.same_bits(got_probs, want_probs), row
+                assert oracles.same_bits(got_probs, row_probs), row
+                assert oracles.same_bits(entropy, want_entropy), row
+                assert oracles.same_bits(entropy, row_entropy), row
+                assert oracles.same_bits(logp, np.log(want_probs[action])), row
 
 
 def test_entropy_backward_matches_fd():
@@ -205,28 +218,37 @@ def test_entropy_backward_matches_fd():
     logits = {"z": rng.normal(size=4)}
 
     def loss():
-        _, _, ent = nn.softmax_logs(logits["z"])
-        return ent
+        return entropy_of(logits["z"])[1]
 
-    probs, _, _ = nn.softmax_logs(logits["z"])
-    grad = nn.entropy_backward(probs, 1.0)
+    probs, logp, _, entropies = nn.policy_terms(logits["z"][None], [0])
+    grad = nn.entropy_backward(probs, logp, entropies, 1.0)[0]
     assert oracles.finite_diff_check(logits, loss, {"z": grad}) < 1e-7
 
 
 def test_softmax_and_entropy_backward_batch_rows_equal_single_calls():
-    """softmax and entropy_backward on (T, A) rows give, row by row, the
-    bits of T single calls."""
+    """softmax, policy_terms and entropy_backward on (T, A) rows give, row
+    by row, the bits of T single calls, and entropy_backward on the shared
+    log table and entropies those of taking them from the probabilities
+    alone (oracles.entropy_backward)."""
     rng = np.random.default_rng(13)
     for shape in ((6, 3), (4, 11)):
         logits = rng.normal(size=shape) * 4.0
         logits[0, 0] = 60.0  # a near one-hot row
+        taken = rng.integers(0, shape[1], shape[0])
         probs = nn.softmax(logits)
-        dlogits = nn.entropy_backward(probs, -0.37)
+        terms = nn.policy_terms(logits, taken)
+        dlogits = nn.entropy_backward(*terms[:2], terms[3], -0.37)
         assert probs.shape == dlogits.shape == shape
+        np.testing.assert_array_equal(terms[0], probs)
+        np.testing.assert_array_equal(dlogits, oracles.entropy_backward(probs, -0.37))
         for t in range(shape[0]):
             single = nn.softmax(logits[t])
             np.testing.assert_array_equal(probs[t], single)
-            np.testing.assert_array_equal(dlogits[t], nn.entropy_backward(single, -0.37))
+            row_terms = nn.policy_terms(logits[t : t + 1], taken[t : t + 1])
+            for got, want in zip(terms, row_terms):
+                np.testing.assert_array_equal(got[t], want[0])
+            np.testing.assert_array_equal(
+                dlogits[t], nn.entropy_backward(*row_terms[:2], row_terms[3], -0.37)[0])
 
 
 # ---------------------------------------------------------------------------

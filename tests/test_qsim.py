@@ -468,6 +468,35 @@ def test_batched_param_shift_matches_scalar_reference(n, layers):
                                        rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n,layers,p", [(4, 2, 32), (1, 2, 9), (3, 2, 20), (2, 1, 7)])
+def test_source_sums_give_the_bits_of_add_at(n, layers, p):
+    """Both gradient routes sum each angle column's derivative into its
+    parameter and its feature by the circuit's 0/1 matrices, with the bytes
+    of np.add.at over the parameter-shift differences in use order: on
+    zero, -0.0, 1e-300 and 1e200 differences and on normal ones over twelve
+    decades of scale, signs mixed."""
+    layout = encoding.plan_layout(p, n, layers)
+    gates, marks = encoding.build_circuit(layout)
+    circuit = compile_circuit(gates, n, marks)
+    cols = np.concatenate([circuit.param_cols, circuit.data_cols])
+    n_params = circuit.param_cols.size
+    rng = np.random.default_rng(31 * n + p)
+    special = np.array([0.0, -0.0, 1e-300, -1e-300, 1e200, -1e200])
+    for rows in (1, 6):
+        diff = rng.normal(size=(rows, len(cols))) * 10.0 ** rng.integers(-6, 6, (rows, len(cols)))
+        mask = rng.random(diff.shape) < 0.4
+        diff[mask] = rng.choice(special, mask.sum())
+        d_angle = np.zeros((circuit.n_rotations + 1, rows))
+        d_angle[cols] = diff.T
+        d_theta, d_x = qsim._sum_sources(circuit, d_angle, p)
+        want_theta, want_x = np.zeros((rows, layout.param_count)), np.zeros((rows, p))
+        for row in range(rows):
+            np.add.at(want_theta[row], circuit.param_index, diff[row, :n_params])
+            np.add.at(want_x[row], circuit.data_index, diff[row, n_params:])
+        assert d_theta.tobytes() == want_theta.tobytes()
+        assert d_x.tobytes() == want_x.tobytes()
+
+
 def test_batch_rows_equal_unbatched_calls():
     rng = np.random.default_rng(17)
     gates, marks, x, theta, w, b = reuploading_case(rng, 3, 2, 7)
